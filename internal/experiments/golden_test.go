@@ -14,10 +14,14 @@ package experiments
 import (
 	"fmt"
 	"hash/fnv"
+	"strings"
 	"testing"
 
+	"rpgo/internal/campaign"
 	"rpgo/internal/core"
+	"rpgo/internal/model"
 	"rpgo/internal/profiler"
+	"rpgo/internal/sim"
 	"rpgo/internal/spec"
 )
 
@@ -52,6 +56,15 @@ const (
 	goldenHandoffTasks    = uint64(0x19dfaad4c89267d2)
 	goldenHandoffTransfer = uint64(0xabb7481f7145aab5)
 	goldenHybridTasks     = uint64(0x944348e46b879a60)
+)
+
+// Golden hashes for the srun and PRRTE launch paths and for a fault-enabled
+// run that crashes, restarts and evicts on every backend. They pin the
+// launcher lifecycle the four backends share.
+const (
+	goldenFig8SrunTasks  = uint64(0xe24c5088e2e03cbd)
+	goldenPRRTECampaign  = uint64(0x5cee4546e1587080)
+	goldenFaultFourTasks = uint64(0xccf688d24be8b568)
 )
 
 // TestGoldenFig8Campaign runs a fixed-seed, iteration-capped IMPECCABLE
@@ -117,5 +130,134 @@ func TestGoldenStagingHandoff(t *testing.T) {
 	}
 	if goldenHandoffTransfer != 0 && gotTransfers != goldenHandoffTransfer {
 		t.Fatalf("handoff transfer fingerprint drifted: got %#x, want %#x", gotTransfers, goldenHandoffTransfer)
+	}
+}
+
+// TestGoldenFig8CampaignSrun is TestGoldenFig8Campaign on RP's default srun
+// executor: every task holds a slot of the Slurm srun ceiling.
+func TestGoldenFig8CampaignSrun(t *testing.T) {
+	res := RunImpeccable(ImpeccableConfig{
+		Nodes:    128,
+		Backend:  spec.BackendSrun,
+		Seed:     424242,
+		MaxIters: 6,
+	})
+	if res.Tasks == 0 {
+		t.Fatal("campaign ran no tasks")
+	}
+	got := fingerprintTraces(res.Traces)
+	t.Logf("fig8 srun tasks=%d failed=%d fingerprint=%#x", res.Tasks, res.Failed, got)
+	if goldenFig8SrunTasks != 0 && got != goldenFig8SrunTasks {
+		t.Fatalf("fig8 srun trace fingerprint drifted: got %#x, want %#x", got, goldenFig8SrunTasks)
+	}
+}
+
+// runCampaignTraced runs a MaxIters-capped IMPECCABLE campaign on the given
+// partition layout and returns its session.
+func runCampaignTraced(t *testing.T, nodes int, parts []spec.PartitionConfig, seed uint64, params *model.Params) *core.Session {
+	t.Helper()
+	sess := core.NewSession(core.Config{Seed: seed, Params: params})
+	pilot, err := sess.SubmitPilot(spec.PilotDescription{Nodes: nodes, SMT: 1, Partitions: parts})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tm := sess.TaskManager(pilot)
+	camp := campaign.New(campaign.Config{Nodes: nodes, MaxIters: 2, MaxRetries: 8}, sess, tm)
+	if err := camp.Start(); err != nil {
+		t.Fatal(err)
+	}
+	if err := tm.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	return sess
+}
+
+// TestGoldenPRRTECampaign pins a small campaign on one PRRTE DVM: the
+// serial prun launcher and its per-launch client latency.
+func TestGoldenPRRTECampaign(t *testing.T) {
+	sess := runCampaignTraced(t, 32, []spec.PartitionConfig{{Backend: spec.BackendPRRTE, Instances: 1}}, 5150, nil)
+	tasks := sess.Profiler.Tasks()
+	if len(tasks) == 0 {
+		t.Fatal("campaign ran no tasks")
+	}
+	got := fingerprintTraces(tasks)
+	t.Logf("prrte tasks=%d fingerprint=%#x", len(tasks), got)
+	if goldenPRRTECampaign != 0 && got != goldenPRRTECampaign {
+		t.Fatalf("prrte trace fingerprint drifted: got %#x, want %#x", got, goldenPRRTECampaign)
+	}
+}
+
+// TestGoldenFaultFourBackends pins a run with node failures and backend
+// crashes over flux, dragon, prrte and srun partitions. The checks below
+// make sure the schedule really evicts work and crashes and restarts each
+// crashable backend, so the pin covers those paths.
+func TestGoldenFaultFourBackends(t *testing.T) {
+	params := model.Default()
+	params.Fault = model.FaultParams{
+		NodeMTBF:        200,
+		NodeDowntime:    60,
+		BackendMTBF:     40,
+		BackendDowntime: 30,
+		Horizon:         900,
+	}
+	sess := core.NewSession(core.Config{Seed: 8080, Params: &params})
+	sess.Profiler.RecordEvents = true
+	backends := []spec.Backend{spec.BackendFlux, spec.BackendDragon, spec.BackendPRRTE, spec.BackendSrun}
+	var parts []spec.PartitionConfig
+	for _, b := range backends {
+		parts = append(parts, spec.PartitionConfig{Backend: b, Instances: 1, NodesPerInstance: 2})
+	}
+	pilot, err := sess.SubmitPilot(spec.PilotDescription{Nodes: 8, SMT: 1, Partitions: parts})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var tds []*spec.TaskDescription
+	for i := 0; i < 240; i++ {
+		tds = append(tds, &spec.TaskDescription{
+			UID:          fmt.Sprintf("f.%04d", i),
+			Backend:      backends[i%len(backends)],
+			CoresPerRank: 14, Ranks: 2,
+			Duration:   sim.Seconds(20),
+			MaxRetries: 20,
+		})
+	}
+	tm := sess.TaskManager(pilot)
+	tm.Submit(tds)
+	if err := tm.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	st := pilot.Faults.Stats()
+	if st.NodeFailures == 0 || st.Victims == 0 || st.BackendCrashes == 0 || st.BackendRestarts == 0 {
+		t.Fatalf("fault schedule too quiet to pin anything: %+v makespan=%v", st, sess.Profiler.Makespan())
+	}
+	up := map[string]bool{}
+	for _, ev := range sess.Profiler.EventsFor("agent") {
+		if ev.Name == "instance_up" {
+			up[strings.SplitN(ev.Info, ".", 2)[0]] = true
+		}
+	}
+	for _, b := range backends[:3] {
+		if !up[b.String()] {
+			t.Errorf("no %s instance crashed and restarted (restarted: %v)", b, up)
+		}
+	}
+	tasks := sess.Profiler.Tasks()
+	evicted := map[string]bool{}
+	for _, tr := range tasks {
+		for _, e := range tr.Edges {
+			if e.Kind == profiler.EdgeFailure && strings.HasPrefix(e.Ref, "node ") {
+				evicted[strings.SplitN(tr.Backend, ".", 2)[0]] = true
+			}
+		}
+	}
+	for _, b := range backends {
+		if !evicted[b.String()] {
+			t.Errorf("no node failure evicted a %s task (evicted: %v)", b, evicted)
+		}
+	}
+	got := fingerprintTraces(tasks)
+	t.Logf("fault tasks=%d stats=%+v makespan=%v fingerprint=%#x", len(tasks), st, sess.Profiler.Makespan(), got)
+	if goldenFaultFourTasks != 0 && got != goldenFaultFourTasks {
+		t.Fatalf("fault trace fingerprint drifted: got %#x, want %#x", got, goldenFaultFourTasks)
 	}
 }
