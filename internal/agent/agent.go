@@ -120,8 +120,8 @@ type Agent struct {
 	slowFactor func(node int) float64
 
 	// Phase, when set before the engine runs, is handed to every backend
-	// launcher that supports launch.PhaseAttacher as it is created during
-	// bootstrap (launchers do not exist yet when the pilot is submitted).
+	// launcher as it is created during bootstrap (launchers do not exist
+	// yet when the pilot is submitted).
 	Phase sim.PhaseFunc
 	// elastic marks that a fault injector manages this pilot: a group
 	// whose instances are all down parks tasks until a restart instead of
@@ -145,7 +145,7 @@ type Agent struct {
 // per-backend throughput ceiling of the agent (§4.1.5).
 type executorGroup struct {
 	backend   spec.Backend
-	launchers []launch.Launcher
+	launchers []*launch.Launcher
 	alive     []bool
 	inflight  []int // tasks handed to each launcher and not yet final
 	submitter *sim.Server[*Task]
@@ -212,40 +212,11 @@ func (a *Agent) bootstrapBackends() {
 		for ii := 0; ii < pc.Instances; ii++ {
 			part := parts[gi][ii]
 			name := fmt.Sprintf("%s.%d", pc.Backend, ii)
-			var l launch.Launcher
-			switch pc.Backend {
-			case spec.BackendSrun:
-				l = slurm.NewSrunLauncher(name, a.eng, a.ctrl, part, a.util, a.src)
-			case spec.BackendFlux:
-				in := flux.NewInstance(flux.Config{
-					Name:   name,
-					Params: a.params.Flux,
-					Eta:    a.params.Flux.Eta(pc.Instances),
-				}, a.eng, a.ctrl, part, a.util, a.src)
-				idx := len(g.launchers)
-				in.OnException = func(reason string) { a.instanceDown(g, idx, reason) }
-				l = in
-			case spec.BackendPRRTE:
-				dvm := prrte.NewDVM(name, prrte.DefaultParams(), a.eng, a.ctrl, part, a.util, a.src)
-				idx := len(g.launchers)
-				dvm.OnException = func(reason string) { a.instanceDown(g, idx, reason) }
-				l = dvm
-			case spec.BackendDragon:
-				rt := dragon.NewRuntime(dragon.Config{
-					Name:   name,
-					Params: a.params.Dragon,
-					Eta:    a.params.Flux.Eta(pc.Instances),
-				}, a.eng, a.ctrl, part, a.util, a.src)
-				idx := len(g.launchers)
-				rt.OnException = func(reason string) { a.instanceDown(g, idx, reason) }
-				l = rt
-			default:
-				panic("agent: unknown backend " + pc.Backend.String())
-			}
+			l := a.newLauncher(pc, name, part)
+			idx := len(g.launchers)
+			l.OnException = func(reason string) { a.instanceDown(g, idx, reason) }
 			if a.Phase != nil {
-				if pa, ok := l.(launch.PhaseAttacher); ok {
-					pa.AttachPhase(a.Phase)
-				}
+				l.AttachPhase(a.Phase)
 			}
 			g.launchers = append(g.launchers, l)
 			g.alive = append(g.alive, true)
@@ -266,6 +237,31 @@ func (a *Agent) bootstrapBackends() {
 	a.preBootstrap = nil
 	for _, t := range parked {
 		a.eng.Immediately(func() { a.scheduled(t) })
+	}
+}
+
+// newLauncher creates one backend instance over its partition: the shared
+// launcher driven by the backend's cost model.
+func (a *Agent) newLauncher(pc spec.PartitionConfig, name string, part *platform.Allocation) *launch.Launcher {
+	switch pc.Backend {
+	case spec.BackendSrun:
+		return slurm.NewSrunLauncher(name, a.eng, a.ctrl, part, a.util, a.src).Launcher
+	case spec.BackendFlux:
+		return flux.NewInstance(flux.Config{
+			Name:   name,
+			Params: a.params.Flux,
+			Eta:    a.params.Flux.Eta(pc.Instances),
+		}, a.eng, a.ctrl, part, a.util, a.src).Launcher
+	case spec.BackendPRRTE:
+		return prrte.NewDVM(name, prrte.DefaultParams(), a.eng, a.ctrl, part, a.util, a.src).Launcher
+	case spec.BackendDragon:
+		return dragon.NewRuntime(dragon.Config{
+			Name:   name,
+			Params: a.params.Dragon,
+			Eta:    a.params.Flux.Eta(pc.Instances),
+		}, a.eng, a.ctrl, part, a.util, a.src).Launcher
+	default:
+		panic("agent: unknown backend " + pc.Backend.String())
 	}
 }
 
@@ -358,8 +354,8 @@ func (a *Agent) Ready(fn func()) {
 
 // Launchers returns the flat list of backend launchers (for tests and
 // overhead analysis).
-func (a *Agent) Launchers() []launch.Launcher {
-	var out []launch.Launcher
+func (a *Agent) Launchers() []*launch.Launcher {
+	var out []*launch.Launcher
 	for _, g := range a.groups {
 		out = append(out, g.launchers...)
 	}

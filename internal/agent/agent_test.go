@@ -200,9 +200,8 @@ func TestRetryAfterInstanceCrash(t *testing.T) {
 	r.eng.RunUntil(sim.Time(30 * sim.Second))
 	crashed := false
 	for _, l := range r.agent.Launchers() {
-		if rt, ok := l.(interface{ Crash(string) }); ok && !crashed {
-			rt.Crash("injected instance failure")
-			crashed = true
+		if !crashed {
+			crashed = l.Crash("injected instance failure")
 		}
 	}
 	r.eng.Run()
@@ -239,7 +238,7 @@ func TestRetriesExhaustedFails(t *testing.T) {
 	r.agent.Submit(tk, func(tt *Task) { final = tt })
 	r.eng.RunUntil(sim.Time(30 * sim.Second))
 	for _, l := range r.agent.Launchers() {
-		l.(interface{ Crash(string) }).Crash("dead")
+		l.Crash("dead")
 	}
 	r.eng.Run()
 	if final == nil || final.State != states.TaskFailed {

@@ -9,7 +9,6 @@ package agent
 import (
 	"fmt"
 
-	"rpgo/internal/launch"
 	"rpgo/internal/profiler"
 	"rpgo/internal/sim"
 )
@@ -35,9 +34,7 @@ func (a *Agent) FailNode(node int, reason string) int {
 	victims := 0
 	for _, g := range a.groups {
 		for _, l := range g.launchers {
-			if nf, ok := l.(launch.NodeFailer); ok {
-				victims += nf.FailNode(node, reason)
-			}
+			victims += l.FailNode(node, reason)
 		}
 	}
 	a.dataSys.Registry().EvictNode(node)
@@ -52,11 +49,8 @@ func (a *Agent) FailNode(node int, reason string) int {
 func (a *Agent) KickBackends() {
 	for _, g := range a.groups {
 		for i, l := range g.launchers {
-			if !g.alive[i] {
-				continue
-			}
-			if nf, ok := l.(launch.NodeFailer); ok {
-				nf.Kick()
+			if g.alive[i] {
+				l.Kick()
 			}
 		}
 	}
@@ -72,27 +66,16 @@ func (a *Agent) NumInstances() int {
 	return n
 }
 
-// crasher/restarter are the optional backend capabilities behind
-// CrashInstance/RestartInstance (flux, dragon and prrte implement both;
-// srun is Slurm itself and does neither).
-type crasher interface{ Crash(reason string) }
-type restarter interface{ Restart() bool }
-
 // CrashInstance crashes backend instance i (flat index across groups):
 // queued and running tasks fail back into the agent's retry path and the
 // instance is marked dead through its OnException hook. Returns false when
-// the instance is already down or the launcher cannot crash.
+// the instance is already down or has no instance process to crash (srun).
 func (a *Agent) CrashInstance(i int, reason string) bool {
 	g, idx := a.instanceAt(i)
 	if g == nil || !g.alive[idx] {
 		return false
 	}
-	c, ok := g.launchers[idx].(crasher)
-	if !ok {
-		return false
-	}
-	c.Crash(reason)
-	return true
+	return g.launchers[idx].Crash(reason)
 }
 
 // RestartInstance re-bootstraps a crashed instance; once it is back up the
@@ -100,11 +83,7 @@ func (a *Agent) CrashInstance(i int, reason string) bool {
 // false when the instance is alive or cannot restart.
 func (a *Agent) RestartInstance(i int) bool {
 	g, idx := a.instanceAt(i)
-	if g == nil || g.alive[idx] {
-		return false
-	}
-	r, ok := g.launchers[idx].(restarter)
-	if !ok || !r.Restart() {
+	if g == nil || g.alive[idx] || !g.launchers[idx].Restart() {
 		return false
 	}
 	g.launchers[idx].Ready(func() {

@@ -189,7 +189,7 @@ func TestTerminalFailureEdge(t *testing.T) {
 	r.agent.Submit(tk, func(tt *Task) { final = tt })
 	r.eng.RunUntil(sim.Time(30 * sim.Second))
 	for _, l := range r.agent.Launchers() {
-		l.(interface{ Crash(string) }).Crash("dead")
+		l.Crash("dead")
 	}
 	r.eng.Run()
 	if final == nil || final.State != states.TaskFailed {

@@ -208,7 +208,7 @@ func TestWaitServicesIgnoresRetriedStart(t *testing.T) {
 	}
 	for _, l := range r.agent.Launchers() {
 		if l.Name() == a.Trace.Backend {
-			l.(interface{ Crash(string) }).Crash("injected")
+			l.Crash("injected")
 		}
 	}
 	r.eng.Run()

@@ -182,8 +182,7 @@ func (s *Session) SubmitPilot(pd spec.PilotDescription) (*Pilot, error) {
 	p.Agent = ag
 	if s.profile != nil {
 		// Launchers are created later, during agent bootstrap; the agent
-		// attaches the hook to each placement-capable launcher as it comes
-		// up (launch.PhaseAttacher).
+		// attaches the hook to each launcher as it comes up.
 		ag.Phase = s.profile.Observe
 	}
 	if s.Params.Fault.Enabled() {
@@ -478,12 +477,10 @@ func (s *Session) snapshot(includeBlame bool) *obs.Snapshot {
 		dispatches += ag.Dispatches()
 		retries += ag.Retries()
 		for _, l := range ag.Launchers() {
-			if in, ok := l.(launch.Instrumented); ok {
-				tel := in.Telemetry()
-				pstats.Merge(tel.Placer)
-				if tel.QueueHighWater > queueHigh {
-					queueHigh = tel.QueueHighWater
-				}
+			tel := l.Telemetry()
+			pstats.Merge(tel.Placer)
+			if tel.QueueHighWater > queueHigh {
+				queueHigh = tel.QueueHighWater
 			}
 		}
 		if ds := ag.Data(); ds != nil {

@@ -20,7 +20,6 @@
 package dragon
 
 import (
-	"fmt"
 	"math"
 
 	"rpgo/internal/launch"
@@ -32,50 +31,19 @@ import (
 	"rpgo/internal/spec"
 )
 
-// Runtime is one Dragon runtime over a resource partition.
+// Runtime is one Dragon runtime over a resource partition: the shared
+// launcher lifecycle driven by the centralized dispatcher's cost model.
 type Runtime struct {
-	name   string
-	eng    *sim.Engine
+	*launch.Launcher
 	params model.DragonParams
-	ctrl   *slurm.Controller
-	plc    *launch.Placer
-	util   *platform.UtilizationTracker
 	rand   *rng.Stream
-
-	queue   launch.Queue
-	running []*dispatch
-
-	ready       bool
-	failed      bool
-	readyFns    []func()
-	t0          sim.Time
-	bootstrap   sim.Duration
-	releaseSrun func()
-
 	// dispatcher serializes task launches (the centralized design the
 	// paper measures).
-	dispatcher *sim.Server[*dispatch]
+	dispatcher *sim.Server[*launch.Job]
 	rateMult   float64
 	eta        float64
-	crashed    bool
-	stats      launch.Stats
-
-	// Prebound hot-path callbacks for the engine's pooled events.
-	arrivedFn func(any)
-	spawnedFn func(any)
-	doneFn    func(any)
-	hopFn     func(any)
-
-	// OnException receives runtime-level failures.
-	OnException func(reason string)
-}
-
-type dispatch struct {
-	r  *launch.Request
-	pl *platform.Placement
-	// runIdx is the slot in the runtime's running list, -1 when not
-	// running (O(1) membership instead of a map operation per task).
-	runIdx int
+	// hang makes the next boot attempt never come up.
+	hang bool
 }
 
 // Config carries runtime construction options.
@@ -98,109 +66,42 @@ func NewRuntime(cfg Config, eng *sim.Engine, ctrl *slurm.Controller, part *platf
 		cfg.Eta = 1
 	}
 	d := &Runtime{
-		name:   cfg.Name,
-		eng:    eng,
 		params: cfg.Params,
 		eta:    cfg.Eta,
-		ctrl:   ctrl,
-		plc:    launch.NewPlacer(part),
-		util:   util,
 		rand:   src.Stream("dragon." + cfg.Name),
-		t0:     eng.Now(),
+		hang:   cfg.FailBootstrap,
 	}
 	d.rateMult = d.rand.LogNormal(1, cfg.Params.RunSigma)
-	d.arrivedFn = d.submitArrived
-	d.spawnedFn = d.spawned
-	d.doneFn = d.taskDone
-	d.hopFn = d.completeHop
 	d.dispatcher = sim.NewServer(eng, 1, d.serviceTime, d.dispatched)
-	d.boot(cfg.FailBootstrap)
+	shmem := sim.Seconds(cfg.Params.ShmemLatency)
+	d.Launcher = launch.New(launch.Config{
+		Name: cfg.Name, Backend: spec.BackendDragon, Label: "dragon runtime",
+		Engine: eng, Ctrl: ctrl, Part: part, Util: util,
+		// Tasks are serialized to the runtime over a shmem pipe, and
+		// completion events hop back over a shmem queue to a watcher.
+		SubmitLatency:   shmem,
+		CompleteLatency: shmem,
+		StartupTimeout:  sim.Seconds(cfg.Params.StartupTimeout),
+		Bootstrap:       d.bootstrapCost,
+		// Implicit resource management: first free worker slots win.
+		Launch: d.dispatcher.Submit,
+	})
+	d.Boot()
 	return d
 }
 
-func (d *Runtime) boot(failBootstrap bool) {
-	// Startup timeout: if the runtime is not up in time, RP must not
-	// stall (§3.2.2).
-	timeout := d.eng.After(sim.Seconds(d.params.StartupTimeout), func() {
-		if d.ready || d.crashed {
-			return
-		}
-		d.failed = true
-		d.Crash("dragon bootstrap timed out")
-	})
+// bootstrapCost draws the runtime bring-up: one srun starts the whole
+// runtime, and worker bring-up cost is part of the bootstrap latency.
+func (d *Runtime) bootstrapCost() (sim.Duration, bool) {
 	boot := d.params.BootstrapMedian +
 		d.params.BootstrapPerLogNode*math.Log2(float64(d.Nodes())+1)
 	dur := sim.Seconds(d.rand.LogNormal(boot, d.params.BootstrapSigma))
-	if failBootstrap {
-		// Never comes up; the timeout fires instead.
-		return
+	if d.hang {
+		d.hang = false
+		return -1, true
 	}
-	// One srun brings up the whole runtime; worker bring-up cost is part
-	// of the bootstrap latency.
-	d.ctrl.StartStep(d.Nodes(), 1, func(release func()) {
-		d.releaseSrun = release
-		left := sim.Duration(0)
-		if spent := d.eng.Now().Sub(d.t0); spent < dur {
-			left = dur - spent
-		}
-		d.eng.After(left, func() {
-			if d.crashed {
-				return
-			}
-			timeout.Stop()
-			d.ready = true
-			d.bootstrap = d.eng.Now().Sub(d.t0)
-			fns := d.readyFns
-			d.readyFns = nil
-			for _, fn := range fns {
-				d.eng.Immediately(fn)
-			}
-			d.pump()
-		})
-	})
+	return dur, true
 }
-
-// Name implements launch.Launcher.
-func (d *Runtime) Name() string { return d.name }
-
-// Backend implements launch.Launcher.
-func (d *Runtime) Backend() spec.Backend { return spec.BackendDragon }
-
-// Nodes implements launch.Launcher.
-func (d *Runtime) Nodes() int { return d.plc.Partition().Size() }
-
-// Ready implements launch.Launcher.
-func (d *Runtime) Ready(fn func()) {
-	if d.ready {
-		d.eng.Immediately(fn)
-		return
-	}
-	d.readyFns = append(d.readyFns, fn)
-}
-
-// BootstrapOverhead implements launch.Launcher.
-func (d *Runtime) BootstrapOverhead() sim.Duration { return d.bootstrap }
-
-// Stats implements launch.Launcher.
-func (d *Runtime) Stats() launch.Stats {
-	st := d.stats
-	st.QueueLen = d.queue.Len()
-	return st
-}
-
-// Telemetry implements launch.Instrumented.
-func (d *Runtime) Telemetry() launch.Telemetry {
-	return launch.Telemetry{Placer: d.plc.Stats(), QueueHighWater: d.queue.HighWater()}
-}
-
-// AttachPhase implements launch.PhaseAttacher.
-func (d *Runtime) AttachPhase(fn sim.PhaseFunc) { d.plc.Phase = fn }
-
-// Failed reports whether bootstrap failed.
-func (d *Runtime) Failed() bool { return d.failed }
-
-// Crashed reports whether the runtime has crashed.
-func (d *Runtime) Crashed() bool { return d.crashed }
 
 // Rate returns the effective dispatch rate for a task kind.
 func (d *Runtime) Rate(kind spec.TaskKind) float64 {
@@ -213,212 +114,22 @@ func (d *Runtime) Rate(kind spec.TaskKind) float64 {
 	return r * d.rateMult * d.eta
 }
 
-// Submit implements launch.Launcher: the task is serialized and pushed to
-// the runtime over a shmem pipe.
-func (d *Runtime) Submit(r *launch.Request) {
-	d.eng.AfterCall(sim.Seconds(d.params.ShmemLatency), d.arrivedFn, r)
-}
-
-// submitArrived runs when the serialized task reaches the runtime.
-func (d *Runtime) submitArrived(arg any) {
-	r := arg.(*launch.Request)
-	d.stats.Submitted++
-	if d.crashed {
-		d.fail(r, "dragon runtime down")
-		return
-	}
-	if !d.plc.Fits(r.TD) {
-		d.fail(r, fmt.Sprintf("task %s cannot fit partition of %d nodes", r.UID, d.Nodes()))
-		return
-	}
-	r.Enqueue(d.eng.Now())
-	d.queue.Push(r)
-	d.pump()
-}
-
-// Drain implements launch.Launcher.
-func (d *Runtime) Drain(reason string) {
-	for _, r := range d.queue.TakeAll() {
-		d.fail(r, reason)
-	}
-}
-
-// Crash simulates a runtime failure (§3.2.2: "if initialization fails or
-// the runtime crashes, RP triggers failover and moves affected tasks to
-// error states").
-func (d *Runtime) Crash(reason string) {
-	if d.crashed {
-		return
-	}
-	d.crashed = true
-	if d.releaseSrun != nil {
-		d.releaseSrun()
-		d.releaseSrun = nil
-	}
-	d.Drain(reason)
-	now := d.eng.Now()
-	run := d.running
-	d.running = nil
-	for _, dp := range run {
-		dp.runIdx = -1
-		if d.util != nil {
-			d.util.Remove(now, dp.pl.TotalCPU(), dp.pl.TotalGPU())
-		}
-		d.plc.Partition().Release(now, dp.pl)
-		d.fail(dp.r, reason)
-	}
-	if d.OnException != nil {
-		d.OnException(reason)
-	}
-}
-
-// Restart recovers a crashed runtime: it re-bootstraps from scratch —
-// paying the srun step and bootstrap latency again — and, once up, fires
-// any Ready callbacks registered meanwhile and resumes dispatch. No-op
-// unless crashed (a bootstrap-timeout failure is permanent).
-func (d *Runtime) Restart() bool {
-	if !d.crashed || d.failed {
-		return false
-	}
-	d.crashed = false
-	d.ready = false
-	d.t0 = d.eng.Now()
-	d.boot(false)
-	return true
-}
-
-// FailNode implements launch.NodeFailer: kills every running task whose
-// placement includes the node, releasing slots and failing requests so the
-// agent relocates them. Tasks still in the dispatcher or spawn window are
-// not tracked as running and survive. Returns the number of victims.
-func (d *Runtime) FailNode(node int, reason string) int {
-	now := d.eng.Now()
-	victims := 0
-	for i := 0; i < len(d.running); {
-		dp := d.running[i]
-		if !dp.pl.Includes(node) {
-			i++
-			continue
-		}
-		// removeRunning swap-moves the tail into slot i; re-examine it.
-		d.removeRunning(dp)
-		if d.util != nil {
-			d.util.Remove(now, dp.pl.TotalCPU(), dp.pl.TotalGPU())
-		}
-		d.plc.Partition().Release(now, dp.pl)
-		d.fail(dp.r, reason)
-		victims++
-	}
-	d.pump()
-	return victims
-}
-
-// Kick implements launch.NodeFailer: re-runs placement after external
-// capacity changes (a restored node).
-func (d *Runtime) Kick() { d.pump() }
-
-// Shutdown releases the runtime's srun slot; queued tasks are drained.
-func (d *Runtime) Shutdown() {
-	d.Drain("dragon runtime shutdown")
-	if d.releaseSrun != nil {
-		d.releaseSrun()
-		d.releaseSrun = nil
-	}
-}
-
-func (d *Runtime) fail(r *launch.Request, reason string) {
-	d.stats.Failed++
-	at := d.eng.Now()
-	d.eng.Immediately(func() { r.NotifyComplete(at, true, reason) })
-}
-
-// pump places queued tasks (implicit resource management: first free
-// worker slots win) and feeds the centralized dispatcher.
-func (d *Runtime) pump() {
-	if !d.ready || d.crashed {
-		return
-	}
-	for d.queue.Len() > 0 {
-		r, pl := d.plc.PopNext(d.eng.Now(), &d.queue, 0)
-		if pl == nil {
-			return
-		}
-		d.dispatcher.Submit(&dispatch{r: r, pl: pl, runIdx: -1})
-	}
-}
-
-func (d *Runtime) serviceTime(dp *dispatch) sim.Duration {
-	rate := d.Rate(dp.r.TD.Kind)
+func (d *Runtime) serviceTime(j *launch.Job) sim.Duration {
+	rate := d.Rate(j.Req.TD.Kind)
 	return sim.Seconds(d.rand.Exp(1 / rate))
 }
 
 // dispatched runs when the dispatcher finishes serializing a launch: the
 // worker spawns the process (exec) or invokes the function in-memory.
-func (d *Runtime) dispatched(dp *dispatch) {
-	if d.crashed {
-		d.plc.Partition().Release(d.eng.Now(), dp.pl)
-		d.fail(dp.r, "dragon runtime down")
+func (d *Runtime) dispatched(j *launch.Job) {
+	if d.Dropped(j) {
 		return
 	}
 	var spawn float64
-	if dp.r.TD.Kind == spec.Executable {
+	if j.Req.TD.Kind == spec.Executable {
 		spawn = d.rand.LogNormal(0.020, d.params.SpawnSigma) // fork/exec
 	} else {
 		spawn = d.rand.LogNormal(0.002, d.params.SpawnSigma) // in-memory call
 	}
-	d.eng.AfterCall(sim.Seconds(spawn), d.spawnedFn, dp)
-}
-
-// spawned runs when the worker has the process (or function frame) up.
-func (d *Runtime) spawned(arg any) {
-	dp := arg.(*dispatch)
-	if d.crashed {
-		d.plc.Partition().Release(d.eng.Now(), dp.pl)
-		d.fail(dp.r, "dragon runtime down")
-		return
-	}
-	now := d.eng.Now()
-	d.stats.Started++
-	dp.runIdx = len(d.running)
-	d.running = append(d.running, dp)
-	if d.util != nil {
-		d.util.Add(now, dp.pl.TotalCPU(), dp.pl.TotalGPU())
-	}
-	dp.r.NotifyStart(now)
-	dp.r.StartBodyCall(d.eng, d.doneFn, dp)
-}
-
-// taskDone runs when the task's process body ends.
-func (d *Runtime) taskDone(arg any) {
-	dp := arg.(*dispatch)
-	if dp.runIdx < 0 {
-		return // killed by crash
-	}
-	d.removeRunning(dp)
-	end := d.eng.Now()
-	if d.util != nil {
-		d.util.Remove(end, dp.pl.TotalCPU(), dp.pl.TotalGPU())
-	}
-	d.plc.Partition().Release(end, dp.pl)
-	// Completion event hops back over the shmem queue.
-	d.eng.AfterCall(sim.Seconds(d.params.ShmemLatency), d.hopFn, dp)
-	d.pump()
-}
-
-// removeRunning swap-deletes a dispatch from the running list in O(1).
-func (d *Runtime) removeRunning(dp *dispatch) {
-	last := len(d.running) - 1
-	moved := d.running[last]
-	d.running[dp.runIdx] = moved
-	moved.runIdx = dp.runIdx
-	d.running[last] = nil
-	d.running = d.running[:last]
-	dp.runIdx = -1
-}
-
-// completeHop delivers the completion after the shmem return hop.
-func (d *Runtime) completeHop(arg any) {
-	dp := arg.(*dispatch)
-	d.stats.Completed++
-	dp.r.NotifyComplete(d.eng.Now(), false, "")
+	d.ExecAfter(sim.Seconds(spawn), j)
 }

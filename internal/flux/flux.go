@@ -29,24 +29,15 @@ import (
 	"rpgo/internal/spec"
 )
 
-// Instance is one Flux broker + scheduler over a resource partition.
+// Instance is one Flux broker + scheduler over a resource partition: the
+// shared launcher lifecycle driven by the broker's cost model.
 type Instance struct {
-	name   string
+	*launch.Launcher
 	eng    *sim.Engine
 	params model.FluxParams
-	ctrl   *slurm.Controller // nil for nested instances
-	plc    *launch.Placer
 	util   *platform.UtilizationTracker
 	rand   *rng.Stream
-
-	queue   launch.Queue
-	running []*job
-
-	ready       bool
-	readyFns    []func()
-	t0          sim.Time
-	bootstrap   sim.Duration
-	releaseSrun func()
+	nested bool
 
 	// rateMult is the per-run lognormal rate multiplier (repetition
 	// variability, §4.1.2); eta is the multi-instance coordination
@@ -58,21 +49,7 @@ type Instance struct {
 	cycling    bool
 	tokens     float64
 	lastRefill sim.Time
-	crashed    bool
-	stats      launch.Stats
-
-	// Prebound hot-path callbacks (scheduled through the engine's pooled
-	// arg-carrying events, so a task's trip through the broker allocates
-	// one job record instead of a chain of closures).
-	cycleFn   func()
-	arrivedFn func(any)
-	spawnedFn func(any)
-	doneFn    func(any)
-
-	// OnException, when set, receives instance-level failures (crash,
-	// bootstrap failure); the RP executor maps them into task failures
-	// and agent failover.
-	OnException func(reason string)
+	cycleFn    func()
 }
 
 // Config carries instance construction options.
@@ -86,236 +63,68 @@ type Config struct {
 	Nested bool
 }
 
-// NewInstance creates (but does not start) an instance over the partition.
-// ctrl may be nil only for nested instances.
+// NewInstance creates and boots an instance over the partition. ctrl may
+// be nil only for nested instances.
 func NewInstance(cfg Config, eng *sim.Engine, ctrl *slurm.Controller, part *platform.Allocation,
 	util *platform.UtilizationTracker, src *rng.Source) *Instance {
 	if cfg.Eta <= 0 {
 		cfg.Eta = 1
 	}
 	in := &Instance{
-		name:   cfg.Name,
 		eng:    eng,
 		params: cfg.Params,
-		ctrl:   ctrl,
-		plc:    launch.NewPlacer(part),
 		util:   util,
 		rand:   src.Stream("flux." + cfg.Name),
+		nested: cfg.Nested || ctrl == nil,
 		eta:    cfg.Eta,
-		t0:     eng.Now(),
 	}
 	in.rateMult = in.rand.LogNormal(1, cfg.Params.RunSigma)
 	in.cycleFn = in.cycle
-	in.arrivedFn = in.submitArrived
-	in.spawnedFn = in.spawned
-	in.doneFn = in.jobDone
-	in.start(cfg.Nested)
+	lc := launch.Config{
+		Name: cfg.Name, Backend: spec.BackendFlux, Label: "flux instance",
+		Engine: eng, Part: part, Util: util,
+		SubmitLatency: sim.Seconds(cfg.Params.RPCLatency),
+		Bootstrap:     in.bootstrapCost,
+		Up:            in.up,
+		Schedule:      in.kick,
+	}
+	if !in.nested {
+		lc.Ctrl = ctrl
+	}
+	in.Launcher = launch.New(lc)
+	in.Boot()
 	return in
 }
 
-func (in *Instance) start(nested bool) {
+// bootstrapCost draws one broker bootstrap: `srun -N n flux start`, whose
+// broker-tree startup is part of the latency. Children are spawned by the
+// parent broker: no srun, and the tree is already up, so it is cheaper.
+func (in *Instance) bootstrapCost() (sim.Duration, bool) {
 	boot := in.params.BootstrapMedian +
 		in.params.BootstrapPerLogNode*math.Log2(float64(in.Nodes())+1)
 	d := sim.Seconds(in.rand.LogNormal(boot, in.params.BootstrapSigma))
-	if nested || in.ctrl == nil {
-		// Children are spawned by the parent broker: no srun, and the
-		// broker tree is already up, so bootstrap is cheaper.
-		in.eng.After(d/2, in.becomeReady)
-		return
+	if in.nested {
+		return d / 2, false
 	}
-	t0 := in.eng.Now()
-	// One srun registers the whole instance (`srun -N n flux start`);
-	// the broker-tree startup cost is part of the bootstrap latency.
-	in.ctrl.StartStep(in.Nodes(), 1, func(release func()) {
-		in.releaseSrun = release
-		// Remaining bootstrap after srun granted the step.
-		left := sim.Duration(0)
-		if spent := in.eng.Now().Sub(t0); spent < d {
-			left = d - spent
-		}
-		in.eng.After(left, in.becomeReady)
-	})
+	return d, true
 }
 
-func (in *Instance) becomeReady() {
-	if in.crashed {
-		return
-	}
-	in.ready = true
-	in.bootstrap = in.eng.Now().Sub(in.t0)
+// up starts the token bucket full: a freshly bootstrapped broker bursts.
+func (in *Instance) up() {
 	in.lastRefill = in.eng.Now()
-	// The bucket starts full: a freshly bootstrapped broker bursts.
 	in.tokens = in.Rate() * in.params.Cycle
-	fns := in.readyFns
-	in.readyFns = nil
-	for _, fn := range fns {
-		in.eng.Immediately(fn)
-	}
-	in.kick()
 }
-
-// Name implements launch.Launcher.
-func (in *Instance) Name() string { return in.name }
-
-// Backend implements launch.Launcher.
-func (in *Instance) Backend() spec.Backend { return spec.BackendFlux }
-
-// Nodes implements launch.Launcher.
-func (in *Instance) Nodes() int { return in.plc.Partition().Size() }
-
-// Ready implements launch.Launcher.
-func (in *Instance) Ready(fn func()) {
-	if in.ready {
-		in.eng.Immediately(fn)
-		return
-	}
-	in.readyFns = append(in.readyFns, fn)
-}
-
-// BootstrapOverhead implements launch.Launcher.
-func (in *Instance) BootstrapOverhead() sim.Duration { return in.bootstrap }
-
-// Stats implements launch.Launcher.
-func (in *Instance) Stats() launch.Stats {
-	st := in.stats
-	st.QueueLen = in.queue.Len()
-	return st
-}
-
-// Telemetry implements launch.Instrumented.
-func (in *Instance) Telemetry() launch.Telemetry {
-	return launch.Telemetry{Placer: in.plc.Stats(), QueueHighWater: in.queue.HighWater()}
-}
-
-// AttachPhase implements launch.PhaseAttacher.
-func (in *Instance) AttachPhase(fn sim.PhaseFunc) { in.plc.Phase = fn }
 
 // Rate returns the instance's effective dispatch rate (jobs/s).
 func (in *Instance) Rate() float64 {
 	return in.params.Rate(in.Nodes()) * in.eta * in.rateMult
 }
 
-// Submit implements launch.Launcher: an asynchronous RPC into the broker.
-func (in *Instance) Submit(r *launch.Request) {
-	in.eng.AfterCall(sim.Seconds(in.params.RPCLatency), in.arrivedFn, r)
-}
-
-// submitArrived runs when the submit RPC reaches the broker.
-func (in *Instance) submitArrived(arg any) {
-	r := arg.(*launch.Request)
-	in.stats.Submitted++
-	if in.crashed {
-		in.fail(r, "flux instance crashed")
-		return
-	}
-	if !in.plc.Fits(r.TD) {
-		in.fail(r, fmt.Sprintf("job %s cannot fit instance partition of %d nodes", r.UID, in.Nodes()))
-		return
-	}
-	r.Enqueue(in.eng.Now())
-	in.queue.Push(r)
-	in.kick()
-}
-
-// Drain implements launch.Launcher.
-func (in *Instance) Drain(reason string) {
-	for _, r := range in.queue.TakeAll() {
-		in.fail(r, reason)
-	}
-}
-
-// Crash simulates an instance failure: queued jobs fail, running jobs are
-// killed and their slots released, and OnException fires. Used by the
-// failure-injection tests (§3.2.1 error handling).
-func (in *Instance) Crash(reason string) {
-	if in.crashed {
-		return
-	}
-	in.crashed = true
-	if in.releaseSrun != nil {
-		in.releaseSrun()
-		in.releaseSrun = nil
-	}
-	in.Drain(reason)
-	now := in.eng.Now()
-	run := in.running
-	in.running = nil
-	for _, j := range run {
-		j.runIdx = -1
-		if in.util != nil {
-			in.util.Remove(now, j.pl.TotalCPU(), j.pl.TotalGPU())
-		}
-		in.plc.Partition().Release(now, j.pl)
-		in.fail(j.r, reason)
-	}
-	if in.OnException != nil {
-		in.OnException(reason)
-	}
-}
-
-// Crashed reports whether the instance has failed.
-func (in *Instance) Crashed() bool { return in.crashed }
-
-// Restart recovers a crashed instance: the broker re-bootstraps from
-// scratch — paying the srun step and bootstrap latency again — and, once
-// ready, fires any Ready callbacks registered meanwhile and resumes
-// scheduling. No-op unless crashed.
-func (in *Instance) Restart() bool {
-	if !in.crashed {
-		return false
-	}
-	in.crashed = false
-	in.ready = false
-	in.t0 = in.eng.Now()
-	in.start(in.ctrl == nil)
-	return true
-}
-
-// FailNode implements launch.NodeFailer: kills every running job whose
-// placement includes the node, releasing slots and failing requests so the
-// agent relocates them. Jobs still inside the shell-spawn window are not
-// tracked as running and survive (the shell was already forked). Returns
-// the number of victims.
-func (in *Instance) FailNode(node int, reason string) int {
-	now := in.eng.Now()
-	victims := 0
-	for i := 0; i < len(in.running); {
-		j := in.running[i]
-		if !j.pl.Includes(node) {
-			i++
-			continue
-		}
-		// removeRunning swap-moves the tail into slot i; re-examine it.
-		in.removeRunning(j)
-		if in.util != nil {
-			in.util.Remove(now, j.pl.TotalCPU(), j.pl.TotalGPU())
-		}
-		in.plc.Partition().Release(now, j.pl)
-		in.fail(j.r, reason)
-		victims++
-	}
-	in.kick()
-	return victims
-}
-
-// Kick implements launch.NodeFailer: re-runs the scheduler after external
-// capacity changes (a restored node).
-func (in *Instance) Kick() { in.kick() }
-
-// Shutdown releases the instance's srun slot; queued jobs are drained.
-func (in *Instance) Shutdown() {
-	in.Drain("flux instance shutdown")
-	if in.releaseSrun != nil {
-		in.releaseSrun()
-		in.releaseSrun = nil
-	}
-}
-
 // SpawnNested creates a child instance on the first free sub-range of n
 // nodes of this instance's partition (hierarchical scheduling). The child
 // claims whole nodes from the parent's ledger for its lifetime.
 func (in *Instance) SpawnNested(name string, n int, src *rng.Source) (*Instance, error) {
-	part := in.plc.Partition()
+	part := in.Partition()
 	if n > part.Size() {
 		return nil, fmt.Errorf("flux: nested instance of %d nodes exceeds parent partition %d", n, part.Size())
 	}
@@ -328,17 +137,11 @@ func (in *Instance) SpawnNested(name string, n int, src *rng.Source) (*Instance,
 	return child, nil
 }
 
-func (in *Instance) fail(r *launch.Request, reason string) {
-	in.stats.Failed++
-	at := in.eng.Now()
-	in.eng.Immediately(func() { r.NotifyComplete(at, true, reason) })
-}
-
 // kick schedules a scheduler pass. The broker is event-driven: submits,
 // completions, and bootstrap all trigger an immediate pass, while the token
 // bucket bounds the sustained dispatch rate at R(n).
 func (in *Instance) kick() {
-	if in.cycling || !in.ready || in.crashed || in.queue.Len() == 0 {
+	if in.cycling || in.Queued() == 0 {
 		return
 	}
 	in.cycling = true
@@ -365,23 +168,24 @@ func (in *Instance) refillTokens() {
 // dispatch tokens and resources last, then reschedule at the next token.
 func (in *Instance) cycle() {
 	in.cycling = false
-	if in.crashed || in.queue.Len() == 0 {
+	if in.Crashed() || in.Queued() == 0 {
 		return
 	}
 	in.refillTokens()
 	blocked := false
-	for in.tokens >= 1 && in.queue.Len() > 0 {
+	for in.tokens >= 1 && in.Queued() > 0 {
 		// Selection: data-affinity first, then FCFS, then a bounded
 		// backfill window past a blocked head (FCFS + backfill policy).
-		r, pl := in.plc.PopNext(in.eng.Now(), &in.queue, in.params.BackfillDepth)
-		if pl == nil {
+		j := in.Next(in.params.BackfillDepth)
+		if j == nil {
 			blocked = true
 			break
 		}
 		in.tokens--
-		in.launch(r, pl)
+		// The job shell spawn latency separates allocation from exec start.
+		in.ExecAfter(sim.Seconds(in.rand.LogNormal(in.params.ShellMedian, in.params.ShellSigma)), j)
 	}
-	if in.queue.Len() == 0 || blocked {
+	if in.Queued() == 0 || blocked {
 		// Either drained, or resource-blocked: completions re-kick.
 		return
 	}
@@ -392,67 +196,4 @@ func (in *Instance) cycle() {
 	}
 	in.cycling = true
 	in.eng.After(wait, in.cycleFn)
-}
-
-// job carries one placed request through shell spawn, execution and
-// completion (the pooled-event argument for the broker's launch stages).
-// runIdx is its slot in the instance's running list, -1 when not running
-// — the membership test that used to cost a map operation per task.
-type job struct {
-	r      *launch.Request
-	pl     *platform.Placement
-	runIdx int
-}
-
-func (in *Instance) launch(r *launch.Request, pl *platform.Placement) {
-	// The job shell spawn latency separates allocation from exec start.
-	shell := in.rand.LogNormal(in.params.ShellMedian, in.params.ShellSigma)
-	in.eng.AfterCall(sim.Seconds(shell), in.spawnedFn, &job{r: r, pl: pl, runIdx: -1})
-}
-
-// removeRunning swap-deletes a job from the running list in O(1).
-func (in *Instance) removeRunning(j *job) {
-	last := len(in.running) - 1
-	moved := in.running[last]
-	in.running[j.runIdx] = moved
-	moved.runIdx = j.runIdx
-	in.running[last] = nil
-	in.running = in.running[:last]
-	j.runIdx = -1
-}
-
-// spawned runs when the parallel job shell is up: the task process starts.
-func (in *Instance) spawned(arg any) {
-	j := arg.(*job)
-	if in.crashed {
-		in.plc.Partition().Release(in.eng.Now(), j.pl)
-		in.fail(j.r, "flux instance crashed")
-		return
-	}
-	now := in.eng.Now()
-	in.stats.Started++
-	j.runIdx = len(in.running)
-	in.running = append(in.running, j)
-	if in.util != nil {
-		in.util.Add(now, j.pl.TotalCPU(), j.pl.TotalGPU())
-	}
-	j.r.NotifyStart(now)
-	j.r.StartBodyCall(in.eng, in.doneFn, j)
-}
-
-// jobDone runs when the task process body ends.
-func (in *Instance) jobDone(arg any) {
-	j := arg.(*job)
-	if j.runIdx < 0 {
-		return // killed by crash
-	}
-	in.removeRunning(j)
-	end := in.eng.Now()
-	if in.util != nil {
-		in.util.Remove(end, j.pl.TotalCPU(), j.pl.TotalGPU())
-	}
-	in.plc.Partition().Release(end, j.pl)
-	in.stats.Completed++
-	j.r.NotifyComplete(end, false, "")
-	in.kick()
 }

@@ -1,6 +1,8 @@
-// Package launch defines the contract between the RP agent and the task
-// runtime backends (srun, Flux, Dragon), plus the shared slot-placement
-// machinery every backend uses against its resource partition.
+// Package launch is the task runtime lifecycle the RP agent drives: the
+// request contract, the shared slot-placement machinery, and the one
+// Launcher type every backend (srun, Flux, Dragon, PRRTE) runs on. A
+// backend package only supplies its cost model — dispatch rate, launch and
+// hop latencies, bootstrap cost — through the Launcher's Config hooks.
 package launch
 
 import (
@@ -179,52 +181,6 @@ func (s *PlacerStats) Merge(o PlacerStats) {
 type Telemetry struct {
 	Placer         PlacerStats
 	QueueHighWater int
-}
-
-// Instrumented is implemented by backends exposing placement telemetry.
-type Instrumented interface {
-	Telemetry() Telemetry
-}
-
-// PhaseAttacher is implemented by backends that can forward their placer's
-// placement wall-clock samples to a self-profiler hook.
-type PhaseAttacher interface {
-	AttachPhase(fn sim.PhaseFunc)
-}
-
-// Launcher is a task runtime backend bound to a resource partition.
-// Submit may be called before the backend finished bootstrapping; requests
-// queue and run once it is ready.
-type Launcher interface {
-	// Name identifies the backend instance (e.g. "flux.2").
-	Name() string
-	// Backend reports the runtime system type.
-	Backend() spec.Backend
-	// Nodes reports the partition size in nodes.
-	Nodes() int
-	// Ready registers a callback invoked once bootstrap completes (or
-	// immediately if already done).
-	Ready(fn func())
-	// BootstrapOverhead reports the measured bootstrap duration; valid
-	// after Ready fired.
-	BootstrapOverhead() sim.Duration
-	// Submit enqueues a task launch.
-	Submit(r *Request)
-	// Drain cancels queued (not yet started) requests, failing them.
-	Drain(reason string)
-	// Stats returns current counters.
-	Stats() Stats
-}
-
-// NodeFailer is implemented by launchers that can evict running work from
-// a failed node. FailNode kills every running job whose placement touches
-// the node — releasing its slots and failing its request so the agent's
-// retry path relocates the task — and returns the victim count. Kick pokes
-// the backend's scheduling loop after external capacity changes (a restored
-// node), since backends otherwise only reschedule on completions.
-type NodeFailer interface {
-	FailNode(node int, reason string) int
-	Kick()
 }
 
 // Queue is a FIFO of launch requests backed by a growable ring buffer. It

@@ -142,8 +142,12 @@ func TestOversizedTaskFails(t *testing.T) {
 }
 
 func TestAgentIntegration(t *testing.T) {
-	// PRRTE as a pilot backend through the public path.
-	// (Import cycle avoided: core tests cover the full path; here we
-	// verify the launch.Launcher contract directly.)
-	var _ launch.Launcher = (*DVM)(nil)
+	// PRRTE as a pilot backend through the public path. (Import cycle
+	// avoided: core tests cover the full path; here we check the DVM is
+	// the shared launcher the agent drives.)
+	_, d, _, _ := newRig(1)
+	var l *launch.Launcher = d.Launcher
+	if l.Backend() != spec.BackendPRRTE || l.Name() != "prrte.t" {
+		t.Fatalf("launcher: %s %s", l.Backend(), l.Name())
+	}
 }

@@ -16,8 +16,6 @@
 package slurm
 
 import (
-	"fmt"
-
 	"rpgo/internal/launch"
 	"rpgo/internal/model"
 	"rpgo/internal/platform"
@@ -92,230 +90,56 @@ func (c *Controller) StartStep(allocNodes, stepNodes int, started func(release f
 	})
 }
 
-// SrunLauncher launches tasks through srun within one resource partition.
-// It implements launch.Launcher. Placement is done by RP's scheduler logic
-// (the Placer); srun only starts the placed processes, gated by the
-// controller ceiling it holds for the whole task lifetime.
+// SrunLauncher launches tasks through srun within one resource partition:
+// the shared launcher lifecycle with srun's cost model. Placement is done
+// by RP's scheduler logic (the Placer); srun only starts the placed
+// processes, gated by the controller ceiling each holds for its whole
+// lifetime. srun is Slurm itself: there is no instance to bootstrap, so it
+// is ready at once and cannot crash.
 type SrunLauncher struct {
-	name string
+	*launch.Launcher
 	eng  *sim.Engine
 	ctrl *Controller
-	plc  *launch.Placer
-	util *platform.UtilizationTracker
 	rand *rng.Stream
-	// queue holds requests not yet placed.
-	queue   launch.Queue
-	running []*srunTask
-	stats   launch.Stats
 	// rateMult is the per-run variability multiplier on prolog latency.
 	rateMult float64
-	drained  bool
-
-	// Prebound hot-path callbacks for the engine's pooled events.
-	runFn  func(any)
-	doneFn func(any)
 }
 
-// srunTask carries one placed request through prolog, execution and
-// completion, holding the controller-ceiling release it must invoke.
-type srunTask struct {
-	r       *launch.Request
-	pl      *platform.Placement
-	release func()
-	// runIdx is the slot in the launcher's running list, -1 when not
-	// running.
-	runIdx int
-}
-
-// NewSrunLauncher returns a launcher over the partition. srun needs no
-// bootstrap: Ready fires immediately.
+// NewSrunLauncher returns a launcher over the partition.
 func NewSrunLauncher(name string, eng *sim.Engine, ctrl *Controller, part *platform.Allocation,
 	util *platform.UtilizationTracker, src *rng.Source) *SrunLauncher {
-	s := &SrunLauncher{
-		name: name,
-		eng:  eng,
-		ctrl: ctrl,
-		plc:  launch.NewPlacer(part),
-		util: util,
-		rand: src.Stream("srun." + name),
-	}
+	s := &SrunLauncher{eng: eng, ctrl: ctrl, rand: src.Stream("srun." + name)}
 	s.rateMult = s.rand.LogNormal(1, ctrl.params.RunSigma)
-	s.runFn = s.run
-	s.doneFn = s.taskDone
+	s.Launcher = launch.New(launch.Config{
+		Name: name, Backend: spec.BackendSrun, Label: "srun launcher",
+		Engine: eng, Part: part, Util: util,
+		Launch: s.launch,
+	})
 	return s
 }
 
-// Name implements launch.Launcher.
-func (s *SrunLauncher) Name() string { return s.name }
-
-// Backend implements launch.Launcher.
-func (s *SrunLauncher) Backend() spec.Backend { return spec.BackendSrun }
-
-// Nodes implements launch.Launcher.
-func (s *SrunLauncher) Nodes() int { return s.plc.Partition().Size() }
-
-// Ready implements launch.Launcher; srun has no bootstrap.
-func (s *SrunLauncher) Ready(fn func()) { s.eng.Immediately(func() { fn() }) }
-
-// BootstrapOverhead implements launch.Launcher.
-func (s *SrunLauncher) BootstrapOverhead() sim.Duration { return 0 }
-
-// Stats implements launch.Launcher.
-func (s *SrunLauncher) Stats() launch.Stats {
-	st := s.stats
-	st.QueueLen = s.queue.Len()
-	return st
-}
-
-// Telemetry implements launch.Instrumented.
-func (s *SrunLauncher) Telemetry() launch.Telemetry {
-	return launch.Telemetry{Placer: s.plc.Stats(), QueueHighWater: s.queue.HighWater()}
-}
-
-// AttachPhase implements launch.PhaseAttacher.
-func (s *SrunLauncher) AttachPhase(fn sim.PhaseFunc) { s.plc.Phase = fn }
-
-// Submit implements launch.Launcher.
-func (s *SrunLauncher) Submit(r *launch.Request) {
-	s.stats.Submitted++
-	if s.drained {
-		s.fail(r, "launcher drained")
-		return
-	}
-	if !s.plc.Fits(r.TD) {
-		s.fail(r, fmt.Sprintf("task %s cannot fit partition of %d nodes", r.UID, s.Nodes()))
-		return
-	}
-	r.Enqueue(s.eng.Now())
-	s.queue.Push(r)
-	s.pump()
-}
-
-// Drain implements launch.Launcher.
-func (s *SrunLauncher) Drain(reason string) {
-	s.drained = true
-	for _, r := range s.queue.TakeAll() {
-		s.fail(r, reason)
-	}
-}
-
-func (s *SrunLauncher) fail(r *launch.Request, reason string) {
-	s.stats.Failed++
-	at := s.eng.Now()
-	s.eng.Immediately(func() { r.NotifyComplete(at, true, reason) })
-}
-
-// pump places queued tasks and hands them to srun. Placement is FCFS with
-// head-of-line blocking, like RP's default continuous scheduler — except
-// that tasks whose input data already sits on a free node may jump the
-// queue (the shared placer's data-aware affinity pass).
-func (s *SrunLauncher) pump() {
-	for s.queue.Len() > 0 {
-		r, pl := s.plc.PopNext(s.eng.Now(), &s.queue, 0)
-		if pl == nil {
-			return
-		}
-		s.launch(r, pl)
-	}
-}
-
-func (s *SrunLauncher) launch(r *launch.Request, pl *platform.Placement) {
-	stepNodes := r.TD.Nodes
+// launch runs one placed task's srun: a ceiling slot and step registration
+// through the controller, then the prolog, then the process.
+func (s *SrunLauncher) launch(j *launch.Job) {
+	stepNodes := j.Req.TD.Nodes
 	if stepNodes < 1 {
 		stepNodes = 1
 	}
-	st := &srunTask{r: r, pl: pl, runIdx: -1}
 	queuedAt := s.eng.Now()
 	s.ctrl.StartStep(s.Nodes(), stepNodes, func(release func()) {
 		// The wait for a ceiling slot (and the controller's serial step
 		// registrar) is queueing behind a system-wide throttle, not
 		// placement: Fig 4's utilization cap shows up here.
-		if r.Trace != nil {
+		if tr := j.Req.Trace; tr != nil {
 			if now := s.eng.Now(); now > queuedAt {
-				r.Trace.AddEdge(profiler.CausalEdge{
+				tr.AddEdge(profiler.CausalEdge{
 					Kind: profiler.EdgeQueued, From: queuedAt, To: now, Ref: "srun.ceiling",
 				})
 			}
 		}
-		st.release = release
+		// The srun exits with the task and its ceiling slot frees.
+		j.Release = release
 		prolog := s.ctrl.params.PrologMedian / s.rateMult
-		d := sim.Seconds(s.rand.LogNormal(prolog, s.ctrl.params.PrologSigma))
-		s.eng.AfterCall(d, s.runFn, st)
+		s.ExecAfter(sim.Seconds(s.rand.LogNormal(prolog, s.ctrl.params.PrologSigma)), j)
 	})
 }
-
-// run starts the task process once srun's prolog finished.
-func (s *SrunLauncher) run(arg any) {
-	st := arg.(*srunTask)
-	now := s.eng.Now()
-	s.stats.Started++
-	st.runIdx = len(s.running)
-	s.running = append(s.running, st)
-	if s.util != nil {
-		s.util.Add(now, st.pl.TotalCPU(), st.pl.TotalGPU())
-	}
-	st.r.NotifyStart(now)
-	st.r.StartBodyCall(s.eng, s.doneFn, st)
-}
-
-// taskDone runs when the task's process body ends; the srun exits and its
-// ceiling slot frees.
-func (s *SrunLauncher) taskDone(arg any) {
-	st := arg.(*srunTask)
-	if st.runIdx < 0 {
-		return // killed by a node failure; the stale body timer is inert
-	}
-	s.removeRunning(st)
-	end := s.eng.Now()
-	if s.util != nil {
-		s.util.Remove(end, st.pl.TotalCPU(), st.pl.TotalGPU())
-	}
-	s.plc.Partition().Release(end, st.pl)
-	st.release()
-	s.stats.Completed++
-	st.r.NotifyComplete(end, false, "")
-	s.pump()
-}
-
-// removeRunning swap-deletes a task from the running list in O(1).
-func (s *SrunLauncher) removeRunning(st *srunTask) {
-	last := len(s.running) - 1
-	moved := s.running[last]
-	s.running[st.runIdx] = moved
-	moved.runIdx = st.runIdx
-	s.running[last] = nil
-	s.running = s.running[:last]
-	st.runIdx = -1
-}
-
-// FailNode implements launch.NodeFailer: kills every running srun whose
-// placement includes the node — the srun exits, its ceiling slot frees,
-// its slots release, and the request fails so the agent relocates the
-// task. Tasks still in the prolog window are not tracked as running and
-// survive. Returns the number of victims.
-func (s *SrunLauncher) FailNode(node int, reason string) int {
-	now := s.eng.Now()
-	victims := 0
-	for i := 0; i < len(s.running); {
-		st := s.running[i]
-		if !st.pl.Includes(node) {
-			i++
-			continue
-		}
-		// removeRunning swap-moves the tail into slot i; re-examine it.
-		s.removeRunning(st)
-		if s.util != nil {
-			s.util.Remove(now, st.pl.TotalCPU(), st.pl.TotalGPU())
-		}
-		s.plc.Partition().Release(now, st.pl)
-		st.release()
-		s.fail(st.r, reason)
-		victims++
-	}
-	s.pump()
-	return victims
-}
-
-// Kick implements launch.NodeFailer: re-runs placement after external
-// capacity changes (a restored node).
-func (s *SrunLauncher) Kick() { s.pump() }
