@@ -242,42 +242,66 @@ func TestFailNodeEvictsAndRelocates(t *testing.T) {
 
 // TestCrashRestartInstance: the injector-facing crash/restart hooks kill a
 // live instance, the agent fails work over, and the restarted instance
-// comes back ready and usable.
+// comes back ready and usable. srun has no instance process, so it refuses
+// both hooks while the flux instances next to it crash and restart.
 func TestCrashRestartInstance(t *testing.T) {
-	r := newRig(t, spec.PilotDescription{
-		Nodes:      4,
-		Partitions: []spec.PartitionConfig{{Backend: spec.BackendFlux, Instances: 2}},
-	})
-	done := 0
-	for i := 0; i < 20; i++ {
-		tk := r.task(&spec.TaskDescription{
-			CoresPerRank: 1, Ranks: 1, Duration: 120 * sim.Second, MaxRetries: 3,
-		}, "c"+string(rune('a'+i)))
-		r.agent.Submit(tk, func(tt *Task) {
-			if tt.State == states.TaskDone {
-				done++
+	cases := []struct {
+		name  string
+		parts []spec.PartitionConfig
+		// srun is the flat index of the srun instance, -1 if none; crash is
+		// the flux instance to crash.
+		srun, crash int
+	}{
+		{"flux", []spec.PartitionConfig{{Backend: spec.BackendFlux, Instances: 2}}, -1, 0},
+		{"srun+flux", []spec.PartitionConfig{
+			{Backend: spec.BackendSrun, Instances: 1, NodesPerInstance: 1},
+			{Backend: spec.BackendFlux, Instances: 2},
+		}, 0, 1},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			r := newRig(t, spec.PilotDescription{Nodes: 4, Partitions: tc.parts})
+			done := 0
+			for i := 0; i < 20; i++ {
+				tk := r.task(&spec.TaskDescription{
+					Backend:      spec.BackendFlux,
+					CoresPerRank: 1, Ranks: 1, Duration: 120 * sim.Second, MaxRetries: 3,
+				}, "c"+string(rune('a'+i)))
+				r.agent.Submit(tk, func(tt *Task) {
+					if tt.State == states.TaskDone {
+						done++
+					}
+				})
+			}
+			r.eng.RunUntil(sim.Time(30 * sim.Second))
+			if want := tc.crash + 2; r.agent.NumInstances() != want {
+				t.Fatalf("NumInstances = %d, want %d", r.agent.NumInstances(), want)
+			}
+			if tc.srun >= 0 {
+				if r.agent.CrashInstance(tc.srun, "injected crash") {
+					t.Fatal("srun has no instance process to crash")
+				}
+				if r.agent.RestartInstance(tc.srun) {
+					t.Fatal("srun has no instance process to restart")
+				}
+			}
+			if !r.agent.CrashInstance(tc.crash, "injected crash") {
+				t.Fatalf("CrashInstance(%d) refused", tc.crash)
+			}
+			if r.agent.CrashInstance(tc.crash, "again") {
+				t.Fatal("crashing a dead instance should refuse")
+			}
+			r.eng.RunUntil(sim.Time(60 * sim.Second))
+			if !r.agent.RestartInstance(tc.crash) {
+				t.Fatalf("RestartInstance(%d) refused", tc.crash)
+			}
+			if r.agent.RestartInstance(tc.crash) {
+				t.Fatal("restarting a restarting instance should refuse")
+			}
+			r.eng.Run()
+			if done != 20 {
+				t.Fatalf("done = %d, want 20", done)
 			}
 		})
-	}
-	r.eng.RunUntil(sim.Time(30 * sim.Second))
-	if n := r.agent.NumInstances(); n != 2 {
-		t.Fatalf("NumInstances = %d, want 2", n)
-	}
-	if !r.agent.CrashInstance(0, "injected crash") {
-		t.Fatal("CrashInstance(0) refused")
-	}
-	if r.agent.CrashInstance(0, "again") {
-		t.Fatal("crashing a dead instance should refuse")
-	}
-	r.eng.RunUntil(sim.Time(60 * sim.Second))
-	if !r.agent.RestartInstance(0) {
-		t.Fatal("RestartInstance(0) refused")
-	}
-	if r.agent.RestartInstance(0) {
-		t.Fatal("restarting a restarting instance should refuse")
-	}
-	r.eng.Run()
-	if done != 20 {
-		t.Fatalf("done = %d, want 20", done)
 	}
 }

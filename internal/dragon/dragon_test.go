@@ -169,3 +169,24 @@ func TestStatsAccounting(t *testing.T) {
 		t.Fatalf("stats: %+v", st)
 	}
 }
+
+// TestRestartOutlivesFirstStartupTimeout: the startup timeout armed by the
+// boot attempt that crashed must not fail the restarted runtime.
+func TestRestartOutlivesFirstStartupTimeout(t *testing.T) {
+	eng, rt, _, _ := newRig(2, Config{})
+	eng.RunUntil(sim.Time(2 * sim.Second))
+	rt.Crash("injected")
+	eng.RunUntil(sim.Time(55 * sim.Second))
+	if !rt.Restart() {
+		t.Fatal("restart refused")
+	}
+	started := false
+	rt.Submit(req(spec.Function, sim.Second, func(sim.Time) { started = true }, nil))
+	eng.Run()
+	if rt.Failed() || rt.Crashed() {
+		t.Fatalf("restarted runtime failed=%v crashed=%v: the first boot's timeout fired", rt.Failed(), rt.Crashed())
+	}
+	if !started {
+		t.Fatal("restarted runtime ran no task")
+	}
+}

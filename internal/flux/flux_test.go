@@ -216,3 +216,69 @@ func TestEtaReducesRate(t *testing.T) {
 		t.Fatal("eta must decrease with instance count")
 	}
 }
+
+// TestRestartIgnoresStaleBoot: a crash mid-bootstrap followed by a quick
+// restart must not let the first boot's ready event bring the restarted
+// broker up early; Ready fires only once the new bootstrap completes.
+func TestRestartIgnoresStaleBoot(t *testing.T) {
+	eng, in, _, _ := newRig(4)
+	eng.RunUntil(sim.Time(5 * sim.Second))
+	in.Crash("injected")
+	eng.RunUntil(sim.Time(6 * sim.Second))
+	if !in.Restart() {
+		t.Fatal("restart refused")
+	}
+	readyAt := sim.Time(-1)
+	in.Ready(func() { readyAt = eng.Now() })
+	eng.Run()
+	if readyAt < 0 {
+		t.Fatal("restarted instance never came up")
+	}
+	if up := readyAt.Sub(sim.Time(6 * sim.Second)).Seconds(); up < 14 {
+		t.Fatalf("ready %.1fs after restart, faster than any bootstrap: a stale boot event fired", up)
+	}
+}
+
+// TestRestartBeforeSrunGrantReleasesSlot: crashing before the bootstrap
+// srun step is granted and restarting asks for a second step; the first,
+// stale grant must give its ceiling slot back.
+func TestRestartBeforeSrunGrantReleasesSlot(t *testing.T) {
+	eng, in, _, ctrl := newRig(2)
+	in.Crash("injected")
+	if !in.Restart() {
+		t.Fatal("restart refused")
+	}
+	eng.Run()
+	if n := ctrl.Ceiling().InUse(); n != 1 {
+		t.Fatalf("restarted instance holds %d srun slots, want 1", n)
+	}
+	in.Shutdown()
+	if n := ctrl.Ceiling().InUse(); n != 0 {
+		t.Fatalf("%d srun slots leaked after shutdown", n)
+	}
+}
+
+// TestDrainFailsInFlightSubmit: a submit whose RPC is still in flight when
+// the instance drains must fail on arrival instead of starting, and a
+// restart clears the drain.
+func TestDrainFailsInFlightSubmit(t *testing.T) {
+	eng, in, _, _ := newRig(2)
+	eng.RunUntil(sim.Time(60 * sim.Second)) // bootstrapped
+	failed := false
+	in.Submit(req(sim.Second, func(sim.Time) {
+		t.Error("task submitted before Drain started after it")
+	}, func(_ sim.Time, f bool, _ string) { failed = f }))
+	in.Drain("pilot canceled")
+	eng.Run()
+	if !failed {
+		t.Fatal("in-flight submit did not fail after Drain")
+	}
+	in.Crash("injected")
+	in.Restart()
+	started := false
+	in.Submit(req(sim.Second, func(sim.Time) { started = true }, nil))
+	eng.Run()
+	if !started {
+		t.Fatal("restart did not clear the drain")
+	}
+}
