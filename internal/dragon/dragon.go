@@ -75,7 +75,7 @@ func NewRuntime(cfg Config, eng *sim.Engine, ctrl *slurm.Controller, part *platf
 	d.dispatcher = sim.NewServer(eng, 1, d.serviceTime, d.dispatched)
 	shmem := sim.Seconds(cfg.Params.ShmemLatency)
 	d.Launcher = launch.New(launch.Config{
-		Name: cfg.Name, Backend: spec.BackendDragon, Label: "dragon runtime",
+		Name: cfg.Name, Backend: spec.BackendDragon,
 		Engine: eng, Ctrl: ctrl, Part: part, Util: util,
 		// Tasks are serialized to the runtime over a shmem pipe, and
 		// completion events hop back over a shmem queue to a watcher.

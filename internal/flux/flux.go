@@ -81,7 +81,7 @@ func NewInstance(cfg Config, eng *sim.Engine, ctrl *slurm.Controller, part *plat
 	in.rateMult = in.rand.LogNormal(1, cfg.Params.RunSigma)
 	in.cycleFn = in.cycle
 	lc := launch.Config{
-		Name: cfg.Name, Backend: spec.BackendFlux, Label: "flux instance",
+		Name: cfg.Name, Backend: spec.BackendFlux,
 		Engine: eng, Part: part, Util: util,
 		SubmitLatency: sim.Seconds(cfg.Params.RPCLatency),
 		Bootstrap:     in.bootstrapCost,

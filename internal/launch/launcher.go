@@ -33,9 +33,7 @@ type Job struct {
 type Config struct {
 	Name    string
 	Backend spec.Backend
-	// Label names the instance in failure reasons ("flux instance").
-	Label  string
-	Engine *sim.Engine
+	Engine  *sim.Engine
 	// Ctrl runs the bootstrap step of srun-launched instances.
 	Ctrl Stepper
 	Part *platform.Allocation
@@ -179,7 +177,7 @@ func (l *Launcher) Boot() {
 		l.timeout = l.eng.After(l.cfg.StartupTimeout, func() {
 			if l.gen == gen && !l.ready {
 				l.failed = true
-				l.Crash(l.cfg.Label + " bootstrap timed out")
+				l.Crash(l.cfg.Name + " bootstrap timed out")
 			}
 		})
 	}
@@ -241,7 +239,7 @@ func (l *Launcher) arrived(r *Request) {
 	l.stats.Submitted++
 	switch {
 	case l.crashed:
-		l.fail(r, l.cfg.Label+" down")
+		l.fail(r, l.cfg.Name+" down")
 	case l.drained:
 		l.fail(r, "launcher drained")
 	case !l.plc.Fits(r.TD):
@@ -293,7 +291,7 @@ func (l *Launcher) Dropped(j *Job) bool {
 		return false
 	}
 	l.cfg.Part.Release(l.eng.Now(), j.Pl)
-	l.fail(j.Req, l.cfg.Label+" down")
+	l.fail(j.Req, l.cfg.Name+" down")
 	return true
 }
 
@@ -449,7 +447,7 @@ func (l *Launcher) Restart() bool {
 
 // Shutdown drains the queue and releases the instance's srun slot.
 func (l *Launcher) Shutdown() {
-	l.Drain(l.cfg.Label + " shutdown")
+	l.Drain(l.cfg.Name + " shutdown")
 	l.releaseInstance()
 }
 

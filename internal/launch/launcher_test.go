@@ -26,7 +26,7 @@ func (s *stepper) StartStep(_, _ int, started func(release func())) {
 // once; boot < 0 gives it no instance process (like srun).
 func newTestLauncher(eng *sim.Engine, nodes int, ctrl Stepper, boot sim.Duration, cfg Config) *Launcher {
 	var l *Launcher
-	cfg.Name, cfg.Label, cfg.Engine = "x.0", "x instance", eng
+	cfg.Name, cfg.Engine = "x.0", eng
 	cfg.Part, cfg.Ctrl = newPartition(nodes), ctrl
 	cfg.Launch = func(j *Job) { l.ExecAfter(0, j) }
 	if boot >= 0 {

@@ -73,7 +73,7 @@ func NewDVM(name string, params Params, eng *sim.Engine, ctrl *slurm.Controller,
 	d.rateMult = d.rand.LogNormal(1, params.RunSigma)
 	d.prun = sim.NewServer(eng, 1, d.serviceTime, d.launched)
 	d.Launcher = launch.New(launch.Config{
-		Name: name, Backend: spec.BackendPRRTE, Label: "prrte DVM",
+		Name: name, Backend: spec.BackendPRRTE,
 		Engine: eng, Ctrl: ctrl, Part: part, Util: util,
 		Bootstrap: d.bootstrapCost,
 		// RP-side placement: PRRTE has no scheduler of its own.

@@ -111,7 +111,7 @@ func NewSrunLauncher(name string, eng *sim.Engine, ctrl *Controller, part *platf
 	s := &SrunLauncher{eng: eng, ctrl: ctrl, rand: src.Stream("srun." + name)}
 	s.rateMult = s.rand.LogNormal(1, ctrl.params.RunSigma)
 	s.Launcher = launch.New(launch.Config{
-		Name: name, Backend: spec.BackendSrun, Label: "srun launcher",
+		Name: name, Backend: spec.BackendSrun,
 		Engine: eng, Part: part, Util: util,
 		Launch: s.launch,
 	})
