@@ -80,18 +80,14 @@ func NewInstance(cfg Config, eng *sim.Engine, ctrl *slurm.Controller, part *plat
 	}
 	in.rateMult = in.rand.LogNormal(1, cfg.Params.RunSigma)
 	in.cycleFn = in.cycle
-	lc := launch.Config{
+	in.Launcher = launch.New(launch.Config{
 		Name: cfg.Name, Backend: spec.BackendFlux,
-		Engine: eng, Part: part, Util: util,
+		Engine: eng, Ctrl: ctrl, Part: part, Util: util,
 		SubmitLatency: sim.Seconds(cfg.Params.RPCLatency),
 		Bootstrap:     in.bootstrapCost,
 		Up:            in.up,
 		Schedule:      in.kick,
-	}
-	if !in.nested {
-		lc.Ctrl = ctrl
-	}
-	in.Launcher = launch.New(lc)
+	})
 	in.Boot()
 	return in
 }
