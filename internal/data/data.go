@@ -14,6 +14,7 @@ package data
 import (
 	"fmt"
 	"sort"
+	"strconv"
 
 	"rpgo/internal/model"
 	"rpgo/internal/obs"
@@ -39,21 +40,36 @@ type System struct {
 
 	shared *Channel
 	burst  *Channel // nil when the tier is disabled
-	nvme   map[int]*Channel
-	// channels lists every channel for advance/recompute sweeps, in a
-	// fixed deterministic order.
+	// nvme[i] is the NVMe channel of the allocation's i-th node (cluster
+	// node firstNode+i), built on the node's first transfer; workloads that
+	// move no data never pay for them.
+	nvme      []*Channel
+	firstNode int
+	nodes     int
+	// channels lists every channel built so far for recompute sweeps, in
+	// a fixed deterministic order.
 	channels []*Channel
 
 	reg *Registry
 
-	flows []*flow
-	seq   uint64
+	// routes holds every route used so far; active lists those with flows
+	// in flight, in the order they became busy. nFlows counts the flows.
+	routes map[routeKey]*route
+	active []*route
+	nFlows int
+	// done is tick's scratch list of finished flows.
+	done []*flow
+	seq  uint64
 	// uidSeq numbers transfers for causal references; assigned when the
 	// transfer API is called (before setup latency) so coalescing joiners
 	// can name the movement they ride.
 	uidSeq uint64
 	lastT  sim.Time
 	timer  sim.Timer
+	// startFn and tickFn are start and tick bound once, so scheduling
+	// them allocates nothing.
+	startFn func(any)
+	tickFn  func()
 
 	// pendingNode coalesces concurrent stage-ins of the same dataset to
 	// the same node: the first request transfers, later ones join as
@@ -91,7 +107,7 @@ func NewSystem(eng *sim.Engine, alloc *platform.Allocation, p model.DataParams, 
 		eng:         eng,
 		prof:        prof,
 		params:      p,
-		nvme:        make(map[int]*Channel, n),
+		nodes:       n,
 		reg:         NewRegistry(),
 		pendingNode: make(map[string]map[int]*pendingXfer),
 		pendingTier: make(map[string]map[spec.StageTier]*pendingXfer),
@@ -107,12 +123,44 @@ func NewSystem(eng *sim.Engine, alloc *platform.Allocation, p model.DataParams, 
 		s.burst = &Channel{name: "burstbuffer", capacity: bb}
 		s.channels = append(s.channels, s.burst)
 	}
-	for _, node := range alloc.Nodes {
-		ch := &Channel{name: fmt.Sprintf("nvme:%d", node.ID), capacity: p.NVMeBandwidth}
-		s.nvme[node.ID] = ch
+	if n > 0 {
+		// An allocation is a contiguous run of cluster node IDs, so a
+		// node's index is its offset from the first.
+		s.firstNode = alloc.Nodes[0].ID
+		if alloc.Nodes[n-1].ID != s.firstNode+n-1 {
+			panic("data: allocation node IDs are not contiguous")
+		}
+	}
+	s.startFn, s.tickFn = s.start, s.tick
+	return s
+}
+
+// nodeChannel returns node id's NVMe channel, building it on first use;
+// nil for nodes outside the allocation.
+func (s *System) nodeChannel(id int) *Channel {
+	i := id - s.firstNode
+	if i < 0 || i >= s.nodes {
+		return nil
+	}
+	if s.nvme == nil {
+		s.nvme = make([]*Channel, s.nodes)
+	}
+	ch := s.nvme[i]
+	if ch == nil {
+		ch = &Channel{name: "nvme:" + strconv.Itoa(id), capacity: s.params.NVMeBandwidth}
+		s.nvme[i] = ch
 		s.channels = append(s.channels, ch)
 	}
-	return s
+	return ch
+}
+
+// nodeName names node's NVMe endpoint in transfer traces, reusing its
+// channel's name when it has one.
+func nodeName(node int, ch *Channel) string {
+	if ch != nil {
+		return ch.name
+	}
+	return fmt.Sprintf("nvme:%d", node)
 }
 
 // Registry returns the dataset placement registry.
@@ -123,9 +171,6 @@ func (s *System) SharedChannel() *Channel { return s.shared }
 
 // BurstChannel returns the burst-buffer channel, nil when disabled.
 func (s *System) BurstChannel() *Channel { return s.burst }
-
-// NodeChannel returns node id's NVMe channel, nil for unknown nodes.
-func (s *System) NodeChannel(id int) *Channel { return s.nvme[id] }
 
 // BytesMoved returns the total bytes transferred so far.
 func (s *System) BytesMoved() int64 { return s.bytesMoved }
@@ -191,11 +236,17 @@ type pendingXfer struct {
 	waiters []func()
 }
 
-// nextUID numbers a transfer at API-call time.
+// nextUID numbers a transfer at API-call time: "xfer." and the sequence
+// number zero-padded to six digits, the bytes of fmt's "xfer.%06d".
 func (s *System) nextUID() string {
-	uid := fmt.Sprintf("xfer.%06d", s.uidSeq)
+	var digits, buf [32]byte
+	d := strconv.AppendUint(digits[:0], s.uidSeq, 10)
+	b := append(buf[:0], "xfer."...)
+	for i := len(d); i < 6; i++ {
+		b = append(b, '0')
+	}
 	s.uidSeq++
-	return uid
+	return string(append(b, d...))
 }
 
 // JoinPending registers fn to fire when an already in-flight stage-in of
@@ -239,22 +290,18 @@ func (s *System) PendingNodes(dataset string) []int {
 // StageToNode while one is in flight would move redundant bytes. It returns
 // the transfer's UID for causal references.
 func (s *System) StageToNode(task, dataset string, bytes int64, src spec.StageTier, node int, done func()) string {
-	srcCh := s.tierChannel(src)
-	chans := []*Channel{srcCh}
-	if ch := s.nvme[node]; ch != nil {
-		chans = append(chans, ch)
-	}
+	srcCh, nv := s.tierChannel(src), s.nodeChannel(node)
 	uid := s.nextUID()
 	if s.pendingNode[dataset] == nil {
 		s.pendingNode[dataset] = make(map[int]*pendingXfer)
 	}
 	s.pendingNode[dataset][node] = &pendingXfer{uid: uid}
 	lat := s.tierLatency(src) + s.params.NVMeLatency
-	s.startTransfer(chans, lat, transferInfo{
+	s.startTransfer(s.routeOf(srcCh, nv), lat, transferInfo{
 		uid: uid, dataset: dataset, task: task, bytes: bytes,
-		src: srcCh.name, dst: fmt.Sprintf("nvme:%d", node), node: node,
+		src: srcCh.name, dst: nodeName(node, nv), node: node,
 	}, func() {
-		if s.nvme[node] != nil {
+		if nv != nil {
 			s.reg.RegisterNode(dataset, bytes, node)
 		}
 		p := s.pendingNode[dataset][node]
@@ -277,24 +324,22 @@ func (s *System) StageToNode(task, dataset string, bytes int64, src spec.StageTi
 // which is what lets a data-aware scheduler run the consumer where the
 // producer ran.
 func (s *System) WriteFromNode(task, dataset string, bytes int64, node int, dest spec.StageTier, done func()) string {
-	var chans []*Channel
-	dstName := fmt.Sprintf("nvme:%d", node)
-	if ch := s.nvme[node]; ch != nil {
-		chans = append(chans, ch)
-	}
+	nv := s.nodeChannel(node)
+	srcName := nodeName(node, nv)
+	dstName := srcName
+	var dch *Channel
 	lat := s.params.NVMeLatency
 	if dest != spec.TierNodeLocal {
-		dch := s.tierChannel(dest)
-		chans = append(chans, dch)
+		dch = s.tierChannel(dest)
 		dstName = dch.name
 		lat += s.tierLatency(dest)
 	}
 	uid := s.nextUID()
-	s.startTransfer(chans, lat, transferInfo{
+	s.startTransfer(s.routeOf(nv, dch), lat, transferInfo{
 		uid: uid, dataset: dataset, task: task, bytes: bytes,
-		src: fmt.Sprintf("nvme:%d", node), dst: dstName, node: node,
+		src: srcName, dst: dstName, node: node,
 	}, func() {
-		if s.nvme[node] != nil {
+		if nv != nil {
 			s.reg.RegisterNode(dataset, bytes, node)
 		}
 		if dest != spec.TierNodeLocal {
@@ -332,17 +377,13 @@ func (s *System) JoinPendingTier(dataset string, tier spec.StageTier, fn func())
 // causal references.
 func (s *System) TierTransfer(task, dataset string, bytes int64, src, dest spec.StageTier, done func()) string {
 	srcCh, dstCh := s.tierChannel(src), s.tierChannel(dest)
-	chans := []*Channel{srcCh}
-	if dstCh != srcCh {
-		chans = append(chans, dstCh)
-	}
 	eff := s.effectiveTier(dest)
 	uid := s.nextUID()
 	if s.pendingTier[dataset] == nil {
 		s.pendingTier[dataset] = make(map[spec.StageTier]*pendingXfer)
 	}
 	s.pendingTier[dataset][eff] = &pendingXfer{uid: uid}
-	s.startTransfer(chans, s.tierLatency(src)+s.tierLatency(dest), transferInfo{
+	s.startTransfer(s.routeOf(srcCh, dstCh), s.tierLatency(src)+s.tierLatency(dest), transferInfo{
 		uid: uid, dataset: dataset, task: task, bytes: bytes,
 		src: srcCh.name, dst: dstCh.name, node: -1,
 	}, func() {
@@ -360,36 +401,35 @@ func (s *System) TierTransfer(task, dataset string, bytes int64, src, dest spec.
 	return uid
 }
 
-// startTransfer applies setup latency, then joins the flow machinery.
-func (s *System) startTransfer(chans []*Channel, latency float64, tt transferInfo, done func()) {
-	s.eng.After(sim.Seconds(latency), func() {
-		now := s.eng.Now()
-		tt.start = now
-		f := &flow{
-			seq:       s.seq,
-			remaining: float64(tt.bytes),
-			chans:     chans,
-			tt:        tt,
-			done:      done,
+// startTransfer applies setup latency, then starts the flow on route r.
+func (s *System) startTransfer(r *route, latency float64, tt transferInfo, done func()) {
+	s.eng.AfterCall(sim.Seconds(latency), s.startFn, &flow{route: r, tt: tt, done: done})
+}
+
+// start joins a flow to the flow machinery once its setup latency has
+// passed; startFn is its bound form.
+func (s *System) start(arg any) {
+	f := arg.(*flow)
+	now := s.eng.Now()
+	f.tt.start = now
+	f.seq = s.seq
+	s.seq++
+	if f.tt.bytes <= 0 {
+		s.finishTransfer(f, now)
+		return
+	}
+	s.advance()
+	for _, ch := range f.route.chans {
+		if ch.nActive > 0 {
+			// Joining an already-busy link: every flow on it slows down.
+			s.cStalls.Inc()
+			f.tt.contended = ch.name
+			break
 		}
-		s.seq++
-		if tt.bytes <= 0 {
-			s.finishTransfer(f, now)
-			return
-		}
-		s.advance()
-		for _, ch := range chans {
-			if ch.nActive > 0 {
-				// Joining an already-busy link: every flow on it slows down.
-				s.cStalls.Inc()
-				f.tt.contended = ch.name
-				break
-			}
-		}
-		s.flows = append(s.flows, f)
-		s.recompute()
-		s.gFlows.Set(now, float64(len(s.flows)))
-	})
+	}
+	s.join(f)
+	s.recompute()
+	s.gFlows.Set(now, float64(s.nFlows))
 }
 
 // finishTransfer records the trace and hands the completion to the engine.
@@ -425,7 +465,7 @@ func (s *System) finishTransfer(f *flow, at sim.Time) {
 }
 
 // InFlight returns the number of active transfers (tests).
-func (s *System) InFlight() int { return len(s.flows) }
+func (s *System) InFlight() int { return s.nFlows }
 
 // Registry tracks which nodes and tiers hold which datasets.
 type Registry struct {
