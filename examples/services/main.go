@@ -76,7 +76,7 @@ func main() {
 		return out
 	}
 	tm := sess.TaskManager(pilot)
-	tm.Submit(coupled(40))                                             // warm-up wave
+	tm.Submit(coupled(40))                                              // warm-up wave
 	sess.Engine.After(90*rp.Second, func() { tm.Submit(coupled(160)) }) // surge
 	sess.Engine.After(360*rp.Second, func() { tm.Submit(coupled(30)) }) // tail
 

@@ -137,6 +137,14 @@ type Agent struct {
 	// Cached registry instruments (dummies when no registry is wired, so
 	// the hot path never branches on nil).
 	gInflight *obs.Gauge
+
+	// preferNodes' scratch, reused across calls: the scored nodes, the
+	// returned ID list, and prefSlot, which maps a node's offset in the
+	// allocation to 1 + its index in prefScores while a call runs (0
+	// otherwise).
+	prefScores []nodeScore
+	prefIDs    []int
+	prefSlot   []int32
 }
 
 // executorGroup is one backend type with its concurrent instances. The
@@ -561,10 +569,14 @@ func (a *Agent) forward(g *executorGroup, t *Task) {
 		Trace:  t.Trace,
 	}
 	if t.TD.HasStaging() {
-		// Late-bound: backends evaluate the preference at placement
-		// time, when the registry reflects every transfer completed (or
-		// started) while the task sat in the backend queue.
-		rec.req.Prefer = func() []int { return a.preferNodes(t.TD) }
+		if a.prefersNodes(t.TD) {
+			// Late-bound: backends evaluate the preference at placement
+			// time, when the registry reflects every transfer completed
+			// (or started) while the task sat in the backend queue.
+			// Producers and pack-policy tasks carry none, so queues
+			// holding only them skip the placer's affinity window.
+			rec.req.Prefer = func() []int { return a.preferNodes(t.TD) }
+		}
 		rec.req.OnPlaced = func(at sim.Time, nodeIDs []int) { placed = nodeIDs }
 		rec.req.Body = a.dataBody(t, body, &placed)
 	} else if faulty {

@@ -14,10 +14,11 @@ package agent
 //
 // preferNodes feeds the data-aware placement policy: the nodes already
 // holding the task's node-local inputs, most bytes first, lowest node ID
-// breaking ties.
+// breaking ties. Only tasks with a node-local input carry it.
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"rpgo/internal/profiler"
 	"rpgo/internal/sim"
@@ -83,42 +84,79 @@ func (a *Agent) stageInShared(t *Task) {
 	})
 }
 
+// prefersNodes reports whether td's launch request carries a placement
+// preference: under the data-aware policy, a task with at least one
+// node-local input. Only those can ever be preferred onto a node.
+func (a *Agent) prefersNodes(td *spec.TaskDescription) bool {
+	if a.desc.Placement != spec.PlaceDataAware {
+		return false
+	}
+	for i := range td.InputData {
+		if td.InputData[i].Dest == spec.TierNodeLocal {
+			return true
+		}
+	}
+	return false
+}
+
+// nodeScore is one candidate node of a preference list and the input bytes
+// it holds or is receiving.
+type nodeScore struct {
+	node  int
+	bytes int64
+}
+
 // preferNodes builds the placement preference list for a task under the
 // data-aware policy: nodes already holding its node-local input datasets,
-// ordered by bytes held descending, node ID ascending. Under the pack
-// policy it returns nil and placement stays locality-blind.
+// ordered by bytes held descending, node ID ascending. It allocates
+// nothing once its scratch has grown: the scores, the slot index and the
+// returned list are the agent's own, and the list is valid until the next
+// call — the placer reads it only during the placement call it asked for.
 func (a *Agent) preferNodes(td *spec.TaskDescription) []int {
-	if a.desc.Placement != spec.PlaceDataAware {
-		return nil
+	if a.prefSlot == nil {
+		a.prefSlot = make([]int32, a.alloc.Size())
 	}
-	score := make(map[int]int64)
+	// Replicas and stage-in targets are nodes of this pilot's allocation,
+	// a contiguous run of IDs from base.
+	base := a.alloc.Nodes[0].ID
+	sc := a.prefScores[:0]
+	add := func(node int, bytes int64) {
+		if s := a.prefSlot[node-base]; s > 0 {
+			sc[s-1].bytes += bytes
+			return
+		}
+		sc = append(sc, nodeScore{node, bytes})
+		a.prefSlot[node-base] = int32(len(sc))
+	}
 	for i := range td.InputData {
-		d := td.InputData[i]
+		d := &td.InputData[i]
 		if d.Dest != spec.TierNodeLocal {
 			continue
 		}
 		for _, n := range a.dataSys.Registry().NodesHolding(d.Dataset) {
-			score[n] += d.SizeBytes
+			add(n, d.SizeBytes)
 		}
 		// Nodes a replica is in flight to are nearly as good: the task
 		// joins the pending transfer instead of paying for its own.
-		for _, n := range a.dataSys.PendingNodes(d.Dataset) {
-			score[n] += d.SizeBytes / 2
-		}
+		a.dataSys.EachPending(d.Dataset, func(n int) { add(n, d.SizeBytes/2) })
 	}
-	if len(score) == 0 {
+	if len(sc) == 0 {
 		return nil
 	}
-	ids := make([]int, 0, len(score))
-	for n := range score {
-		ids = append(ids, n)
-	}
-	sort.Slice(ids, func(i, j int) bool {
-		if score[ids[i]] != score[ids[j]] {
-			return score[ids[i]] > score[ids[j]]
+	// Node IDs are unique in sc, so this order is total: neither the
+	// pending set's iteration order nor the sort's stability shows.
+	slices.SortFunc(sc, func(x, y nodeScore) int {
+		if c := cmp.Compare(y.bytes, x.bytes); c != 0 {
+			return c
 		}
-		return ids[i] < ids[j]
+		return cmp.Compare(x.node, y.node)
 	})
+	ids := a.prefIDs[:0]
+	for _, s := range sc {
+		ids = append(ids, s.node)
+		a.prefSlot[s.node-base] = 0
+	}
+	a.prefScores, a.prefIDs = sc, ids
 	return ids
 }
 

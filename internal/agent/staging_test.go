@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"rpgo/internal/data"
+	"rpgo/internal/launch"
 	"rpgo/internal/profiler"
 	"rpgo/internal/sim"
 	"rpgo/internal/spec"
@@ -293,6 +294,161 @@ func TestStagingDeterminism(t *testing.T) {
 		}
 		if len(t1) == 0 {
 			t.Fatalf("%v: no transfers recorded", policy)
+		}
+	}
+}
+
+// TestPreferNodes pins the data-aware preference list: nodes holding a
+// task's node-local inputs score their bytes, nodes a stage-in is in flight
+// to score half, and the list runs by score descending, node ID ascending.
+// All rows share one agent, so each also checks that the previous call's
+// scratch left nothing behind.
+func TestPreferNodes(t *testing.T) {
+	r := newRig(t, spec.PilotDescription{Nodes: 4, Placement: spec.PlaceDataAware})
+	sys := r.agent.Data()
+	reg := sys.Registry()
+	local := func(ds string, bytes int64) spec.StagingDirective {
+		return spec.StagingDirective{Dataset: ds, SizeBytes: bytes, Source: spec.TierSharedFS, Dest: spec.TierNodeLocal}
+	}
+	pending := func(ds string, nodes ...int) {
+		for _, n := range nodes {
+			sys.StageToNode("setup", ds, data.GB, spec.TierSharedFS, n, func() {})
+		}
+	}
+	cases := []struct {
+		name  string
+		setup func()
+		in    []spec.StagingDirective
+		want  []int
+	}{
+		{
+			name:  "no replica anywhere",
+			setup: func() {},
+			in:    []spec.StagingDirective{local("cold", data.GB)},
+		},
+		{
+			name:  "shared-tier input does not count",
+			setup: func() { reg.RegisterNode("bb", data.GB, 2) },
+			in: []spec.StagingDirective{{Dataset: "bb", SizeBytes: data.GB,
+				Source: spec.TierSharedFS, Dest: spec.TierBurstBuffer}},
+		},
+		{
+			name: "equal scores break ties by node ID",
+			setup: func() {
+				reg.RegisterNode("tie", data.GB, 3)
+				reg.RegisterNode("tie", data.GB, 0)
+				reg.RegisterNode("tie", data.GB, 2)
+			},
+			in:   []spec.StagingDirective{local("tie", data.GB)},
+			want: []int{0, 2, 3},
+		},
+		{
+			name: "several inputs add up per node",
+			setup: func() {
+				reg.RegisterNode("big", 2*data.GB, 1)
+				reg.RegisterNode("small", data.GB, 3)
+				reg.RegisterNode("small", data.GB, 1)
+			},
+			in:   []spec.StagingDirective{local("small", data.GB), local("big", 2*data.GB)},
+			want: []int{1, 3},
+		},
+		{
+			name: "held and in flight on one node",
+			setup: func() {
+				reg.RegisterNode("both", 2*data.GB, 2)
+				pending("both", 2, 0)
+			},
+			in:   []spec.StagingDirective{local("both", 2*data.GB)},
+			want: []int{2, 0},
+		},
+		{
+			name: "in flight scores half",
+			setup: func() {
+				pending("warm", 3)
+				reg.RegisterNode("side", 3*data.GB, 0)
+			},
+			// warm: 4 GB in flight to node 3 scores 2 GB, below side's
+			// 3 GB held on node 0.
+			in:   []spec.StagingDirective{local("side", 3*data.GB), local("warm", 4*data.GB)},
+			want: []int{0, 3},
+		},
+		{
+			name: "evicted replicas drop out",
+			setup: func() {
+				for n := 0; n < 4; n++ {
+					reg.RegisterNode("gone", data.GB, n)
+				}
+				reg.Evict("gone", 1)
+				reg.EvictNode(3)
+			},
+			in:   []spec.StagingDirective{local("gone", data.GB)},
+			want: []int{0, 2},
+		},
+	}
+	for _, c := range cases {
+		c.setup()
+		got := r.agent.preferNodes(&spec.TaskDescription{InputData: c.in})
+		if !reflect.DeepEqual(got, c.want) {
+			t.Errorf("%s: preferNodes = %v, want %v", c.name, got, c.want)
+		}
+	}
+}
+
+// TestPreferOnlyOnDataAwareConsumers: only a data-aware task with a
+// node-local input reaches its backend with a Prefer hook. Producers,
+// shared-tier stage-ins and every pack-policy task arrive unhinted (and
+// still get their data body's OnPlaced hook).
+func TestPreferOnlyOnDataAwareConsumers(t *testing.T) {
+	consumer := func() *spec.TaskDescription {
+		return &spec.TaskDescription{
+			Kind: spec.Executable, CoresPerRank: 1, Ranks: 1, Duration: sim.Second,
+			InputData: []spec.StagingDirective{{Dataset: "in", SizeBytes: data.GB,
+				Source: spec.TierSharedFS, Dest: spec.TierNodeLocal}},
+		}
+	}
+	producer := func() *spec.TaskDescription {
+		return &spec.TaskDescription{
+			Kind: spec.Executable, CoresPerRank: 1, Ranks: 1, Duration: sim.Second,
+			OutputData: []spec.StagingDirective{{Dataset: "out", SizeBytes: data.GB, Dest: spec.TierSharedFS}},
+		}
+	}
+	sharedIn := func() *spec.TaskDescription {
+		td := consumer()
+		td.InputData[0].Dest = spec.TierBurstBuffer
+		return td
+	}
+	cases := []struct {
+		name   string
+		policy spec.PlacementPolicy
+		td     *spec.TaskDescription
+		hinted bool
+	}{
+		{"data-aware consumer", spec.PlaceDataAware, consumer(), true},
+		{"data-aware producer", spec.PlaceDataAware, producer(), false},
+		{"data-aware shared-tier stage-in", spec.PlaceDataAware, sharedIn(), false},
+		{"pack consumer", spec.PlacePack, consumer(), false},
+		{"pack producer", spec.PlacePack, producer(), false},
+	}
+	for _, c := range cases {
+		r := newRig(t, spec.PilotDescription{Nodes: 1, Placement: c.policy})
+		// A probe backend: ready at once, and its launch pipeline records
+		// each placed request instead of running it.
+		var got []*launch.Request
+		l := launch.New(launch.Config{
+			Name: "probe", Backend: spec.BackendFlux, Engine: r.eng, Part: r.agent.alloc,
+			Launch: func(j *launch.Job) { got = append(got, j.Req) },
+		})
+		g := &executorGroup{backend: spec.BackendFlux, launchers: []*launch.Launcher{l},
+			alive: []bool{true}, inflight: []int{0}}
+		r.agent.forward(g, r.task(c.td, "t"))
+		if len(got) != 1 {
+			t.Fatalf("%s: backend received %d requests, want 1", c.name, len(got))
+		}
+		if hinted := got[0].Prefer != nil; hinted != c.hinted {
+			t.Errorf("%s: Prefer set = %v, want %v", c.name, hinted, c.hinted)
+		}
+		if got[0].OnPlaced == nil {
+			t.Errorf("%s: staged task lost its OnPlaced hook", c.name)
 		}
 	}
 }

@@ -13,7 +13,7 @@ package data
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strconv"
 
 	"rpgo/internal/model"
@@ -267,19 +267,12 @@ func (s *System) JoinPending(dataset string, node int, fn func()) (string, bool)
 	return p.uid, true
 }
 
-// PendingNodes returns the nodes a stage-in of the dataset is currently
-// in flight to, sorted ascending.
-func (s *System) PendingNodes(dataset string) []int {
-	byNode, ok := s.pendingNode[dataset]
-	if !ok {
-		return nil
+// EachPending calls fn with every node a stage-in of the dataset is in
+// flight to, in no defined order: callers must not depend on it.
+func (s *System) EachPending(dataset string, fn func(node int)) {
+	for n := range s.pendingNode[dataset] {
+		fn(n)
 	}
-	out := make([]int, 0, len(byNode))
-	for n := range byNode {
-		out = append(out, n)
-	}
-	sort.Ints(out)
-	return out
 }
 
 // StageToNode pulls a dataset from a shared tier into one node's local
@@ -473,8 +466,11 @@ type Registry struct {
 }
 
 type regEntry struct {
-	bytes  int64
-	nodes  map[int]bool
+	bytes int64
+	// nodes lists the nodes holding a replica, ascending and without
+	// duplicates: lookups binary-search it and NodesHolding returns it as
+	// it is.
+	nodes  []int
 	shared bool
 	burst  bool
 }
@@ -487,7 +483,7 @@ func NewRegistry() *Registry {
 func (r *Registry) entry(dataset string) *regEntry {
 	e, ok := r.entries[dataset]
 	if !ok {
-		e = &regEntry{nodes: make(map[int]bool)}
+		e = &regEntry{}
 		r.entries[dataset] = e
 	}
 	return e
@@ -499,7 +495,9 @@ func (r *Registry) RegisterNode(dataset string, bytes int64, node int) {
 	if bytes > e.bytes {
 		e.bytes = bytes
 	}
-	e.nodes[node] = true
+	if i, ok := slices.BinarySearch(e.nodes, node); !ok {
+		e.nodes = slices.Insert(e.nodes, i, node)
+	}
 }
 
 // RegisterTier records the dataset's presence at a shared tier.
@@ -516,22 +514,31 @@ func (r *Registry) RegisterTier(dataset string, bytes int64, tier spec.StageTier
 	}
 }
 
+// drop removes node from the entry's replicas, reporting whether it held
+// one.
+func (e *regEntry) drop(node int) bool {
+	i, ok := slices.BinarySearch(e.nodes, node)
+	if ok {
+		e.nodes = slices.Delete(e.nodes, i, i+1)
+	}
+	return ok
+}
+
 // Evict drops a node-local replica (node draining, cache pressure models).
 func (r *Registry) Evict(dataset string, node int) {
 	if e, ok := r.entries[dataset]; ok {
-		delete(e.nodes, node)
+		e.drop(node)
 	}
 }
 
 // EvictNode drops every replica the node holds (the node failed; its local
 // storage went with it). Returns the number of replicas dropped. Map
-// iteration order is irrelevant: only deletions happen, so the resulting
-// state is deterministic.
+// iteration order is irrelevant: each entry changes on its own, so the
+// resulting state is deterministic.
 func (r *Registry) EvictNode(node int) int {
 	n := 0
 	for _, e := range r.entries {
-		if e.nodes[node] {
-			delete(e.nodes, node)
+		if e.drop(node) {
 			n++
 		}
 	}
@@ -541,7 +548,11 @@ func (r *Registry) EvictNode(node int) int {
 // HasNode reports whether the node holds a replica of the dataset.
 func (r *Registry) HasNode(dataset string, node int) bool {
 	e, ok := r.entries[dataset]
-	return ok && e.nodes[node]
+	if !ok {
+		return false
+	}
+	_, held := slices.BinarySearch(e.nodes, node)
+	return held
 }
 
 // HasTier reports whether the dataset is present at a shared tier.
@@ -560,19 +571,16 @@ func (r *Registry) HasTier(dataset string, tier spec.StageTier) bool {
 	}
 }
 
-// NodesHolding returns the node IDs with a replica, sorted ascending (the
-// deterministic base order for placement preference).
+// NodesHolding returns the node IDs with a replica, ascending (the
+// deterministic base order for placement preference). The slice is the
+// registry's own, valid until the dataset's replicas next change: callers
+// read it and must not modify it.
 func (r *Registry) NodesHolding(dataset string) []int {
 	e, ok := r.entries[dataset]
 	if !ok {
 		return nil
 	}
-	out := make([]int, 0, len(e.nodes))
-	for n := range e.nodes {
-		out = append(out, n)
-	}
-	sort.Ints(out)
-	return out
+	return e.nodes[:len(e.nodes):len(e.nodes)]
 }
 
 // Bytes returns the registered size of the dataset.

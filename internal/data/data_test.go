@@ -2,7 +2,9 @@ package data
 
 import (
 	"math"
+	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"rpgo/internal/model"
@@ -155,6 +157,62 @@ func TestRegistry(t *testing.T) {
 	}
 	if r.Replicas() != 2 {
 		t.Errorf("Replicas = %d, want 2", r.Replicas())
+	}
+}
+
+// TestRegistryReplicaOrder drives the registry with replicas registered
+// and evicted out of order and checks it against a plain set after every
+// step: NodesHolding stays strictly ascending and equals the set, HasNode
+// agrees with it, and Replicas counts it.
+func TestRegistryReplicaOrder(t *testing.T) {
+	const nodes = 16
+	datasets := []string{"a", "b", "c"}
+	r := NewRegistry()
+	want := map[string]map[int]bool{}
+	for _, ds := range datasets {
+		want[ds] = map[int]bool{}
+	}
+	rnd := rand.New(rand.NewSource(3))
+	for step := 0; step < 2000; step++ {
+		ds, node := datasets[rnd.Intn(len(datasets))], rnd.Intn(nodes)
+		switch op := rnd.Intn(10); {
+		case op < 6:
+			r.RegisterNode(ds, 1, node)
+			want[ds][node] = true
+		case op < 9:
+			r.Evict(ds, node)
+			delete(want[ds], node)
+		default:
+			dropped := 0
+			for _, held := range want {
+				if held[node] {
+					delete(held, node)
+					dropped++
+				}
+			}
+			if got := r.EvictNode(node); got != dropped {
+				t.Fatalf("step %d: EvictNode(%d) = %d, want %d", step, node, got, dropped)
+			}
+		}
+		total := 0
+		for _, ds := range datasets {
+			held := r.NodesHolding(ds)
+			if !slices.IsSorted(held) || len(slices.Compact(slices.Clone(held))) != len(held) {
+				t.Fatalf("step %d: NodesHolding(%s) = %v, not strictly ascending", step, ds, held)
+			}
+			if len(held) != len(want[ds]) {
+				t.Fatalf("step %d: NodesHolding(%s) = %v, want %d nodes", step, ds, held, len(want[ds]))
+			}
+			for n := 0; n < nodes; n++ {
+				if r.HasNode(ds, n) != want[ds][n] {
+					t.Fatalf("step %d: HasNode(%s, %d) = %v", step, ds, n, r.HasNode(ds, n))
+				}
+			}
+			total += len(want[ds])
+		}
+		if r.Replicas() != total {
+			t.Fatalf("step %d: Replicas = %d, want %d", step, r.Replicas(), total)
+		}
 	}
 }
 

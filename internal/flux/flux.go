@@ -162,9 +162,12 @@ func (in *Instance) refillTokens() {
 
 // cycle is one pass of the broker's scheduler: place queued jobs while
 // dispatch tokens and resources last, then reschedule at the next token.
+// A pass scheduled before a crash may fire after a restart, while the new
+// boot is still coming up; it does nothing, and the boot's own Kick starts
+// the next pass.
 func (in *Instance) cycle() {
 	in.cycling = false
-	if in.Crashed() || in.Queued() == 0 {
+	if !in.Live() || in.Queued() == 0 {
 		return
 	}
 	in.refillTokens()

@@ -13,14 +13,18 @@ import (
 )
 
 func newRig(nodes int) (*sim.Engine, *Instance, *platform.UtilizationTracker, *slurm.Controller) {
+	return newRigWith(nodes, model.Default().Flux)
+}
+
+// newRigWith is newRig with the instance's cost model given.
+func newRigWith(nodes int, fp model.FluxParams) (*sim.Engine, *Instance, *platform.UtilizationTracker, *slurm.Controller) {
 	eng := sim.NewEngine()
 	src := rng.New(11)
-	params := model.Default()
-	ctrl := slurm.NewController(eng, params.Srun, src)
+	ctrl := slurm.NewController(eng, model.Default().Srun, src)
 	cluster := platform.NewCluster(platform.Frontier(1), nodes)
 	alloc := cluster.Allocate(nodes)
 	util := platform.NewUtilizationTracker(alloc.TotalCPU(), alloc.TotalGPU())
-	in := NewInstance(Config{Name: "flux.t", Params: params.Flux}, eng, ctrl, alloc, util, src)
+	in := NewInstance(Config{Name: "flux.t", Params: fp}, eng, ctrl, alloc, util, src)
 	return eng, in, util, ctrl
 }
 
@@ -280,5 +284,40 @@ func TestDrainFailsInFlightSubmit(t *testing.T) {
 	eng.Run()
 	if !started {
 		t.Fatal("restart did not clear the drain")
+	}
+}
+
+// TestStaleCycleAfterRestartWaitsForBoot: a broker cycle scheduled before a
+// crash that fires after a restart, while the new boot is still coming up,
+// must not place work submitted since the restart. That work starts only
+// once the restarted instance is up.
+func TestStaleCycleAfterRestartWaitsForBoot(t *testing.T) {
+	fp := model.Default().Flux
+	// A slow, steady broker (one token per 2 s): the first pass after boot
+	// is token-limited and reschedules itself 1.5 s out, long after the
+	// submit below has crossed its 2 ms RPC.
+	fp.R0 = 0.5
+	fp.RunSigma = 0
+	eng, in, _, _ := newRigWith(1, fp)
+	// Queued at boot, so the first pass runs and leaves a cycle pending.
+	in.Submit(req(1000*sim.Second, nil, nil))
+	readyAt, startAt := sim.Time(-1), sim.Time(-1)
+	in.Ready(func() {
+		eng.After(100*sim.Millisecond, func() {
+			in.Crash("injected")
+			if !in.Restart() {
+				t.Error("restart refused")
+			}
+			in.Ready(func() { readyAt = eng.Now() })
+			in.Submit(req(sim.Second, func(at sim.Time) { startAt = at }, nil))
+		})
+	})
+	eng.Run()
+	if readyAt < 0 || startAt < 0 {
+		t.Fatalf("restarted instance ready at %v, task started at %v: want both", readyAt, startAt)
+	}
+	if startAt < readyAt {
+		t.Fatalf("task started at %.3fs, before the restarted instance came up at %.3fs",
+			startAt.Seconds(), readyAt.Seconds())
 	}
 }

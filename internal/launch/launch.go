@@ -56,7 +56,9 @@ type Request struct {
 	// (or currently receiving) the task's input datasets. It is a
 	// function, not a slice, because placement can happen long after
 	// submission (backend queues): the preference must reflect the
-	// registry at placement time, not at dispatch time.
+	// registry at placement time, not at dispatch time. The placer reads
+	// the returned slice only during the placement call that asked for it
+	// and never keeps it, so Prefer may return storage it reuses.
 	Prefer func() []int
 	// OnPlaced fires when a backend claims concrete slots for the
 	// request, before the process starts, with the chosen node IDs. The

@@ -137,6 +137,11 @@ func (l *Launcher) BootstrapOverhead() sim.Duration { return l.bootstrap }
 // Crashed reports whether the instance is down.
 func (l *Launcher) Crashed() bool { return l.crashed }
 
+// Live reports whether the instance is booted and not crashed: the only
+// state in which it may place and start work. A restarted instance is not
+// live until its new boot completes.
+func (l *Launcher) Live() bool { return l.ready && !l.crashed }
+
 // Failed reports whether a boot attempt timed out, which is permanent.
 func (l *Launcher) Failed() bool { return l.failed }
 
@@ -254,7 +259,7 @@ func (l *Launcher) arrived(r *Request) {
 // Kick runs a scheduling pass. Submits, completions and bootstrap kick
 // on their own; external capacity changes (a restored node) must kick too.
 func (l *Launcher) Kick() {
-	if !l.ready || l.crashed {
+	if !l.Live() {
 		return
 	}
 	if l.cfg.Schedule != nil {

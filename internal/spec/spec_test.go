@@ -98,13 +98,13 @@ func TestServiceDescriptionValidate(t *testing.T) {
 		t.Fatal(err)
 	}
 	cases := map[string]ServiceDescription{
-		"no name":          {Replicas: 1, BaseLatency: sim.Second},
-		"no replicas":      {Name: "x", BaseLatency: sim.Second},
-		"no base latency":  {Name: "x", Replicas: 1},
-		"negative footpr":  {Name: "x", Replicas: 1, BaseLatency: sim.Second, GPUsPerReplica: -1},
-		"max < min":        {Name: "x", Replicas: 2, BaseLatency: sim.Second, MinReplicas: 4, MaxReplicas: 2},
-		"initial > max":    {Name: "x", Replicas: 9, BaseLatency: sim.Second, MaxReplicas: 4},
-		"negative window":  {Name: "x", Replicas: 1, BaseLatency: sim.Second, BatchWindow: -1},
+		"no name":         {Replicas: 1, BaseLatency: sim.Second},
+		"no replicas":     {Name: "x", BaseLatency: sim.Second},
+		"no base latency": {Name: "x", Replicas: 1},
+		"negative footpr": {Name: "x", Replicas: 1, BaseLatency: sim.Second, GPUsPerReplica: -1},
+		"max < min":       {Name: "x", Replicas: 2, BaseLatency: sim.Second, MinReplicas: 4, MaxReplicas: 2},
+		"initial > max":   {Name: "x", Replicas: 9, BaseLatency: sim.Second, MaxReplicas: 4},
+		"negative window": {Name: "x", Replicas: 1, BaseLatency: sim.Second, BatchWindow: -1},
 	}
 	for name, sd := range cases {
 		if err := sd.Validate(); err == nil {

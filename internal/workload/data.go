@@ -10,6 +10,7 @@ package workload
 
 import (
 	"fmt"
+	"strconv"
 
 	"rpgo/internal/sim"
 	"rpgo/internal/spec"
@@ -72,7 +73,6 @@ func CheckpointWriters(n int, d sim.Duration, ckptBytes int64, dest spec.StageTi
 // returned per stage — submit stage s+1 after stage s completes (the DAG
 // dependency).
 func Handoff(stages, width int, bytes int64, d sim.Duration) [][]*spec.TaskDescription {
-	ds := func(stage, i int) string { return fmt.Sprintf("handoff.s%d.%03d", stage, i) }
 	// A stride coprime with width makes the shuffle a bijection: every
 	// dataset is consumed exactly once per stage.
 	stride := width/2 + 1
@@ -80,7 +80,13 @@ func Handoff(stages, width int, bytes int64, d sim.Duration) [][]*spec.TaskDescr
 		stride++
 	}
 	out := make([][]*spec.TaskDescription, stages)
+	var prev []string // stage s-1's dataset names, by producer index
 	for s := 0; s < stages; s++ {
+		stage := "stage." + strconv.Itoa(s)
+		var names []string
+		if s < stages-1 {
+			names = handoffNames(s, width)
+		}
 		batch := make([]*spec.TaskDescription, width)
 		for i := range batch {
 			td := &spec.TaskDescription{
@@ -89,11 +95,11 @@ func Handoff(stages, width int, bytes int64, d sim.Duration) [][]*spec.TaskDescr
 				CoresPerRank: 1,
 				Ranks:        1,
 				Duration:     d,
-				Stage:        fmt.Sprintf("stage.%d", s),
+				Stage:        stage,
 			}
 			if s > 0 {
 				td.InputData = []spec.StagingDirective{{
-					Dataset:   ds(s-1, (i*stride+s)%width),
+					Dataset:   prev[(i*stride+s)%width],
 					SizeBytes: bytes,
 					Source:    spec.TierSharedFS,
 					Dest:      spec.TierNodeLocal,
@@ -101,7 +107,7 @@ func Handoff(stages, width int, bytes int64, d sim.Duration) [][]*spec.TaskDescr
 			}
 			if s < stages-1 {
 				td.OutputData = []spec.StagingDirective{{
-					Dataset:   ds(s, i),
+					Dataset:   names[i],
 					SizeBytes: bytes,
 					Dest:      spec.TierSharedFS,
 				}}
@@ -109,8 +115,30 @@ func Handoff(stages, width int, bytes int64, d sim.Duration) [][]*spec.TaskDescr
 			batch[i] = td
 		}
 		out[s] = batch
+		prev = names
 	}
 	return out
+}
+
+// handoffNames returns the names of the width datasets stage produces:
+// "handoff.s", the stage, ".", and the producer index zero-padded to three
+// digits — the bytes of fmt's "handoff.s%d.%03d".
+func handoffNames(stage, width int) []string {
+	names := make([]string, width)
+	b := make([]byte, 0, 32)
+	b = append(strconv.AppendInt(append(b, "handoff.s"...), int64(stage), 10), '.')
+	n := len(b)
+	for i := range names {
+		b = b[:n]
+		if i < 100 {
+			b = append(b, '0')
+		}
+		if i < 10 {
+			b = append(b, '0')
+		}
+		names[i] = string(strconv.AppendInt(b, int64(i), 10))
+	}
+	return names
 }
 
 func gcd(a, b int) int {

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"fmt"
 	"testing"
 
 	"rpgo/internal/sim"
@@ -87,5 +88,28 @@ func TestHandoffIsBijectivePerStage(t *testing.T) {
 				t.Errorf("width %d stage %d: %d/%d consumers aligned with producer index", width, s, identity, width)
 			}
 		}
+	}
+}
+
+// TestHandoffNames: dataset names and stage labels keep the bytes of their
+// fmt formats, "handoff.s%d.%03d" and "stage.%d", across the zero-padding
+// boundaries and past three digits.
+func TestHandoffNames(t *testing.T) {
+	const width = 1003
+	batches := Handoff(3, width, 1, sim.Second)
+	for s, batch := range batches {
+		for i, td := range batch {
+			if want := fmt.Sprintf("stage.%d", s); td.Stage != want {
+				t.Fatalf("stage %d task %d: label %q, want %q", s, i, td.Stage, want)
+			}
+			if s < len(batches)-1 {
+				if got, want := td.OutputData[0].Dataset, fmt.Sprintf("handoff.s%d.%03d", s, i); got != want {
+					t.Fatalf("stage %d task %d: output %q, want %q", s, i, got, want)
+				}
+			}
+		}
+	}
+	if got := handoffNames(12, 1)[0]; got != "handoff.s12.000" {
+		t.Fatalf("handoffNames(12, 1) = %q", got)
 	}
 }
