@@ -180,6 +180,40 @@ func benchImpeccable(b *testing.B, nodes int, backend spec.Backend) {
 	b.ReportMetric(float64(res.Tasks), "tasks")
 }
 
+// BenchmarkFig8Analysis times the post-run analysis the impeccable_* bench
+// workloads run after every Fig 8 campaign: the concurrency and start-rate
+// series, CPU and GPU utilization, makespan and blame. The traces of one
+// 1,024-node campaign per executor are built once, outside the timer.
+func BenchmarkFig8Analysis(b *testing.B) {
+	const nodes = 1024
+	for _, backend := range []spec.Backend{spec.BackendFlux, spec.BackendSrun} {
+		b.Run(backend.String(), func(b *testing.B) {
+			traces := experiments.RunImpeccable(experiments.ImpeccableConfig{
+				Nodes: nodes, Backend: backend, Seed: 1,
+			}).Traces
+			var start, end sim.Time = -1, -1
+			for _, tr := range traces {
+				if tr.Ran() {
+					if start < 0 || tr.Start < start {
+						start = tr.Start
+					}
+					end = max(end, tr.End)
+				}
+			}
+			b.ReportAllocs()
+			for b.Loop() {
+				metrics.ConcurrencySeries(traces, 400)
+				metrics.RateSeries(traces, 30*sim.Second, 400)
+				metrics.Utilization(traces, nodes*experiments.CoresPerNode, start, end)
+				metrics.UtilizationGPU(traces, nodes*8, start, end)
+				metrics.Makespan(traces)
+				analytics.BlameFromTraces(traces)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(traces)), "ns/task")
+		})
+	}
+}
+
 // BenchmarkFig8WithFailures runs the Fig 8 campaign under node churn
 // (per-node MTBF of one simulated day on 256 nodes: dozens of failures
 // across the ~6 h campaign) with the fault injector, eviction/relocation,

@@ -8,9 +8,12 @@ package analytics
 // int64 microseconds — no float drift).
 
 import (
+	"cmp"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
+	"strings"
 
 	"rpgo/internal/profiler"
 	"rpgo/internal/sim"
@@ -117,12 +120,13 @@ func (s *TaskSummary) Valid() bool { return s.Submit >= 0 && s.Final >= s.Submit
 type iv struct{ lo, hi sim.Time }
 
 // coverage returns the total length covered by the union of the intervals.
-// It sorts in place.
+// It sorts in place. The typed sort keeps ivs, and so Summarize's scratch
+// array, off the heap.
 func coverage(ivs []iv) sim.Duration {
 	if len(ivs) == 0 {
 		return 0
 	}
-	sort.Slice(ivs, func(i, j int) bool { return ivs[i].lo < ivs[j].lo })
+	slices.SortFunc(ivs, func(a, b iv) int { return cmp.Compare(a.lo, b.lo) })
 	var total sim.Duration
 	cur := ivs[0]
 	for _, v := range ivs[1:] {
@@ -180,19 +184,22 @@ func clampUp(ts, floor sim.Time) sim.Time {
 // function backs the in-memory and the streaming blame paths, so the two
 // reports agree by construction.
 func Summarize(t *profiler.TaskTrace) TaskSummary {
-	s := TaskSummary{
-		UID:      t.UID,
-		Workflow: t.Workflow,
-		Backend:  t.Backend,
-		Submit:   t.Submit,
-		Final:    t.Final,
-		Failed:   t.Failed,
-	}
+	var s TaskSummary
+	summarize(&s, t)
+	return s
+}
+
+// summarize writes t's digest into s, which must be zero. BlameFromTraces
+// points it at a slot of its summary slice, so each digest is written in
+// place instead of being built and copied.
+func summarize(s *TaskSummary, t *profiler.TaskTrace) {
+	s.UID, s.Workflow, s.Backend = t.UID, t.Workflow, t.Backend
+	s.Submit, s.Final, s.Failed = t.Submit, t.Final, t.Failed
 	if s.Final < 0 {
 		s.Final = t.End
 	}
 	if !s.Valid() {
-		return s
+		return
 	}
 	// Monotone milestone chain; unset stages collapse to zero-width.
 	s0 := t.Submit
@@ -283,7 +290,6 @@ func Summarize(t *profiler.TaskTrace) TaskSummary {
 			s.DominantRef = e.Ref
 		}
 	}
-	return s
 }
 
 // ChainLink is one hop of the critical chain, latest first.
@@ -330,11 +336,14 @@ type BlameReport struct {
 // between them — time no chain task was in flight — is middleware (client
 // pipe and workload structure). The category sums telescope to the makespan
 // exactly.
+//
+// It sorts an index of the valid summaries by (Final, UID), a total order
+// because UIDs are unique, and leaves sums untouched.
 func ComputeBlame(sums []TaskSummary) BlameReport {
-	valid := make([]TaskSummary, 0, len(sums))
-	for _, s := range sums {
-		if s.Valid() {
-			valid = append(valid, s)
+	valid := make([]int32, 0, len(sums))
+	for i := range sums {
+		if sums[i].Valid() {
+			valid = append(valid, int32(i))
 		}
 	}
 	var rep BlameReport
@@ -342,14 +351,16 @@ func ComputeBlame(sums []TaskSummary) BlameReport {
 	if len(valid) == 0 {
 		return rep
 	}
-	sort.Slice(valid, func(i, j int) bool {
-		if valid[i].Final != valid[j].Final {
-			return valid[i].Final < valid[j].Final
+	slices.SortFunc(valid, func(a, b int32) int {
+		x, y := &sums[a], &sums[b]
+		if c := cmp.Compare(x.Final, y.Final); c != 0 {
+			return c
 		}
-		return valid[i].UID < valid[j].UID
+		return strings.Compare(x.UID, y.UID)
 	})
-	start := valid[0].Submit
-	for _, s := range valid {
+	start := sums[valid[0]].Submit
+	for _, i := range valid {
+		s := &sums[i]
 		if s.Submit < start {
 			start = s.Submit
 		}
@@ -358,18 +369,18 @@ func ComputeBlame(sums []TaskSummary) BlameReport {
 		}
 	}
 	rep.Start = start
-	rep.End = valid[len(valid)-1].Final
+	rep.End = sums[valid[len(valid)-1]].Final
 	rep.Makespan = rep.End.Sub(rep.Start)
 
 	cur := len(valid) - 1
 	for {
-		s := &valid[cur]
+		s := &sums[valid[cur]]
 		rep.Blame.Add(s.Blame)
 		link := ChainLink{UID: s.UID, From: s.Submit, To: s.Final}
 		// Predecessor: rightmost task with Final ≤ cur.Submit. The strict
 		// position bound guarantees termination through runs of zero-span
 		// tasks sharing one timestamp.
-		j := sort.Search(len(valid), func(i int) bool { return valid[i].Final > s.Submit }) - 1
+		j := sort.Search(len(valid), func(i int) bool { return sums[valid[i]].Final > s.Submit }) - 1
 		if j >= cur {
 			j = cur - 1
 		}
@@ -379,7 +390,7 @@ func ComputeBlame(sums []TaskSummary) BlameReport {
 			rep.Chain = append(rep.Chain, link)
 			break
 		}
-		link.Gap = s.Submit.Sub(valid[j].Final)
+		link.Gap = s.Submit.Sub(sums[valid[j]].Final)
 		rep.Blame[BlameMiddleware] += link.Gap
 		rep.Chain = append(rep.Chain, link)
 		cur = j
@@ -391,9 +402,9 @@ func ComputeBlame(sums []TaskSummary) BlameReport {
 // decompose. The streaming sink (internal/obs.Blame) produces the identical
 // report because both run the same Summarize/ComputeBlame code.
 func BlameFromTraces(traces []*profiler.TaskTrace) BlameReport {
-	sums := make([]TaskSummary, 0, len(traces))
-	for _, t := range traces {
-		sums = append(sums, Summarize(t))
+	sums := make([]TaskSummary, len(traces))
+	for i, t := range traces {
+		summarize(&sums[i], t)
 	}
 	return ComputeBlame(sums)
 }

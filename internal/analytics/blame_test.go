@@ -1,6 +1,10 @@
 package analytics
 
 import (
+	"fmt"
+	"math/rand/v2"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -175,4 +179,75 @@ func TestBlameReportWriteText(t *testing.T) {
 			t.Errorf("scorecard missing %q:\n%s", want, out)
 		}
 	}
+}
+
+// decodeBlameScript reads four bytes per summary: submit, span, UID key and
+// flags. Final is submit+span; flags&1 puts Final before Submit and flags&2
+// leaves Submit unset, both invalid. The UID sorts by its key first, and
+// its index suffix keeps it unique. flags&4 marks the task failed, and the
+// span lands in blame category flags>>3 mod NumBlame.
+func decodeBlameScript(script []byte) []TaskSummary {
+	sums := make([]TaskSummary, len(script)/4)
+	for i := range sums {
+		submit, span, key, flags := sim.Time(script[4*i]), sim.Duration(script[4*i+1]), script[4*i+2], script[4*i+3]
+		s := TaskSummary{UID: fmt.Sprintf("u%03d.%d", key, i), Submit: submit, Final: submit.Add(span), Failed: flags&4 != 0}
+		if flags&1 != 0 {
+			s.Final = submit.Add(-1 - span)
+		}
+		if flags&2 != 0 {
+			s.Submit = -1
+		}
+		s.Blame[int(flags>>3)%int(NumBlame)] = span
+		sums[i] = s
+	}
+	return sums
+}
+
+func FuzzBlameMatchesReference(f *testing.F) {
+	// b encodes one summary.
+	b := func(submit, span, key, flags byte) []byte { return []byte{submit, span, key, flags} }
+	for _, seed := range [][]byte{
+		nil,
+		// Zero-span tasks sharing one timestamp (TestComputeBlameZeroSpanRun).
+		slices.Concat(b(5, 0, 1, 0), b(5, 0, 2, 0), b(5, 0, 3, 0), b(0, 5, 4, 0)),
+		// Equal Final with different UIDs, listed against UID order.
+		slices.Concat(b(0, 10, 200, 0), b(2, 8, 100, 8), b(10, 10, 50, 16)),
+		// A submit equal to another task's final: a chain with no gaps.
+		slices.Concat(b(0, 10, 1, 0), b(10, 10, 2, 4), b(20, 5, 3, 0), b(3, 2, 4, 0)),
+		// Unset and inverted stamps beside valid ones.
+		slices.Concat(b(1, 2, 1, 2), b(9, 3, 2, 1), b(4, 4, 3, 0), b(0, 0, 4, 6)),
+		// Only invalid summaries.
+		slices.Concat(b(1, 2, 1, 2), b(9, 3, 2, 1)),
+	} {
+		f.Add(seed)
+	}
+	rng := rand.New(rand.NewPCG(5, 6))
+	for i := 0; i < 32; i++ {
+		script := make([]byte, 4*(1+rng.IntN(60)))
+		for j := range script {
+			script[j] = byte(rng.UintN(32)) // small values: many equal instants
+		}
+		f.Add(script)
+	}
+	f.Fuzz(func(t *testing.T, script []byte) {
+		sums := decodeBlameScript(script)
+		kept := slices.Clone(sums)
+		got, want := ComputeBlame(sums), refComputeBlame(kept)
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("ComputeBlame = %+v, reference %+v", got, want)
+		}
+		if !reflect.DeepEqual(sums, kept) {
+			t.Error("ComputeBlame modified its input")
+		}
+		// The summaries' spans double as coverage intervals.
+		var ivs []iv
+		for _, s := range sums {
+			if s.Final > s.Submit {
+				ivs = append(ivs, iv{s.Submit, s.Final})
+			}
+		}
+		if got, want := coverage(slices.Clone(ivs)), refCoverage(ivs); got != want {
+			t.Errorf("coverage = %v, reference %v", got, want)
+		}
+	})
 }

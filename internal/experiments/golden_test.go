@@ -19,6 +19,7 @@ import (
 
 	"rpgo/internal/campaign"
 	"rpgo/internal/core"
+	"rpgo/internal/metrics"
 	"rpgo/internal/model"
 	"rpgo/internal/profiler"
 	"rpgo/internal/sim"
@@ -228,7 +229,7 @@ func TestGoldenFaultFourBackends(t *testing.T) {
 	}
 	st := pilot.Faults.Stats()
 	if st.NodeFailures == 0 || st.Victims == 0 || st.BackendCrashes == 0 || st.BackendRestarts == 0 {
-		t.Fatalf("fault schedule too quiet to pin anything: %+v makespan=%v", st, sess.Profiler.Makespan())
+		t.Fatalf("fault schedule too quiet to pin anything: %+v makespan=%v", st, metrics.Makespan(sess.Profiler.Tasks()))
 	}
 	up := map[string]bool{}
 	for _, ev := range sess.Profiler.EventsFor("agent") {
@@ -256,7 +257,7 @@ func TestGoldenFaultFourBackends(t *testing.T) {
 		}
 	}
 	got := fingerprintTraces(tasks)
-	t.Logf("fault tasks=%d stats=%+v makespan=%v fingerprint=%#x", len(tasks), st, sess.Profiler.Makespan(), got)
+	t.Logf("fault tasks=%d stats=%+v makespan=%v fingerprint=%#x", len(tasks), st, metrics.Makespan(tasks), got)
 	if goldenFaultFourTasks != 0 && got != goldenFaultFourTasks {
 		t.Fatalf("fault trace fingerprint drifted: got %#x, want %#x", got, goldenFaultFourTasks)
 	}

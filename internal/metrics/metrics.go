@@ -7,7 +7,7 @@ package metrics
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"rpgo/internal/profiler"
 	"rpgo/internal/sim"
@@ -31,13 +31,35 @@ type Throughput struct {
 
 // ComputeThroughput derives throughput from sorted or unsorted start times.
 func ComputeThroughput(starts []sim.Time) Throughput {
-	if len(starts) == 0 {
+	ts := slices.Clone(starts)
+	slices.Sort(ts)
+	return throughputSorted(ts)
+}
+
+// ThroughputOf extracts start times from traces and computes throughput.
+func ThroughputOf(tasks []*profiler.TaskTrace) Throughput {
+	ts := startTimes(tasks)
+	slices.Sort(ts)
+	return throughputSorted(ts)
+}
+
+// startTimes returns the start times of the tasks that started, in trace
+// order.
+func startTimes(tasks []*profiler.TaskTrace) []sim.Time {
+	starts := make([]sim.Time, 0, len(tasks))
+	for _, t := range tasks {
+		if t.Start >= 0 {
+			starts = append(starts, t.Start)
+		}
+	}
+	return starts
+}
+
+// throughputSorted is ComputeThroughput over ascending start times.
+func throughputSorted(ts []sim.Time) Throughput {
+	if len(ts) == 0 {
 		return Throughput{}
 	}
-	ts := make([]sim.Time, len(starts))
-	copy(ts, starts)
-	sort.Slice(ts, func(i, j int) bool { return ts[i] < ts[j] })
-
 	var tp Throughput
 	tp.Tasks = len(ts)
 	tp.Span = ts[len(ts)-1].Sub(ts[0])
@@ -70,17 +92,6 @@ func ComputeThroughput(starts []sim.Time) Throughput {
 	return tp
 }
 
-// ThroughputOf extracts start times from traces and computes throughput.
-func ThroughputOf(tasks []*profiler.TaskTrace) Throughput {
-	starts := make([]sim.Time, 0, len(tasks))
-	for _, t := range tasks {
-		if t.Start >= 0 {
-			starts = append(starts, t.Start)
-		}
-	}
-	return ComputeThroughput(starts)
-}
-
 // Point is one sample of a timeline series.
 type Point struct {
 	T sim.Time
@@ -104,8 +115,8 @@ func (s *Series) Max() float64 {
 	return m
 }
 
-// Mean returns the time-weighted mean is not needed; this is the plain mean
-// of sampled values.
+// Mean returns the plain mean of the sampled values. Samples are not
+// weighted by the time between them.
 func (s *Series) Mean() float64 {
 	if len(s.Points) == 0 {
 		return 0
@@ -121,45 +132,59 @@ func (s *Series) Mean() float64 {
 // curves of Fig 8), sampled at each change, then downsampled to at most
 // maxPoints.
 func ConcurrencySeries(tasks []*profiler.TaskTrace, maxPoints int) Series {
-	type edge struct {
-		t sim.Time
-		d int
-	}
-	var edges []edge
+	starts, ends := edgeBuffers(len(tasks))
 	for _, tr := range tasks {
 		if tr.Start >= 0 && tr.End >= 0 {
-			edges = append(edges, edge{tr.Start, +1}, edge{tr.End, -1})
+			starts = append(starts, tr.Start)
+			ends = append(ends, tr.End)
 		}
 	}
-	sort.Slice(edges, func(i, j int) bool {
-		if edges[i].t != edges[j].t {
-			return edges[i].t < edges[j].t
+	return countSeries("running", starts, ends, maxPoints)
+}
+
+// edgeBuffers returns two empty slices of capacity n each, carved from one
+// allocation: the up and down instants of a count series.
+func edgeBuffers(n int) (ups, downs []sim.Time) {
+	buf := make([]sim.Time, 2*n)
+	return buf[:0:n], buf[n:n]
+}
+
+// countSeries builds a count that steps +1 at each up instant and −1 at each
+// down instant, one point per step, downsampled to at most maxPoints. It
+// sorts both slices in place and merges them, downs first at equal instants
+// (a task that ends as another starts is not counted twice). Equal steps at
+// one instant are indistinguishable, so no further tie-break is needed.
+// Points fold straight into the downsampled output.
+func countSeries(name string, ups, downs []sim.Time, maxPoints int) Series {
+	slices.Sort(ups)
+	slices.Sort(downs)
+	f := newStrideFold(len(ups)+len(downs), maxPoints)
+	cur, i, j := 0, 0, 0
+	for i < len(ups) || j < len(downs) {
+		var t sim.Time
+		if j < len(downs) && (i == len(ups) || downs[j] <= ups[i]) {
+			t = downs[j]
+			j++
+			cur--
+		} else {
+			t = ups[i]
+			i++
+			cur++
 		}
-		return edges[i].d < edges[j].d // ends before starts at the same instant
-	})
-	s := Series{Name: "running"}
-	cur := 0
-	for _, e := range edges {
-		cur += e.d
-		s.Points = append(s.Points, Point{T: e.t, V: float64(cur)})
+		f.add(Point{T: t, V: float64(cur)})
 	}
-	return Downsample(s, maxPoints)
+	return Series{Name: name, Points: f.out}
 }
 
 // RateSeries builds the execution start rate over time (the red curves of
 // Fig 8) using fixed windows of the given width.
 func RateSeries(tasks []*profiler.TaskTrace, window sim.Duration, maxPoints int) Series {
-	var starts []sim.Time
-	for _, tr := range tasks {
-		if tr.Start >= 0 {
-			starts = append(starts, tr.Start)
-		}
-	}
-	sort.Slice(starts, func(i, j int) bool { return starts[i] < starts[j] })
 	s := Series{Name: "start_rate"}
+	starts := startTimes(tasks)
 	if len(starts) == 0 || window <= 0 {
 		return s
 	}
+	slices.Sort(starts)
 	w := int64(window)
 	cur := int64(starts[0]) / w
 	count := 0
@@ -188,22 +213,48 @@ func Downsample(s Series, n int) Series {
 	if n <= 0 || len(s.Points) <= n {
 		return s
 	}
-	out := Series{Name: s.Name}
-	stride := (len(s.Points) + n - 1) / n
-	for i := 0; i < len(s.Points); i += stride {
-		end := i + stride
-		if end > len(s.Points) {
-			end = len(s.Points)
-		}
-		best := s.Points[i]
-		for _, p := range s.Points[i+1 : end] {
-			if p.V > best.V {
-				best = p
-			}
-		}
-		out.Points = append(out.Points, best)
+	f := newStrideFold(len(s.Points), n)
+	for _, p := range s.Points {
+		f.add(p)
 	}
-	return out
+	return Series{Name: s.Name, Points: f.out}
+}
+
+// strideFold downsamples a stream of points as it arrives. It splits the
+// stream into strides of ceil(total/n) consecutive points and keeps the
+// first maximum of each, so peaks survive; a short last stride keeps its
+// own maximum. With n ≤ 0 or total ≤ n every point is kept.
+type strideFold struct {
+	out    []Point
+	stride int
+	k      int // points of the current stride seen so far
+}
+
+// newStrideFold sizes a fold for total points and a cap of n. With no
+// points, out stays nil, so an empty series has nil Points.
+func newStrideFold(total, n int) strideFold {
+	if total == 0 {
+		return strideFold{stride: 1}
+	}
+	stride := 1
+	if n > 0 && total > n {
+		stride = (total + n - 1) / n
+	}
+	return strideFold{out: make([]Point, 0, (total+stride-1)/stride), stride: stride}
+}
+
+// add folds the next point. The current stride's best point so far is the
+// last element of out.
+func (f *strideFold) add(p Point) {
+	if f.k == 0 {
+		f.out = append(f.out, p)
+	} else if last := &f.out[len(f.out)-1]; p.V > last.V {
+		*last = p
+	}
+	f.k++
+	if f.k == f.stride {
+		f.k = 0
+	}
 }
 
 // Utilization is the share of allocated CPU slots used by executing tasks,

@@ -123,27 +123,12 @@ func BatchOccupancy(reqs []profiler.RequestTrace, maxBatch int) float64 {
 // InflightSeries builds the number of queued-or-in-service requests over
 // time from request traces (the serving analogue of ConcurrencySeries).
 func InflightSeries(reqs []profiler.RequestTrace, maxPoints int) Series {
-	type edge struct {
-		t sim.Time
-		d int
-	}
-	var edges []edge
+	issued, done := edgeBuffers(len(reqs))
 	for _, r := range reqs {
 		if r.Issued >= 0 && r.Done >= r.Issued {
-			edges = append(edges, edge{r.Issued, +1}, edge{r.Done, -1})
+			issued = append(issued, r.Issued)
+			done = append(done, r.Done)
 		}
 	}
-	sort.Slice(edges, func(i, j int) bool {
-		if edges[i].t != edges[j].t {
-			return edges[i].t < edges[j].t
-		}
-		return edges[i].d < edges[j].d
-	})
-	s := Series{Name: "inflight_requests"}
-	cur := 0
-	for _, e := range edges {
-		cur += e.d
-		s.Points = append(s.Points, Point{T: e.t, V: float64(cur)})
-	}
-	return Downsample(s, maxPoints)
+	return countSeries("inflight_requests", issued, done, maxPoints)
 }

@@ -526,37 +526,3 @@ func (p *Profiler) EventsFor(entity string) []Event {
 	sort.SliceStable(out, func(i, j int) bool { return out[i].Time < out[j].Time })
 	return out
 }
-
-// StartTimes returns the sorted start times of all tasks that ran.
-func (p *Profiler) StartTimes() []sim.Time {
-	out := make([]sim.Time, 0, len(p.order))
-	for _, t := range p.order {
-		if t.Start >= 0 {
-			out = append(out, t.Start)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// Makespan returns the span from the earliest submit to the latest terminal
-// event.
-func (p *Profiler) Makespan() sim.Duration {
-	var first, last sim.Time = -1, -1
-	for _, t := range p.order {
-		if t.Submit >= 0 && (first < 0 || t.Submit < first) {
-			first = t.Submit
-		}
-		end := t.Final
-		if end < 0 {
-			end = t.End
-		}
-		if end > last {
-			last = end
-		}
-	}
-	if first < 0 || last < 0 {
-		return 0
-	}
-	return last.Sub(first)
-}
