@@ -450,11 +450,11 @@ func BenchmarkPlacerSingleCore(b *testing.B) {
 	cluster := platform.NewCluster(platform.Frontier(1), 64)
 	alloc := cluster.Allocate(64)
 	plc := launch.NewPlacer(alloc)
-	td := &spec.TaskDescription{CoresPerRank: 1, Ranks: 1}
+	req := &launch.Request{TD: &spec.TaskDescription{CoresPerRank: 1, Ranks: 1}}
 	var live []*platform.Placement
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		pl := plc.Place(0, td)
+		pl := plc.PlaceRequest(0, req)
 		if pl == nil {
 			for _, p := range live {
 				alloc.Release(0, p)

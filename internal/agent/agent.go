@@ -89,10 +89,9 @@ type Agent struct {
 	// and the dataset placement registry behind data-aware scheduling.
 	dataSys *data.System
 
-	// Pipeline stations.
-	stagerIn  *sim.Server[*Task]
+	// scheduler is the pipeline's Scheduler stage; its stagers are the
+	// data movers in staging.go.
 	scheduler *sim.Server[*Task]
-	stagerOut *sim.Server[*Task]
 
 	groups []*executorGroup
 
@@ -110,10 +109,6 @@ type Agent struct {
 	// notifyDoneFn is the prebound notifyDone, shared by every finish.
 	notifyDoneFn func(any)
 
-	// retryStream seeds backoff jitter; it draws only when the failure-
-	// aware exponential backoff is configured with a jitter fraction, so
-	// the legacy constant-backoff path stays draw-free.
-	retryStream *rng.Stream
 	// slowFactor, when set by the fault injector, maps node ID to an
 	// execution-time stretch factor (≥ 1) applied to plain compute bodies
 	// placed on that node (straggler model).
@@ -184,15 +179,6 @@ func New(desc spec.PilotDescription, eng *sim.Engine, ctrl *slurm.Controller,
 		gInflight: reg.Gauge("agent.inflight_tasks"),
 	}
 	a.notifyDoneFn = a.notifyDone
-	a.retryStream = src.Stream("agent.retry")
-	// Stagers run multiple concurrent instances (stacked boxes in Fig 1).
-	stream := src.Stream("agent.stagers")
-	a.stagerIn = sim.NewServer(eng, 4, func(t *Task) sim.Duration {
-		return sim.Seconds(stream.Jitter(params.RP.StagePerFile*float64(t.TD.InputFiles), 0.2))
-	}, a.stagedIn)
-	a.stagerOut = sim.NewServer(eng, 4, func(t *Task) sim.Duration {
-		return sim.Seconds(stream.Jitter(params.RP.StagePerFile*float64(t.TD.OutputFiles), 0.2))
-	}, a.stagedOut)
 	schedStream := src.Stream("agent.scheduler")
 	a.scheduler = sim.NewServer(eng, 1, func(*Task) sim.Duration {
 		return sim.Seconds(schedStream.Exp(1 / params.RP.SchedRate))
@@ -402,18 +388,14 @@ func (a *Agent) Submit(t *Task, done func(*Task)) {
 		return
 	}
 	a.transition(t, states.TaskAgentStagingIn)
-	switch {
-	case t.TD.HasStaging():
+	if t.TD.HasStaging() {
 		// Sized directives: contention-aware pre-placement staging into
 		// shared tiers; node-local staging runs in the task body once
 		// placement is known.
 		a.stageInShared(t)
-	case t.TD.InputFiles > 0:
-		// Legacy flat per-file cost.
-		a.stagerIn.Submit(t)
-	default:
-		a.stagedIn(t)
+		return
 	}
+	a.stagedIn(t)
 }
 
 func (a *Agent) stagedIn(t *Task) {
@@ -650,7 +632,7 @@ func (a *Agent) completed(g *executorGroup, t *Task, at sim.Time, failed bool, r
 			}
 			a.prof.Log(at, t.TD.UID, "retry", reason)
 			failAt := at
-			a.eng.After(sim.Seconds(a.retryBackoff(t.attempts)), func() {
+			a.eng.After(sim.Seconds(a.params.RP.RetryBackoff), func() {
 				// The backoff just resolved: the re-dispatch is causally
 				// downstream of the failure.
 				t.Trace.AddEdge(profiler.CausalEdge{
@@ -669,21 +651,10 @@ func (a *Agent) completed(g *executorGroup, t *Task, at sim.Time, failed bool, r
 		return
 	}
 	t.Trace.End = at
+	// Output directives were written by the task body's epilogue (the node
+	// holds its slots while checkpoints drain, which is what creates write
+	// pressure), so staging out has nothing left to do.
 	a.transition(t, states.TaskAgentStagingOut)
-	switch {
-	case t.TD.HasStaging():
-		// Output directives were written by the task body's epilogue
-		// (the node holds its slots while checkpoints drain, which is
-		// what creates write pressure); nothing left to do here.
-		a.stagedOut(t)
-	case t.TD.OutputFiles > 0:
-		a.stagerOut.Submit(t)
-	default:
-		a.stagedOut(t)
-	}
-}
-
-func (a *Agent) stagedOut(t *Task) {
 	a.finish(t, states.TaskDone, "")
 }
 

@@ -111,9 +111,7 @@ func TestFullLifecycleStates(t *testing.T) {
 	r := newRig(t, spec.PilotDescription{Nodes: 1})
 	tk := r.task(&spec.TaskDescription{
 		CoresPerRank: 1, Ranks: 1,
-		Duration:    10 * sim.Second,
-		InputFiles:  3,
-		OutputFiles: 2,
+		Duration: 10 * sim.Second,
 	}, "life")
 	var final *Task
 	r.agent.Submit(tk, func(tt *Task) { final = tt })

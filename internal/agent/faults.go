@@ -2,9 +2,9 @@ package agent
 
 // The agent's failure-handling surface: node eviction and backend
 // crash/restart entry points driven by the fault injector (internal/fault),
-// the failure-aware retry backoff, and the fault-aware compute body that
-// stretches execution on straggler nodes and checkpoints through the data
-// subsystem so a relocated attempt resumes from its last saved fraction.
+// and the fault-aware compute body that stretches execution on straggler
+// nodes and checkpoints through the data subsystem so a relocated attempt
+// resumes from its last saved fraction.
 
 import (
 	"fmt"
@@ -106,30 +106,6 @@ func (a *Agent) instanceAt(i int) (*executorGroup, int) {
 		i -= len(g.launchers)
 	}
 	return nil, -1
-}
-
-// retryBackoff returns the backoff in seconds before re-dispatch attempt
-// `attempt` (1-based). The legacy path is the constant RetryBackoff with
-// no RNG draws — pinned by golden tests. Setting RetryBackoffFactor > 0
-// switches to failure-aware exponential backoff: attempt k waits
-// RetryBackoff·Factor^(k-1), capped at RetryBackoffMax, with seeded
-// uniform ±RetryJitterFrac jitter to de-synchronize retry storms.
-func (a *Agent) retryBackoff(attempt int) float64 {
-	b := a.params.RP.RetryBackoff
-	f := a.params.RP.RetryBackoffFactor
-	if f <= 0 {
-		return b
-	}
-	for i := 1; i < attempt; i++ {
-		b *= f
-	}
-	if max := a.params.RP.RetryBackoffMax; max > 0 && b > max {
-		b = max
-	}
-	if j := a.params.RP.RetryJitterFrac; j > 0 {
-		b = a.retryStream.Jitter(b, j)
-	}
-	return b
 }
 
 // computeBody builds the fault-aware process body for a plain

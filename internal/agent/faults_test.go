@@ -1,43 +1,18 @@
 package agent
 
-// Fault-path regression tests (PR 9): the orphaned-body hazard on mid-run
-// crash + retry, the failure-aware retry backoff, and the causal edges the
-// recovery path records.
+// Fault-path regression tests: the orphaned-body hazard on mid-run crash +
+// retry, the constant retry backoff, and the causal edges the recovery path
+// records.
 
 import (
 	"testing"
 
 	"rpgo/internal/model"
-	"rpgo/internal/platform"
 	"rpgo/internal/profiler"
-	"rpgo/internal/rng"
 	"rpgo/internal/sim"
-	"rpgo/internal/slurm"
 	"rpgo/internal/spec"
 	"rpgo/internal/states"
 )
-
-// newRigParams is newRig with explicit model params (backoff shape tests).
-func newRigParams(t *testing.T, pd spec.PilotDescription, params model.Params) *rig {
-	t.Helper()
-	eng := sim.NewEngine()
-	src := rng.New(21)
-	ctrl := slurm.NewController(eng, params.Srun, src)
-	smt := pd.SMT
-	if smt == 0 {
-		smt = 1
-	}
-	cluster := platform.NewCluster(platform.Frontier(smt), pd.Nodes)
-	alloc := cluster.Allocate(pd.Nodes)
-	util := platform.NewUtilizationTracker(alloc.TotalCPU(), alloc.TotalGPU())
-	alloc.AttachUtilization(util)
-	prof := profiler.New()
-	a, err := New(pd, eng, ctrl, alloc, util, prof, src, params, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return &rig{eng: eng, agent: a, prof: prof, util: util, ctrl: ctrl}
-}
 
 func hasEdge(tr *profiler.TaskTrace, kind profiler.EdgeKind) bool {
 	for _, e := range tr.Edges {
@@ -109,66 +84,58 @@ func TestOrphanedBodyInertAfterRelocation(t *testing.T) {
 	if !hasEdge(tk.Trace, profiler.EdgeFailure) {
 		t.Fatal("eviction recorded no failure edge")
 	}
-	if !hasEdge(tk.Trace, profiler.EdgeRetry) {
-		t.Fatal("relocation recorded no retry edge")
+	// The re-dispatch waits exactly the constant backoff after the failure.
+	backoff := sim.Seconds(model.Default().RP.RetryBackoff)
+	retryEdges := 0
+	for _, e := range tk.Trace.Edges {
+		if e.Kind != profiler.EdgeRetry {
+			continue
+		}
+		retryEdges++
+		if got := e.To.Sub(e.From); got != backoff {
+			t.Fatalf("retry edge %v → %v spans %v, want the %v backoff", e.From, e.To, got, backoff)
+		}
+	}
+	if retryEdges != 1 {
+		t.Fatalf("relocation recorded %d retry edges, want 1", retryEdges)
 	}
 	if !hasEdge(tk.Trace, profiler.EdgeCheckpoint) {
 		t.Fatal("checkpoint traffic recorded no checkpoint edge")
 	}
 }
 
-// TestRetryBackoffExponential: with a factor configured the backoff grows
-// geometrically per attempt and saturates at the cap.
-func TestRetryBackoffExponential(t *testing.T) {
-	params := model.Default()
-	params.RP.RetryBackoff = 1.0
-	params.RP.RetryBackoffFactor = 2.0
-	params.RP.RetryBackoffMax = 10
-	r := newRigParams(t, spec.PilotDescription{Nodes: 1}, params)
-	want := []float64{1, 2, 4, 8, 10, 10}
-	for i, w := range want {
-		if got := r.agent.retryBackoff(i + 1); got != w {
-			t.Fatalf("retryBackoff(attempt=%d) = %v, want %v", i+1, got, w)
-		}
-	}
-}
-
-// TestRetryBackoffLegacyConstant pins the pre-PR9 behavior: factor unset
-// means every attempt waits exactly RetryBackoff and the path draws no
-// randomness (jitter config is ignored), so legacy goldens cannot drift.
+// TestRetryBackoffLegacyConstant pins the constant backoff through
+// behaviour: every resubmission, not only the first, waits exactly
+// RetryBackoff after its failure.
 func TestRetryBackoffLegacyConstant(t *testing.T) {
-	params := model.Default()
-	params.RP.RetryBackoff = 1.5
-	params.RP.RetryJitterFrac = 0.5 // must be ignored without a factor
-	r := newRigParams(t, spec.PilotDescription{Nodes: 1}, params)
-	for attempt := 1; attempt <= 8; attempt++ {
-		if got := r.agent.retryBackoff(attempt); got != 1.5 {
-			t.Fatalf("legacy retryBackoff(attempt=%d) = %v, want constant 1.5", attempt, got)
+	r := newRig(t, spec.PilotDescription{
+		Nodes:      1,
+		Partitions: []spec.PartitionConfig{{Backend: spec.BackendFlux, Instances: 1}},
+	})
+	tk := r.task(&spec.TaskDescription{
+		CoresPerRank: 1, Ranks: 1, Duration: 100 * sim.Second, MaxRetries: 3,
+	}, "rb")
+	r.agent.Submit(tk, func(*Task) {})
+	for _, at := range []sim.Duration{30 * sim.Second, 60 * sim.Second, 90 * sim.Second} {
+		r.eng.RunUntil(sim.Time(at))
+		if victims := r.agent.FailNode(0, "node 0 failed"); victims != 1 {
+			t.Fatalf("evicted %d tasks at %v, want 1", victims, at)
 		}
 	}
-}
-
-// TestRetryBackoffJitterDeterministic: jittered backoff stays within its
-// bounds and replays identically for a fixed seed.
-func TestRetryBackoffJitterDeterministic(t *testing.T) {
-	params := model.Default()
-	params.RP.RetryBackoff = 2.0
-	params.RP.RetryBackoffFactor = 2.0
-	params.RP.RetryJitterFrac = 0.25
-	pd := spec.PilotDescription{Nodes: 1}
-	a := newRigParams(t, pd, params).agent
-	b := newRigParams(t, pd, params).agent
-	for attempt := 1; attempt <= 6; attempt++ {
-		base := 2.0
-		for i := 1; i < attempt; i++ {
-			base *= 2
+	r.eng.Run()
+	backoff := sim.Seconds(model.Default().RP.RetryBackoff)
+	var spans []sim.Duration
+	for _, e := range tk.Trace.Edges {
+		if e.Kind == profiler.EdgeRetry {
+			spans = append(spans, e.To.Sub(e.From))
 		}
-		va := a.retryBackoff(attempt)
-		if vb := b.retryBackoff(attempt); vb != va {
-			t.Fatalf("jittered backoff not deterministic: %v vs %v", va, vb)
-		}
-		if va < base*0.75 || va > base*1.25 {
-			t.Fatalf("jittered backoff %v outside [%v, %v]", va, base*0.75, base*1.25)
+	}
+	if len(spans) != 3 {
+		t.Fatalf("%d retry edges, want 3", len(spans))
+	}
+	for i, d := range spans {
+		if d != backoff {
+			t.Fatalf("retry %d waited %v, want the constant %v", i+1, d, backoff)
 		}
 	}
 }

@@ -1,8 +1,9 @@
 package agent
 
-// The agent's data movers. Tasks carrying sized StagingDirectives bypass
-// the legacy flat-cost stagers and move real bytes through the pilot's
-// storage hierarchy (internal/data) in two phases:
+// The agent's data movers: the StagerIn and StagerOut of the pipeline.
+// Tasks carrying sized StagingDirectives move real bytes through the
+// pilot's storage hierarchy (internal/data) in two phases; tasks without
+// them pass both stages at once:
 //
 //   1. stageInShared — before scheduling, inputs whose destination is a
 //      shared tier (burst buffer pre-loads) transfer tier-to-tier through

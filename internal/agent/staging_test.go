@@ -1,9 +1,8 @@
 package agent
 
 // Tests for the data-staging subsystem at the agent level: directive
-// staging through the storage hierarchy, the legacy flat-cost fallback,
-// data-aware placement, and determinism of staging traces under
-// contention.
+// staging through the storage hierarchy, data-aware placement, and
+// determinism of staging traces under contention.
 
 import (
 	"reflect"
@@ -153,39 +152,6 @@ func TestSharedTierStageInCoalesces(t *testing.T) {
 	}
 	if got := r.agent.Data().BytesMoved(); got != data.GB {
 		t.Errorf("bytes moved = %d, want 1GB", got)
-	}
-}
-
-// TestLegacyFlatCostRegression pins the pre-subsystem behavior: a task
-// with only file counts uses the flat per-file stager, moves no modelled
-// bytes, and finishes at exactly the same virtual time as before the data
-// subsystem existed (golden value, seed 21).
-func TestLegacyFlatCostRegression(t *testing.T) {
-	r := newRig(t, spec.PilotDescription{Nodes: 2})
-	td := &spec.TaskDescription{
-		Kind: spec.Executable, CoresPerRank: 1, Ranks: 1,
-		Duration:   10 * sim.Second,
-		InputFiles: 3, OutputFiles: 2,
-	}
-	tk := r.task(td, "legacy")
-	r.agent.Submit(tk, func(*Task) {})
-	r.eng.Run()
-	if tk.State != states.TaskDone {
-		t.Fatalf("state %v (%s)", tk.State, tk.Reason)
-	}
-	tr := tk.Trace
-	if tr.BytesIn != 0 || tr.BytesOut != 0 || len(r.prof.Transfers()) != 0 {
-		t.Error("legacy staging must not touch the data subsystem")
-	}
-	if tr.DataHits != 0 || tr.DataMisses != 0 {
-		t.Error("legacy staging must not count locality")
-	}
-	// Golden final time for seed 21, verified bit-identical against the
-	// pre-subsystem tree when the data subsystem landed; a change here
-	// means the legacy path's timing drifted.
-	const golden = sim.Time(12170238)
-	if tr.Final != golden {
-		t.Errorf("legacy task final at %d µs, want %d µs", tr.Final, golden)
 	}
 }
 

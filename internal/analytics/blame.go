@@ -271,9 +271,10 @@ func summarize(s *TaskSummary, t *profiler.TaskTrace) {
 	s.Blame[BlameService] += dBoth - dCkpt
 	s.Blame[BlameExec] += s4.Sub(s3) - dBoth
 
-	// end → final: stage-out through the legacy stager and state teardown —
-	// except the terminal failure window of a task that exhausted its
-	// retries, which lands here because its last attempt never stamped End.
+	// end → final: the agent's finalization (outputs were already written
+	// by the task body's epilogue) — except the terminal failure window of
+	// a task that exhausted its retries, which lands here because its last
+	// attempt never stamped End.
 	fail = clipKinds(scratch[:0], t.Edges, s4, s5, profiler.EdgeFailure)
 	dFail = coverage(fail)
 	s.Blame[BlameFailure] += dFail

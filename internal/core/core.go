@@ -42,9 +42,6 @@ type Config struct {
 	// the profiler to streaming mode: traces are handed to the sink and
 	// dropped instead of retained, bounding memory at campaign scale.
 	Sink profiler.TraceSink
-	// MetricsTick is the sampling granularity (in sim time) for gauge time
-	// series in the session's metrics registry; zero uses obs.DefaultTick.
-	MetricsTick sim.Duration
 	// Profile, when set, attaches the wall-clock self-profiler: the engine,
 	// trace sinks and every backend placer report phase samples into it,
 	// and MetricsSnapshot merges the totals as selfprof.* counters. Nil
@@ -105,7 +102,7 @@ func NewSessionOn(eng *sim.Engine, cfg Config) *Session {
 		Engine:     eng,
 		Controller: slurm.NewController(eng, params.Srun, src),
 		Profiler:   prof,
-		Metrics:    obs.NewRegistry(cfg.MetricsTick),
+		Metrics:    obs.NewRegistry(obs.DefaultTick),
 		Params:     params,
 		src:        src,
 		profile:    cfg.Profile,

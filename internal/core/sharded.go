@@ -61,18 +61,11 @@ type ShardedConfig struct {
 	// Shards is the worker count handed to the sharded engine (clamped to
 	// [1, Domains]).
 	Shards int
-	// Lookahead overrides the synchronization window; zero derives it
-	// from Params.RP.CrossPartitionLatency.
-	Lookahead sim.Duration
-	// RecordEvents enables the full profiler event log in every domain.
-	RecordEvents bool
 	// Sink, when set, builds the trace sink for each domain (it may
 	// return nil for domains that need none). Task finals fire on the
 	// OWNING PILOT's domain sink; the client domain sink only sees tasks
 	// of colocated pilots.
 	Sink func(domain int) profiler.TraceSink
-	// MetricsTick is the gauge sampling granularity for every domain.
-	MetricsTick sim.Duration
 	// Profile, when set, is the wall-clock self-profiler shared by every
 	// domain AND the sharded coordinator (window dispatch, exchange and
 	// barrier-stall samples). It is concurrency-safe by construction, so
@@ -100,10 +93,7 @@ func NewShardedSession(cfg ShardedConfig) *ShardedSession {
 	if cfg.Params != nil {
 		params = *cfg.Params
 	}
-	la := cfg.Lookahead
-	if la <= 0 {
-		la = sim.Seconds(params.RP.CrossPartitionLatency)
-	}
+	la := sim.Seconds(params.RP.CrossPartitionLatency)
 	se := sim.NewShardedEngine(sim.ShardedConfig{
 		Partitions: cfg.Domains,
 		Shards:     cfg.Shards,
@@ -130,12 +120,10 @@ func NewShardedSession(cfg ShardedConfig) *ShardedSession {
 			sink = cfg.Sink(d)
 		}
 		ss.domains = append(ss.domains, NewSessionOn(se.Engine(d), Config{
-			Seed:         seed,
-			Params:       &p,
-			RecordEvents: cfg.RecordEvents,
-			Sink:         sink,
-			MetricsTick:  cfg.MetricsTick,
-			Profile:      cfg.Profile,
+			Seed:    seed,
+			Params:  &p,
+			Sink:    sink,
+			Profile: cfg.Profile,
 		}))
 	}
 	return ss

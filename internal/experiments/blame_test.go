@@ -65,11 +65,10 @@ func TestBlameFig8StreamingMatchesInMemory(t *testing.T) {
 	inMemory := analytics.BlameFromTraces(retained.Traces)
 
 	// Streaming run: the Fold sink drops every trace at finalization and the
-	// hanging Blame sink keeps only O(tasks) digests.
-	fold := obs.NewFold()
-	fold.Blame = obs.NewBlame()
+	// teed Blame sink keeps only O(tasks) digests.
+	fold, blame := obs.NewFold(), obs.NewBlame()
 	cfg := fig8BlameConfig()
-	cfg.Sink = fold
+	cfg.Sink = obs.NewTee(fold, blame)
 	streamed := RunImpeccable(cfg)
 	if len(streamed.Traces) != 0 {
 		t.Fatalf("streaming run retained %d traces; profiler should stream", len(streamed.Traces))
@@ -78,7 +77,7 @@ func TestBlameFig8StreamingMatchesInMemory(t *testing.T) {
 		t.Fatalf("fold saw %d tasks, retained run had %d", fold.Tasks(), retained.Tasks)
 	}
 
-	streaming := fold.Blame.Report()
+	streaming := blame.Report()
 	streaming.Stragglers = nil // detector state, not decomposition
 	inMemory.Stragglers = nil
 	if !reflect.DeepEqual(streaming, inMemory) {

@@ -68,11 +68,6 @@ type ThroughputConfig struct {
 	Reps int
 	// Params overrides the model constants (ablations); nil = default.
 	Params *model.Params
-	// Sink, when set, builds a per-repetition trace sink (repetitions run
-	// concurrently, so they cannot share one). With a non-retaining sink
-	// the profiler streams instead of retaining and the RepResult summary
-	// fields stay zero — read the sink's folds instead.
-	Sink func(rep int) profiler.TraceSink
 }
 
 // RepResult is the outcome of a single repetition.
@@ -135,7 +130,7 @@ func RunThroughput(cfg ThroughputConfig) ThroughputResult {
 	res := ThroughputResult{Config: cfg}
 	res.Reps = make([]RepResult, cfg.Reps)
 	RunCells(cfg.Reps, func(r int) {
-		res.Reps[r] = runThroughputRep(cfg, r, cfg.Seed+uint64(r))
+		res.Reps[r] = runThroughputRep(cfg, cfg.Seed+uint64(r))
 	})
 	var utilSum float64
 	var makespanSum sim.Duration
@@ -156,12 +151,8 @@ func RunThroughput(cfg ThroughputConfig) ThroughputResult {
 	return res
 }
 
-func runThroughputRep(cfg ThroughputConfig, repIdx int, seed uint64) RepResult {
-	var sink profiler.TraceSink
-	if cfg.Sink != nil {
-		sink = cfg.Sink(repIdx)
-	}
-	sess := core.NewSession(core.Config{Seed: seed, Params: cfg.Params, Sink: sink})
+func runThroughputRep(cfg ThroughputConfig, seed uint64) RepResult {
+	sess := core.NewSession(core.Config{Seed: seed, Params: cfg.Params})
 	pilot, err := sess.SubmitPilot(spec.PilotDescription{
 		Nodes:      cfg.Nodes,
 		SMT:        1,

@@ -32,10 +32,9 @@ func TestTokenBucketRateBound(t *testing.T) {
 		n := 300
 		for i := 0; i < n; i++ {
 			in.Submit(&launch.Request{
-				UID:        "t",
-				TD:         &spec.TaskDescription{CoresPerRank: 1, Ranks: 1},
-				OnStart:    func(at sim.Time) { starts = append(starts, at) },
-				OnComplete: func(sim.Time, bool, string) {},
+				UID:    "t",
+				TD:     &spec.TaskDescription{CoresPerRank: 1, Ranks: 1},
+				Events: events{start: func(at sim.Time) { starts = append(starts, at) }},
 			})
 		}
 		eng.MaxSteps = 1_000_000
@@ -82,14 +81,13 @@ func TestAllTasksEventuallyStart(t *testing.T) {
 		done := 0
 		for i := 0; i < n; i++ {
 			in.Submit(&launch.Request{
-				UID:     "t",
-				TD:      &spec.TaskDescription{CoresPerRank: 1, Ranks: 1, Duration: 30 * sim.Second},
-				OnStart: func(sim.Time) {},
-				OnComplete: func(_ sim.Time, failed bool, _ string) {
+				UID: "t",
+				TD:  &spec.TaskDescription{CoresPerRank: 1, Ranks: 1, Duration: 30 * sim.Second},
+				Events: events{done: func(_ sim.Time, failed bool, _ string) {
 					if !failed {
 						done++
 					}
-				},
+				}},
 			})
 		}
 		eng.MaxSteps = 1_000_000

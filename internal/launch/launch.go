@@ -15,11 +15,8 @@ import (
 	"rpgo/internal/spec"
 )
 
-// Events receives a request's lifecycle callbacks. It exists for the hot
-// path: the agent implements it on one per-dispatch record, replacing the
-// two closure allocations the OnStart/OnComplete fields would cost.
-// Requests may set either Events or the plain func fields; backends must
-// deliver through NotifyStart/NotifyComplete, which prefer Events.
+// Events receives a request's lifecycle callbacks. The agent implements it
+// on one per-dispatch record, so a dispatch allocates no callback closures.
 type Events interface {
 	// OnStart fires when the task process begins executing.
 	OnStart(at sim.Time)
@@ -34,16 +31,9 @@ type Request struct {
 	UID string
 	// TD is the task description (resources, duration, kind).
 	TD *spec.TaskDescription
-	// Events, when set, receives the start/complete callbacks (preferred
-	// over the func fields below).
+	// Events receives the start/complete callbacks; every request handed
+	// to a launcher must set it.
 	Events Events
-	// OnStart fires when the task process begins executing. Ignored when
-	// Events is set.
-	OnStart func(at sim.Time)
-	// OnComplete fires when the task finishes; failed marks
-	// infrastructure failures (the task may be retried by the agent).
-	// Ignored when Events is set.
-	OnComplete func(at sim.Time, failed bool, reason string)
 	// Body, when set, replaces the fixed TD.Duration sleep as the task's
 	// process body: the backend invokes it once the process starts, and
 	// the task completes when the body calls done. Tasks whose wall time
@@ -85,34 +75,14 @@ func (r *Request) Enqueue(at sim.Time) {
 	r.Denied = false
 }
 
-// NotifyStart delivers the start callback.
-func (r *Request) NotifyStart(at sim.Time) {
-	if r.Events != nil {
-		r.Events.OnStart(at)
-		return
-	}
-	if r.OnStart != nil {
-		r.OnStart(at)
-	}
-}
-
-// NotifyComplete delivers the completion callback.
-func (r *Request) NotifyComplete(at sim.Time, failed bool, reason string) {
-	if r.Events != nil {
-		r.Events.OnComplete(at, failed, reason)
-		return
-	}
-	if r.OnComplete != nil {
-		r.OnComplete(at, failed, reason)
-	}
-}
-
-// StartBody runs the task's process body at the current time: Body when
-// set, otherwise a TD.Duration sleep. done is invoked exactly once when
-// the body ends, even if a buggy body calls it repeatedly.
-func (r *Request) StartBody(eng *sim.Engine, done func()) {
+// StartBody runs the task's process body at the current time and calls
+// fn(arg) once when it ends. Without a Body — the overwhelmingly common
+// fixed-duration task — that is a TD.Duration sleep through the engine's
+// pooled arg-carrying event, costing no closure allocation. A Body's done
+// takes effect once, even if a buggy body calls it repeatedly.
+func (r *Request) StartBody(eng *sim.Engine, fn func(any), arg any) {
 	if r.Body == nil {
-		eng.After(r.TD.Duration, done)
+		eng.AfterCall(r.TD.Duration, fn, arg)
 		return
 	}
 	called := false
@@ -122,22 +92,10 @@ func (r *Request) StartBody(eng *sim.Engine, done func()) {
 		}
 		called = true
 		// Completion is always its own engine event, exactly like the
-		// After(Duration) path, so body implementations cannot perturb
-		// event ordering by calling done synchronously.
-		eng.Immediately(done)
+		// sleep path, so body implementations cannot perturb event
+		// ordering by calling done synchronously.
+		eng.ImmediatelyCall(fn, arg)
 	})
-}
-
-// StartBodyCall is StartBody for hot paths: when Body is nil — the
-// overwhelmingly common fixed-duration task — it schedules fn(arg) after
-// TD.Duration through the engine's pooled arg-carrying event, costing no
-// closure allocation. Tasks with a Body fall back to StartBody.
-func (r *Request) StartBodyCall(eng *sim.Engine, fn func(any), arg any) {
-	if r.Body == nil {
-		eng.AfterCall(r.TD.Duration, fn, arg)
-		return
-	}
-	r.StartBody(eng, func() { fn(arg) })
 }
 
 // Stats captures backend counters for analytics.
@@ -319,8 +277,7 @@ type Placer struct {
 	stats PlacerStats
 
 	// Phase, when set, receives sim.PhasePlacement wall-clock samples for
-	// each placement attempt (Place and the shared PopNext scheduling
-	// step). Nil costs one branch per call.
+	// each PopNext scheduling step. Nil costs one branch per call.
 	Phase sim.PhaseFunc
 }
 
@@ -362,30 +319,11 @@ func (p *Placer) recordWatermark(maxCPU, maxGPU int) {
 	p.maxFreeGPU = maxGPU
 }
 
-// Place finds and claims slots for the task. It returns nil when the
-// partition currently lacks capacity (the caller re-tries when slots free).
-func (p *Placer) Place(at sim.Time, td *spec.TaskDescription) *platform.Placement {
-	var t0 time.Time
-	if p.Phase != nil {
-		t0 = time.Now()
-	}
-	var pl *platform.Placement
-	if td.MultiNode() {
-		pl = p.placeMultiNode(at, td, nil)
-	} else {
-		pl = p.placeSingleNode(at, td, nil)
-	}
-	if p.Phase != nil {
-		p.Phase(sim.PhasePlacement, time.Since(t0).Nanoseconds())
-	}
-	return pl
-}
-
-// PlaceRequest places a launch request: the request's preferred nodes
-// (data-aware scheduling hints) are tried in listed order before the
-// default policy, and on success the request's OnPlaced hook fires with
-// the chosen node IDs. Backends call this instead of Place so placement
-// stays a single code path across runtime systems.
+// PlaceRequest finds and claims slots for a launch request, or returns nil
+// when the partition currently lacks capacity (the caller re-tries when
+// slots free). The request's preferred nodes (data-aware scheduling hints)
+// are tried in listed order before the default policy, and on success the
+// request's OnPlaced hook fires with the chosen node IDs.
 func (p *Placer) PlaceRequest(at sim.Time, r *Request) *platform.Placement {
 	var prefer []int
 	if r.Prefer != nil {
@@ -442,7 +380,9 @@ func (p *Placer) NextRequest(at sim.Time, queue *Queue, backfill int) (int, *pla
 		if len(prefer) == 0 {
 			continue
 		}
-		if pl := p.placePreferredOnly(at, r, prefer); pl != nil {
+		// Preferred nodes only: no fallback to the ring policy.
+		p.stats.Attempts++
+		if pl := p.placePreferred(at, prefer, r.TD.TotalCores(), r.TD.TotalGPUs()); pl != nil {
 			if r.OnPlaced != nil {
 				r.OnPlaced(at, append([]int(nil), pl.NodeIDs...))
 			}
@@ -499,12 +439,10 @@ func (p *Placer) PopNext(at sim.Time, queue *Queue, backfill int) (*Request, *pl
 	return r, pl
 }
 
-// placePreferredOnly claims the first hinted node with capacity, without
-// falling back to the ring policy.
-func (p *Placer) placePreferredOnly(at sim.Time, r *Request, prefer []int) *platform.Placement {
-	p.stats.Attempts++
-	cores := r.TD.TotalCores()
-	gpus := r.TD.TotalGPUs()
+// placePreferred claims (cores, gpus) on the first hinted node that fits,
+// counting it as placed, and returns nil when none does. It leaves the ring
+// cursor untouched so non-hinted traffic keeps its packing order.
+func (p *Placer) placePreferred(at sim.Time, prefer []int, cores, gpus int) *platform.Placement {
 	for _, id := range prefer {
 		node := p.preferredNode(id, cores, gpus)
 		if node == nil {
@@ -541,18 +479,7 @@ func (p *Placer) placeSingleNode(at sim.Time, td *spec.TaskDescription, prefer [
 	if p.cannotFit(cores, gpus) {
 		return nil
 	}
-	// Preference pass: claim the first hinted node that fits, leaving the
-	// ring cursor untouched so non-hinted traffic keeps its packing order.
-	for _, id := range prefer {
-		node := p.preferredNode(id, cores, gpus)
-		if node == nil {
-			continue
-		}
-		pl := platform.NewSingleNodePlacement(node.ID, cores, gpus)
-		if err := p.part.Claim(at, pl); err != nil {
-			panic(fmt.Sprintf("launch: claim after fit check failed: %v", err))
-		}
-		p.stats.Placed++
+	if pl := p.placePreferred(at, prefer, cores, gpus); pl != nil {
 		return pl
 	}
 	n := len(p.part.Nodes)

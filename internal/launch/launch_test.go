@@ -15,24 +15,29 @@ func newPartition(nodes int) *platform.Allocation {
 	return c.Allocate(nodes)
 }
 
+// place places a bare task description, with no hints or hooks.
+func place(p *Placer, td *spec.TaskDescription) *platform.Placement {
+	return p.PlaceRequest(0, &Request{TD: td})
+}
+
 func TestPlaceSingleCore(t *testing.T) {
 	p := NewPlacer(newPartition(2))
 	td := &spec.TaskDescription{CoresPerRank: 1, Ranks: 1}
 	var placements []*platform.Placement
 	for i := 0; i < 112; i++ {
-		pl := p.Place(0, td)
+		pl := place(p, td)
 		if pl == nil {
 			t.Fatalf("placement %d failed with free slots", i)
 		}
 		placements = append(placements, pl)
 	}
-	if p.Place(0, td) != nil {
+	if place(p, td) != nil {
 		t.Fatal("placement beyond capacity should fail")
 	}
 	for _, pl := range placements {
 		p.Partition().Release(0, pl)
 	}
-	if p.Place(0, td) == nil {
+	if place(p, td) == nil {
 		t.Fatal("placement after release should succeed")
 	}
 }
@@ -41,15 +46,15 @@ func TestPlaceGPUTask(t *testing.T) {
 	p := NewPlacer(newPartition(1))
 	td := &spec.TaskDescription{CoresPerRank: 1, Ranks: 1, GPUsPerRank: 1}
 	for i := 0; i < 8; i++ {
-		if p.Place(0, td) == nil {
+		if place(p, td) == nil {
 			t.Fatalf("GPU placement %d failed", i)
 		}
 	}
-	if p.Place(0, td) != nil {
+	if place(p, td) != nil {
 		t.Fatal("9th GPU task must not fit on an 8-GPU node")
 	}
 	// CPU-only tasks still fit.
-	if p.Place(0, &spec.TaskDescription{CoresPerRank: 1, Ranks: 1}) == nil {
+	if place(p, &spec.TaskDescription{CoresPerRank: 1, Ranks: 1}) == nil {
 		t.Fatal("CPU task should fit despite exhausted GPUs")
 	}
 }
@@ -57,7 +62,7 @@ func TestPlaceGPUTask(t *testing.T) {
 func TestPlaceMultiNode(t *testing.T) {
 	p := NewPlacer(newPartition(4))
 	td := &spec.TaskDescription{Nodes: 2, Ranks: 16, CoresPerRank: 7}
-	pl := p.Place(0, td)
+	pl := place(p, td)
 	if pl == nil {
 		t.Fatal("2-node placement failed on idle 4-node partition")
 	}
@@ -65,10 +70,10 @@ func TestPlaceMultiNode(t *testing.T) {
 		t.Fatalf("placement: %+v", pl)
 	}
 	// Per-node footprint: 8 ranks x 7 cores = 56 = full node.
-	if p.Place(0, td) == nil {
+	if place(p, td) == nil {
 		t.Fatal("second 2-node placement should fit (2 nodes left)")
 	}
-	if p.Place(0, td) != nil {
+	if place(p, td) != nil {
 		t.Fatal("third 2-node placement must fail")
 	}
 }
@@ -77,11 +82,11 @@ func TestPlaceMultiNodeSkipsBusyNodes(t *testing.T) {
 	p := NewPlacer(newPartition(3))
 	// Occupy node 0 fully via single-node placements.
 	big := &spec.TaskDescription{Ranks: 8, CoresPerRank: 7}
-	if p.Place(0, big) == nil {
+	if place(p, big) == nil {
 		t.Fatal("setup placement failed")
 	}
 	td := &spec.TaskDescription{Nodes: 2, Ranks: 16, CoresPerRank: 7}
-	pl := p.Place(0, td)
+	pl := place(p, td)
 	if pl == nil {
 		t.Fatal("2-node placement should use nodes 1 and 2")
 	}
@@ -128,7 +133,7 @@ func TestPlacerNeverOversubscribes(t *testing.T) {
 				CoresPerRank: r.Intn(7) + 1,
 				GPUsPerRank:  r.Intn(2),
 			}
-			if pl := p.Place(0, td); pl != nil {
+			if pl := place(p, td); pl != nil {
 				live = append(live, pl)
 			}
 		}
@@ -244,7 +249,7 @@ func selPlacer(n int) *Placer {
 func TestNextRequestAffinityBeatsHead(t *testing.T) {
 	p := selPlacer(2)
 	// Fill node 0 so only node 1 has room.
-	if pl := p.Place(0, &spec.TaskDescription{CoresPerRank: 56, Ranks: 1}); pl == nil {
+	if pl := place(p, &spec.TaskDescription{CoresPerRank: 56, Ranks: 1}); pl == nil {
 		t.Fatal("setup placement failed")
 	}
 	var q Queue
@@ -277,7 +282,7 @@ func TestNextRequestBackfillBound(t *testing.T) {
 	q.Push(reqNamed("small", 8))  // would fit alongside nothing — node empty, fits
 	q.Push(reqNamed("small2", 8)) // beyond the backfill window
 	// Claim 8 cores so the full-node heads are blocked but smalls fit.
-	if pl := p.Place(0, &spec.TaskDescription{CoresPerRank: 8, Ranks: 1}); pl == nil {
+	if pl := place(p, &spec.TaskDescription{CoresPerRank: 8, Ranks: 1}); pl == nil {
 		t.Fatal("setup placement failed")
 	}
 	// backfill 0: strict head-of-line, nothing places.
@@ -315,7 +320,7 @@ func TestNextRequestHintlessMatchesFCFS(t *testing.T) {
 		head := 0
 		for head < len(reqs) {
 			r := reqs[head]
-			pl := ref.Place(0, r.TD)
+			pl := ref.PlaceRequest(0, r)
 			if pl == nil {
 				break
 			}
@@ -356,20 +361,20 @@ func itoa(n int) string { return fmt.Sprintf("%d", n) }
 func TestWatermarkInvalidatedByRelease(t *testing.T) {
 	p := selPlacer(2)
 	td := &spec.TaskDescription{CoresPerRank: 56, Ranks: 1}
-	pl1 := p.Place(0, td)
-	pl2 := p.Place(0, td)
+	pl1 := place(p, td)
+	pl2 := place(p, td)
 	if pl1 == nil || pl2 == nil {
 		t.Fatal("setup placements failed")
 	}
-	if pl := p.Place(0, td); pl != nil {
+	if pl := place(p, td); pl != nil {
 		t.Fatal("placement on full partition succeeded")
 	}
 	// Second attempt exercises the cached fast path.
-	if pl := p.Place(0, td); pl != nil {
+	if pl := place(p, td); pl != nil {
 		t.Fatal("cached fast path placed on full partition")
 	}
 	p.Partition().Release(0, pl1)
-	pl3 := p.Place(0, td)
+	pl3 := place(p, td)
 	if pl3 == nil {
 		t.Fatal("placement after release failed: watermark not invalidated")
 	}

@@ -317,8 +317,8 @@ func (l *Launcher) exec(j *Job) {
 	if l.cfg.Util != nil {
 		l.cfg.Util.Add(now, j.Pl.TotalCPU(), j.Pl.TotalGPU())
 	}
-	j.Req.NotifyStart(now)
-	j.Req.StartBodyCall(l.eng, l.doneFn, j)
+	j.Req.Events.OnStart(now)
+	j.Req.StartBody(l.eng, l.doneFn, j)
 }
 
 // done runs when a job's process body ends.
@@ -341,7 +341,7 @@ func (l *Launcher) done(arg any) {
 func (l *Launcher) complete(arg any) {
 	j := arg.(*Job)
 	l.stats.Completed++
-	j.Req.NotifyComplete(l.eng.Now(), false, "")
+	j.Req.Events.OnComplete(l.eng.Now(), false, "")
 }
 
 // release returns a job's slots (and its srun ceiling slot, if it holds
@@ -372,7 +372,7 @@ func (l *Launcher) removeRunning(j *Job) {
 func (l *Launcher) fail(r *Request, reason string) {
 	l.stats.Failed++
 	at := l.eng.Now()
-	l.eng.Immediately(func() { r.NotifyComplete(at, true, reason) })
+	l.eng.Immediately(func() { r.Events.OnComplete(at, true, reason) })
 }
 
 func (l *Launcher) failQueued(reason string) {

@@ -39,12 +39,29 @@ func newTestLauncher(eng *sim.Engine, nodes int, ctrl Stepper, boot sim.Duration
 	return l
 }
 
+// events adapts a pair of callbacks to Events; either may be nil.
+type events struct {
+	start func(sim.Time)
+	done  func(sim.Time, bool, string)
+}
+
+func (e events) OnStart(at sim.Time) {
+	if e.start != nil {
+		e.start(at)
+	}
+}
+
+func (e events) OnComplete(at sim.Time, failed bool, reason string) {
+	if e.done != nil {
+		e.done(at, failed, reason)
+	}
+}
+
 func nodeWide(dur sim.Duration, onStart func(sim.Time), onDone func(sim.Time, bool, string)) *Request {
 	return &Request{
-		UID:        "t",
-		TD:         &spec.TaskDescription{CoresPerRank: 56, Ranks: 1, Duration: dur},
-		OnStart:    onStart,
-		OnComplete: onDone,
+		UID:    "t",
+		TD:     &spec.TaskDescription{CoresPerRank: 56, Ranks: 1, Duration: dur},
+		Events: events{onStart, onDone},
 	}
 }
 

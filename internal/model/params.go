@@ -98,9 +98,6 @@ type FluxParams struct {
 	// "substantial throughput variability across repetitions"; peak/avg
 	// = 744/300 ≈ 2.5 across repetitions.
 	RunSigma float64
-	// SubmitOverhead is RP's per-task serialization cost into a Flux job
-	// description (single-threaded in the executor).
-	SubmitOverhead float64
 	// BackfillDepth is how many queued jobs the scheduler looks past a
 	// blocked head-of-line job.
 	BackfillDepth int
@@ -184,23 +181,9 @@ type RPParams struct {
 	// task management subsystem"; flux_n tops out near 930 t/s (one
 	// executor).
 	ExecutorSubmitOverhead float64
-	// StagePerFile is the staging cost per input/output file.
-	StagePerFile float64
-	// RetryBackoff delays executor-level resubmission after a failure.
-	// With RetryBackoffFactor unset this constant delay applies to every
-	// attempt (the legacy behaviour, pinned by golden tests).
+	// RetryBackoff is the constant delay before every executor-level
+	// resubmission after a failure.
 	RetryBackoff float64
-	// RetryBackoffFactor, when > 1, turns the backoff exponential:
-	// attempt k waits RetryBackoff * Factor^(k-1), capped at
-	// RetryBackoffMax (when > 0). Zero keeps the legacy constant backoff
-	// and draws nothing from the RNG.
-	RetryBackoffFactor float64
-	// RetryBackoffMax caps the exponential backoff (seconds; 0 = no cap).
-	RetryBackoffMax float64
-	// RetryJitterFrac adds seeded uniform jitter of ±frac to each backoff
-	// draw (decorrelates retry storms after a node loss). Zero draws
-	// nothing, keeping zero-failure runs bit-identical.
-	RetryJitterFrac float64
 	// CrossPartitionLatency is the client↔agent hop when the two live in
 	// different simulation partitions (sharded runs): a WAN/ZMQ round trip
 	// plus batching, rather than the node-local PipeLatency. It doubles as
@@ -358,7 +341,6 @@ func Default() Params {
 			RPCLatency:          0.002,
 			EtaC:                0.05,
 			RunSigma:            0.42,
-			SubmitOverhead:      0.0004,
 			BackfillDepth:       128,
 		},
 		Dragon: DragonParams{
@@ -379,7 +361,6 @@ func Default() Params {
 			PipeLatency:            0.001,
 			SchedRate:              3200,
 			ExecutorSubmitOverhead: 0.0012,
-			StagePerFile:           0.001,
 			RetryBackoff:           1.0,
 			CrossPartitionLatency:  0.1,
 		},

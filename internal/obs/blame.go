@@ -16,14 +16,14 @@ import (
 	"rpgo/internal/profiler"
 )
 
-// Straggler detector defaults: flag tasks more than SigmaK standard
-// deviations above their workflow's mean span, or more than P99Mult times
-// its p99, once the workflow has seen StragglerWarmup tasks.
+// Straggler detector: flag tasks more than sigmaK standard deviations above
+// their workflow's mean span, or more than p99Mult times its p99, once the
+// workflow has seen StragglerWarmup tasks; keep the maxStragglers longest.
 const (
-	defaultSigmaK     = 3.0
-	defaultP99Mult    = 3.0
-	StragglerWarmup   = 32
-	defaultStragglers = 16
+	sigmaK          = 3.0
+	p99Mult         = 3.0
+	StragglerWarmup = 32
+	maxStragglers   = 16
 )
 
 // wfStats is one workflow's online span distribution.
@@ -55,26 +55,14 @@ func (w *wfStats) sigma() float64 {
 type Blame struct {
 	sums []analytics.TaskSummary
 
-	// SigmaK and P99Mult tune the straggler detector (defaults 3 and 3);
-	// MaxStragglers bounds the retained flags (default 16, longest spans
-	// kept).
-	SigmaK        float64
-	P99Mult       float64
-	MaxStragglers int
-
 	wf map[string]*wfStats
 
 	stragglers []analytics.Straggler
 }
 
-// NewBlame returns an empty blame sink with default detector thresholds.
+// NewBlame returns an empty blame sink.
 func NewBlame() *Blame {
-	return &Blame{
-		SigmaK:        defaultSigmaK,
-		P99Mult:       defaultP99Mult,
-		MaxStragglers: defaultStragglers,
-		wf:            make(map[string]*wfStats),
-	}
+	return &Blame{wf: make(map[string]*wfStats)}
 }
 
 // RetainTraces switches the profiler to streaming mode.
@@ -109,9 +97,9 @@ func (b *Blame) OnTask(t *profiler.TaskTrace) {
 	span := s.Span().Seconds()
 	if w.n >= StragglerWarmup {
 		why := ""
-		if sig := w.sigma(); sig > 0 && span > w.mean+b.SigmaK*sig {
+		if sig := w.sigma(); sig > 0 && span > w.mean+sigmaK*sig {
 			why = "sigma"
-		} else if p99 := w.hist.Quantile(0.99); p99 > 0 && span > b.P99Mult*p99 {
+		} else if p99 := w.hist.Quantile(0.99); p99 > 0 && span > p99Mult*p99 {
 			why = "p99"
 		}
 		if why != "" {
@@ -121,7 +109,7 @@ func (b *Blame) OnTask(t *profiler.TaskTrace) {
 	w.observe(span)
 }
 
-// flag records a straggler, keeping the MaxStragglers longest spans with a
+// flag records a straggler, keeping the maxStragglers longest spans with a
 // deterministic (span desc, UID asc) order.
 func (b *Blame) flag(s analytics.TaskSummary, span float64, why string, w *wfStats) {
 	var detail string
@@ -146,8 +134,8 @@ func (b *Blame) flag(s analytics.TaskSummary, span float64, why string, w *wfSta
 		}
 		return b.stragglers[i].UID < b.stragglers[j].UID
 	})
-	if len(b.stragglers) > b.MaxStragglers {
-		b.stragglers = b.stragglers[:b.MaxStragglers]
+	if len(b.stragglers) > maxStragglers {
+		b.stragglers = b.stragglers[:maxStragglers]
 	}
 }
 

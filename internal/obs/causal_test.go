@@ -176,20 +176,6 @@ func TestBlameSinkStragglerDetector(t *testing.T) {
 	}
 }
 
-func TestFoldBlameHook(t *testing.T) {
-	f := NewFold()
-	f.Blame = NewBlame()
-	tr := profiler.NewTaskTrace("t.0")
-	tr.Submit = 0
-	tr.Start = 0
-	tr.End = sim.Time(5 * sim.Second)
-	tr.Final = tr.End
-	f.OnTask(tr)
-	if f.Tasks() != 1 || f.Blame.Tasks() != 1 {
-		t.Fatalf("fold=%d blame=%d, want 1/1", f.Tasks(), f.Blame.Tasks())
-	}
-}
-
 func TestPerfettoFlowEvents(t *testing.T) {
 	var buf bytes.Buffer
 	pw := NewPerfettoWriter(&buf)

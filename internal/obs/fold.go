@@ -6,7 +6,9 @@ package obs
 //
 //   - Throughput.Avg replicates metrics.ComputeThroughput exactly — starts
 //     per active 100 ms bucket — by folding start times into a bucket set
-//     (memory bounded by makespan, not task count).
+//     (memory bounded by makespan, not task count). Throughput.Peak does
+//     not: it is the best fixed 1 s bucket, a lower bound of the paper's
+//     sliding-window peak, which needs every start time to compute.
 //   - Utilization replicates metrics.Utilization over the execution window
 //     [first start, last end], exactly: busy core-seconds accumulate per
 //     task and no clamping can occur inside the window.
@@ -26,11 +28,6 @@ import (
 
 // Fold is a streaming TraceSink computing summary metrics incrementally.
 type Fold struct {
-	// Blame, when set, receives every record for the streaming
-	// critical-path decomposition (constant trace memory either way). Nil
-	// keeps the plain fold allocation-free per task.
-	Blame *Blame
-
 	// Task aggregates.
 	tasks   int
 	failed  int
@@ -95,9 +92,6 @@ func (*Fold) Flush() error { return nil }
 
 // OnTask folds one terminal task record.
 func (f *Fold) OnTask(t *profiler.TaskTrace) {
-	if f.Blame != nil {
-		f.Blame.OnTask(t)
-	}
 	f.tasks++
 	if t.Failed {
 		f.failed++
@@ -186,7 +180,8 @@ func (f *Fold) Retries() int { return f.retries }
 
 // Throughput matches metrics.ThroughputOf on the same run: Tasks, Avg and
 // Span are exact; Peak is the best fixed 1 s bucket, a lower bound of the
-// sliding-window peak (the sliding maximum cannot be folded in O(1)).
+// sliding-window peak (the sliding maximum cannot be folded in O(1)). Only
+// `rptrace stats` prints it; every reported Peak is the sliding one.
 func (f *Fold) Throughput() metrics.Throughput {
 	if f.started == 0 {
 		return metrics.Throughput{}

@@ -444,6 +444,3 @@ func (u *UtilizationTracker) GPUUtilization(start, end sim.Time) float64 {
 	}
 	return u.gpuBusyTime / (float64(u.totalGPU) * span)
 }
-
-// CoreSeconds returns accumulated busy core-seconds up to the last advance.
-func (u *UtilizationTracker) CoreSeconds() float64 { return u.cpuBusyTime }

@@ -493,17 +493,6 @@ func (p *Profiler) Transfer(tt TransferTrace) {
 // Transfers returns all transfer traces in completion order.
 func (p *Profiler) Transfers() []TransferTrace { return p.transfers }
 
-// TransfersFor returns the transfer traces of one dataset.
-func (p *Profiler) TransfersFor(dataset string) []TransferTrace {
-	var out []TransferTrace
-	for _, t := range p.transfers {
-		if t.Dataset == dataset {
-			out = append(out, t)
-		}
-	}
-	return out
-}
-
 // Log appends an event to the full log when enabled.
 func (p *Profiler) Log(at sim.Time, entity, name, info string) {
 	if !p.RecordEvents {

@@ -23,18 +23,29 @@ func newRig(nodes int) (*sim.Engine, *DVM, *platform.UtilizationTracker, *slurm.
 	return eng, d, util, ctrl
 }
 
+// events adapts a pair of callbacks to launch.Events; either may be nil.
+type events struct {
+	start func(sim.Time)
+	done  func(sim.Time, bool, string)
+}
+
+func (e events) OnStart(at sim.Time) {
+	if e.start != nil {
+		e.start(at)
+	}
+}
+
+func (e events) OnComplete(at sim.Time, failed bool, reason string) {
+	if e.done != nil {
+		e.done(at, failed, reason)
+	}
+}
+
 func req(dur sim.Duration, onStart func(sim.Time), onDone func(sim.Time, bool, string)) *launch.Request {
-	if onStart == nil {
-		onStart = func(sim.Time) {}
-	}
-	if onDone == nil {
-		onDone = func(sim.Time, bool, string) {}
-	}
 	return &launch.Request{
-		UID:        "t",
-		TD:         &spec.TaskDescription{CoresPerRank: 1, Ranks: 1, Duration: dur},
-		OnStart:    onStart,
-		OnComplete: onDone,
+		UID:    "t",
+		TD:     &spec.TaskDescription{CoresPerRank: 1, Ranks: 1, Duration: dur},
+		Events: events{onStart, onDone},
 	}
 }
 
@@ -130,10 +141,12 @@ func TestOversizedTaskFails(t *testing.T) {
 	eng, d, _, _ := newRig(1)
 	failed := false
 	d.Submit(&launch.Request{
-		UID:        "big",
-		TD:         &spec.TaskDescription{Nodes: 4, Ranks: 4},
-		OnStart:    func(sim.Time) { t.Error("must not start") },
-		OnComplete: func(_ sim.Time, f bool, _ string) { failed = f },
+		UID: "big",
+		TD:  &spec.TaskDescription{Nodes: 4, Ranks: 4},
+		Events: events{
+			func(sim.Time) { t.Error("must not start") },
+			func(_ sim.Time, f bool, _ string) { failed = f },
+		},
 	})
 	eng.Run()
 	if !failed {

@@ -131,8 +131,6 @@ type Endpoint struct {
 	deadAliveTotal sim.Duration
 	deadBusyTotal  sim.Duration
 
-	queueSeries   metrics.Series
-	busySeries    metrics.Series
 	replicaSeries metrics.Series
 	events        []ScaleEvent
 }
@@ -155,8 +153,6 @@ func NewEndpoint(sd spec.ServiceDescription, params model.ServiceParams, eng *si
 		launch:        launch,
 		lastScaleUp:   never,
 		lastScaleDown: never,
-		queueSeries:   metrics.Series{Name: sd.Name + ".queue_depth"},
-		busySeries:    metrics.Series{Name: sd.Name + ".busy_replicas"},
 		replicaSeries: metrics.Series{Name: sd.Name + ".replicas"},
 	}
 	for i := 0; i < sd.Replicas; i++ {
@@ -212,7 +208,6 @@ func (e *Endpoint) Submit(taskUID string, done func(at sim.Time, failed bool)) s
 		if len(e.queue) > e.peakQueue {
 			e.peakQueue = len(e.queue)
 		}
-		e.sample()
 		e.pump()
 		e.considerScaleUp()
 	})
@@ -278,7 +273,6 @@ func (e *Endpoint) replicaUp(rep *replica, stop func()) {
 	rep.state = replIdle
 	e.failStreak = 0
 	e.markReady()
-	e.sample()
 	if e.closed && len(e.queue) == 0 {
 		e.stopReplica(rep, "endpoint closed")
 		return
@@ -381,7 +375,6 @@ func (e *Endpoint) breakEndpoint(reason string) {
 		}
 	}
 	e.markReady()
-	e.sample()
 }
 
 // markReady fires Ready waiters once the endpoint's fate is decided
@@ -464,7 +457,6 @@ func (e *Endpoint) dispatch(rep *replica, batch []*request) {
 	for _, r := range batch {
 		r.dispatched = now
 	}
-	e.sample()
 	// Batch service time: dispatch overhead plus the jittered latency
 	// model Base + (n-1)·PerItem.
 	lat := e.desc.BatchLatency(len(batch)).Seconds()
@@ -506,7 +498,6 @@ func (e *Endpoint) completeBatch(rep *replica) {
 		done := r.done
 		e.eng.Immediately(func() { done(now, false) })
 	}
-	e.sample()
 	if (e.closed || e.broken) && len(e.queue) == 0 {
 		// Retire every idle replica, not just this one: surplus
 		// replicas a draining endpoint never dispatched to must not
@@ -614,35 +605,17 @@ func (e *Endpoint) countAlive() int {
 
 // --- metrics ---
 
+// sample records the replica count, skipping consecutive duplicates. Every
+// replica that comes or goes passes through launchReplica or removeReplica,
+// the only callers; queue depth over time derives from request traces
+// (metrics.InflightSeries).
 func (e *Endpoint) sample() {
-	now := e.eng.Now()
-	busy := 0
-	for _, rep := range e.replicas {
-		if rep.state == replBusy {
-			busy++
-		}
-	}
-	appendPoint(&e.queueSeries, now, float64(len(e.queue)))
-	appendPoint(&e.busySeries, now, float64(busy))
-	appendPoint(&e.replicaSeries, now, float64(e.countAlive()))
-}
-
-// appendPoint records a sample, skipping consecutive duplicates.
-func appendPoint(s *metrics.Series, t sim.Time, v float64) {
+	s := &e.replicaSeries
+	v := float64(e.countAlive())
 	if n := len(s.Points); n > 0 && s.Points[n-1].V == v {
 		return
 	}
-	s.Points = append(s.Points, metrics.Point{T: t, V: v})
-}
-
-// QueueSeries returns the queue-depth timeline, downsampled to maxPoints.
-func (e *Endpoint) QueueSeries(maxPoints int) metrics.Series {
-	return metrics.Downsample(e.queueSeries, maxPoints)
-}
-
-// BusySeries returns the busy-replica timeline.
-func (e *Endpoint) BusySeries(maxPoints int) metrics.Series {
-	return metrics.Downsample(e.busySeries, maxPoints)
+	s.Points = append(s.Points, metrics.Point{T: e.eng.Now(), V: v})
 }
 
 // ReplicaSeries returns the replica-count timeline (the autoscaling

@@ -105,7 +105,7 @@ type Timer struct {
 // and has no effect, even if the underlying pooled slot has since been
 // reused by a later event (the generation tag distinguishes them).
 func (t Timer) Stop() bool {
-	if t.eng == nil || int(t.slot) >= len(t.eng.slots) || t.eng.slots[t.slot].gen != t.gen {
+	if t.eng == nil || t.eng.slots[t.slot].gen != t.gen {
 		return false
 	}
 	t.eng.freeSlot(t.slot)
@@ -117,7 +117,7 @@ func (t Timer) Stop() bool {
 // Pending reports whether the timer's callback is still scheduled (not yet
 // fired, not stopped).
 func (t Timer) Pending() bool {
-	return t.eng != nil && int(t.slot) < len(t.eng.slots) && t.eng.slots[t.slot].gen == t.gen
+	return t.eng != nil && t.eng.slots[t.slot].gen == t.gen
 }
 
 // Engine is the discrete-event simulation core.
@@ -135,20 +135,10 @@ type Engine struct {
 	// Timer.Stop calls that found a live event.
 	heapHigh int
 	cancels  uint64
-	// genBase is the generation newly appended slots start from. Trimming
-	// the pool raises it above every generation a removed slot ever had,
-	// so a stale Timer handle can never match a slot that was trimmed and
-	// later re-grown at the same index.
-	genBase uint32
 	// MaxSteps aborts Run with a panic if the event count exceeds it.
 	// Zero means no limit. It exists to catch accidental event storms in
 	// tests.
 	MaxSteps uint64
-	// PoolWatermark, when positive, is the slot count the arena is trimmed
-	// back to every time Run (or a sharded window loop) drains the queue.
-	// Without it the arena high-water never shrinks: one bursty run pins
-	// its peak event population for the life of the engine.
-	PoolWatermark int
 	// Phase, when set, receives one PhaseDispatch wall-clock sample per Run
 	// call. It fires only from Run — never from the sharded window loop,
 	// whose coordinator does its own per-window reporting — so a domain
@@ -204,7 +194,7 @@ func (e *Engine) schedule(at Time, fn func(), fnArg func(any), arg any) Timer {
 		slot = e.free[n-1]
 		e.free = e.free[:n-1]
 	} else {
-		e.slots = append(e.slots, eventSlot{gen: e.genBase})
+		e.slots = append(e.slots, eventSlot{})
 		slot = int32(len(e.slots) - 1)
 	}
 	s := &e.slots[slot]
@@ -384,9 +374,6 @@ func (e *Engine) Run() {
 	if e.Phase != nil {
 		e.Phase(PhaseDispatch, time.Since(t0).Nanoseconds())
 	}
-	if e.PoolWatermark > 0 {
-		e.TrimPool(e.PoolWatermark)
-	}
 }
 
 // peekTime returns the timestamp of the earliest live event, popping any
@@ -420,32 +407,6 @@ func (e *Engine) runBefore(limit Time) {
 		}
 		e.step()
 	}
-}
-
-// TrimPool releases free arena slots above the watermark and returns the
-// resulting pool size. Trimming only happens at quiescence (no scheduled
-// events, live or lazily cancelled); mid-run calls are a no-op because
-// heap entries and the free list index slots by position. Outstanding
-// Timer handles to trimmed slots stay safe: Stop and Pending bounds-check
-// the slot, and re-grown slots start above every trimmed generation.
-func (e *Engine) TrimPool(watermark int) int {
-	if watermark < 0 {
-		watermark = 0
-	}
-	if len(e.heap) != 0 || len(e.slots) <= watermark {
-		return len(e.slots)
-	}
-	for _, s := range e.slots[watermark:] {
-		if s.gen >= e.genBase {
-			e.genBase = s.gen + 1
-		}
-	}
-	e.slots = e.slots[:watermark:watermark]
-	e.free = e.free[:0]
-	for i := watermark - 1; i >= 0; i-- {
-		e.free = append(e.free, int32(i))
-	}
-	return len(e.slots)
 }
 
 // RunUntil processes events with time ≤ deadline, then sets the clock to the

@@ -1,10 +1,11 @@
 package sim
 
 // This file provides sim-aware synchronization and queueing primitives used
-// by the runtime models: a counted FIFO semaphore (the srun concurrency
-// ceiling), a callback FIFO (component pipes), and a queueing server with a
-// pluggable service-time function (the Slurm step registrar, the Dragon
-// dispatcher).
+// by the runtime models: a wait group (coupled and staging task bodies), a
+// counted FIFO semaphore (the srun concurrency ceiling), and a queueing
+// server with a pluggable service-time function (the agent scheduler and
+// executor submitters, the Slurm step registrar, the PRRTE prun, the
+// Dragon dispatcher).
 
 // WaitGroup counts outstanding operations in virtual time and fires
 // registered callbacks (through the engine, preserving deterministic event
@@ -106,22 +107,6 @@ func (s *Semaphore) Acquire(n int, fn func()) {
 	s.dispatch()
 }
 
-// TryAcquire grants n units immediately if available and no earlier waiter
-// is queued; it reports whether the grant happened.
-func (s *Semaphore) TryAcquire(n int) bool {
-	if n <= 0 || n > s.capacity {
-		return false
-	}
-	if len(s.waiters) > 0 || s.inUse+n > s.capacity {
-		return false
-	}
-	s.inUse += n
-	if s.inUse > s.HighWater {
-		s.HighWater = s.inUse
-	}
-	return true
-}
-
 // Release returns n units and wakes eligible waiters.
 func (s *Semaphore) Release(n int) {
 	if n <= 0 {
@@ -148,85 +133,6 @@ func (s *Semaphore) dispatch() {
 		// Run the continuation through the engine so grant ordering is
 		// part of the deterministic event sequence.
 		s.eng.Immediately(w.fn)
-	}
-}
-
-// FIFO is an unbounded queue connecting producer and consumer components.
-// A consumer registers a pull callback; items are handed over one at a time
-// through the engine, preserving event ordering.
-type FIFO[T any] struct {
-	eng      *Engine
-	items    []T
-	pull     func(T)
-	draining bool
-	// deliverFn is the prebound deliver method, so scheduling a delivery
-	// does not allocate a fresh method value per event.
-	deliverFn func()
-	// Depth metrics for overhead analysis.
-	HighWater int
-	pushed    uint64
-	popped    uint64
-}
-
-// NewFIFO returns an empty queue bound to the engine.
-func NewFIFO[T any](eng *Engine) *FIFO[T] {
-	q := &FIFO[T]{eng: eng}
-	q.deliverFn = q.deliver
-	return q
-}
-
-// Len returns the number of queued items.
-func (q *FIFO[T]) Len() int { return len(q.items) }
-
-// Pushed returns the total number of items ever pushed.
-func (q *FIFO[T]) Pushed() uint64 { return q.pushed }
-
-// Popped returns the total number of items ever delivered.
-func (q *FIFO[T]) Popped() uint64 { return q.popped }
-
-// Push appends an item and schedules delivery if a consumer is attached.
-func (q *FIFO[T]) Push(item T) {
-	q.items = append(q.items, item)
-	q.pushed++
-	if len(q.items) > q.HighWater {
-		q.HighWater = len(q.items)
-	}
-	q.kick()
-}
-
-// SetConsumer attaches the pull callback. Each queued item is delivered in
-// its own engine event. Only one consumer may be attached.
-func (q *FIFO[T]) SetConsumer(pull func(T)) {
-	if q.pull != nil {
-		panic("sim: FIFO already has a consumer")
-	}
-	q.pull = pull
-	q.kick()
-}
-
-func (q *FIFO[T]) kick() {
-	if q.pull == nil || q.draining || len(q.items) == 0 {
-		return
-	}
-	q.draining = true
-	q.eng.Immediately(q.deliverFn)
-}
-
-func (q *FIFO[T]) deliver() {
-	if len(q.items) == 0 {
-		q.draining = false
-		return
-	}
-	item := q.items[0]
-	var zero T
-	q.items[0] = zero
-	q.items = q.items[1:]
-	q.popped++
-	q.pull(item)
-	if len(q.items) > 0 {
-		q.eng.Immediately(q.deliverFn)
-	} else {
-		q.draining = false
 	}
 }
 

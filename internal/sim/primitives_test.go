@@ -61,25 +61,6 @@ func TestSemaphoreHighWater(t *testing.T) {
 	}
 }
 
-func TestSemaphoreTryAcquire(t *testing.T) {
-	e := NewEngine()
-	s := NewSemaphore(e, 2)
-	if !s.TryAcquire(2) {
-		t.Fatal("TryAcquire(2) on empty semaphore should succeed")
-	}
-	if s.TryAcquire(1) {
-		t.Fatal("TryAcquire beyond capacity should fail")
-	}
-	s.Release(2)
-	s.Acquire(2, func() {})
-	// A waiter is queued (granted asynchronously); TryAcquire must not
-	// jump it.
-	s.Acquire(1, func() {})
-	if s.TryAcquire(1) {
-		t.Fatal("TryAcquire should fail while earlier waiters are queued")
-	}
-}
-
 func TestSemaphoreMisuse(t *testing.T) {
 	e := NewEngine()
 	s := NewSemaphore(e, 1)
@@ -119,64 +100,6 @@ func TestSemaphoreNeverExceedsCapacity(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestFIFODeliversInOrder(t *testing.T) {
-	e := NewEngine()
-	q := NewFIFO[int](e)
-	var got []int
-	q.Push(1)
-	q.Push(2)
-	q.SetConsumer(func(v int) { got = append(got, v) })
-	q.Push(3)
-	e.Run()
-	if len(got) != 3 || got[0] != 1 || got[1] != 2 || got[2] != 3 {
-		t.Fatalf("got %v", got)
-	}
-	if q.Pushed() != 3 || q.Popped() != 3 || q.Len() != 0 {
-		t.Fatalf("counters: pushed=%d popped=%d len=%d", q.Pushed(), q.Popped(), q.Len())
-	}
-}
-
-func TestFIFOHighWater(t *testing.T) {
-	e := NewEngine()
-	q := NewFIFO[int](e)
-	for i := 0; i < 7; i++ {
-		q.Push(i)
-	}
-	if q.HighWater != 7 {
-		t.Fatalf("high water = %d", q.HighWater)
-	}
-	q.SetConsumer(func(int) {})
-	e.Run()
-	if q.Len() != 0 {
-		t.Fatalf("len = %d after drain", q.Len())
-	}
-}
-
-func TestFIFOSecondConsumerPanics(t *testing.T) {
-	e := NewEngine()
-	q := NewFIFO[int](e)
-	q.SetConsumer(func(int) {})
-	assertPanics(t, "second consumer", func() { q.SetConsumer(func(int) {}) })
-}
-
-func TestFIFOConsumerCanPush(t *testing.T) {
-	e := NewEngine()
-	q := NewFIFO[int](e)
-	var got []int
-	q.SetConsumer(func(v int) {
-		got = append(got, v)
-		if v < 5 {
-			q.Push(v + 1)
-		}
-	})
-	q.Push(0)
-	e.MaxSteps = 1000
-	e.Run()
-	if len(got) != 6 {
-		t.Fatalf("got %v", got)
 	}
 }
 

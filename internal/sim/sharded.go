@@ -431,9 +431,4 @@ func (se *ShardedEngine) Run() {
 			se.Heartbeat()
 		}
 	}
-	for _, e := range se.engines {
-		if e.PoolWatermark > 0 {
-			e.TrimPool(e.PoolWatermark)
-		}
-	}
 }

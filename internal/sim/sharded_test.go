@@ -345,82 +345,3 @@ func TestEngineHeartbeatCadence(t *testing.T) {
 		t.Errorf("heartbeat perturbed the event count: %d", eng.Steps())
 	}
 }
-
-// TestTrimPool: the arena must shrink back to the watermark after a burst,
-// stale Timer handles must stay inert across the trim, and the engine must
-// keep working after re-growth.
-func TestTrimPool(t *testing.T) {
-	eng := NewEngine()
-	var timers []Timer
-	for i := 0; i < 10000; i++ {
-		timers = append(timers, eng.After(Duration(i), func() {}))
-	}
-	eng.Run()
-	if got := eng.PoolSlots(); got < 10000 {
-		t.Fatalf("pool high water %d, want ≥ 10000", got)
-	}
-	if got := eng.TrimPool(64); got != 64 {
-		t.Fatalf("TrimPool returned %d, want 64", got)
-	}
-	if got, free := eng.PoolSlots(), eng.PoolFree(); got != 64 || free != 64 {
-		t.Fatalf("after trim: slots=%d free=%d, want 64/64", got, free)
-	}
-	// Every stale handle — below and above the watermark — must be inert.
-	for _, tm := range timers {
-		if tm.Pending() {
-			t.Fatal("fired timer reports Pending after trim")
-		}
-		if tm.Stop() {
-			t.Fatal("fired timer Stopped successfully after trim")
-		}
-	}
-	// Re-grow the pool past the watermark; old handles must not alias the
-	// fresh slots even though indices repeat.
-	fired := 0
-	for i := 0; i < 1000; i++ {
-		eng.After(Duration(i), func() { fired++ })
-	}
-	for _, tm := range timers {
-		tm.Stop()
-	}
-	eng.Run()
-	if fired != 1000 {
-		t.Fatalf("stale handles cancelled %d live events", 1000-fired)
-	}
-}
-
-// TestPoolWatermarkAutoTrim: Run trims automatically when the policy is
-// set, on both plain and sharded engines.
-func TestPoolWatermarkAutoTrim(t *testing.T) {
-	eng := NewEngine()
-	eng.PoolWatermark = 128
-	for i := 0; i < 5000; i++ {
-		eng.After(Duration(i), func() {})
-	}
-	eng.Run()
-	if got := eng.PoolSlots(); got != 128 {
-		t.Fatalf("auto-trim left %d slots, want 128", got)
-	}
-
-	se := NewShardedEngine(ShardedConfig{Partitions: 2, Shards: 2, Lookahead: Millisecond})
-	for p := 0; p < 2; p++ {
-		se.Engine(p).PoolWatermark = 32
-		for i := 0; i < 3000; i++ {
-			se.Engine(p).After(Duration(i)*Microsecond, func() {})
-		}
-	}
-	se.Run()
-	if got := se.PoolSlots(); got != 64 {
-		t.Fatalf("sharded auto-trim left %d slots, want 64", got)
-	}
-}
-
-// TestTrimPoolMidRunNoop: trimming with events still queued must refuse.
-func TestTrimPoolMidRunNoop(t *testing.T) {
-	eng := NewEngine()
-	eng.After(Second, func() {})
-	n := eng.PoolSlots()
-	if got := eng.TrimPool(0); got != n {
-		t.Fatalf("TrimPool shrank a non-quiescent pool to %d", got)
-	}
-}

@@ -125,8 +125,7 @@ func (t StageTier) valid() bool {
 }
 
 // StagingDirective names one dataset a task consumes or produces and where
-// it must live. Sized directives replace the legacy flat per-file staging
-// cost: transfers run through the data subsystem's shared-bandwidth
+// it must live. Transfers run through the data subsystem's shared-bandwidth
 // channels, so staging time depends on size, tier, and concurrent traffic.
 type StagingDirective struct {
 	// Dataset identifies the data; tasks naming the same dataset share
@@ -178,15 +177,10 @@ type TaskDescription struct {
 	// Duration is the virtual execution time of the task body. Null
 	// workloads use zero; dummy workloads use the sleep duration.
 	Duration sim.Duration
-	// InputFiles / OutputFiles are counts of files to stage; staging cost
-	// is per file. This is the legacy flat-cost path, used only when the
-	// task carries no sized staging directives.
-	InputFiles  int
-	OutputFiles int
 	// InputData / OutputData are sized, named-dataset staging directives
 	// handled by the data subsystem: contention-aware transfers through
 	// the storage hierarchy, locality tracking, and data-aware placement.
-	// When set, they take precedence over InputFiles/OutputFiles.
+	// A task without them stages nothing.
 	InputData  []StagingDirective
 	OutputData []StagingDirective
 	// Backend pins the task to a runtime system; BackendAuto routes by
@@ -250,8 +244,7 @@ func (t *TaskDescription) TotalGPUs() int {
 func (t *TaskDescription) MultiNode() bool { return t.Nodes > 1 }
 
 // HasStaging reports whether the task carries sized staging directives
-// (and therefore routes through the data subsystem instead of the legacy
-// flat-cost stagers).
+// (and therefore routes through the data subsystem).
 func (t *TaskDescription) HasStaging() bool {
 	return len(t.InputData) > 0 || len(t.OutputData) > 0
 }

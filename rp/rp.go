@@ -315,12 +315,11 @@ const (
 // BlameSink is the streaming critical-path sink: it digests each terminal
 // task into a compact causal summary and runs the online straggler
 // detector; Report() decomposes the makespan into blame categories. Use it
-// standalone on Config.Sink, or hang it off a FoldSink's Blame field to
-// get summary metrics and blame from one pass.
+// standalone on Config.Sink, or compose it with a FoldSink through TeeSink
+// to get summary metrics and blame from one pass.
 type BlameSink = obs.Blame
 
-// NewBlameSink returns an empty blame sink with default straggler
-// thresholds.
+// NewBlameSink returns an empty blame sink.
 func NewBlameSink() *BlameSink { return obs.NewBlame() }
 
 // BlameReport is the makespan decomposition of one run: per-category time
