@@ -466,6 +466,37 @@ func BenchmarkPlacerSingleCore(b *testing.B) {
 	}
 }
 
+// BenchmarkPlacerMultiNode places the Fig 8 campaign's four multi-node
+// footprints (docking, surrogate training, scoring, ESMACS) in turn on a
+// 1,024-node partition, releasing everything once one no longer fits.
+func BenchmarkPlacerMultiNode(b *testing.B) {
+	cluster := platform.NewCluster(platform.Frontier(1), 1024)
+	alloc := cluster.Allocate(1024)
+	plc := launch.NewPlacer(alloc)
+	var reqs []*launch.Request
+	for _, p := range workload.ImpeccablePipelines() {
+		if td := p.Template.Make(); td.MultiNode() {
+			reqs = append(reqs, &launch.Request{TD: td})
+		}
+	}
+	if len(reqs) != 4 {
+		b.Fatalf("%d multi-node Fig 8 footprints, want 4", len(reqs))
+	}
+	var live []*platform.Placement
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		pl := plc.PlaceRequest(0, reqs[i%len(reqs)])
+		if pl == nil {
+			for _, p := range live {
+				alloc.Release(0, p)
+			}
+			live = live[:0]
+			continue
+		}
+		live = append(live, pl)
+	}
+}
+
 func BenchmarkFullPilotThroughput(b *testing.B) {
 	// End-to-end simulator cost: one 16-node flux pilot with a full
 	// 4-wave dummy workload per iteration.

@@ -478,6 +478,11 @@ type dispatchRec struct {
 	t   *Task
 	idx int
 	req launch.Request
+	// placed holds the node IDs OnPlaced reports, for the fault-aware
+	// and data bodies. It lives here, not in forward's frame, because
+	// those bodies read it by pointer: a local would escape to the heap on
+	// every dispatch.
+	placed []int
 }
 
 // OnStart implements launch.Events.
@@ -532,7 +537,7 @@ func (a *Agent) forward(g *executorGroup, t *Task) {
 	if body == nil && len(t.TD.Requests) > 0 {
 		body = a.coupledBody(t)
 	}
-	var placed []int
+	rec := &dispatchRec{a: a, g: g, t: t, idx: idx}
 	// Plain fixed-Duration bodies get a fault-aware compute body when a
 	// straggler model is installed or the task checkpoints: exec time
 	// stretches with the slowest placed node, and checkpoint writes /
@@ -540,9 +545,8 @@ func (a *Agent) forward(g *executorGroup, t *Task) {
 	faulty := body == nil && !t.TD.Service &&
 		(a.slowFactor != nil || t.TD.Checkpointed())
 	if faulty {
-		body = a.computeBody(t, &placed)
+		body = a.computeBody(t, &rec.placed)
 	}
-	rec := &dispatchRec{a: a, g: g, t: t, idx: idx}
 	rec.req = launch.Request{
 		UID:    t.TD.UID,
 		TD:     t.TD,
@@ -559,10 +563,10 @@ func (a *Agent) forward(g *executorGroup, t *Task) {
 			// holding only them skip the placer's affinity window.
 			rec.req.Prefer = func() []int { return a.preferNodes(t.TD) }
 		}
-		rec.req.OnPlaced = func(at sim.Time, nodeIDs []int) { placed = nodeIDs }
-		rec.req.Body = a.dataBody(t, body, &placed)
+		rec.req.OnPlaced = func(at sim.Time, nodeIDs []int) { rec.placed = nodeIDs }
+		rec.req.Body = a.dataBody(t, body, &rec.placed)
 	} else if faulty {
-		rec.req.OnPlaced = func(at sim.Time, nodeIDs []int) { placed = nodeIDs }
+		rec.req.OnPlaced = func(at sim.Time, nodeIDs []int) { rec.placed = nodeIDs }
 	}
 	if b := rec.req.Body; b != nil {
 		// Generation-guard the completion: after a mid-run crash and

@@ -23,6 +23,7 @@ package campaign
 import (
 	"fmt"
 	"math"
+	"strconv"
 
 	"rpgo/internal/agent"
 	"rpgo/internal/core"
@@ -240,6 +241,7 @@ func (c *Campaign) submitIteration(st *pipelineState) {
 		}
 	}
 	tds := make([]*spec.TaskDescription, n)
+	label := stageLabel(st.curIter, tmpl.Stage)
 	for i := range tds {
 		td := tmpl.Make()
 		// Clamp multi-node footprints to the allocation (small test
@@ -251,7 +253,7 @@ func (c *Campaign) submitIteration(st *pipelineState) {
 		}
 		td.MaxRetries = c.cfg.MaxRetries
 		td.Workflow = tmpl.Workflow
-		td.Stage = fmt.Sprintf("i%03d.%s", st.curIter, tmpl.Stage)
+		td.Stage = label
 		tds[i] = td
 	}
 	st.pending = n
@@ -265,6 +267,20 @@ func (c *Campaign) submitIteration(st *pipelineState) {
 	c.records = append(c.records, rec)
 	st.record = rec
 	c.tm.Submit(tds)
+}
+
+// stageLabel names an iteration's stage, "i" + the iteration zero-padded
+// to three digits + "." + stage: the bytes fmt's "i%03d.%s" gives for
+// iter ≥ 0, without its per-call cost.
+func stageLabel(iter int, stage string) string {
+	pad := ""
+	switch {
+	case iter < 10:
+		pad = "00"
+	case iter < 100:
+		pad = "0"
+	}
+	return "i" + pad + strconv.Itoa(iter) + "." + stage
 }
 
 // taskCompleted is the TaskManager's OnComplete hook; completions are

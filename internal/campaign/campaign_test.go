@@ -1,6 +1,7 @@
 package campaign
 
 import (
+	"fmt"
 	"testing"
 
 	"rpgo/internal/core"
@@ -224,5 +225,17 @@ func TestDoubleStartErrors(t *testing.T) {
 	}
 	if err := camp.Start(); err == nil {
 		t.Fatal("second Start must error")
+	}
+}
+
+// TestStageLabelMatchesSprintf pins stageLabel to the bytes of the
+// fmt.Sprintf it replaced, across the zero padding and past it.
+func TestStageLabelMatchesSprintf(t *testing.T) {
+	for _, iter := range []int{0, 7, 42, 999, 1000, 12345} {
+		for _, stage := range []string{"dock", "ensemble", ""} {
+			if got, want := stageLabel(iter, stage), fmt.Sprintf("i%03d.%s", iter, stage); got != want {
+				t.Errorf("stageLabel(%d, %q) = %q, want %q", iter, stage, got, want)
+			}
+		}
 	}
 }

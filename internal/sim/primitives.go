@@ -60,19 +60,25 @@ func (wg *WaitGroup) Wait(fn func()) {
 
 // Semaphore is a counted semaphore with FIFO waiters in virtual time.
 // The zero value is unusable; use NewSemaphore.
+//
+// Like Server, it is allocation-lean: waiters queue by value in a fifo,
+// and a grant runs its continuation through the engine's arg-carrying
+// ImmediatelyCall, so a caller that binds fn once pays no per-acquisition
+// closure.
 type Semaphore struct {
 	eng      *Engine
 	capacity int
 	inUse    int
-	waiters  []semWaiter
+	waiters  fifo[semWaiter]
 	// HighWater tracks the maximum number of simultaneously held units,
 	// useful for asserting concurrency ceilings in tests.
 	HighWater int
 }
 
 type semWaiter struct {
-	n  int
-	fn func()
+	n   int
+	fn  func(any)
+	arg any
 }
 
 // NewSemaphore returns a semaphore with the given capacity.
@@ -90,20 +96,20 @@ func (s *Semaphore) Capacity() int { return s.capacity }
 func (s *Semaphore) InUse() int { return s.inUse }
 
 // Waiting returns the number of queued acquisitions.
-func (s *Semaphore) Waiting() int { return len(s.waiters) }
+func (s *Semaphore) Waiting() int { return s.waiters.len() }
 
-// Acquire requests n units and invokes fn (asynchronously, via the engine)
-// once they are granted. Grants are strictly FIFO: a large request at the
-// head of the queue blocks later small ones, matching how Slurm serializes
-// step creation.
-func (s *Semaphore) Acquire(n int, fn func()) {
+// Acquire requests n units and invokes fn(arg) (asynchronously, via the
+// engine) once they are granted. Grants are strictly FIFO: a large request
+// at the head of the queue blocks later small ones, matching how Slurm
+// serializes step creation.
+func (s *Semaphore) Acquire(n int, fn func(any), arg any) {
 	if n <= 0 {
 		panic("sim: Acquire of non-positive units")
 	}
 	if n > s.capacity {
 		panic("sim: Acquire exceeds semaphore capacity")
 	}
-	s.waiters = append(s.waiters, semWaiter{n: n, fn: fn})
+	s.waiters.push(semWaiter{n: n, fn: fn, arg: arg})
 	s.dispatch()
 }
 
@@ -120,19 +126,18 @@ func (s *Semaphore) Release(n int) {
 }
 
 func (s *Semaphore) dispatch() {
-	for len(s.waiters) > 0 {
-		w := s.waiters[0]
-		if s.inUse+w.n > s.capacity {
+	for s.waiters.len() > 0 {
+		if s.inUse+s.waiters.front().n > s.capacity {
 			return
 		}
-		s.waiters = s.waiters[1:]
+		w := s.waiters.pop()
 		s.inUse += w.n
 		if s.inUse > s.HighWater {
 			s.HighWater = s.inUse
 		}
 		// Run the continuation through the engine so grant ordering is
 		// part of the deterministic event sequence.
-		s.eng.Immediately(w.fn)
+		s.eng.ImmediatelyCall(w.fn, w.arg)
 	}
 }
 
@@ -141,8 +146,8 @@ func (s *Semaphore) dispatch() {
 // Slurm step registrar (1 server, rate degrading with allocation size) and
 // the Dragon dispatcher (1 server, constant rate).
 //
-// The station is allocation-lean: waiting items live by value in a FIFO
-// slice, in-service items by value in a per-server slot array, and service
+// The station is allocation-lean: waiting items live by value in a fifo,
+// in-service items by value in a per-server slot array, and service
 // completion is scheduled through AfterCall with the slot index as the
 // argument — small ints box for free, so a pass through the station costs
 // no per-item heap allocation.
@@ -150,8 +155,7 @@ type Server[T any] struct {
 	eng      *Engine
 	servers  int
 	busy     int
-	queue    []serverItem[T]
-	qhead    int
+	queue    fifo[serverItem[T]]
 	service  func(T) Duration
 	complete func(T)
 	// inService holds the item each busy server slot is working on;
@@ -164,7 +168,6 @@ type Server[T any] struct {
 
 type serverItem[T any] struct {
 	item T
-	fn   func(T) // optional per-item completion override
 	d    Duration
 }
 
@@ -188,7 +191,7 @@ func NewServer[T any](eng *Engine, n int, service func(T) Duration, complete fun
 }
 
 // QueueLen returns the number of items waiting (not in service).
-func (s *Server[T]) QueueLen() int { return len(s.queue) - s.qhead }
+func (s *Server[T]) QueueLen() int { return s.queue.len() }
 
 // Busy returns the number of items in service.
 func (s *Server[T]) Busy() int { return s.busy }
@@ -196,37 +199,16 @@ func (s *Server[T]) Busy() int { return s.busy }
 // BusyTotal returns accumulated busy server-time.
 func (s *Server[T]) BusyTotal() Duration { return s.busyTotal }
 
-// Submit enqueues an item for service using the server's completion
-// callback.
+// Submit enqueues an item for service; the server's completion callback
+// receives it when its service ends.
 func (s *Server[T]) Submit(item T) {
-	s.SubmitFunc(item, nil)
-}
-
-// SubmitFunc enqueues an item with a per-item completion callback that
-// overrides the server-wide one when non-nil.
-func (s *Server[T]) SubmitFunc(item T, fn func(T)) {
-	s.queue = append(s.queue, serverItem[T]{item: item, fn: fn})
+	s.queue.push(serverItem[T]{item: item})
 	s.pump()
 }
 
 func (s *Server[T]) pump() {
-	for s.busy < s.servers && s.qhead < len(s.queue) {
-		it := s.queue[s.qhead]
-		var zero serverItem[T]
-		s.queue[s.qhead] = zero
-		s.qhead++
-		// Compact the drained prefix so memory tracks the live
-		// backlog, not the cumulative submission count: reset when
-		// empty, shift when the dead prefix passes half the slice.
-		if s.qhead == len(s.queue) {
-			s.queue = s.queue[:0]
-			s.qhead = 0
-		} else if s.qhead > len(s.queue)/2 {
-			n := copy(s.queue, s.queue[s.qhead:])
-			clear(s.queue[n:])
-			s.queue = s.queue[:n]
-			s.qhead = 0
-		}
+	for s.busy < s.servers && s.queue.len() > 0 {
+		it := s.queue.pop()
 		slot := s.takeSlot()
 		s.busy++
 		d := s.service(it.item)
@@ -259,10 +241,43 @@ func (s *Server[T]) finish(arg any) {
 	s.slotBusy[slot] = false
 	s.busy--
 	s.busyTotal += it.d
-	if it.fn != nil {
-		it.fn(it.item)
-	} else if s.complete != nil {
+	if s.complete != nil {
 		s.complete(it.item)
 	}
 	s.pump()
+}
+
+// fifo is a head-indexed FIFO of values, the waiting line of Semaphore and
+// Server. pop clears the slot it vacates and compacts the drained prefix,
+// so memory tracks the live backlog, not the cumulative push count: the
+// slice resets when empty and shifts down when the dead prefix passes half
+// of it.
+type fifo[T any] struct {
+	buf  []T
+	head int
+}
+
+func (q *fifo[T]) len() int { return len(q.buf) - q.head }
+
+func (q *fifo[T]) push(v T) { q.buf = append(q.buf, v) }
+
+// front returns the head value; the queue must not be empty.
+func (q *fifo[T]) front() *T { return &q.buf[q.head] }
+
+// pop removes and returns the head value; the queue must not be empty.
+func (q *fifo[T]) pop() T {
+	v := q.buf[q.head]
+	var zero T
+	q.buf[q.head] = zero
+	q.head++
+	if q.head == len(q.buf) {
+		q.buf = q.buf[:0]
+		q.head = 0
+	} else if q.head > len(q.buf)/2 {
+		n := copy(q.buf, q.buf[q.head:])
+		clear(q.buf[n:])
+		q.buf = q.buf[:n]
+		q.head = 0
+	}
+	return v
 }

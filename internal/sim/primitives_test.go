@@ -11,7 +11,7 @@ func TestSemaphoreGrantsFIFO(t *testing.T) {
 	s := NewSemaphore(e, 2)
 	var order []int
 	for i := 0; i < 5; i++ {
-		s.Acquire(1, func() { order = append(order, i) })
+		s.Acquire(1, func(arg any) { order = append(order, arg.(int)) }, i)
 	}
 	e.Run()
 	if len(order) != 2 {
@@ -31,9 +31,10 @@ func TestSemaphoreLargeRequestBlocksLater(t *testing.T) {
 	e := NewEngine()
 	s := NewSemaphore(e, 4)
 	var got []string
-	s.Acquire(3, func() { got = append(got, "big1") })
-	s.Acquire(3, func() { got = append(got, "big2") }) // must wait
-	s.Acquire(1, func() { got = append(got, "small") })
+	grant := func(arg any) { got = append(got, arg.(string)) }
+	s.Acquire(3, grant, "big1")
+	s.Acquire(3, grant, "big2") // must wait
+	s.Acquire(1, grant, "small")
 	e.Run()
 	// FIFO: big2 at the head blocks small even though small would fit.
 	if len(got) != 1 || got[0] != "big1" {
@@ -49,8 +50,8 @@ func TestSemaphoreLargeRequestBlocksLater(t *testing.T) {
 func TestSemaphoreHighWater(t *testing.T) {
 	e := NewEngine()
 	s := NewSemaphore(e, 10)
-	s.Acquire(4, func() {})
-	s.Acquire(5, func() {})
+	s.Acquire(4, func(any) {}, nil)
+	s.Acquire(5, func(any) {}, nil)
 	e.Run()
 	if s.HighWater != 9 {
 		t.Fatalf("high water = %d, want 9", s.HighWater)
@@ -65,8 +66,8 @@ func TestSemaphoreMisuse(t *testing.T) {
 	e := NewEngine()
 	s := NewSemaphore(e, 1)
 	assertPanics(t, "release without acquire", func() { s.Release(1) })
-	assertPanics(t, "acquire zero", func() { s.Acquire(0, func() {}) })
-	assertPanics(t, "acquire beyond capacity", func() { s.Acquire(2, func() {}) })
+	assertPanics(t, "acquire zero", func() { s.Acquire(0, func(any) {}, nil) })
+	assertPanics(t, "acquire beyond capacity", func() { s.Acquire(2, func(any) {}, nil) })
 }
 
 // TestSemaphoreNeverExceedsCapacity drives a random acquire/release program
@@ -82,7 +83,7 @@ func TestSemaphoreNeverExceedsCapacity(t *testing.T) {
 		for i := 0; i < 200; i++ {
 			n := r.Intn(capacity) + 1
 			e.After(Duration(r.Intn(1000))*Millisecond, func() {
-				s.Acquire(n, func() {
+				s.Acquire(n, func(any) {
 					if s.InUse() > capacity {
 						ok = false
 					}
@@ -91,7 +92,7 @@ func TestSemaphoreNeverExceedsCapacity(t *testing.T) {
 						held -= n
 						s.Release(n)
 					})
-				})
+				}, nil)
 			})
 		}
 		e.MaxSteps = 100000
@@ -123,24 +124,6 @@ func TestServerParallelism(t *testing.T) {
 	}
 	if srv.BusyTotal() != 4*Second {
 		t.Fatalf("busy total = %v, want 4s", srv.BusyTotal())
-	}
-}
-
-func TestServerPerItemCallback(t *testing.T) {
-	e := NewEngine()
-	srv := NewServer(e, 1, func(int) Duration { return Second }, func(int) {
-		t.Fatal("server-wide callback must not fire when per-item is set")
-	})
-	fired := false
-	srv.SubmitFunc(7, func(v int) {
-		if v != 7 {
-			t.Errorf("got %d", v)
-		}
-		fired = true
-	})
-	e.Run()
-	if !fired {
-		t.Fatal("per-item callback never fired")
 	}
 }
 
@@ -197,4 +180,36 @@ func assertPanics(t *testing.T, name string, fn func()) {
 		}
 	}()
 	fn()
+}
+
+// TestFifoKeepsOrderAcrossCompaction interleaves pushes and pops so the
+// drained prefix is reset and shifted down, and checks FIFO order and that
+// the buffer tracks the live backlog rather than the total pushed.
+func TestFifoKeepsOrderAcrossCompaction(t *testing.T) {
+	var q fifo[int]
+	next, want := 0, 0
+	for round := 0; round < 200; round++ {
+		for i := 0; i < 3; i++ {
+			q.push(next)
+			next++
+		}
+		for i := 0; i < 2+round%3; i++ {
+			if q.len() == 0 {
+				break
+			}
+			if *q.front() != want {
+				t.Fatalf("front = %d, want %d", *q.front(), want)
+			}
+			if got := q.pop(); got != want {
+				t.Fatalf("pop = %d, want %d", got, want)
+			}
+			want++
+		}
+		if len(q.buf) > 2*q.len()+3 {
+			t.Fatalf("round %d: buffer holds %d for a backlog of %d", round, len(q.buf), q.len())
+		}
+	}
+	if q.len() != next-want {
+		t.Fatalf("len = %d, want %d", q.len(), next-want)
+	}
 }

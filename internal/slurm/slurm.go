@@ -32,13 +32,28 @@ type Controller struct {
 	params  model.SrunParams
 	ceiling *sim.Semaphore
 	// registrar serializes step creation through the central daemon.
-	registrar *sim.Server[*stepReq]
+	registrar *sim.Server[*step]
 	rand      *rng.Stream
+	// grantFn submits a step whose ceiling slot was granted to the
+	// registrar; releaseFn frees one ceiling slot. Both are bound once,
+	// so a step costs no callback closures.
+	grantFn   func(any)
+	releaseFn func()
 }
 
-type stepReq struct {
+// step is one srun job step on its way from the ceiling queue through the
+// registrar to exec. It is the only object a task step allocates: it rides
+// the ceiling and the registrar as the argument of the controller's
+// prebound callbacks, and registered, bound once by its caller, receives it
+// when the step may exec.
+type step struct {
 	allocNodes int
 	stepNodes  int
+	// asked is when the step asked for its ceiling slot.
+	asked      sim.Time
+	registered func(*step)
+	// job is the task a launcher's step starts.
+	job *launch.Job
 }
 
 // NewController returns a controller with the given parameters.
@@ -49,45 +64,51 @@ func NewController(eng *sim.Engine, params model.SrunParams, src *rng.Source) *C
 		ceiling: sim.NewSemaphore(eng, params.Ceiling),
 		rand:    src.Stream("slurm.controller"),
 	}
-	c.registrar = sim.NewServer(eng, 1, c.serviceTime, nil)
+	c.registrar = sim.NewServer(eng, 1, c.serviceTime, func(st *step) { st.registered(st) })
+	c.grantFn = func(arg any) { c.registrar.Submit(arg.(*step)) }
+	c.releaseFn = func() { c.ceiling.Release(1) }
 	return c
 }
 
 // Params returns the controller's parameter set.
 func (c *Controller) Params() model.SrunParams { return c.params }
 
-func (c *Controller) serviceTime(r *stepReq) sim.Duration {
-	mu := c.params.Mu(r.allocNodes)
+func (c *Controller) serviceTime(st *step) sim.Duration {
+	mu := c.params.Mu(st.allocNodes)
 	// Exponential service around the mean registration time models the
 	// controller's RPC and bookkeeping variability; multi-node MPI steps
 	// pay a co-scheduling surcharge.
-	mean := c.params.StepCost(r.stepNodes) / mu
+	mean := c.params.StepCost(st.stepNodes) / mu
 	return sim.Seconds(c.rand.Exp(mean))
 }
 
 // Ceiling exposes the srun concurrency semaphore (tests assert HighWater).
 func (c *Controller) Ceiling() *sim.Semaphore { return c.ceiling }
 
+// start queues a step for a ceiling slot. The grant submits it to the
+// registrar in one event, and registration hands it to st.registered.
+func (c *Controller) start(st *step) {
+	c.ceiling.Acquire(1, c.grantFn, st)
+}
+
 // StartStep acquires an srun slot and registers a job step. allocNodes is
 // the size of the surrounding allocation (controller contention scales with
 // it); stepNodes is the size of the step being launched (multi-node steps
 // pay a co-scheduling surcharge). started fires when the srun process may
 // exec, receiving a release function the caller must invoke exactly once
-// when the srun exits.
+// when the srun exits. It serves instance bootstraps, a few per run; task
+// steps take the closure-free path in SrunLauncher.
 func (c *Controller) StartStep(allocNodes, stepNodes int, started func(release func())) {
-	c.ceiling.Acquire(1, func() {
+	c.start(&step{allocNodes: allocNodes, stepNodes: stepNodes, registered: func(*step) {
 		released := false
-		release := func() {
+		started(func() {
 			if released {
 				panic("slurm: step released twice")
 			}
 			released = true
-			c.ceiling.Release(1)
-		}
-		c.registrar.SubmitFunc(&stepReq{allocNodes: allocNodes, stepNodes: stepNodes}, func(*stepReq) {
-			started(release)
+			c.releaseFn()
 		})
-	})
+	}})
 }
 
 // SrunLauncher launches tasks through srun within one resource partition:
@@ -103,6 +124,8 @@ type SrunLauncher struct {
 	rand *rng.Stream
 	// rateMult is the per-run variability multiplier on prolog latency.
 	rateMult float64
+	// registeredFn is the prebound registered, shared by every step.
+	registeredFn func(*step)
 }
 
 // NewSrunLauncher returns a launcher over the partition.
@@ -110,6 +133,7 @@ func NewSrunLauncher(name string, eng *sim.Engine, ctrl *Controller, part *platf
 	util *platform.UtilizationTracker, src *rng.Source) *SrunLauncher {
 	s := &SrunLauncher{eng: eng, ctrl: ctrl, rand: src.Stream("srun." + name)}
 	s.rateMult = s.rand.LogNormal(1, ctrl.params.RunSigma)
+	s.registeredFn = s.registered
 	s.Launcher = launch.New(launch.Config{
 		Name: name, Backend: spec.BackendSrun,
 		Engine: eng, Part: part, Util: util,
@@ -125,21 +149,28 @@ func (s *SrunLauncher) launch(j *launch.Job) {
 	if stepNodes < 1 {
 		stepNodes = 1
 	}
-	queuedAt := s.eng.Now()
-	s.ctrl.StartStep(s.Nodes(), stepNodes, func(release func()) {
-		// The wait for a ceiling slot (and the controller's serial step
-		// registrar) is queueing behind a system-wide throttle, not
-		// placement: Fig 4's utilization cap shows up here.
-		if tr := j.Req.Trace; tr != nil {
-			if now := s.eng.Now(); now > queuedAt {
-				tr.AddEdge(profiler.CausalEdge{
-					Kind: profiler.EdgeQueued, From: queuedAt, To: now, Ref: "srun.ceiling",
-				})
-			}
-		}
-		// The srun exits with the task and its ceiling slot frees.
-		j.Release = release
-		prolog := s.ctrl.params.PrologMedian / s.rateMult
-		s.ExecAfter(sim.Seconds(s.rand.LogNormal(prolog, s.ctrl.params.PrologSigma)), j)
+	s.ctrl.start(&step{
+		allocNodes: s.Nodes(), stepNodes: stepNodes,
+		asked: s.eng.Now(), registered: s.registeredFn, job: j,
 	})
+}
+
+// registered runs when a task's step may exec.
+func (s *SrunLauncher) registered(st *step) {
+	j := st.job
+	// The wait for a ceiling slot (and the controller's serial step
+	// registrar) is queueing behind a system-wide throttle, not
+	// placement: Fig 4's utilization cap shows up here.
+	if tr := j.Req.Trace; tr != nil {
+		if now := s.eng.Now(); now > st.asked {
+			tr.AddEdge(profiler.CausalEdge{
+				Kind: profiler.EdgeQueued, From: st.asked, To: now, Ref: "srun.ceiling",
+			})
+		}
+	}
+	// The srun exits with the task and its ceiling slot frees; the
+	// launcher calls Release once, when the job leaves.
+	j.Release = s.ctrl.releaseFn
+	prolog := s.ctrl.params.PrologMedian / s.rateMult
+	s.ExecAfter(sim.Seconds(s.rand.LogNormal(prolog, s.ctrl.params.PrologSigma)), j)
 }

@@ -196,3 +196,28 @@ func TestMuModel(t *testing.T) {
 		t.Errorf("Mu(1024) = %v, want < 0.2", p.Mu(1024))
 	}
 }
+
+// TestTaskStepAllocs pins an srun task step at one allocation, its step
+// record: from the Launch hook through the ceiling and the registrar to
+// ExecAfter. The run after it — exec, the process body, the release of the
+// slots and the ceiling slot, the completion — allocates nothing, so the
+// trip is measured whole.
+func TestTaskStepAllocs(t *testing.T) {
+	eng, ctrl, l, _ := newRig(1)
+	part := l.Partition()
+	pl := platform.NewSingleNodePlacement(part.Nodes[0].ID, 1, 0)
+	j := &launch.Job{Req: req("t", sim.Second, nil, nil), Pl: pl}
+	allocs := testing.AllocsPerRun(100, func() {
+		if err := part.Claim(eng.Now(), pl); err != nil {
+			t.Fatal(err)
+		}
+		l.launch(j)
+		eng.Run()
+	})
+	if allocs != 1 {
+		t.Fatalf("task step: %.2f allocs, want 1 (the step record)", allocs)
+	}
+	if st := l.Stats(); st.Started == 0 || st.Started != st.Completed || ctrl.Ceiling().InUse() != 0 {
+		t.Fatalf("steps did not run to completion: %+v, ceiling in use %d", st, ctrl.Ceiling().InUse())
+	}
+}

@@ -28,7 +28,12 @@ const (
 	TaskCanceled
 )
 
-var taskStateNames = map[TaskState]string{
+// numTaskStates bounds the task state tables, which are arrays indexed by
+// state: String is one index and CanTransition one bitmask test, both on
+// the agent's per-transition path.
+const numTaskStates = TaskCanceled + 1
+
+var taskStateNames = [numTaskStates]string{
 	TaskNew:             "NEW",
 	TaskTMGRSchedule:    "TMGR_SCHEDULING",
 	TaskAgentStagingIn:  "AGENT_STAGING_INPUT",
@@ -42,8 +47,8 @@ var taskStateNames = map[TaskState]string{
 }
 
 func (s TaskState) String() string {
-	if n, ok := taskStateNames[s]; ok {
-		return n
+	if s >= 0 && s < numTaskStates {
+		return taskStateNames[s]
 	}
 	return fmt.Sprintf("TaskState(%d)", int(s))
 }
@@ -53,25 +58,28 @@ func (s TaskState) Final() bool {
 	return s == TaskDone || s == TaskFailed || s == TaskCanceled
 }
 
-// taskTransitions lists the legal forward edges of the task state machine.
-var taskTransitions = map[TaskState][]TaskState{
-	TaskNew:             {TaskTMGRSchedule, TaskFailed, TaskCanceled},
-	TaskTMGRSchedule:    {TaskAgentStagingIn, TaskFailed, TaskCanceled},
-	TaskAgentStagingIn:  {TaskAgentSchedule, TaskFailed, TaskCanceled},
-	TaskAgentSchedule:   {TaskAgentExecuting, TaskFailed, TaskCanceled},
-	TaskAgentExecuting:  {TaskRunning, TaskFailed, TaskCanceled},
-	TaskRunning:         {TaskAgentStagingOut, TaskDone, TaskFailed, TaskCanceled},
-	TaskAgentStagingOut: {TaskDone, TaskFailed, TaskCanceled},
+// taskTransitions lists the legal forward edges of the task state machine
+// as one bitmask per state: bit to is set when from → to is legal. Final
+// states have no edges.
+var taskTransitions = [numTaskStates]uint16{
+	TaskNew:             1<<TaskTMGRSchedule | taskAbort,
+	TaskTMGRSchedule:    1<<TaskAgentStagingIn | taskAbort,
+	TaskAgentStagingIn:  1<<TaskAgentSchedule | taskAbort,
+	TaskAgentSchedule:   1<<TaskAgentExecuting | taskAbort,
+	TaskAgentExecuting:  1<<TaskRunning | taskAbort,
+	TaskRunning:         1<<TaskAgentStagingOut | 1<<TaskDone | taskAbort,
+	TaskAgentStagingOut: 1<<TaskDone | taskAbort,
 }
+
+// taskAbort holds the two edges every non-final task state has: to FAILED
+// and to CANCELED.
+const taskAbort = 1<<TaskFailed | 1<<TaskCanceled
 
 // CanTransition reports whether from → to is a legal task transition.
 func CanTransition(from, to TaskState) bool {
-	for _, t := range taskTransitions[from] {
-		if t == to {
-			return true
-		}
-	}
-	return false
+	// The uint conversions send negative states out of range: past the
+	// table, and past the mask's width, where the shift yields 0.
+	return uint(from) < uint(numTaskStates) && taskTransitions[from]&(1<<uint(to)) != 0
 }
 
 // Validate panics when from → to is illegal; components call it on every
@@ -95,7 +103,10 @@ const (
 	PilotCanceled
 )
 
-var pilotStateNames = map[PilotState]string{
+// numPilotStates bounds the pilot state tables, arrays like the task ones.
+const numPilotStates = PilotCanceled + 1
+
+var pilotStateNames = [numPilotStates]string{
 	PilotNew:       "NEW",
 	PilotLaunching: "PMGR_ACTIVE_PENDING",
 	PilotActive:    "PMGR_ACTIVE",
@@ -105,8 +116,8 @@ var pilotStateNames = map[PilotState]string{
 }
 
 func (s PilotState) String() string {
-	if n, ok := pilotStateNames[s]; ok {
-		return n
+	if s >= 0 && s < numPilotStates {
+		return pilotStateNames[s]
 	}
 	return fmt.Sprintf("PilotState(%d)", int(s))
 }
@@ -116,20 +127,19 @@ func (s PilotState) Final() bool {
 	return s == PilotDone || s == PilotFailed || s == PilotCanceled
 }
 
-var pilotTransitions = map[PilotState][]PilotState{
-	PilotNew:       {PilotLaunching, PilotFailed, PilotCanceled},
-	PilotLaunching: {PilotActive, PilotFailed, PilotCanceled},
-	PilotActive:    {PilotDone, PilotFailed, PilotCanceled},
+// pilotTransitions holds one bitmask of legal targets per pilot state.
+var pilotTransitions = [numPilotStates]uint8{
+	PilotNew:       1<<PilotLaunching | pilotAbort,
+	PilotLaunching: 1<<PilotActive | pilotAbort,
+	PilotActive:    1<<PilotDone | pilotAbort,
 }
+
+// pilotAbort holds the two edges every non-final pilot state has.
+const pilotAbort = 1<<PilotFailed | 1<<PilotCanceled
 
 // CanTransitionPilot reports whether from → to is a legal pilot transition.
 func CanTransitionPilot(from, to PilotState) bool {
-	for _, t := range pilotTransitions[from] {
-		if t == to {
-			return true
-		}
-	}
-	return false
+	return uint(from) < uint(numPilotStates) && pilotTransitions[from]&(1<<uint(to)) != 0
 }
 
 // ValidatePilot panics when from → to is illegal.

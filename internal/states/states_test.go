@@ -129,3 +129,48 @@ func TestPilotStateStrings(t *testing.T) {
 		t.Error("pilot finality wrong")
 	}
 }
+
+// TestTransitionTablesExact checks every (from, to) pair, out-of-range
+// states included, against the legal edges listed out one by one.
+func TestTransitionTablesExact(t *testing.T) {
+	abort := []TaskState{TaskFailed, TaskCanceled}
+	legal := map[TaskState][]TaskState{
+		TaskNew:             append([]TaskState{TaskTMGRSchedule}, abort...),
+		TaskTMGRSchedule:    append([]TaskState{TaskAgentStagingIn}, abort...),
+		TaskAgentStagingIn:  append([]TaskState{TaskAgentSchedule}, abort...),
+		TaskAgentSchedule:   append([]TaskState{TaskAgentExecuting}, abort...),
+		TaskAgentExecuting:  append([]TaskState{TaskRunning}, abort...),
+		TaskRunning:         append([]TaskState{TaskAgentStagingOut, TaskDone}, abort...),
+		TaskAgentStagingOut: append([]TaskState{TaskDone}, abort...),
+	}
+	for from := TaskState(-2); from < numTaskStates+70; from++ {
+		for to := TaskState(-2); to < numTaskStates+70; to++ {
+			want := false
+			for _, s := range legal[from] {
+				want = want || s == to
+			}
+			if got := CanTransition(from, to); got != want {
+				t.Errorf("CanTransition(%d, %d) = %v, want %v", from, to, got, want)
+			}
+		}
+	}
+	pilotLegal := map[PilotState][]PilotState{
+		PilotNew:       {PilotLaunching, PilotFailed, PilotCanceled},
+		PilotLaunching: {PilotActive, PilotFailed, PilotCanceled},
+		PilotActive:    {PilotDone, PilotFailed, PilotCanceled},
+	}
+	for from := PilotState(-2); from < numPilotStates+70; from++ {
+		for to := PilotState(-2); to < numPilotStates+70; to++ {
+			want := false
+			for _, s := range pilotLegal[from] {
+				want = want || s == to
+			}
+			if got := CanTransitionPilot(from, to); got != want {
+				t.Errorf("CanTransitionPilot(%d, %d) = %v, want %v", from, to, got, want)
+			}
+		}
+	}
+	if TaskState(-1).String() != "TaskState(-1)" || PilotState(6).String() != "PilotState(6)" {
+		t.Error("out-of-range state formatting")
+	}
+}
