@@ -45,13 +45,15 @@ type Task struct {
 	// body, when set, overrides the fixed-Duration process body at
 	// launch (service replicas run until stopped; coupled tasks block on
 	// inference responses). Tasks with TD.Requests get a coupled body
-	// built by the agent.
+	// built by the agent. A staged task's body is its dispatch's staging
+	// record (staging.go), which runs this one as its compute phase.
 	body func(start sim.Time, done func())
 	// gen counts dispatch attempts. Agent-built bodies capture it so that
 	// after a mid-run crash and retry the orphaned old body stops instead
-	// of issuing phantom requests alongside the new attempt — and forward
-	// wraps every request's done with the same guard, so even a custom
-	// body's stale timers are inert after relocation.
+	// of issuing phantom requests alongside the new attempt. A staging
+	// record checks it at every step; forward wraps every other body's
+	// done with the same guard, so even a custom body's stale timers are
+	// inert after relocation.
 	gen int
 	// ckptFrac is the fraction of the task's work persisted by its last
 	// completed checkpoint write; ckptSaved marks that a checkpoint image
@@ -108,6 +110,9 @@ type Agent struct {
 
 	// notifyDoneFn is the prebound notifyDone, shared by every finish.
 	notifyDoneFn func(any)
+	// stagedInFn is stagedIn in the engine's arg-carrying form, for staged
+	// tasks with no shared-tier transfer to wait for (staging.go).
+	stagedInFn func(any)
 
 	// slowFactor, when set by the fault injector, maps node ID to an
 	// execution-time stretch factor (≥ 1) applied to plain compute bodies
@@ -470,20 +475,23 @@ func (a *Agent) dispatch(g *executorGroup, t *Task) {
 
 // dispatchRec binds one backend dispatch attempt of a task. It embeds the
 // launch request and implements launch.Events, so a dispatch costs one
-// allocation in place of a request plus two callback closures — the
-// agent→backend hand-off is the hottest object on the task path.
+// allocation in place of a request plus its callback closures — the
+// agent→backend hand-off is the hottest object on the task path. It fits
+// the 144-B size class; a staged dispatch keeps its staging state in a
+// record of its own, so every other task stays in that class.
 type dispatchRec struct {
 	a   *Agent
 	g   *executorGroup
 	t   *Task
 	idx int
 	req launch.Request
-	// placed holds the node IDs OnPlaced reports, for the fault-aware
-	// and data bodies. It lives here, not in forward's frame, because
-	// those bodies read it by pointer: a local would escape to the heap on
-	// every dispatch.
+	// placed holds the node IDs OnPlaced reports: the placement's own
+	// slice, for the fault-aware and staged bodies.
 	placed []int
 }
+
+// OnPlaced implements launch.Events.
+func (d *dispatchRec) OnPlaced(at sim.Time, nodeIDs []int) { d.placed = nodeIDs }
 
 // OnStart implements launch.Events.
 func (d *dispatchRec) OnStart(at sim.Time) {
@@ -563,12 +571,11 @@ func (a *Agent) forward(g *executorGroup, t *Task) {
 			// holding only them skip the placer's affinity window.
 			rec.req.Prefer = func() []int { return a.preferNodes(t.TD) }
 		}
-		rec.req.OnPlaced = func(at sim.Time, nodeIDs []int) { rec.placed = nodeIDs }
-		rec.req.Body = a.dataBody(t, body, &rec.placed)
-	} else if faulty {
-		rec.req.OnPlaced = func(at sim.Time, nodeIDs []int) { rec.placed = nodeIDs }
-	}
-	if b := rec.req.Body; b != nil {
+		// The staging record checks the generation at every step, so its
+		// body needs no guard.
+		st := &stagingRec{a: a, t: t, d: rec, inner: body, gen: t.gen}
+		rec.req.Body = st.run
+	} else if b := rec.req.Body; b != nil {
 		// Generation-guard the completion: after a mid-run crash and
 		// relocation, a stale body's timers must stay inert — they may
 		// still fire, but can no longer complete the task.

@@ -176,7 +176,7 @@ func (a *Agent) computeBody(t *Task, placed *[]int) func(sim.Time, func()) {
 				ws := a.eng.Now()
 				var xuid string
 				xuid = a.dataSys.WriteFromNode(t.TD.UID, ds, t.TD.CheckpointBytes,
-					node, t.TD.CheckpointDest, func() {
+					node, t.TD.CheckpointDest, func(any) {
 						if !live() {
 							return
 						}
@@ -192,7 +192,7 @@ func (a *Agent) computeBody(t *Task, placed *[]int) func(sim.Time, func()) {
 						t.ckptFrac += segFrac
 						t.ckptSaved = true
 						step()
-					})
+					}, nil)
 			})
 		}
 		if t.ckptSaved {
@@ -204,7 +204,7 @@ func (a *Agent) computeBody(t *Task, placed *[]int) func(sim.Time, func()) {
 				rs := a.eng.Now()
 				var ruid string
 				ruid = a.dataSys.StageToNode(t.TD.UID, ds, t.TD.CheckpointBytes,
-					t.TD.CheckpointDest, node, func() {
+					t.TD.CheckpointDest, node, func(any) {
 						if !live() {
 							return
 						}
@@ -216,7 +216,7 @@ func (a *Agent) computeBody(t *Task, placed *[]int) func(sim.Time, func()) {
 						}
 						t.Trace.BytesIn += t.TD.CheckpointBytes
 						step()
-					})
+					}, nil)
 				return
 			}
 			// Relocated onto a node that still holds the image (or the

@@ -5,8 +5,11 @@ package agent
 // records.
 
 import (
+	"fmt"
+	"reflect"
 	"testing"
 
+	"rpgo/internal/data"
 	"rpgo/internal/model"
 	"rpgo/internal/profiler"
 	"rpgo/internal/sim"
@@ -101,6 +104,133 @@ func TestOrphanedBodyInertAfterRelocation(t *testing.T) {
 	}
 	if !hasEdge(tk.Trace, profiler.EdgeCheckpoint) {
 		t.Fatal("checkpoint traffic recorded no checkpoint edge")
+	}
+}
+
+// TestOrphanedStagedBodyInertAfterRelocation is the staged counterpart of
+// TestOrphanedBodyInertAfterRelocation: a task that pulls 20 GB onto its
+// node, computes for 10 s and writes 20 GB back is evicted once in each of
+// those phases. The orphaned attempt's transfers still complete, so its
+// staging must stay inert: exactly one completion, one failure, one retry,
+// and staging fields, edges and transfers as pinned. Evicted during
+// stage-in, the relocated attempt lands on the same node and rides the
+// orphan's still-running pull (one transfer edge, no second stage edge).
+func TestOrphanedStagedBodyInertAfterRelocation(t *testing.T) {
+	for _, c := range []struct {
+		phase     string
+		evictAt   sim.Time
+		inPhase   func(*profiler.TaskTrace) bool
+		stageIn   sim.Duration
+		stageOut  sim.Duration
+		bytesIn   int64
+		bytesOut  int64
+		transfers int
+		edges     []string
+	}{
+		{phase: "stage-in", evictAt: sim.Time(21 * sim.Second),
+			inPhase:   func(tr *profiler.TaskTrace) bool { return tr.StageIn == 0 },
+			stageIn:   1411652,
+			stageOut:  4305167,
+			bytesIn:   20 * data.GB,
+			bytesOut:  20 * data.GB,
+			transfers: 2,
+			edges: []string{
+				"failure 19176321-21000000 node 0 failed",
+				"retry 21000000-22000000 node 0 failed",
+				"transfer 22069836-23481488 xfer.000000",
+			}},
+		{phase: "compute", evictAt: sim.Time(28 * sim.Second),
+			inPhase:   func(tr *profiler.TaskTrace) bool { return tr.StageIn > 0 && tr.BytesOut == 0 },
+			stageIn:   8610334,
+			stageOut:  4305167,
+			bytesIn:   40 * data.GB,
+			bytesOut:  20 * data.GB,
+			transfers: 3,
+			edges: []string{
+				"stage 19176321-23481488 xfer.000000",
+				"failure 19176321-28000000 node 0 failed",
+				"retry 28000000-29000000 node 0 failed",
+				"stage 29069836-33375003 xfer.000001",
+			}},
+		{phase: "stage-out", evictAt: sim.Time(35 * sim.Second),
+			inPhase:   func(tr *profiler.TaskTrace) bool { return tr.BytesOut > 0 && tr.StageOut == 0 },
+			stageIn:   10316954,
+			stageOut:  4305167,
+			bytesIn:   40 * data.GB,
+			bytesOut:  40 * data.GB,
+			transfers: 4,
+			edges: []string{
+				"stage 19176321-23481488 xfer.000000",
+				"failure 19176321-35000000 node 0 failed",
+				"retry 35000000-36000000 node 0 failed",
+				"stage 36069836-42081623 xfer.000002",
+			}},
+	} {
+		t.Run(c.phase, func(t *testing.T) {
+			r := newRig(t, spec.PilotDescription{
+				Nodes:      2,
+				Partitions: []spec.PartitionConfig{{Backend: spec.BackendFlux, Instances: 1}},
+			})
+			tk := r.task(&spec.TaskDescription{
+				CoresPerRank: 1, Ranks: 1,
+				Duration:   10 * sim.Second,
+				MaxRetries: 3,
+				InputData: []spec.StagingDirective{{Dataset: "in", SizeBytes: 20 * data.GB,
+					Source: spec.TierSharedFS, Dest: spec.TierNodeLocal}},
+				OutputData: []spec.StagingDirective{{Dataset: "out", SizeBytes: 20 * data.GB,
+					Dest: spec.TierSharedFS}},
+			}, "st")
+			doneCount := 0
+			var final *Task
+			r.agent.Submit(tk, func(tt *Task) { doneCount++; final = tt })
+
+			r.eng.RunUntil(c.evictAt)
+			if tk.State != states.TaskRunning || !c.inPhase(tk.Trace) {
+				t.Fatalf("task not in %s at eviction: %v, trace %+v", c.phase, tk.State, tk.Trace)
+			}
+			victims := r.agent.FailNode(0, "node 0 failed")
+			if victims == 0 {
+				victims = r.agent.FailNode(1, "node 1 failed")
+			}
+			if victims != 1 {
+				t.Fatalf("evicted %d tasks, want 1", victims)
+			}
+			r.eng.Run()
+
+			if doneCount != 1 {
+				t.Fatalf("task completed %d times, want 1", doneCount)
+			}
+			if final == nil || final.State != states.TaskDone {
+				t.Fatalf("final: %+v", final)
+			}
+			failures, retries := 0, 0
+			var edges []string
+			for _, e := range tk.Trace.Edges {
+				switch e.Kind {
+				case profiler.EdgeFailure:
+					failures++
+				case profiler.EdgeRetry:
+					retries++
+				}
+				edges = append(edges, fmt.Sprintf("%v %d-%d %s", e.Kind, e.From, e.To, e.Ref))
+			}
+			if failures != 1 || retries != 1 {
+				t.Errorf("%d failure and %d retry edges, want 1 and 1", failures, retries)
+			}
+			tr := tk.Trace
+			if tr.StageIn != c.stageIn || tr.StageOut != c.stageOut {
+				t.Errorf("StageIn, StageOut = %d, %d, want %d, %d", tr.StageIn, tr.StageOut, c.stageIn, c.stageOut)
+			}
+			if tr.BytesIn != c.bytesIn || tr.BytesOut != c.bytesOut {
+				t.Errorf("BytesIn, BytesOut = %d, %d, want %d, %d", tr.BytesIn, tr.BytesOut, c.bytesIn, c.bytesOut)
+			}
+			if n := len(r.prof.Transfers()); n != c.transfers {
+				t.Errorf("transfers = %d, want %d", n, c.transfers)
+			}
+			if !reflect.DeepEqual(edges, c.edges) {
+				t.Errorf("edges:\n%q\nwant\n%q", edges, c.edges)
+			}
+		})
 	}
 }
 

@@ -158,19 +158,9 @@ func (a *Agent) coupledBody(t *Task) func(sim.Time, func()) {
 					return
 				}
 				blocked := a.eng.Now()
-				wg := sim.NewWaitGroup(a.eng)
 				n := c.NumRequests()
-				wg.Add(n)
 				t.Trace.ServiceRequests += n
-				for j := 0; j < n; j++ {
-					a.callService(t, c.Service, func(at sim.Time, failed bool) {
-						if failed && live() {
-							t.Trace.ServiceFailed++
-						}
-						wg.Done()
-					})
-				}
-				wg.Wait(func() {
+				resume := func() {
 					if !live() {
 						return
 					}
@@ -185,7 +175,27 @@ func (a *Agent) coupledBody(t *Task) func(sim.Time, func()) {
 						})
 					}
 					run(i+1, c.Phase)
-				})
+				}
+				// pending counts the unanswered requests plus one held
+				// while they are issued, so resume runs once, in an
+				// engine event of its own, even if a response arrives
+				// synchronously.
+				pending := n + 1
+				settle := func() {
+					pending--
+					if pending == 0 {
+						a.eng.Immediately(resume)
+					}
+				}
+				for j := 0; j < n; j++ {
+					a.callService(t, c.Service, func(at sim.Time, failed bool) {
+						if failed && live() {
+							t.Trace.ServiceFailed++
+						}
+						settle()
+					})
+				}
+				settle()
 			})
 		}
 		run(0, 0)

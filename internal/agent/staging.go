@@ -8,10 +8,16 @@ package agent
 //   1. stageInShared — before scheduling, inputs whose destination is a
 //      shared tier (burst buffer pre-loads) transfer tier-to-tier through
 //      the contention channels.
-//   2. dataBody — after placement, the task body's prologue pulls
+//   2. the staged body — after placement, the task body's prologue pulls
 //      node-local inputs onto the placement nodes (skipping nodes that
 //      already hold a replica: a locality hit), and its epilogue writes
 //      output datasets back out while the task still holds its slots.
+//
+// Both run on a stagingRec: one record per staged dispatch attempt (and
+// one per task whose shared-tier stage-in has to wait) that counts the
+// transfers still pending and steps through the phases. Transfers complete
+// through plain functions carrying the record or one of its transfer
+// slots, so staging allocates no closures.
 //
 // preferNodes feeds the data-aware placement policy: the nodes already
 // holding the task's node-local inputs, most bytes first, lowest node ID
@@ -26,31 +32,82 @@ import (
 	"rpgo/internal/spec"
 )
 
-// stageEdgeDone wraps a staging waitgroup Done with causal-edge emission:
-// when the transfer (own or ridden) resolves, the task records what it was
-// blocked on. ok gates trace writes (dataBody's generation guard); uid is
-// read at fire time, so callers may assign it after registering the
-// callback — transfer completions are always later engine events.
-func stageEdgeDone(eng *sim.Engine, t *Task, kind profiler.EdgeKind, uid *string, from sim.Time, ok func() bool, done func()) func() {
-	return func() {
-		now := eng.Now()
-		if ok() && now > from {
-			t.Trace.AddEdge(profiler.CausalEdge{Kind: kind, From: from, To: now, Ref: *uid})
-		}
-		done()
-	}
+// stagePhase is the transfer phase a staging record waits in; each ends in
+// one engine event once its pending count reaches zero.
+type stagePhase uint8
+
+const (
+	// phaseShared: pre-placement tier-to-tier stage-in (stageInShared).
+	phaseShared stagePhase = iota
+	// phaseIn: the staged body's node-local stage-in, then its compute.
+	phaseIn
+	// phaseOut: the output write-back.
+	phaseOut
+)
+
+// stagingRec is one task's staging state: for a staged dispatch attempt,
+// from the body's start to its done; for a shared-tier stage-in, from
+// Submit to the scheduler. It replaces a chain of closures and wait groups
+// with one allocation. Its engine callbacks (stageXferDone, stageWriteDone,
+// stageStep, stageComputed) are plain functions that take the record or
+// one of its slots as their argument: scheduling them allocates nothing,
+// and a pilot that never stages pays nothing for them.
+type stagingRec struct {
+	a *Agent
+	t *Task
+	// d is the dispatch attempt whose body this is; nil for a shared-tier
+	// stage-in, which belongs to no attempt. d.placed holds the nodes the
+	// attempt was placed on.
+	d *dispatchRec
+	// inner is the compute body (nil: sleep TD.Duration); done is the
+	// launcher's completion for the attempt.
+	inner func(sim.Time, func())
+	done  func()
+	// gen is the task's dispatch generation when the attempt was made.
+	// Every step checks it: after a relocation the orphaned record's
+	// transfers still complete, but it no longer touches the trace or the
+	// task.
+	gen   int
+	phase stagePhase
+	// pending counts the transfers the current phase still waits on, plus
+	// one held while they are issued.
+	pending int
+	// inStart and outStart are when stage-in and stage-out began.
+	inStart, outStart sim.Time
+	// in0 is the first stage-in slot; further ones are allocated as
+	// needed (multi-node tasks and several inputs).
+	in0 stageXfer
 }
 
-func always() bool { return true }
+// stageXfer is one stage-in a record waits on, its own transfer or one it
+// rides: the causal edge its completion records.
+type stageXfer struct {
+	r    *stagingRec
+	kind profiler.EdgeKind
+	uid  string
+}
+
+// live reports whether the record's attempt is still the task's current
+// one. A shared-tier stage-in has no attempt and is always live.
+func (r *stagingRec) live() bool { return r.d == nil || r.t.gen == r.gen }
+
+// slot returns a fresh stage-in slot of the record.
+func (r *stagingRec) slot() *stageXfer {
+	if r.in0.r == nil {
+		r.in0.r = r
+		return &r.in0
+	}
+	return &stageXfer{r: r}
+}
 
 // stageInShared runs pre-placement staging for every input directive whose
-// destination is a shared tier, then hands the task to the scheduler.
+// destination is a shared tier, then hands the task to the scheduler in an
+// engine event of its own. Only a task that has to wait for a transfer
+// gets a staging record.
 func (a *Agent) stageInShared(t *Task) {
-	wg := sim.NewWaitGroup(a.eng)
-	wg.Add(1) // held until all directives are dispatched
-	start := a.eng.Now()
+	var r *stagingRec
 	for i := range t.TD.InputData {
-		d := t.TD.InputData[i]
+		d := &t.TD.InputData[i]
 		// Inputs are by definition present at their source tier.
 		a.dataSys.Seed(d.Dataset, d.SizeBytes, d.Source)
 		if d.Dest == spec.TierNodeLocal || d.Dest == d.Source {
@@ -61,28 +118,163 @@ func (a *Agent) stageInShared(t *Task) {
 			a.dataSys.RecordHit()
 			continue
 		}
-		wg.Add(1)
-		var xuid string
-		if uid, ok := a.dataSys.JoinPendingTier(d.Dataset, d.Dest,
-			stageEdgeDone(a.eng, t, profiler.EdgeTransfer, &xuid, start, always, wg.Done)); ok {
-			// Another task is already staging this dataset to the
-			// tier: ride its transfer instead of duplicating it.
-			xuid = uid
-			t.Trace.DataHits++
-			a.dataSys.RecordHit()
+		if r == nil {
+			r = &stagingRec{a: a, t: t, phase: phaseShared, pending: 1, inStart: a.eng.Now()}
+		}
+		r.stageIn(d, -1)
+	}
+	if r != nil {
+		r.settle()
+		return
+	}
+	if a.stagedInFn == nil {
+		// Bound on the agent's first staged task: a pilot that never
+		// stages pays nothing for it.
+		a.stagedInFn = func(arg any) { a.stagedIn(arg.(*Task)) }
+	}
+	a.eng.ImmediatelyCall(a.stagedInFn, t)
+}
+
+// run is the staged process body of r's attempt: pull missing input
+// replicas onto the placement nodes, run the compute (the inner body, or
+// the plain Duration sleep), write output datasets out, and only then
+// complete. The wall time a task spends staging is time its slots stay
+// busy — exactly how staging on a compute node behaves. The launcher
+// reports the placement (dispatchRec.OnPlaced) before the body starts.
+func (r *stagingRec) run(start sim.Time, done func()) {
+	a, t := r.a, r.t
+	r.done, r.inStart, r.phase, r.pending = done, start, phaseIn, 1
+	for i := range t.TD.InputData {
+		d := &t.TD.InputData[i]
+		if d.Dest != spec.TierNodeLocal {
 			continue
 		}
-		t.Trace.DataMisses++
-		a.dataSys.RecordMiss()
-		t.Trace.BytesIn += d.SizeBytes
-		xuid = a.dataSys.TierTransfer(t.TD.UID, d.Dataset, d.SizeBytes, d.Source, d.Dest,
-			stageEdgeDone(a.eng, t, profiler.EdgeStage, &xuid, start, always, wg.Done))
+		// Multi-node tasks replicate node-local inputs on every
+		// placement node (data-parallel ranks each read locally).
+		for _, n := range r.d.placed {
+			if a.dataSys.Registry().HasNode(d.Dataset, n) {
+				t.Trace.DataHits++
+				a.dataSys.RecordHit()
+				continue
+			}
+			r.stageIn(d, n)
+		}
 	}
-	wg.Done()
-	wg.Wait(func() {
-		t.Trace.StageIn += a.eng.Now().Sub(start)
+	r.settle()
+}
+
+// stageIn waits for one input of r's task: it rides an in-flight copy of
+// d's dataset to node (node < 0: to the shared tier d.Dest) when there is
+// one, else starts its own. The caller has checked the registry already;
+// the task is charged a hit for a ride and a miss for its own transfer.
+func (r *stagingRec) stageIn(d *spec.StagingDirective, node int) {
+	a, t := r.a, r.t
+	r.pending++
+	x := r.slot()
+	x.kind = profiler.EdgeTransfer
+	var uid string
+	var ok bool
+	if node >= 0 {
+		uid, ok = a.dataSys.JoinPending(d.Dataset, node, stageXferDone, x)
+	} else {
+		uid, ok = a.dataSys.JoinPendingTier(d.Dataset, d.Dest, stageXferDone, x)
+	}
+	if ok {
+		// Another task is already moving this copy: ride its transfer
+		// instead of duplicating it.
+		x.uid = uid
+		t.Trace.DataHits++
+		a.dataSys.RecordHit()
+		return
+	}
+	t.Trace.DataMisses++
+	a.dataSys.RecordMiss()
+	t.Trace.BytesIn += d.SizeBytes
+	x.kind = profiler.EdgeStage
+	if node >= 0 {
+		x.uid = a.dataSys.StageToNode(t.TD.UID, d.Dataset, d.SizeBytes, d.Source, node, stageXferDone, x)
+	} else {
+		x.uid = a.dataSys.TierTransfer(t.TD.UID, d.Dataset, d.SizeBytes, d.Source, d.Dest, stageXferDone, x)
+	}
+}
+
+// stageXferDone runs when a stage-in a record waits on completes: a live
+// record records what it was blocked on.
+func stageXferDone(arg any) {
+	x := arg.(*stageXfer)
+	r := x.r
+	if now := r.a.eng.Now(); r.live() && now > r.inStart {
+		r.t.Trace.AddEdge(profiler.CausalEdge{Kind: x.kind, From: r.inStart, To: now, Ref: x.uid})
+	}
+	r.settle()
+}
+
+// stageWriteDone runs when one of a record's output writes completes.
+func stageWriteDone(arg any) { arg.(*stagingRec).settle() }
+
+// stageStep runs a record's next step once its phase has nothing left
+// pending.
+func stageStep(arg any) { arg.(*stagingRec).step() }
+
+// stageComputed runs when a record's plain Duration compute ends.
+func stageComputed(arg any) { arg.(*stagingRec).computed() }
+
+// settle counts one of r's pending operations done. The last one schedules
+// the phase's next step as an engine event of its own.
+func (r *stagingRec) settle() {
+	r.pending--
+	if r.pending == 0 {
+		r.a.eng.ImmediatelyCall(stageStep, r)
+	}
+}
+
+// step moves the task on from a phase whose transfers have all completed.
+func (r *stagingRec) step() {
+	a, t := r.a, r.t
+	now := a.eng.Now()
+	if r.phase == phaseShared {
+		t.Trace.StageIn += now.Sub(r.inStart)
 		a.stagedIn(t)
-	})
+		return
+	}
+	if !r.live() {
+		return
+	}
+	switch r.phase {
+	case phaseIn:
+		t.Trace.StageIn += now.Sub(r.inStart)
+		if r.inner != nil {
+			r.inner(now, r.computed)
+		} else {
+			a.eng.AfterCall(t.TD.Duration, stageComputed, r)
+		}
+	case phaseOut:
+		t.Trace.StageOut += now.Sub(r.outStart)
+		r.done()
+	}
+}
+
+// computed runs when the compute body ends: it writes the task's output
+// datasets out from its primary node.
+func (r *stagingRec) computed() {
+	if !r.live() {
+		return
+	}
+	a, t := r.a, r.t
+	r.phase = phaseOut
+	r.outStart = a.eng.Now()
+	primary := -1
+	if nodes := r.d.placed; len(nodes) > 0 {
+		primary = nodes[0]
+	}
+	r.pending = 1
+	for i := range t.TD.OutputData {
+		d := &t.TD.OutputData[i]
+		t.Trace.BytesOut += d.SizeBytes
+		r.pending++
+		a.dataSys.WriteFromNode(t.TD.UID, d.Dataset, d.SizeBytes, primary, d.Dest, stageWriteDone, r)
+	}
+	r.settle()
 }
 
 // prefersNodes reports whether td's launch request carries a placement
@@ -159,95 +351,4 @@ func (a *Agent) preferNodes(td *spec.TaskDescription) []int {
 	}
 	a.prefScores, a.prefIDs = sc, ids
 	return ids
-}
-
-// dataBody wraps a task's process body with node-local staging: pull
-// missing input replicas onto the placement nodes, run the compute (the
-// inner body, or the plain Duration sleep), write output datasets out, and
-// only then complete. The wall time a task spends staging is time its
-// slots stay busy — exactly how staging on a compute node behaves.
-// placed points at the node IDs captured by the launch request's OnPlaced
-// hook, which always fires before the body starts.
-func (a *Agent) dataBody(t *Task, inner func(sim.Time, func()), placed *[]int) func(sim.Time, func()) {
-	// Generation guard, same idiom as coupledBody: after a mid-run crash
-	// the agent re-dispatches with a fresh body, and the orphaned one
-	// must stop without touching the trace or the registry further.
-	gen := t.gen
-	live := func() bool { return t.gen == gen }
-	return func(start sim.Time, done func()) {
-		nodes := *placed
-		wg := sim.NewWaitGroup(a.eng)
-		wg.Add(1)
-		for i := range t.TD.InputData {
-			d := t.TD.InputData[i]
-			if d.Dest != spec.TierNodeLocal {
-				continue
-			}
-			// Multi-node tasks replicate node-local inputs on every
-			// placement node (data-parallel ranks each read locally).
-			for _, n := range nodes {
-				if a.dataSys.Registry().HasNode(d.Dataset, n) {
-					t.Trace.DataHits++
-					a.dataSys.RecordHit()
-					continue
-				}
-				wg.Add(1)
-				var xuid string
-				if uid, ok := a.dataSys.JoinPending(d.Dataset, n,
-					stageEdgeDone(a.eng, t, profiler.EdgeTransfer, &xuid, start, live, wg.Done)); ok {
-					// Another task is already pulling this replica:
-					// ride its transfer instead of duplicating it.
-					xuid = uid
-					t.Trace.DataHits++
-					a.dataSys.RecordHit()
-					continue
-				}
-				t.Trace.DataMisses++
-				a.dataSys.RecordMiss()
-				t.Trace.BytesIn += d.SizeBytes
-				xuid = a.dataSys.StageToNode(t.TD.UID, d.Dataset, d.SizeBytes, d.Source, n,
-					stageEdgeDone(a.eng, t, profiler.EdgeStage, &xuid, start, live, wg.Done))
-			}
-		}
-		wg.Done()
-		wg.Wait(func() {
-			if !live() {
-				return
-			}
-			t.Trace.StageIn += a.eng.Now().Sub(start)
-			compute := func(finish func()) {
-				if inner != nil {
-					inner(a.eng.Now(), finish)
-				} else {
-					a.eng.After(t.TD.Duration, finish)
-				}
-			}
-			compute(func() {
-				if !live() {
-					return
-				}
-				outStart := a.eng.Now()
-				primary := -1
-				if len(nodes) > 0 {
-					primary = nodes[0]
-				}
-				owg := sim.NewWaitGroup(a.eng)
-				owg.Add(1)
-				for i := range t.TD.OutputData {
-					d := t.TD.OutputData[i]
-					t.Trace.BytesOut += d.SizeBytes
-					owg.Add(1)
-					a.dataSys.WriteFromNode(t.TD.UID, d.Dataset, d.SizeBytes, primary, d.Dest, owg.Done)
-				}
-				owg.Done()
-				owg.Wait(func() {
-					if !live() {
-						return
-					}
-					t.Trace.StageOut += a.eng.Now().Sub(outStart)
-					done()
-				})
-			})
-		})
-	}
 }

@@ -5,8 +5,12 @@ package agent
 // determinism of staging traces under contention.
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"reflect"
+	"strconv"
 	"testing"
+	"unsafe"
 
 	"rpgo/internal/data"
 	"rpgo/internal/launch"
@@ -278,7 +282,7 @@ func TestPreferNodes(t *testing.T) {
 	}
 	pending := func(ds string, nodes ...int) {
 		for _, n := range nodes {
-			sys.StageToNode("setup", ds, data.GB, spec.TierSharedFS, n, func() {})
+			sys.StageToNode("setup", ds, data.GB, spec.TierSharedFS, n, nil, nil)
 		}
 	}
 	cases := []struct {
@@ -362,8 +366,9 @@ func TestPreferNodes(t *testing.T) {
 
 // TestPreferOnlyOnDataAwareConsumers: only a data-aware task with a
 // node-local input reaches its backend with a Prefer hook. Producers,
-// shared-tier stage-ins and every pack-policy task arrive unhinted (and
-// still get their data body's OnPlaced hook).
+// shared-tier stage-ins and every pack-policy task arrive unhinted, and
+// every one's placement still reaches its dispatch record, as the
+// placement's own node IDs, for the staged body to read.
 func TestPreferOnlyOnDataAwareConsumers(t *testing.T) {
 	consumer := func() *spec.TaskDescription {
 		return &spec.TaskDescription{
@@ -399,10 +404,10 @@ func TestPreferOnlyOnDataAwareConsumers(t *testing.T) {
 		r := newRig(t, spec.PilotDescription{Nodes: 1, Placement: c.policy})
 		// A probe backend: ready at once, and its launch pipeline records
 		// each placed request instead of running it.
-		var got []*launch.Request
+		var got []*launch.Job
 		l := launch.New(launch.Config{
 			Name: "probe", Backend: spec.BackendFlux, Engine: r.eng, Part: r.agent.alloc,
-			Launch: func(j *launch.Job) { got = append(got, j.Req) },
+			Launch: func(j *launch.Job) { got = append(got, j) },
 		})
 		g := &executorGroup{backend: spec.BackendFlux, launchers: []*launch.Launcher{l},
 			alive: []bool{true}, inflight: []int{0}}
@@ -410,11 +415,158 @@ func TestPreferOnlyOnDataAwareConsumers(t *testing.T) {
 		if len(got) != 1 {
 			t.Fatalf("%s: backend received %d requests, want 1", c.name, len(got))
 		}
-		if hinted := got[0].Prefer != nil; hinted != c.hinted {
+		j := got[0]
+		if hinted := j.Req.Prefer != nil; hinted != c.hinted {
 			t.Errorf("%s: Prefer set = %v, want %v", c.name, hinted, c.hinted)
 		}
-		if got[0].OnPlaced == nil {
-			t.Errorf("%s: staged task lost its OnPlaced hook", c.name)
+		placed := j.Req.Events.(*dispatchRec).placed
+		if len(placed) != 1 || &placed[0] != &j.Pl.NodeIDs[0] {
+			t.Errorf("%s: dispatch record holds placement %v, want the placement's own %v",
+				c.name, placed, j.Pl.NodeIDs)
 		}
+	}
+}
+
+// TestDispatchRecordsFitTheirSizeClasses: every dispatch allocates a
+// dispatchRec, which must stay within the 144-B size class, and a staged
+// one adds a stagingRec, within 112 B. Growing either would move every
+// such dispatch to a larger class.
+func TestDispatchRecordsFitTheirSizeClasses(t *testing.T) {
+	if got := unsafe.Sizeof(dispatchRec{}); got > 144 {
+		t.Errorf("dispatchRec is %d B, want at most 144", got)
+	}
+	if got := unsafe.Sizeof(stagingRec{}); got > 112 {
+		t.Errorf("stagingRec is %d B, want at most 112", got)
+	}
+}
+
+// stagingDigest fingerprints what the staging path writes into each task's
+// trace, in task order: the stage-in/out spans, bytes moved, locality hits
+// and misses, and every causal edge (kind, span and reference). It also
+// counts the edges in total, and those of kind stage and transfer.
+type stagingDigest struct {
+	sum                    uint64
+	edges, stage, transfer int
+}
+
+func digestStaging(tasks []*Task) stagingDigest {
+	h := fnv.New64a()
+	var b [8]byte
+	num := func(v int64) {
+		binary.LittleEndian.PutUint64(b[:], uint64(v))
+		h.Write(b[:])
+	}
+	var d stagingDigest
+	for _, tk := range tasks {
+		tr := tk.Trace
+		h.Write([]byte(tr.UID))
+		num(int64(tr.StageIn))
+		num(int64(tr.StageOut))
+		num(tr.BytesIn)
+		num(tr.BytesOut)
+		num(int64(tr.DataHits))
+		num(int64(tr.DataMisses))
+		num(int64(len(tr.Edges)))
+		for _, e := range tr.Edges {
+			num(int64(e.Kind))
+			num(int64(e.From))
+			num(int64(e.To))
+			h.Write([]byte(e.Ref))
+			h.Write([]byte{0})
+			d.edges++
+			switch e.Kind {
+			case profiler.EdgeStage:
+				d.stage++
+			case profiler.EdgeTransfer:
+				d.transfer++
+			}
+		}
+	}
+	d.sum = h.Sum64()
+	return d
+}
+
+// runBurstStageIn submits 32 tasks at once, each reading two of four
+// datasets from the parallel FS into the burst buffer: the first reader of
+// each dataset starts the tier transfer, and the rest ride it.
+func runBurstStageIn(t *testing.T) []*Task {
+	t.Helper()
+	r := newRig(t, spec.PilotDescription{Nodes: 2})
+	bb := func(k int) spec.StagingDirective {
+		return spec.StagingDirective{Dataset: "bb." + strconv.Itoa(k), SizeBytes: int64(k+1) * data.GB,
+			Source: spec.TierSharedFS, Dest: spec.TierBurstBuffer}
+	}
+	tds := make([]*spec.TaskDescription, 32)
+	for i := range tds {
+		tds[i] = &spec.TaskDescription{
+			Kind: spec.Executable, CoresPerRank: 1, Ranks: 1, Duration: sim.Second,
+			InputData: []spec.StagingDirective{bb(i % 4), bb((i + 1) % 4)},
+		}
+	}
+	tasks := r.submitAll(t, tds, "bb")
+	for _, tk := range tasks {
+		if tk.State != states.TaskDone {
+			t.Fatalf("task %s: %v (%s)", tk.TD.UID, tk.State, tk.Reason)
+		}
+	}
+	if n := len(r.prof.Transfers()); n != 4 {
+		t.Fatalf("transfers = %d, want 4 (one per dataset; every other read coalesces)", n)
+	}
+	return tasks
+}
+
+// runMultiNodeStageIn submits twelve two-node tasks at once, each with two
+// node-local inputs: one dispatch waits on up to four stage-ins, its own
+// and ones it rides, and tasks sharing a node pair coalesce.
+func runMultiNodeStageIn(t *testing.T) []*Task {
+	t.Helper()
+	r := newRig(t, spec.PilotDescription{Nodes: 4, Placement: spec.PlaceDataAware})
+	local := func(k int) spec.StagingDirective {
+		return spec.StagingDirective{Dataset: "mn." + strconv.Itoa(k), SizeBytes: int64(k+1) * data.GB,
+			Source: spec.TierSharedFS, Dest: spec.TierNodeLocal}
+	}
+	tds := make([]*spec.TaskDescription, 12)
+	for i := range tds {
+		tds[i] = &spec.TaskDescription{
+			Kind: spec.Executable, Nodes: 2, CoresPerRank: 8, Ranks: 2, Duration: sim.Second,
+			InputData:  []spec.StagingDirective{local(i % 3), local((i + 1) % 3)},
+			OutputData: []spec.StagingDirective{{Dataset: "mn.out." + strconv.Itoa(i), SizeBytes: data.GB, Dest: spec.TierSharedFS}},
+		}
+	}
+	tasks := r.submitAll(t, tds, "mn")
+	for _, tk := range tasks {
+		if tk.State != states.TaskDone {
+			t.Fatalf("task %s: %v (%s)", tk.TD.UID, tk.State, tk.Reason)
+		}
+	}
+	return tasks
+}
+
+// TestStagingEdgesPinned pins the causal edges and staging fields of every
+// task in five staged runs: neither the goldens nor the benchmark digest
+// hash TaskTrace.Edges, so a wrong kind, span or reference from the
+// staging path would pass every other check.
+func TestStagingEdgesPinned(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		run  func(*testing.T) []*Task
+		want stagingDigest
+	}{
+		{"handoff pack", func(t *testing.T) []*Task { tasks, _ := runHandoff(t, spec.PlacePack); return tasks },
+			stagingDigest{sum: 0x80cd7f675b71ff33, edges: 2465, stage: 449}},
+		{"fanout pack", func(t *testing.T) []*Task { tasks, _ := runFanout(t, spec.PlacePack); return tasks },
+			stagingDigest{sum: 0xbcab3b908db39570, edges: 789, stage: 244, transfer: 1}},
+		{"fanout data-aware", func(t *testing.T) []*Task { tasks, _ := runFanout(t, spec.PlaceDataAware); return tasks },
+			stagingDigest{sum: 0x650da1fa7a5e05fa, edges: 769, stage: 225}},
+		{"burst-buffer burst", runBurstStageIn,
+			stagingDigest{sum: 0xc5b9fd67ec450503, edges: 96, stage: 4, transfer: 60}},
+		{"multi-node inputs", runMultiNodeStageIn,
+			stagingDigest{sum: 0x98707a51cda98ee0, edges: 60, stage: 12, transfer: 36}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			if got := digestStaging(c.run(t)); got != c.want {
+				t.Errorf("staging digest %#v, want %#v", got, c.want)
+			}
+		})
 	}
 }

@@ -21,6 +21,7 @@ import (
 
 	"rpgo/internal/metrics"
 	"rpgo/internal/sim"
+	"rpgo/internal/spec"
 )
 
 // Channel is one shared-bandwidth link.
@@ -110,13 +111,28 @@ func (c *Channel) MeanOccupancy(start, end sim.Time) float64 {
 }
 
 // flow is one transfer, from its API call to its completion; while it is
-// in flight its remaining bytes live in its route.
+// in flight its remaining bytes live in its route. op and dest (the
+// destination tier of a write-out or tier transfer) say what its
+// completion records in the registry; fn(arg) is the caller's completion
+// callback.
 type flow struct {
 	seq   uint64
 	route *route
 	tt    transferInfo
-	done  func()
+	op    flowOp
+	dest  spec.StageTier
+	fn    func(any)
+	arg   any
 }
+
+// flowOp is the transfer API call that made a flow.
+type flowOp uint8
+
+const (
+	opStageToNode flowOp = iota
+	opWriteFromNode
+	opTierTransfer
+)
 
 type transferInfo struct {
 	uid     string

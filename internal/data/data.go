@@ -66,10 +66,12 @@ type System struct {
 	uidSeq uint64
 	lastT  sim.Time
 	timer  sim.Timer
-	// startFn and tickFn are start and tick bound once, so scheduling
-	// them allocates nothing.
-	startFn func(any)
-	tickFn  func()
+	// startFn, completeFn and tickFn are start, complete and tick bound
+	// once, so scheduling them allocates nothing. completeFn is bound on
+	// the first transfer: a system that moves no data never pays for it.
+	startFn    func(any)
+	completeFn func(any)
+	tickFn     func()
 
 	// pendingNode coalesces concurrent stage-ins of the same dataset to
 	// the same node: the first request transfers, later ones join as
@@ -138,8 +140,8 @@ func NewSystem(eng *sim.Engine, alloc *platform.Allocation, p model.DataParams, 
 // nodeChannel returns node id's NVMe channel, building it on first use;
 // nil for nodes outside the allocation.
 func (s *System) nodeChannel(id int) *Channel {
-	i := id - s.firstNode
-	if i < 0 || i >= s.nodes {
+	i := s.nodeIndex(id)
+	if i < 0 {
 		return nil
 	}
 	if s.nvme == nil {
@@ -152,6 +154,15 @@ func (s *System) nodeChannel(id int) *Channel {
 		s.channels = append(s.channels, ch)
 	}
 	return ch
+}
+
+// nodeIndex returns node id's offset in the allocation, -1 for nodes
+// outside it.
+func (s *System) nodeIndex(id int) int {
+	if i := id - s.firstNode; i >= 0 && i < s.nodes {
+		return i
+	}
+	return -1
 }
 
 // nodeName names node's NVMe endpoint in transfer traces, reusing its
@@ -233,7 +244,14 @@ func (s *System) effectiveTier(t spec.StageTier) spec.StageTier {
 // reference joiners record) and the waiters riding it.
 type pendingXfer struct {
 	uid     string
-	waiters []func()
+	waiters []waiter
+}
+
+// waiter is one coalesced completion callback: fn(arg) fires when the
+// transfer it rides completes.
+type waiter struct {
+	fn  func(any)
+	arg any
 }
 
 // nextUID numbers a transfer at API-call time: "xfer." and the sequence
@@ -249,11 +267,11 @@ func (s *System) nextUID() string {
 	return string(append(b, d...))
 }
 
-// JoinPending registers fn to fire when an already in-flight stage-in of
-// the dataset to the node completes; it returns that transfer's UID and
+// JoinPending registers fn(arg) to fire when an already in-flight stage-in
+// of the dataset to the node completes; it returns that transfer's UID and
 // whether such a transfer exists. Joining moves no bytes — callers count it
 // as a locality hit.
-func (s *System) JoinPending(dataset string, node int, fn func()) (string, bool) {
+func (s *System) JoinPending(dataset string, node int, fn func(any), arg any) (string, bool) {
 	byNode, ok := s.pendingNode[dataset]
 	if !ok {
 		return "", false
@@ -262,7 +280,7 @@ func (s *System) JoinPending(dataset string, node int, fn func()) (string, bool)
 	if !ok {
 		return "", false
 	}
-	p.waiters = append(p.waiters, fn)
+	p.waiters = append(p.waiters, waiter{fn, arg})
 	s.cCoalesced.Inc()
 	return p.uid, true
 }
@@ -278,11 +296,12 @@ func (s *System) EachPending(dataset string, fn func(node int)) {
 // StageToNode pulls a dataset from a shared tier into one node's local
 // storage: the flow traverses the source tier's channel and the node's
 // NVMe channel, bottlenecked by the more contended of the two. On
-// completion the registry records a node-local replica and any coalesced
-// waiters fire. Callers should check JoinPending first; a duplicate
-// StageToNode while one is in flight would move redundant bytes. It returns
-// the transfer's UID for causal references.
-func (s *System) StageToNode(task, dataset string, bytes int64, src spec.StageTier, node int, done func()) string {
+// completion the registry records a node-local replica, then fn(arg) and
+// any coalesced waiters fire, in that order; fn may be nil. Callers should
+// check JoinPending first; a duplicate StageToNode while one is in flight
+// would move redundant bytes. It returns the transfer's UID for causal
+// references.
+func (s *System) StageToNode(task, dataset string, bytes int64, src spec.StageTier, node int, fn func(any), arg any) string {
 	srcCh, nv := s.tierChannel(src), s.nodeChannel(node)
 	uid := s.nextUID()
 	if s.pendingNode[dataset] == nil {
@@ -290,22 +309,12 @@ func (s *System) StageToNode(task, dataset string, bytes int64, src spec.StageTi
 	}
 	s.pendingNode[dataset][node] = &pendingXfer{uid: uid}
 	lat := s.tierLatency(src) + s.params.NVMeLatency
-	s.startTransfer(s.routeOf(srcCh, nv), lat, transferInfo{
-		uid: uid, dataset: dataset, task: task, bytes: bytes,
-		src: srcCh.name, dst: nodeName(node, nv), node: node,
-	}, func() {
-		if nv != nil {
-			s.reg.RegisterNode(dataset, bytes, node)
-		}
-		p := s.pendingNode[dataset][node]
-		delete(s.pendingNode[dataset], node)
-		if len(s.pendingNode[dataset]) == 0 {
-			delete(s.pendingNode, dataset)
-		}
-		done()
-		for _, fn := range p.waiters {
-			fn()
-		}
+	s.startTransfer(s.routeOf(srcCh, nv), lat, &flow{
+		op: opStageToNode, fn: fn, arg: arg,
+		tt: transferInfo{
+			uid: uid, dataset: dataset, task: task, bytes: bytes,
+			src: srcCh.name, dst: nodeName(node, nv), node: node,
+		},
 	})
 	return uid
 }
@@ -315,8 +324,8 @@ func (s *System) StageToNode(task, dataset string, bytes int64, src spec.StageTi
 // channel. The registry records the dataset at the destination tier and as
 // a node-local replica: the produced bytes linger in the node's storage,
 // which is what lets a data-aware scheduler run the consumer where the
-// producer ran.
-func (s *System) WriteFromNode(task, dataset string, bytes int64, node int, dest spec.StageTier, done func()) string {
+// producer ran. Then fn(arg) fires; fn may be nil.
+func (s *System) WriteFromNode(task, dataset string, bytes int64, node int, dest spec.StageTier, fn func(any), arg any) string {
 	nv := s.nodeChannel(node)
 	srcName := nodeName(node, nv)
 	dstName := srcName
@@ -328,26 +337,21 @@ func (s *System) WriteFromNode(task, dataset string, bytes int64, node int, dest
 		lat += s.tierLatency(dest)
 	}
 	uid := s.nextUID()
-	s.startTransfer(s.routeOf(nv, dch), lat, transferInfo{
-		uid: uid, dataset: dataset, task: task, bytes: bytes,
-		src: srcName, dst: dstName, node: node,
-	}, func() {
-		if nv != nil {
-			s.reg.RegisterNode(dataset, bytes, node)
-		}
-		if dest != spec.TierNodeLocal {
-			s.reg.RegisterTier(dataset, bytes, s.effectiveTier(dest))
-		}
-		done()
+	s.startTransfer(s.routeOf(nv, dch), lat, &flow{
+		op: opWriteFromNode, dest: dest, fn: fn, arg: arg,
+		tt: transferInfo{
+			uid: uid, dataset: dataset, task: task, bytes: bytes,
+			src: srcName, dst: dstName, node: node,
+		},
 	})
 	return uid
 }
 
-// JoinPendingTier registers fn to fire when an already in-flight transfer
-// of the dataset to the tier completes; it returns that transfer's UID and
-// whether such a transfer exists. Joining moves no bytes — callers count it
-// as a locality hit.
-func (s *System) JoinPendingTier(dataset string, tier spec.StageTier, fn func()) (string, bool) {
+// JoinPendingTier registers fn(arg) to fire when an already in-flight
+// transfer of the dataset to the tier completes; it returns that
+// transfer's UID and whether such a transfer exists. Joining moves no
+// bytes — callers count it as a locality hit.
+func (s *System) JoinPendingTier(dataset string, tier spec.StageTier, fn func(any), arg any) (string, bool) {
 	byTier, ok := s.pendingTier[dataset]
 	if !ok {
 		return "", false
@@ -357,18 +361,18 @@ func (s *System) JoinPendingTier(dataset string, tier spec.StageTier, fn func())
 	if !ok {
 		return "", false
 	}
-	p.waiters = append(p.waiters, fn)
+	p.waiters = append(p.waiters, waiter{fn, arg})
 	s.cCoalesced.Inc()
 	return p.uid, true
 }
 
 // TierTransfer moves a dataset between two shared tiers (pre-placement
 // staging: parallel FS to burst buffer and back). The registry records the
-// dataset at the destination and coalesced waiters fire. Callers should
-// check JoinPendingTier first; a duplicate TierTransfer while one is in
-// flight would move redundant bytes. It returns the transfer's UID for
-// causal references.
-func (s *System) TierTransfer(task, dataset string, bytes int64, src, dest spec.StageTier, done func()) string {
+// dataset at the destination, then fn(arg) and any coalesced waiters fire,
+// in that order; fn may be nil. Callers should check JoinPendingTier
+// first; a duplicate TierTransfer while one is in flight would move
+// redundant bytes. It returns the transfer's UID for causal references.
+func (s *System) TierTransfer(task, dataset string, bytes int64, src, dest spec.StageTier, fn func(any), arg any) string {
 	srcCh, dstCh := s.tierChannel(src), s.tierChannel(dest)
 	eff := s.effectiveTier(dest)
 	uid := s.nextUID()
@@ -376,27 +380,23 @@ func (s *System) TierTransfer(task, dataset string, bytes int64, src, dest spec.
 		s.pendingTier[dataset] = make(map[spec.StageTier]*pendingXfer)
 	}
 	s.pendingTier[dataset][eff] = &pendingXfer{uid: uid}
-	s.startTransfer(s.routeOf(srcCh, dstCh), s.tierLatency(src)+s.tierLatency(dest), transferInfo{
-		uid: uid, dataset: dataset, task: task, bytes: bytes,
-		src: srcCh.name, dst: dstCh.name, node: -1,
-	}, func() {
-		s.reg.RegisterTier(dataset, bytes, eff)
-		p := s.pendingTier[dataset][eff]
-		delete(s.pendingTier[dataset], eff)
-		if len(s.pendingTier[dataset]) == 0 {
-			delete(s.pendingTier, dataset)
-		}
-		done()
-		for _, fn := range p.waiters {
-			fn()
-		}
+	s.startTransfer(s.routeOf(srcCh, dstCh), s.tierLatency(src)+s.tierLatency(dest), &flow{
+		op: opTierTransfer, dest: dest, fn: fn, arg: arg,
+		tt: transferInfo{
+			uid: uid, dataset: dataset, task: task, bytes: bytes,
+			src: srcCh.name, dst: dstCh.name, node: -1,
+		},
 	})
 	return uid
 }
 
-// startTransfer applies setup latency, then starts the flow on route r.
-func (s *System) startTransfer(r *route, latency float64, tt transferInfo, done func()) {
-	s.eng.AfterCall(sim.Seconds(latency), s.startFn, &flow{route: r, tt: tt, done: done})
+// startTransfer puts f on route r once the setup latency has passed.
+func (s *System) startTransfer(r *route, latency float64, f *flow) {
+	if s.completeFn == nil {
+		s.completeFn = s.complete
+	}
+	f.route = r
+	s.eng.AfterCall(sim.Seconds(latency), s.startFn, f)
 }
 
 // start joins a flow to the flow machinery once its setup latency has
@@ -452,8 +452,54 @@ func (s *System) finishTransfer(f *flow, at sim.Time) {
 		}
 		s.prof.Transfer(tt)
 	}
-	if f.done != nil {
-		s.eng.Immediately(f.done)
+	s.eng.ImmediatelyCall(s.completeFn, f)
+}
+
+// complete runs a finished flow's completion in its own engine event: it
+// records in the registry the copy the transfer made, retires its
+// coalescing entry, and fires the caller's callback, then the waiters
+// that joined, in join order. completeFn is its bound form.
+func (s *System) complete(arg any) {
+	f := arg.(*flow)
+	tt := &f.tt
+	var p *pendingXfer
+	switch f.op {
+	case opStageToNode:
+		if s.nodeIndex(tt.node) >= 0 {
+			s.reg.RegisterNode(tt.dataset, tt.bytes, tt.node)
+		}
+		byNode := s.pendingNode[tt.dataset]
+		p = byNode[tt.node]
+		delete(byNode, tt.node)
+		if len(byNode) == 0 {
+			delete(s.pendingNode, tt.dataset)
+		}
+	case opWriteFromNode:
+		if s.nodeIndex(tt.node) >= 0 {
+			s.reg.RegisterNode(tt.dataset, tt.bytes, tt.node)
+		}
+		if f.dest != spec.TierNodeLocal {
+			s.reg.RegisterTier(tt.dataset, tt.bytes, s.effectiveTier(f.dest))
+		}
+	case opTierTransfer:
+		eff := s.effectiveTier(f.dest)
+		s.reg.RegisterTier(tt.dataset, tt.bytes, eff)
+		byTier := s.pendingTier[tt.dataset]
+		p = byTier[eff]
+		delete(byTier, eff)
+		if len(byTier) == 0 {
+			delete(s.pendingTier, tt.dataset)
+		}
+	}
+	if f.fn != nil {
+		f.fn(f.arg)
+	}
+	if p != nil {
+		for _, w := range p.waiters {
+			if w.fn != nil {
+				w.fn(w.arg)
+			}
+		}
 	}
 }
 

@@ -35,7 +35,7 @@ func TestSingleFlowBottleneck(t *testing.T) {
 	eng, sys, prof := newSystem(t, 2, zeroLatencyParams())
 	var done sim.Time = -1
 	// 10 GB onto node 0: bottleneck is the 5 GB/s NVMe → 2 s.
-	sys.StageToNode("t0", "ds", 10e9, spec.TierSharedFS, 0, func() { done = eng.Now() })
+	sys.StageToNode("t0", "ds", 10e9, spec.TierSharedFS, 0, func(any) { done = eng.Now() }, nil)
 	eng.Run()
 	if done < 0 {
 		t.Fatal("transfer never completed")
@@ -58,9 +58,9 @@ func TestFairShareContention(t *testing.T) {
 	// A: 10 GB at t=0. B: 5 GB at t=0.5s. Both share node 0's 5 GB/s.
 	// A alone for 0.5s (2.5 GB), then 2.5 GB/s each: B's 5 GB ends at
 	// t=2.5s; A (2.5 GB left) finishes alone at t=3.0s.
-	sys.StageToNode("a", "dsA", 10e9, spec.TierSharedFS, 0, func() { doneA = eng.Now() })
+	sys.StageToNode("a", "dsA", 10e9, spec.TierSharedFS, 0, func(any) { doneA = eng.Now() }, nil)
 	eng.At(sim.Time(500*sim.Millisecond), func() {
-		sys.StageToNode("b", "dsB", 5e9, spec.TierSharedFS, 0, func() { doneB = eng.Now() })
+		sys.StageToNode("b", "dsB", 5e9, spec.TierSharedFS, 0, func(any) { doneB = eng.Now() }, nil)
 	})
 	eng.Run()
 	if math.Abs(doneB.Seconds()-2.5) > 1e-3 {
@@ -79,7 +79,7 @@ func TestSharedChannelAggregateContention(t *testing.T) {
 	// Two flows to different nodes: NVMe channels are private, but both
 	// cross the 8 GB/s shared pipe → 4 GB/s each for 8 GB → 2 s.
 	for n := 0; n < 2; n++ {
-		sys.StageToNode("t", "ds", 8e9, spec.TierSharedFS, n, func() { ends = append(ends, eng.Now()) })
+		sys.StageToNode("t", "ds", 8e9, spec.TierSharedFS, n, func(any) { ends = append(ends, eng.Now()) }, nil)
 	}
 	eng.Run()
 	if len(ends) != 2 {
@@ -99,7 +99,7 @@ func TestSharedChannelAggregateContention(t *testing.T) {
 func TestZeroByteTransfer(t *testing.T) {
 	eng, sys, prof := newSystem(t, 1, zeroLatencyParams())
 	fired := false
-	sys.StageToNode("t", "empty", 0, spec.TierSharedFS, 0, func() { fired = true })
+	sys.StageToNode("t", "empty", 0, spec.TierSharedFS, 0, func(any) { fired = true }, nil)
 	eng.Run()
 	if !fired {
 		t.Fatal("zero-byte transfer never completed")
@@ -115,7 +115,7 @@ func TestBurstBufferFallsBackToShared(t *testing.T) {
 	if sys.BurstChannel() != nil {
 		t.Fatal("burst channel should be disabled")
 	}
-	sys.StageToNode("t", "ds", 1e9, spec.TierBurstBuffer, 0, func() {})
+	sys.StageToNode("t", "ds", 1e9, spec.TierBurstBuffer, 0, nil, nil)
 	eng.Run()
 	if got := prof.Transfers()[0].Src; got != "sharedfs" {
 		t.Errorf("disabled burst buffer should degrade to sharedfs, got src %q", got)
@@ -127,13 +127,68 @@ func TestTierTransferRegisters(t *testing.T) {
 	p.BurstBufferPerNode = 4e9
 	p.BurstBufferLatency = 0
 	eng, sys, _ := newSystem(t, 2, p)
-	sys.TierTransfer("t", "weights", 2e9, spec.TierSharedFS, spec.TierBurstBuffer, func() {})
+	sys.TierTransfer("t", "weights", 2e9, spec.TierSharedFS, spec.TierBurstBuffer, nil, nil)
 	eng.Run()
 	if !sys.Registry().HasTier("weights", spec.TierBurstBuffer) {
 		t.Error("tier transfer must register destination presence")
 	}
 	if sys.Registry().HasNode("weights", 0) {
 		t.Error("tier transfer must not create node replicas")
+	}
+}
+
+// TestCoalescedCompletion: a transfer's completion registers the copy,
+// then fires the caller's fn(arg) and every joined waiter's, in join order,
+// in one engine event; joiners get the transfer's UID, and once it is done
+// nothing is pending any more. Both coalescing transfer kinds behave alike.
+func TestCoalescedCompletion(t *testing.T) {
+	p := zeroLatencyParams()
+	p.BurstBufferPerNode = 4e9
+	eng, sys, _ := newSystem(t, 2, p)
+	type fired struct {
+		arg  string
+		at   sim.Time
+		held bool
+	}
+	var log []fired
+	node := func(arg any) {
+		log = append(log, fired{arg.(string), eng.Now(), sys.Registry().HasNode("ds", 1)})
+	}
+	tier := func(arg any) {
+		log = append(log, fired{arg.(string), eng.Now(), sys.Registry().HasTier("w", spec.TierBurstBuffer)})
+	}
+	own := sys.StageToNode("t", "ds", 1e9, spec.TierSharedFS, 1, node, "own")
+	ownTier := sys.TierTransfer("t", "w", 2e9, spec.TierSharedFS, spec.TierBurstBuffer, tier, "tier own")
+	for _, arg := range []string{"join 1", "join 2"} {
+		if uid, ok := sys.JoinPending("ds", 1, node, arg); !ok || uid != own {
+			t.Fatalf("JoinPending = %q, %v, want %q, true", uid, ok, own)
+		}
+	}
+	if uid, ok := sys.JoinPendingTier("w", spec.TierBurstBuffer, tier, "tier join"); !ok || uid != ownTier {
+		t.Fatalf("JoinPendingTier = %q, %v, want %q, true", uid, ok, ownTier)
+	}
+	if _, ok := sys.JoinPending("ds", 0, node, "other node"); ok {
+		t.Fatal("joined a transfer to another node")
+	}
+	eng.Run()
+	var args []string
+	for _, f := range log {
+		args = append(args, f.arg)
+		if !f.held {
+			t.Errorf("%s fired before the registry held the copy", f.arg)
+		}
+	}
+	if want := []string{"own", "join 1", "join 2", "tier own", "tier join"}; !reflect.DeepEqual(args, want) {
+		t.Fatalf("callbacks fired %v, want %v", args, want)
+	}
+	if log[0].at != log[2].at || log[3].at != log[4].at {
+		t.Errorf("waiters fired at other times than their transfer: %+v", log)
+	}
+	if _, ok := sys.JoinPending("ds", 1, node, "late"); ok {
+		t.Error("a completed stage-in is still pending")
+	}
+	if _, ok := sys.JoinPendingTier("w", spec.TierBurstBuffer, tier, "late"); ok {
+		t.Error("a completed tier transfer is still pending")
 	}
 }
 
@@ -228,7 +283,7 @@ func TestTransferDeterminism(t *testing.T) {
 			sz := int64(1+i%5) * 500 * MB
 			i := i
 			eng.At(at, func() {
-				sys.StageToNode("t", nameOf(i%3), sz, spec.TierSharedFS, n, func() {})
+				sys.StageToNode("t", nameOf(i%3), sz, spec.TierSharedFS, n, nil, nil)
 			})
 		}
 		eng.Run()

@@ -17,9 +17,9 @@ import (
 
 // transferAPI is the transfer surface System and refSystem share.
 type transferAPI interface {
-	StageToNode(task, dataset string, bytes int64, src spec.StageTier, node int, done func()) string
-	WriteFromNode(task, dataset string, bytes int64, node int, dest spec.StageTier, done func()) string
-	TierTransfer(task, dataset string, bytes int64, src, dest spec.StageTier, done func()) string
+	StageToNode(task, dataset string, bytes int64, src spec.StageTier, node int, fn func(any), arg any) string
+	WriteFromNode(task, dataset string, bytes int64, node int, dest spec.StageTier, fn func(any), arg any) string
+	TierTransfer(task, dataset string, bytes int64, src, dest spec.StageTier, fn func(any), arg any) string
 }
 
 // xferOp is one transfer request of a differential schedule.
@@ -88,26 +88,29 @@ func runSchedule(eng *sim.Engine, api transferAPI, ops []xferOp) []string {
 		}
 	}
 	var log []string
+	uids := make([]string, len(ops))
 	var issue func(i int)
+	// done is every op's completion callback, bound once; its argument is
+	// the op's index.
+	done := func(arg any) {
+		i := arg.(int)
+		log = append(log, fmt.Sprintf("%s@%d", uids[i], eng.Now()))
+		for _, j := range next[i] {
+			issue(j)
+		}
+	}
 	issue = func(i int) {
 		op := ops[i]
 		// One dataset per op: callers must not start a second coalescable
 		// transfer of a dataset while one is in flight.
 		task, ds := fmt.Sprintf("t%d", i), fmt.Sprintf("ds%d", i)
-		var uid string
-		done := func() {
-			log = append(log, fmt.Sprintf("%s@%d", uid, eng.Now()))
-			for _, j := range next[i] {
-				issue(j)
-			}
-		}
 		switch op.kind {
 		case 0:
-			uid = api.StageToNode(task, ds, op.bytes, op.src, op.node, done)
+			uids[i] = api.StageToNode(task, ds, op.bytes, op.src, op.node, done, i)
 		case 1:
-			uid = api.WriteFromNode(task, ds, op.bytes, op.node, op.dst, done)
+			uids[i] = api.WriteFromNode(task, ds, op.bytes, op.node, op.dst, done, i)
 		default:
-			uid = api.TierTransfer(task, ds, op.bytes, op.src, op.dst, done)
+			uids[i] = api.TierTransfer(task, ds, op.bytes, op.src, op.dst, done, i)
 		}
 	}
 	at := sim.Time(0)
@@ -268,7 +271,7 @@ func TestFairShareEdgeCases(t *testing.T) {
 func TestOccupancyNeverExceedsCapacity(t *testing.T) {
 	eng, sys, _ := newSystem(t, 1, zeroLatencyParams())
 	for i := 0; i < 11; i++ {
-		sys.StageToNode("t", fmt.Sprintf("ds%d", i), 1e9, spec.TierSharedFS, 0, func() {})
+		sys.StageToNode("t", fmt.Sprintf("ds%d", i), 1e9, spec.TierSharedFS, 0, nil, nil)
 	}
 	eng.Run()
 	ch := channelNamed(sys, "nvme:0")
@@ -292,8 +295,8 @@ func TestUnusedNodesBuildNoChannel(t *testing.T) {
 	if len(sys.channels) != 1 {
 		t.Fatalf("fresh system built %d channels, want only sharedfs", len(sys.channels))
 	}
-	sys.StageToNode("t", "a", 1e9, spec.TierSharedFS, 2, func() {})
-	sys.WriteFromNode("t", "b", 1e9, 9, spec.TierNodeLocal, func() {})
+	sys.StageToNode("t", "a", 1e9, spec.TierSharedFS, 2, nil, nil)
+	sys.WriteFromNode("t", "b", 1e9, 9, spec.TierNodeLocal, nil, nil)
 	eng.Run()
 	var names []string
 	for _, ch := range sys.channels {
@@ -358,17 +361,18 @@ func BenchmarkFairShare(b *testing.B) {
 // apart and replaces each completed one until all have been issued.
 func runFairShareLoad(eng *sim.Engine, sys *System, datasets []string) {
 	issued := 0
-	var start, done func()
+	var start func()
+	var done func(any)
 	start = func() {
 		ds, node := datasets[issued], issued%8
 		if issued/8%2 == 0 {
-			sys.StageToNode("t", ds, GB, spec.TierSharedFS, node, done)
+			sys.StageToNode("t", ds, GB, spec.TierSharedFS, node, done, nil)
 		} else {
-			sys.WriteFromNode("t", ds, GB, node, spec.TierSharedFS, done)
+			sys.WriteFromNode("t", ds, GB, node, spec.TierSharedFS, done, nil)
 		}
 		issued++
 	}
-	done = func() {
+	done = func(any) {
 		if issued < len(datasets) {
 			start()
 		}

@@ -40,7 +40,8 @@ type refFlow struct {
 	rate      float64
 	chans     []*Channel
 	tt        transferInfo
-	done      func()
+	fn        func(any)
+	arg       any
 }
 
 func newRefSystem(eng *sim.Engine, alloc *platform.Allocation, p model.DataParams, prof *profiler.Profiler) *refSystem {
@@ -94,7 +95,7 @@ func (s *refSystem) nextUID() string {
 	return uid
 }
 
-func (s *refSystem) StageToNode(task, dataset string, bytes int64, src spec.StageTier, node int, done func()) string {
+func (s *refSystem) StageToNode(task, dataset string, bytes int64, src spec.StageTier, node int, fn func(any), arg any) string {
 	srcCh := s.tierChannel(src)
 	chans := []*Channel{srcCh}
 	if ch := s.nvme[node]; ch != nil {
@@ -104,11 +105,11 @@ func (s *refSystem) StageToNode(task, dataset string, bytes int64, src spec.Stag
 	s.startTransfer(chans, s.tierLatency(src)+s.params.NVMeLatency, transferInfo{
 		uid: uid, dataset: dataset, task: task, bytes: bytes,
 		src: srcCh.name, dst: fmt.Sprintf("nvme:%d", node), node: node,
-	}, done)
+	}, fn, arg)
 	return uid
 }
 
-func (s *refSystem) WriteFromNode(task, dataset string, bytes int64, node int, dest spec.StageTier, done func()) string {
+func (s *refSystem) WriteFromNode(task, dataset string, bytes int64, node int, dest spec.StageTier, fn func(any), arg any) string {
 	var chans []*Channel
 	dstName := fmt.Sprintf("nvme:%d", node)
 	if ch := s.nvme[node]; ch != nil {
@@ -125,11 +126,11 @@ func (s *refSystem) WriteFromNode(task, dataset string, bytes int64, node int, d
 	s.startTransfer(chans, lat, transferInfo{
 		uid: uid, dataset: dataset, task: task, bytes: bytes,
 		src: fmt.Sprintf("nvme:%d", node), dst: dstName, node: node,
-	}, done)
+	}, fn, arg)
 	return uid
 }
 
-func (s *refSystem) TierTransfer(task, dataset string, bytes int64, src, dest spec.StageTier, done func()) string {
+func (s *refSystem) TierTransfer(task, dataset string, bytes int64, src, dest spec.StageTier, fn func(any), arg any) string {
 	srcCh, dstCh := s.tierChannel(src), s.tierChannel(dest)
 	chans := []*Channel{srcCh}
 	if dstCh != srcCh {
@@ -139,15 +140,15 @@ func (s *refSystem) TierTransfer(task, dataset string, bytes int64, src, dest sp
 	s.startTransfer(chans, s.tierLatency(src)+s.tierLatency(dest), transferInfo{
 		uid: uid, dataset: dataset, task: task, bytes: bytes,
 		src: srcCh.name, dst: dstCh.name, node: -1,
-	}, done)
+	}, fn, arg)
 	return uid
 }
 
-func (s *refSystem) startTransfer(chans []*Channel, latency float64, tt transferInfo, done func()) {
+func (s *refSystem) startTransfer(chans []*Channel, latency float64, tt transferInfo, fn func(any), arg any) {
 	s.eng.After(sim.Seconds(latency), func() {
 		now := s.eng.Now()
 		tt.start = now
-		f := &refFlow{seq: s.seq, remaining: float64(tt.bytes), chans: chans, tt: tt, done: done}
+		f := &refFlow{seq: s.seq, remaining: float64(tt.bytes), chans: chans, tt: tt, fn: fn, arg: arg}
 		s.seq++
 		if tt.bytes <= 0 {
 			s.finishTransfer(f, now)
@@ -174,8 +175,8 @@ func (s *refSystem) finishTransfer(f *refFlow, at sim.Time) {
 		tt.AddEdge(profiler.CausalEdge{Kind: profiler.EdgeContention, From: f.tt.start, To: at, Ref: f.tt.contended})
 	}
 	s.prof.Transfer(tt)
-	if f.done != nil {
-		s.eng.Immediately(f.done)
+	if f.fn != nil {
+		s.eng.ImmediatelyCall(f.fn, f.arg)
 	}
 }
 

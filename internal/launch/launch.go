@@ -19,6 +19,13 @@ import (
 // Events receives a request's lifecycle callbacks. The agent implements it
 // on one per-dispatch record, so a dispatch allocates no callback closures.
 type Events interface {
+	// OnPlaced fires when the placer claims concrete slots for the
+	// request, before the process starts, with the chosen node IDs. The
+	// slice is the placement's own: it is never pooled or changed, so the
+	// receiver may keep it without copying. The agent's data movers and
+	// fault-aware bodies read it to direct node-local staging and
+	// straggler stretch.
+	OnPlaced(at sim.Time, nodeIDs []int)
 	// OnStart fires when the task process begins executing.
 	OnStart(at sim.Time)
 	// OnComplete fires when the task finishes; failed marks
@@ -32,8 +39,9 @@ type Request struct {
 	UID string
 	// TD is the task description (resources, duration, kind).
 	TD *spec.TaskDescription
-	// Events receives the start/complete callbacks; every request handed
-	// to a launcher must set it.
+	// Events receives the placed/start/complete callbacks; every request
+	// handed to a launcher must set it. Direct Placer calls may leave it
+	// nil.
 	Events Events
 	// Body, when set, replaces the fixed TD.Duration sleep as the task's
 	// process body: the backend invokes it once the process starts, and
@@ -51,10 +59,6 @@ type Request struct {
 	// the returned slice only during the placement call that asked for it
 	// and never keeps it, so Prefer may return storage it reuses.
 	Prefer func() []int
-	// OnPlaced fires when a backend claims concrete slots for the
-	// request, before the process starts, with the chosen node IDs. The
-	// agent's data movers use it to direct node-local staging.
-	OnPlaced func(at sim.Time, nodeIDs []int)
 	// Trace, when set, receives causal edges for the queue wait between
 	// backend arrival and placement. Nil (direct Placer tests, service
 	// replicas without task traces) disables emission.
@@ -335,7 +339,7 @@ func (p *Placer) recordWatermark(maxCPU, maxGPU int) {
 // when the partition currently lacks capacity (the caller re-tries when
 // slots free). The request's preferred nodes (data-aware scheduling hints)
 // are tried in listed order before the default policy, and on success the
-// request's OnPlaced hook fires with the chosen node IDs.
+// request's Events.OnPlaced fires with the placement's node IDs.
 func (p *Placer) PlaceRequest(at sim.Time, r *Request) *platform.Placement {
 	var prefer []int
 	if r.Prefer != nil {
@@ -347,10 +351,17 @@ func (p *Placer) PlaceRequest(at sim.Time, r *Request) *platform.Placement {
 	} else {
 		pl = p.placeSingleNode(at, r.TD, prefer)
 	}
-	if pl != nil && r.OnPlaced != nil {
-		r.OnPlaced(at, append([]int(nil), pl.NodeIDs...))
+	if pl != nil {
+		r.placed(at, pl)
 	}
 	return pl
+}
+
+// placed reports a claimed placement to the request's Events, if any.
+func (r *Request) placed(at sim.Time, pl *platform.Placement) {
+	if r.Events != nil {
+		r.Events.OnPlaced(at, pl.NodeIDs)
+	}
 }
 
 // affinityWindow bounds how far past the queue head the data-aware
@@ -395,9 +406,7 @@ func (p *Placer) NextRequest(at sim.Time, queue *Queue, backfill int) (int, *pla
 		// Preferred nodes only: no fallback to the ring policy.
 		p.stats.Attempts++
 		if pl := p.placePreferred(at, prefer, r.TD.TotalCores(), r.TD.TotalGPUs()); pl != nil {
-			if r.OnPlaced != nil {
-				r.OnPlaced(at, append([]int(nil), pl.NodeIDs...))
-			}
+			r.placed(at, pl)
 			p.stats.AffinityHits++
 			return i, pl
 		}

@@ -40,11 +40,14 @@ func newTestLauncher(eng *sim.Engine, nodes int, ctrl Stepper, boot sim.Duration
 	return l
 }
 
-// events adapts a pair of callbacks to Events; either may be nil.
+// events adapts a pair of callbacks to Events, ignoring placements;
+// either callback may be nil.
 type events struct {
 	start func(sim.Time)
 	done  func(sim.Time, bool, string)
 }
+
+func (events) OnPlaced(sim.Time, []int) {}
 
 func (e events) OnStart(at sim.Time) {
 	if e.start != nil {

@@ -260,8 +260,11 @@ type TransferTrace struct {
 	Edges []CausalEdge
 }
 
-// AddEdge appends one resolved causal wait to the transfer's record.
-func (t *TransferTrace) AddEdge(e CausalEdge) { t.Edges = addEdge(t.Edges, e) }
+// AddEdge appends one resolved causal wait to the transfer's record. A
+// transfer carries at most one edge, its contention edge, so this is a
+// plain append: the first edge gets a slice of capacity 1 (the 48-B size
+// class), not addEdge's four slots.
+func (t *TransferTrace) AddEdge(e CausalEdge) { t.Edges = append(t.Edges, e) }
 
 // Duration returns the transfer's time in the channels.
 func (t *TransferTrace) Duration() sim.Duration { return t.End.Sub(t.Start) }

@@ -1,62 +1,10 @@
 package sim
 
 // This file provides sim-aware synchronization and queueing primitives used
-// by the runtime models: a wait group (coupled and staging task bodies), a
-// counted FIFO semaphore (the srun concurrency ceiling), and a queueing
-// server with a pluggable service-time function (the agent scheduler and
-// executor submitters, the Slurm step registrar, the PRRTE prun, the
-// Dragon dispatcher).
-
-// WaitGroup counts outstanding operations in virtual time and fires
-// registered callbacks (through the engine, preserving deterministic event
-// order) when the count reaches zero. Coupled tasks use it to block their
-// process body on a burst of inference requests.
-type WaitGroup struct {
-	eng *Engine
-	n   int
-	fns []func()
-}
-
-// NewWaitGroup returns a wait group bound to the engine.
-func NewWaitGroup(eng *Engine) *WaitGroup {
-	return &WaitGroup{eng: eng}
-}
-
-// Add increments the outstanding-operation count.
-func (wg *WaitGroup) Add(n int) {
-	if n < 0 {
-		panic("sim: WaitGroup.Add of negative count")
-	}
-	wg.n += n
-}
-
-// Done marks one operation complete; at zero, all waiters fire.
-func (wg *WaitGroup) Done() {
-	if wg.n <= 0 {
-		panic("sim: WaitGroup.Done without Add")
-	}
-	wg.n--
-	if wg.n == 0 {
-		fns := wg.fns
-		wg.fns = nil
-		for _, fn := range fns {
-			wg.eng.Immediately(fn)
-		}
-	}
-}
-
-// Pending returns the outstanding-operation count.
-func (wg *WaitGroup) Pending() int { return wg.n }
-
-// Wait registers fn to fire when the count reaches zero; if it already is
-// zero, fn fires at the current time via the engine.
-func (wg *WaitGroup) Wait(fn func()) {
-	if wg.n == 0 {
-		wg.eng.Immediately(fn)
-		return
-	}
-	wg.fns = append(wg.fns, fn)
-}
+// by the runtime models: a counted FIFO semaphore (the srun concurrency
+// ceiling) and a queueing server with a pluggable service-time function
+// (the agent scheduler and executor submitters, the Slurm step registrar,
+// the PRRTE prun, the Dragon dispatcher).
 
 // Semaphore is a counted semaphore with FIFO waiters in virtual time.
 // The zero value is unusable; use NewSemaphore.

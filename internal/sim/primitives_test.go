@@ -141,37 +141,6 @@ func TestServerRateApproximation(t *testing.T) {
 	}
 }
 
-func TestWaitGroup(t *testing.T) {
-	e := NewEngine()
-	wg := NewWaitGroup(e)
-	// Wait with zero pending fires immediately (via the engine).
-	fired := false
-	wg.Wait(func() { fired = true })
-	e.Run()
-	if !fired {
-		t.Fatal("empty WaitGroup should fire waiters")
-	}
-
-	// N concurrent operations completing at different times release the
-	// waiter exactly when the last one finishes.
-	wg.Add(3)
-	var releasedAt Time = -1
-	wg.Wait(func() { releasedAt = e.Now() })
-	for i := 1; i <= 3; i++ {
-		e.After(Duration(i)*Second, wg.Done)
-	}
-	e.Run()
-	if releasedAt != Time(3*Second) {
-		t.Fatalf("released at %v, want 3s", releasedAt)
-	}
-	if wg.Pending() != 0 {
-		t.Fatalf("pending = %d", wg.Pending())
-	}
-
-	assertPanics(t, "Done without Add", func() { wg.Done() })
-	assertPanics(t, "negative Add", func() { wg.Add(-1) })
-}
-
 func assertPanics(t *testing.T, name string, fn func()) {
 	t.Helper()
 	defer func() {

@@ -23,11 +23,14 @@ func newRig(nodes int) (*sim.Engine, *Controller, *SrunLauncher, *platform.Utili
 	return eng, ctrl, l, util
 }
 
-// events adapts a pair of callbacks to launch.Events; either may be nil.
+// events adapts a pair of callbacks to launch.Events, ignoring placements;
+// either callback may be nil.
 type events struct {
 	start func(sim.Time)
 	done  func(sim.Time, bool, string)
 }
+
+func (events) OnPlaced(sim.Time, []int) {}
 
 func (e events) OnStart(at sim.Time) {
 	if e.start != nil {
