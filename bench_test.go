@@ -446,24 +446,39 @@ func BenchmarkEngineScheduleRun(b *testing.B) {
 	eng.Run()
 }
 
-func BenchmarkPlacerSingleCore(b *testing.B) {
-	cluster := platform.NewCluster(platform.Frontier(1), 64)
-	alloc := cluster.Allocate(64)
-	plc := launch.NewPlacer(alloc)
-	req := &launch.Request{TD: &spec.TaskDescription{CoresPerRank: 1, Ranks: 1}}
-	var live []*platform.Placement
+// placeRing places the requests of ring in turn, one per iteration, and
+// once one no longer fits releases every live placement, each once. A
+// placement lives in its request, so the ring must hold more requests than
+// the partition can have placed at once: then a request comes round again
+// only after a failed placement released it.
+func placeRing(b *testing.B, plc *launch.Placer, ring []*launch.Request) {
+	alloc := plc.Partition()
+	live := make([]*launch.Request, 0, len(ring))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		pl := plc.PlaceRequest(0, req)
-		if pl == nil {
-			for _, p := range live {
-				alloc.Release(0, p)
+		r := ring[i%len(ring)]
+		if !plc.PlaceRequest(0, r) {
+			for _, l := range live {
+				alloc.Release(0, &l.Pl)
 			}
 			live = live[:0]
 			continue
 		}
-		live = append(live, pl)
+		live = append(live, r)
 	}
+}
+
+// BenchmarkPlacerSingleCore places single-core tasks on a 64-node
+// partition, releasing everything once it is full.
+func BenchmarkPlacerSingleCore(b *testing.B) {
+	cluster := platform.NewCluster(platform.Frontier(1), 64)
+	alloc := cluster.Allocate(64)
+	td := &spec.TaskDescription{CoresPerRank: 1, Ranks: 1}
+	ring := make([]*launch.Request, alloc.TotalCPU()+1)
+	for i := range ring {
+		ring[i] = &launch.Request{TD: td}
+	}
+	placeRing(b, launch.NewPlacer(alloc), ring)
 }
 
 // BenchmarkPlacerMultiNode places the Fig 8 campaign's four multi-node
@@ -472,29 +487,22 @@ func BenchmarkPlacerSingleCore(b *testing.B) {
 func BenchmarkPlacerMultiNode(b *testing.B) {
 	cluster := platform.NewCluster(platform.Frontier(1), 1024)
 	alloc := cluster.Allocate(1024)
-	plc := launch.NewPlacer(alloc)
-	var reqs []*launch.Request
+	var tds []*spec.TaskDescription
 	for _, p := range workload.ImpeccablePipelines() {
 		if td := p.Template.Make(); td.MultiNode() {
-			reqs = append(reqs, &launch.Request{TD: td})
+			tds = append(tds, td)
 		}
 	}
-	if len(reqs) != 4 {
-		b.Fatalf("%d multi-node Fig 8 footprints, want 4", len(reqs))
+	if len(tds) != 4 {
+		b.Fatalf("%d multi-node Fig 8 footprints, want 4", len(tds))
 	}
-	var live []*platform.Placement
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		pl := plc.PlaceRequest(0, reqs[i%len(reqs)])
-		if pl == nil {
-			for _, p := range live {
-				alloc.Release(0, p)
-			}
-			live = live[:0]
-			continue
-		}
-		live = append(live, pl)
+	// Every footprint spans at least one node, so no more than 1,024
+	// placements are ever live.
+	ring := make([]*launch.Request, 1028)
+	for i := range ring {
+		ring[i] = &launch.Request{TD: tds[i%len(tds)]}
 	}
+	placeRing(b, launch.NewPlacer(alloc), ring)
 }
 
 func BenchmarkFullPilotThroughput(b *testing.B) {

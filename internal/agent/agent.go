@@ -37,7 +37,9 @@ type Task struct {
 	TD    *spec.TaskDescription
 	State states.TaskState
 	Trace *profiler.TaskTrace
-	// Reason holds the failure reason for FAILED tasks.
+	// Reason holds the failure reason for FAILED tasks. A task handed to
+	// Submit with Reason already set was refused by the client (its UID
+	// repeats one used before) and fails on arrival without running.
 	Reason   string
 	attempts int
 	// done is invoked exactly once when the task reaches a final state.
@@ -108,8 +110,11 @@ type Agent struct {
 	// sm manages deployed inference-service endpoints (lazily created).
 	sm *ServiceManager
 
-	// notifyDoneFn is the prebound notifyDone, shared by every finish.
+	// notifyDoneFn is the prebound notifyDone, shared by every finish;
+	// scheduledFn the prebound scheduled, for tasks parked before the
+	// backends exist.
 	notifyDoneFn func(any)
+	scheduledFn  func(any)
 	// stagedInFn is stagedIn in the engine's arg-carrying form, for staged
 	// tasks with no shared-tier transfer to wait for (staging.go).
 	stagedInFn func(any)
@@ -184,6 +189,7 @@ func New(desc spec.PilotDescription, eng *sim.Engine, ctrl *slurm.Controller,
 		gInflight: reg.Gauge("agent.inflight_tasks"),
 	}
 	a.notifyDoneFn = a.notifyDone
+	a.scheduledFn = func(arg any) { a.scheduled(arg.(*Task)) }
 	schedStream := src.Stream("agent.scheduler")
 	a.scheduler = sim.NewServer(eng, 1, func(*Task) sim.Duration {
 		return sim.Seconds(schedStream.Exp(1 / params.RP.SchedRate))
@@ -235,7 +241,7 @@ func (a *Agent) bootstrapBackends() {
 	parked := a.preBootstrap
 	a.preBootstrap = nil
 	for _, t := range parked {
-		a.eng.Immediately(func() { a.scheduled(t) })
+		a.eng.ImmediatelyCall(a.scheduledFn, t)
 	}
 }
 
@@ -380,6 +386,10 @@ func (a *Agent) Submit(t *Task, done func(*Task)) {
 	t.done = done
 	a.nSubmitted++
 	a.gInflight.Set(a.eng.Now(), float64(a.nSubmitted-a.nFinal))
+	if t.Reason != "" {
+		a.finish(t, states.TaskFailed, t.Reason)
+		return
+	}
 	if a.draining {
 		a.finish(t, states.TaskFailed, "pilot is draining")
 		return
@@ -474,24 +484,20 @@ func (a *Agent) dispatch(g *executorGroup, t *Task) {
 }
 
 // dispatchRec binds one backend dispatch attempt of a task. It embeds the
-// launch request and implements launch.Events, so a dispatch costs one
-// allocation in place of a request plus its callback closures — the
-// agent→backend hand-off is the hottest object on the task path. It fits
-// the 144-B size class; a staged dispatch keeps its staging state in a
-// record of its own, so every other task stays in that class.
+// launch request, which holds the attempt's placement, srun release and
+// running-list slot, and implements launch.Events, so a single-node
+// dispatch attempt costs this one allocation from the agent through the
+// backend to completion — the agent→backend hand-off is the hottest
+// object on the task path. It is 176 B, exactly its size class; a staged
+// dispatch keeps its staging state in a record of its own, so every other
+// task stays in that class.
 type dispatchRec struct {
 	a   *Agent
 	g   *executorGroup
 	t   *Task
 	idx int
 	req launch.Request
-	// placed holds the node IDs OnPlaced reports: the placement's own
-	// slice, for the fault-aware and staged bodies.
-	placed []int
 }
-
-// OnPlaced implements launch.Events.
-func (d *dispatchRec) OnPlaced(at sim.Time, nodeIDs []int) { d.placed = nodeIDs }
 
 // OnStart implements launch.Events.
 func (d *dispatchRec) OnStart(at sim.Time) {
@@ -553,7 +559,7 @@ func (a *Agent) forward(g *executorGroup, t *Task) {
 	faulty := body == nil && !t.TD.Service &&
 		(a.slowFactor != nil || t.TD.Checkpointed())
 	if faulty {
-		body = a.computeBody(t, &rec.placed)
+		body = a.computeBody(t, &rec.req.Pl)
 	}
 	rec.req = launch.Request{
 		UID:    t.TD.UID,

@@ -9,6 +9,7 @@ package agent
 import (
 	"fmt"
 
+	"rpgo/internal/platform"
 	"rpgo/internal/profiler"
 	"rpgo/internal/sim"
 )
@@ -117,14 +118,14 @@ func (a *Agent) instanceAt(i int) (*executorGroup, int) {
 // primary node — skipped when the node already holds it — and resumes from
 // the saved fraction. Every continuation is generation-guarded, so a stale
 // attempt's timers and transfer completions are inert.
-func (a *Agent) computeBody(t *Task, placed *[]int) func(sim.Time, func()) {
+func (a *Agent) computeBody(t *Task, pl *platform.Placement) func(sim.Time, func()) {
 	gen := t.gen
 	live := func() bool { return t.gen == gen }
 	return func(start sim.Time, done func()) {
 		total := t.TD.Duration
 		if a.slowFactor != nil {
 			f := 1.0
-			for _, n := range *placed {
+			for _, n := range pl.NodeIDs {
 				if sf := a.slowFactor(n); sf > f {
 					f = sf
 				}
@@ -142,8 +143,8 @@ func (a *Agent) computeBody(t *Task, placed *[]int) func(sim.Time, func()) {
 			return
 		}
 		node := -1
-		if len(*placed) > 0 {
-			node = (*placed)[0]
+		if len(pl.NodeIDs) > 0 {
+			node = pl.NodeIDs[0]
 		}
 		// Work is tracked as a fraction of the original Duration, so the
 		// saved fraction carries across relocations even when the new

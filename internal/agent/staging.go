@@ -56,7 +56,7 @@ type stagingRec struct {
 	a *Agent
 	t *Task
 	// d is the dispatch attempt whose body this is; nil for a shared-tier
-	// stage-in, which belongs to no attempt. d.placed holds the nodes the
+	// stage-in, which belongs to no attempt. d.req.Pl holds the nodes the
 	// attempt was placed on.
 	d *dispatchRec
 	// inner is the compute body (nil: sleep TD.Duration); done is the
@@ -139,8 +139,8 @@ func (a *Agent) stageInShared(t *Task) {
 // replicas onto the placement nodes, run the compute (the inner body, or
 // the plain Duration sleep), write output datasets out, and only then
 // complete. The wall time a task spends staging is time its slots stay
-// busy — exactly how staging on a compute node behaves. The launcher
-// reports the placement (dispatchRec.OnPlaced) before the body starts.
+// busy — exactly how staging on a compute node behaves. The placer wrote
+// the attempt's placement into its request before the body starts.
 func (r *stagingRec) run(start sim.Time, done func()) {
 	a, t := r.a, r.t
 	r.done, r.inStart, r.phase, r.pending = done, start, phaseIn, 1
@@ -151,7 +151,7 @@ func (r *stagingRec) run(start sim.Time, done func()) {
 		}
 		// Multi-node tasks replicate node-local inputs on every
 		// placement node (data-parallel ranks each read locally).
-		for _, n := range r.d.placed {
+		for _, n := range r.d.req.Pl.NodeIDs {
 			if a.dataSys.Registry().HasNode(d.Dataset, n) {
 				t.Trace.DataHits++
 				a.dataSys.RecordHit()
@@ -264,7 +264,7 @@ func (r *stagingRec) computed() {
 	r.phase = phaseOut
 	r.outStart = a.eng.Now()
 	primary := -1
-	if nodes := r.d.placed; len(nodes) > 0 {
+	if nodes := r.d.req.Pl.NodeIDs; len(nodes) > 0 {
 		primary = nodes[0]
 	}
 	r.pending = 1

@@ -404,10 +404,10 @@ func TestPreferOnlyOnDataAwareConsumers(t *testing.T) {
 		r := newRig(t, spec.PilotDescription{Nodes: 1, Placement: c.policy})
 		// A probe backend: ready at once, and its launch pipeline records
 		// each placed request instead of running it.
-		var got []*launch.Job
+		var got []*launch.Request
 		l := launch.New(launch.Config{
 			Name: "probe", Backend: spec.BackendFlux, Engine: r.eng, Part: r.agent.alloc,
-			Launch: func(j *launch.Job) { got = append(got, j) },
+			Launch: func(req *launch.Request) { got = append(got, req) },
 		})
 		g := &executorGroup{backend: spec.BackendFlux, launchers: []*launch.Launcher{l},
 			alive: []bool{true}, inflight: []int{0}}
@@ -415,28 +415,75 @@ func TestPreferOnlyOnDataAwareConsumers(t *testing.T) {
 		if len(got) != 1 {
 			t.Fatalf("%s: backend received %d requests, want 1", c.name, len(got))
 		}
-		j := got[0]
-		if hinted := j.Req.Prefer != nil; hinted != c.hinted {
+		req := got[0]
+		if hinted := req.Prefer != nil; hinted != c.hinted {
 			t.Errorf("%s: Prefer set = %v, want %v", c.name, hinted, c.hinted)
 		}
-		placed := j.Req.Events.(*dispatchRec).placed
-		if len(placed) != 1 || &placed[0] != &j.Pl.NodeIDs[0] {
-			t.Errorf("%s: dispatch record holds placement %v, want the placement's own %v",
-				c.name, placed, j.Pl.NodeIDs)
+		if d := req.Events.(*dispatchRec); &d.req != req || len(d.req.Pl.NodeIDs) != 1 {
+			t.Errorf("%s: backend placed a request outside the dispatch record, or on %v nodes",
+				c.name, req.Pl.NodeIDs)
 		}
 	}
 }
 
 // TestDispatchRecordsFitTheirSizeClasses: every dispatch allocates a
-// dispatchRec, which must stay within the 144-B size class, and a staged
-// one adds a stagingRec, within 112 B. Growing either would move every
-// such dispatch to a larger class.
+// dispatchRec, which holds the launch request and its placement and must
+// stay within the 176-B size class, and a staged one adds a stagingRec,
+// within 112 B. Growing either would move every such dispatch to a larger
+// class.
 func TestDispatchRecordsFitTheirSizeClasses(t *testing.T) {
-	if got := unsafe.Sizeof(dispatchRec{}); got > 144 {
-		t.Errorf("dispatchRec is %d B, want at most 144", got)
+	if got := unsafe.Sizeof(dispatchRec{}); got > 176 {
+		t.Errorf("dispatchRec is %d B, want at most 176", got)
 	}
 	if got := unsafe.Sizeof(stagingRec{}); got > 112 {
 		t.Errorf("stagingRec is %d B, want at most 112", got)
+	}
+}
+
+// TestDispatchAttemptAllocs pins what one dispatch attempt allocates from
+// forward through placement, exec, the process body and completion on a
+// ready launcher: its dispatchRec alone for a single-node task, and the
+// record and its node ID slice for a multi-node one.
+func TestDispatchAttemptAllocs(t *testing.T) {
+	cases := []struct {
+		name   string
+		td     spec.TaskDescription
+		allocs float64
+	}{
+		{"single-node", spec.TaskDescription{Kind: spec.Executable, CoresPerRank: 1, Ranks: 1}, 1},
+		{"multi-node", spec.TaskDescription{Kind: spec.Executable, Nodes: 2, Ranks: 2, CoresPerRank: 1}, 2},
+	}
+	for _, c := range cases {
+		r := newRig(t, spec.PilotDescription{Nodes: 2})
+		r.eng.Run() // the agent's own bootstrap, before measuring
+		var l *launch.Launcher
+		l = launch.New(launch.Config{
+			Name: "probe", Backend: spec.BackendFlux, Engine: r.eng, Part: r.agent.alloc,
+			Launch: func(req *launch.Request) { l.ExecAfter(0, req) },
+		})
+		g := &executorGroup{backend: spec.BackendFlux, launchers: []*launch.Launcher{l},
+			alive: []bool{true}, inflight: []int{0}}
+		const runs = 100
+		td := c.td
+		tasks := make([]*Task, runs+1) // AllocsPerRun adds a warm-up run
+		for i := range tasks {
+			tasks[i] = r.task(&td, c.name)
+			tasks[i].State = states.TaskAgentExecuting
+		}
+		next := 0
+		allocs := testing.AllocsPerRun(runs, func() {
+			r.agent.forward(g, tasks[next])
+			next++
+			r.eng.Run()
+		})
+		if allocs != c.allocs {
+			t.Errorf("%s dispatch attempt: %.2f allocs, want %v", c.name, allocs, c.allocs)
+		}
+		for _, tk := range tasks {
+			if tk.State != states.TaskDone {
+				t.Fatalf("%s: task ended %v, want DONE", c.name, tk.State)
+			}
+		}
 	}
 }
 

@@ -9,6 +9,8 @@ package core
 
 import (
 	"fmt"
+	"slices"
+	"strings"
 
 	"rpgo/internal/agent"
 	"rpgo/internal/analytics"
@@ -66,6 +68,11 @@ type Session struct {
 	taskSeq  int
 	pilotSeq int
 	profile  *obs.SelfProfiler
+	// callerUIDs holds the task UIDs callers supplied and callerSeqs the
+	// sequence numbers those tasks took, in increasing order; both stay
+	// nil until a caller supplies a UID.
+	callerUIDs map[string]struct{}
+	callerSeqs []int
 }
 
 // Profile returns the session's self-profiler (nil when profiling is off).
@@ -319,45 +326,120 @@ func (tm *TaskManager) SubmittedCount() int { return tm.submitted }
 // FinalCount returns how many of them reached a terminal state.
 func (tm *TaskManager) FinalCount() int { return tm.final }
 
-// taskUID formats the historical "task.%06d" identifier without going
-// through fmt (one string allocation instead of three per task).
-func taskUID(seq int) string {
-	if seq >= 1000000 {
-		return fmt.Sprintf("task.%06d", seq)
+// taskUIDLen returns len(fmt.Sprintf("task.%06d", seq)) for seq ≥ 0.
+func taskUIDLen(seq int) int {
+	digits := 1
+	for ; seq >= 10; seq /= 10 {
+		digits++
 	}
-	buf := [11]byte{'t', 'a', 's', 'k', '.', '0', '0', '0', '0', '0', '0'}
-	for i := len(buf) - 1; seq > 0; i-- {
+	return len("task.") + max(digits, 6)
+}
+
+// writeTaskUID writes fmt.Sprintf("task.%06d", seq) for seq ≥ 0.
+func writeTaskUID(sb *strings.Builder, seq int) {
+	var buf [24]byte
+	i := len(buf)
+	for seq > 0 || i > len(buf)-6 {
+		i--
 		buf[i] = byte('0' + seq%10)
 		seq /= 10
 	}
-	return string(buf[:])
+	sb.WriteString("task.")
+	sb.Write(buf[i:])
+}
+
+// generatedSeq reports the sequence number a UID of the generator's
+// "task.%06d" form encodes; ok is false for any other UID.
+func generatedSeq(uid string) (seq int, ok bool) {
+	d, ok := strings.CutPrefix(uid, "task.")
+	if !ok || len(d) < 6 || len(d) > 18 || len(d) > 6 && d[0] == '0' {
+		return 0, false
+	}
+	for i := 0; i < len(d); i++ {
+		if d[i] < '0' || d[i] > '9' {
+			return 0, false
+		}
+		seq = seq*10 + int(d[i]-'0')
+	}
+	return seq, true
+}
+
+// callerUIDRepeats records that the task taking sequence number seq
+// carries a caller-supplied uid, and reports whether the session already
+// used uid: a caller supplied it before, or the generator issued it, which
+// it did for every earlier sequence number not taken by a caller's UID.
+func (s *Session) callerUIDRepeats(uid string, seq int) bool {
+	s.callerSeqs = append(s.callerSeqs, seq)
+	if _, ok := s.callerUIDs[uid]; ok {
+		return true
+	}
+	if g, ok := generatedSeq(uid); ok && g < seq {
+		if _, taken := slices.BinarySearch(s.callerSeqs, g); !taken {
+			return true
+		}
+	}
+	if s.callerUIDs == nil {
+		s.callerUIDs = make(map[string]struct{})
+	}
+	s.callerUIDs[uid] = struct{}{}
+	return false
 }
 
 // Submit sends task descriptions to the pilot's agent. It returns the
 // agent-side task records (their Trace fields fill in as the simulation
 // advances).
+//
+// Every task takes the session's next sequence number, and a description
+// without a UID gets "task.%06d" of it. A task whose UID the session
+// already used, by a caller or by the generator, still gets a record and
+// a trace of its own, but it fails on arrival at the agent, with the UID
+// in its reason, and never runs.
 func (tm *TaskManager) Submit(tds []*spec.TaskDescription) []*agent.Task {
 	if len(tds) == 0 {
 		return nil
 	}
-	// Task records for one batch share a single backing allocation.
+	s := tm.sess
+	// Task records for one batch share a single backing allocation, and
+	// its generated UIDs one string, sized before it is built: a
+	// description repeated within the batch is counted twice, so the size
+	// is never short.
 	arena := make([]agent.Task, len(tds))
 	out := make([]*agent.Task, len(tds))
-	now := tm.sess.Engine.Now()
-	retain := tm.sess.Profiler.Retain()
-	tm.submitted += len(tds)
+	var uids strings.Builder
+	size := 0
 	for i, td := range tds {
 		if td.UID == "" {
-			td.UID = taskUID(tm.sess.taskSeq)
+			size += taskUIDLen(s.taskSeq + i)
 		}
-		tm.sess.taskSeq++
-		tr := tm.sess.Profiler.Task(td.UID)
+	}
+	uids.Grow(size)
+	now := s.Engine.Now()
+	retain := s.Profiler.Retain()
+	tm.submitted += len(tds)
+	for i, td := range tds {
+		seq := s.taskSeq
+		s.taskSeq++
+		var repeat bool
+		if td.UID == "" {
+			// Bytes already written never move, so each UID is a
+			// substring of the batch's one string.
+			from := uids.Len()
+			writeTaskUID(&uids, seq)
+			td.UID = uids.String()[from:]
+			_, repeat = s.callerUIDs[td.UID]
+		} else {
+			repeat = s.callerUIDRepeats(td.UID, seq)
+		}
+		tr := s.Profiler.Task(td.UID)
 		tr.Submit = now
 		tr.Workflow = td.Workflow
 		t := &arena[i]
 		t.TD = td
 		t.State = states.TaskNew
 		t.Trace = tr
+		if repeat {
+			t.Reason = fmt.Sprintf("task UID %q already used in this session", td.UID)
+		}
 		// Client-side acceptance, then the ZeroMQ hop to the agent.
 		states.Validate(t.State, states.TaskTMGRSchedule)
 		t.State = states.TaskTMGRSchedule
@@ -391,12 +473,6 @@ func (tm *TaskManager) submitBatch(arg any) {
 
 func (tm *TaskManager) taskDone(t *agent.Task) {
 	tm.final++
-	if tm.xd != nil && !tm.sess.Profiler.Retain() {
-		// Cross-domain streaming runs: the final notification fired on the
-		// pilot domain's profiler, so release the client-side index entry
-		// here or it leaks for the life of the campaign.
-		tm.sess.Profiler.TaskRelease(t.TD.UID)
-	}
 	if tm.OnComplete != nil {
 		tm.OnComplete(t)
 	}

@@ -1,0 +1,4 @@
+package core
+
+// SetTaskSeq sets the sequence number the session's next task takes.
+func (s *Session) SetTaskSeq(seq int) { s.taskSeq = seq }

@@ -39,7 +39,7 @@ type Runtime struct {
 	rand   *rng.Stream
 	// dispatcher serializes task launches (the centralized design the
 	// paper measures).
-	dispatcher *sim.Server[*launch.Job]
+	dispatcher *sim.Server[*launch.Request]
 	rateMult   float64
 	eta        float64
 	// hang makes the next boot attempt never come up.
@@ -114,22 +114,22 @@ func (d *Runtime) Rate(kind spec.TaskKind) float64 {
 	return r * d.rateMult * d.eta
 }
 
-func (d *Runtime) serviceTime(j *launch.Job) sim.Duration {
-	rate := d.Rate(j.Req.TD.Kind)
+func (d *Runtime) serviceTime(r *launch.Request) sim.Duration {
+	rate := d.Rate(r.TD.Kind)
 	return sim.Seconds(d.rand.Exp(1 / rate))
 }
 
 // dispatched runs when the dispatcher finishes serializing a launch: the
 // worker spawns the process (exec) or invokes the function in-memory.
-func (d *Runtime) dispatched(j *launch.Job) {
-	if d.Dropped(j) {
+func (d *Runtime) dispatched(r *launch.Request) {
+	if d.Dropped(r) {
 		return
 	}
 	var spawn float64
-	if j.Req.TD.Kind == spec.Executable {
+	if r.TD.Kind == spec.Executable {
 		spawn = d.rand.LogNormal(0.020, d.params.SpawnSigma) // fork/exec
 	} else {
 		spawn = d.rand.LogNormal(0.002, d.params.SpawnSigma) // in-memory call
 	}
-	d.ExecAfter(sim.Seconds(spawn), j)
+	d.ExecAfter(sim.Seconds(spawn), r)
 }

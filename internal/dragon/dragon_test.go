@@ -30,14 +30,11 @@ func newRig(nodes int, cfg Config) (*sim.Engine, *Runtime, *platform.Utilization
 	return eng, rt, util, ctrl
 }
 
-// events adapts a pair of callbacks to launch.Events, ignoring placements;
-// either callback may be nil.
+// events adapts a pair of callbacks to launch.Events; either may be nil.
 type events struct {
 	start func(sim.Time)
 	done  func(sim.Time, bool, string)
 }
-
-func (events) OnPlaced(sim.Time, []int) {}
 
 func (e events) OnStart(at sim.Time) {
 	if e.start != nil {

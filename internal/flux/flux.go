@@ -175,14 +175,14 @@ func (in *Instance) cycle() {
 	for in.tokens >= 1 && in.Queued() > 0 {
 		// Selection: data-affinity first, then FCFS, then a bounded
 		// backfill window past a blocked head (FCFS + backfill policy).
-		j := in.Next(in.params.BackfillDepth)
-		if j == nil {
+		r := in.Next(in.params.BackfillDepth)
+		if r == nil {
 			blocked = true
 			break
 		}
 		in.tokens--
 		// The job shell spawn latency separates allocation from exec start.
-		in.ExecAfter(sim.Seconds(in.rand.LogNormal(in.params.ShellMedian, in.params.ShellSigma)), j)
+		in.ExecAfter(sim.Seconds(in.rand.LogNormal(in.params.ShellMedian, in.params.ShellSigma)), r)
 	}
 	if in.Queued() == 0 || blocked {
 		// Either drained, or resource-blocked: completions re-kick.

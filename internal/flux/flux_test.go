@@ -28,14 +28,11 @@ func newRigWith(nodes int, fp model.FluxParams) (*sim.Engine, *Instance, *platfo
 	return eng, in, util, ctrl
 }
 
-// events adapts a pair of callbacks to launch.Events, ignoring placements;
-// either callback may be nil.
+// events adapts a pair of callbacks to launch.Events; either may be nil.
 type events struct {
 	start func(sim.Time)
 	done  func(sim.Time, bool, string)
 }
-
-func (events) OnPlaced(sim.Time, []int) {}
 
 func (e events) OnStart(at sim.Time) {
 	if e.start != nil {

@@ -19,13 +19,6 @@ import (
 // Events receives a request's lifecycle callbacks. The agent implements it
 // on one per-dispatch record, so a dispatch allocates no callback closures.
 type Events interface {
-	// OnPlaced fires when the placer claims concrete slots for the
-	// request, before the process starts, with the chosen node IDs. The
-	// slice is the placement's own: it is never pooled or changed, so the
-	// receiver may keep it without copying. The agent's data movers and
-	// fault-aware bodies read it to direct node-local staging and
-	// straggler stretch.
-	OnPlaced(at sim.Time, nodeIDs []int)
 	// OnStart fires when the task process begins executing.
 	OnStart(at sim.Time)
 	// OnComplete fires when the task finishes; failed marks
@@ -33,15 +26,23 @@ type Events interface {
 	OnComplete(at sim.Time, failed bool, reason string)
 }
 
-// Request is one task launch handed to a backend.
+// Request is one task launch handed to a backend. It carries the launch
+// through the backend's pipeline, execution and completion: it is the
+// argument of every pooled pipeline event, and it holds its placement, so
+// a task's trip through a launcher allocates nothing beyond the request
+// (and a multi-node placement's node list).
+//
+// A launcher places a request at most once: a retry is a new request. A
+// single-node placement keeps its node ID inside the request (Pl.NodeIDs
+// points into it), so a request must never be copied by value once
+// placed.
 type Request struct {
 	// UID identifies the task.
 	UID string
 	// TD is the task description (resources, duration, kind).
 	TD *spec.TaskDescription
-	// Events receives the placed/start/complete callbacks; every request
-	// handed to a launcher must set it. Direct Placer calls may leave it
-	// nil.
+	// Events receives the start/complete callbacks; every request handed
+	// to a launcher must set it. Direct Placer calls may leave it nil.
 	Events Events
 	// Body, when set, replaces the fixed TD.Duration sleep as the task's
 	// process body: the backend invokes it once the process starts, and
@@ -70,6 +71,18 @@ type Request struct {
 	// capacity at least once — the difference between plain FIFO queueing
 	// and placement starvation in the blame taxonomy.
 	Denied bool
+	// Pl is the placement the placer claimed for the request. The agent's
+	// data movers and fault-aware bodies read its nodes to direct
+	// node-local staging and straggler stretch.
+	Pl platform.Placement
+	// Release, when set, frees the srun ceiling slot the request's process
+	// holds (srun tasks); the launcher invokes it once, when the request
+	// leaves, and clears it. The srun launcher sets one func bound per
+	// controller, so the field costs no allocation.
+	Release func()
+	// runIdx is the request's slot in its launcher's running list while
+	// it runs, and -1 once it has stopped.
+	runIdx int
 }
 
 // Enqueue stamps the request's arrival in a backend queue. Backends call it
@@ -266,7 +279,8 @@ func (q *Queue) TakeAll() []*Request {
 // Multi-node requests take the first nodes with room for their per-node
 // footprint: preferred nodes in listed order, then partition order. They
 // collect node IDs in placer-owned scratch, so a placement allocates only
-// the Placement and the one array behind its slices. The scan stays
+// its node ID slice; a single-node placement allocates nothing, since
+// both are written into the request. The scan stays
 // short: over the Fig 8 campaign at 1,024 nodes (20 seeds), 0.69 calls
 // per task want 7.5 nodes each and visit 85.6 on Flux (78.9 on srun), and
 // no scan fails, so a free-capacity index would have little to skip.
@@ -276,7 +290,7 @@ type Placer struct {
 	// byID maps node ID → index in part.Nodes (hint resolution).
 	byID map[int]int
 	// ids is placeMultiNode's scratch for the node IDs it collects; the
-	// placement it returns copies them.
+	// placement it writes copies them.
 	ids []int
 	// Watermark cache: when valid (epoch matches), no node in the
 	// partition had more than maxFreeCPU free CPU slots or maxFreeGPU
@@ -335,33 +349,20 @@ func (p *Placer) recordWatermark(maxCPU, maxGPU int) {
 	p.maxFreeGPU = maxGPU
 }
 
-// PlaceRequest finds and claims slots for a launch request, or returns nil
-// when the partition currently lacks capacity (the caller re-tries when
-// slots free). The request's preferred nodes (data-aware scheduling hints)
-// are tried in listed order before the default policy, and on success the
-// request's Events.OnPlaced fires with the placement's node IDs.
-func (p *Placer) PlaceRequest(at sim.Time, r *Request) *platform.Placement {
+// PlaceRequest finds and claims slots for a launch request, writing them
+// into r.Pl, and reports whether it did; false means the partition
+// currently lacks capacity (the caller re-tries when slots free). The
+// request's preferred nodes (data-aware scheduling hints) are tried in
+// listed order before the default policy.
+func (p *Placer) PlaceRequest(at sim.Time, r *Request) bool {
 	var prefer []int
 	if r.Prefer != nil {
 		prefer = r.Prefer()
 	}
-	var pl *platform.Placement
 	if r.TD.MultiNode() {
-		pl = p.placeMultiNode(at, r.TD, prefer)
-	} else {
-		pl = p.placeSingleNode(at, r.TD, prefer)
+		return p.placeMultiNode(at, r.TD, prefer, &r.Pl)
 	}
-	if pl != nil {
-		r.placed(at, pl)
-	}
-	return pl
-}
-
-// placed reports a claimed placement to the request's Events, if any.
-func (r *Request) placed(at sim.Time, pl *platform.Placement) {
-	if r.Events != nil {
-		r.Events.OnPlaced(at, pl.NodeIDs)
-	}
+	return p.placeSingleNode(at, r.TD, prefer, &r.Pl)
 }
 
 // affinityWindow bounds how far past the queue head the data-aware
@@ -369,8 +370,8 @@ func (r *Request) placed(at sim.Time, pl *platform.Placement) {
 const affinityWindow = 128
 
 // NextRequest selects which queued request a backend should place next,
-// returning its queue index and claimed placement, or (-1, nil) when
-// nothing can place. Selection runs in three passes:
+// returning its queue index with its placement claimed into its Pl, or -1
+// when nothing can place. Selection runs in three passes:
 //
 //  1. Affinity (delay scheduling): the first request within the window
 //     whose preferred nodes can host it right now wins, even over older
@@ -383,7 +384,7 @@ const affinityWindow = 128
 //
 // Requests without preferences see exactly the legacy FCFS(+backfill)
 // behavior, so locality-blind workloads are byte-for-byte unchanged.
-func (p *Placer) NextRequest(at sim.Time, queue *Queue, backfill int) (int, *platform.Placement) {
+func (p *Placer) NextRequest(at sim.Time, queue *Queue, backfill int) int {
 	w := affinityWindow
 	if w > queue.Len() {
 		w = queue.Len()
@@ -405,10 +406,9 @@ func (p *Placer) NextRequest(at sim.Time, queue *Queue, backfill int) (int, *pla
 		}
 		// Preferred nodes only: no fallback to the ring policy.
 		p.stats.Attempts++
-		if pl := p.placePreferred(at, prefer, r.TD.TotalCores(), r.TD.TotalGPUs()); pl != nil {
-			r.placed(at, pl)
+		if p.placePreferred(at, prefer, r.TD.TotalCores(), r.TD.TotalGPUs(), &r.Pl) {
 			p.stats.AffinityHits++
-			return i, pl
+			return i
 		}
 	}
 	n := 1 + backfill
@@ -417,34 +417,34 @@ func (p *Placer) NextRequest(at sim.Time, queue *Queue, backfill int) (int, *pla
 	}
 	for i := 0; i < n; i++ {
 		r := queue.At(i)
-		if pl := p.PlaceRequest(at, r); pl != nil {
+		if p.PlaceRequest(at, r) {
 			if i > 0 {
 				p.stats.BackfillHits++
 			}
-			return i, pl
+			return i
 		}
 		// The placer looked at this request and found no capacity: from
 		// here on its queue wait counts as placement starvation, not
 		// plain FIFO delay.
 		r.Denied = true
 	}
-	return -1, nil
+	return -1
 }
 
 // PopNext runs NextRequest and removes the selected request from the
-// queue, returning it with its claimed placement ((nil, nil) when nothing
-// can place). It is the one-call scheduling step all backends share.
-func (p *Placer) PopNext(at sim.Time, queue *Queue, backfill int) (*Request, *platform.Placement) {
+// queue, returning it with its placement claimed (nil when nothing can
+// place). It is the one-call scheduling step all backends share.
+func (p *Placer) PopNext(at sim.Time, queue *Queue, backfill int) *Request {
 	var t0 time.Time
 	if p.Phase != nil {
 		t0 = time.Now()
 	}
-	idx, pl := p.NextRequest(at, queue, backfill)
+	idx := p.NextRequest(at, queue, backfill)
 	if p.Phase != nil {
 		p.Phase(sim.PhasePlacement, time.Since(t0).Nanoseconds())
 	}
-	if pl == nil {
-		return nil, nil
+	if idx < 0 {
+		return nil
 	}
 	r := queue.PopAt(idx)
 	// The queue wait just resolved: attribute it. A request the placer
@@ -457,26 +457,31 @@ func (p *Placer) PopNext(at sim.Time, queue *Queue, backfill int) (*Request, *pl
 		}
 		r.Trace.AddEdge(profiler.CausalEdge{Kind: kind, From: r.EnqueuedAt, To: at})
 	}
-	return r, pl
+	return r
 }
 
-// placePreferred claims (cores, gpus) on the first hinted node that fits,
-// counting it as placed, and returns nil when none does. It leaves the ring
-// cursor untouched so non-hinted traffic keeps its packing order.
-func (p *Placer) placePreferred(at sim.Time, prefer []int, cores, gpus int) *platform.Placement {
+// placePreferred claims (cores, gpus) into pl on the first hinted node
+// that fits, counting it as placed, and reports whether one did. It leaves
+// the ring cursor untouched so non-hinted traffic keeps its packing order.
+func (p *Placer) placePreferred(at sim.Time, prefer []int, cores, gpus int, pl *platform.Placement) bool {
 	for _, id := range prefer {
 		node := p.preferredNode(id, cores, gpus)
 		if node == nil {
 			continue
 		}
-		pl := platform.NewSingleNodePlacement(node.ID, cores, gpus)
-		if err := p.part.Claim(at, pl); err != nil {
-			panic(fmt.Sprintf("launch: claim after fit check failed: %v", err))
-		}
-		p.stats.Placed++
-		return pl
+		pl.SetNode(node.ID, cores, gpus)
+		p.claim(at, pl)
+		return true
 	}
-	return nil
+	return false
+}
+
+// claim claims a placement the placer found room for, counting it placed.
+func (p *Placer) claim(at sim.Time, pl *platform.Placement) {
+	if err := p.part.Claim(at, pl); err != nil {
+		panic(fmt.Sprintf("launch: claim after fit check failed: %v", err))
+	}
+	p.stats.Placed++
 }
 
 // preferredNode resolves a hinted node ID to a partition node with enough
@@ -493,15 +498,15 @@ func (p *Placer) preferredNode(id, cores, gpus int) *platform.Node {
 	return nil
 }
 
-func (p *Placer) placeSingleNode(at sim.Time, td *spec.TaskDescription, prefer []int) *platform.Placement {
+func (p *Placer) placeSingleNode(at sim.Time, td *spec.TaskDescription, prefer []int, pl *platform.Placement) bool {
 	p.stats.Attempts++
 	cores := td.TotalCores()
 	gpus := td.TotalGPUs()
 	if p.cannotFit(cores, gpus) {
-		return nil
+		return false
 	}
-	if pl := p.placePreferred(at, prefer, cores, gpus); pl != nil {
-		return pl
+	if p.placePreferred(at, prefer, cores, gpus, pl) {
+		return true
 	}
 	n := len(p.part.Nodes)
 	maxCPU, maxGPU := 0, 0
@@ -509,17 +514,14 @@ func (p *Placer) placeSingleNode(at sim.Time, td *spec.TaskDescription, prefer [
 		node := p.part.Nodes[(p.cursor+i)%n]
 		if node.FreeCPU() >= cores && node.FreeGPU() >= gpus {
 			p.cursor = (p.cursor + i) % n
-			pl := platform.NewSingleNodePlacement(node.ID, cores, gpus)
-			if err := p.part.Claim(at, pl); err != nil {
-				panic(fmt.Sprintf("launch: claim after fit check failed: %v", err))
-			}
+			pl.SetNode(node.ID, cores, gpus)
+			p.claim(at, pl)
 			// Advance past a filled node so the next search does
 			// not rescan it first.
 			if node.FreeCPU() == 0 {
 				p.cursor = (p.cursor + 1) % n
 			}
-			p.stats.Placed++
-			return pl
+			return true
 		}
 		if f := node.FreeCPU(); f > maxCPU {
 			maxCPU = f
@@ -532,7 +534,7 @@ func (p *Placer) placeSingleNode(at sim.Time, td *spec.TaskDescription, prefer [
 	// requests skip the scan until something is released.
 	p.stats.ScanFailures++
 	p.recordWatermark(maxCPU, maxGPU)
-	return nil
+	return false
 }
 
 // perNodeFootprint returns the per-node cores/gpus demand of a multi-node
@@ -554,7 +556,7 @@ func perNodeFootprint(td *spec.TaskDescription) (cores, gpus int) {
 	return ranksPerNode * cpr, ranksPerNode * td.GPUsPerRank
 }
 
-func (p *Placer) placeMultiNode(at sim.Time, td *spec.TaskDescription, prefer []int) *platform.Placement {
+func (p *Placer) placeMultiNode(at sim.Time, td *spec.TaskDescription, prefer []int, pl *platform.Placement) bool {
 	p.stats.Attempts++
 	want := td.Nodes
 	spec := p.part.Cluster.Spec
@@ -563,7 +565,7 @@ func (p *Placer) placeMultiNode(at sim.Time, td *spec.TaskDescription, prefer []
 		panic(fmt.Sprintf("launch: task %s per-node footprint (%d cores, %d gpus) exceeds node", td.UID, coresPerNode, gpusPerNode))
 	}
 	if p.cannotFit(coresPerNode, gpusPerNode) {
-		return nil
+		return false
 	}
 	// Preferred nodes first, in listed order, then partition order. A
 	// node ID can repeat only through the preference list, so only a
@@ -593,14 +595,11 @@ func (p *Placer) placeMultiNode(at sim.Time, td *spec.TaskDescription, prefer []
 	p.ids = ids
 	if len(ids) < want {
 		p.stats.ScanFailures++
-		return nil
+		return false
 	}
-	pl := platform.NewUniformPlacement(ids, coresPerNode, gpusPerNode)
-	if err := p.part.Claim(at, pl); err != nil {
-		panic(fmt.Sprintf("launch: multi-node claim after fit check failed: %v", err))
-	}
-	p.stats.Placed++
-	return pl
+	pl.SetNodes(ids, coresPerNode, gpusPerNode)
+	p.claim(at, pl)
+	return true
 }
 
 // Fits reports whether the task could ever fit on the partition when it is

@@ -16,9 +16,14 @@ func newPartition(nodes int) *platform.Allocation {
 	return c.Allocate(nodes)
 }
 
-// place places a bare task description, with no hints or hooks.
+// place places a bare task description, with no hints or hooks, and
+// returns the request's placement, nil when it did not place.
 func place(p *Placer, td *spec.TaskDescription) *platform.Placement {
-	return p.PlaceRequest(0, &Request{TD: td})
+	r := &Request{TD: td}
+	if !p.PlaceRequest(0, r) {
+		return nil
+	}
+	return &r.Pl
 }
 
 func TestPlaceSingleCore(t *testing.T) {
@@ -261,15 +266,16 @@ func TestNextRequestAffinityBeatsHead(t *testing.T) {
 	aff.Prefer = func() []int { return []int{1} }
 	q.Push(head)
 	q.Push(aff)
-	idx, pl := p.NextRequest(0, &q, 0)
-	if idx != 1 || pl == nil {
-		t.Fatalf("NextRequest = (%d, %v), want affinity entry 1", idx, pl)
+	idx := p.NextRequest(0, &q, 0)
+	if idx != 1 {
+		t.Fatalf("NextRequest = %d, want affinity entry 1", idx)
 	}
-	if pl.NodeIDs[0] != 1 {
-		t.Fatalf("affinity request placed on node %d, want 1", pl.NodeIDs[0])
-	}
-	if r := q.PopAt(idx); r.UID != "aff" {
+	r := q.PopAt(idx)
+	if r.UID != "aff" {
 		t.Fatalf("selected %s, want aff", r.UID)
+	}
+	if r.Pl.NodeIDs[0] != 1 {
+		t.Fatalf("affinity request placed on node %d, want 1", r.Pl.NodeIDs[0])
 	}
 }
 
@@ -287,17 +293,16 @@ func TestNextRequestBackfillBound(t *testing.T) {
 		t.Fatal("setup placement failed")
 	}
 	// backfill 0: strict head-of-line, nothing places.
-	if idx, pl := p.NextRequest(0, &q, 0); pl != nil {
+	if idx := p.NextRequest(0, &q, 0); idx >= 0 {
 		t.Fatalf("backfill=0 placed entry %d", idx)
 	}
 	// backfill 1: window covers big2 only — still blocked.
-	if idx, pl := p.NextRequest(0, &q, 1); pl != nil {
+	if idx := p.NextRequest(0, &q, 1); idx >= 0 {
 		t.Fatalf("backfill=1 placed entry %d", idx)
 	}
 	// backfill 2: small (entry 2) may jump.
-	idx, pl := p.NextRequest(0, &q, 2)
-	if pl == nil || idx != 2 {
-		t.Fatalf("backfill=2: got (%d, %v), want entry 2", idx, pl)
+	if idx := p.NextRequest(0, &q, 2); idx != 2 {
+		t.Fatalf("backfill=2: got %d, want entry 2", idx)
 	}
 }
 
@@ -321,11 +326,10 @@ func TestNextRequestHintlessMatchesFCFS(t *testing.T) {
 		head := 0
 		for head < len(reqs) {
 			r := reqs[head]
-			pl := ref.PlaceRequest(0, r)
-			if pl == nil {
+			if !ref.PlaceRequest(0, r) {
 				break
 			}
-			refOrder = append(refOrder, r.UID+"@"+itoa(pl.NodeIDs[0]))
+			refOrder = append(refOrder, r.UID+"@"+itoa(r.Pl.NodeIDs[0]))
 			head++
 		}
 	}
@@ -337,11 +341,11 @@ func TestNextRequestHintlessMatchesFCFS(t *testing.T) {
 	}
 	var got []string
 	for q.Len() > 0 {
-		r, pl := p.PopNext(0, &q, 0)
-		if pl == nil {
+		r := p.PopNext(0, &q, 0)
+		if r == nil {
 			break
 		}
-		got = append(got, r.UID+"@"+itoa(pl.NodeIDs[0]))
+		got = append(got, r.UID+"@"+itoa(r.Pl.NodeIDs[0]))
 	}
 	if len(got) != len(refOrder) {
 		t.Fatalf("placed %d, FCFS reference placed %d", len(got), len(refOrder))
@@ -451,7 +455,7 @@ func newPlaceWorld(n int, occupancy []byte) *placeWorld {
 			continue
 		}
 		b := int(occupancy[i])
-		pl := platform.NewSingleNodePlacement(node.ID, min(b>>1&63, 56), b>>7*4)
+		pl := &platform.Placement{NodeIDs: []int{node.ID}, Cores: min(b>>1&63, 56), GPUs: b >> 7 * 4}
 		if err := part.Claim(0, pl); err != nil {
 			panic(err)
 		}
@@ -479,11 +483,20 @@ func checkSamePlacement(t *testing.T, what string, got, want *platform.Placement
 	if (got == nil) != (want == nil) {
 		t.Fatalf("%s: placed %v, reference placed %v", what, got != nil, want != nil)
 	}
-	if got != nil && !(slices.Equal(got.NodeIDs, want.NodeIDs) &&
-		slices.Equal(got.CPUSlots, want.CPUSlots) && slices.Equal(got.GPUSlots, want.GPUSlots)) {
-		t.Fatalf("%s: placement %v %v %v, reference %v %v %v", what,
-			got.NodeIDs, got.CPUSlots, got.GPUSlots, want.NodeIDs, want.CPUSlots, want.GPUSlots)
+	if got != nil && !(slices.Equal(got.NodeIDs, want.NodeIDs) && got.Cores == want.Cores && got.GPUs == want.GPUs) {
+		t.Fatalf("%s: placement %v × (%d, %d), reference %v × (%d, %d)", what,
+			got.NodeIDs, got.Cores, got.GPUs, want.NodeIDs, want.Cores, want.GPUs)
 	}
+}
+
+// placedBy runs one placer method into a fresh placement, nil when it did
+// not place.
+func placedBy(place func(pl *platform.Placement) bool) *platform.Placement {
+	pl := new(platform.Placement)
+	if !place(pl) {
+		return nil
+	}
+	return pl
 }
 
 // checkMultiNodeMatchesReference runs one script of placements and
@@ -532,7 +545,7 @@ func checkMultiNodeMatchesReference(t *testing.T, size uint8, occupancy, script 
 			for i := range prefer {
 				prefer[i] = next()%(n+8) - 1
 			}
-			g := got.plc.placeMultiNode(0, &td, prefer)
+			g := placedBy(func(pl *platform.Placement) bool { return got.plc.placeMultiNode(0, &td, prefer, pl) })
 			w := refPlaceMultiNode(want.plc, 0, &td, prefer)
 			checkSamePlacement(t, what, g, w)
 			if g != nil {
@@ -541,7 +554,8 @@ func checkMultiNodeMatchesReference(t *testing.T, size uint8, occupancy, script 
 			}
 		case 2:
 			td := &spec.TaskDescription{Ranks: 1, CoresPerRank: 1 + a%56, GPUsPerRank: a >> 6}
-			g, w := got.plc.placeSingleNode(0, td, nil), want.plc.placeSingleNode(0, td, nil)
+			g := placedBy(func(pl *platform.Placement) bool { return got.plc.placeSingleNode(0, td, nil, pl) })
+			w := placedBy(func(pl *platform.Placement) bool { return want.plc.placeSingleNode(0, td, nil, pl) })
 			checkSamePlacement(t, what, g, w)
 			if g != nil {
 				got.live = append(got.live, g)
@@ -590,21 +604,20 @@ func FuzzPlaceMultiNodeMatchesReference(f *testing.F) {
 }
 
 // TestPlaceMultiNodeAllocs pins the allocation cost of a successful
-// multi-node placement: the Placement and the one array backing its
-// slices.
+// multi-node placement: its node ID slice, the placement itself living in
+// the request.
 func TestPlaceMultiNodeAllocs(t *testing.T) {
 	p := NewPlacer(newPartition(64))
 	for _, td := range fig8Footprints {
 		r := &Request{TD: &td}
 		allocs := testing.AllocsPerRun(100, func() {
-			pl := p.PlaceRequest(0, r)
-			if pl == nil {
+			if !p.PlaceRequest(0, r) {
 				t.Fatalf("%d-node placement failed on an idle partition", td.Nodes)
 			}
-			p.Partition().Release(0, pl)
+			p.Partition().Release(0, &r.Pl)
 		})
-		if allocs > 2 {
-			t.Errorf("%d-node placement: %.1f allocs, want at most 2", td.Nodes, allocs)
+		if allocs > 1 {
+			t.Errorf("%d-node placement: %.1f allocs, want at most 1", td.Nodes, allocs)
 		}
 	}
 }

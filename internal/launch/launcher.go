@@ -15,22 +15,6 @@ type Stepper interface {
 	StartStep(allocNodes, stepNodes int, started func(release func()))
 }
 
-// Job carries one placed request through a backend's launch pipeline,
-// execution and completion. It is the argument of every pooled pipeline
-// event, so a task's trip through a launcher costs this one allocation.
-type Job struct {
-	Req *Request
-	Pl  *platform.Placement
-	// Release, when set, frees the srun ceiling slot the job's process
-	// holds (srun tasks); the launcher invokes it once, when the job
-	// leaves, and clears it. The srun launcher sets one func bound per
-	// controller, so the field costs no allocation and Job stays at four
-	// words.
-	Release func()
-	// runIdx is the job's slot in the running list, -1 when not running.
-	runIdx int
-}
-
 // Config binds a launcher to its partition and to its backend's cost
 // model: the hop latencies and the hooks below.
 type Config struct {
@@ -61,12 +45,12 @@ type Config struct {
 	// Up, when set, runs as a boot attempt completes, before the Ready
 	// callbacks are scheduled.
 	Up func()
-	// Launch carries a placed job through the backend's launch pipeline,
-	// which ends with ExecAfter. The default scheduling pass hands it every
-	// request that places, in queue order.
-	Launch func(j *Job)
+	// Launch carries a placed request through the backend's launch
+	// pipeline, which ends with ExecAfter. The default scheduling pass
+	// hands it every request that places, in queue order.
+	Launch func(r *Request)
 	// Schedule, when set, replaces the default scheduling pass (Flux's
-	// token-bucket broker loop, which pops jobs with Next).
+	// token-bucket broker loop, which pops requests with Next).
 	Schedule func()
 }
 
@@ -81,7 +65,7 @@ type Launcher struct {
 	eng     *sim.Engine
 	plc     *Placer
 	queue   Queue
-	running []*Job
+	running []*Request
 	stats   Stats
 
 	ready       bool
@@ -115,7 +99,7 @@ type Launcher struct {
 func New(cfg Config) *Launcher {
 	l := &Launcher{cfg: cfg, eng: cfg.Engine, plc: NewPlacer(cfg.Part), ready: cfg.Bootstrap == nil}
 	l.arrivedFn = func(arg any) { l.arrived(arg.(*Request)) }
-	l.execFn = func(arg any) { l.exec(arg.(*Job)) }
+	l.execFn = func(arg any) { l.exec(arg.(*Request)) }
 	l.doneFn = l.done
 	l.hopFn = l.complete
 	return l
@@ -272,104 +256,100 @@ func (l *Launcher) Kick() {
 	// FCFS with head-of-line blocking, except that tasks whose input data
 	// sits on a free node may jump the queue (the placer's affinity pass).
 	for l.queue.Len() > 0 {
-		j := l.Next(0)
-		if j == nil {
+		r := l.Next(0)
+		if r == nil {
 			return
 		}
-		l.cfg.Launch(j)
+		l.cfg.Launch(r)
 	}
 }
 
 // Next places and dequeues the next request (data affinity, then FCFS,
-// then up to backfill requests past a blocked head), returning its job,
-// or nil when nothing can place now.
-func (l *Launcher) Next(backfill int) *Job {
-	r, pl := l.plc.PopNext(l.eng.Now(), &l.queue, backfill)
-	if pl == nil {
-		return nil
-	}
-	return &Job{Req: r, Pl: pl, runIdx: -1}
+// then up to backfill requests past a blocked head), returning it with its
+// placement claimed, or nil when nothing can place now.
+func (l *Launcher) Next(backfill int) *Request {
+	return l.plc.PopNext(l.eng.Now(), &l.queue, backfill)
 }
 
-// Dropped reports whether the instance crashed while j was in its launch
-// pipeline; if so, j's slots are released and its request failed. Pipeline
-// stages check it before drawing further costs.
-func (l *Launcher) Dropped(j *Job) bool {
+// Dropped reports whether the instance crashed while r was in its launch
+// pipeline; if so, r's slots are released and r failed. Pipeline stages
+// check it before drawing further costs.
+func (l *Launcher) Dropped(r *Request) bool {
 	if !l.crashed {
 		return false
 	}
-	l.cfg.Part.Release(l.eng.Now(), j.Pl)
-	l.fail(j.Req, l.cfg.Name+" down")
+	l.cfg.Part.Release(l.eng.Now(), &r.Pl)
+	l.fail(r, l.cfg.Name+" down")
 	return true
 }
 
-// ExecAfter starts j's process after d, the last stage of every launch
+// ExecAfter starts r's process after d, the last stage of every launch
 // pipeline.
-func (l *Launcher) ExecAfter(d sim.Duration, j *Job) {
-	l.eng.AfterCall(d, l.execFn, j)
+func (l *Launcher) ExecAfter(d sim.Duration, r *Request) {
+	l.eng.AfterCall(d, l.execFn, r)
 }
 
-func (l *Launcher) exec(j *Job) {
-	if l.Dropped(j) {
+func (l *Launcher) exec(r *Request) {
+	if l.Dropped(r) {
 		return
 	}
 	now := l.eng.Now()
 	l.stats.Started++
-	j.runIdx = len(l.running)
-	l.running = append(l.running, j)
+	r.runIdx = len(l.running)
+	l.running = append(l.running, r)
 	if l.cfg.Util != nil {
-		l.cfg.Util.Add(now, j.Pl.TotalCPU(), j.Pl.TotalGPU())
+		l.cfg.Util.Add(now, r.Pl.TotalCPU(), r.Pl.TotalGPU())
 	}
-	j.Req.Events.OnStart(now)
-	j.Req.StartBody(l.eng, l.doneFn, j)
+	r.Events.OnStart(now)
+	r.StartBody(l.eng, l.doneFn, r)
 }
 
-// done runs when a job's process body ends.
+// done runs when a request's process body ends.
 func (l *Launcher) done(arg any) {
-	j := arg.(*Job)
-	if j.runIdx < 0 {
+	r := arg.(*Request)
+	if r.runIdx < 0 {
 		return // killed by a crash or node failure; the stale body timer is inert
 	}
-	l.removeRunning(j)
-	l.release(j)
+	l.removeRunning(r)
+	l.release(r)
 	if l.cfg.CompleteLatency > 0 {
-		l.eng.AfterCall(l.cfg.CompleteLatency, l.hopFn, j)
+		l.eng.AfterCall(l.cfg.CompleteLatency, l.hopFn, r)
 	} else {
-		l.complete(j)
+		l.complete(r)
 	}
 	l.Kick()
 }
 
 // complete delivers a successful completion.
 func (l *Launcher) complete(arg any) {
-	j := arg.(*Job)
+	r := arg.(*Request)
 	l.stats.Completed++
-	j.Req.Events.OnComplete(l.eng.Now(), false, "")
+	r.Events.OnComplete(l.eng.Now(), false, "")
 }
 
-// release returns a job's slots (and its srun ceiling slot, if it holds
-// one) once it stops running.
-func (l *Launcher) release(j *Job) {
+// release returns a request's slots (and its srun ceiling slot, if it
+// holds one) once it stops running.
+func (l *Launcher) release(r *Request) {
 	now := l.eng.Now()
 	if l.cfg.Util != nil {
-		l.cfg.Util.Remove(now, j.Pl.TotalCPU(), j.Pl.TotalGPU())
+		l.cfg.Util.Remove(now, r.Pl.TotalCPU(), r.Pl.TotalGPU())
 	}
-	l.cfg.Part.Release(now, j.Pl)
-	if j.Release != nil {
-		j.Release()
-		j.Release = nil
+	l.cfg.Part.Release(now, &r.Pl)
+	if r.Release != nil {
+		r.Release()
+		r.Release = nil
 	}
 }
 
-// removeRunning swap-deletes a job from the running list in O(1).
-func (l *Launcher) removeRunning(j *Job) {
+// removeRunning swap-deletes a request from the running list in O(1).
+func (l *Launcher) removeRunning(r *Request) {
 	last := len(l.running) - 1
 	moved := l.running[last]
-	l.running[j.runIdx] = moved
-	moved.runIdx = j.runIdx
+	l.running[r.runIdx] = moved
+	moved.runIdx = r.runIdx
 	l.running[last] = nil
 	l.running = l.running[:last]
-	j.runIdx = -1
+	r.runIdx = -1
 }
 
 func (l *Launcher) fail(r *Request, reason string) {
@@ -391,30 +371,30 @@ func (l *Launcher) Drain(reason string) {
 	l.failQueued(reason)
 }
 
-// FailNode kills every running job whose placement includes the node,
-// releasing its slots and failing its request so the agent relocates the
-// task, and returns the victim count. Jobs still in the launch pipeline
-// are not running yet and survive.
+// FailNode kills every running request whose placement includes the
+// node, releasing its slots and failing it so the agent relocates the
+// task, and returns the victim count. Requests still in the launch
+// pipeline are not running yet and survive.
 func (l *Launcher) FailNode(node int, reason string) int {
 	victims := 0
 	for i := 0; i < len(l.running); {
-		j := l.running[i]
-		if !j.Pl.Includes(node) {
+		r := l.running[i]
+		if !r.Pl.Includes(node) {
 			i++
 			continue
 		}
 		// removeRunning swap-moves the tail into slot i; re-examine it.
-		l.removeRunning(j)
-		l.release(j)
-		l.fail(j.Req, reason)
+		l.removeRunning(r)
+		l.release(r)
+		l.fail(r, reason)
 		victims++
 	}
 	l.Kick()
 	return victims
 }
 
-// Crash kills the instance: its srun slot frees, queued and running jobs
-// fail with their slots released, and OnException fires. It returns false
+// Crash kills the instance: its srun slot frees, queued and running
+// requests fail with their slots released, and OnException fires. It returns false
 // when the instance is already down or there is no instance process to
 // crash (srun).
 func (l *Launcher) Crash(reason string) bool {
@@ -427,10 +407,10 @@ func (l *Launcher) Crash(reason string) bool {
 	l.failQueued(reason)
 	run := l.running
 	l.running = nil
-	for _, j := range run {
-		j.runIdx = -1
-		l.release(j)
-		l.fail(j.Req, reason)
+	for _, r := range run {
+		r.runIdx = -1
+		l.release(r)
+		l.fail(r, reason)
 	}
 	if l.OnException != nil {
 		l.OnException(reason)

@@ -2,7 +2,6 @@ package launch
 
 import (
 	"testing"
-	"unsafe"
 
 	"rpgo/internal/sim"
 	"rpgo/internal/spec"
@@ -23,13 +22,13 @@ func (s *stepper) StartStep(_, _ int, started func(release func())) {
 	})
 }
 
-// newTestLauncher returns a launcher whose pipeline starts placed jobs at
-// once; boot < 0 gives it no instance process (like srun).
+// newTestLauncher returns a launcher whose pipeline starts placed requests
+// at once; boot < 0 gives it no instance process (like srun).
 func newTestLauncher(eng *sim.Engine, nodes int, ctrl Stepper, boot sim.Duration, cfg Config) *Launcher {
 	var l *Launcher
 	cfg.Name, cfg.Engine = "x.0", eng
 	cfg.Part, cfg.Ctrl = newPartition(nodes), ctrl
-	cfg.Launch = func(j *Job) { l.ExecAfter(0, j) }
+	cfg.Launch = func(r *Request) { l.ExecAfter(0, r) }
 	if boot >= 0 {
 		cfg.Bootstrap = func() (sim.Duration, bool) { return boot, true }
 	}
@@ -40,14 +39,11 @@ func newTestLauncher(eng *sim.Engine, nodes int, ctrl Stepper, boot sim.Duration
 	return l
 }
 
-// events adapts a pair of callbacks to Events, ignoring placements;
-// either callback may be nil.
+// events adapts a pair of callbacks to Events; either may be nil.
 type events struct {
 	start func(sim.Time)
 	done  func(sim.Time, bool, string)
 }
-
-func (events) OnPlaced(sim.Time, []int) {}
 
 func (e events) OnStart(at sim.Time) {
 	if e.start != nil {
@@ -124,13 +120,5 @@ func TestLauncherCompleteHopAfterRelease(t *testing.T) {
 	eng.Run()
 	if start2 != sim.Time(2*sim.Second) || end1 != sim.Time(3*sim.Second) {
 		t.Fatalf("second start %v, first completion %v: want slots free at 2s, completion delivered at 3s", start2, end1)
-	}
-}
-
-// TestJobIsFourWords keeps Job at four words, the 32-byte size class on
-// 64-bit hosts: every placed task of every backend allocates one.
-func TestJobIsFourWords(t *testing.T) {
-	if size, want := unsafe.Sizeof(Job{}), 4*unsafe.Sizeof(uintptr(0)); size != want {
-		t.Fatalf("Job is %d bytes, want %d", size, want)
 	}
 }

@@ -10,8 +10,8 @@ import (
 
 // refPlaceMultiNode is the multi-node placement the scratch-slice version
 // replaced, kept as the reference it must match exactly: a map of taken
-// IDs probed for every node visited, ids grown by append, and a placement
-// with a slice of its own for each of NodeIDs, CPUSlots and GPUSlots.
+// IDs probed for every node visited, ids grown by append and kept as the
+// placement's NodeIDs.
 func refPlaceMultiNode(p *Placer, at sim.Time, td *spec.TaskDescription, prefer []int) *platform.Placement {
 	p.stats.Attempts++
 	want := td.Nodes
@@ -52,13 +52,7 @@ func refPlaceMultiNode(p *Placer, at sim.Time, td *spec.TaskDescription, prefer 
 		p.stats.ScanFailures++
 		return nil
 	}
-	pl := &platform.Placement{NodeIDs: ids}
-	pl.CPUSlots = make([]int, want)
-	pl.GPUSlots = make([]int, want)
-	for i := range ids {
-		pl.CPUSlots[i] = coresPerNode
-		pl.GPUSlots[i] = gpusPerNode
-	}
+	pl := &platform.Placement{NodeIDs: ids, Cores: coresPerNode, GPUs: gpusPerNode}
 	if err := p.part.Claim(at, pl); err != nil {
 		panic(fmt.Sprintf("launch: multi-node claim after fit check failed: %v", err))
 	}

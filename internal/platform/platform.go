@@ -11,6 +11,7 @@ package platform
 
 import (
 	"fmt"
+	"slices"
 
 	"rpgo/internal/sim"
 )
@@ -262,98 +263,65 @@ func (a *Allocation) Slice(start, n int) *Allocation {
 	return &Allocation{Cluster: a.Cluster, Nodes: a.Nodes[start : start+n], util: a.util}
 }
 
-// Placement is a concrete resource assignment for one task.
+// Placement is a concrete resource assignment for one task: Cores CPU
+// slots and GPUs GPU slots on each node in NodeIDs. Every placement the
+// placer makes is uniform across its nodes.
 //
-// Single-node placements — the overwhelmingly common case — should be
-// built with NewSingleNodePlacement, which backs the three slices with
-// inline storage so the whole placement is one allocation; multi-node
-// ones with NewUniformPlacement, which backs them with one array.
-// Placement is always handled by pointer; copying a value would leave the
-// slices aliased to the original's inline arrays.
+// SetNode keeps a single node's ID inline, so placing a single-node task
+// costs no allocation; NodeIDs then points into the placement itself, and
+// a placement must not be copied by value once set. SetNodes gives a
+// multi-node placement one slice of its own.
 type Placement struct {
 	// NodeIDs lists the nodes involved.
 	NodeIDs []int
-	// CPUSlots and GPUSlots are per-node counts claimed on each node in
-	// NodeIDs (parallel slices).
-	CPUSlots []int
-	GPUSlots []int
+	// Cores and GPUs are the slots claimed on each node in NodeIDs.
+	Cores int
+	GPUs  int
 
-	// Inline backing for single-node placements.
-	idArr, cpuArr, gpuArr [1]int
+	// node is the inline backing of a single-node NodeIDs.
+	node [1]int
 }
 
-// NewSingleNodePlacement returns a one-node placement with inline slice
-// storage (a single heap allocation).
-func NewSingleNodePlacement(nodeID, cores, gpus int) *Placement {
-	p := &Placement{}
-	p.idArr[0], p.cpuArr[0], p.gpuArr[0] = nodeID, cores, gpus
-	p.NodeIDs = p.idArr[:]
-	p.CPUSlots = p.cpuArr[:]
-	p.GPUSlots = p.gpuArr[:]
-	return p
+// SetNode makes p claim cores and gpus on one node, kept inline.
+func (p *Placement) SetNode(id, cores, gpus int) {
+	p.node[0] = id
+	p.NodeIDs = p.node[:]
+	p.Cores, p.GPUs = cores, gpus
 }
 
-// NewUniformPlacement returns a placement claiming cores and gpus on each
-// of nodeIDs, which it copies, so the caller may reuse the slice. Its three
-// slices share one backing array: the placement costs two allocations
-// however many nodes it spans.
-func NewUniformPlacement(nodeIDs []int, cores, gpus int) *Placement {
-	n := len(nodeIDs)
-	buf := make([]int, 3*n)
-	p := &Placement{NodeIDs: buf[:n:n], CPUSlots: buf[n : 2*n : 2*n], GPUSlots: buf[2*n:]}
-	copy(p.NodeIDs, nodeIDs)
-	for i := range n {
-		p.CPUSlots[i] = cores
-		p.GPUSlots[i] = gpus
-	}
-	return p
+// SetNodes makes p claim cores and gpus on each of ids. It copies ids into
+// one new slice, so the caller may reuse its own.
+func (p *Placement) SetNodes(ids []int, cores, gpus int) {
+	p.NodeIDs = slices.Clone(ids)
+	p.Cores, p.GPUs = cores, gpus
 }
 
 // Includes reports whether the placement claims slots on the node.
-func (p *Placement) Includes(node int) bool {
-	for _, id := range p.NodeIDs {
-		if id == node {
-			return true
-		}
-	}
-	return false
-}
+func (p *Placement) Includes(node int) bool { return slices.Contains(p.NodeIDs, node) }
 
 // TotalCPU returns the total CPU slots claimed.
-func (p *Placement) TotalCPU() int {
-	t := 0
-	for _, c := range p.CPUSlots {
-		t += c
-	}
-	return t
-}
+func (p *Placement) TotalCPU() int { return p.Cores * len(p.NodeIDs) }
 
 // TotalGPU returns the total GPU slots claimed.
-func (p *Placement) TotalGPU() int {
-	t := 0
-	for _, g := range p.GPUSlots {
-		t += g
-	}
-	return t
-}
+func (p *Placement) TotalGPU() int { return p.GPUs * len(p.NodeIDs) }
 
 // Claim marks the placement's slots busy. It returns an error if any slot is
 // unavailable; on error nothing is claimed.
 func (a *Allocation) Claim(at sim.Time, p *Placement) error {
 	// Validate first so the claim is all-or-nothing.
-	for i, id := range p.NodeIDs {
+	for _, id := range p.NodeIDs {
 		n := a.Cluster.nodes[id]
-		if p.CPUSlots[i] > n.freeCPU {
-			return fmt.Errorf("platform: node %d has %d free CPU slots, need %d", id, n.freeCPU, p.CPUSlots[i])
+		if p.Cores > n.freeCPU {
+			return fmt.Errorf("platform: node %d has %d free CPU slots, need %d", id, n.freeCPU, p.Cores)
 		}
-		if p.GPUSlots[i] > n.freeGPU {
-			return fmt.Errorf("platform: node %d has %d free GPU slots, need %d", id, n.freeGPU, p.GPUSlots[i])
+		if p.GPUs > n.freeGPU {
+			return fmt.Errorf("platform: node %d has %d free GPU slots, need %d", id, n.freeGPU, p.GPUs)
 		}
 	}
-	for i, id := range p.NodeIDs {
+	for _, id := range p.NodeIDs {
 		n := a.Cluster.nodes[id]
-		n.freeCPU -= p.CPUSlots[i]
-		n.freeGPU -= p.GPUSlots[i]
+		n.freeCPU -= p.Cores
+		n.freeGPU -= p.GPUs
 	}
 	_ = at // placement time is kept in the signature for symmetry and tracing hooks
 	return nil
@@ -362,10 +330,10 @@ func (a *Allocation) Claim(at sim.Time, p *Placement) error {
 // Release returns the placement's slots to the free pool and advances the
 // cluster's capacity epoch (invalidating placers' negative-fit caches).
 func (a *Allocation) Release(at sim.Time, p *Placement) {
-	for i, id := range p.NodeIDs {
+	for _, id := range p.NodeIDs {
 		n := a.Cluster.nodes[id]
-		n.freeCPU += p.CPUSlots[i]
-		n.freeGPU += p.GPUSlots[i]
+		n.freeCPU += p.Cores
+		n.freeGPU += p.GPUs
 		if n.freeCPU > n.Spec.Slots() || n.freeGPU > n.Spec.GPUs {
 			panic(fmt.Sprintf("platform: double release on node %d", id))
 		}

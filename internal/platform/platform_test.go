@@ -59,7 +59,7 @@ func TestAllocationSlice(t *testing.T) {
 func TestClaimReleaseLedger(t *testing.T) {
 	c := NewCluster(Frontier(1), 2)
 	a := c.Allocate(2)
-	pl := &Placement{NodeIDs: []int{0}, CPUSlots: []int{30}, GPUSlots: []int{4}}
+	pl := &Placement{NodeIDs: []int{0}, Cores: 30, GPUs: 4}
 	if err := a.Claim(0, pl); err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +67,7 @@ func TestClaimReleaseLedger(t *testing.T) {
 		t.Fatalf("ledger after claim: cpu=%d gpu=%d", c.Node(0).FreeCPU(), c.Node(0).FreeGPU())
 	}
 	// Over-claim must fail atomically.
-	big := &Placement{NodeIDs: []int{0}, CPUSlots: []int{27}, GPUSlots: []int{0}}
+	big := &Placement{NodeIDs: []int{0}, Cores: 27}
 	if err := a.Claim(0, big); err == nil {
 		t.Fatal("over-claim should fail")
 	}
@@ -85,13 +85,13 @@ func TestMultiNodeClaimAtomicity(t *testing.T) {
 	c := NewCluster(Frontier(1), 3)
 	a := c.Allocate(3)
 	// Fill node 1 completely.
-	full := &Placement{NodeIDs: []int{1}, CPUSlots: []int{56}, GPUSlots: []int{0}}
+	full := &Placement{NodeIDs: []int{1}, Cores: 56}
 	if err := a.Claim(0, full); err != nil {
 		t.Fatal(err)
 	}
 	// A 3-node claim includes the full node: must fail and leave nodes 0
 	// and 2 untouched.
-	tri := &Placement{NodeIDs: []int{0, 1, 2}, CPUSlots: []int{10, 10, 10}, GPUSlots: []int{0, 0, 0}}
+	tri := &Placement{NodeIDs: []int{0, 1, 2}, Cores: 10}
 	if err := a.Claim(0, tri); err == nil {
 		t.Fatal("claim across a full node should fail")
 	}
@@ -142,9 +142,9 @@ func TestLedgerConservationProperty(t *testing.T) {
 				continue
 			}
 			pl := &Placement{
-				NodeIDs:  []int{r.Intn(4)},
-				CPUSlots: []int{r.Intn(20) + 1},
-				GPUSlots: []int{r.Intn(3)},
+				NodeIDs: []int{r.Intn(4)},
+				Cores:   r.Intn(20) + 1,
+				GPUs:    r.Intn(3),
 			}
 			if a.Claim(0, pl) == nil {
 				live = append(live, pl)

@@ -6,6 +6,9 @@
 // Two representations coexist: a compact per-task record (fixed fields, used
 // at scale: the largest experiment traces 229,376 tasks) and an optional
 // full event log (arbitrary named events, used by tests and small runs).
+// The profiler keeps no index by UID: every Task call opens a trace of its
+// own, and the caller holds the pointer. Keeping UIDs unique is the task
+// manager's job (core.TaskManager.Submit).
 package profiler
 
 import (
@@ -301,8 +304,7 @@ type Event struct {
 
 // Profiler collects traces and events for one session.
 type Profiler struct {
-	traces map[string]*TaskTrace
-	order  []*TaskTrace
+	order []*TaskTrace
 	// arena chunks TaskTrace storage so tracing n tasks costs n/chunk
 	// allocations instead of n (the largest campaigns trace >200k tasks).
 	arena []TaskTrace
@@ -334,7 +336,7 @@ type Profiler struct {
 
 // New returns an empty profiler.
 func New() *Profiler {
-	return &Profiler{traces: make(map[string]*TaskTrace), retain: true}
+	return &Profiler{retain: true}
 }
 
 // SetSink routes completed records through s (nil restores the default
@@ -365,18 +367,16 @@ func (p *Profiler) Flush() error {
 	return nil
 }
 
-// Task returns (creating if needed) the compact trace for uid.
+// Task opens a new compact trace for uid, with every timestamp unset, and
+// returns it; the caller keeps the pointer. Every call opens a trace of its
+// own, even for a UID seen before. Retained traces are appended in call
+// order (Tasks) and carved from chunked arenas.
 func (p *Profiler) Task(uid string) *TaskTrace {
-	if t, ok := p.traces[uid]; ok {
-		return t
-	}
 	p.nTasks++
 	if !p.retain {
 		// Streaming mode: the trace lives only until TaskFinal hands it
 		// to the sink. No arena (its chunks would pin memory), no order.
-		t := NewTaskTrace(uid)
-		p.traces[uid] = t
-		return t
+		return NewTaskTrace(uid)
 	}
 	if len(p.arena) == 0 {
 		p.arena = make([]TaskTrace, 512)
@@ -397,15 +397,13 @@ func (p *Profiler) Task(uid string) *TaskTrace {
 	}
 	t.Edges = p.edgeArena[:0:edgeCap]
 	p.edgeArena = p.edgeArena[edgeCap:]
-	p.traces[uid] = t
 	p.order = append(p.order, t)
 	return t
 }
 
 // TaskFinal notifies the profiler that a task's trace reached its terminal
-// state: the sink observes the completed record, and in streaming mode the
-// profiler then drops its own reference so trace memory stays bounded.
-// (Callers may keep using the pointer; only the index entry is released.)
+// state: the sink observes the completed record. In streaming mode the
+// profiler holds no reference to it, so trace memory stays bounded.
 func (p *Profiler) TaskFinal(t *TaskTrace) {
 	p.nFinals++
 	if p.sink != nil {
@@ -417,20 +415,6 @@ func (p *Profiler) TaskFinal(t *TaskTrace) {
 		if p.Phase != nil {
 			p.Phase(sim.PhaseSinkFold, time.Since(t0).Nanoseconds())
 		}
-	}
-	if !p.retain {
-		delete(p.traces, t.UID)
-	}
-}
-
-// TaskRelease drops the profiler's index entry for uid without the final
-// notification. Sharded sessions need it: the client profiler registers
-// every trace (so merged output keeps submission order) but TaskFinal fires
-// on the owning pilot's domain profiler, so in streaming mode the client's
-// map entry would otherwise leak. No-op in retain mode.
-func (p *Profiler) TaskRelease(uid string) {
-	if !p.retain {
-		delete(p.traces, uid)
 	}
 }
 

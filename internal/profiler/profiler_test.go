@@ -20,12 +20,14 @@ func TestTaskTraceLifecycle(t *testing.T) {
 	if !tr.Ran() {
 		t.Fatal("trace with start+end ran")
 	}
-	// Task() is idempotent per UID.
-	if p.Task("t1") != tr {
-		t.Fatal("Task should return the same trace")
+	// Every Task call opens a trace of its own, even for a UID seen
+	// before: keeping UIDs unique is the task manager's job.
+	again := p.Task("t1")
+	if again == tr || again.Ran() {
+		t.Fatal("a second Task call must open a fresh trace")
 	}
-	if p.NumTasks() != 1 {
-		t.Fatalf("NumTasks = %d", p.NumTasks())
+	if p.NumTasks() != 2 || len(p.Tasks()) != 2 {
+		t.Fatalf("NumTasks = %d, %d retained, want 2", p.NumTasks(), len(p.Tasks()))
 	}
 }
 

@@ -62,7 +62,7 @@ type DVM struct {
 	params Params
 	rand   *rng.Stream
 	// prun serializes launches into the DVM (the flat-rate bottleneck).
-	prun     *sim.Server[*launch.Job]
+	prun     *sim.Server[*launch.Request]
 	rateMult float64
 }
 
@@ -94,15 +94,15 @@ func (d *DVM) bootstrapCost() (sim.Duration, bool) {
 // Rate returns the effective prun launch rate.
 func (d *DVM) Rate() float64 { return d.params.Rate * d.rateMult }
 
-func (d *DVM) serviceTime(*launch.Job) sim.Duration {
+func (d *DVM) serviceTime(*launch.Request) sim.Duration {
 	return sim.Seconds(d.rand.Exp(1 / d.Rate()))
 }
 
 // launched runs when the serial launcher issued the prun; the client hands
 // the task to the DVM daemons after its own latency.
-func (d *DVM) launched(j *launch.Job) {
-	if d.Dropped(j) {
+func (d *DVM) launched(r *launch.Request) {
+	if d.Dropped(r) {
 		return
 	}
-	d.ExecAfter(sim.Seconds(d.rand.LogNormal(d.params.PrunLatencyMedian, d.params.PrunLatencySigma)), j)
+	d.ExecAfter(sim.Seconds(d.rand.LogNormal(d.params.PrunLatencyMedian, d.params.PrunLatencySigma)), r)
 }

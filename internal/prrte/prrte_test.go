@@ -23,14 +23,11 @@ func newRig(nodes int) (*sim.Engine, *DVM, *platform.UtilizationTracker, *slurm.
 	return eng, d, util, ctrl
 }
 
-// events adapts a pair of callbacks to launch.Events, ignoring placements;
-// either callback may be nil.
+// events adapts a pair of callbacks to launch.Events; either may be nil.
 type events struct {
 	start func(sim.Time)
 	done  func(sim.Time, bool, string)
 }
-
-func (events) OnPlaced(sim.Time, []int) {}
 
 func (e events) OnStart(at sim.Time) {
 	if e.start != nil {

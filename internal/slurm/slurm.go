@@ -52,8 +52,8 @@ type step struct {
 	// asked is when the step asked for its ceiling slot.
 	asked      sim.Time
 	registered func(*step)
-	// job is the task a launcher's step starts.
-	job *launch.Job
+	// req is the task a launcher's step starts.
+	req *launch.Request
 }
 
 // NewController returns a controller with the given parameters.
@@ -144,24 +144,24 @@ func NewSrunLauncher(name string, eng *sim.Engine, ctrl *Controller, part *platf
 
 // launch runs one placed task's srun: a ceiling slot and step registration
 // through the controller, then the prolog, then the process.
-func (s *SrunLauncher) launch(j *launch.Job) {
-	stepNodes := j.Req.TD.Nodes
+func (s *SrunLauncher) launch(r *launch.Request) {
+	stepNodes := r.TD.Nodes
 	if stepNodes < 1 {
 		stepNodes = 1
 	}
 	s.ctrl.start(&step{
 		allocNodes: s.Nodes(), stepNodes: stepNodes,
-		asked: s.eng.Now(), registered: s.registeredFn, job: j,
+		asked: s.eng.Now(), registered: s.registeredFn, req: r,
 	})
 }
 
 // registered runs when a task's step may exec.
 func (s *SrunLauncher) registered(st *step) {
-	j := st.job
+	r := st.req
 	// The wait for a ceiling slot (and the controller's serial step
 	// registrar) is queueing behind a system-wide throttle, not
 	// placement: Fig 4's utilization cap shows up here.
-	if tr := j.Req.Trace; tr != nil {
+	if tr := r.Trace; tr != nil {
 		if now := s.eng.Now(); now > st.asked {
 			tr.AddEdge(profiler.CausalEdge{
 				Kind: profiler.EdgeQueued, From: st.asked, To: now, Ref: "srun.ceiling",
@@ -169,8 +169,8 @@ func (s *SrunLauncher) registered(st *step) {
 		}
 	}
 	// The srun exits with the task and its ceiling slot frees; the
-	// launcher calls Release once, when the job leaves.
-	j.Release = s.ctrl.releaseFn
+	// launcher calls Release once, when the request leaves.
+	r.Release = s.ctrl.releaseFn
 	prolog := s.ctrl.params.PrologMedian / s.rateMult
-	s.ExecAfter(sim.Seconds(s.rand.LogNormal(prolog, s.ctrl.params.PrologSigma)), j)
+	s.ExecAfter(sim.Seconds(s.rand.LogNormal(prolog, s.ctrl.params.PrologSigma)), r)
 }

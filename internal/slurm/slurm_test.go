@@ -23,14 +23,11 @@ func newRig(nodes int) (*sim.Engine, *Controller, *SrunLauncher, *platform.Utili
 	return eng, ctrl, l, util
 }
 
-// events adapts a pair of callbacks to launch.Events, ignoring placements;
-// either callback may be nil.
+// events adapts a pair of callbacks to launch.Events; either may be nil.
 type events struct {
 	start func(sim.Time)
 	done  func(sim.Time, bool, string)
 }
-
-func (events) OnPlaced(sim.Time, []int) {}
 
 func (e events) OnStart(at sim.Time) {
 	if e.start != nil {
@@ -208,13 +205,13 @@ func TestMuModel(t *testing.T) {
 func TestTaskStepAllocs(t *testing.T) {
 	eng, ctrl, l, _ := newRig(1)
 	part := l.Partition()
-	pl := platform.NewSingleNodePlacement(part.Nodes[0].ID, 1, 0)
-	j := &launch.Job{Req: req("t", sim.Second, nil, nil), Pl: pl}
+	r := req("t", sim.Second, nil, nil)
+	r.Pl.SetNode(part.Nodes[0].ID, 1, 0)
 	allocs := testing.AllocsPerRun(100, func() {
-		if err := part.Claim(eng.Now(), pl); err != nil {
+		if err := part.Claim(eng.Now(), &r.Pl); err != nil {
 			t.Fatal(err)
 		}
-		l.launch(j)
+		l.launch(r)
 		eng.Run()
 	})
 	if allocs != 1 {

@@ -159,7 +159,10 @@ func (d *StagingDirective) Validate() error {
 // TaskDescription is what a user or workflow system submits.
 type TaskDescription struct {
 	// UID identifies the task; empty UIDs are assigned by the task
-	// manager.
+	// manager, which writes them here. A UID must be unique in its
+	// session: the task manager fails a task whose UID was used before.
+	// Resubmitting a description whose UID Submit filled in counts as such
+	// a repeat.
 	UID string
 	// Kind is the task modality.
 	Kind TaskKind
