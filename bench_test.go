@@ -217,8 +217,7 @@ func BenchmarkFig8Analysis(b *testing.B) {
 // BenchmarkFig8WithFailures runs the Fig 8 campaign under node churn
 // (per-node MTBF of one simulated day on 256 nodes: dozens of failures
 // across the ~6 h campaign) with the fault injector, eviction/relocation,
-// and blame attribution all in the measured path. Gated against
-// BENCH_PR9.json so the failure machinery stays cheap.
+// and blame attribution all in the measured path.
 func BenchmarkFig8WithFailures(b *testing.B) {
 	params := model.Default()
 	params.Fault = model.FaultParams{NodeMTBF: 86400, NodeDowntime: 600}

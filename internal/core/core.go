@@ -59,7 +59,7 @@ type Session struct {
 	Controller *slurm.Controller
 	Profiler   *profiler.Profiler
 	// Metrics is the session's runtime-metrics registry; subsystems record
-	// counters, gauges and histograms into it as the simulation advances.
+	// counters and gauges into it as the simulation advances.
 	Metrics *obs.Registry
 	Params  model.Params
 

@@ -103,8 +103,8 @@ func TestPilotWalltimeCancel(t *testing.T) {
 }
 
 // TestDeterministicReplay runs an identical configuration twice and demands
-// bit-identical task timelines — the foundation of every calibration claim
-// in EXPERIMENTS.md.
+// bit-identical task timelines — the foundation of every paper-vs-measured
+// claim experiments.ReportClaims prints (go run ./cmd/rpbench -only claims).
 func TestDeterministicReplay(t *testing.T) {
 	run := func() []sim.Time {
 		sess := core.NewSession(core.Config{Seed: 77})

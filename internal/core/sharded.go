@@ -222,11 +222,11 @@ func (ss *ShardedSession) Flush() error {
 }
 
 // MetricsSnapshot merges the per-domain snapshots: counters are summed
-// across domains, then the engine-level counters are replaced with the
-// sharded engine's totals and the sharded.* and per-shard shardN.* groups
-// are added. Gauge series and histograms are taken from the client domain
-// only (per-domain registries stay available through
-// Domain(d).MetricsSnapshot()).
+// across domains, except *_highwater keys, which take the largest domain's
+// value. Then the engine-level counters are replaced with the sharded
+// engine's totals and the sharded.* and per-shard shardN.* groups are
+// added. Gauge series are taken from the client domain only (per-domain
+// registries stay available through Domain(d).MetricsSnapshot()).
 func (ss *ShardedSession) MetricsSnapshot() *obs.Snapshot { return ss.snapshot(true) }
 
 // LiveSnapshot is the mid-run variant behind the monitor: the same merged
@@ -238,13 +238,17 @@ func (ss *ShardedSession) snapshot(includeBlame bool) *obs.Snapshot {
 	snap := ss.domains[0].snapshot(includeBlame)
 	for _, s := range ss.domains[1:] {
 		for k, v := range s.snapshot(includeBlame).Counters {
-			// Every domain shares one self-profiler, and domain 0's snapshot
-			// already merged it; summing the identical totals again would
-			// multiply them by the domain count.
-			if strings.HasPrefix(k, "selfprof.") {
-				continue
+			switch {
+			case strings.HasPrefix(k, "selfprof."):
+				// Every domain shares one self-profiler, and domain 0's
+				// snapshot already merged it; summing the identical totals
+				// again would multiply them by the domain count.
+			case strings.HasSuffix(k, "_highwater"):
+				// A sum of per-domain maxima is no domain's high-water mark.
+				snap.Put(k, max(snap.Counters[k], v))
+			default:
+				snap.Put(k, snap.Counters[k]+v)
 			}
-			snap.Put(k, snap.Counters[k]+v)
 		}
 	}
 	snap.Put("sim.events", float64(ss.Eng.Steps()))

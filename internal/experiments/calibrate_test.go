@@ -2,7 +2,8 @@ package experiments
 
 // Calibration probes: run the paper's key cells and log measured vs target
 // numbers. Assertions here are deliberately loose (shape, not absolute
-// values); EXPERIMENTS.md records the exact paper-vs-measured table.
+// values); ReportClaims prints the exact paper-vs-measured table
+// (go run ./cmd/rpbench -only claims).
 
 import (
 	"testing"

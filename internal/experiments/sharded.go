@@ -21,9 +21,9 @@ import (
 	"rpgo/internal/workload"
 )
 
-// DefaultShards derives the rpbench/bench default shard count from the
-// machine: one worker per core, capped so coordination overhead cannot
-// dominate on very wide hosts.
+// DefaultShards derives the default shard count of rpsim, rpbench and the
+// root sharded-campaign benchmarks from the machine: one worker per core,
+// capped so coordination overhead cannot dominate on very wide hosts.
 func DefaultShards() int {
 	s := runtime.NumCPU()
 	if s < 1 {

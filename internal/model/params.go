@@ -315,8 +315,9 @@ type Params struct {
 	Fault   FaultParams
 }
 
-// Default returns the calibrated parameter set. EXPERIMENTS.md records the
-// paper-vs-measured outcome of every fit.
+// Default returns the calibrated parameter set. experiments.ReportClaims
+// prints the paper-vs-measured headline numbers it yields
+// (go run ./cmd/rpbench -only claims).
 func Default() Params {
 	return Params{
 		Srun: SrunParams{

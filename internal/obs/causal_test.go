@@ -261,7 +261,6 @@ func TestSnapshotJSONDeterministic(t *testing.T) {
 			v := float64(len(k))
 			s.Put(k, v)
 			s.PutGauge(k, v, v+1)
-			s.Histograms[k] = HistStat{N: uint64(len(k))}
 			s.Series[k] = []SeriesPoint{{T: v, V: 1}}
 		}
 		return s

@@ -1,7 +1,7 @@
 package obs
 
 // Hist is a log-bucketed histogram of non-negative float64 samples (the
-// registry's and Fold sink's distribution primitive). Buckets grow
+// distribution primitive of the Fold and Blame sinks). Buckets grow
 // geometrically by 2%, so any quantile estimate is within ~1% of the true
 // sample value — while the histogram itself is a fixed-size array: O(1)
 // memory no matter how many samples fold in, which is what lets the Fold

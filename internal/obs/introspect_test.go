@@ -71,8 +71,8 @@ func TestGaugePendingFlush(t *testing.T) {
 }
 
 // introspectSnapshot builds a snapshot exercising every exposition path:
-// plain and shard-prefixed counters, gauges, histograms, and a name that
-// needs sanitizing.
+// plain and shard-prefixed counters, gauges, and a name that needs
+// sanitizing.
 func introspectSnapshot() *Snapshot {
 	s := NewSnapshot()
 	s.Put("sim.events", 12345)
@@ -82,7 +82,6 @@ func introspectSnapshot() *Snapshot {
 	s.Put("sharded.xmsgs_to.d01", 17)
 	s.PutGauge("shard0.occupancy", 0.75, 0.9)
 	s.PutGauge("launch.queue_depth", 3, 11)
-	s.Histograms["agent.dispatch_us"] = HistStat{N: 100, Mean: 2.5, P50: 2, P99: 9, Max: 12}
 	return s
 }
 
@@ -120,9 +119,6 @@ func TestExpositionDeterministic(t *testing.T) {
 		`rp_shard_barrier_stall_ns_total{shard="10"} 9e+06`,
 		`rp_sim_events_total 12345`,
 		`rp_shard_occupancy{shard="0",stat="last"} 0.75`,
-		`rp_agent_dispatch_us{quantile="0.99"} 9`,
-		`rp_agent_dispatch_us_count 100`,
-		`rp_agent_dispatch_us_max 12`,
 	} {
 		if !strings.Contains(a, want) {
 			t.Errorf("exposition missing %q:\n%s", want, a)
@@ -151,11 +147,6 @@ func TestExpositionRoundTrip(t *testing.T) {
 		`rp_shard_occupancy{shard="0",stat="last"}`:   0.75,
 		`rp_shard_occupancy{shard="0",stat="max"}`:    0.9,
 		`rp_launch_queue_depth{stat="max"}`:           11,
-		`rp_agent_dispatch_us{quantile="0.5"}`:        2,
-		`rp_agent_dispatch_us{quantile="0.99"}`:       9,
-		`rp_agent_dispatch_us_sum`:                    250,
-		`rp_agent_dispatch_us_count`:                  100,
-		`rp_agent_dispatch_us_max`:                    12,
 	}
 	for key, want := range checks {
 		v, ok := got[key]

@@ -1,6 +1,6 @@
 // Package obs is the simulation-time observability subsystem: pluggable
 // trace sinks the profiler streams completed records through, a metrics
-// registry of counters/gauges/histograms sampled on sim-time ticks, and a
+// registry of counters and gauges sampled on sim-time ticks, and a
 // Chrome/Perfetto trace-event exporter for span-based lifecycle analysis.
 //
 // Three sinks ship:

@@ -98,11 +98,6 @@ func TestRegistryNilSafe(t *testing.T) {
 	if n := len(g.Series().Points); n != 0 {
 		t.Errorf("dummy gauge kept %d series points, want 0", n)
 	}
-	h := r.Histogram("z")
-	h.Observe(1)
-	if h.N() != 1 {
-		t.Errorf("dummy histogram n = %d, want 1", h.N())
-	}
 	if r.Tick() != 0 {
 		t.Errorf("nil registry tick = %v, want 0", r.Tick())
 	}
@@ -153,7 +148,6 @@ func TestRegistrySnapshotRender(t *testing.T) {
 	}
 	r.Counter("a").Add(5)
 	r.Gauge("b").Set(sim.Time(sim.Second), 2)
-	r.Histogram("c").Observe(0.5)
 	snap := r.Snapshot()
 	if snap.Counters["a"] != 5 {
 		t.Errorf("snapshot counter a = %g, want 5", snap.Counters["a"])
@@ -161,11 +155,8 @@ func TestRegistrySnapshotRender(t *testing.T) {
 	if snap.Gauges["b"].Last != 2 || snap.Gauges["b"].Max != 2 {
 		t.Errorf("snapshot gauge b = %+v, want last=2 max=2", snap.Gauges["b"])
 	}
-	if snap.Histograms["c"].N != 1 {
-		t.Errorf("snapshot histogram c n = %d, want 1", snap.Histograms["c"].N)
-	}
 	out := snap.Render()
-	for _, name := range []string{"a", "b", "c"} {
+	for _, name := range []string{"a", "b"} {
 		if !strings.Contains(out, name) {
 			t.Errorf("rendered snapshot missing %q:\n%s", name, out)
 		}

@@ -5,8 +5,7 @@ package obs
 // metric families under an rp_ prefix: every non-[a-zA-Z0-9_] rune folds to
 // '_', and a "shardN." key prefix becomes a shard="N" label so per-shard
 // series of one quantity land in one family. Counters gain the _total
-// suffix, gauges expose last/max through a stat label, histograms render as
-// summaries (quantile samples plus _sum/_count). Output is byte-
+// suffix, and gauges expose last/max through a stat label. Output is byte-
 // deterministic: families and samples are emitted in sorted order.
 
 import (
@@ -21,14 +20,14 @@ import (
 type promLabel struct{ k, v string }
 
 type promSample struct {
-	suffix string // appended to the family name: "", "_total", "_sum", ...
+	suffix string // appended to the family name: "" or "_total"
 	labels []promLabel
 	value  float64
 }
 
 type promFamily struct {
 	name    string // full family name, rp_-prefixed
-	typ     string // counter | gauge | summary
+	typ     string // counter | gauge
 	samples []promSample
 }
 
@@ -141,17 +140,6 @@ func WriteOpenMetrics(w io.Writer, s *Snapshot) error {
 		f.samples = append(f.samples,
 			promSample{labels: append(labels[:len(labels):len(labels)], promLabel{"stat", "last"}), value: g.Last},
 			promSample{labels: append(labels[:len(labels):len(labels)], promLabel{"stat", "max"}), value: g.Max})
-	}
-	for key, h := range s.Histograms {
-		name, labels := promName(key)
-		f := fam(name, "summary")
-		f.samples = append(f.samples,
-			promSample{labels: append(labels[:len(labels):len(labels)], promLabel{"quantile", "0.5"}), value: h.P50},
-			promSample{labels: append(labels[:len(labels):len(labels)], promLabel{"quantile", "0.99"}), value: h.P99},
-			promSample{suffix: "_sum", labels: labels, value: h.Mean * float64(h.N)},
-			promSample{suffix: "_count", labels: labels, value: float64(h.N)})
-		mf := fam(name+"_max", "gauge")
-		mf.samples = append(mf.samples, promSample{labels: labels, value: h.Max})
 	}
 
 	names := make([]string, 0, len(fams))

@@ -1,7 +1,7 @@
 package obs
 
-// The metrics registry: named counters, gauges and histograms instrumented
-// across the runtime stack. The hot path is lock-free and allocation-free —
+// The metrics registry: named counters and gauges instrumented across the
+// runtime stack. The hot path is lock-free and allocation-free —
 // instruments are plain structs mutated by the single-threaded simulation,
 // call sites cache instrument pointers once, and gauges coalesce their time
 // series per configurable sim-time tick so update-driven sampling cannot
@@ -97,18 +97,11 @@ func (g *Gauge) Series() metrics.Series {
 	return metrics.Series{Name: g.name, Points: pts}
 }
 
-// Histogram is a named log-bucketed distribution (see Hist).
-type Histogram struct {
-	name string
-	Hist
-}
-
 // Registry holds a session's instruments. All methods are nil-safe.
 type Registry struct {
 	tick     sim.Duration
 	counters map[string]*Counter
 	gauges   map[string]*Gauge
-	hists    map[string]*Histogram
 }
 
 // NewRegistry returns a registry whose gauge series sample at the given
@@ -121,7 +114,6 @@ func NewRegistry(tick sim.Duration) *Registry {
 		tick:     tick,
 		counters: make(map[string]*Counter),
 		gauges:   make(map[string]*Gauge),
-		hists:    make(map[string]*Histogram),
 	}
 }
 
@@ -161,32 +153,9 @@ func (r *Registry) Gauge(name string) *Gauge {
 	return g
 }
 
-// Histogram returns (creating if needed) the named histogram. On a nil
-// registry it returns an unregistered dummy.
-func (r *Registry) Histogram(name string) *Histogram {
-	if r == nil {
-		return &Histogram{}
-	}
-	h, ok := r.hists[name]
-	if !ok {
-		h = &Histogram{name: name}
-		r.hists[name] = h
-	}
-	return h
-}
-
 // GaugeStat is a gauge summary in a snapshot.
 type GaugeStat struct {
 	Last float64 `json:"last"`
-	Max  float64 `json:"max"`
-}
-
-// HistStat is a histogram summary in a snapshot.
-type HistStat struct {
-	N    uint64  `json:"n"`
-	Mean float64 `json:"mean"`
-	P50  float64 `json:"p50"`
-	P99  float64 `json:"p99"`
 	Max  float64 `json:"max"`
 }
 
@@ -197,23 +166,21 @@ type SeriesPoint struct {
 }
 
 // Snapshot is a point-in-time, JSON-ready export of a registry — the form
-// experiment reports and benchjson archives embed. Components without
+// experiment reports embed. Components without
 // registry access merge their native counters in through Put.
 type Snapshot struct {
 	TickSeconds float64                  `json:"tick_seconds,omitempty"`
 	Counters    map[string]float64       `json:"counters,omitempty"`
 	Gauges      map[string]GaugeStat     `json:"gauges,omitempty"`
-	Histograms  map[string]HistStat      `json:"histograms,omitempty"`
 	Series      map[string][]SeriesPoint `json:"series,omitempty"`
 }
 
 // NewSnapshot returns an empty snapshot.
 func NewSnapshot() *Snapshot {
 	return &Snapshot{
-		Counters:   make(map[string]float64),
-		Gauges:     make(map[string]GaugeStat),
-		Histograms: make(map[string]HistStat),
-		Series:     make(map[string][]SeriesPoint),
+		Counters: make(map[string]float64),
+		Gauges:   make(map[string]GaugeStat),
+		Series:   make(map[string][]SeriesPoint),
 	}
 }
 
@@ -258,15 +225,6 @@ func (r *Registry) Snapshot() *Snapshot {
 			pts[i] = SeriesPoint{T: p.T.Seconds(), V: p.V}
 		}
 		s.Series[name] = pts
-	}
-	for name, h := range r.hists {
-		s.Histograms[name] = HistStat{
-			N:    h.N(),
-			Mean: h.Mean(),
-			P50:  h.Quantile(0.50),
-			P99:  h.Quantile(0.99),
-			Max:  h.Max(),
-		}
 	}
 	return s
 }
@@ -344,14 +302,6 @@ func (s *Snapshot) MarshalJSON() ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	err = putMap("histograms", keysOf(len(s.Histograms), func(add func(string)) {
-		for k := range s.Histograms {
-			add(k)
-		}
-	}), func(k string) any { return s.Histograms[k] })
-	if err != nil {
-		return nil, err
-	}
 	err = putMap("series", keysOf(len(s.Series), func(add func(string)) {
 		for k := range s.Series {
 			add(k)
@@ -383,16 +333,6 @@ func (s *Snapshot) Render() string {
 	for _, n := range names {
 		g := s.Gauges[n]
 		fmt.Fprintf(&b, "%-42s last=%g max=%g\n", n, g.Last, g.Max)
-	}
-	names = names[:0]
-	for n := range s.Histograms {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, n := range names {
-		h := s.Histograms[n]
-		fmt.Fprintf(&b, "%-42s n=%d mean=%.6g p50=%.6g p99=%.6g max=%.6g\n",
-			n, h.N, h.Mean, h.P50, h.P99, h.Max)
 	}
 	return b.String()
 }

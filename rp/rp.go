@@ -230,8 +230,8 @@ func NewJSONLSink(w io.Writer) *JSONLSink { return obs.NewJSONL(w) }
 func TeeSink(sinks ...TraceSink) TraceSink { return obs.NewTee(sinks...) }
 
 // MetricsRegistry is the session's runtime-metrics registry
-// (Session.Metrics): counters, gauges and histograms recorded by the
-// engine, schedulers, data channels and services as the simulation runs.
+// (Session.Metrics): counters and gauges recorded by the engine,
+// schedulers, data channels and services as the simulation runs.
 type MetricsRegistry = obs.Registry
 
 // MetricsSnapshot is a JSON-ready export of the registry; obtain one from
