@@ -8,14 +8,16 @@
 //	rpsim -exp flux_1 -nodes 64 [-instances 4] [-workload null|dummy|mixed]
 //	      [-duration 180] [-tasks N] [-reps 3] [-seed S]
 //
-//	rpsim -exp impeccable -nodes 256 [-pilots 4] [-shards 4] [-iters N]
+//	rpsim -exp impeccable -nodes 256 [-pilots 4] [-shards N] [-iters N]
 //	      [-seed S] [-serve :9464] [-trace run.jsonl]
 //
 // Experiments: srun, flux_1, flux_n, dragon, flux_dragon, impeccable.
 //
 // The impeccable experiment runs the paper's Fig 8 campaign on a sharded
 // session (-pilots pilots sharing -nodes nodes, -shards engine workers) and
-// prints the per-shard window-telemetry table. -serve exposes /metrics
+// prints the per-shard window-telemetry table. -shards defaults to 1, which
+// measured faster than 2 on a 2-core host (DESIGN.md §8); more shards
+// change only wall time, never the simulated result. -serve exposes /metrics
 // (Prometheus text exposition), /healthz and /progress over HTTP while the
 // campaign runs, and keeps serving after it completes — poll /progress for
 // "percent":100, scrape /metrics, then interrupt the process. -trace spills
@@ -45,7 +47,7 @@ func main() {
 	reps := flag.Int("reps", 3, "repetitions")
 	seed := flag.Uint64("seed", 1, "RNG seed")
 	pilots := flag.Int("pilots", 1, "pilot count (impeccable)")
-	shards := flag.Int("shards", experiments.DefaultShards(), "sharded-engine worker count (impeccable)")
+	shards := flag.Int("shards", 1, "sharded-engine worker count; output is the same at any count (impeccable)")
 	iters := flag.Int("iters", 0, "cap campaign pipeline iterations, 0 = full (impeccable)")
 	serve := flag.String("serve", "", "serve /metrics, /healthz and /progress on this address (impeccable)")
 	traceOut := flag.String("trace", "", "write a JSONL trace spill, shard records included (impeccable)")
@@ -113,7 +115,7 @@ func main() {
 	}
 }
 
-// runImpeccable executes one sharded Fig 8 campaign with live monitoring.
+// runImpeccable executes one Fig 8 campaign with live monitoring.
 func runImpeccable(nodes, pilots, shards, iters int, seed uint64, serve, traceOut string) {
 	var mon *obs.Monitor
 	if serve != "" {
@@ -145,7 +147,7 @@ func runImpeccable(nodes, pilots, shards, iters int, seed uint64, serve, traceOu
 	// Self-profiling is always on here: the hooks cost nanoseconds and the
 	// selfprof.* phase timers surface on /metrics and in the snapshot.
 	prof := obs.NewSelfProfiler()
-	res := experiments.RunShardedImpeccable(experiments.ShardedImpeccableConfig{
+	res := experiments.RunImpeccable(experiments.ImpeccableConfig{
 		Nodes:    nodes,
 		Pilots:   pilots,
 		Shards:   shards,

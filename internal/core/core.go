@@ -80,14 +80,14 @@ func (s *Session) Profile() *obs.SelfProfiler { return s.profile }
 
 // NewSession creates a session with its own event engine.
 func NewSession(cfg Config) *Session {
-	return NewSessionOn(sim.NewEngine(), cfg)
+	return newSessionOn(sim.NewEngine(), cfg)
 }
 
-// NewSessionOn creates a session on a caller-owned engine. Sharded sessions
+// newSessionOn creates a session on a caller-owned engine. Sharded sessions
 // use it to bind every partition domain to the engine of its shard; all
 // other session state (controller, profiler, metrics, RNG source) stays
 // domain-local so domains never share mutable state across shards.
-func NewSessionOn(eng *sim.Engine, cfg Config) *Session {
+func newSessionOn(eng *sim.Engine, cfg Config) *Session {
 	params := model.Default()
 	if cfg.Params != nil {
 		params = *cfg.Params

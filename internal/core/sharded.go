@@ -15,9 +15,9 @@
 //
 // Determinism: domain layout, per-domain seeds, and message injection order
 // are all independent of the partition→shard mapping, so a fixed seed and
-// fixed domain count produce identical traces for every shard count —
-// including Shards=1, which the golden-equivalence tests pin against the
-// classic single-engine Session.
+// fixed domain count produce identical traces for every shard count. A
+// Domains=1 session replays a plain Session event for event: the Fig 8
+// golden tests run on one and check the plain session's fingerprints.
 package core
 
 import (
@@ -78,8 +78,7 @@ type ShardedSession struct {
 	// Eng is the conservative-lookahead engine coordinating the domains.
 	Eng *sim.ShardedEngine
 
-	domains   []*Session
-	lookahead sim.Duration
+	domains []*Session
 }
 
 // NewShardedSession builds the domain set. Domain 0 uses cfg.Seed verbatim
@@ -93,13 +92,12 @@ func NewShardedSession(cfg ShardedConfig) *ShardedSession {
 	if cfg.Params != nil {
 		params = *cfg.Params
 	}
-	la := sim.Seconds(params.RP.CrossPartitionLatency)
 	se := sim.NewShardedEngine(sim.ShardedConfig{
 		Partitions: cfg.Domains,
 		Shards:     cfg.Shards,
-		Lookahead:  la,
+		Lookahead:  sim.Seconds(params.RP.CrossPartitionLatency),
 	})
-	ss := &ShardedSession{Eng: se, lookahead: la}
+	ss := &ShardedSession{Eng: se}
 	if cfg.Profile != nil {
 		se.Phase = cfg.Profile.Observe
 	}
@@ -119,7 +117,7 @@ func NewShardedSession(cfg ShardedConfig) *ShardedSession {
 		if cfg.Sink != nil {
 			sink = cfg.Sink(d)
 		}
-		ss.domains = append(ss.domains, NewSessionOn(se.Engine(d), Config{
+		ss.domains = append(ss.domains, newSessionOn(se.Engine(d), Config{
 			Seed:    seed,
 			Params:  &p,
 			Sink:    sink,
@@ -135,12 +133,6 @@ func (ss *ShardedSession) Client() *Session { return ss.domains[0] }
 
 // Domain returns domain d's session.
 func (ss *ShardedSession) Domain(d int) *Session { return ss.domains[d] }
-
-// Domains returns the partition count.
-func (ss *ShardedSession) Domains() int { return len(ss.domains) }
-
-// Lookahead returns the synchronization window width.
-func (ss *ShardedSession) Lookahead() sim.Duration { return ss.lookahead }
 
 // SubmitPilot bootstraps a pilot inside the given domain. Domain 0 keeps
 // the pilot colocated with the client (the classic fast path — use it with
@@ -164,7 +156,7 @@ func (ss *ShardedSession) TaskManager(p *Pilot) *TaskManager {
 	tm := ss.domains[0].TaskManager(p)
 	tm.drive = ss.Eng.Run
 	if p.domain != 0 {
-		xd := &xdTransport{se: ss.Eng, client: 0, pilot: p.domain, latency: ss.lookahead}
+		xd := &xdTransport{se: ss.Eng, client: 0, pilot: p.domain, latency: ss.Eng.Lookahead()}
 		tm.xd = xd
 		tm.doneRecvFn = func(arg any) { tm.taskDone(arg.(*agent.Task)) }
 		tm.doneSendFn = func(t *agent.Task) {
@@ -183,32 +175,6 @@ func (ss *ShardedSession) Run() { ss.Eng.Run() }
 // sessions).
 func (ss *ShardedSession) Tasks() []*profiler.TaskTrace {
 	return ss.domains[0].Profiler.Tasks()
-}
-
-// Transfers returns every domain's transfer traces, concatenated in domain
-// order (deterministic: each domain's slice is in its own event order).
-func (ss *ShardedSession) Transfers() []profiler.TransferTrace {
-	if len(ss.domains) == 1 {
-		return ss.domains[0].Profiler.Transfers()
-	}
-	var out []profiler.TransferTrace
-	for _, s := range ss.domains {
-		out = append(out, s.Profiler.Transfers()...)
-	}
-	return out
-}
-
-// Requests returns every domain's inference-request traces, concatenated
-// in domain order.
-func (ss *ShardedSession) Requests() []profiler.RequestTrace {
-	if len(ss.domains) == 1 {
-		return ss.domains[0].Profiler.Requests()
-	}
-	var out []profiler.RequestTrace
-	for _, s := range ss.domains {
-		out = append(out, s.Profiler.Requests()...)
-	}
-	return out
 }
 
 // Flush finalizes every domain's sink output.
@@ -261,7 +227,7 @@ func (ss *ShardedSession) snapshot(includeBlame bool) *obs.Snapshot {
 	snap.Put("sharded.shards", float64(ss.Eng.Shards()))
 	snap.Put("sharded.partitions", float64(ss.Eng.Partitions()))
 	snap.Put("sharded.sim_advanced_us", float64(ss.Eng.SimAdvanced()))
-	snap.Put("sharded.lookahead_us", float64(ss.lookahead))
+	snap.Put("sharded.lookahead_us", float64(ss.Eng.Lookahead()))
 	snap.Put("sharded.barrier_stall_ns", float64(ss.Eng.BarrierStallNs()))
 	snap.Put("sharded.exchange_ns", float64(ss.Eng.ExchangeNs()))
 	eff := ss.Eng.LookaheadEfficiency()
@@ -286,10 +252,4 @@ func (ss *ShardedSession) snapshot(includeBlame bool) *obs.Snapshot {
 		}
 	}
 	return snap
-}
-
-// ShardRecords exports the engine's per-shard telemetry in spill form;
-// campaign runners append them to JSONL trace spills for rptrace shards.
-func (ss *ShardedSession) ShardRecords() []obs.ShardRecord {
-	return obs.ShardRecords(ss.Eng)
 }

@@ -68,7 +68,7 @@ func TestBlameFig8StreamingMatchesInMemory(t *testing.T) {
 	// teed Blame sink keeps only O(tasks) digests.
 	fold, blame := obs.NewFold(), obs.NewBlame()
 	cfg := fig8BlameConfig()
-	cfg.Sink = obs.NewTee(fold, blame)
+	cfg.Sink = oneSink(obs.NewTee(fold, blame))
 	streamed := RunImpeccable(cfg)
 	if len(streamed.Traces) != 0 {
 		t.Fatalf("streaming run retained %d traces; profiler should stream", len(streamed.Traces))

@@ -104,8 +104,9 @@ func TestShardedSnapshotMatchesPlainAtOneShard(t *testing.T) {
 
 // TestGoldenFig8WithInstrumentation: attaching the self-profiler AND the
 // monitor must not perturb the simulation — the golden fingerprint stays
-// bit-identical — while the profiler actually measures the run and the
-// monitor reaches 100% progress.
+// bit-identical — while the profiler actually measures the run, the
+// monitor reaches 100% progress, and the one-domain engine reports its
+// single shard.
 func TestGoldenFig8WithInstrumentation(t *testing.T) {
 	prof := obs.NewSelfProfiler()
 	mon := obs.NewMonitor(time.Nanosecond) // publish on (almost) every beat
@@ -146,28 +147,6 @@ func TestGoldenFig8WithInstrumentation(t *testing.T) {
 	if snap.Counters["selfprof.dispatch.samples"] == 0 {
 		t.Error("published snapshot carries no self-profile")
 	}
-}
-
-// TestGoldenShardedWithInstrumentation: same non-perturbation property for
-// the sharded path, at Pilots=1/Shards=1 against the same golden hash.
-func TestGoldenShardedWithInstrumentation(t *testing.T) {
-	prof := obs.NewSelfProfiler()
-	res := RunShardedImpeccable(ShardedImpeccableConfig{
-		Nodes:    128,
-		Pilots:   1,
-		Shards:   1,
-		Backend:  spec.BackendFlux,
-		Seed:     424242,
-		MaxIters: 6,
-		Profile:  prof,
-		Monitor:  obs.NewMonitor(time.Nanosecond),
-	})
-	if got := fingerprintTraces(res.Traces); got != goldenFig8Tasks {
-		t.Fatalf("instrumentation perturbed the sharded golden run: got %#x, want %#x", got, goldenFig8Tasks)
-	}
-	if prof.Samples(sim.PhaseDispatch) == 0 {
-		t.Error("sharded coordinator reported no dispatch samples")
-	}
 	if res.LookaheadEff < 1 {
 		t.Errorf("lookahead efficiency %g < 1", res.LookaheadEff)
 	}
@@ -182,7 +161,7 @@ func TestGoldenShardedWithInstrumentation(t *testing.T) {
 // through the exposition writer.
 func TestShardedTelemetryNonZero(t *testing.T) {
 	prof := obs.NewSelfProfiler()
-	res := RunShardedImpeccable(ShardedImpeccableConfig{
+	res := RunImpeccable(ImpeccableConfig{
 		Nodes:    128,
 		Pilots:   4,
 		Shards:   4,

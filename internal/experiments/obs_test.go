@@ -22,6 +22,12 @@ import (
 	"rpgo/internal/spec"
 )
 
+// oneSink hands every domain the same sink; a one-pilot RunImpeccable
+// campaign has a single domain.
+func oneSink(s profiler.TraceSink) func(int) profiler.TraceSink {
+	return func(int) profiler.TraceSink { return s }
+}
+
 // approxEq reports whether got is within rel of want (relative error).
 func approxEq(got, want, rel float64) bool {
 	if got == want {
@@ -141,7 +147,7 @@ func TestFoldMatchesMetricsFig8(t *testing.T) {
 		Backend:  spec.BackendFlux,
 		Seed:     424242,
 		MaxIters: 6,
-		Sink:     obs.NewTee(obs.NewMemory(), fold),
+		Sink:     oneSink(obs.NewTee(obs.NewMemory(), fold)),
 	})
 	if len(res.Traces) == 0 {
 		t.Fatal("tee with a Memory member must retain traces")
@@ -199,14 +205,14 @@ func TestFoldStreamingMatchesRetained(t *testing.T) {
 	cfg := ImpeccableConfig{Nodes: 32, Backend: spec.BackendFlux, Seed: 7, MaxIters: 2}
 
 	retained := obs.NewFold()
-	cfg.Sink = obs.NewTee(obs.NewMemory(), retained)
+	cfg.Sink = oneSink(obs.NewTee(obs.NewMemory(), retained))
 	resRetained := RunImpeccable(cfg)
 	if len(resRetained.Traces) == 0 {
 		t.Fatal("retaining run kept no traces")
 	}
 
 	streaming := obs.NewFold()
-	cfg.Sink = streaming
+	cfg.Sink = oneSink(streaming)
 	resStreaming := RunImpeccable(cfg)
 	if len(resStreaming.Traces) != 0 {
 		t.Fatalf("streaming run retained %d traces, want 0", len(resStreaming.Traces))

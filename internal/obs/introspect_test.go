@@ -342,7 +342,6 @@ func TestMonitorCadence(t *testing.T) {
 	nilM.SetSource(nil)
 	nilM.SetProgress(nil)
 	nilM.Attach(nil)
-	nilM.AttachSharded(nil)
 	if nilM.Snapshot() != nil || nilM.Beats() != 0 {
 		t.Error("nil monitor is not inert")
 	}

@@ -1,8 +1,8 @@
 package obs
 
 // Monitor: the live-introspection front door. A running campaign beats the
-// monitor from inside the simulation loop (Engine.Heartbeat every few
-// thousand events, or ShardedEngine.Heartbeat once per window barrier); the
+// monitor from inside the simulation loop (ShardedEngine.Heartbeat: once
+// per window barrier, or every 4,096 events on one partition); the
 // monitor rate-limits those beats to a wall-clock cadence, pulls a fresh
 // snapshot from its source and publishes it behind an atomic pointer. The
 // HTTP side (/metrics in Prometheus text exposition, /healthz, /progress
@@ -52,8 +52,8 @@ func NewMonitor(cadence time.Duration) *Monitor {
 }
 
 // SetSource installs the snapshot source the monitor publishes from. The
-// source runs on whichever thread beats the monitor (the simulation thread
-// for plain engines, the coordinator for sharded ones), so sources must be
+// source runs on whichever thread beats the monitor (the coordinator, or
+// the simulation thread of a one-partition engine), so sources must be
 // safe to call from there — sessions hand in LiveSnapshot, which skips
 // trace-dependent analyses that need a finished run.
 func (m *Monitor) SetSource(src func() *Snapshot) {
@@ -92,19 +92,10 @@ func (m *Monitor) SetProgress(fn func() (done, total int)) {
 	}
 }
 
-// Attach hooks the monitor into a plain engine's dispatch loop. Use
-// AttachSharded for sharded engines — per-window coordinator beats are the
-// only point where every domain registry is quiescent.
-func (m *Monitor) Attach(e *sim.Engine) {
-	if m == nil || e == nil {
-		return
-	}
-	e.Heartbeat = m.Heartbeat
-}
-
-// AttachSharded hooks the monitor into the sharded coordinator's window
-// barrier.
-func (m *Monitor) AttachSharded(se *sim.ShardedEngine) {
+// Attach hooks the monitor into a sharded engine's heartbeat: the window
+// barrier, the only point where every domain registry is quiescent, or
+// the event loop of a one-partition engine.
+func (m *Monitor) Attach(se *sim.ShardedEngine) {
 	if m == nil || se == nil {
 		return
 	}

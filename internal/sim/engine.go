@@ -140,17 +140,16 @@ type Engine struct {
 	// tests.
 	MaxSteps uint64
 	// Phase, when set, receives one PhaseDispatch wall-clock sample per Run
-	// call. It fires only from Run — never from the sharded window loop,
-	// whose coordinator does its own per-window reporting — so a domain
-	// engine inside a ShardedSession never double-reports.
+	// call. It fires only from Run — never under a ShardedEngine, whose
+	// coordinator does its own reporting — so a domain engine inside a
+	// ShardedSession never double-reports.
 	Phase PhaseFunc
-	// Heartbeat, when set, fires every HeartbeatEvery events from inside the
-	// dispatch loop, on the simulation thread. Monitors hook it to publish
-	// registry snapshots at a wall-clock-ish cadence during long runs. The
-	// only hot-path cost when unset is one nil check per event.
-	Heartbeat      func()
-	HeartbeatEvery uint64
-	hbLeft         uint64
+	// heartbeat, when set, fires every heartbeatEvery events from inside
+	// the dispatch loop, on the simulation thread. Only a one-partition
+	// ShardedEngine sets it, for the length of its run; the only hot-path
+	// cost when unset is one nil check per event.
+	heartbeat func()
+	hbLeft    uint64
 }
 
 // NewEngine returns an engine with the clock at zero.
@@ -336,13 +335,10 @@ func (e *Engine) step() bool {
 		} else {
 			fn()
 		}
-		if e.Heartbeat != nil {
+		if e.heartbeat != nil {
 			if e.hbLeft <= 1 {
-				e.hbLeft = e.HeartbeatEvery
-				if e.hbLeft == 0 {
-					e.hbLeft = DefaultHeartbeatEvery
-				}
-				e.Heartbeat()
+				e.hbLeft = heartbeatEvery
+				e.heartbeat()
 			} else {
 				e.hbLeft--
 			}
@@ -352,11 +348,11 @@ func (e *Engine) step() bool {
 	return false
 }
 
-// DefaultHeartbeatEvery is the event cadence used when Heartbeat is set but
-// HeartbeatEvery is zero. Events take ~100 ns apiece, so this is a beat
-// every few hundred microseconds — frequent enough for a wall-clock-capped
-// monitor, cheap enough to never show up in profiles.
-const DefaultHeartbeatEvery = 4096
+// heartbeatEvery is the event cadence of the engine heartbeat, starting
+// with the first event. Events take a few hundred nanoseconds apiece, so
+// this is a beat every millisecond or two — frequent enough for a
+// wall-clock-capped monitor, cheap enough to never show up in profiles.
+const heartbeatEvery = 4096
 
 // Run processes events until the queue is empty.
 func (e *Engine) Run() {

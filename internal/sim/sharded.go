@@ -30,6 +30,10 @@
 // Consequently a fixed seed and fixed partition layout produce byte-
 // identical merged traces for ANY shard count, including shards=1 — the
 // equivalence the golden-fingerprint tests pin.
+//
+// A one-partition engine has no boundary for a message to cross, so window
+// limits would order nothing. Run drains it as one window, with the plain
+// engine's event loop and none of the per-window clock reads.
 package sim
 
 import (
@@ -101,7 +105,9 @@ type ShardedEngine struct {
 	Phase PhaseFunc
 	// Heartbeat, when set, fires once per window on the coordinator
 	// goroutine, after the barrier — every worker is parked, so a monitor
-	// may safely read per-domain registries from inside the callback.
+	// may safely read per-domain registries from inside the callback. A
+	// one-partition run is a single window, so there it fires from the
+	// event loop instead: on the first event and every 4,096 events after.
 	Heartbeat func()
 }
 
@@ -315,13 +321,18 @@ func (se *ShardedEngine) exchange() {
 // Run drives every partition to global quiescence: exchange staged
 // messages, compute the next conservative window, run it on all shards in
 // parallel, repeat until no events remain anywhere. With one shard the
-// loop runs inline — byte-identical behavior, no goroutines.
+// loop runs inline — byte-identical behavior, no goroutines. With one
+// partition there is no loop: see runOne.
 func (se *ShardedEngine) Run() {
 	if se.running {
 		panic("sim: ShardedEngine.Run called reentrantly")
 	}
 	se.running = true
 	defer func() { se.running = false }()
+	if len(se.partShard) == 1 {
+		se.runOne()
+		return
+	}
 
 	nShards := len(se.engines)
 	se.epoch = time.Now()
@@ -430,5 +441,33 @@ func (se *ShardedEngine) Run() {
 		if se.Heartbeat != nil {
 			se.Heartbeat()
 		}
+	}
+}
+
+// runOne drains a one-partition engine as a single busy window: one
+// dispatch sample through Phase, and Heartbeat moved onto the engine's
+// per-event beat for the length of the run. A run with no events counts
+// no window, as in the loop.
+func (se *ShardedEngine) runOne() {
+	e := se.engines[0]
+	T, ok := e.peekTime()
+	if !ok {
+		return
+	}
+	if se.prevT >= 0 {
+		se.advanced += T.Sub(se.prevT)
+	}
+	se.prevT = T
+	se.windows++
+	se.stats[0].Busy++
+	e.heartbeat = se.Heartbeat
+	t0 := time.Now()
+	for e.step() {
+	}
+	d := time.Since(t0).Nanoseconds()
+	e.heartbeat = nil
+	se.stats[0].BusyNs += d
+	if se.Phase != nil {
+		se.Phase(PhaseDispatch, d)
 	}
 }

@@ -326,22 +326,58 @@ func TestShardedHeartbeatPerWindow(t *testing.T) {
 	}
 }
 
-// TestEngineHeartbeatCadence: the plain engine beats every HeartbeatEvery
-// events, starting with the first.
-func TestEngineHeartbeatCadence(t *testing.T) {
-	eng := NewEngine()
-	beats := 0
-	eng.Heartbeat = func() { beats++ }
-	eng.HeartbeatEvery = 4
-	for i := 0; i < 10; i++ {
-		eng.After(Duration(i)*Millisecond, func() {})
+// TestShardedOnePartitionRunsAsOneWindow: a one-partition engine runs its
+// events in plain-engine order as one busy window, sends one dispatch
+// sample, and beats on the first event and every 4,096 events after.
+func TestShardedOnePartitionRunsAsOneWindow(t *testing.T) {
+	const events = 2*heartbeatEvery + 1
+	program := func(eng *Engine) *[]int {
+		log := new([]int)
+		rec := func(arg any) { *log = append(*log, arg.(int)) }
+		// Scrambled times with many ties, so order rests on (time, seq).
+		for i := 0; i < events; i++ {
+			eng.AtCall(Time(i*7919%1021)*Time(Microsecond), rec, i)
+		}
+		return log
 	}
-	eng.Run()
-	// Beats land on events 1, 5, 9.
-	if beats != 3 {
-		t.Errorf("10 events at cadence 4 produced %d beats, want 3", beats)
+	plain := NewEngine()
+	want := program(plain)
+	plain.Run()
+
+	se := NewShardedEngine(ShardedConfig{Partitions: 1, Shards: 1, Lookahead: Millisecond})
+	var beats []uint64
+	se.Heartbeat = func() { beats = append(beats, se.Steps()) }
+	var dispatch, other int
+	se.Phase = func(phase int, _ int64) {
+		if phase == PhaseDispatch {
+			dispatch++
+		} else {
+			other++
+		}
 	}
-	if eng.Steps() != 10 {
-		t.Errorf("heartbeat perturbed the event count: %d", eng.Steps())
+	got := program(se.Engine(0))
+	se.Run()
+
+	if len(*got) != events || !reflect.DeepEqual(*got, *want) {
+		t.Fatalf("one-partition run diverged from the plain engine (%d of %d events)", len(*got), events)
+	}
+	if se.Windows() != 1 {
+		t.Errorf("windows = %d, want 1", se.Windows())
+	}
+	st := se.ShardStats()[0]
+	if st.Busy != 1 || st.Skipped != 0 || st.Events != events || st.BusyNs <= 0 {
+		t.Errorf("shard stats %+v, want 1 busy window of %d events", st, events)
+	}
+	if dispatch != 1 || other != 0 {
+		t.Errorf("phase samples: %d dispatch, %d other; want 1 dispatch only", dispatch, other)
+	}
+	if want := []uint64{1, heartbeatEvery + 1, 2*heartbeatEvery + 1}; !reflect.DeepEqual(beats, want) {
+		t.Errorf("heartbeats on events %v, want %v", beats, want)
+	}
+
+	// A run with nothing scheduled counts no window.
+	se.Run()
+	if se.Windows() != 1 || dispatch != 1 {
+		t.Errorf("empty run counted a window: windows=%d dispatch=%d", se.Windows(), dispatch)
 	}
 }

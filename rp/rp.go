@@ -241,10 +241,10 @@ type MetricsSnapshot = obs.Snapshot
 // --- live introspection (internal/obs) ---
 
 // Monitor is the live-monitoring front door: attach it to a running
-// campaign (experiments configs take one, or set Session.Engine.Heartbeat
-// via Monitor.Attach) and it publishes registry snapshots at a wall-clock
-// cadence and serves them over HTTP — /metrics in Prometheus text
-// exposition, /healthz, and /progress with campaign completion.
+// campaign (experiments configs take one; Monitor.Attach hooks it to a
+// sharded engine's heartbeat) and it publishes registry snapshots at a
+// wall-clock cadence and serves them over HTTP — /metrics in Prometheus
+// text exposition, /healthz, and /progress with campaign completion.
 type Monitor = obs.Monitor
 
 // NewMonitor returns a monitor publishing at most once per cadence.
