@@ -71,9 +71,10 @@ func main() {
 	}
 
 	// Task traces carry every lifecycle timestamp.
+	traces := sess.Profiler.Tasks()
 	done, failed := 0, 0
 	var firstStart, lastEnd rp.Time = -1, -1
-	for _, tr := range sess.Profiler.Tasks() {
+	for _, tr := range traces {
 		if tr.Failed {
 			failed++
 			continue
@@ -92,7 +93,7 @@ func main() {
 	fmt.Printf("srun ceiling high-water: %d concurrent launches (cap 112)\n",
 		sess.Controller.Ceiling().HighWater)
 	fmt.Printf("CPU utilization: %.1f%% (the ceiling caps it at ~50%%)\n",
-		pilot.Util.CPUUtilization(firstStart, lastEnd)*100)
+		rp.Utilization(traces, pilot.Alloc.TotalCPU(), firstStart, lastEnd)*100)
 
 	if spill != nil {
 		if err := spill.Flush(); err != nil {

@@ -21,7 +21,6 @@ import (
 	"rpgo/internal/flux"
 	"rpgo/internal/launch"
 	"rpgo/internal/model"
-	"rpgo/internal/obs"
 	"rpgo/internal/platform"
 	"rpgo/internal/profiler"
 	"rpgo/internal/prrte"
@@ -83,7 +82,6 @@ type Agent struct {
 	params model.Params
 	ctrl   *slurm.Controller
 	alloc  *platform.Allocation
-	util   *platform.UtilizationTracker
 	prof   *profiler.Profiler
 	src    *rng.Source
 
@@ -133,15 +131,13 @@ type Agent struct {
 	// failing them (without an injector nothing would ever restart them).
 	elastic bool
 
-	// Counters.
-	nSubmitted  int
-	nFinal      int
-	nDispatches int
-	nRetries    int
-
-	// Cached registry instruments (dummies when no registry is wired, so
-	// the hot path never branches on nil).
-	gInflight *obs.Gauge
+	// Counters. peakInFlight is the most tasks ever submitted and not yet
+	// final at once.
+	nSubmitted   int
+	nFinal       int
+	nDispatches  int
+	nRetries     int
+	peakInFlight int
 
 	// preferNodes' scratch, reused across calls: the scored nodes, the
 	// returned ID list, and prefSlot, which maps a node's offset in the
@@ -170,23 +166,20 @@ type executorGroup struct {
 // itself starts in params.RP.AgentBootstrap seconds, then brings up every
 // backend instance concurrently (Fig 7: overheads are not additive).
 func New(desc spec.PilotDescription, eng *sim.Engine, ctrl *slurm.Controller,
-	alloc *platform.Allocation, util *platform.UtilizationTracker,
-	prof *profiler.Profiler, src *rng.Source, params model.Params,
-	reg *obs.Registry) (*Agent, error) {
+	alloc *platform.Allocation, prof *profiler.Profiler, src *rng.Source,
+	params model.Params) (*Agent, error) {
 
 	if err := desc.Validate(); err != nil {
 		return nil, err
 	}
 	a := &Agent{
-		eng:       eng,
-		params:    params,
-		ctrl:      ctrl,
-		alloc:     alloc,
-		util:      util,
-		prof:      prof,
-		src:       src,
-		desc:      desc,
-		gInflight: reg.Gauge("agent.inflight_tasks"),
+		eng:    eng,
+		params: params,
+		ctrl:   ctrl,
+		alloc:  alloc,
+		prof:   prof,
+		src:    src,
+		desc:   desc,
 	}
 	a.notifyDoneFn = a.notifyDone
 	a.scheduledFn = func(arg any) { a.scheduled(arg.(*Task)) }
@@ -194,7 +187,7 @@ func New(desc spec.PilotDescription, eng *sim.Engine, ctrl *slurm.Controller,
 	a.scheduler = sim.NewServer(eng, 1, func(*Task) sim.Duration {
 		return sim.Seconds(schedStream.Exp(1 / params.RP.SchedRate))
 	}, a.scheduled)
-	a.dataSys = data.NewSystem(eng, alloc, params.Data, prof, reg)
+	a.dataSys = data.NewSystem(eng, alloc, params.Data, prof)
 
 	a.eng.After(sim.Seconds(params.RP.AgentBootstrap), a.bootstrapBackends)
 	return a, nil
@@ -250,21 +243,21 @@ func (a *Agent) bootstrapBackends() {
 func (a *Agent) newLauncher(pc spec.PartitionConfig, name string, part *platform.Allocation) *launch.Launcher {
 	switch pc.Backend {
 	case spec.BackendSrun:
-		return slurm.NewSrunLauncher(name, a.eng, a.ctrl, part, a.util, a.src).Launcher
+		return slurm.NewSrunLauncher(name, a.eng, a.ctrl, part, a.src).Launcher
 	case spec.BackendFlux:
 		return flux.NewInstance(flux.Config{
 			Name:   name,
 			Params: a.params.Flux,
 			Eta:    a.params.Flux.Eta(pc.Instances),
-		}, a.eng, a.ctrl, part, a.util, a.src).Launcher
+		}, a.eng, a.ctrl, part, a.src).Launcher
 	case spec.BackendPRRTE:
-		return prrte.NewDVM(name, prrte.DefaultParams(), a.eng, a.ctrl, part, a.util, a.src).Launcher
+		return prrte.NewDVM(name, prrte.DefaultParams(), a.eng, a.ctrl, part, a.src).Launcher
 	case spec.BackendDragon:
 		return dragon.NewRuntime(dragon.Config{
 			Name:   name,
 			Params: a.params.Dragon,
 			Eta:    a.params.Flux.Eta(pc.Instances),
-		}, a.eng, a.ctrl, part, a.util, a.src).Launcher
+		}, a.eng, a.ctrl, part, a.src).Launcher
 	default:
 		panic("agent: unknown backend " + pc.Backend.String())
 	}
@@ -373,6 +366,10 @@ func (a *Agent) Submitted() int { return a.nSubmitted }
 // Final reports how many tasks reached a terminal state.
 func (a *Agent) Final() int { return a.nFinal }
 
+// PeakInFlight reports the most tasks ever submitted and not yet final at
+// once.
+func (a *Agent) PeakInFlight() int { return a.peakInFlight }
+
 // Dispatches reports how many backend dispatch attempts the agent made
 // (initial submissions plus retries).
 func (a *Agent) Dispatches() int { return a.nDispatches }
@@ -385,7 +382,7 @@ func (a *Agent) Retries() int { return a.nRetries }
 func (a *Agent) Submit(t *Task, done func(*Task)) {
 	t.done = done
 	a.nSubmitted++
-	a.gInflight.Set(a.eng.Now(), float64(a.nSubmitted-a.nFinal))
+	a.peakInFlight = max(a.peakInFlight, a.nSubmitted-a.nFinal)
 	if t.Reason != "" {
 		a.finish(t, states.TaskFailed, t.Reason)
 		return
@@ -694,7 +691,6 @@ func (a *Agent) finish(t *Task, st states.TaskState, reason string) {
 	t.Trace.Final = a.eng.Now()
 	a.prof.TaskFinal(t.Trace)
 	a.nFinal++
-	a.gInflight.Set(a.eng.Now(), float64(a.nSubmitted-a.nFinal))
 	if t.done != nil {
 		// The callback runs in its own engine event (like every other
 		// notification); t.done stays set until delivery so the pooled

@@ -18,7 +18,6 @@ type rig struct {
 	eng   *sim.Engine
 	agent *Agent
 	prof  *profiler.Profiler
-	util  *platform.UtilizationTracker
 	ctrl  *slurm.Controller
 }
 
@@ -34,14 +33,12 @@ func newRig(t *testing.T, pd spec.PilotDescription) *rig {
 	}
 	cluster := platform.NewCluster(platform.Frontier(smt), pd.Nodes)
 	alloc := cluster.Allocate(pd.Nodes)
-	util := platform.NewUtilizationTracker(alloc.TotalCPU(), alloc.TotalGPU())
-	alloc.AttachUtilization(util)
 	prof := profiler.New()
-	a, err := New(pd, eng, ctrl, alloc, util, prof, src, params, nil)
+	a, err := New(pd, eng, ctrl, alloc, prof, src, params)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &rig{eng: eng, agent: a, prof: prof, util: util, ctrl: ctrl}
+	return &rig{eng: eng, agent: a, prof: prof, ctrl: ctrl}
 }
 
 func (r *rig) task(td *spec.TaskDescription, uid string) *Task {

@@ -36,9 +36,6 @@ type Config struct {
 	// Params overrides the calibrated model constants; nil uses
 	// model.Default().
 	Params *model.Params
-	// RecordEvents enables the full profiler event log (tests, small
-	// runs).
-	RecordEvents bool
 	// Sink, when set, receives every completed trace as it finalizes.
 	// Sinks that implement profiler.TraceRetainer and return false switch
 	// the profiler to streaming mode: traces are handed to the sink and
@@ -58,10 +55,7 @@ type Session struct {
 	Engine     *sim.Engine
 	Controller *slurm.Controller
 	Profiler   *profiler.Profiler
-	// Metrics is the session's runtime-metrics registry; subsystems record
-	// counters and gauges into it as the simulation advances.
-	Metrics *obs.Registry
-	Params  model.Params
+	Params     model.Params
 
 	src      *rng.Source
 	pilots   []*Pilot
@@ -85,7 +79,7 @@ func NewSession(cfg Config) *Session {
 
 // newSessionOn creates a session on a caller-owned engine. Sharded sessions
 // use it to bind every partition domain to the engine of its shard; all
-// other session state (controller, profiler, metrics, RNG source) stays
+// other session state (controller, profiler, RNG source) stays
 // domain-local so domains never share mutable state across shards.
 func newSessionOn(eng *sim.Engine, cfg Config) *Session {
 	params := model.Default()
@@ -94,7 +88,6 @@ func newSessionOn(eng *sim.Engine, cfg Config) *Session {
 	}
 	src := rng.New(cfg.Seed)
 	prof := profiler.New()
-	prof.RecordEvents = cfg.RecordEvents
 	if cfg.Sink != nil {
 		prof.SetSink(cfg.Sink)
 	}
@@ -109,7 +102,6 @@ func newSessionOn(eng *sim.Engine, cfg Config) *Session {
 		Engine:     eng,
 		Controller: slurm.NewController(eng, params.Srun, src),
 		Profiler:   prof,
-		Metrics:    obs.NewRegistry(obs.DefaultTick),
 		Params:     params,
 		src:        src,
 		profile:    cfg.Profile,
@@ -125,7 +117,6 @@ type Pilot struct {
 
 	Cluster *platform.Cluster
 	Alloc   *platform.Allocation
-	Util    *platform.UtilizationTracker
 	Agent   *agent.Agent
 	// Faults is the pilot's failure injector, non-nil only when
 	// Params.Fault is enabled; its schedule is pre-drawn at submit.
@@ -162,8 +153,6 @@ func (s *Session) SubmitPilot(pd spec.PilotDescription) (*Pilot, error) {
 	}
 	cluster := platform.NewCluster(platform.Frontier(smt), pd.Nodes)
 	alloc := cluster.Allocate(pd.Nodes)
-	util := platform.NewUtilizationTracker(alloc.TotalCPU(), alloc.TotalGPU())
-	alloc.AttachUtilization(util)
 
 	p := &Pilot{
 		UID:         pd.UID,
@@ -171,7 +160,6 @@ func (s *Session) SubmitPilot(pd spec.PilotDescription) (*Pilot, error) {
 		State:       states.PilotNew,
 		Cluster:     cluster,
 		Alloc:       alloc,
-		Util:        util,
 		sess:        s,
 		SubmittedAt: s.Engine.Now(),
 	}
@@ -179,7 +167,7 @@ func (s *Session) SubmitPilot(pd spec.PilotDescription) (*Pilot, error) {
 	p.State = states.PilotLaunching
 	s.Profiler.Log(s.Engine.Now(), p.UID, "state", p.State.String())
 
-	ag, err := agent.New(pd, s.Engine, s.Controller, alloc, util, s.Profiler, s.src, s.Params, s.Metrics)
+	ag, err := agent.New(pd, s.Engine, s.Controller, alloc, s.Profiler, s.src, s.Params)
 	if err != nil {
 		return nil, err
 	}
@@ -501,11 +489,12 @@ func (tm *TaskManager) Wait() error {
 	return nil
 }
 
-// MetricsSnapshot exports the session's metrics registry merged with the
-// native counters of components that keep them without registry
-// indirection: the event engine, the Slurm srun ceiling, every backend's
+// MetricsSnapshot exports the native counters and gauges of the session's
+// components: the event engine, the Slurm srun ceiling, every backend's
 // placement machinery, the agent dispatch pipeline, the data subsystem's
-// locality counters, and any deployed inference services.
+// transfer and locality counters, and any deployed inference services.
+// Gauges report the current value summed over pilots as last and the
+// largest pilot's peak as max.
 func (s *Session) MetricsSnapshot() *obs.Snapshot { return s.snapshot(true) }
 
 // LiveSnapshot is the mid-run variant behind the monitor's /metrics: the
@@ -514,7 +503,7 @@ func (s *Session) MetricsSnapshot() *obs.Snapshot { return s.snapshot(true) }
 func (s *Session) LiveSnapshot() *obs.Snapshot { return s.snapshot(false) }
 
 func (s *Session) snapshot(includeBlame bool) *obs.Snapshot {
-	snap := s.Metrics.Snapshot()
+	snap := obs.NewSnapshot()
 	snap.Put("sim.events", float64(s.Engine.Steps()))
 	snap.Put("sim.heap_highwater", float64(s.Engine.HeapHighWater()))
 	snap.Put("sim.timer_cancellations", float64(s.Engine.Cancellations()))
@@ -523,6 +512,8 @@ func (s *Session) snapshot(includeBlame bool) *obs.Snapshot {
 	snap.Put("slurm.srun_highwater", float64(s.Controller.Ceiling().HighWater))
 
 	var dispatches, retries, hits, misses int
+	var transfers, coalesced, stalls int
+	var inflight, inflightPeak, flows, flowsPeak int
 	var bytesMoved int64
 	var pstats launch.PlacerStats
 	queueHigh := 0
@@ -549,6 +540,8 @@ func (s *Session) snapshot(includeBlame bool) *obs.Snapshot {
 		}
 		dispatches += ag.Dispatches()
 		retries += ag.Retries()
+		inflight += ag.Submitted() - ag.Final()
+		inflightPeak = max(inflightPeak, ag.PeakInFlight())
 		for _, l := range ag.Launchers() {
 			tel := l.Telemetry()
 			pstats.Merge(tel.Placer)
@@ -560,6 +553,11 @@ func (s *Session) snapshot(includeBlame bool) *obs.Snapshot {
 			hits += ds.Hits()
 			misses += ds.Misses()
 			bytesMoved += ds.BytesMoved()
+			transfers += ds.Transfers()
+			coalesced += ds.CoalescedJoins()
+			stalls += ds.ContentionStalls()
+			flows += ds.InFlight()
+			flowsPeak = max(flowsPeak, ds.PeakInFlight())
 		}
 		for _, ep := range ag.Services().Endpoints() {
 			st := ep.Stats()
@@ -580,6 +578,15 @@ func (s *Session) snapshot(includeBlame bool) *obs.Snapshot {
 	snap.Put("data.locality_hits", float64(hits))
 	snap.Put("data.locality_misses", float64(misses))
 	snap.Put("data.bytes_total", float64(bytesMoved))
+	// These keys appear once a pilot exists, so a sharded session's
+	// pilot-less client domain adds no gauges to the merged snapshot.
+	if len(s.pilots) > 0 {
+		snap.Put("data.transfers", float64(transfers))
+		snap.Put("data.coalesced_joins", float64(coalesced))
+		snap.Put("data.contention_stalls", float64(stalls))
+		snap.PutGauge("agent.inflight_tasks", float64(inflight), float64(inflightPeak))
+		snap.PutGauge("data.active_flows", float64(flows), float64(flowsPeak))
+	}
 	snap.Put("service.served", float64(served))
 	snap.Put("service.failed", float64(failed))
 	snap.Put("service.scale_events", float64(scaleEvents))

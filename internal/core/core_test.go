@@ -177,7 +177,8 @@ func TestMultiplePilotsShareCeiling(t *testing.T) {
 }
 
 func TestEventLogRecordsStates(t *testing.T) {
-	sess := core.NewSession(core.Config{Seed: 6, RecordEvents: true})
+	sess := core.NewSession(core.Config{Seed: 6})
+	sess.Profiler.RecordEvents = true
 	pilot, _ := sess.SubmitPilot(spec.PilotDescription{Nodes: 1})
 	tm := sess.TaskManager(pilot)
 	tasks := tm.Submit(workload.Null(1))

@@ -1,6 +1,6 @@
 // Sharded sessions: one client domain plus per-pilot domains, each a fully
-// self-contained Session (engine, Slurm controller, profiler, metrics
-// registry, RNG source) bound to a shard of a sim.ShardedEngine.
+// self-contained Session (engine, Slurm controller, profiler, RNG source)
+// bound to a shard of a sim.ShardedEngine.
 //
 // Partitioning follows the model's natural boundaries: domain 0 hosts the
 // client side (task managers, campaign drivers), and each pilot lives in
@@ -191,8 +191,8 @@ func (ss *ShardedSession) Flush() error {
 // across domains, except *_highwater keys, which take the largest domain's
 // value. Then the engine-level counters are replaced with the sharded
 // engine's totals and the sharded.* and per-shard shardN.* groups are
-// added. Gauge series are taken from the client domain only (per-domain
-// registries stay available through Domain(d).MetricsSnapshot()).
+// added. Gauges are taken from the client domain only (each domain's own
+// gauges stay available through Domain(d).MetricsSnapshot()).
 func (ss *ShardedSession) MetricsSnapshot() *obs.Snapshot { return ss.snapshot(true) }
 
 // LiveSnapshot is the mid-run variant behind the monitor: the same merged

@@ -336,10 +336,8 @@ func (s *System) tick() {
 		s.nFlows -= len(done)
 		for _, f := range done {
 			s.bytesMoved += f.tt.bytes
-			s.cBytes.Add(uint64(f.tt.bytes))
 			s.finishTransfer(f, now)
 		}
-		s.gFlows.Set(now, float64(s.nFlows))
 		clear(done)
 	}
 	s.done = done[:0]

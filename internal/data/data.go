@@ -17,7 +17,6 @@ import (
 	"strconv"
 
 	"rpgo/internal/model"
-	"rpgo/internal/obs"
 	"rpgo/internal/platform"
 	"rpgo/internal/profiler"
 	"rpgo/internal/sim"
@@ -83,20 +82,19 @@ type System struct {
 	hits       int
 	misses     int
 	bytesMoved int64
-
-	// Cached telemetry instruments (nil-safe dummies when no registry is
-	// attached) so the hot paths never branch on instrumentation.
-	cTransfers *obs.Counter
-	cCoalesced *obs.Counter
-	cStalls    *obs.Counter
-	cBytes     *obs.Counter
-	gFlows     *obs.Gauge
+	// transfers counts finished transfers, coalesced the requests that
+	// joined one in flight, and stalls the flows that joined a busy
+	// channel; peakFlows is the most flows ever in flight at once.
+	transfers int
+	coalesced int
+	stalls    int
+	peakFlows int
 }
 
 // NewSystem builds the storage model over the allocation's nodes. Zero or
 // negative bandwidth dials fall back to the calibrated defaults so a
 // partially filled Params cannot divide by zero.
-func NewSystem(eng *sim.Engine, alloc *platform.Allocation, p model.DataParams, prof *profiler.Profiler, tel *obs.Registry) *System {
+func NewSystem(eng *sim.Engine, alloc *platform.Allocation, p model.DataParams, prof *profiler.Profiler) *System {
 	def := model.Default().Data
 	if p.NVMeBandwidth <= 0 {
 		p.NVMeBandwidth = def.NVMeBandwidth
@@ -113,11 +111,6 @@ func NewSystem(eng *sim.Engine, alloc *platform.Allocation, p model.DataParams, 
 		reg:         NewRegistry(),
 		pendingNode: make(map[string]map[int]*pendingXfer),
 		pendingTier: make(map[string]map[spec.StageTier]*pendingXfer),
-		cTransfers:  tel.Counter("data.transfers"),
-		cCoalesced:  tel.Counter("data.coalesced_joins"),
-		cStalls:     tel.Counter("data.contention_stalls"),
-		cBytes:      tel.Counter("data.bytes_moved"),
-		gFlows:      tel.Gauge("data.active_flows"),
 	}
 	s.shared = &Channel{name: "sharedfs", capacity: p.SharedFSBandwidth(n)}
 	s.channels = append(s.channels, s.shared)
@@ -185,6 +178,13 @@ func (s *System) BurstChannel() *Channel { return s.burst }
 
 // BytesMoved returns the total bytes transferred so far.
 func (s *System) BytesMoved() int64 { return s.bytesMoved }
+
+// Transfers returns the transfers finished so far, CoalescedJoins the
+// requests that joined a transfer already in flight, and ContentionStalls
+// the flows that joined a channel other flows were crossing.
+func (s *System) Transfers() int        { return s.transfers }
+func (s *System) CoalescedJoins() int   { return s.coalesced }
+func (s *System) ContentionStalls() int { return s.stalls }
 
 // Hits and Misses return the locality counters; HitRate the derived rate.
 func (s *System) Hits() int   { return s.hits }
@@ -281,7 +281,7 @@ func (s *System) JoinPending(dataset string, node int, fn func(any), arg any) (s
 		return "", false
 	}
 	p.waiters = append(p.waiters, waiter{fn, arg})
-	s.cCoalesced.Inc()
+	s.coalesced++
 	return p.uid, true
 }
 
@@ -362,7 +362,7 @@ func (s *System) JoinPendingTier(dataset string, tier spec.StageTier, fn func(an
 		return "", false
 	}
 	p.waiters = append(p.waiters, waiter{fn, arg})
-	s.cCoalesced.Inc()
+	s.coalesced++
 	return p.uid, true
 }
 
@@ -415,19 +415,19 @@ func (s *System) start(arg any) {
 	for _, ch := range f.route.chans {
 		if ch.nActive > 0 {
 			// Joining an already-busy link: every flow on it slows down.
-			s.cStalls.Inc()
+			s.stalls++
 			f.tt.contended = ch.name
 			break
 		}
 	}
 	s.join(f)
 	s.recompute()
-	s.gFlows.Set(now, float64(s.nFlows))
+	s.peakFlows = max(s.peakFlows, s.nFlows)
 }
 
 // finishTransfer records the trace and hands the completion to the engine.
 func (s *System) finishTransfer(f *flow, at sim.Time) {
-	s.cTransfers.Inc()
+	s.transfers++
 	if s.prof != nil {
 		tt := profiler.TransferTrace{
 			UID:     f.tt.uid,
@@ -503,8 +503,10 @@ func (s *System) complete(arg any) {
 	}
 }
 
-// InFlight returns the number of active transfers (tests).
-func (s *System) InFlight() int { return s.nFlows }
+// InFlight returns the number of flows in flight; PeakInFlight the most
+// there ever were at once.
+func (s *System) InFlight() int     { return s.nFlows }
+func (s *System) PeakInFlight() int { return s.peakFlows }
 
 // Registry tracks which nodes and tiers hold which datasets.
 type Registry struct {

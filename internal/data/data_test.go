@@ -28,7 +28,7 @@ func newSystem(t *testing.T, nodes int, p model.DataParams) (*sim.Engine, *Syste
 	eng := sim.NewEngine()
 	cluster := platform.NewCluster(platform.Frontier(1), nodes)
 	prof := profiler.New()
-	return eng, NewSystem(eng, cluster.Allocate(nodes), p, prof, nil), prof
+	return eng, NewSystem(eng, cluster.Allocate(nodes), p, prof), prof
 }
 
 func TestSingleFlowBottleneck(t *testing.T) {

@@ -141,7 +141,7 @@ func checkMatchesReference(t *testing.T, burst bool, ops []xferOp) []string {
 	}
 
 	eng, prof := sim.NewEngine(), profiler.New()
-	sys := NewSystem(eng, alloc(), p, prof, nil)
+	sys := NewSystem(eng, alloc(), p, prof)
 	got := runSchedule(eng, sys, ops)
 
 	refEng, refProf := sim.NewEngine(), profiler.New()
@@ -340,7 +340,7 @@ func BenchmarkFairShare(b *testing.B) {
 			for i := range systems {
 				engs[i] = sim.NewEngine()
 				alloc := platform.NewCluster(platform.Frontier(1), 8).Allocate(8)
-				systems[i] = NewSystem(engs[i], alloc, model.Default().Data, nil, nil)
+				systems[i] = NewSystem(engs[i], alloc, model.Default().Data, nil)
 			}
 			var m0, m1 runtime.MemStats
 			runtime.ReadMemStats(&m0)

@@ -61,7 +61,7 @@ type Config struct {
 
 // NewRuntime creates and starts a runtime over the partition.
 func NewRuntime(cfg Config, eng *sim.Engine, ctrl *slurm.Controller, part *platform.Allocation,
-	util *platform.UtilizationTracker, src *rng.Source) *Runtime {
+	src *rng.Source) *Runtime {
 	if cfg.Eta <= 0 {
 		cfg.Eta = 1
 	}
@@ -76,7 +76,7 @@ func NewRuntime(cfg Config, eng *sim.Engine, ctrl *slurm.Controller, part *platf
 	shmem := sim.Seconds(cfg.Params.ShmemLatency)
 	d.Launcher = launch.New(launch.Config{
 		Name: cfg.Name, Backend: spec.BackendDragon,
-		Engine: eng, Ctrl: ctrl, Part: part, Util: util,
+		Engine: eng, Ctrl: ctrl, Part: part,
 		// Tasks are serialized to the runtime over a shmem pipe, and
 		// completion events hop back over a shmem queue to a watcher.
 		SubmitLatency:   shmem,

@@ -12,7 +12,7 @@ import (
 	"rpgo/internal/spec"
 )
 
-func newRig(nodes int, cfg Config) (*sim.Engine, *Runtime, *platform.UtilizationTracker, *slurm.Controller) {
+func newRig(nodes int, cfg Config) (*sim.Engine, *Runtime, *slurm.Controller) {
 	eng := sim.NewEngine()
 	src := rng.New(13)
 	params := model.Default()
@@ -24,10 +24,20 @@ func newRig(nodes int, cfg Config) (*sim.Engine, *Runtime, *platform.Utilization
 	}
 	ctrl := slurm.NewController(eng, params.Srun, src)
 	cluster := platform.NewCluster(platform.Frontier(1), nodes)
-	alloc := cluster.Allocate(nodes)
-	util := platform.NewUtilizationTracker(alloc.TotalCPU(), alloc.TotalGPU())
-	rt := NewRuntime(cfg, eng, ctrl, alloc, util, src)
-	return eng, rt, util, ctrl
+	rt := NewRuntime(cfg, eng, ctrl, cluster.Allocate(nodes), src)
+	return eng, rt, ctrl
+}
+
+// checkSlotsFree fails the test unless every node of the allocation has all
+// its CPU and GPU slots free.
+func checkSlotsFree(t *testing.T, a *platform.Allocation) {
+	t.Helper()
+	for _, n := range a.Nodes {
+		if n.FreeCPU() != n.Spec.Slots() || n.FreeGPU() != n.Spec.GPUs {
+			t.Fatalf("node %d still holds %d CPU and %d GPU slots",
+				n.ID, n.Spec.Slots()-n.FreeCPU(), n.Spec.GPUs-n.FreeGPU())
+		}
+	}
 }
 
 // events adapts a pair of callbacks to launch.Events; either may be nil.
@@ -57,7 +67,7 @@ func req(kind spec.TaskKind, dur sim.Duration, onStart func(sim.Time), onDone fu
 }
 
 func TestBootstrapTakesAbout9s(t *testing.T) {
-	eng, rt, _, ctrl := newRig(4, Config{})
+	eng, rt, ctrl := newRig(4, Config{})
 	eng.Run()
 	boot := rt.BootstrapOverhead().Seconds()
 	if boot < 6 || boot > 14 {
@@ -76,7 +86,7 @@ func TestBootstrapTakesAbout9s(t *testing.T) {
 }
 
 func TestBootstrapTimeoutTriggersFailover(t *testing.T) {
-	eng, rt, _, _ := newRig(2, Config{FailBootstrap: true})
+	eng, rt, _ := newRig(2, Config{FailBootstrap: true})
 	exception := ""
 	rt.OnException = func(r string) { exception = r }
 	failed := 0
@@ -105,7 +115,7 @@ func TestBootstrapTimeoutTriggersFailover(t *testing.T) {
 
 func TestFunctionFasterThanExec(t *testing.T) {
 	rate := func(kind spec.TaskKind) float64 {
-		eng, rt, _, _ := newRig(4, Config{})
+		eng, rt, _ := newRig(4, Config{})
 		const n = 400
 		var starts []sim.Time
 		for i := 0; i < n; i++ {
@@ -133,7 +143,7 @@ func TestThroughputDeclinesWithNodes(t *testing.T) {
 }
 
 func TestCrashReleasesEverything(t *testing.T) {
-	eng, rt, util, ctrl := newRig(1, Config{})
+	eng, rt, ctrl := newRig(1, Config{})
 	outcomes := map[bool]int{}
 	for i := 0; i < 70; i++ {
 		rt.Submit(req(spec.Executable, 1000*sim.Second, nil, func(_ sim.Time, f bool, _ string) {
@@ -146,16 +156,14 @@ func TestCrashReleasesEverything(t *testing.T) {
 	if outcomes[false] != 0 || outcomes[true] != 70 {
 		t.Fatalf("outcomes: %v, want all 70 failed", outcomes)
 	}
-	if util.BusyCPU() != 0 {
-		t.Fatalf("leaked %d busy slots", util.BusyCPU())
-	}
+	checkSlotsFree(t, rt.Partition())
 	if ctrl.Ceiling().InUse() != 0 {
 		t.Fatal("srun slot leaked")
 	}
 }
 
 func TestCompletionEventsArriveAsynchronously(t *testing.T) {
-	eng, rt, _, _ := newRig(1, Config{})
+	eng, rt, _ := newRig(1, Config{})
 	var endAt, completeAt sim.Time
 	rt.Submit(&launch.Request{
 		UID: "t",
@@ -172,7 +180,7 @@ func TestCompletionEventsArriveAsynchronously(t *testing.T) {
 }
 
 func TestStatsAccounting(t *testing.T) {
-	eng, rt, _, _ := newRig(2, Config{})
+	eng, rt, _ := newRig(2, Config{})
 	for i := 0; i < 50; i++ {
 		rt.Submit(req(spec.Function, sim.Second, nil, nil))
 	}
@@ -186,7 +194,7 @@ func TestStatsAccounting(t *testing.T) {
 // TestRestartOutlivesFirstStartupTimeout: the startup timeout armed by the
 // boot attempt that crashed must not fail the restarted runtime.
 func TestRestartOutlivesFirstStartupTimeout(t *testing.T) {
-	eng, rt, _, _ := newRig(2, Config{})
+	eng, rt, _ := newRig(2, Config{})
 	eng.RunUntil(sim.Time(2 * sim.Second))
 	rt.Crash("injected")
 	eng.RunUntil(sim.Time(55 * sim.Second))

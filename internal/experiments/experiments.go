@@ -131,7 +131,8 @@ func RunThroughput(cfg ThroughputConfig) ThroughputResult {
 	res := ThroughputResult{Config: cfg}
 	res.Reps = make([]RepResult, cfg.Reps)
 	RunCells(cfg.Reps, func(r int) {
-		res.Reps[r] = runThroughputRep(cfg, cfg.Seed+uint64(r))
+		_, tasks := runRep(cfg, cfg.Seed+uint64(r))
+		res.Reps[r] = repResult(cfg, tasks)
 	})
 	var utilSum float64
 	var makespanSum sim.Duration
@@ -152,7 +153,9 @@ func RunThroughput(cfg ThroughputConfig) ThroughputResult {
 	return res
 }
 
-func runThroughputRep(cfg ThroughputConfig, seed uint64) RepResult {
+// runRep runs one repetition of a cell and returns its session and task
+// traces.
+func runRep(cfg ThroughputConfig, seed uint64) (*core.Session, []*profiler.TaskTrace) {
 	sess := core.NewSession(core.Config{Seed: seed, Params: cfg.Params})
 	pilot, err := sess.SubmitPilot(spec.PilotDescription{
 		Nodes:      cfg.Nodes,
@@ -167,7 +170,11 @@ func runThroughputRep(cfg ThroughputConfig, seed uint64) RepResult {
 	if err := tm.Wait(); err != nil {
 		panic(fmt.Sprintf("experiments: %s: %v", cfg.Name, err))
 	}
-	tasks := sess.Profiler.Tasks()
+	return sess, sess.Profiler.Tasks()
+}
+
+// repResult summarizes one repetition's task traces.
+func repResult(cfg ThroughputConfig, tasks []*profiler.TaskTrace) RepResult {
 	var rep RepResult
 	rep.Throughput = metrics.ThroughputOf(tasks)
 	rep.Makespan = metrics.Makespan(tasks)

@@ -9,10 +9,8 @@ import (
 	"fmt"
 	"strings"
 
-	"rpgo/internal/core"
 	"rpgo/internal/metrics"
 	"rpgo/internal/obs"
-	"rpgo/internal/profiler"
 	"rpgo/internal/spec"
 )
 
@@ -55,11 +53,8 @@ func ReportTable1() string {
 // tasks on 4 nodes) and renders the utilization timeline.
 func ReportFig4(seed uint64) string {
 	cfg := SrunCell(4, Dummy, seed, 1)
-	res := RunThroughput(cfg)
-
-	// Re-run a single rep to extract the concurrency series.
-	sess, tasks := runForTraces(cfg, seed)
-	_ = sess
+	_, tasks := runRep(cfg, seed)
+	rep := repResult(cfg, tasks)
 	conc := metrics.ConcurrencySeries(tasks, 300)
 	// Scale concurrency (1-core tasks) into utilization percent.
 	for i := range conc.Points {
@@ -70,7 +65,7 @@ func ReportFig4(seed uint64) string {
 	b.WriteString("(Frontier's srun concurrency ceiling of 112 caps utilization at 50%)\n\n")
 	b.WriteString(metrics.ASCIIPlot(conc, 72, 12, "CPU utilization [%] over time"))
 	fmt.Fprintf(&b, "\nmeasured: utilization=%.1f%%  makespan=%.0fs  (paper: 50%%, ~1500s)\n",
-		res.MeanUtil*100, res.MeanMakespan.Seconds())
+		rep.CPUUtil*100, rep.Makespan.Seconds())
 	return b.String()
 }
 
@@ -268,7 +263,7 @@ func ReportClaims(sc SuiteConfig) string {
 // channels and the dispatch pipeline (DESIGN.md §6).
 func ReportTelemetry(sc SuiteConfig) string {
 	cfg := HybridCell(8, 2, 0, sc.Seed+17, 1)
-	sess, _ := runForTraces(cfg, sc.Seed+17)
+	sess, _ := runRep(cfg, sc.Seed+17)
 	var b strings.Builder
 	b.WriteString("Runtime telemetry: flux+dragon cell, 8 nodes, 2 instances per runtime\n\n")
 	b.WriteString(sess.MetricsSnapshot().Render())
@@ -289,7 +284,7 @@ func ReportBlame(sc SuiteConfig) string {
 	var b strings.Builder
 	b.WriteString("Blame scorecards: per-cell makespan decomposition (critical-path engine)\n")
 	for _, cfg := range cells {
-		_, traces := runForTraces(cfg, sc.Seed+18)
+		_, traces := runRep(cfg, sc.Seed+18)
 		sink := obs.NewBlame()
 		for _, t := range traces {
 			sink.OnTask(t)
@@ -299,22 +294,4 @@ func ReportBlame(sc SuiteConfig) string {
 		rep.WriteText(&b)
 	}
 	return b.String()
-}
-
-// runForTraces runs one repetition of a cell and returns the task traces,
-// for reports that need timeline series rather than aggregates.
-func runForTraces(cfg ThroughputConfig, seed uint64) (*core.Session, []*profiler.TaskTrace) {
-	sess := core.NewSession(core.Config{Seed: seed, Params: cfg.Params})
-	pilot, err := sess.SubmitPilot(spec.PilotDescription{
-		Nodes: cfg.Nodes, SMT: 1, Partitions: cfg.Partitions,
-	})
-	if err != nil {
-		panic(fmt.Sprintf("experiments: %s: %v", cfg.Name, err))
-	}
-	tm := sess.TaskManager(pilot)
-	tm.Submit(cfg.buildWorkload())
-	if err := tm.Wait(); err != nil {
-		panic(fmt.Sprintf("experiments: %s: %v", cfg.Name, err))
-	}
-	return sess, sess.Profiler.Tasks()
 }

@@ -35,7 +35,6 @@ type Instance struct {
 	*launch.Launcher
 	eng    *sim.Engine
 	params model.FluxParams
-	util   *platform.UtilizationTracker
 	rand   *rng.Stream
 	nested bool
 
@@ -66,14 +65,13 @@ type Config struct {
 // NewInstance creates and boots an instance over the partition. ctrl may
 // be nil only for nested instances.
 func NewInstance(cfg Config, eng *sim.Engine, ctrl *slurm.Controller, part *platform.Allocation,
-	util *platform.UtilizationTracker, src *rng.Source) *Instance {
+	src *rng.Source) *Instance {
 	if cfg.Eta <= 0 {
 		cfg.Eta = 1
 	}
 	in := &Instance{
 		eng:    eng,
 		params: cfg.Params,
-		util:   util,
 		rand:   src.Stream("flux." + cfg.Name),
 		nested: cfg.Nested || ctrl == nil,
 		eta:    cfg.Eta,
@@ -82,7 +80,7 @@ func NewInstance(cfg Config, eng *sim.Engine, ctrl *slurm.Controller, part *plat
 	in.cycleFn = in.cycle
 	in.Launcher = launch.New(launch.Config{
 		Name: cfg.Name, Backend: spec.BackendFlux,
-		Engine: eng, Ctrl: ctrl, Part: part, Util: util,
+		Engine: eng, Ctrl: ctrl, Part: part,
 		SubmitLatency: sim.Seconds(cfg.Params.RPCLatency),
 		Bootstrap:     in.bootstrapCost,
 		Up:            in.up,
@@ -129,7 +127,7 @@ func (in *Instance) SpawnNested(name string, n int, src *rng.Source) (*Instance,
 		Name:   name,
 		Params: in.params,
 		Nested: true,
-	}, in.eng, nil, sub, in.util, src)
+	}, in.eng, nil, sub, src)
 	return child, nil
 }
 

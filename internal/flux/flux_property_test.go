@@ -26,7 +26,7 @@ func TestTokenBucketRateBound(t *testing.T) {
 		ctrl := slurm.NewController(eng, params.Srun, src)
 		cluster := platform.NewCluster(platform.Frontier(1), nodes)
 		alloc := cluster.Allocate(nodes)
-		in := NewInstance(Config{Name: "flux.p", Params: params.Flux}, eng, ctrl, alloc, nil, src)
+		in := NewInstance(Config{Name: "flux.p", Params: params.Flux}, eng, ctrl, alloc, src)
 
 		var starts []sim.Time
 		n := 300
@@ -76,7 +76,7 @@ func TestAllTasksEventuallyStart(t *testing.T) {
 		ctrl := slurm.NewController(eng, params.Srun, src)
 		cluster := platform.NewCluster(platform.Frontier(1), 2)
 		alloc := cluster.Allocate(2)
-		in := NewInstance(Config{Name: "flux.q", Params: params.Flux}, eng, ctrl, alloc, nil, src)
+		in := NewInstance(Config{Name: "flux.q", Params: params.Flux}, eng, ctrl, alloc, src)
 		n := 112 + int(extra) // oversubscribed: forces multiple waves
 		done := 0
 		for i := 0; i < n; i++ {

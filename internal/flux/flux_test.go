@@ -12,20 +12,30 @@ import (
 	"rpgo/internal/spec"
 )
 
-func newRig(nodes int) (*sim.Engine, *Instance, *platform.UtilizationTracker, *slurm.Controller) {
+func newRig(nodes int) (*sim.Engine, *Instance, *slurm.Controller) {
 	return newRigWith(nodes, model.Default().Flux)
 }
 
 // newRigWith is newRig with the instance's cost model given.
-func newRigWith(nodes int, fp model.FluxParams) (*sim.Engine, *Instance, *platform.UtilizationTracker, *slurm.Controller) {
+func newRigWith(nodes int, fp model.FluxParams) (*sim.Engine, *Instance, *slurm.Controller) {
 	eng := sim.NewEngine()
 	src := rng.New(11)
 	ctrl := slurm.NewController(eng, model.Default().Srun, src)
 	cluster := platform.NewCluster(platform.Frontier(1), nodes)
-	alloc := cluster.Allocate(nodes)
-	util := platform.NewUtilizationTracker(alloc.TotalCPU(), alloc.TotalGPU())
-	in := NewInstance(Config{Name: "flux.t", Params: fp}, eng, ctrl, alloc, util, src)
-	return eng, in, util, ctrl
+	in := NewInstance(Config{Name: "flux.t", Params: fp}, eng, ctrl, cluster.Allocate(nodes), src)
+	return eng, in, ctrl
+}
+
+// checkSlotsFree fails the test unless every node of the allocation has all
+// its CPU and GPU slots free.
+func checkSlotsFree(t *testing.T, a *platform.Allocation) {
+	t.Helper()
+	for _, n := range a.Nodes {
+		if n.FreeCPU() != n.Spec.Slots() || n.FreeGPU() != n.Spec.GPUs {
+			t.Fatalf("node %d still holds %d CPU and %d GPU slots",
+				n.ID, n.Spec.Slots()-n.FreeCPU(), n.Spec.GPUs-n.FreeGPU())
+		}
+	}
 }
 
 // events adapts a pair of callbacks to launch.Events; either may be nil.
@@ -55,7 +65,7 @@ func req(dur sim.Duration, onStart func(sim.Time), onDone func(sim.Time, bool, s
 }
 
 func TestBootstrapTakesAbout20s(t *testing.T) {
-	eng, in, _, ctrl := newRig(4)
+	eng, in, ctrl := newRig(4)
 	var readyAt sim.Time = -1
 	in.Ready(func() { readyAt = eng.Now() })
 	eng.Run()
@@ -77,7 +87,7 @@ func TestBootstrapTakesAbout20s(t *testing.T) {
 }
 
 func TestSubmitBeforeReadyQueues(t *testing.T) {
-	eng, in, _, _ := newRig(2)
+	eng, in, _ := newRig(2)
 	var startAt sim.Time = -1
 	in.Submit(req(sim.Second, func(at sim.Time) { startAt = at }, nil))
 	eng.Run()
@@ -90,7 +100,7 @@ func TestSubmitBeforeReadyQueues(t *testing.T) {
 }
 
 func TestDispatchRateMatchesModel(t *testing.T) {
-	eng, in, _, _ := newRig(4)
+	eng, in, _ := newRig(4)
 	const n = 500
 	var starts []sim.Time
 	for i := 0; i < n; i++ {
@@ -109,7 +119,7 @@ func TestDispatchRateMatchesModel(t *testing.T) {
 }
 
 func TestBackfillLetsSmallTasksPassBlockedHead(t *testing.T) {
-	eng, in, _, _ := newRig(2)
+	eng, in, _ := newRig(2)
 	// Fill the whole partition with a long task per slot.
 	for i := 0; i < 112; i++ {
 		in.Submit(req(500*sim.Second, nil, nil))
@@ -135,7 +145,7 @@ func TestBackfillLetsSmallTasksPassBlockedHead(t *testing.T) {
 }
 
 func TestCrashFailsQueuedAndRunning(t *testing.T) {
-	eng, in, util, ctrl := newRig(1)
+	eng, in, ctrl := newRig(1)
 	var failures, successes int
 	for i := 0; i < 80; i++ { // 56 run, 24 queue
 		in.Submit(req(1000*sim.Second, nil, func(_ sim.Time, failed bool, _ string) {
@@ -157,9 +167,7 @@ func TestCrashFailsQueuedAndRunning(t *testing.T) {
 	if !exception {
 		t.Fatal("OnException not invoked")
 	}
-	if util.BusyCPU() != 0 {
-		t.Fatalf("crash leaked %d busy slots", util.BusyCPU())
-	}
+	checkSlotsFree(t, in.Partition())
 	if ctrl.Ceiling().InUse() != 0 {
 		t.Fatal("crash did not release the srun slot")
 	}
@@ -177,7 +185,7 @@ func TestCrashFailsQueuedAndRunning(t *testing.T) {
 }
 
 func TestNestedInstance(t *testing.T) {
-	eng, in, _, _ := newRig(4)
+	eng, in, _ := newRig(4)
 	src := rng.New(77)
 	var child *Instance
 	in.Ready(func() {
@@ -208,17 +216,18 @@ func TestNestedInstance(t *testing.T) {
 }
 
 func TestUtilizationAccounting(t *testing.T) {
-	eng, in, util, _ := newRig(1)
+	eng, in, _ := newRig(1)
+	running, peak := 0, 0
 	for i := 0; i < 56; i++ {
-		in.Submit(req(100*sim.Second, nil, nil))
+		in.Submit(req(100*sim.Second,
+			func(sim.Time) { running++; peak = max(peak, running) },
+			func(sim.Time, bool, string) { running-- }))
 	}
 	eng.Run()
-	if util.PeakCPU != 56 {
-		t.Fatalf("peak busy = %d, want 56", util.PeakCPU)
+	if peak != 56 {
+		t.Fatalf("peak running = %d, want 56", peak)
 	}
-	if util.BusyCPU() != 0 {
-		t.Fatal("slots leaked after completion")
-	}
+	checkSlotsFree(t, in.Partition())
 }
 
 func TestEtaReducesRate(t *testing.T) {
@@ -235,7 +244,7 @@ func TestEtaReducesRate(t *testing.T) {
 // restart must not let the first boot's ready event bring the restarted
 // broker up early; Ready fires only once the new bootstrap completes.
 func TestRestartIgnoresStaleBoot(t *testing.T) {
-	eng, in, _, _ := newRig(4)
+	eng, in, _ := newRig(4)
 	eng.RunUntil(sim.Time(5 * sim.Second))
 	in.Crash("injected")
 	eng.RunUntil(sim.Time(6 * sim.Second))
@@ -257,7 +266,7 @@ func TestRestartIgnoresStaleBoot(t *testing.T) {
 // srun step is granted and restarting asks for a second step; the first,
 // stale grant must give its ceiling slot back.
 func TestRestartBeforeSrunGrantReleasesSlot(t *testing.T) {
-	eng, in, _, ctrl := newRig(2)
+	eng, in, ctrl := newRig(2)
 	in.Crash("injected")
 	if !in.Restart() {
 		t.Fatal("restart refused")
@@ -276,7 +285,7 @@ func TestRestartBeforeSrunGrantReleasesSlot(t *testing.T) {
 // the instance drains must fail on arrival instead of starting, and a
 // restart clears the drain.
 func TestDrainFailsInFlightSubmit(t *testing.T) {
-	eng, in, _, _ := newRig(2)
+	eng, in, _ := newRig(2)
 	eng.RunUntil(sim.Time(60 * sim.Second)) // bootstrapped
 	failed := false
 	in.Submit(req(sim.Second, func(sim.Time) {
@@ -308,7 +317,7 @@ func TestStaleCycleAfterRestartWaitsForBoot(t *testing.T) {
 	// submit below has crossed its 2 ms RPC.
 	fp.R0 = 0.5
 	fp.RunSigma = 0
-	eng, in, _, _ := newRigWith(1, fp)
+	eng, in, _ := newRigWith(1, fp)
 	// Queued at boot, so the first pass runs and leaves a cycle pending.
 	in.Submit(req(1000*sim.Second, nil, nil))
 	readyAt, startAt := sim.Time(-1), sim.Time(-1)

@@ -302,8 +302,8 @@ type Placer struct {
 	maxFreeCPU int
 	maxFreeGPU int
 
-	// stats are native counters (no registry indirection on the hot
-	// path); backends surface them through Telemetry().
+	// stats are plain counters; backends surface them through
+	// Telemetry().
 	stats PlacerStats
 
 	// Phase, when set, receives sim.PhasePlacement wall-clock samples for

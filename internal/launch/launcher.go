@@ -24,7 +24,6 @@ type Config struct {
 	// Ctrl runs the bootstrap step of srun-launched instances.
 	Ctrl Stepper
 	Part *platform.Allocation
-	Util *platform.UtilizationTracker
 
 	// SubmitLatency is the hop a submit crosses before it reaches the
 	// instance (Flux's RPC, Dragon's shmem pipe); zero submits
@@ -297,9 +296,6 @@ func (l *Launcher) exec(r *Request) {
 	l.stats.Started++
 	r.runIdx = len(l.running)
 	l.running = append(l.running, r)
-	if l.cfg.Util != nil {
-		l.cfg.Util.Add(now, r.Pl.TotalCPU(), r.Pl.TotalGPU())
-	}
 	r.Events.OnStart(now)
 	r.StartBody(l.eng, l.doneFn, r)
 }
@@ -330,11 +326,7 @@ func (l *Launcher) complete(arg any) {
 // release returns a request's slots (and its srun ceiling slot, if it
 // holds one) once it stops running.
 func (l *Launcher) release(r *Request) {
-	now := l.eng.Now()
-	if l.cfg.Util != nil {
-		l.cfg.Util.Remove(now, r.Pl.TotalCPU(), r.Pl.TotalGPU())
-	}
-	l.cfg.Part.Release(now, &r.Pl)
+	l.cfg.Part.Release(l.eng.Now(), &r.Pl)
 	if r.Release != nil {
 		r.Release()
 		r.Release = nil

@@ -257,9 +257,8 @@ func (f *strideFold) add(p Point) {
 	}
 }
 
-// Utilization is the share of allocated CPU slots used by executing tasks,
-// computed from traces against a capacity (independent of the platform
-// tracker, so the two can cross-check each other in tests).
+// Utilization is the share of allocated CPU slots used by executing tasks
+// over [start, end], computed from traces against a capacity.
 func Utilization(tasks []*profiler.TaskTrace, totalCPU int, start, end sim.Time) float64 {
 	return utilization(tasks, totalCPU, start, end, func(tr *profiler.TaskTrace) int {
 		if tr.Cores == 0 {

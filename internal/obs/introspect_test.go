@@ -1,8 +1,8 @@
 package obs
 
-// Tests for the live-introspection layer: the gauge pending-point flush,
-// the Prometheus/OpenMetrics exposition writer and parser, the monitor's
-// HTTP front door, the self-profiler, and the per-shard telemetry records.
+// Tests for the live-introspection layer: the Prometheus/OpenMetrics
+// exposition writer and parser, the monitor's HTTP front door, the
+// self-profiler, and the per-shard telemetry records.
 
 import (
 	"bytes"
@@ -17,58 +17,6 @@ import (
 
 	"rpgo/internal/sim"
 )
-
-// TestGaugeFinalPointSurvivesSnapshot is the end-of-run truncation
-// regression: the run's LAST gauge sample must appear in the snapshot
-// series even when the series is long enough to be downsampled (the
-// stride-max downsampler would otherwise discard a final value smaller
-// than its stride's peak — exactly the shape of a draining queue).
-func TestGaugeFinalPointSurvivesSnapshot(t *testing.T) {
-	r := NewRegistry(sim.Second)
-	g := r.Gauge("queue.depth")
-	const n = 1000 // > maxSnapshotSeriesPoints, forces downsampling
-	for i := 0; i < n; i++ {
-		// Strictly decreasing: every stride's max is its FIRST point, so a
-		// max-keeping downsample drops the final sample without the fix.
-		g.Set(sim.Time(i)*sim.Time(sim.Second), float64(n-i))
-	}
-	snap := r.Snapshot()
-	pts := snap.Series["queue.depth"]
-	if len(pts) == 0 {
-		t.Fatal("no series exported")
-	}
-	if len(pts) > maxSnapshotSeriesPoints {
-		t.Fatalf("series has %d points, cap is %d", len(pts), maxSnapshotSeriesPoints)
-	}
-	last := pts[len(pts)-1]
-	if last.T != float64(n-1) || last.V != 1 {
-		t.Fatalf("final sample truncated: series ends at t=%g v=%g, want t=%g v=1",
-			last.T, last.V, float64(n-1))
-	}
-}
-
-// TestGaugePendingFlush: a sample that has not yet closed its tick bucket
-// must still be visible in Series and Snapshot.
-func TestGaugePendingFlush(t *testing.T) {
-	r := NewRegistry(10 * sim.Second)
-	g := r.Gauge("load")
-	g.Set(sim.Time(sim.Second), 1)
-	g.Set(sim.Time(5*sim.Second), 2) // same bucket: still pending
-	pts := g.Series().Points
-	if len(pts) != 1 || pts[0].V != 2 {
-		t.Fatalf("pending point not flushed into Series: %+v", pts)
-	}
-	snap := r.Snapshot()
-	sp := snap.Series["load"]
-	if len(sp) != 1 || sp[0].V != 2 {
-		t.Fatalf("pending point missing from snapshot: %+v", sp)
-	}
-	// The flush must not commit: a later same-bucket Set still coalesces.
-	g.Set(sim.Time(7*sim.Second), 3)
-	if pts = g.Series().Points; len(pts) != 1 || pts[0].V != 3 {
-		t.Fatalf("Series flush committed the pending point: %+v", pts)
-	}
-}
 
 // introspectSnapshot builds a snapshot exercising every exposition path:
 // plain and shard-prefixed counters, gauges, and a name that needs

@@ -27,7 +27,7 @@ type monitorHooks struct {
 	progress func() (done, total int)
 }
 
-// Monitor publishes registry snapshots at a wall-clock cadence and serves
+// Monitor publishes metrics snapshots at a wall-clock cadence and serves
 // them over HTTP. All methods are safe for concurrent use; a nil *Monitor
 // is inert.
 type Monitor struct {
@@ -93,7 +93,7 @@ func (m *Monitor) SetProgress(fn func() (done, total int)) {
 }
 
 // Attach hooks the monitor into a sharded engine's heartbeat: the window
-// barrier, the only point where every domain registry is quiescent, or
+// barrier, the only point where every domain is quiescent, or
 // the event loop of a one-partition engine.
 func (m *Monitor) Attach(se *sim.ShardedEngine) {
 	if m == nil || se == nil {

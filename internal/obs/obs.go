@@ -1,6 +1,6 @@
 // Package obs is the simulation-time observability subsystem: pluggable
-// trace sinks the profiler streams completed records through, a metrics
-// registry of counters and gauges sampled on sim-time ticks, and a
+// trace sinks the profiler streams completed records through, the metrics
+// snapshot sessions export their counters and gauges in, and a
 // Chrome/Perfetto trace-event exporter for span-based lifecycle analysis.
 //
 // Three sinks ship:

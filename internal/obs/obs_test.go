@@ -10,7 +10,6 @@ import (
 	"testing"
 
 	"rpgo/internal/profiler"
-	"rpgo/internal/sim"
 )
 
 // --- Hist ---
@@ -77,83 +76,19 @@ func TestHistEdgeCases(t *testing.T) {
 	}
 }
 
-// --- Registry ---
+// --- Snapshot ---
 
-// TestRegistryNilSafe: every accessor on a nil registry returns usable
-// dummies, so instrumented components need no nil checks.
-func TestRegistryNilSafe(t *testing.T) {
-	var r *Registry
-	c := r.Counter("x")
-	c.Inc()
-	c.Add(2)
-	if c.Value() != 3 {
-		t.Errorf("dummy counter = %d, want 3", c.Value())
-	}
-	g := r.Gauge("y")
-	g.Set(sim.Time(5*sim.Second), 7)
-	g.Add(sim.Time(6*sim.Second), 1)
-	if g.Value() != 8 || g.Max() != 8 {
-		t.Errorf("dummy gauge = %g/max %g, want 8/8", g.Value(), g.Max())
-	}
-	if n := len(g.Series().Points); n != 0 {
-		t.Errorf("dummy gauge kept %d series points, want 0", n)
-	}
-	if r.Tick() != 0 {
-		t.Errorf("nil registry tick = %v, want 0", r.Tick())
-	}
-	snap := r.Snapshot()
-	if len(snap.Counters) != 0 || len(snap.Gauges) != 0 {
-		t.Error("nil registry snapshot must be empty")
-	}
-	snap.Put("merged", 1) // callers merge into it regardless
-	if snap.Counters["merged"] != 1 {
-		t.Error("snapshot Put failed")
-	}
-}
-
-// TestGaugeTickCoalescing: within one tick only the latest sample is kept;
-// crossing a tick boundary appends.
-func TestGaugeTickCoalescing(t *testing.T) {
-	r := NewRegistry(10 * sim.Second)
-	g := r.Gauge("load")
-	for i := 0; i < 100; i++ {
-		g.Set(sim.Time(i)*sim.Time(sim.Second)/10, float64(i)) // 100 updates in 10 s
-	}
-	pts := g.Series().Points
-	if len(pts) != 1 {
-		t.Fatalf("coalesced series has %d points, want 1", len(pts))
-	}
-	if pts[0].V != 99 {
-		t.Errorf("coalesced point = %g, want the latest (99)", pts[0].V)
-	}
-	g.Set(sim.Time(25*sim.Second), 7) // new tick bucket
-	g.Set(sim.Time(61*sim.Second), 3)
-	if pts = g.Series().Points; len(pts) != 3 {
-		t.Fatalf("series has %d points after 3 tick buckets, want 3", len(pts))
-	}
-	if g.Max() != 99 || g.Value() != 3 {
-		t.Errorf("max/last = %g/%g, want 99/3", g.Max(), g.Value())
-	}
-}
-
-// TestRegistrySnapshotRender: instruments registered once are stable under
-// repeated lookup, and the snapshot renders them all.
+// TestRegistrySnapshotRender: values merged into a snapshot through Put and
+// PutGauge read back, and Render lists them all.
 func TestRegistrySnapshotRender(t *testing.T) {
-	r := NewRegistry(0)
-	if r.Tick() != DefaultTick {
-		t.Errorf("tick = %v, want DefaultTick", r.Tick())
-	}
-	if r.Counter("a") != r.Counter("a") {
-		t.Error("repeated Counter lookup returned different instruments")
-	}
-	r.Counter("a").Add(5)
-	r.Gauge("b").Set(sim.Time(sim.Second), 2)
-	snap := r.Snapshot()
+	snap := NewSnapshot()
+	snap.Put("a", 5)
+	snap.PutGauge("b", 2, 3)
 	if snap.Counters["a"] != 5 {
 		t.Errorf("snapshot counter a = %g, want 5", snap.Counters["a"])
 	}
-	if snap.Gauges["b"].Last != 2 || snap.Gauges["b"].Max != 2 {
-		t.Errorf("snapshot gauge b = %+v, want last=2 max=2", snap.Gauges["b"])
+	if snap.Gauges["b"].Last != 2 || snap.Gauges["b"].Max != 3 {
+		t.Errorf("snapshot gauge b = %+v, want last=2 max=3", snap.Gauges["b"])
 	}
 	out := snap.Render()
 	for _, name := range []string{"a", "b"} {

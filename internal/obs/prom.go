@@ -1,6 +1,6 @@
 package obs
 
-// Prometheus/OpenMetrics text exposition for registry snapshots — the wire
+// Prometheus/OpenMetrics text exposition for metrics snapshots — the wire
 // format behind the monitor's /metrics endpoint. Snapshot keys map to
 // metric families under an rp_ prefix: every non-[a-zA-Z0-9_] rune folds to
 // '_', and a "shardN." key prefix becomes a shard="N" label so per-shard

@@ -1,6 +1,5 @@
 // Package platform models the HPC machine: node hardware profiles, a
-// cluster of nodes, per-node core/GPU slot ledgers, and a time-weighted
-// resource utilization tracker.
+// cluster of nodes, and per-node core/GPU slot ledgers.
 //
 // The model corresponds to OLCF Frontier as used in the paper: 64-core AMD
 // EPYC nodes with 8 of those cores reserved for the OS (56 usable, "cpn" in
@@ -171,7 +170,6 @@ func (c *Cluster) TotalGPU() int { return len(c.nodes) * c.Spec.GPUs }
 type Allocation struct {
 	Cluster *Cluster
 	Nodes   []*Node
-	util    *UtilizationTracker
 }
 
 // Allocate grants n whole nodes from the cluster. It panics if the request
@@ -194,19 +192,8 @@ func (a *Allocation) TotalCPU() int { return len(a.Nodes) * a.Cluster.Spec.Slots
 // TotalGPU returns the GPU slots in the allocation.
 func (a *Allocation) TotalGPU() int { return len(a.Nodes) * a.Cluster.Spec.GPUs }
 
-// AttachUtilization stores the tracker handle shared by all partitions of
-// this allocation. Execution layers report to it at task start/end; Claim
-// and Release deliberately do not touch it, because utilization measures
-// *executing* tasks (a placed-but-not-launched task does not count — this
-// distinction is what makes srun's 50 % ceiling visible in Fig 4).
-func (a *Allocation) AttachUtilization(u *UtilizationTracker) { a.util = u }
-
-// Utilization returns the attached tracker (may be nil).
-func (a *Allocation) Utilization() *UtilizationTracker { return a.util }
-
 // Partition splits the allocation into k contiguous sub-allocations of
-// near-equal size (remainder nodes spread over the first partitions). Each
-// partition shares the parent's utilization tracker.
+// near-equal size (remainder nodes spread over the first partitions).
 func (a *Allocation) Partition(k int) []*Allocation {
 	if k <= 0 {
 		panic("platform: partition count must be positive")
@@ -223,7 +210,7 @@ func (a *Allocation) Partition(k int) []*Allocation {
 		if i < rem {
 			n++
 		}
-		parts[i] = &Allocation{Cluster: a.Cluster, Nodes: a.Nodes[idx : idx+n], util: a.util}
+		parts[i] = &Allocation{Cluster: a.Cluster, Nodes: a.Nodes[idx : idx+n]}
 		idx += n
 	}
 	return parts
@@ -254,13 +241,13 @@ func SplitNodes(total, d int) []int {
 }
 
 // Slice returns a sub-allocation of n nodes starting at offset start within
-// this allocation. The sub-allocation shares the parent's node ledgers and
-// utilization tracker (used for nested Flux instances).
+// this allocation. The sub-allocation shares the parent's node ledgers
+// (used for nested Flux instances).
 func (a *Allocation) Slice(start, n int) *Allocation {
 	if start < 0 || n <= 0 || start+n > len(a.Nodes) {
 		panic(fmt.Sprintf("platform: invalid slice [%d:%d) of %d-node allocation", start, start+n, len(a.Nodes)))
 	}
-	return &Allocation{Cluster: a.Cluster, Nodes: a.Nodes[start : start+n], util: a.util}
+	return &Allocation{Cluster: a.Cluster, Nodes: a.Nodes[start : start+n]}
 }
 
 // Placement is a concrete resource assignment for one task: Cores CPU
@@ -340,92 +327,4 @@ func (a *Allocation) Release(at sim.Time, p *Placement) {
 	}
 	a.Cluster.epoch++
 	_ = at
-}
-
-// UtilizationTracker integrates busy resource-time. It is event-driven: the
-// integral advances only when occupancy changes, so tracking is O(1) per
-// task regardless of run length.
-type UtilizationTracker struct {
-	totalCPU int
-	totalGPU int
-
-	busyCPU int
-	busyGPU int
-
-	last        sim.Time
-	cpuBusyTime float64 // core-seconds
-	gpuBusyTime float64 // gpu-seconds
-
-	// Peaks for concurrency assertions.
-	PeakCPU int
-	PeakGPU int
-}
-
-// NewUtilizationTracker tracks utilization against the given capacity.
-func NewUtilizationTracker(totalCPU, totalGPU int) *UtilizationTracker {
-	return &UtilizationTracker{totalCPU: totalCPU, totalGPU: totalGPU}
-}
-
-func (u *UtilizationTracker) advance(at sim.Time) {
-	dt := at.Sub(u.last).Seconds()
-	if dt < 0 {
-		panic("platform: utilization time went backwards")
-	}
-	u.cpuBusyTime += float64(u.busyCPU) * dt
-	u.gpuBusyTime += float64(u.busyGPU) * dt
-	u.last = at
-}
-
-// Add records cpu/gpu slots becoming busy at time at.
-func (u *UtilizationTracker) Add(at sim.Time, cpu, gpu int) {
-	u.advance(at)
-	u.busyCPU += cpu
-	u.busyGPU += gpu
-	if u.busyCPU > u.PeakCPU {
-		u.PeakCPU = u.busyCPU
-	}
-	if u.busyGPU > u.PeakGPU {
-		u.PeakGPU = u.busyGPU
-	}
-	if u.busyCPU > u.totalCPU || u.busyGPU > u.totalGPU {
-		panic(fmt.Sprintf("platform: utilization exceeds capacity (cpu %d/%d, gpu %d/%d)",
-			u.busyCPU, u.totalCPU, u.busyGPU, u.totalGPU))
-	}
-}
-
-// Remove records cpu/gpu slots becoming free at time at.
-func (u *UtilizationTracker) Remove(at sim.Time, cpu, gpu int) {
-	u.advance(at)
-	u.busyCPU -= cpu
-	u.busyGPU -= gpu
-	if u.busyCPU < 0 || u.busyGPU < 0 {
-		panic("platform: negative utilization")
-	}
-}
-
-// BusyCPU returns currently busy CPU slots.
-func (u *UtilizationTracker) BusyCPU() int { return u.busyCPU }
-
-// BusyGPU returns currently busy GPU slots.
-func (u *UtilizationTracker) BusyGPU() int { return u.busyGPU }
-
-// CPUUtilization returns the time-averaged CPU utilization over [start, end]
-// as a fraction in [0,1].
-func (u *UtilizationTracker) CPUUtilization(start, end sim.Time) float64 {
-	u.advance(end)
-	span := end.Sub(start).Seconds()
-	if span <= 0 || u.totalCPU == 0 {
-		return 0
-	}
-	return u.cpuBusyTime / (float64(u.totalCPU) * span)
-}
-
-// GPUUtilization returns the time-averaged GPU utilization over [start, end].
-func (u *UtilizationTracker) GPUUtilization(start, end sim.Time) float64 {
-	u.advance(end)
-	span := end.Sub(start).Seconds()
-	if span <= 0 || u.totalGPU == 0 {
-		return 0
-	}
-	return u.gpuBusyTime / (float64(u.totalGPU) * span)
 }

@@ -4,8 +4,6 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
-
-	"rpgo/internal/sim"
 )
 
 func TestFrontierProfile(t *testing.T) {
@@ -98,32 +96,6 @@ func TestMultiNodeClaimAtomicity(t *testing.T) {
 	if c.Node(0).FreeCPU() != 56 || c.Node(2).FreeCPU() != 56 {
 		t.Fatal("failed multi-node claim leaked slots")
 	}
-}
-
-func TestUtilizationIntegration(t *testing.T) {
-	u := NewUtilizationTracker(100, 10)
-	u.Add(sim.Time(0), 50, 5)
-	u.Remove(sim.Time(10*sim.Second), 50, 5)
-	// 50 busy cores for 10 s of a 20 s window on 100 cores = 25 %.
-	if got := u.CPUUtilization(0, sim.Time(20*sim.Second)); got != 0.25 {
-		t.Fatalf("cpu util = %v, want 0.25", got)
-	}
-	if got := u.GPUUtilization(0, sim.Time(20*sim.Second)); got != 0.25 {
-		t.Fatalf("gpu util = %v, want 0.25", got)
-	}
-	if u.PeakCPU != 50 || u.PeakGPU != 5 {
-		t.Fatalf("peaks: %d/%d", u.PeakCPU, u.PeakGPU)
-	}
-}
-
-func TestUtilizationOverCapacityPanics(t *testing.T) {
-	u := NewUtilizationTracker(10, 0)
-	assertPanics(t, "over capacity", func() { u.Add(0, 11, 0) })
-}
-
-func TestUtilizationNegativePanics(t *testing.T) {
-	u := NewUtilizationTracker(10, 10)
-	assertPanics(t, "negative busy", func() { u.Remove(0, 1, 0) })
 }
 
 // TestLedgerConservationProperty claims and releases random placements and

@@ -68,13 +68,13 @@ type DVM struct {
 
 // NewDVM creates and boots a DVM over the partition.
 func NewDVM(name string, params Params, eng *sim.Engine, ctrl *slurm.Controller,
-	part *platform.Allocation, util *platform.UtilizationTracker, src *rng.Source) *DVM {
+	part *platform.Allocation, src *rng.Source) *DVM {
 	d := &DVM{params: params, rand: src.Stream("prrte." + name)}
 	d.rateMult = d.rand.LogNormal(1, params.RunSigma)
 	d.prun = sim.NewServer(eng, 1, d.serviceTime, d.launched)
 	d.Launcher = launch.New(launch.Config{
 		Name: name, Backend: spec.BackendPRRTE,
-		Engine: eng, Ctrl: ctrl, Part: part, Util: util,
+		Engine: eng, Ctrl: ctrl, Part: part,
 		Bootstrap: d.bootstrapCost,
 		// RP-side placement: PRRTE has no scheduler of its own.
 		Launch: d.prun.Submit,

@@ -12,15 +12,25 @@ import (
 	"rpgo/internal/spec"
 )
 
-func newRig(nodes int) (*sim.Engine, *DVM, *platform.UtilizationTracker, *slurm.Controller) {
+func newRig(nodes int) (*sim.Engine, *DVM, *slurm.Controller) {
 	eng := sim.NewEngine()
 	src := rng.New(17)
 	ctrl := slurm.NewController(eng, model.Default().Srun, src)
 	cluster := platform.NewCluster(platform.Frontier(1), nodes)
-	alloc := cluster.Allocate(nodes)
-	util := platform.NewUtilizationTracker(alloc.TotalCPU(), alloc.TotalGPU())
-	d := NewDVM("prrte.t", DefaultParams(), eng, ctrl, alloc, util, src)
-	return eng, d, util, ctrl
+	d := NewDVM("prrte.t", DefaultParams(), eng, ctrl, cluster.Allocate(nodes), src)
+	return eng, d, ctrl
+}
+
+// checkSlotsFree fails the test unless every node of the allocation has all
+// its CPU and GPU slots free.
+func checkSlotsFree(t *testing.T, a *platform.Allocation) {
+	t.Helper()
+	for _, n := range a.Nodes {
+		if n.FreeCPU() != n.Spec.Slots() || n.FreeGPU() != n.Spec.GPUs {
+			t.Fatalf("node %d still holds %d CPU and %d GPU slots",
+				n.ID, n.Spec.Slots()-n.FreeCPU(), n.Spec.GPUs-n.FreeGPU())
+		}
+	}
 }
 
 // events adapts a pair of callbacks to launch.Events; either may be nil.
@@ -50,7 +60,7 @@ func req(dur sim.Duration, onStart func(sim.Time), onDone func(sim.Time, bool, s
 }
 
 func TestDVMBootstrap(t *testing.T) {
-	eng, d, _, ctrl := newRig(4)
+	eng, d, ctrl := newRig(4)
 	eng.Run()
 	boot := d.BootstrapOverhead().Seconds()
 	if boot < 7 || boot > 16 {
@@ -69,7 +79,7 @@ func TestFlatLaunchRate(t *testing.T) {
 	// PRRTE's defining property vs Flux: launch rate does not grow with
 	// partition size.
 	rate := func(nodes int) float64 {
-		eng, d, _, _ := newRig(nodes)
+		eng, d, _ := newRig(nodes)
 		const n = 200
 		var starts []sim.Time
 		for i := 0; i < n; i++ {
@@ -90,7 +100,7 @@ func TestFlatLaunchRate(t *testing.T) {
 }
 
 func TestLifecycleAndAccounting(t *testing.T) {
-	eng, d, util, _ := newRig(2)
+	eng, d, _ := newRig(2)
 	done := 0
 	for i := 0; i < 30; i++ {
 		d.Submit(req(20*sim.Second, nil, func(_ sim.Time, failed bool, _ string) {
@@ -104,9 +114,7 @@ func TestLifecycleAndAccounting(t *testing.T) {
 	if done != 30 {
 		t.Fatalf("done = %d", done)
 	}
-	if util.BusyCPU() != 0 {
-		t.Fatal("slots leaked")
-	}
+	checkSlotsFree(t, d.Partition())
 	st := d.Stats()
 	if st.Started != 30 || st.Completed != 30 {
 		t.Fatalf("stats: %+v", st)
@@ -114,7 +122,7 @@ func TestLifecycleAndAccounting(t *testing.T) {
 }
 
 func TestCrashFailover(t *testing.T) {
-	eng, d, util, ctrl := newRig(1)
+	eng, d, ctrl := newRig(1)
 	failures := 0
 	for i := 0; i < 70; i++ { // 56 run, 14 queue
 		d.Submit(req(1000*sim.Second, nil, func(_ sim.Time, failed bool, _ string) {
@@ -131,14 +139,14 @@ func TestCrashFailover(t *testing.T) {
 	if failures != 70 {
 		t.Fatalf("failures = %d, want 70", failures)
 	}
-	if !exception || util.BusyCPU() != 0 || ctrl.Ceiling().InUse() != 0 {
-		t.Fatalf("crash cleanup: exception=%v busy=%d srun=%d",
-			exception, util.BusyCPU(), ctrl.Ceiling().InUse())
+	if !exception || ctrl.Ceiling().InUse() != 0 {
+		t.Fatalf("crash cleanup: exception=%v srun=%d", exception, ctrl.Ceiling().InUse())
 	}
+	checkSlotsFree(t, d.Partition())
 }
 
 func TestOversizedTaskFails(t *testing.T) {
-	eng, d, _, _ := newRig(1)
+	eng, d, _ := newRig(1)
 	failed := false
 	d.Submit(&launch.Request{
 		UID: "big",
@@ -158,7 +166,7 @@ func TestAgentIntegration(t *testing.T) {
 	// PRRTE as a pilot backend through the public path. (Import cycle
 	// avoided: core tests cover the full path; here we check the DVM is
 	// the shared launcher the agent drives.)
-	_, d, _, _ := newRig(1)
+	_, d, _ := newRig(1)
 	var l *launch.Launcher = d.Launcher
 	if l.Backend() != spec.BackendPRRTE || l.Name() != "prrte.t" {
 		t.Fatalf("launcher: %s %s", l.Backend(), l.Name())

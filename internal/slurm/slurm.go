@@ -130,13 +130,13 @@ type SrunLauncher struct {
 
 // NewSrunLauncher returns a launcher over the partition.
 func NewSrunLauncher(name string, eng *sim.Engine, ctrl *Controller, part *platform.Allocation,
-	util *platform.UtilizationTracker, src *rng.Source) *SrunLauncher {
+	src *rng.Source) *SrunLauncher {
 	s := &SrunLauncher{eng: eng, ctrl: ctrl, rand: src.Stream("srun." + name)}
 	s.rateMult = s.rand.LogNormal(1, ctrl.params.RunSigma)
 	s.registeredFn = s.registered
 	s.Launcher = launch.New(launch.Config{
 		Name: name, Backend: spec.BackendSrun,
-		Engine: eng, Part: part, Util: util,
+		Engine: eng, Part: part,
 		Launch: s.launch,
 	})
 	return s

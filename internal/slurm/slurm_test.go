@@ -11,16 +11,26 @@ import (
 	"rpgo/internal/spec"
 )
 
-func newRig(nodes int) (*sim.Engine, *Controller, *SrunLauncher, *platform.UtilizationTracker) {
+func newRig(nodes int) (*sim.Engine, *Controller, *SrunLauncher) {
 	eng := sim.NewEngine()
 	src := rng.New(7)
 	params := model.Default()
 	ctrl := NewController(eng, params.Srun, src)
 	cluster := platform.NewCluster(platform.Frontier(1), nodes)
-	alloc := cluster.Allocate(nodes)
-	util := platform.NewUtilizationTracker(alloc.TotalCPU(), alloc.TotalGPU())
-	l := NewSrunLauncher("srun.0", eng, ctrl, alloc, util, src)
-	return eng, ctrl, l, util
+	l := NewSrunLauncher("srun.0", eng, ctrl, cluster.Allocate(nodes), src)
+	return eng, ctrl, l
+}
+
+// checkSlotsFree fails the test unless every node of the allocation has all
+// its CPU and GPU slots free.
+func checkSlotsFree(t *testing.T, a *platform.Allocation) {
+	t.Helper()
+	for _, n := range a.Nodes {
+		if n.FreeCPU() != n.Spec.Slots() || n.FreeGPU() != n.Spec.GPUs {
+			t.Fatalf("node %d still holds %d CPU and %d GPU slots",
+				n.ID, n.Spec.Slots()-n.FreeCPU(), n.Spec.GPUs-n.FreeGPU())
+		}
+	}
 }
 
 // events adapts a pair of callbacks to launch.Events; either may be nil.
@@ -50,7 +60,7 @@ func req(uid string, dur sim.Duration, onStart func(sim.Time), onDone func(sim.T
 }
 
 func TestSrunLifecycle(t *testing.T) {
-	eng, _, l, util := newRig(1)
+	eng, _, l := newRig(1)
 	var started, completed bool
 	var startAt, endAt sim.Time
 	l.Submit(req("t", 10*sim.Second,
@@ -69,9 +79,7 @@ func TestSrunLifecycle(t *testing.T) {
 	if d := endAt.Sub(startAt); d != 10*sim.Second {
 		t.Fatalf("execution spanned %v, want 10s", d)
 	}
-	if util.BusyCPU() != 0 {
-		t.Fatalf("utilization not released: %d busy", util.BusyCPU())
-	}
+	checkSlotsFree(t, l.Partition())
 	st := l.Stats()
 	if st.Submitted != 1 || st.Started != 1 || st.Completed != 1 || st.Failed != 0 {
 		t.Fatalf("stats: %+v", st)
@@ -79,22 +87,25 @@ func TestSrunLifecycle(t *testing.T) {
 }
 
 func TestCeilingCapsConcurrency(t *testing.T) {
-	eng, ctrl, l, util := newRig(4)
+	eng, ctrl, l := newRig(4)
+	running, peak := 0, 0
 	for i := 0; i < 400; i++ {
-		l.Submit(req("", 100*sim.Second, nil, nil))
+		l.Submit(req("", 100*sim.Second,
+			func(sim.Time) { running++; peak = max(peak, running) },
+			func(sim.Time, bool, string) { running-- }))
 	}
 	eng.Run()
 	if hw := ctrl.Ceiling().HighWater; hw != 112 {
 		t.Fatalf("ceiling high water = %d, want exactly 112 under saturation", hw)
 	}
-	if util.PeakCPU > 112 {
-		t.Fatalf("peak running tasks %d exceeds ceiling", util.PeakCPU)
+	if peak > 112 {
+		t.Fatalf("peak running tasks %d exceeds ceiling", peak)
 	}
 }
 
 func TestRegistrationRateDegradesWithNodes(t *testing.T) {
 	rate := func(nodes int) float64 {
-		eng, _, l, _ := newRig(nodes)
+		eng, _, l := newRig(nodes)
 		const n = 300
 		var starts []sim.Time
 		for i := 0; i < n; i++ {
@@ -124,7 +135,7 @@ func TestStepCostAppliesToMultiNodeSteps(t *testing.T) {
 }
 
 func TestDrainFailsQueued(t *testing.T) {
-	eng, _, l, _ := newRig(1)
+	eng, _, l := newRig(1)
 	failures := 0
 	// 60 one-core tasks on 56 slots: 4 stay queued for placement.
 	for i := 0; i < 60; i++ {
@@ -147,7 +158,7 @@ func TestDrainFailsQueued(t *testing.T) {
 }
 
 func TestOversizedTaskFailsFast(t *testing.T) {
-	eng, _, l, _ := newRig(1)
+	eng, _, l := newRig(1)
 	var failed bool
 	var reason string
 	l.Submit(&launch.Request{
@@ -203,7 +214,7 @@ func TestMuModel(t *testing.T) {
 // slots and the ceiling slot, the completion — allocates nothing, so the
 // trip is measured whole.
 func TestTaskStepAllocs(t *testing.T) {
-	eng, ctrl, l, _ := newRig(1)
+	eng, ctrl, l := newRig(1)
 	part := l.Partition()
 	r := req("t", sim.Second, nil, nil)
 	r.Pl.SetNode(part.Nodes[0].ID, 1, 0)

@@ -130,6 +130,12 @@ func SummarizeData(tasks []*profiler.TaskTrace, transfers []TransferTrace) DataS
 	return metrics.SummarizeData(tasks, transfers)
 }
 
+// Utilization derives the share of totalCPU slots the tasks kept busy over
+// [start, end] from their traces.
+func Utilization(tasks []*profiler.TaskTrace, totalCPU int, start, end Time) float64 {
+	return metrics.Utilization(tasks, totalCPU, start, end)
+}
+
 // LatencySummary reports p50/p95/p99 latency percentiles in seconds.
 type LatencySummary = metrics.LatencySummary
 
@@ -229,20 +235,16 @@ func NewJSONLSink(w io.Writer) *JSONLSink { return obs.NewJSONL(w) }
 // TeeSink fans each trace out to several sinks.
 func TeeSink(sinks ...TraceSink) TraceSink { return obs.NewTee(sinks...) }
 
-// MetricsRegistry is the session's runtime-metrics registry
-// (Session.Metrics): counters and gauges recorded by the engine,
-// schedulers, data channels and services as the simulation runs.
-type MetricsRegistry = obs.Registry
-
-// MetricsSnapshot is a JSON-ready export of the registry; obtain one from
-// Session.MetricsSnapshot().
+// MetricsSnapshot is a JSON-ready export of the counters and gauges the
+// engine, schedulers, data channels and services keep as the simulation
+// runs; obtain one from Session.MetricsSnapshot().
 type MetricsSnapshot = obs.Snapshot
 
 // --- live introspection (internal/obs) ---
 
 // Monitor is the live-monitoring front door: attach it to a running
 // campaign (experiments configs take one; Monitor.Attach hooks it to a
-// sharded engine's heartbeat) and it publishes registry snapshots at a
+// sharded engine's heartbeat) and it publishes metrics snapshots at a
 // wall-clock cadence and serves them over HTTP — /metrics in Prometheus
 // text exposition, /healthz, and /progress with campaign completion.
 type Monitor = obs.Monitor
