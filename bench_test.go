@@ -489,8 +489,8 @@ func BenchmarkPlacerMultiNode(b *testing.B) {
 	alloc := cluster.Allocate(1024)
 	var tds []*spec.TaskDescription
 	for _, p := range workload.ImpeccablePipelines() {
-		if td := p.Template.Make(); td.MultiNode() {
-			tds = append(tds, td)
+		if td := p.Template.TD; td.MultiNode() {
+			tds = append(tds, &td)
 		}
 	}
 	if len(tds) != 4 {

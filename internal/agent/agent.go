@@ -108,11 +108,8 @@ type Agent struct {
 	// sm manages deployed inference-service endpoints (lazily created).
 	sm *ServiceManager
 
-	// notifyDoneFn is the prebound notifyDone, shared by every finish;
-	// scheduledFn the prebound scheduled, for tasks parked before the
-	// backends exist.
+	// notifyDoneFn is the prebound notifyDone, shared by every finish.
 	notifyDoneFn func(any)
-	scheduledFn  func(any)
 	// stagedInFn is stagedIn in the engine's arg-carrying form, for staged
 	// tasks with no shared-tier transfer to wait for (staging.go).
 	stagedInFn func(any)
@@ -182,7 +179,6 @@ func New(desc spec.PilotDescription, eng *sim.Engine, ctrl *slurm.Controller,
 		desc:   desc,
 	}
 	a.notifyDoneFn = a.notifyDone
-	a.scheduledFn = func(arg any) { a.scheduled(arg.(*Task)) }
 	schedStream := src.Stream("agent.scheduler")
 	a.scheduler = sim.NewServer(eng, 1, func(*Task) sim.Duration {
 		return sim.Seconds(schedStream.Exp(1 / params.RP.SchedRate))
@@ -231,10 +227,16 @@ func (a *Agent) bootstrapBackends() {
 	for _, fn := range fns {
 		a.eng.Immediately(fn)
 	}
-	parked := a.preBootstrap
-	a.preBootstrap = nil
-	for _, t := range parked {
-		a.eng.ImmediatelyCall(a.scheduledFn, t)
+	// The parked tasks re-enter the scheduler in one event, in order. One
+	// event per task would carry consecutive sequence numbers, so nothing
+	// could run between them, and the order is the same.
+	if parked := a.preBootstrap; len(parked) > 0 {
+		a.preBootstrap = nil
+		a.eng.Immediately(func() {
+			for _, t := range parked {
+				a.scheduled(t)
+			}
+		})
 	}
 }
 

@@ -442,8 +442,8 @@ func TestDispatchRecordsFitTheirSizeClasses(t *testing.T) {
 
 // TestDispatchAttemptAllocs pins what one dispatch attempt allocates from
 // forward through placement, exec, the process body and completion on a
-// ready launcher: its dispatchRec alone for a single-node task, and the
-// record and its node ID slice for a multi-node one.
+// ready launcher: its dispatchRec alone, for a single-node task and for a
+// multi-node one, whose node IDs the placer carves from a chunk it owns.
 func TestDispatchAttemptAllocs(t *testing.T) {
 	cases := []struct {
 		name   string
@@ -451,7 +451,7 @@ func TestDispatchAttemptAllocs(t *testing.T) {
 		allocs float64
 	}{
 		{"single-node", spec.TaskDescription{Kind: spec.Executable, CoresPerRank: 1, Ranks: 1}, 1},
-		{"multi-node", spec.TaskDescription{Kind: spec.Executable, Nodes: 2, Ranks: 2, CoresPerRank: 1}, 2},
+		{"multi-node", spec.TaskDescription{Kind: spec.Executable, Nodes: 2, Ranks: 2, CoresPerRank: 1}, 1},
 	}
 	for _, c := range cases {
 		r := newRig(t, spec.PilotDescription{Nodes: 2})

@@ -114,7 +114,20 @@ type TaskSummary struct {
 func (s *TaskSummary) Span() sim.Duration { return s.Final.Sub(s.Submit) }
 
 // Valid reports whether the summary spans real timestamps.
-func (s *TaskSummary) Valid() bool { return s.Submit >= 0 && s.Final >= s.Submit }
+func (s *TaskSummary) Valid() bool { return validSpan(s.Submit, s.Final) }
+
+// validSpan reports whether a task submitted at submit and final at final
+// spans real timestamps.
+func validSpan(submit, final sim.Time) bool { return submit >= 0 && final >= submit }
+
+// traceFinal is the end of a trace's span: Final, or End for a trace that
+// never reached a terminal state.
+func traceFinal(t *profiler.TaskTrace) sim.Time {
+	if t.Final < 0 {
+		return t.End
+	}
+	return t.Final
+}
 
 // iv is one half-open blocked interval used by the coverage math.
 type iv struct{ lo, hi sim.Time }
@@ -190,14 +203,10 @@ func Summarize(t *profiler.TaskTrace) TaskSummary {
 }
 
 // summarize writes t's digest into s, which must be zero. BlameFromTraces
-// points it at a slot of its summary slice, so each digest is written in
-// place instead of being built and copied.
+// points it at one scratch summary, which each task on the chain reuses.
 func summarize(s *TaskSummary, t *profiler.TaskTrace) {
 	s.UID, s.Workflow, s.Backend = t.UID, t.Workflow, t.Backend
-	s.Submit, s.Final, s.Failed = t.Submit, t.Final, t.Failed
-	if s.Final < 0 {
-		s.Final = t.End
-	}
+	s.Submit, s.Final, s.Failed = t.Submit, traceFinal(t), t.Failed
 	if !s.Valid() {
 		return
 	}
@@ -341,73 +350,106 @@ type BlameReport struct {
 // It sorts an index of the valid summaries by (Final, UID), a total order
 // because UIDs are unique, and leaves sums untouched.
 func ComputeBlame(sums []TaskSummary) BlameReport {
-	valid := make([]int32, 0, len(sums))
-	for i := range sums {
-		if sums[i].Valid() {
-			valid = append(valid, int32(i))
-		}
-	}
 	var rep BlameReport
-	rep.Tasks = len(valid)
-	if len(valid) == 0 {
-		return rep
-	}
-	slices.SortFunc(valid, func(a, b int32) int {
-		x, y := &sums[a], &sums[b]
-		if c := cmp.Compare(x.Final, y.Final); c != 0 {
-			return c
+	order := make([]int32, 0, len(sums))
+	for i := range sums {
+		if s := &sums[i]; s.Valid() {
+			order = append(order, int32(i))
+			rep.count(s.Submit, s.Failed)
 		}
-		return strings.Compare(x.UID, y.UID)
+	}
+	slices.SortFunc(order, func(a, b int32) int {
+		return compareFinalUID(sums[a].Final, sums[a].UID, sums[b].Final, sums[b].UID)
 	})
-	start := sums[valid[0]].Submit
-	for _, i := range valid {
-		s := &sums[i]
-		if s.Submit < start {
-			start = s.Submit
-		}
-		if s.Failed {
-			rep.Failed++
-		}
-	}
-	rep.Start = start
-	rep.End = sums[valid[len(valid)-1]].Final
-	rep.Makespan = rep.End.Sub(rep.Start)
-
-	cur := len(valid) - 1
-	for {
-		s := &sums[valid[cur]]
-		rep.Blame.Add(s.Blame)
-		link := ChainLink{UID: s.UID, From: s.Submit, To: s.Final}
-		// Predecessor: rightmost task with Final ≤ cur.Submit. The strict
-		// position bound guarantees termination through runs of zero-span
-		// tasks sharing one timestamp.
-		j := sort.Search(len(valid), func(i int) bool { return sums[valid[i]].Final > s.Submit }) - 1
-		if j >= cur {
-			j = cur - 1
-		}
-		if j < 0 {
-			link.Gap = s.Submit.Sub(start)
-			rep.Blame[BlameMiddleware] += link.Gap
-			rep.Chain = append(rep.Chain, link)
-			break
-		}
-		link.Gap = s.Submit.Sub(sums[valid[j]].Final)
-		rep.Blame[BlameMiddleware] += link.Gap
-		rep.Chain = append(rep.Chain, link)
-		cur = j
-	}
+	rep.walkChain(order,
+		func(i int32) sim.Time { return sums[i].Final },
+		func(i int32) *TaskSummary { return &sums[i] })
 	return rep
 }
 
-// BlameFromTraces is the in-memory path: summarize retained traces and
-// decompose. The streaming sink (internal/obs.Blame) produces the identical
-// report because both run the same Summarize/ComputeBlame code.
+// BlameFromTraces is the in-memory path: the report ComputeBlame makes of
+// the traces' summaries. It sorts an index of the traces by (final, UID)
+// and summarizes only the tasks on the critical chain, whose blame the
+// report adds up; the streaming sink (internal/obs.Blame) summarizes every
+// task as it ends and calls ComputeBlame. Both share Summarize and the
+// chain walk, so they produce the identical report.
 func BlameFromTraces(traces []*profiler.TaskTrace) BlameReport {
-	sums := make([]TaskSummary, len(traces))
+	var rep BlameReport
+	order := make([]int32, 0, len(traces))
 	for i, t := range traces {
-		summarize(&sums[i], t)
+		if validSpan(t.Submit, traceFinal(t)) {
+			order = append(order, int32(i))
+			rep.count(t.Submit, t.Failed)
+		}
 	}
-	return ComputeBlame(sums)
+	slices.SortFunc(order, func(a, b int32) int {
+		x, y := traces[a], traces[b]
+		return compareFinalUID(traceFinal(x), x.UID, traceFinal(y), y.UID)
+	})
+	var s TaskSummary
+	rep.walkChain(order,
+		func(i int32) sim.Time { return traceFinal(traces[i]) },
+		func(i int32) *TaskSummary {
+			s = TaskSummary{}
+			summarize(&s, traces[i])
+			return &s
+		})
+	return rep
+}
+
+// compareFinalUID orders tasks by final time, then UID.
+func compareFinalUID(finalA sim.Time, uidA string, finalB sim.Time, uidB string) int {
+	if c := cmp.Compare(finalA, finalB); c != 0 {
+		return c
+	}
+	return strings.Compare(uidA, uidB)
+}
+
+// count adds one valid task, submitted at submit, to the report's task and
+// failure counts and its start.
+func (r *BlameReport) count(submit sim.Time, failed bool) {
+	if r.Tasks == 0 || submit < r.Start {
+		r.Start = submit
+	}
+	r.Tasks++
+	if failed {
+		r.Failed++
+	}
+}
+
+// walkChain is the critical-chain walk both blame paths share. order lists
+// the valid tasks, already counted, by (final, UID); final(i) returns task
+// i's final time and summary(i) its digest, which the walk asks for only
+// of the tasks on the chain. It sets the report's end and makespan, adds
+// each chain task's blame and the gaps between them, and records the chain,
+// latest first.
+func (r *BlameReport) walkChain(order []int32, final func(int32) sim.Time, summary func(int32) *TaskSummary) {
+	if len(order) == 0 {
+		return
+	}
+	r.End = final(order[len(order)-1])
+	r.Makespan = r.End.Sub(r.Start)
+	cur := len(order) - 1
+	for {
+		s := summary(order[cur])
+		r.Blame.Add(s.Blame)
+		link := ChainLink{UID: s.UID, From: s.Submit, To: s.Final}
+		// Predecessor: the rightmost task before cur with Final ≤
+		// cur.Submit. Searching only below cur guarantees termination
+		// through runs of zero-span tasks sharing one timestamp.
+		j := sort.Search(cur, func(k int) bool { return final(order[k]) > s.Submit }) - 1
+		prev := r.Start
+		if j >= 0 {
+			prev = final(order[j])
+		}
+		link.Gap = s.Submit.Sub(prev)
+		r.Blame[BlameMiddleware] += link.Gap
+		r.Chain = append(r.Chain, link)
+		if j < 0 {
+			return
+		}
+		cur = j
+	}
 }
 
 // WriteText renders the report as the scorecard rptrace and the experiment

@@ -203,6 +203,45 @@ func decodeBlameScript(script []byte) []TaskSummary {
 	return sums
 }
 
+// decodeBlameTraces reads the same four bytes per task as traces. Submit,
+// Final, the UID and flags&1, flags&2 and flags&4 mean what they mean for
+// a summary. flags&8 leaves Final unset and stamps the final time as End
+// only, as for a task that never reached a terminal state. Otherwise End
+// is the final time, and the milestones in between sit at a quarter, half
+// and three quarters of the span; flags&16, 32, 64 and 128 unset
+// Scheduled, Launch, Start and End, so flags&(8|128) leaves no final time
+// at all. A task with a span carries one edge, of kind key mod 11, from a
+// quarter of its span to its final time.
+func decodeBlameTraces(script []byte) []*profiler.TaskTrace {
+	traces := make([]*profiler.TaskTrace, len(script)/4)
+	for i := range traces {
+		submit, span, key, flags := sim.Time(script[4*i]), sim.Duration(script[4*i+1]), script[4*i+2], script[4*i+3]
+		final := submit.Add(span)
+		if flags&1 != 0 {
+			final = submit.Add(-1 - span)
+		}
+		tr := mkTrace(fmt.Sprintf("u%03d.%d", key, i), int64(submit), int64(submit.Add(span/4)),
+			int64(submit.Add(span/2)), int64(submit.Add(3*span/4)), int64(final), int64(final))
+		tr.Failed = flags&4 != 0
+		if span > 0 {
+			tr.AddEdge(profiler.CausalEdge{Kind: profiler.EdgeKind(key % 11), From: submit.Add(span / 4), To: final})
+		}
+		if flags&2 != 0 {
+			tr.Submit = -1
+		}
+		if flags&8 != 0 {
+			tr.Final = -1
+		}
+		for bit, stamp := range []*sim.Time{&tr.Scheduled, &tr.Launch, &tr.Start, &tr.End} {
+			if flags&(16<<bit) != 0 {
+				*stamp = -1
+			}
+		}
+		traces[i] = tr
+	}
+	return traces
+}
+
 func FuzzBlameMatchesReference(f *testing.F) {
 	// b encodes one summary.
 	b := func(submit, span, key, flags byte) []byte { return []byte{submit, span, key, flags} }
@@ -218,6 +257,9 @@ func FuzzBlameMatchesReference(f *testing.F) {
 		slices.Concat(b(1, 2, 1, 2), b(9, 3, 2, 1), b(4, 4, 3, 0), b(0, 0, 4, 6)),
 		// Only invalid summaries.
 		slices.Concat(b(1, 2, 1, 2), b(9, 3, 2, 1)),
+		// End-only finals, one of them last, beside a trace with no Final
+		// and no End and traces with unset milestones.
+		slices.Concat(b(0, 10, 1, 8), b(2, 20, 2, 8+16), b(4, 3, 3, 8+128), b(1, 6, 4, 16+32+64), b(5, 9, 5, 128)),
 	} {
 		f.Add(seed)
 	}
@@ -238,6 +280,16 @@ func FuzzBlameMatchesReference(f *testing.F) {
 		}
 		if !reflect.DeepEqual(sums, kept) {
 			t.Error("ComputeBlame modified its input")
+		}
+		// The traces' report, summarizing only the chain, against the
+		// reference over every trace's summary.
+		traces := decodeBlameTraces(script)
+		traceSums := make([]TaskSummary, len(traces))
+		for i, tr := range traces {
+			traceSums[i] = Summarize(tr)
+		}
+		if got, want := BlameFromTraces(traces), refComputeBlame(traceSums); !reflect.DeepEqual(got, want) {
+			t.Errorf("BlameFromTraces = %+v, reference %+v", got, want)
 		}
 		// The summaries' spans double as coverage intervals.
 		var ivs []iv

@@ -29,7 +29,6 @@ import (
 	"rpgo/internal/core"
 	"rpgo/internal/rng"
 	"rpgo/internal/sim"
-	"rpgo/internal/spec"
 	"rpgo/internal/workload"
 )
 
@@ -229,7 +228,7 @@ func (c *Campaign) Start() error {
 // base, opportunistically exploiting idle resources — this produces the
 // concurrency bursts visible in the paper's Fig 8.
 func (c *Campaign) submitIteration(st *pipelineState) {
-	tmpl := st.spec.Template
+	tmpl := &st.spec.Template
 	n := st.batch
 	if st.spec.Adaptive {
 		n = int(math.Round(float64(n) * c.sizing.LogNormal(1, 0.45)))
@@ -240,22 +239,20 @@ func (c *Campaign) submitIteration(st *pipelineState) {
 			n = 4 * st.batch
 		}
 	}
-	tds := make([]*spec.TaskDescription, n)
-	label := stageLabel(st.curIter, tmpl.Stage)
-	for i := range tds {
-		td := tmpl.Make()
-		// Clamp multi-node footprints to the allocation (small test
-		// pilots); ranks shrink proportionally.
-		if td.Nodes > c.cfg.Nodes {
-			shrink := float64(c.cfg.Nodes) / float64(td.Nodes)
-			td.Nodes = c.cfg.Nodes
-			td.Ranks = int(math.Max(1, math.Floor(float64(td.Ranks)*shrink)))
-		}
-		td.MaxRetries = c.cfg.MaxRetries
-		td.Workflow = tmpl.Workflow
-		td.Stage = label
-		tds[i] = td
+	// Every task of the batch is one copy of the same description: the
+	// template with the iteration's tags, its multi-node footprint clamped
+	// to the allocation (small test pilots) and its ranks shrunk in
+	// proportion.
+	td := tmpl.TD
+	if td.Nodes > c.cfg.Nodes {
+		shrink := float64(c.cfg.Nodes) / float64(td.Nodes)
+		td.Nodes = c.cfg.Nodes
+		td.Ranks = int(math.Max(1, math.Floor(float64(td.Ranks)*shrink)))
 	}
+	td.MaxRetries = c.cfg.MaxRetries
+	td.Workflow = tmpl.Workflow
+	td.Stage = stageLabel(st.curIter, tmpl.Stage)
+	tds := workload.Copies(td, n)
 	st.pending = n
 	c.totalSubmitted += n
 	rec := &IterationRecord{

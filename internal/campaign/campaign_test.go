@@ -228,6 +228,34 @@ func TestDoubleStartErrors(t *testing.T) {
 	}
 }
 
+// TestIterationAllocsFlat pins that one campaign iteration's allocations
+// do not grow with its batch size: its descriptions are copies of the
+// template in one array, and TaskManager.Submit takes a batch in a fixed
+// number of allocations too. Each size first runs as many iterations as it
+// then measures, so the session's growing slices and trace chunks add less
+// than one allocation per measured iteration.
+func TestIterationAllocsFlat(t *testing.T) {
+	const runs = 100
+	allocs := func(batch int) float64 {
+		sess := core.NewSession(core.Config{Seed: 1})
+		pilot, err := sess.SubmitPilot(spec.PilotDescription{Nodes: 256})
+		if err != nil {
+			t.Fatal(err)
+		}
+		pipe := workload.ImpeccablePipelines()[0]
+		pipe.BatchBase, pipe.Adaptive = float64(batch), false // at 256 nodes, the batch is BatchBase
+		c := New(Config{Nodes: 256, Pipelines: []workload.Pipeline{pipe}}, sess, sess.TaskManager(pilot))
+		st := c.pipes[0]
+		for i := 0; i < runs; i++ {
+			c.submitIteration(st)
+		}
+		return testing.AllocsPerRun(runs, func() { c.submitIteration(st) })
+	}
+	if one, many := allocs(1), allocs(32); many != one {
+		t.Errorf("an iteration of 32 tasks makes %v allocations, one of 1 task %v", many, one)
+	}
+}
+
 // TestStageLabelMatchesSprintf pins stageLabel to the bytes of the
 // fmt.Sprintf it replaced, across the zero padding and past it.
 func TestStageLabelMatchesSprintf(t *testing.T) {

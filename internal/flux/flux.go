@@ -38,12 +38,11 @@ type Instance struct {
 	rand   *rng.Stream
 	nested bool
 
-	// rateMult is the per-run lognormal rate multiplier (repetition
-	// variability, §4.1.2); eta is the multi-instance coordination
-	// efficiency applied by the executor when several instances share an
-	// agent.
-	rateMult float64
-	eta      float64
+	// rate is the effective dispatch rate, R0·n^α·η·m, fixed at
+	// construction: the partition size n, the multi-instance coordination
+	// efficiency η and the per-run lognormal rate multiplier m (repetition
+	// variability, §4.1.2) never change.
+	rate float64
 
 	cycling    bool
 	tokens     float64
@@ -74,9 +73,9 @@ func NewInstance(cfg Config, eng *sim.Engine, ctrl *slurm.Controller, part *plat
 		params: cfg.Params,
 		rand:   src.Stream("flux." + cfg.Name),
 		nested: cfg.Nested || ctrl == nil,
-		eta:    cfg.Eta,
 	}
-	in.rateMult = in.rand.LogNormal(1, cfg.Params.RunSigma)
+	rateMult := in.rand.LogNormal(1, cfg.Params.RunSigma)
+	in.rate = cfg.Params.Rate(part.Size()) * cfg.Eta * rateMult
 	in.cycleFn = in.cycle
 	in.Launcher = launch.New(launch.Config{
 		Name: cfg.Name, Backend: spec.BackendFlux,
@@ -110,9 +109,7 @@ func (in *Instance) up() {
 }
 
 // Rate returns the instance's effective dispatch rate (jobs/s).
-func (in *Instance) Rate() float64 {
-	return in.params.Rate(in.Nodes()) * in.eta * in.rateMult
-}
+func (in *Instance) Rate() float64 { return in.rate }
 
 // SpawnNested creates a child instance on the first free sub-range of n
 // nodes of this instance's partition (hierarchical scheduling). The child

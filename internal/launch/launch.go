@@ -29,8 +29,8 @@ type Events interface {
 // Request is one task launch handed to a backend. It carries the launch
 // through the backend's pipeline, execution and completion: it is the
 // argument of every pooled pipeline event, and it holds its placement, so
-// a task's trip through a launcher allocates nothing beyond the request
-// (and a multi-node placement's node list).
+// a task's trip through a launcher allocates nothing beyond the request (a
+// multi-node placement's node list is carved from the placer's chunk).
 //
 // A launcher places a request at most once: a retry is a new request. A
 // single-node placement keeps its node ID inside the request (Pl.NodeIDs
@@ -277,20 +277,23 @@ func (q *Queue) TakeAll() []*Request {
 // possibly succeed.
 //
 // Multi-node requests take the first nodes with room for their per-node
-// footprint: preferred nodes in listed order, then partition order. They
-// collect node IDs in placer-owned scratch, so a placement allocates only
-// its node ID slice; a single-node placement allocates nothing, since
-// both are written into the request. The scan stays
-// short: over the Fig 8 campaign at 1,024 nodes (20 seeds), 0.69 calls
-// per task want 7.5 nodes each and visit 85.6 on Flux (78.9 on srun), and
-// no scan fails, so a free-capacity index would have little to skip.
+// footprint: preferred nodes in listed order, then partition order. Their
+// node IDs are carved from a chunk the placer owns, so a placement
+// allocates nothing but, amortized, its share of a chunk; a single-node
+// placement allocates nothing, since it is written into the request. The
+// scan stays short: over the Fig 8 campaign at 1,024 nodes (20 seeds),
+// 0.69 calls per task want 7.5 nodes each and visit 85.6 on Flux (78.9 on
+// srun), and no scan fails, so a free-capacity index would have little to
+// skip.
 type Placer struct {
 	part   *platform.Allocation
 	cursor int
 	// byID maps node ID → index in part.Nodes (hint resolution).
 	byID map[int]int
-	// ids is placeMultiNode's scratch for the node IDs it collects; the
-	// placement it writes copies them.
+	// ids is the chunk multi-node placements' node IDs are carved from:
+	// placeMultiNode collects a request's IDs in its unused tail and keeps
+	// them, by extending ids over them, only when the placement succeeds.
+	// Placements keep their IDs in a chunk after ids moves on to a new one.
 	ids []int
 	// Watermark cache: when valid (epoch matches), no node in the
 	// partition had more than maxFreeCPU free CPU slots or maxFreeGPU
@@ -567,10 +570,15 @@ func (p *Placer) placeMultiNode(at sim.Time, td *spec.TaskDescription, prefer []
 	if p.cannotFit(coresPerNode, gpusPerNode) {
 		return false
 	}
+	// Collect into the chunk's unused tail, which holds all want IDs
+	// without growing.
+	if cap(p.ids)-len(p.ids) < want {
+		p.ids = make([]int, 0, max(idChunk, want))
+	}
+	ids := p.ids[len(p.ids):]
 	// Preferred nodes first, in listed order, then partition order. A
 	// node ID can repeat only through the preference list, so only a
 	// hinted request checks the IDs it already took.
-	ids := p.ids[:0]
 	for _, id := range prefer {
 		if len(ids) == want {
 			break
@@ -592,15 +600,19 @@ func (p *Placer) placeMultiNode(at sim.Time, td *spec.TaskDescription, prefer []
 			ids = append(ids, node.ID)
 		}
 	}
-	p.ids = ids
 	if len(ids) < want {
 		p.stats.ScanFailures++
 		return false
 	}
-	pl.SetNodes(ids, coresPerNode, gpusPerNode)
+	p.ids = p.ids[:len(p.ids)+want]
+	pl.SetNodes(slices.Clip(ids), coresPerNode, gpusPerNode)
 	p.claim(at, pl)
 	return true
 }
+
+// idChunk is the node-ID capacity of the chunks placeMultiNode carves
+// placements from (a wider request gets a chunk of its own width).
+const idChunk = 1024
 
 // Fits reports whether the task could ever fit on the partition when it is
 // completely idle. Backends fail such tasks immediately instead of queueing

@@ -96,20 +96,23 @@ type Cluster struct {
 // that share node ledgers).
 func (c *Cluster) Epoch() uint64 { return c.epoch }
 
-// NewCluster builds a cluster of n nodes with the given spec.
+// NewCluster builds a cluster of n nodes with the given spec. Its
+// allocation count does not grow with n: the nodes share one array.
 func NewCluster(spec NodeSpec, n int) *Cluster {
 	if n <= 0 {
 		panic("platform: cluster needs at least one node")
 	}
 	c := &Cluster{Spec: spec}
+	arr := make([]Node, n)
 	c.nodes = make([]*Node, n)
-	for i := range c.nodes {
-		c.nodes[i] = &Node{
+	for i := range arr {
+		arr[i] = Node{
 			ID:      i,
 			Spec:    spec,
 			freeCPU: spec.Slots(),
 			freeGPU: spec.GPUs,
 		}
+		c.nodes[i] = &arr[i]
 	}
 	return c
 }
@@ -256,8 +259,8 @@ func (a *Allocation) Slice(start, n int) *Allocation {
 //
 // SetNode keeps a single node's ID inline, so placing a single-node task
 // costs no allocation; NodeIDs then points into the placement itself, and
-// a placement must not be copied by value once set. SetNodes gives a
-// multi-node placement one slice of its own.
+// a placement must not be copied by value once set. SetNodes keeps the
+// slice it is given for a multi-node placement.
 type Placement struct {
 	// NodeIDs lists the nodes involved.
 	NodeIDs []int
@@ -276,10 +279,11 @@ func (p *Placement) SetNode(id, cores, gpus int) {
 	p.Cores, p.GPUs = cores, gpus
 }
 
-// SetNodes makes p claim cores and gpus on each of ids. It copies ids into
-// one new slice, so the caller may reuse its own.
+// SetNodes makes p claim cores and gpus on each of ids. It keeps ids itself
+// as NodeIDs, without copying, so the caller must leave those elements
+// unchanged while the placement lives.
 func (p *Placement) SetNodes(ids []int, cores, gpus int) {
-	p.NodeIDs = slices.Clone(ids)
+	p.NodeIDs = ids
 	p.Cores, p.GPUs = cores, gpus
 }
 

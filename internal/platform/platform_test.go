@@ -24,6 +24,20 @@ func TestClusterTotals(t *testing.T) {
 	}
 }
 
+// clusterSink keeps TestNewClusterAllocsFlat's clusters alive.
+var clusterSink *Cluster
+
+// TestNewClusterAllocsFlat pins NewCluster's allocations to the same count
+// for 64 and 1,024 nodes: the nodes share one array.
+func TestNewClusterAllocsFlat(t *testing.T) {
+	allocs := func(n int) float64 {
+		return testing.AllocsPerRun(10, func() { clusterSink = NewCluster(Frontier(1), n) })
+	}
+	if small, large := allocs(64), allocs(1024); small != large {
+		t.Errorf("NewCluster: %v allocs for 64 nodes, %v for 1,024", small, large)
+	}
+}
+
 func TestAllocationPartition(t *testing.T) {
 	c := NewCluster(Frontier(1), 10)
 	a := c.Allocate(10)

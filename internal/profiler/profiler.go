@@ -110,21 +110,17 @@ type CausalEdge struct {
 // Wait returns the edge's blocked duration.
 func (e CausalEdge) Wait() sim.Duration { return e.To.Sub(e.From) }
 
-// addEdge appends an edge to a lazily-allocated slice. Most records carry a
-// handful of edges, so the first append reserves a small capacity to keep
-// the steady-state cost at one allocation per record. Retained task traces
-// do even better: the profiler pre-slices their Edges out of a chunked
-// arena (see Profiler.Task), so appends up to edgeCap are allocation-free.
+// addEdge appends an edge. A record with no room left below four edges
+// moves its edges into a new four-slot slice in one step, so a record costs
+// at most one allocation up to four edges. Retained task traces start with
+// one slot carved from a chunked arena (see Profiler.Task), which holds the
+// one edge most tasks carry without allocating.
 func addEdge(edges []CausalEdge, e CausalEdge) []CausalEdge {
-	if edges == nil {
-		edges = make([]CausalEdge, 0, 4)
+	if len(edges) == cap(edges) && cap(edges) < 4 {
+		edges = append(make([]CausalEdge, 0, 4), edges...)
 	}
 	return append(edges, e)
 }
-
-// edgeCap is the per-task edge capacity carved from the edge arena; tasks
-// with more edges spill to a regular heap slice on the fifth append.
-const edgeCap = 4
 
 // TaskTrace is the compact per-task record. A negative time means the event
 // did not (or has not yet) happened.
@@ -309,8 +305,8 @@ type Profiler struct {
 	// allocations instead of n (the largest campaigns trace >200k tasks).
 	arena []TaskTrace
 	// edgeArena chunks the Edges backing storage the same way: every
-	// retained trace starts with an edgeCap-capacity slice carved from a
-	// shared chunk, so causal emitters append without allocating.
+	// retained trace starts with a one-slot slice carved from a shared
+	// chunk, so a task's first causal edge costs no allocation.
 	edgeArena []CausalEdge
 
 	// sink observes completed records; retain controls whether the
@@ -392,11 +388,11 @@ func (p *Profiler) Task(uid string) *TaskTrace {
 		End:       unset,
 		Final:     unset,
 	}
-	if len(p.edgeArena) < edgeCap {
-		p.edgeArena = make([]CausalEdge, 512*edgeCap)
+	if len(p.edgeArena) == 0 {
+		p.edgeArena = make([]CausalEdge, 512)
 	}
-	t.Edges = p.edgeArena[:0:edgeCap]
-	p.edgeArena = p.edgeArena[edgeCap:]
+	t.Edges = p.edgeArena[:0:1]
+	p.edgeArena = p.edgeArena[1:]
 	p.order = append(p.order, t)
 	return t
 }

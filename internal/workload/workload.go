@@ -57,15 +57,16 @@ func DummyFunctions(n int, d sim.Duration) []*spec.TaskDescription {
 
 // uniform builds n identical single-core sleep tasks on one arena.
 func uniform(n int, kind spec.TaskKind, d sim.Duration) []*spec.TaskDescription {
+	return Copies(spec.TaskDescription{Kind: kind, CoresPerRank: 1, Ranks: 1, Duration: d}, n)
+}
+
+// Copies returns n copies of td that share one arena allocation. The
+// copies share td's slice fields.
+func Copies(td spec.TaskDescription, n int) []*spec.TaskDescription {
 	arena := make([]spec.TaskDescription, n)
 	out := make([]*spec.TaskDescription, n)
 	for i := range arena {
-		arena[i] = spec.TaskDescription{
-			Kind:         kind,
-			CoresPerRank: 1,
-			Ranks:        1,
-			Duration:     d,
-		}
+		arena[i] = td
 		out[i] = &arena[i]
 	}
 	return out
@@ -157,13 +158,17 @@ func Tag(tds []*spec.TaskDescription, workflow, stage string) []*spec.TaskDescri
 // Durations are the paper's controlled dummy value (sleep 180) — §4.2 uses
 // identical sleeps so that launcher behaviour, not application cost,
 // drives the comparison.
+//
+// A task is a copy of TD (see Copies). A copy shares TD's slice fields
+// (InputData, OutputData, Requests), so a template that set one would hand
+// every task the same backing array; the IMPECCABLE templates set none.
 type Template struct {
 	// Workflow names the IMPECCABLE sub-workflow.
 	Workflow string
 	// Stage is the pipeline stage the template instantiates.
 	Stage string
-	// Make builds one task from the template.
-	Make func() *spec.TaskDescription
+	// TD is the description every task of the template copies.
+	TD spec.TaskDescription
 }
 
 // Pipeline couples a template with its iteration structure: the campaign
@@ -199,12 +204,10 @@ func ImpeccablePipelines() []Pipeline {
 			// longest pipeline: it paces the campaign makespan.
 			Template: Template{
 				Workflow: "docking", Stage: "dock",
-				Make: func() *spec.TaskDescription {
-					return &spec.TaskDescription{
-						Kind: spec.Executable, Coupling: spec.LooselyCoupled,
-						Nodes: 4, Ranks: 32, CoresPerRank: 7,
-						Duration: ImpeccableTaskDuration,
-					}
+				TD: spec.TaskDescription{
+					Kind: spec.Executable, Coupling: spec.LooselyCoupled,
+					Nodes: 4, Ranks: 32, CoresPerRank: 7,
+					Duration: ImpeccableTaskDuration,
 				},
 			},
 			BatchBase: 2, ItersBase: 120, Adaptive: true,
@@ -214,12 +217,10 @@ func ImpeccablePipelines() []Pipeline {
 			// training (up to 4 nodes in the paper).
 			Template: Template{
 				Workflow: "sst-training", Stage: "train",
-				Make: func() *spec.TaskDescription {
-					return &spec.TaskDescription{
-						Kind: spec.Executable, Coupling: spec.TightlyCoupled,
-						Nodes: 4, Ranks: 32, CoresPerRank: 4, GPUsPerRank: 1,
-						Duration: ImpeccableTaskDuration,
-					}
+				TD: spec.TaskDescription{
+					Kind: spec.Executable, Coupling: spec.TightlyCoupled,
+					Nodes: 4, Ranks: 32, CoresPerRank: 4, GPUsPerRank: 1,
+					Duration: ImpeccableTaskDuration,
 				},
 			},
 			BatchBase: 1, ItersBase: 16,
@@ -229,12 +230,10 @@ func ImpeccablePipelines() []Pipeline {
 			// functions in long-running Python workers.
 			Template: Template{
 				Workflow: "sst-inference", Stage: "infer",
-				Make: func() *spec.TaskDescription {
-					return &spec.TaskDescription{
-						Kind: spec.Function, Coupling: spec.LooselyCoupled,
-						Ranks: 4, CoresPerRank: 2, GPUsPerRank: 1,
-						Duration: ImpeccableTaskDuration,
-					}
+				TD: spec.TaskDescription{
+					Kind: spec.Function, Coupling: spec.LooselyCoupled,
+					Ranks: 4, CoresPerRank: 2, GPUsPerRank: 1,
+					Duration: ImpeccableTaskDuration,
 				},
 			},
 			BatchBase: 1, ItersBase: 120, Adaptive: true,
@@ -245,12 +244,10 @@ func ImpeccablePipelines() []Pipeline {
 			// cadence).
 			Template: Template{
 				Workflow: "scoring", Stage: "score",
-				Make: func() *spec.TaskDescription {
-					return &spec.TaskDescription{
-						Kind: spec.Executable, Coupling: spec.TightlyCoupled,
-						Nodes: 8, Ranks: 64, CoresPerRank: 7,
-						Duration: ImpeccableTaskDuration,
-					}
+				TD: spec.TaskDescription{
+					Kind: spec.Executable, Coupling: spec.TightlyCoupled,
+					Nodes: 8, Ranks: 64, CoresPerRank: 7,
+					Duration: ImpeccableTaskDuration,
 				},
 			},
 			BatchBase: 2, ItersBase: 40,
@@ -260,12 +257,10 @@ func ImpeccablePipelines() []Pipeline {
 			// (up to 625 nodes in production; 24 nodes here).
 			Template: Template{
 				Workflow: "esmacs", Stage: "ensemble",
-				Make: func() *spec.TaskDescription {
-					return &spec.TaskDescription{
-						Kind: spec.Executable, Coupling: spec.TightlyCoupled,
-						Nodes: 24, Ranks: 192, CoresPerRank: 7, GPUsPerRank: 1,
-						Duration: ImpeccableTaskDuration,
-					}
+				TD: spec.TaskDescription{
+					Kind: spec.Executable, Coupling: spec.TightlyCoupled,
+					Nodes: 24, Ranks: 192, CoresPerRank: 7, GPUsPerRank: 1,
+					Duration: ImpeccableTaskDuration,
 				},
 			},
 			BatchBase: 2, ItersBase: 30,
@@ -275,12 +270,10 @@ func ImpeccablePipelines() []Pipeline {
 			// function, data-coupled with the inference loop.
 			Template: Template{
 				Workflow: "reinvent", Stage: "generate",
-				Make: func() *spec.TaskDescription {
-					return &spec.TaskDescription{
-						Kind: spec.Function, Coupling: spec.DataCoupled,
-						CoresPerRank: 2, Ranks: 1, GPUsPerRank: 1,
-						Duration: ImpeccableTaskDuration,
-					}
+				TD: spec.TaskDescription{
+					Kind: spec.Function, Coupling: spec.DataCoupled,
+					CoresPerRank: 2, Ranks: 1, GPUsPerRank: 1,
+					Duration: ImpeccableTaskDuration,
 				},
 			},
 			BatchBase: 1, ItersBase: 60,

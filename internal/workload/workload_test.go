@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"reflect"
 	"sync"
 	"testing"
 
@@ -149,14 +150,12 @@ func TestImpeccablePipelinesValid(t *testing.T) {
 		t.Fatalf("pipelines = %d, want 6 sub-workflows", len(pipes))
 	}
 	names := map[string]bool{}
-	frontier := spec.TaskDescription{}
-	_ = frontier
-	for _, p := range pipes {
+	for i, p := range pipes {
 		if names[p.Template.Workflow] {
 			t.Fatalf("duplicate workflow %s", p.Template.Workflow)
 		}
 		names[p.Template.Workflow] = true
-		td := p.Template.Make()
+		td := p.Template.TD
 		if td.Duration != ImpeccableTaskDuration {
 			t.Errorf("%s: duration %v, want 180s", p.Template.Workflow, td.Duration)
 		}
@@ -166,9 +165,19 @@ func TestImpeccablePipelinesValid(t *testing.T) {
 		if p.BatchBase <= 0 || p.ItersBase <= 0 {
 			t.Errorf("%s: non-positive scaling bases", p.Template.Workflow)
 		}
-		// Each Make call must return a fresh description.
-		if p.Template.Make() == td {
-			t.Errorf("%s: Make returns shared pointers", p.Template.Workflow)
+		// A task is a copy of the template: changing the copy leaves the
+		// template as it was built.
+		td.UID, td.Nodes, td.Ranks, td.MaxRetries = "changed", 2, 1, 3
+		td.Workflow, td.Stage = "changed", "changed"
+		if fresh := ImpeccablePipelines()[i].Template.TD; !reflect.DeepEqual(p.Template.TD, fresh) {
+			t.Errorf("%s: changing a copy changed the template to %+v", p.Template.Workflow, p.Template.TD)
+		}
+		// Copies share slice fields, so a template must set none.
+		v := reflect.ValueOf(p.Template.TD)
+		for f := 0; f < v.NumField(); f++ {
+			if v.Field(f).Kind() == reflect.Slice && !v.Field(f).IsNil() {
+				t.Errorf("%s: template sets slice field %s", p.Template.Workflow, v.Type().Field(f).Name)
+			}
 		}
 	}
 	for _, wf := range []string{"docking", "sst-training", "sst-inference", "scoring", "esmacs", "reinvent"} {
@@ -182,7 +191,7 @@ func TestImpeccableModalities(t *testing.T) {
 	// The campaign must exercise both task modalities (paper §2).
 	var execs, funcs int
 	for _, p := range ImpeccablePipelines() {
-		if p.Template.Make().Kind == spec.Function {
+		if p.Template.TD.Kind == spec.Function {
 			funcs++
 		} else {
 			execs++
