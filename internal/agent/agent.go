@@ -46,15 +46,15 @@ type Task struct {
 	// body, when set, overrides the fixed-Duration process body at
 	// launch (service replicas run until stopped; coupled tasks block on
 	// inference responses). Tasks with TD.Requests get a coupled body
-	// built by the agent. A staged task's body is its dispatch's staging
-	// record (staging.go), which runs this one as its compute phase.
+	// built by the agent. A staged task's body is stagedBody, which runs
+	// this one as its compute phase (staging.go).
 	body func(start sim.Time, done func())
 	// gen counts dispatch attempts. Agent-built bodies capture it so that
 	// after a mid-run crash and retry the orphaned old body stops instead
-	// of issuing phantom requests alongside the new attempt. A staging
-	// record checks it at every step; forward wraps every other body's
-	// done with the same guard, so even a custom body's stale timers are
-	// inert after relocation.
+	// of issuing phantom requests alongside the new attempt. A staged
+	// attempt's record checks it at every step; forward wraps every other
+	// body's done with the same guard, so even a custom body's stale
+	// timers are inert after relocation.
 	gen int
 	// ckptFrac is the fraction of the task's work persisted by its last
 	// completed checkpoint write; ckptSaved marks that a checkpoint image
@@ -111,8 +111,12 @@ type Agent struct {
 	// notifyDoneFn is the prebound notifyDone, shared by every finish.
 	notifyDoneFn func(any)
 	// stagedInFn is stagedIn in the engine's arg-carrying form, for staged
-	// tasks with no shared-tier transfer to wait for (staging.go).
+	// tasks with no shared-tier transfer to wait for, and preferFn is
+	// preferRequest, the Prefer hook of every data-aware consumer
+	// (staging.go). Both are bound on first use: a pilot that never stages
+	// pays nothing for them.
 	stagedInFn func(any)
+	preferFn   func(*launch.Request) []int
 
 	// slowFactor, when set by the fault injector, maps node ID to an
 	// execution-time stretch factor (≥ 1) applied to plain compute bodies
@@ -488,8 +492,8 @@ func (a *Agent) dispatch(g *executorGroup, t *Task) {
 // dispatch attempt costs this one allocation from the agent through the
 // backend to completion — the agent→backend hand-off is the hottest
 // object on the task path. It is 176 B, exactly its size class; a staged
-// dispatch keeps its staging state in a record of its own, so every other
-// task stays in that class.
+// dispatch embeds it in a stagedRec (staging.go), so every other task
+// stays in that class.
 type dispatchRec struct {
 	a   *Agent
 	g   *executorGroup
@@ -550,7 +554,17 @@ func (a *Agent) forward(g *executorGroup, t *Task) {
 	if body == nil && len(t.TD.Requests) > 0 {
 		body = a.coupledBody(t)
 	}
-	rec := &dispatchRec{a: a, g: g, t: t, idx: idx}
+	// A staged attempt is one object: its dispatch record and its staging
+	// state.
+	var rec *dispatchRec
+	var staged *stagedRec
+	if t.TD.HasStaging() {
+		staged = &stagedRec{}
+		rec = &staged.dispatchRec
+	} else {
+		rec = &dispatchRec{}
+	}
+	rec.a, rec.g, rec.t, rec.idx = a, g, t, idx
 	// Plain fixed-Duration bodies get a fault-aware compute body when a
 	// straggler model is installed or the task checkpoints: exec time
 	// stretches with the slowest placed node, and checkpoint writes /
@@ -563,32 +577,35 @@ func (a *Agent) forward(g *executorGroup, t *Task) {
 	rec.req = launch.Request{
 		UID:    t.TD.UID,
 		TD:     t.TD,
-		Body:   body,
 		Events: rec,
 		Trace:  t.Trace,
 	}
-	if t.TD.HasStaging() {
+	switch {
+	case staged != nil:
 		if a.prefersNodes(t.TD) {
 			// Late-bound: backends evaluate the preference at placement
 			// time, when the registry reflects every transfer completed
 			// (or started) while the task sat in the backend queue.
 			// Producers and pack-policy tasks carry none, so queues
 			// holding only them skip the placer's affinity window.
-			rec.req.Prefer = func() []int { return a.preferNodes(t.TD) }
+			if a.preferFn == nil {
+				a.preferFn = a.preferRequest
+			}
+			rec.req.Prefer = a.preferFn
 		}
-		// The staging record checks the generation at every step, so its
-		// body needs no guard.
-		st := &stagingRec{a: a, t: t, d: rec, inner: body, gen: t.gen}
-		rec.req.Body = st.run
-	} else if b := rec.req.Body; b != nil {
+		// The staging state checks the generation at every step, so the
+		// staged body needs no guard.
+		staged.st = stagingRec{a: a, t: t, d: rec, inner: body, gen: t.gen}
+		rec.req.Events, rec.req.Body = staged, stagedBody
+	case body != nil:
 		// Generation-guard the completion: after a mid-run crash and
 		// relocation, a stale body's timers must stay inert — they may
 		// still fire, but can no longer complete the task.
 		gen := t.gen
-		rec.req.Body = func(start sim.Time, done func()) {
-			b(start, func() {
+		rec.req.Body = func(r *launch.Request, end func(*launch.Request)) {
+			body(a.eng.Now(), func() {
 				if t.gen == gen {
-					done()
+					end(r)
 				}
 			})
 		}

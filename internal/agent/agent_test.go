@@ -23,9 +23,13 @@ type rig struct {
 
 func newRig(t *testing.T, pd spec.PilotDescription) *rig {
 	t.Helper()
+	return newRigParams(t, pd, model.Default())
+}
+
+func newRigParams(t *testing.T, pd spec.PilotDescription, params model.Params) *rig {
+	t.Helper()
 	eng := sim.NewEngine()
 	src := rng.New(21)
-	params := model.Default()
 	ctrl := slurm.NewController(eng, params.Srun, src)
 	smt := pd.SMT
 	if smt == 0 {

@@ -13,11 +13,12 @@ package agent
 //      already hold a replica: a locality hit), and its epilogue writes
 //      output datasets back out while the task still holds its slots.
 //
-// Both run on a stagingRec: one record per staged dispatch attempt (and
-// one per task whose shared-tier stage-in has to wait) that counts the
-// transfers still pending and steps through the phases. Transfers complete
-// through plain functions carrying the record or one of its transfer
-// slots, so staging allocates no closures.
+// Both run on a stagingRec that counts the transfers still pending and
+// steps through the phases. A staged dispatch attempt is one stagedRec,
+// its dispatch record and its stagingRec together; a task whose
+// shared-tier stage-in has to wait gets a stagingRec of its own. Transfers
+// complete through plain functions carrying the record or one of its
+// transfer slots, so staging allocates no closures.
 //
 // preferNodes feeds the data-aware placement policy: the nodes already
 // holding the task's node-local inputs, most bytes first, lowest node ID
@@ -27,6 +28,7 @@ import (
 	"cmp"
 	"slices"
 
+	"rpgo/internal/launch"
 	"rpgo/internal/profiler"
 	"rpgo/internal/sim"
 	"rpgo/internal/spec"
@@ -45,13 +47,28 @@ const (
 	phaseOut
 )
 
+// stagedRec is one staged dispatch attempt: its dispatch record, whose
+// request's Events it is, and the staging state of its body. At 288 B it
+// fills its size class exactly, and it is the attempt's one allocation
+// unless the task stages in on several nodes or inputs.
+type stagedRec struct {
+	dispatchRec
+	st stagingRec
+}
+
+// stagedBody is the process body of every staged dispatch attempt; the
+// request's Events lead to its record.
+func stagedBody(r *launch.Request, end func(*launch.Request)) {
+	r.Events.(*stagedRec).st.run(end)
+}
+
 // stagingRec is one task's staging state: for a staged dispatch attempt,
-// from the body's start to its done; for a shared-tier stage-in, from
-// Submit to the scheduler. It replaces a chain of closures and wait groups
-// with one allocation. Its engine callbacks (stageXferDone, stageWriteDone,
-// stageStep, stageComputed) are plain functions that take the record or
-// one of its slots as their argument: scheduling them allocates nothing,
-// and a pilot that never stages pays nothing for them.
+// from the body's start to its end; for a shared-tier stage-in, from
+// Submit to the scheduler. It replaces a chain of closures and wait groups.
+// Its engine callbacks (stageXferDone, stageWriteDone, stageStep,
+// stageComputed) are plain functions that take the record or one of its
+// slots as their argument: scheduling them allocates nothing, and a pilot
+// that never stages pays nothing for them.
 type stagingRec struct {
 	a *Agent
 	t *Task
@@ -59,10 +76,10 @@ type stagingRec struct {
 	// stage-in, which belongs to no attempt. d.req.Pl holds the nodes the
 	// attempt was placed on.
 	d *dispatchRec
-	// inner is the compute body (nil: sleep TD.Duration); done is the
-	// launcher's completion for the attempt.
+	// inner is the compute body (nil: sleep TD.Duration); end is the
+	// launcher's completion for the attempt's request.
 	inner func(sim.Time, func())
-	done  func()
+	end   func(*launch.Request)
 	// gen is the task's dispatch generation when the attempt was made.
 	// Every step checks it: after a relocation the orphaned record's
 	// transfers still complete, but it no longer touches the trace or the
@@ -110,10 +127,16 @@ func (a *Agent) stageInShared(t *Task) {
 		d := &t.TD.InputData[i]
 		// Inputs are by definition present at their source tier.
 		a.dataSys.Seed(d.Dataset, d.SizeBytes, d.Source)
-		if d.Dest == spec.TierNodeLocal || d.Dest == d.Source {
+		if d.Dest == spec.TierNodeLocal {
 			continue // node-local staging happens in the body
 		}
-		if a.dataSys.Registry().HasTier(d.Dataset, d.Dest) {
+		// A disabled burst buffer is the parallel FS: a destination that
+		// degrades to the source tier is where the input already is.
+		dest := a.dataSys.EffectiveTier(d.Dest)
+		if dest == a.dataSys.EffectiveTier(d.Source) {
+			continue
+		}
+		if a.dataSys.Registry().HasTier(d.Dataset, dest) {
 			t.Trace.DataHits++
 			a.dataSys.RecordHit()
 			continue
@@ -138,12 +161,12 @@ func (a *Agent) stageInShared(t *Task) {
 // run is the staged process body of r's attempt: pull missing input
 // replicas onto the placement nodes, run the compute (the inner body, or
 // the plain Duration sleep), write output datasets out, and only then
-// complete. The wall time a task spends staging is time its slots stay
-// busy — exactly how staging on a compute node behaves. The placer wrote
-// the attempt's placement into its request before the body starts.
-func (r *stagingRec) run(start sim.Time, done func()) {
+// end. The wall time a task spends staging is time its slots stay busy —
+// exactly how staging on a compute node behaves. The placer wrote the
+// attempt's placement into its request before the body starts.
+func (r *stagingRec) run(end func(*launch.Request)) {
 	a, t := r.a, r.t
-	r.done, r.inStart, r.phase, r.pending = done, start, phaseIn, 1
+	r.end, r.inStart, r.phase, r.pending = end, a.eng.Now(), phaseIn, 1
 	for i := range t.TD.InputData {
 		d := &t.TD.InputData[i]
 		if d.Dest != spec.TierNodeLocal {
@@ -250,7 +273,7 @@ func (r *stagingRec) step() {
 		}
 	case phaseOut:
 		t.Trace.StageOut += now.Sub(r.outStart)
-		r.done()
+		r.end(&r.d.req)
 	}
 }
 
@@ -291,6 +314,10 @@ func (a *Agent) prefersNodes(td *spec.TaskDescription) bool {
 	}
 	return false
 }
+
+// preferRequest is the Prefer hook of a data-aware consumer's request:
+// preferNodes of its task.
+func (a *Agent) preferRequest(r *launch.Request) []int { return a.preferNodes(r.TD) }
 
 // nodeScore is one candidate node of a preference list and the input bytes
 // it holds or is receiving.

@@ -14,6 +14,7 @@ import (
 
 	"rpgo/internal/data"
 	"rpgo/internal/launch"
+	"rpgo/internal/model"
 	"rpgo/internal/profiler"
 	"rpgo/internal/sim"
 	"rpgo/internal/spec"
@@ -121,6 +122,38 @@ func TestSecondTaskHitsReplica(t *testing.T) {
 	}
 	if b.Trace.BytesIn != 0 {
 		t.Errorf("hit moved %d bytes", b.Trace.BytesIn)
+	}
+}
+
+// TestDisabledBurstBufferStagesNothing: with the burst buffer disabled, an
+// input headed for it from the parallel FS is already where it would land,
+// since the buffer degrades to the parallel FS. Neither of two tasks that
+// read it moves a byte or counts a miss.
+func TestDisabledBurstBufferStagesNothing(t *testing.T) {
+	params := model.Default()
+	params.Data.BurstBufferPerNode = 0
+	r := newRigParams(t, spec.PilotDescription{Nodes: 1}, params)
+	var tasks []*Task
+	for _, uid := range []string{"a", "b"} {
+		tk := r.task(&spec.TaskDescription{
+			Kind: spec.Executable, CoresPerRank: 1, Ranks: 1, Duration: sim.Second,
+			InputData: []spec.StagingDirective{{Dataset: "bb", SizeBytes: data.GB,
+				Source: spec.TierSharedFS, Dest: spec.TierBurstBuffer}},
+		}, uid)
+		r.agent.Submit(tk, func(*Task) {})
+		r.eng.Run()
+		tasks = append(tasks, tk)
+	}
+	for _, tk := range tasks {
+		if tk.State != states.TaskDone {
+			t.Fatalf("task %s: %v (%s)", tk.TD.UID, tk.State, tk.Reason)
+		}
+		if tk.Trace.DataMisses != 0 || tk.Trace.BytesIn != 0 {
+			t.Errorf("task %s: %d misses, %d B in, want none", tk.TD.UID, tk.Trace.DataMisses, tk.Trace.BytesIn)
+		}
+	}
+	if n := len(r.prof.Transfers()); n != 0 {
+		t.Errorf("%d transfers, want 0", n)
 	}
 }
 
@@ -419,43 +452,74 @@ func TestPreferOnlyOnDataAwareConsumers(t *testing.T) {
 		if hinted := req.Prefer != nil; hinted != c.hinted {
 			t.Errorf("%s: Prefer set = %v, want %v", c.name, hinted, c.hinted)
 		}
-		if d := req.Events.(*dispatchRec); &d.req != req || len(d.req.Pl.NodeIDs) != 1 {
+		if d := &req.Events.(*stagedRec).dispatchRec; &d.req != req || len(d.req.Pl.NodeIDs) != 1 {
 			t.Errorf("%s: backend placed a request outside the dispatch record, or on %v nodes",
 				c.name, req.Pl.NodeIDs)
 		}
 	}
 }
 
-// TestDispatchRecordsFitTheirSizeClasses: every dispatch allocates a
-// dispatchRec, which holds the launch request and its placement and must
-// stay within the 176-B size class, and a staged one adds a stagingRec,
-// within 112 B. Growing either would move every such dispatch to a larger
-// class.
+// TestDispatchRecordsFitTheirSizeClasses: every plain dispatch allocates a
+// dispatchRec, which holds the 144-B launch request and its placement and
+// must stay within the 176-B size class, and a staged one allocates a
+// stagedRec instead, within 288 B. A shared-tier stage-in that has to wait
+// allocates a stagingRec of its own, within 112 B. Growing any of them
+// would move every such dispatch or stage-in to a larger class.
 func TestDispatchRecordsFitTheirSizeClasses(t *testing.T) {
-	if got := unsafe.Sizeof(dispatchRec{}); got > 176 {
-		t.Errorf("dispatchRec is %d B, want at most 176", got)
-	}
-	if got := unsafe.Sizeof(stagingRec{}); got > 112 {
-		t.Errorf("stagingRec is %d B, want at most 112", got)
+	for _, c := range []struct {
+		name      string
+		size, max uintptr
+	}{
+		{"launch.Request", unsafe.Sizeof(launch.Request{}), 144},
+		{"dispatchRec", unsafe.Sizeof(dispatchRec{}), 176},
+		{"stagedRec", unsafe.Sizeof(stagedRec{}), 288},
+		{"stagingRec", unsafe.Sizeof(stagingRec{}), 112},
+	} {
+		if c.size > c.max {
+			t.Errorf("%s is %d B, want at most %d", c.name, c.size, c.max)
+		}
 	}
 }
 
 // TestDispatchAttemptAllocs pins what one dispatch attempt allocates from
 // forward through placement, exec, the process body and completion on a
-// ready launcher: its dispatchRec alone, for a single-node task and for a
-// multi-node one, whose node IDs the placer carves from a chunk it owns.
+// ready launcher: its one record. That holds for a single-node task, for a
+// multi-node one, whose node IDs the placer carves from a chunk it owns,
+// and for staged attempts, whose staging state the record holds: a
+// consumer whose input is already on its node, under either placement
+// policy, and a producer writing one new dataset, whose transfer UID,
+// flow and registry entry the data system carves from chunks.
 func TestDispatchAttemptAllocs(t *testing.T) {
+	plain := func(td spec.TaskDescription) func(int) *spec.TaskDescription {
+		return func(int) *spec.TaskDescription { c := td; return &c }
+	}
+	consumer := func(int) *spec.TaskDescription {
+		return &spec.TaskDescription{Kind: spec.Executable, CoresPerRank: 1, Ranks: 1,
+			InputData: []spec.StagingDirective{{Dataset: "in", SizeBytes: data.GB,
+				Source: spec.TierSharedFS, Dest: spec.TierNodeLocal}}}
+	}
+	producer := func(i int) *spec.TaskDescription {
+		return &spec.TaskDescription{Kind: spec.Executable, CoresPerRank: 1, Ranks: 1,
+			OutputData: []spec.StagingDirective{{Dataset: "out." + strconv.Itoa(i), SizeBytes: data.GB,
+				Dest: spec.TierSharedFS}}}
+	}
 	cases := []struct {
 		name   string
-		td     spec.TaskDescription
-		allocs float64
+		policy spec.PlacementPolicy
+		td     func(i int) *spec.TaskDescription
 	}{
-		{"single-node", spec.TaskDescription{Kind: spec.Executable, CoresPerRank: 1, Ranks: 1}, 1},
-		{"multi-node", spec.TaskDescription{Kind: spec.Executable, Nodes: 2, Ranks: 2, CoresPerRank: 1}, 1},
+		{"single-node", spec.PlacePack, plain(spec.TaskDescription{Kind: spec.Executable, CoresPerRank: 1, Ranks: 1})},
+		{"multi-node", spec.PlacePack, plain(spec.TaskDescription{Kind: spec.Executable, Nodes: 2, Ranks: 2, CoresPerRank: 1})},
+		{"pack consumer", spec.PlacePack, consumer},
+		{"data-aware consumer", spec.PlaceDataAware, consumer},
+		{"producer", spec.PlacePack, producer},
 	}
 	for _, c := range cases {
-		r := newRig(t, spec.PilotDescription{Nodes: 2})
+		r := newRig(t, spec.PilotDescription{Nodes: 2, Placement: c.policy})
 		r.eng.Run() // the agent's own bootstrap, before measuring
+		for _, n := range r.agent.alloc.Nodes {
+			r.agent.Data().Registry().RegisterNode("in", data.GB, n.ID)
+		}
 		var l *launch.Launcher
 		l = launch.New(launch.Config{
 			Name: "probe", Backend: spec.BackendFlux, Engine: r.eng, Part: r.agent.alloc,
@@ -463,11 +527,10 @@ func TestDispatchAttemptAllocs(t *testing.T) {
 		})
 		g := &executorGroup{backend: spec.BackendFlux, launchers: []*launch.Launcher{l},
 			alive: []bool{true}, inflight: []int{0}}
-		const runs = 100
-		td := c.td
+		const runs = 200
 		tasks := make([]*Task, runs+1) // AllocsPerRun adds a warm-up run
 		for i := range tasks {
-			tasks[i] = r.task(&td, c.name)
+			tasks[i] = r.task(c.td(i), c.name)
 			tasks[i].State = states.TaskAgentExecuting
 		}
 		next := 0
@@ -476,12 +539,15 @@ func TestDispatchAttemptAllocs(t *testing.T) {
 			next++
 			r.eng.Run()
 		})
-		if allocs != c.allocs {
-			t.Errorf("%s dispatch attempt: %.2f allocs, want %v", c.name, allocs, c.allocs)
+		if allocs != 1 {
+			t.Errorf("%s dispatch attempt: %.2f allocs, want 1", c.name, allocs)
 		}
 		for _, tk := range tasks {
 			if tk.State != states.TaskDone {
 				t.Fatalf("%s: task ended %v, want DONE", c.name, tk.State)
+			}
+			if tk.Trace.DataMisses != 0 {
+				t.Fatalf("%s: %d inputs missed, want every input on its node", c.name, tk.Trace.DataMisses)
 			}
 		}
 	}

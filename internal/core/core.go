@@ -323,19 +323,6 @@ func taskUIDLen(seq int) int {
 	return len("task.") + max(digits, 6)
 }
 
-// writeTaskUID writes fmt.Sprintf("task.%06d", seq) for seq ≥ 0.
-func writeTaskUID(sb *strings.Builder, seq int) {
-	var buf [24]byte
-	i := len(buf)
-	for seq > 0 || i > len(buf)-6 {
-		i--
-		buf[i] = byte('0' + seq%10)
-		seq /= 10
-	}
-	sb.WriteString("task.")
-	sb.Write(buf[i:])
-}
-
 // generatedSeq reports the sequence number a UID of the generator's
 // "task.%06d" form encodes; ok is false for any other UID.
 func generatedSeq(uid string) (seq int, ok bool) {
@@ -412,7 +399,7 @@ func (tm *TaskManager) Submit(tds []*spec.TaskDescription) []*agent.Task {
 			// Bytes already written never move, so each UID is a
 			// substring of the batch's one string.
 			from := uids.Len()
-			writeTaskUID(&uids, seq)
+			spec.WriteSeqUID(&uids, "task.", uint64(seq))
 			td.UID = uids.String()[from:]
 			_, repeat = s.callerUIDs[td.UID]
 		} else {

@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"slices"
 	"strconv"
+	"strings"
 
 	"rpgo/internal/model"
 	"rpgo/internal/platform"
@@ -29,6 +30,22 @@ const (
 	MB int64 = 1 << 20
 	GB int64 = 1 << 30
 )
+
+// chunk is how many objects of one kind — transfer UIDs, flows, registry
+// entries — the system carves from one allocation. Nothing carved is ever
+// reused: a chunk is freed once nothing refers to any object in it.
+const chunk = 64
+
+// carve takes one object from the chunk spare, starting a new chunk when
+// it is used up.
+func carve[T any](spare *[]T) *T {
+	if len(*spare) == 0 {
+		*spare = make([]T, chunk)
+	}
+	p := &(*spare)[0]
+	*spare = (*spare)[1:]
+	return p
+}
 
 // System is the storage model for one allocation: its channels, its
 // placement registry, and the flow engine moving bytes between them.
@@ -65,6 +82,10 @@ type System struct {
 	uidSeq uint64
 	lastT  sim.Time
 	timer  sim.Timer
+	// uids holds the chunk transfer UIDs are written to (nextUID), and
+	// flows the one their flows are carved from.
+	uids  strings.Builder
+	flows []flow
 	// startFn, completeFn and tickFn are start, complete and tick bound
 	// once, so scheduling them allocates nothing. completeFn is bound on
 	// the first transfer: a system that moves no data never pays for it.
@@ -230,10 +251,12 @@ func (s *System) tierLatency(t spec.StageTier) float64 {
 // Seed marks a dataset as present at a tier without moving bytes — inputs
 // sourced from a tier are by definition already there.
 func (s *System) Seed(dataset string, bytes int64, tier spec.StageTier) {
-	s.reg.RegisterTier(dataset, bytes, s.effectiveTier(tier))
+	s.reg.RegisterTier(dataset, bytes, s.EffectiveTier(tier))
 }
 
-func (s *System) effectiveTier(t spec.StageTier) spec.StageTier {
+// EffectiveTier returns the tier that holds data sent to t: a disabled
+// burst buffer degrades to the parallel FS.
+func (s *System) EffectiveTier(t spec.StageTier) spec.StageTier {
 	if t == spec.TierBurstBuffer && s.burst == nil {
 		return spec.TierSharedFS
 	}
@@ -255,16 +278,19 @@ type waiter struct {
 }
 
 // nextUID numbers a transfer at API-call time: "xfer." and the sequence
-// number zero-padded to six digits, the bytes of fmt's "xfer.%06d".
+// number zero-padded to six digits, the bytes of fmt's "xfer.%06d". Bytes
+// already written to s.uids never move, so each UID is a substring of the
+// chunk it was written to; a chunk without room for the longest UID is
+// left to the UIDs taken from it and a new one started.
 func (s *System) nextUID() string {
-	var digits, buf [32]byte
-	d := strconv.AppendUint(digits[:0], s.uidSeq, 10)
-	b := append(buf[:0], "xfer."...)
-	for i := len(d); i < 6; i++ {
-		b = append(b, '0')
+	if s.uids.Cap()-s.uids.Len() < len("xfer.")+20 {
+		s.uids.Reset()
+		s.uids.Grow(chunk * len("xfer.000000"))
 	}
+	from := s.uids.Len()
+	spec.WriteSeqUID(&s.uids, "xfer.", s.uidSeq)
 	s.uidSeq++
-	return string(append(b, d...))
+	return s.uids.String()[from:]
 }
 
 // JoinPending registers fn(arg) to fire when an already in-flight stage-in
@@ -309,7 +335,7 @@ func (s *System) StageToNode(task, dataset string, bytes int64, src spec.StageTi
 	}
 	s.pendingNode[dataset][node] = &pendingXfer{uid: uid}
 	lat := s.tierLatency(src) + s.params.NVMeLatency
-	s.startTransfer(s.routeOf(srcCh, nv), lat, &flow{
+	s.startTransfer(s.routeOf(srcCh, nv), lat, flow{
 		op: opStageToNode, fn: fn, arg: arg,
 		tt: transferInfo{
 			uid: uid, dataset: dataset, task: task, bytes: bytes,
@@ -337,7 +363,7 @@ func (s *System) WriteFromNode(task, dataset string, bytes int64, node int, dest
 		lat += s.tierLatency(dest)
 	}
 	uid := s.nextUID()
-	s.startTransfer(s.routeOf(nv, dch), lat, &flow{
+	s.startTransfer(s.routeOf(nv, dch), lat, flow{
 		op: opWriteFromNode, dest: dest, fn: fn, arg: arg,
 		tt: transferInfo{
 			uid: uid, dataset: dataset, task: task, bytes: bytes,
@@ -356,7 +382,7 @@ func (s *System) JoinPendingTier(dataset string, tier spec.StageTier, fn func(an
 	if !ok {
 		return "", false
 	}
-	eff := s.effectiveTier(tier)
+	eff := s.EffectiveTier(tier)
 	p, ok := byTier[eff]
 	if !ok {
 		return "", false
@@ -374,13 +400,13 @@ func (s *System) JoinPendingTier(dataset string, tier spec.StageTier, fn func(an
 // redundant bytes. It returns the transfer's UID for causal references.
 func (s *System) TierTransfer(task, dataset string, bytes int64, src, dest spec.StageTier, fn func(any), arg any) string {
 	srcCh, dstCh := s.tierChannel(src), s.tierChannel(dest)
-	eff := s.effectiveTier(dest)
+	eff := s.EffectiveTier(dest)
 	uid := s.nextUID()
 	if s.pendingTier[dataset] == nil {
 		s.pendingTier[dataset] = make(map[spec.StageTier]*pendingXfer)
 	}
 	s.pendingTier[dataset][eff] = &pendingXfer{uid: uid}
-	s.startTransfer(s.routeOf(srcCh, dstCh), s.tierLatency(src)+s.tierLatency(dest), &flow{
+	s.startTransfer(s.routeOf(srcCh, dstCh), s.tierLatency(src)+s.tierLatency(dest), flow{
 		op: opTierTransfer, dest: dest, fn: fn, arg: arg,
 		tt: transferInfo{
 			uid: uid, dataset: dataset, task: task, bytes: bytes,
@@ -390,13 +416,16 @@ func (s *System) TierTransfer(task, dataset string, bytes int64, src, dest spec.
 	return uid
 }
 
-// startTransfer puts f on route r once the setup latency has passed.
-func (s *System) startTransfer(r *route, latency float64, f *flow) {
+// startTransfer carves a flow from the system's chunk, sets it to f, and
+// puts it on route r once the setup latency has passed.
+func (s *System) startTransfer(r *route, latency float64, f flow) {
 	if s.completeFn == nil {
 		s.completeFn = s.complete
 	}
-	f.route = r
-	s.eng.AfterCall(sim.Seconds(latency), s.startFn, f)
+	p := carve(&s.flows)
+	*p = f
+	p.route = r
+	s.eng.AfterCall(sim.Seconds(latency), s.startFn, p)
 }
 
 // start joins a flow to the flow machinery once its setup latency has
@@ -440,17 +469,18 @@ func (s *System) finishTransfer(f *flow, at sim.Time) {
 			Start:   f.tt.start,
 			End:     at,
 		}
+		var wait *profiler.CausalEdge
 		if f.tt.contended != "" && at > f.tt.start {
 			// The flow shared its bottleneck link from the moment it
 			// entered the channels.
-			tt.AddEdge(profiler.CausalEdge{
+			wait = &profiler.CausalEdge{
 				Kind: profiler.EdgeContention,
 				From: f.tt.start,
 				To:   at,
 				Ref:  f.tt.contended,
-			})
+			}
 		}
-		s.prof.Transfer(tt)
+		s.prof.Transfer(tt, wait)
 	}
 	s.eng.ImmediatelyCall(s.completeFn, f)
 }
@@ -479,10 +509,10 @@ func (s *System) complete(arg any) {
 			s.reg.RegisterNode(tt.dataset, tt.bytes, tt.node)
 		}
 		if f.dest != spec.TierNodeLocal {
-			s.reg.RegisterTier(tt.dataset, tt.bytes, s.effectiveTier(f.dest))
+			s.reg.RegisterTier(tt.dataset, tt.bytes, s.EffectiveTier(f.dest))
 		}
 	case opTierTransfer:
-		eff := s.effectiveTier(f.dest)
+		eff := s.EffectiveTier(f.dest)
 		s.reg.RegisterTier(tt.dataset, tt.bytes, eff)
 		byTier := s.pendingTier[tt.dataset]
 		p = byTier[eff]
@@ -511,14 +541,18 @@ func (s *System) PeakInFlight() int { return s.peakFlows }
 // Registry tracks which nodes and tiers hold which datasets.
 type Registry struct {
 	entries map[string]*regEntry
+	// spare is what is left of the chunk new entries are carved from.
+	spare []regEntry
 }
 
 type regEntry struct {
 	bytes int64
 	// nodes lists the nodes holding a replica, ascending and without
 	// duplicates: lookups binary-search it and NodesHolding returns it as
-	// it is.
+	// it is. It starts out in node0, so a dataset's first replica costs no
+	// allocation.
 	nodes  []int
+	node0  [1]int
 	shared bool
 	burst  bool
 }
@@ -531,7 +565,8 @@ func NewRegistry() *Registry {
 func (r *Registry) entry(dataset string) *regEntry {
 	e, ok := r.entries[dataset]
 	if !ok {
-		e = &regEntry{}
+		e = carve(&r.spare)
+		e.nodes = e.node0[:0]
 		r.entries[dataset] = e
 	}
 	return e

@@ -323,6 +323,21 @@ func TestNextUIDMatchesFormat(t *testing.T) {
 			t.Errorf("nextUID(%d) = %q, want %q", seq, got, want)
 		}
 	}
+	// Consecutive draws across the ends of chunks, across 999,999 →
+	// 1,000,000 where the UIDs widen, and across the wrap of the largest
+	// sequence number; every UID drawn still reads the same once later
+	// ones are written.
+	var drawn, want []string
+	for _, from := range []uint64{0, 999999 - chunk - 5, math.MaxUint64 - 2} {
+		s.uidSeq = from
+		for i := uint64(0); i < 2*chunk+3; i++ {
+			drawn = append(drawn, s.nextUID())
+			want = append(want, fmt.Sprintf("xfer.%06d", from+i))
+		}
+	}
+	if !reflect.DeepEqual(drawn, want) {
+		t.Errorf("consecutive draws = %v, want %v", drawn, want)
+	}
 }
 
 // BenchmarkFairShare keeps n 1 GiB flows in flight over 8 nodes, half

@@ -171,10 +171,11 @@ func (s *refSystem) finishTransfer(f *refFlow, at sim.Time) {
 		UID: f.tt.uid, Dataset: f.tt.dataset, Task: f.tt.task, Bytes: f.tt.bytes,
 		Src: f.tt.src, Dst: f.tt.dst, Node: f.tt.node, Start: f.tt.start, End: at,
 	}
+	var wait *profiler.CausalEdge
 	if f.tt.contended != "" && at > f.tt.start {
-		tt.AddEdge(profiler.CausalEdge{Kind: profiler.EdgeContention, From: f.tt.start, To: at, Ref: f.tt.contended})
+		wait = &profiler.CausalEdge{Kind: profiler.EdgeContention, From: f.tt.start, To: at, Ref: f.tt.contended}
 	}
-	s.prof.Transfer(tt)
+	s.prof.Transfer(tt, wait)
 	if f.fn != nil {
 		s.eng.ImmediatelyCall(f.fn, f.arg)
 	}

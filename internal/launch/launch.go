@@ -45,21 +45,29 @@ type Request struct {
 	// to a launcher must set it. Direct Placer calls may leave it nil.
 	Events Events
 	// Body, when set, replaces the fixed TD.Duration sleep as the task's
-	// process body: the backend invokes it once the process starts, and
-	// the task completes when the body calls done. Tasks whose wall time
-	// is not known at launch — service replicas that run until stopped,
-	// and coupled tasks that block on inference responses mid-run — use
-	// it; plain tasks leave it nil.
-	Body func(start sim.Time, done func())
-	// Prefer, when set, returns node IDs the placer should try first, in
-	// order — the agent's data-aware scheduler returns the nodes holding
-	// (or currently receiving) the task's input datasets. It is a
-	// function, not a slice, because placement can happen long after
-	// submission (backend queues): the preference must reflect the
-	// registry at placement time, not at dispatch time. The placer reads
-	// the returned slice only during the placement call that asked for it
-	// and never keeps it, so Prefer may return storage it reuses.
-	Prefer func() []int
+	// process body: the launcher calls it with the request when the
+	// process starts, and the task completes when the body calls end(r).
+	// end is the launcher's own, bound once, so a body that reaches its
+	// state through the request (the agent's staged body reaches its
+	// record through Events) allocates nothing to start or end. end takes
+	// effect once, even if a buggy body calls it repeatedly, and always in
+	// an engine event of its own, exactly like the sleep path, so a body
+	// cannot perturb event ordering by ending synchronously. Tasks whose
+	// wall time is not known at launch — staged tasks, service replicas
+	// that run until stopped, and coupled tasks that block on inference
+	// responses mid-run — use it; plain tasks leave it nil.
+	Body func(r *Request, end func(*Request))
+	// Prefer, when set, returns node IDs the placer should try first for
+	// the request, in order — the agent's data-aware scheduler returns the
+	// nodes holding (or currently receiving) the task's input datasets.
+	// It is a function, not a slice, because placement can happen long
+	// after submission (backend queues): the preference must reflect the
+	// registry at placement time, not at dispatch time. It takes the
+	// request, so one function bound once serves every request. The
+	// placer reads the returned slice only during the placement call that
+	// asked for it and never keeps it, so Prefer may return storage it
+	// reuses.
+	Prefer func(r *Request) []int
 	// Trace, when set, receives causal edges for the queue wait between
 	// backend arrival and placement. Nil (direct Placer tests, service
 	// replicas without task traces) disables emission.
@@ -91,29 +99,6 @@ type Request struct {
 func (r *Request) Enqueue(at sim.Time) {
 	r.EnqueuedAt = at
 	r.Denied = false
-}
-
-// StartBody runs the task's process body at the current time and calls
-// fn(arg) once when it ends. Without a Body — the overwhelmingly common
-// fixed-duration task — that is a TD.Duration sleep through the engine's
-// pooled arg-carrying event, costing no closure allocation. A Body's done
-// takes effect once, even if a buggy body calls it repeatedly.
-func (r *Request) StartBody(eng *sim.Engine, fn func(any), arg any) {
-	if r.Body == nil {
-		eng.AfterCall(r.TD.Duration, fn, arg)
-		return
-	}
-	called := false
-	r.Body(eng.Now(), func() {
-		if called {
-			return
-		}
-		called = true
-		// Completion is always its own engine event, exactly like the
-		// sleep path, so body implementations cannot perturb event
-		// ordering by calling done synchronously.
-		eng.ImmediatelyCall(fn, arg)
-	})
 }
 
 // Stats captures backend counters for analytics.
@@ -360,7 +345,7 @@ func (p *Placer) recordWatermark(maxCPU, maxGPU int) {
 func (p *Placer) PlaceRequest(at sim.Time, r *Request) bool {
 	var prefer []int
 	if r.Prefer != nil {
-		prefer = r.Prefer()
+		prefer = r.Prefer(r)
 	}
 	if r.TD.MultiNode() {
 		return p.placeMultiNode(at, r.TD, prefer, &r.Pl)
@@ -403,7 +388,7 @@ func (p *Placer) NextRequest(at sim.Time, queue *Queue, backfill int) int {
 		if p.cannotFit(r.TD.TotalCores(), r.TD.TotalGPUs()) {
 			continue
 		}
-		prefer := r.Prefer()
+		prefer := r.Prefer(r)
 		if len(prefer) == 0 {
 			continue
 		}

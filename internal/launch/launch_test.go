@@ -223,7 +223,7 @@ func TestQueueHintedCount(t *testing.T) {
 	var q Queue
 	plain := reqNamed("p", 1)
 	hinted := reqNamed("h", 1)
-	hinted.Prefer = func() []int { return []int{0} }
+	hinted.Prefer = func(*Request) []int { return []int{0} }
 	q.Push(plain)
 	q.Push(hinted)
 	if q.HintedLen() != 1 {
@@ -263,7 +263,7 @@ func TestNextRequestAffinityBeatsHead(t *testing.T) {
 	// request targets node 1 and must win the slot.
 	head := reqNamed("head", 56)
 	aff := reqNamed("aff", 56)
-	aff.Prefer = func() []int { return []int{1} }
+	aff.Prefer = func(*Request) []int { return []int{1} }
 	q.Push(head)
 	q.Push(aff)
 	idx := p.NextRequest(0, &q, 0)

@@ -82,11 +82,14 @@ type Launcher struct {
 	failed  bool
 	drained bool
 
-	// Prebound hot-path callbacks for the engine's pooled events.
+	// Prebound hot-path callbacks for the engine's pooled events, and
+	// endFn, the end every Body receives, bound on the first Body: a
+	// launcher that runs only plain tasks pays nothing for it.
 	arrivedFn func(any)
 	execFn    func(any)
 	doneFn    func(any)
 	hopFn     func(any)
+	endFn     func(*Request)
 
 	// OnException, when set, receives instance-level failures (crash,
 	// bootstrap timeout); the agent maps them into failover.
@@ -297,14 +300,30 @@ func (l *Launcher) exec(r *Request) {
 	r.runIdx = len(l.running)
 	l.running = append(l.running, r)
 	r.Events.OnStart(now)
-	r.StartBody(l.eng, l.doneFn, r)
+	if r.Body == nil {
+		// The fixed-duration task, the common case: a sleep through the
+		// engine's pooled arg-carrying event.
+		l.eng.AfterCall(r.TD.Duration, l.doneFn, r)
+		return
+	}
+	if l.endFn == nil {
+		l.endFn = l.end
+	}
+	r.Body(r, l.endFn)
 }
 
-// done runs when a request's process body ends.
+// end is the completion a request's Body calls: done, in an engine event
+// of its own.
+func (l *Launcher) end(r *Request) { l.eng.ImmediatelyCall(l.doneFn, r) }
+
+// done runs when a request's process body ends. Only the first call for a
+// request takes effect: a later one, from a body that ended twice or from
+// a body whose request a crash or node failure killed, finds it no longer
+// running and is inert.
 func (l *Launcher) done(arg any) {
 	r := arg.(*Request)
 	if r.runIdx < 0 {
-		return // killed by a crash or node failure; the stale body timer is inert
+		return
 	}
 	l.removeRunning(r)
 	l.release(r)

@@ -122,3 +122,33 @@ func TestLauncherCompleteHopAfterRelease(t *testing.T) {
 		t.Fatalf("second start %v, first completion %v: want slots free at 2s, completion delivered at 3s", start2, end1)
 	}
 }
+
+// TestBodyEndTakesEffectOnce: a body that calls end twice at once and once
+// more a second later completes its request once. OnComplete fires once,
+// the launcher counts one completion, and the node's slots come back once.
+func TestBodyEndTakesEffectOnce(t *testing.T) {
+	eng := sim.NewEngine()
+	l := newTestLauncher(eng, 1, nil, -1, Config{})
+	completions := 0
+	l.Submit(&Request{
+		UID:    "t",
+		TD:     &spec.TaskDescription{CoresPerRank: 8, Ranks: 1},
+		Events: events{done: func(sim.Time, bool, string) { completions++ }},
+		Body: func(r *Request, end func(*Request)) {
+			end(r)
+			end(r)
+			eng.After(sim.Second, func() { end(r) })
+		},
+	})
+	eng.Run()
+	if completions != 1 {
+		t.Errorf("OnComplete fired %d times, want 1", completions)
+	}
+	if st := l.Stats(); st.Completed != 1 || st.Failed != 0 {
+		t.Errorf("stats completed %d, failed %d, want 1 and 0", st.Completed, st.Failed)
+	}
+	node := l.Partition().Cluster.Node(0)
+	if got, want := node.FreeCPU(), node.Spec.Slots(); got != want {
+		t.Errorf("node has %d free slots after the run, want all %d back", got, want)
+	}
+}

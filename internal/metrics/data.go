@@ -51,10 +51,16 @@ func routeKey(name string) string {
 // SummarizeData derives the data summary from task and transfer traces.
 func SummarizeData(tasks []*profiler.TaskTrace, transfers []profiler.TransferTrace) DataSummary {
 	s := DataSummary{BytesByRoute: make(map[string]int64)}
+	// Sum under the route's two ends, then name each route once: no
+	// string is built per transfer.
+	byRoute := map[[2]string]int64{}
 	for _, t := range transfers {
 		s.Transfers++
 		s.BytesMoved += t.Bytes
-		s.BytesByRoute[routeKey(t.Src)+"→"+routeKey(t.Dst)] += t.Bytes
+		byRoute[[2]string{routeKey(t.Src), routeKey(t.Dst)}] += t.Bytes
+	}
+	for k, b := range byRoute {
+		s.BytesByRoute[k[0]+"→"+k[1]] = b
 	}
 	for _, t := range tasks {
 		s.Hits += t.DataHits

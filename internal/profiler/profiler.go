@@ -254,16 +254,10 @@ type TransferTrace struct {
 	// latency); End when the last byte arrived.
 	Start sim.Time
 	End   sim.Time
-	// Edges are the resolved causal waits of this transfer (channel
-	// contention).
+	// Edges are the resolved causal waits of this transfer: at most one,
+	// its channel contention (Profiler.Transfer).
 	Edges []CausalEdge
 }
-
-// AddEdge appends one resolved causal wait to the transfer's record. A
-// transfer carries at most one edge, its contention edge, so this is a
-// plain append: the first edge gets a slice of capacity 1 (the 48-B size
-// class), not addEdge's four slots.
-func (t *TransferTrace) AddEdge(e CausalEdge) { t.Edges = append(t.Edges, e) }
 
 // Duration returns the transfer's time in the channels.
 func (t *TransferTrace) Duration() sim.Duration { return t.End.Sub(t.Start) }
@@ -305,8 +299,9 @@ type Profiler struct {
 	// allocations instead of n (the largest campaigns trace >200k tasks).
 	arena []TaskTrace
 	// edgeArena chunks the Edges backing storage the same way: every
-	// retained trace starts with a one-slot slice carved from a shared
-	// chunk, so a task's first causal edge costs no allocation.
+	// retained task trace starts with a one-slot slice carved from a
+	// shared chunk, so a task's first causal edge costs no allocation, and
+	// a retained transfer's one edge takes such a slot too.
 	edgeArena []CausalEdge
 
 	// sink observes completed records; retain controls whether the
@@ -388,13 +383,19 @@ func (p *Profiler) Task(uid string) *TaskTrace {
 		End:       unset,
 		Final:     unset,
 	}
+	t.Edges = p.edgeSlot()
+	p.order = append(p.order, t)
+	return t
+}
+
+// edgeSlot carves an empty one-slot edge list from the edge arena.
+func (p *Profiler) edgeSlot() []CausalEdge {
 	if len(p.edgeArena) == 0 {
 		p.edgeArena = make([]CausalEdge, 512)
 	}
-	t.Edges = p.edgeArena[:0:1]
+	e := p.edgeArena[:0:1]
 	p.edgeArena = p.edgeArena[1:]
-	p.order = append(p.order, t)
-	return t
+	return e
 }
 
 // TaskFinal notifies the profiler that a task's trace reached its terminal
@@ -455,8 +456,19 @@ func (p *Profiler) RequestsFor(service string) []RequestTrace {
 	return out
 }
 
-// Transfer appends one completed data-transfer trace.
-func (p *Profiler) Transfer(tt TransferTrace) {
+// Transfer appends one completed data-transfer trace. A transfer waits on
+// at most one thing, a link it shared with other flows: wait, when not
+// nil, is that wait and becomes the trace's one edge, in a slot of the
+// edge arena when traces are retained and in a list of its own when they
+// stream (where the arena's chunks would pin memory).
+func (p *Profiler) Transfer(tt TransferTrace, wait *CausalEdge) {
+	if wait != nil {
+		if p.retain {
+			tt.Edges = append(p.edgeSlot(), *wait)
+		} else {
+			tt.Edges = []CausalEdge{*wait}
+		}
+	}
 	if p.sink != nil {
 		var t0 time.Time
 		if p.Phase != nil {

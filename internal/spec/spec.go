@@ -4,6 +4,7 @@ package spec
 
 import (
 	"fmt"
+	"strings"
 
 	"rpgo/internal/sim"
 )
@@ -394,4 +395,20 @@ func (p *PilotDescription) Validate() error {
 		return fmt.Errorf("spec: pilot %q partitions need %d nodes, allocation has %d", p.UID, total, p.Nodes)
 	}
 	return nil
+}
+
+// WriteSeqUID writes prefix and seq zero-padded to six digits to sb, the
+// bytes of fmt.Sprintf(prefix+"%06d", seq): the form of the UIDs a
+// session gives tasks ("task.") and a data system gives transfers
+// ("xfer.").
+func WriteSeqUID(sb *strings.Builder, prefix string, seq uint64) {
+	var buf [20]byte
+	i := len(buf)
+	for seq > 0 || i > len(buf)-6 {
+		i--
+		buf[i] = byte('0' + seq%10)
+		seq /= 10
+	}
+	sb.WriteString(prefix)
+	sb.Write(buf[i:])
 }

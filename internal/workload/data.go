@@ -11,6 +11,7 @@ package workload
 import (
 	"fmt"
 	"strconv"
+	"strings"
 
 	"rpgo/internal/sim"
 	"rpgo/internal/spec"
@@ -72,6 +73,12 @@ func CheckpointWriters(n int, d sim.Duration, ckptBytes int64, dest spec.StageTi
 // scheduler deliberately places it on its producer's node. Batches are
 // returned per stage — submit stage s+1 after stage s completes (the DAG
 // dependency).
+//
+// A stage is built from a few arrays, not per task: its descriptions are
+// Copies of one template, each task's directive list is a capacity-1
+// window of one directive array (appending to it copies instead of
+// overwriting the neighbour's), and its dataset names are carved from one
+// string.
 func Handoff(stages, width int, bytes int64, d sim.Duration) [][]*spec.TaskDescription {
 	// A stride coprime with width makes the shuffle a bijection: every
 	// dataset is consumed exactly once per stage.
@@ -80,63 +87,65 @@ func Handoff(stages, width int, bytes int64, d sim.Duration) [][]*spec.TaskDescr
 		stride++
 	}
 	out := make([][]*spec.TaskDescription, stages)
-	var prev []string // stage s-1's dataset names, by producer index
+	var prev []spec.StagingDirective // stage s-1's outputs, by producer index
 	for s := 0; s < stages; s++ {
-		stage := "stage." + strconv.Itoa(s)
-		var names []string
-		if s < stages-1 {
-			names = handoffNames(s, width)
-		}
-		batch := make([]*spec.TaskDescription, width)
-		for i := range batch {
-			td := &spec.TaskDescription{
-				Kind:         spec.Executable,
-				Coupling:     spec.DataCoupled,
-				CoresPerRank: 1,
-				Ranks:        1,
-				Duration:     d,
-				Stage:        stage,
-			}
-			if s > 0 {
-				td.InputData = []spec.StagingDirective{{
-					Dataset:   prev[(i*stride+s)%width],
+		batch := Copies(spec.TaskDescription{
+			Kind:         spec.Executable,
+			Coupling:     spec.DataCoupled,
+			CoresPerRank: 1,
+			Ranks:        1,
+			Duration:     d,
+			Stage:        "stage." + strconv.Itoa(s),
+		}, width)
+		if s > 0 {
+			in := make([]spec.StagingDirective, width)
+			for i, td := range batch {
+				in[i] = spec.StagingDirective{
+					Dataset:   prev[(i*stride+s)%width].Dataset,
 					SizeBytes: bytes,
 					Source:    spec.TierSharedFS,
 					Dest:      spec.TierNodeLocal,
-				}}
+				}
+				td.InputData = in[i : i+1 : i+1]
 			}
-			if s < stages-1 {
-				td.OutputData = []spec.StagingDirective{{
-					Dataset:   names[i],
-					SizeBytes: bytes,
-					Dest:      spec.TierSharedFS,
-				}}
+		}
+		var produced []spec.StagingDirective
+		if s < stages-1 {
+			produced = make([]spec.StagingDirective, width)
+			for i, name := range handoffNames(s, width) {
+				produced[i] = spec.StagingDirective{Dataset: name, SizeBytes: bytes, Dest: spec.TierSharedFS}
+				batch[i].OutputData = produced[i : i+1 : i+1]
 			}
-			batch[i] = td
 		}
 		out[s] = batch
-		prev = names
+		prev = produced
 	}
 	return out
 }
 
 // handoffNames returns the names of the width datasets stage produces:
 // "handoff.s", the stage, ".", and the producer index zero-padded to three
-// digits — the bytes of fmt's "handoff.s%d.%03d".
+// digits — the bytes of fmt's "handoff.s%d.%03d". The names are substrings
+// of one string.
 func handoffNames(stage, width int) []string {
+	var pre, num [24]byte
+	prefix := append(strconv.AppendInt(append(pre[:0], "handoff.s"...), int64(stage), 10), '.')
+	// No index is wider than the last one or than its three-digit padding.
+	widest := max(3, len(strconv.AppendInt(num[:0], int64(width-1), 10)))
+	var sb strings.Builder
+	sb.Grow(width * (len(prefix) + widest))
 	names := make([]string, width)
-	b := make([]byte, 0, 32)
-	b = append(strconv.AppendInt(append(b, "handoff.s"...), int64(stage), 10), '.')
-	n := len(b)
 	for i := range names {
-		b = b[:n]
-		if i < 100 {
-			b = append(b, '0')
+		from := sb.Len()
+		sb.Write(prefix)
+		digits := strconv.AppendInt(num[:0], int64(i), 10)
+		for k := len(digits); k < 3; k++ {
+			sb.WriteByte('0')
 		}
-		if i < 10 {
-			b = append(b, '0')
-		}
-		names[i] = string(strconv.AppendInt(b, int64(i), 10))
+		sb.Write(digits)
+		// Bytes already written never move, so each name is a substring
+		// of the stage's one string.
+		names[i] = sb.String()[from:]
 	}
 	return names
 }

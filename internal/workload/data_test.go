@@ -91,6 +91,22 @@ func TestHandoffIsBijectivePerStage(t *testing.T) {
 	}
 }
 
+// TestHandoffDirectivesAreOwnLists: a stage's directives share one array,
+// so appending to one task's list must not write into its neighbour's.
+func TestHandoffDirectivesAreOwnLists(t *testing.T) {
+	stage := Handoff(3, 4, 1, sim.Second)[1]
+	in, out := stage[1].InputData[0], stage[1].OutputData[0]
+	extra := spec.StagingDirective{Dataset: "extra"}
+	stage[0].InputData = append(stage[0].InputData, extra)
+	stage[0].OutputData = append(stage[0].OutputData, extra)
+	if got := stage[1].InputData; len(got) != 1 || got[0] != in {
+		t.Errorf("task 1 inputs %+v after an append to task 0's, want [%+v]", got, in)
+	}
+	if got := stage[1].OutputData; len(got) != 1 || got[0] != out {
+		t.Errorf("task 1 outputs %+v after an append to task 0's, want [%+v]", got, out)
+	}
+}
+
 // TestHandoffNames: dataset names and stage labels keep the bytes of their
 // fmt formats, "handoff.s%d.%03d" and "stage.%d", across the zero-padding
 // boundaries and past three digits.
