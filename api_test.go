@@ -1,0 +1,390 @@
+package rpgo_test
+
+import (
+	"fmt"
+	"go/ast"
+	"go/build"
+	"go/importer"
+	"go/parser"
+	"go/token"
+	"go/types"
+	"io/fs"
+	"path/filepath"
+	"sort"
+	"strings"
+	"testing"
+)
+
+// apiAllowlist names the exported internal functions and methods that no
+// production code reaches but a test of other behaviour needs as a probe,
+// each with the tests that need it.
+var apiAllowlist = map[string]string{
+	"analytics.BlameVec.Total":    "experiments and obs tests check that blame buckets telescope to the span",
+	"launch.Launcher.Backend":     "agent, core and prrte tests check which backend each instance runs",
+	"launch.Launcher.Crashed":     "dragon tests check a crash and a failed bootstrap",
+	"launch.Launcher.Failed":      "dragon tests check that a bootstrap timeout is permanent",
+	"launch.Launcher.Partition":   "dragon, flux, prrte and slurm tests check that every slot is free after a run",
+	"platform.Cluster.Node":       "launch tests fail and restore single nodes",
+	"profiler.Profiler.EventsFor": "core, experiments and fault tests read one entity's event log",
+	"profiler.Profiler.Requests":  "experiments tests compare retained request traces with the fold sink",
+	"service.Endpoint.Replicas":   "agent service tests count an endpoint's live replicas",
+	"sim.Semaphore.Capacity":      "rp tests check that custom srun parameters reach the ceiling",
+	"sim.Semaphore.InUse":         "backend and core tests check that instances return their srun ceiling slots",
+}
+
+// TestInternalAPIReached fails on an exported function or method declared
+// under internal/ that nothing but tests references. Production here is
+// every non-test file of the module, every file under bench/ and the root
+// package's benchmarks. Exempt are the methods of the internal types rp
+// aliases (the public surface), a method its type needs to implement an
+// interface that declares it (a module interface, fmt.Stringer, error or
+// sort.Interface), and the entries of apiAllowlist. A deletion can leave
+// its callees without a caller, so the audit is run again after each one.
+func TestInternalAPIReached(t *testing.T) {
+	l := newAPILoader(t)
+	for _, path := range l.order {
+		l.pkg("", path)
+		p := l.pkgs[path]
+		if len(p.tests) > 0 {
+			l.pkg(path, path)
+		}
+		if len(p.xtests) > 0 {
+			l.check(path, path+"_test", p.xtests)
+		}
+	}
+	for _, err := range l.errs {
+		t.Error(err)
+	}
+	if t.Failed() {
+		t.FailNow()
+	}
+
+	exempt := l.exemptTypes("rpgo/rp")
+	ifaces := l.interfaces()
+	funcs := l.auditedFuncs()
+	seen := map[string]bool{}
+	for _, fn := range funcs {
+		name := apiName(fn)
+		seen[name] = true
+		_, allowed := apiAllowlist[name]
+		switch {
+		case l.prodReached[fn.Pos()]:
+			if allowed {
+				t.Errorf("%s: production code reaches it; drop it from apiAllowlist", name)
+			}
+		case allowed:
+			if !l.testReached[fn.Pos()] {
+				t.Errorf("%s: allowlisted, but no test reaches it either; delete it", name)
+			}
+		case exemptMethod(fn, exempt, ifaces):
+		default:
+			t.Errorf("%s: %s: exported, but only tests reach it", l.fset.Position(fn.Pos()), name)
+		}
+	}
+	for name := range apiAllowlist {
+		if !seen[name] {
+			t.Errorf("%s: allowlisted, but no such exported function or method under internal/", name)
+		}
+	}
+	t.Logf("audited %d exported functions and methods in %d packages", len(funcs), len(l.order))
+}
+
+// apiPkg is one directory of the module: its build files, its in-package
+// tests and its external test package.
+type apiPkg struct {
+	files, tests, xtests []*ast.File
+	imports              []string // module packages the build files import
+}
+
+type apiLoader struct {
+	fset  *token.FileSet
+	std   types.Importer
+	pkgs  map[string]*apiPkg // by import path
+	order []string           // import paths, sorted
+	// checked holds each package as type-checked in a variant: "" is the
+	// production build, and variant P is the build of `go test P`, where P
+	// carries its in-package tests and so does every package importing it.
+	checked map[[2]string]*types.Package
+	// deps memoizes whether a package transitively imports another.
+	deps map[[2]string]bool
+	// decls maps a function's position to its declaration's extent, so a
+	// recursive call is not counted as a reference.
+	decls                    map[token.Pos][2]token.Pos
+	prodReached, testReached map[token.Pos]bool
+	errs                     []error
+}
+
+const modulePath = "rpgo"
+
+func newAPILoader(t *testing.T) *apiLoader {
+	l := &apiLoader{
+		fset:        token.NewFileSet(),
+		std:         importer.Default(),
+		pkgs:        map[string]*apiPkg{},
+		checked:     map[[2]string]*types.Package{},
+		deps:        map[[2]string]bool{},
+		decls:       map[token.Pos][2]token.Pos{},
+		prodReached: map[token.Pos]bool{},
+		testReached: map[token.Pos]bool{},
+	}
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		name := d.Name()
+		if d.IsDir() {
+			if path != "." && (strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") || name == "testdata") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(name, ".go") {
+			return nil
+		}
+		dir := filepath.Dir(path)
+		if ok, err := build.Default.MatchFile(dir, name); err != nil || !ok {
+			return err
+		}
+		f, err := parser.ParseFile(l.fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		for _, d := range f.Decls {
+			if fd, ok := d.(*ast.FuncDecl); ok {
+				l.decls[fd.Name.Pos()] = [2]token.Pos{fd.Pos(), fd.End()}
+			}
+		}
+		ip := modulePath
+		if dir != "." {
+			ip += "/" + filepath.ToSlash(dir)
+		}
+		p := l.pkgs[ip]
+		if p == nil {
+			p = &apiPkg{}
+			l.pkgs[ip] = p
+			l.order = append(l.order, ip)
+		}
+		switch {
+		case !strings.HasSuffix(name, "_test.go"):
+			p.files = append(p.files, f)
+			for _, is := range f.Imports {
+				if s := strings.Trim(is.Path.Value, `"`); isModule(s) {
+					p.imports = append(p.imports, s)
+				}
+			}
+		case strings.HasSuffix(f.Name.Name, "_test"):
+			p.xtests = append(p.xtests, f)
+		default:
+			p.tests = append(p.tests, f)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sort.Strings(l.order)
+	return l
+}
+
+func isModule(path string) bool {
+	return path == modulePath || strings.HasPrefix(path, modulePath+"/")
+}
+
+// pkg returns path as type-checked in variant, checking it on first use.
+func (l *apiLoader) pkg(variant, path string) *types.Package {
+	if variant != "" && path != variant && !l.dependsOn(path, variant) {
+		variant = ""
+	}
+	key := [2]string{variant, path}
+	if pkg, ok := l.checked[key]; ok {
+		return pkg
+	}
+	p := l.pkgs[path]
+	if p == nil {
+		l.errs = append(l.errs, fmt.Errorf("import %q: no such module package", path))
+		return nil
+	}
+	files := p.files
+	if path == variant {
+		files = append(append([]*ast.File(nil), p.files...), p.tests...)
+	}
+	pkg := l.check(variant, path, files)
+	l.checked[key] = pkg
+	return pkg
+}
+
+func (l *apiLoader) dependsOn(path, dep string) bool {
+	key := [2]string{path, dep}
+	if v, ok := l.deps[key]; ok {
+		return v
+	}
+	v := false
+	if p := l.pkgs[path]; p != nil {
+		for _, ip := range p.imports {
+			if ip == dep || l.dependsOn(ip, dep) {
+				v = true
+				break
+			}
+		}
+	}
+	l.deps[key] = v
+	return v
+}
+
+// check type-checks files as package path in variant and records the
+// internal functions and methods each file references.
+func (l *apiLoader) check(variant, path string, files []*ast.File) *types.Package {
+	conf := types.Config{
+		Importer: importerFunc(func(ip string) (*types.Package, error) {
+			if isModule(ip) {
+				return l.pkg(variant, ip), nil
+			}
+			return l.std.Import(ip)
+		}),
+		Error: func(err error) { l.errs = append(l.errs, err) },
+	}
+	info := &types.Info{Uses: map[*ast.Ident]types.Object{}}
+	pkg, _ := conf.Check(path, l.fset, files, info)
+	for id, obj := range info.Uses {
+		fn, ok := obj.(*types.Func)
+		if !ok || fn.Pkg() == nil || !strings.HasPrefix(fn.Pkg().Path(), modulePath+"/internal/") {
+			continue
+		}
+		fn = fn.Origin()
+		if ext, ok := l.decls[fn.Pos()]; ok && ext[0] <= id.Pos() && id.Pos() < ext[1] {
+			continue
+		}
+		if isProduction(l.fset.Position(id.Pos()).Filename) {
+			l.prodReached[fn.Pos()] = true
+		} else {
+			l.testReached[fn.Pos()] = true
+		}
+	}
+	return pkg
+}
+
+// isProduction reports whether a reference in file reaches production: a
+// non-test file, a file of the bench/ module, or a root benchmark.
+func isProduction(file string) bool {
+	return !strings.HasSuffix(file, "_test.go") ||
+		filepath.Dir(file) == "." ||
+		strings.HasPrefix(filepath.ToSlash(file), "bench/")
+}
+
+type importerFunc func(path string) (*types.Package, error)
+
+func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
+
+// auditedFuncs lists the exported functions and methods declared under
+// internal/, in production builds, by position.
+func (l *apiLoader) auditedFuncs() []*types.Func {
+	var out []*types.Func
+	for _, path := range l.order {
+		if !strings.HasPrefix(path, modulePath+"/internal/") {
+			continue
+		}
+		scope := l.checked[[2]string{"", path}].Scope()
+		for _, name := range scope.Names() {
+			switch obj := scope.Lookup(name).(type) {
+			case *types.Func:
+				if obj.Exported() {
+					out = append(out, obj)
+				}
+			case *types.TypeName:
+				if n, ok := obj.Type().(*types.Named); ok && !obj.IsAlias() {
+					for i := 0; i < n.NumMethods(); i++ {
+						if m := n.Method(i); m.Exported() {
+							out = append(out, m)
+						}
+					}
+				}
+			}
+		}
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Pos() < out[j].Pos() })
+	return out
+}
+
+// exemptTypes returns the declarations of the internal types that package
+// path aliases.
+func (l *apiLoader) exemptTypes(path string) map[token.Pos]bool {
+	out := map[token.Pos]bool{}
+	scope := l.checked[[2]string{"", path}].Scope()
+	for _, name := range scope.Names() {
+		if tn, ok := scope.Lookup(name).(*types.TypeName); ok && tn.IsAlias() {
+			if n, ok := types.Unalias(tn.Type()).(*types.Named); ok {
+				out[n.Origin().Obj().Pos()] = true
+			}
+		}
+	}
+	return out
+}
+
+// interfaces returns every interface the module declares at package level,
+// with fmt.Stringer, error and sort.Interface.
+func (l *apiLoader) interfaces() []*types.Interface {
+	out := []*types.Interface{types.Universe.Lookup("error").Type().Underlying().(*types.Interface)}
+	for _, std := range [][2]string{{"fmt", "Stringer"}, {"sort", "Interface"}} {
+		pkg, err := l.std.Import(std[0])
+		if err != nil {
+			l.errs = append(l.errs, err)
+			continue
+		}
+		out = append(out, pkg.Scope().Lookup(std[1]).Type().Underlying().(*types.Interface))
+	}
+	for _, path := range l.order {
+		scope := l.checked[[2]string{"", path}].Scope()
+		for _, name := range scope.Names() {
+			if tn, ok := scope.Lookup(name).(*types.TypeName); ok {
+				if it, ok := tn.Type().Underlying().(*types.Interface); ok && it.NumMethods() > 0 {
+					out = append(out, it)
+				}
+			}
+		}
+	}
+	return out
+}
+
+// exemptMethod reports whether fn is a method of a type rp aliases, or one
+// its receiver type needs to implement an interface that declares it.
+func exemptMethod(fn *types.Func, rpTypes map[token.Pos]bool, ifaces []*types.Interface) bool {
+	n := recvNamed(fn)
+	if n == nil {
+		return false
+	}
+	if rpTypes[n.Origin().Obj().Pos()] {
+		return true
+	}
+	for _, it := range ifaces {
+		for i := 0; i < it.NumMethods(); i++ {
+			if it.Method(i).Name() == fn.Name() && (types.Implements(n, it) || types.Implements(types.NewPointer(n), it)) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// recvNamed returns the named type a method is declared on, nil for a
+// function.
+func recvNamed(fn *types.Func) *types.Named {
+	recv := fn.Signature().Recv()
+	if recv == nil {
+		return nil
+	}
+	t := recv.Type()
+	if p, ok := t.(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	n, _ := t.(*types.Named)
+	return n
+}
+
+// apiName is fn as the allowlist and failures name it: pkg.Func or
+// pkg.Type.Method.
+func apiName(fn *types.Func) string {
+	if n := recvNamed(fn); n != nil {
+		return fn.Pkg().Name() + "." + n.Obj().Name() + "." + fn.Name()
+	}
+	return fn.Pkg().Name() + "." + fn.Name()
+}

@@ -61,12 +61,6 @@ type Task struct {
 	// exists to restore from after relocation.
 	ckptFrac  float64
 	ckptSaved bool
-	// serviceRegistered marks tasks counted in servicesPending (set by
-	// submitService); serviceStarted dedupes noteServiceStart across
-	// retries. Together they keep the pending accounting balanced: only
-	// a registered, not-yet-started service may decrement on failure.
-	serviceRegistered bool
-	serviceStarted    bool
 }
 
 // transition validates and applies a state change, timestamping the trace.
@@ -102,9 +96,6 @@ type Agent struct {
 	draining     bool
 	preBootstrap []*Task
 
-	services        []*Task
-	servicesPending int
-	serviceWaiters  []func()
 	// sm manages deployed inference-service endpoints (lazily created).
 	sm *ServiceManager
 
@@ -401,15 +392,11 @@ func (a *Agent) Submit(t *Task, done func(*Task)) {
 		a.finish(t, states.TaskFailed, err.Error())
 		return
 	}
-	if t.TD.Service {
-		a.submitService(t)
-		return
-	}
 	a.transition(t, states.TaskAgentStagingIn)
-	if t.TD.HasStaging() {
+	if t.TD.HasStaging() && !t.TD.Service {
 		// Sized directives: contention-aware pre-placement staging into
 		// shared tiers; node-local staging runs in the task body once
-		// placement is known.
+		// placement is known. A service stages nothing.
 		a.stageInShared(t)
 		return
 	}
@@ -509,10 +496,6 @@ func (d *dispatchRec) OnStart(at sim.Time) {
 	t.Trace.Start = at
 	t.Trace.Cores = t.TD.TotalCores()
 	t.Trace.GPUs = t.TD.TotalGPUs()
-	if t.TD.Service && !t.serviceStarted {
-		t.serviceStarted = true
-		a.noteServiceStart()
-	}
 }
 
 // OnComplete implements launch.Events.
@@ -696,12 +679,6 @@ func (a *Agent) finish(t *Task, st states.TaskState, reason string) {
 		return
 	}
 	t.gen++ // no process body may outlive a final state
-	if t.serviceRegistered && !t.serviceStarted {
-		// A service that dies before ever starting will never report a
-		// start; resolve it here so WaitServices cannot hang on it.
-		t.serviceStarted = true
-		a.noteServiceStart()
-	}
 	if st == states.TaskFailed {
 		t.Trace.Failed = true
 		t.Reason = reason
@@ -749,42 +726,11 @@ func (a *Agent) instanceDown(g *executorGroup, idx int, reason string) {
 	a.prof.Log(a.eng.Now(), "agent", "instance_down", reason)
 }
 
-// submitService registers a long-running service task; the workload can
-// gate on WaitServices.
-func (a *Agent) submitService(t *Task) {
-	a.services = append(a.services, t)
-	t.serviceRegistered = true
-	a.servicesPending++
-	a.transition(t, states.TaskAgentStagingIn)
-	a.transition(t, states.TaskAgentSchedule)
-	a.scheduler.Submit(t)
-}
-
-// WaitServices fires fn once every submitted service task has started.
-func (a *Agent) WaitServices(fn func()) {
-	if a.servicesPending == 0 {
-		a.eng.Immediately(fn)
-		return
-	}
-	a.serviceWaiters = append(a.serviceWaiters, fn)
-}
-
-// serviceStarted is called through the normal RUNNING transition: the
-// scheduler routes services like tasks, but WaitServices observes starts.
-func (a *Agent) noteServiceStart() {
-	a.servicesPending--
-	if a.servicesPending == 0 {
-		ws := a.serviceWaiters
-		a.serviceWaiters = nil
-		for _, fn := range ws {
-			a.eng.Immediately(fn)
-		}
-	}
-}
-
 // Drain stops intake and drains all backend queues; queued tasks fail.
 // Deployed service endpoints close: queued requests still serve, and
-// replicas stop as they go idle.
+// replicas stop as they go idle. Every backend instance, a crashed one
+// mid-restart too, gives its srun ceiling slot back once its running
+// tasks end, and no instance restarts afterwards.
 func (a *Agent) Drain(reason string) {
 	a.draining = true
 	if a.sm != nil {
@@ -795,10 +741,8 @@ func (a *Agent) Drain(reason string) {
 			a.finish(t, states.TaskFailed, reason)
 		}
 		g.pending = nil
-		for i, l := range g.launchers {
-			if g.alive[i] {
-				l.Drain(reason)
-			}
+		for _, l := range g.launchers {
+			l.Drain(reason)
 		}
 	}
 }

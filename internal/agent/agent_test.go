@@ -253,31 +253,6 @@ func TestRetriesExhaustedFails(t *testing.T) {
 	}
 }
 
-func TestServiceManagerWaitServices(t *testing.T) {
-	r := newRig(t, spec.PilotDescription{Nodes: 1})
-	svc := r.task(&spec.TaskDescription{
-		Service: true, CoresPerRank: 1, Ranks: 1, Duration: 100 * sim.Second,
-	}, "svc")
-	r.agent.Submit(svc, func(*Task) {})
-	fired := sim.Time(-1)
-	r.agent.WaitServices(func() { fired = r.eng.Now() })
-	r.eng.Run()
-	if fired < 0 {
-		t.Fatal("WaitServices never fired")
-	}
-	if svc.Trace.Start < 0 || fired < svc.Trace.Start {
-		t.Fatalf("services-ready at %v before service start %v", fired, svc.Trace.Start)
-	}
-	// With no services pending, WaitServices fires immediately.
-	r2 := newRig(t, spec.PilotDescription{Nodes: 1})
-	ok := false
-	r2.agent.WaitServices(func() { ok = true })
-	r2.eng.Run()
-	if !ok {
-		t.Fatal("WaitServices with no services should fire")
-	}
-}
-
 func TestDrainFailsPendingTasks(t *testing.T) {
 	r := newRig(t, spec.PilotDescription{Nodes: 1})
 	failed := 0

@@ -81,10 +81,11 @@ func (a *Agent) CrashInstance(i int, reason string) bool {
 
 // RestartInstance re-bootstraps a crashed instance; once it is back up the
 // agent marks it live again and flushes the group's pending tasks. Returns
-// false when the instance is alive or cannot restart.
+// false when the instance is alive or cannot restart, and on a draining
+// pilot, whose instances must not take a new srun slot.
 func (a *Agent) RestartInstance(i int) bool {
 	g, idx := a.instanceAt(i)
-	if g == nil || g.alive[idx] || !g.launchers[idx].Restart() {
+	if g == nil || a.draining || g.alive[idx] || !g.launchers[idx].Restart() {
 		return false
 	}
 	g.launchers[idx].Ready(func() {

@@ -43,15 +43,9 @@ func TestDeployServiceReplicasRunAsServiceTasks(t *testing.T) {
 	}
 	ready := sim.Time(-1)
 	ep.Ready(func() { ready = r.eng.Now() })
-	// WaitServices (the old stub's contract) must gate on replica starts.
-	waited := sim.Time(-1)
-	r.agent.WaitServices(func() { waited = r.eng.Now() })
 	r.eng.Run()
 	if ready < 0 {
 		t.Fatal("endpoint never became ready")
-	}
-	if waited < 0 {
-		t.Fatal("WaitServices never fired for deployed replicas")
 	}
 	if ep.Replicas() != 2 {
 		t.Fatalf("replicas = %d, want 2", ep.Replicas())
@@ -172,115 +166,9 @@ func TestDrainClosesEndpoints(t *testing.T) {
 	}
 }
 
-// TestWaitServicesIgnoresRetriedStart: a service task that crashes and
-// restarts must not decrement the pending counter twice — WaitServices
-// has to hold until the genuinely-unstarted service is up (regression
-// test for the per-task started flag).
-func TestWaitServicesIgnoresRetriedStart(t *testing.T) {
-	r := newRig(t, spec.PilotDescription{
-		Nodes: 4,
-		Partitions: []spec.PartitionConfig{
-			// Dragon boots in ~9s, flux in ~20s: service A starts,
-			// crashes and restarts on Dragon long before service B can
-			// start on Flux.
-			{Backend: spec.BackendDragon, Instances: 2, NodeShare: 0.5},
-			{Backend: spec.BackendFlux, Instances: 1, NodeShare: 0.5},
-		},
-	})
-	a := r.task(&spec.TaskDescription{
-		Service: true, Kind: spec.Function, CoresPerRank: 1, Ranks: 1,
-		Backend: spec.BackendDragon, Duration: 500 * sim.Second, MaxRetries: 2,
-	}, "svc-a")
-	b := r.task(&spec.TaskDescription{
-		Service: true, CoresPerRank: 1, Ranks: 1,
-		Backend: spec.BackendFlux, Duration: 500 * sim.Second,
-	}, "svc-b")
-	r.agent.Submit(a, func(*Task) {})
-	r.agent.Submit(b, func(*Task) {})
-	fired := sim.Time(-1)
-	r.agent.WaitServices(func() { fired = r.eng.Now() })
-
-	// Crash A's instance just after it starts; A retries on the second
-	// Dragon runtime and reports a second start.
-	r.eng.RunUntil(sim.Time(12 * sim.Second))
-	if a.Trace.Start < 0 {
-		t.Fatal("test setup: service A not started by 12s")
-	}
-	for _, l := range r.agent.Launchers() {
-		if l.Name() == a.Trace.Backend {
-			l.Crash("injected")
-		}
-	}
-	r.eng.Run()
-	if fired < 0 {
-		t.Fatal("WaitServices never fired")
-	}
-	if b.Trace.Start < 0 {
-		t.Fatal("service B never started")
-	}
-	if fired < b.Trace.Start {
-		t.Fatalf("WaitServices fired at %v, before service B started at %v "+
-			"(retried A's second start was double-counted)", fired, b.Trace.Start)
-	}
-}
-
-// TestWaitServicesResolvesNeverStartedService: a service task that fails
-// before its first start (absent backend) must still resolve the pending
-// counter, or WaitServices hangs for the session (regression test).
-func TestWaitServicesResolvesNeverStartedService(t *testing.T) {
-	r := newRig(t, spec.PilotDescription{
-		Nodes:      2,
-		Partitions: []spec.PartitionConfig{{Backend: spec.BackendFlux, Instances: 1}},
-	})
-	dead := r.task(&spec.TaskDescription{
-		Service: true, CoresPerRank: 1, Ranks: 1,
-		Backend: spec.BackendSrun, // not in this pilot: fails pre-start
-	}, "svc-dead")
-	live := r.task(&spec.TaskDescription{
-		Service: true, CoresPerRank: 1, Ranks: 1, Duration: 10 * sim.Second,
-	}, "svc-live")
-	var deadFinal *Task
-	r.agent.Submit(dead, func(tt *Task) { deadFinal = tt })
-	r.agent.Submit(live, func(*Task) {})
-	fired := false
-	r.agent.WaitServices(func() { fired = true })
-	r.eng.Run()
-	if deadFinal == nil || deadFinal.State != states.TaskFailed {
-		t.Fatalf("service on absent backend: %+v", deadFinal)
-	}
-	if !fired {
-		t.Fatal("WaitServices hung on a service that failed before starting")
-	}
-}
-
-// TestWaitServicesSurvivesValidationFailedService: a service task that
-// fails validation (never registered in the pending counter) must not
-// unbalance the accounting — WaitServices still fires exactly when the
-// valid services resolve (regression test).
-func TestWaitServicesSurvivesValidationFailedService(t *testing.T) {
-	r := newRig(t, spec.PilotDescription{Nodes: 1})
-	invalid := r.task(&spec.TaskDescription{
-		Service: true, CoresPerRank: 1, Ranks: 1, GPUsPerRank: 99,
-	}, "svc-invalid")
-	valid := r.task(&spec.TaskDescription{
-		Service: true, CoresPerRank: 1, Ranks: 1, Duration: 10 * sim.Second,
-	}, "svc-valid")
-	r.agent.Submit(invalid, func(*Task) {})
-	r.agent.Submit(valid, func(*Task) {})
-	fired := sim.Time(-1)
-	r.agent.WaitServices(func() { fired = r.eng.Now() })
-	r.eng.Run()
-	if fired < 0 {
-		t.Fatal("WaitServices never fired (counter went negative)")
-	}
-	if valid.Trace.Start < 0 || fired < valid.Trace.Start {
-		t.Fatalf("fired at %v vs valid service start %v", fired, valid.Trace.Start)
-	}
-}
-
 // TestServiceTaskStubPathStillWorks covers the pre-subsystem contract:
 // a plain Service-flagged task with a fixed Duration still routes,
-// starts (unblocking WaitServices via noteServiceStart), and completes.
+// starts, and completes.
 func TestServiceTaskStubPathStillWorks(t *testing.T) {
 	r := newRig(t, spec.PilotDescription{Nodes: 1})
 	svc := r.task(&spec.TaskDescription{
@@ -288,12 +176,7 @@ func TestServiceTaskStubPathStillWorks(t *testing.T) {
 	}, "stub-svc")
 	var final *Task
 	r.agent.Submit(svc, func(tt *Task) { final = tt })
-	fired := false
-	r.agent.WaitServices(func() { fired = true })
 	r.eng.Run()
-	if !fired {
-		t.Fatal("WaitServices did not fire")
-	}
 	if final == nil || final.State != states.TaskDone {
 		t.Fatalf("stub service task: %+v", final)
 	}

@@ -126,7 +126,7 @@ func (a *Agent) stageInShared(t *Task) {
 	for i := range t.TD.InputData {
 		d := &t.TD.InputData[i]
 		// Inputs are by definition present at their source tier.
-		a.dataSys.Seed(d.Dataset, d.SizeBytes, d.Source)
+		a.dataSys.Seed(d.Dataset, d.Source)
 		if d.Dest == spec.TierNodeLocal {
 			continue // node-local staging happens in the body
 		}

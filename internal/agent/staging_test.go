@@ -331,16 +331,16 @@ func TestPreferNodes(t *testing.T) {
 		},
 		{
 			name:  "shared-tier input does not count",
-			setup: func() { reg.RegisterNode("bb", data.GB, 2) },
+			setup: func() { reg.RegisterNode("bb", 2) },
 			in: []spec.StagingDirective{{Dataset: "bb", SizeBytes: data.GB,
 				Source: spec.TierSharedFS, Dest: spec.TierBurstBuffer}},
 		},
 		{
 			name: "equal scores break ties by node ID",
 			setup: func() {
-				reg.RegisterNode("tie", data.GB, 3)
-				reg.RegisterNode("tie", data.GB, 0)
-				reg.RegisterNode("tie", data.GB, 2)
+				reg.RegisterNode("tie", 3)
+				reg.RegisterNode("tie", 0)
+				reg.RegisterNode("tie", 2)
 			},
 			in:   []spec.StagingDirective{local("tie", data.GB)},
 			want: []int{0, 2, 3},
@@ -348,9 +348,9 @@ func TestPreferNodes(t *testing.T) {
 		{
 			name: "several inputs add up per node",
 			setup: func() {
-				reg.RegisterNode("big", 2*data.GB, 1)
-				reg.RegisterNode("small", data.GB, 3)
-				reg.RegisterNode("small", data.GB, 1)
+				reg.RegisterNode("big", 1)
+				reg.RegisterNode("small", 3)
+				reg.RegisterNode("small", 1)
 			},
 			in:   []spec.StagingDirective{local("small", data.GB), local("big", 2*data.GB)},
 			want: []int{1, 3},
@@ -358,7 +358,7 @@ func TestPreferNodes(t *testing.T) {
 		{
 			name: "held and in flight on one node",
 			setup: func() {
-				reg.RegisterNode("both", 2*data.GB, 2)
+				reg.RegisterNode("both", 2)
 				pending("both", 2, 0)
 			},
 			in:   []spec.StagingDirective{local("both", 2*data.GB)},
@@ -368,7 +368,7 @@ func TestPreferNodes(t *testing.T) {
 			name: "in flight scores half",
 			setup: func() {
 				pending("warm", 3)
-				reg.RegisterNode("side", 3*data.GB, 0)
+				reg.RegisterNode("side", 0)
 			},
 			// warm: 4 GB in flight to node 3 scores 2 GB, below side's
 			// 3 GB held on node 0.
@@ -379,9 +379,9 @@ func TestPreferNodes(t *testing.T) {
 			name: "evicted replicas drop out",
 			setup: func() {
 				for n := 0; n < 4; n++ {
-					reg.RegisterNode("gone", data.GB, n)
+					reg.RegisterNode("gone", n)
 				}
-				reg.Evict("gone", 1)
+				reg.EvictNode(1)
 				reg.EvictNode(3)
 			},
 			in:   []spec.StagingDirective{local("gone", data.GB)},
@@ -518,7 +518,7 @@ func TestDispatchAttemptAllocs(t *testing.T) {
 		r := newRig(t, spec.PilotDescription{Nodes: 2, Placement: c.policy})
 		r.eng.Run() // the agent's own bootstrap, before measuring
 		for _, n := range r.agent.alloc.Nodes {
-			r.agent.Data().Registry().RegisterNode("in", data.GB, n.ID)
+			r.agent.Data().Registry().RegisterNode("in", n.ID)
 		}
 		var l *launch.Launcher
 		l = launch.New(launch.Config{

@@ -107,25 +107,3 @@ func TestWriteCSV(t *testing.T) {
 		t.Fatalf("start column = %q", recs[1][9])
 	}
 }
-
-func TestWriteJSONL(t *testing.T) {
-	var buf bytes.Buffer
-	if err := WriteJSONL(&buf, []*profiler.TaskTrace{fullTrace("a")}); err != nil {
-		t.Fatal(err)
-	}
-	line := buf.String()
-	if !strings.Contains(line, `"uid":"a"`) || !strings.Contains(line, `"start":4`) {
-		t.Fatalf("jsonl: %s", line)
-	}
-}
-
-func TestOverheadShare(t *testing.T) {
-	tr := fullTrace("a") // total 15 s, exec 10 s → overhead 1/3
-	got := OverheadShare([]*profiler.TaskTrace{tr})
-	if math.Abs(got-1.0/3) > 1e-9 {
-		t.Fatalf("overhead share = %v, want 1/3", got)
-	}
-	if OverheadShare(nil) != 0 {
-		t.Fatal("empty set should be 0")
-	}
-}

@@ -94,7 +94,6 @@ type Campaign struct {
 	remaining      int
 
 	done    bool
-	onDone  []func()
 	started bool
 }
 
@@ -195,15 +194,6 @@ func (c *Campaign) TotalFailed() int { return c.totalFailed }
 // Done reports whether every pipeline has finished.
 func (c *Campaign) Done() bool { return c.done }
 
-// OnDone registers a completion callback.
-func (c *Campaign) OnDone(fn func()) {
-	if c.done {
-		fn()
-		return
-	}
-	c.onDone = append(c.onDone, fn)
-}
-
 // Start launches every pipeline concurrently; drive the session afterwards
 // (tm.Wait or sess.Run).
 func (c *Campaign) Start() error {
@@ -301,19 +291,8 @@ func (c *Campaign) taskCompleted(t *agent.Task) {
 	if st.curIter >= st.iters {
 		st.done = true
 		c.remaining--
-		if c.remaining == 0 {
-			c.finish()
-		}
+		c.done = c.remaining == 0
 		return
 	}
 	c.submitIteration(st)
-}
-
-func (c *Campaign) finish() {
-	c.done = true
-	fns := c.onDone
-	c.onDone = nil
-	for _, fn := range fns {
-		fn()
-	}
 }

@@ -86,6 +86,55 @@ func TestPilotCancelDrainsTasks(t *testing.T) {
 	pilot.Cancel("again")
 }
 
+// TestCanceledIdlePilotFreesSrunSlots: each Flux instance holds one slot
+// of the session-wide srun ceiling while it lives. Once its pilot is
+// canceled, an idle instance gives the slot back, so a later pilot gets
+// the whole ceiling.
+func TestCanceledIdlePilotFreesSrunSlots(t *testing.T) {
+	sess := core.NewSession(core.Config{Seed: 7})
+	pilot, _ := sess.SubmitPilot(spec.PilotDescription{
+		Nodes:      4,
+		Partitions: []spec.PartitionConfig{{Backend: spec.BackendFlux, Instances: 4}},
+	})
+	sess.RunUntil(sim.Time(120 * sim.Second))
+	if n := sess.Controller.Ceiling().InUse(); n != 4 {
+		t.Fatalf("4 Flux instances hold %d srun slots, want 4", n)
+	}
+	pilot.Cancel("user abort")
+	sess.Run()
+	if n := sess.Controller.Ceiling().InUse(); n != 0 {
+		t.Fatalf("the canceled pilot still holds %d srun slots, want 0", n)
+	}
+}
+
+// TestCanceledPilotFreesSrunSlotWhenTaskEnds: a canceled pilot's instance
+// keeps its srun slot while a task it started still runs, and gives it
+// back when that task ends.
+func TestCanceledPilotFreesSrunSlotWhenTaskEnds(t *testing.T) {
+	sess := core.NewSession(core.Config{Seed: 8})
+	pilot, _ := sess.SubmitPilot(spec.PilotDescription{
+		Nodes:      1,
+		Partitions: []spec.PartitionConfig{{Backend: spec.BackendFlux, Instances: 1}},
+	})
+	tk := sess.TaskManager(pilot).Submit(workload.Dummy(1, 100*sim.Second))[0]
+	sess.RunUntil(sim.Time(60 * sim.Second))
+	if tk.State != states.TaskRunning {
+		t.Fatalf("task is %v at 60 s, want running", tk.State)
+	}
+	pilot.Cancel("user abort")
+	sess.RunUntil(tk.Trace.Start.Add(99 * sim.Second))
+	if n := sess.Controller.Ceiling().InUse(); n != 1 {
+		t.Fatalf("the instance holds %d srun slots while its task runs, want 1", n)
+	}
+	sess.Run()
+	if tk.State != states.TaskDone {
+		t.Fatalf("the running task ended %v, want done", tk.State)
+	}
+	if n := sess.Controller.Ceiling().InUse(); n != 0 {
+		t.Fatalf("the instance still holds %d srun slots after its task ended", n)
+	}
+}
+
 func TestPilotWalltimeCancel(t *testing.T) {
 	sess := core.NewSession(core.Config{Seed: 3})
 	pilot, _ := sess.SubmitPilot(spec.PilotDescription{

@@ -131,9 +131,6 @@ func NewShardedSession(cfg ShardedConfig) *ShardedSession {
 // UIDs, the merged trace order, and any colocated pilots.
 func (ss *ShardedSession) Client() *Session { return ss.domains[0] }
 
-// Domain returns domain d's session.
-func (ss *ShardedSession) Domain(d int) *Session { return ss.domains[d] }
-
 // SubmitPilot bootstraps a pilot inside the given domain. Domain 0 keeps
 // the pilot colocated with the client (the classic fast path — use it with
 // Domains=1 for exact plain-session equivalence).
@@ -166,25 +163,12 @@ func (ss *ShardedSession) TaskManager(p *Pilot) *TaskManager {
 	return tm
 }
 
-// Run drives every domain to global quiescence.
-func (ss *ShardedSession) Run() { ss.Eng.Run() }
-
 // Tasks returns the merged task traces in submission order. Traces are
 // registered in the client profiler at Submit, so the client's retained
 // order IS the merged order (empty in streaming mode, as in plain
 // sessions).
 func (ss *ShardedSession) Tasks() []*profiler.TaskTrace {
 	return ss.domains[0].Profiler.Tasks()
-}
-
-// Flush finalizes every domain's sink output.
-func (ss *ShardedSession) Flush() error {
-	for _, s := range ss.domains {
-		if err := s.Profiler.Flush(); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // MetricsSnapshot merges the per-domain snapshots: counters are summed

@@ -27,7 +27,7 @@ func TestShardedSnapshotHighWaterIsMax(t *testing.T) {
 		}
 		ss.TaskManager(p).Submit(tds)
 	}
-	ss.Run()
+	ss.Eng.Run()
 
 	merged := ss.MetricsSnapshot()
 	for _, k := range []string{"launch.queue_highwater", "slurm.srun_highwater"} {

@@ -37,7 +37,6 @@ type Channel struct {
 	// lastFrac is the last recorded occupancy (sumRate/capacity, at most
 	// 1); the samples list is the step function MeanOccupancy integrates.
 	lastFrac float64
-	bytes    int64 // total bytes delivered
 
 	samples []occSample
 }
@@ -46,18 +45,6 @@ type occSample struct {
 	t sim.Time
 	v float64
 }
-
-// Name identifies the channel (e.g. "sharedfs", "nvme:12").
-func (c *Channel) Name() string { return c.name }
-
-// Capacity returns the channel bandwidth in bytes/s.
-func (c *Channel) Capacity() float64 { return c.capacity }
-
-// Bytes returns the total bytes delivered through the channel so far.
-func (c *Channel) Bytes() int64 { return c.bytes }
-
-// Active returns the number of flows currently traversing the channel.
-func (c *Channel) Active() int { return c.nActive }
 
 // note records an occupancy change for the timeline.
 func (c *Channel) note(at sim.Time, frac float64) {
@@ -192,7 +179,6 @@ func (r *route) progress(dt float64, finish bool, done []*flow) []*flow {
 			f := r.flows[i]
 			for _, ch := range r.chans {
 				ch.nActive--
-				ch.bytes += f.tt.bytes
 			}
 			done = append(done, f)
 			continue

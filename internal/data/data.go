@@ -26,7 +26,6 @@ import (
 
 // Byte-size helpers for workload builders and tests.
 const (
-	KB int64 = 1 << 10
 	MB int64 = 1 << 20
 	GB int64 = 1 << 30
 )
@@ -96,9 +95,10 @@ type System struct {
 	// pendingNode coalesces concurrent stage-ins of the same dataset to
 	// the same node: the first request transfers, later ones join as
 	// waiters — one copy moves no matter how many tasks want it.
-	// pendingTier does the same for tier-to-tier transfers.
-	pendingNode map[string]map[int]*pendingXfer
-	pendingTier map[string]map[spec.StageTier]*pendingXfer
+	// pendingTier does the same for tier-to-tier transfers. A dataset's
+	// map is kept once made, so a repeat transfer of it allocates nothing.
+	pendingNode map[string]map[int]pendingXfer
+	pendingTier map[string]map[spec.StageTier]pendingXfer
 
 	hits       int
 	misses     int
@@ -130,8 +130,8 @@ func NewSystem(eng *sim.Engine, alloc *platform.Allocation, p model.DataParams, 
 		params:      p,
 		nodes:       n,
 		reg:         NewRegistry(),
-		pendingNode: make(map[string]map[int]*pendingXfer),
-		pendingTier: make(map[string]map[spec.StageTier]*pendingXfer),
+		pendingNode: make(map[string]map[int]pendingXfer),
+		pendingTier: make(map[string]map[spec.StageTier]pendingXfer),
 	}
 	s.shared = &Channel{name: "sharedfs", capacity: p.SharedFSBandwidth(n)}
 	s.channels = append(s.channels, s.shared)
@@ -194,9 +194,6 @@ func (s *System) Registry() *Registry { return s.reg }
 // SharedChannel returns the parallel-FS channel.
 func (s *System) SharedChannel() *Channel { return s.shared }
 
-// BurstChannel returns the burst-buffer channel, nil when disabled.
-func (s *System) BurstChannel() *Channel { return s.burst }
-
 // BytesMoved returns the total bytes transferred so far.
 func (s *System) BytesMoved() int64 { return s.bytesMoved }
 
@@ -250,8 +247,8 @@ func (s *System) tierLatency(t spec.StageTier) float64 {
 
 // Seed marks a dataset as present at a tier without moving bytes — inputs
 // sourced from a tier are by definition already there.
-func (s *System) Seed(dataset string, bytes int64, tier spec.StageTier) {
-	s.reg.RegisterTier(dataset, bytes, s.EffectiveTier(tier))
+func (s *System) Seed(dataset string, tier spec.StageTier) {
+	s.reg.RegisterTier(dataset, s.EffectiveTier(tier))
 }
 
 // EffectiveTier returns the tier that holds data sent to t: a disabled
@@ -298,15 +295,13 @@ func (s *System) nextUID() string {
 // whether such a transfer exists. Joining moves no bytes — callers count it
 // as a locality hit.
 func (s *System) JoinPending(dataset string, node int, fn func(any), arg any) (string, bool) {
-	byNode, ok := s.pendingNode[dataset]
-	if !ok {
-		return "", false
-	}
+	byNode := s.pendingNode[dataset]
 	p, ok := byNode[node]
 	if !ok {
 		return "", false
 	}
 	p.waiters = append(p.waiters, waiter{fn, arg})
+	byNode[node] = p
 	s.coalesced++
 	return p.uid, true
 }
@@ -330,10 +325,12 @@ func (s *System) EachPending(dataset string, fn func(node int)) {
 func (s *System) StageToNode(task, dataset string, bytes int64, src spec.StageTier, node int, fn func(any), arg any) string {
 	srcCh, nv := s.tierChannel(src), s.nodeChannel(node)
 	uid := s.nextUID()
-	if s.pendingNode[dataset] == nil {
-		s.pendingNode[dataset] = make(map[int]*pendingXfer)
+	byNode := s.pendingNode[dataset]
+	if byNode == nil {
+		byNode = make(map[int]pendingXfer)
+		s.pendingNode[dataset] = byNode
 	}
-	s.pendingNode[dataset][node] = &pendingXfer{uid: uid}
+	byNode[node] = pendingXfer{uid: uid}
 	lat := s.tierLatency(src) + s.params.NVMeLatency
 	s.startTransfer(s.routeOf(srcCh, nv), lat, flow{
 		op: opStageToNode, fn: fn, arg: arg,
@@ -378,16 +375,14 @@ func (s *System) WriteFromNode(task, dataset string, bytes int64, node int, dest
 // transfer's UID and whether such a transfer exists. Joining moves no
 // bytes — callers count it as a locality hit.
 func (s *System) JoinPendingTier(dataset string, tier spec.StageTier, fn func(any), arg any) (string, bool) {
-	byTier, ok := s.pendingTier[dataset]
-	if !ok {
-		return "", false
-	}
+	byTier := s.pendingTier[dataset]
 	eff := s.EffectiveTier(tier)
 	p, ok := byTier[eff]
 	if !ok {
 		return "", false
 	}
 	p.waiters = append(p.waiters, waiter{fn, arg})
+	byTier[eff] = p
 	s.coalesced++
 	return p.uid, true
 }
@@ -402,10 +397,12 @@ func (s *System) TierTransfer(task, dataset string, bytes int64, src, dest spec.
 	srcCh, dstCh := s.tierChannel(src), s.tierChannel(dest)
 	eff := s.EffectiveTier(dest)
 	uid := s.nextUID()
-	if s.pendingTier[dataset] == nil {
-		s.pendingTier[dataset] = make(map[spec.StageTier]*pendingXfer)
+	byTier := s.pendingTier[dataset]
+	if byTier == nil {
+		byTier = make(map[spec.StageTier]pendingXfer)
+		s.pendingTier[dataset] = byTier
 	}
-	s.pendingTier[dataset][eff] = &pendingXfer{uid: uid}
+	byTier[eff] = pendingXfer{uid: uid}
 	s.startTransfer(s.routeOf(srcCh, dstCh), s.tierLatency(src)+s.tierLatency(dest), flow{
 		op: opTierTransfer, dest: dest, fn: fn, arg: arg,
 		tt: transferInfo{
@@ -492,43 +489,35 @@ func (s *System) finishTransfer(f *flow, at sim.Time) {
 func (s *System) complete(arg any) {
 	f := arg.(*flow)
 	tt := &f.tt
-	var p *pendingXfer
+	var p pendingXfer
 	switch f.op {
 	case opStageToNode:
 		if s.nodeIndex(tt.node) >= 0 {
-			s.reg.RegisterNode(tt.dataset, tt.bytes, tt.node)
+			s.reg.RegisterNode(tt.dataset, tt.node)
 		}
 		byNode := s.pendingNode[tt.dataset]
 		p = byNode[tt.node]
 		delete(byNode, tt.node)
-		if len(byNode) == 0 {
-			delete(s.pendingNode, tt.dataset)
-		}
 	case opWriteFromNode:
 		if s.nodeIndex(tt.node) >= 0 {
-			s.reg.RegisterNode(tt.dataset, tt.bytes, tt.node)
+			s.reg.RegisterNode(tt.dataset, tt.node)
 		}
 		if f.dest != spec.TierNodeLocal {
-			s.reg.RegisterTier(tt.dataset, tt.bytes, s.EffectiveTier(f.dest))
+			s.reg.RegisterTier(tt.dataset, s.EffectiveTier(f.dest))
 		}
 	case opTierTransfer:
 		eff := s.EffectiveTier(f.dest)
-		s.reg.RegisterTier(tt.dataset, tt.bytes, eff)
+		s.reg.RegisterTier(tt.dataset, eff)
 		byTier := s.pendingTier[tt.dataset]
 		p = byTier[eff]
 		delete(byTier, eff)
-		if len(byTier) == 0 {
-			delete(s.pendingTier, tt.dataset)
-		}
 	}
 	if f.fn != nil {
 		f.fn(f.arg)
 	}
-	if p != nil {
-		for _, w := range p.waiters {
-			if w.fn != nil {
-				w.fn(w.arg)
-			}
+	for _, w := range p.waiters {
+		if w.fn != nil {
+			w.fn(w.arg)
 		}
 	}
 }
@@ -546,7 +535,6 @@ type Registry struct {
 }
 
 type regEntry struct {
-	bytes int64
 	// nodes lists the nodes holding a replica, ascending and without
 	// duplicates: lookups binary-search it and NodesHolding returns it as
 	// it is. It starts out in node0, so a dataset's first replica costs no
@@ -573,22 +561,16 @@ func (r *Registry) entry(dataset string) *regEntry {
 }
 
 // RegisterNode records a node-local replica of the dataset.
-func (r *Registry) RegisterNode(dataset string, bytes int64, node int) {
+func (r *Registry) RegisterNode(dataset string, node int) {
 	e := r.entry(dataset)
-	if bytes > e.bytes {
-		e.bytes = bytes
-	}
 	if i, ok := slices.BinarySearch(e.nodes, node); !ok {
 		e.nodes = slices.Insert(e.nodes, i, node)
 	}
 }
 
 // RegisterTier records the dataset's presence at a shared tier.
-func (r *Registry) RegisterTier(dataset string, bytes int64, tier spec.StageTier) {
+func (r *Registry) RegisterTier(dataset string, tier spec.StageTier) {
 	e := r.entry(dataset)
-	if bytes > e.bytes {
-		e.bytes = bytes
-	}
 	switch tier {
 	case spec.TierSharedFS:
 		e.shared = true
@@ -605,13 +587,6 @@ func (e *regEntry) drop(node int) bool {
 		e.nodes = slices.Delete(e.nodes, i, i+1)
 	}
 	return ok
-}
-
-// Evict drops a node-local replica (node draining, cache pressure models).
-func (r *Registry) Evict(dataset string, node int) {
-	if e, ok := r.entries[dataset]; ok {
-		e.drop(node)
-	}
 }
 
 // EvictNode drops every replica the node holds (the node failed; its local
@@ -664,21 +639,4 @@ func (r *Registry) NodesHolding(dataset string) []int {
 		return nil
 	}
 	return e.nodes[:len(e.nodes):len(e.nodes)]
-}
-
-// Bytes returns the registered size of the dataset.
-func (r *Registry) Bytes(dataset string) int64 {
-	if e, ok := r.entries[dataset]; ok {
-		return e.bytes
-	}
-	return 0
-}
-
-// Replicas returns the total node-replica count across all datasets.
-func (r *Registry) Replicas() int {
-	n := 0
-	for _, e := range r.entries {
-		n += len(e.nodes)
-	}
-	return n
 }

@@ -249,9 +249,6 @@ func (s *refSystem) tick() {
 	s.flows = kept
 	now := s.eng.Now()
 	for _, f := range finished {
-		for _, ch := range f.chans {
-			ch.bytes += f.tt.bytes
-		}
 		s.finishTransfer(f, now)
 	}
 	s.recompute()

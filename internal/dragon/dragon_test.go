@@ -79,9 +79,9 @@ func TestBootstrapTakesAbout9s(t *testing.T) {
 	if ctrl.Ceiling().InUse() != 1 {
 		t.Fatal("runtime should hold one srun slot")
 	}
-	rt.Shutdown()
+	rt.Drain("test")
 	if ctrl.Ceiling().InUse() != 0 {
-		t.Fatal("shutdown did not release the srun slot")
+		t.Fatal("an idle drained runtime kept its srun slot")
 	}
 }
 

@@ -221,7 +221,7 @@ func TestShardedSnapshotExposition(t *testing.T) {
 			}
 		}()
 	}
-	ss.Run()
+	ss.Eng.Run()
 	snap := ss.MetricsSnapshot()
 	if snap.Counters["shard0.events"] == 0 || snap.Counters["shard1.events"] == 0 {
 		t.Errorf("per-shard event counters are zero: shard0=%g shard1=%g",
@@ -230,7 +230,11 @@ func TestShardedSnapshotExposition(t *testing.T) {
 	if snap.Counters["sharded.cross_events"] == 0 {
 		t.Error("no cross-partition traffic recorded")
 	}
-	exp := obs.ExpositionString(snap)
+	var b strings.Builder
+	if err := obs.WriteOpenMetrics(&b, snap); err != nil {
+		t.Fatal(err)
+	}
+	exp := b.String()
 	for _, want := range []string{
 		`rp_shard_events_total{shard="0"}`,
 		`rp_shard_events_total{shard="1"}`,

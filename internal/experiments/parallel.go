@@ -26,10 +26,7 @@ func SetParallelism(n int) {
 	parallelism = n
 }
 
-// Parallelism returns the current RunCells worker budget.
-func Parallelism() int { return parallelism }
-
-// RunCells invokes run(i) for every i in [0, n), on up to Parallelism()
+// RunCells invokes run(i) for every i in [0, n), on up to parallelism
 // workers. Cells must not share mutable state; each run(i) should write
 // its result to slot i of a pre-sized slice, which keeps output ordering
 // (and any later floating-point folds) identical to the serial run.

@@ -25,9 +25,6 @@ type SuiteConfig struct {
 	Full bool
 }
 
-// DefaultSuite returns the configuration used by cmd/rpbench.
-func DefaultSuite() SuiteConfig { return SuiteConfig{Seed: 20250916, Reps: 3, Full: false} }
-
 // ReportTable1 renders the experiment matrix (paper Table 1).
 func ReportTable1() string {
 	var b strings.Builder

@@ -8,9 +8,6 @@ package experiments
 // the scale-event timeline instead.
 
 import (
-	"fmt"
-	"strings"
-
 	"rpgo/internal/core"
 	"rpgo/internal/metrics"
 	"rpgo/internal/service"
@@ -161,20 +158,6 @@ func runServiceCell(cfg ServiceSweepConfig, rate float64, replicas int, seed uin
 		Util:      st.Utilization,
 		PeakQueue: st.PeakQueue,
 	}
-}
-
-// FormatServiceSweep renders the sweep as a fixed-width table.
-func FormatServiceSweep(res ServiceSweepResult) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%-9s %-9s %-8s %-9s %-9s %-9s %-7s %-6s %s\n",
-		"rate/s", "replicas", "served", "p50_s", "p95_s", "p99_s", "occup", "util", "peakQ")
-	for _, c := range res.Cells {
-		fmt.Fprintf(&b, "%-9.1f %-9d %-8d %-9.3f %-9.3f %-9.3f %-7.2f %-6.2f %d\n",
-			c.Rate, c.Replicas, c.Served,
-			c.Latency.P50, c.Latency.P95, c.Latency.P99,
-			c.Occupancy, c.Util, c.PeakQueue)
-	}
-	return b.String()
 }
 
 // AutoscaleResult is the outcome of one autoscaled service run.

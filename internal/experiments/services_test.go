@@ -48,9 +48,6 @@ func TestServiceSweepQueueingBehaviour(t *testing.T) {
 	if quiet, busy := get(10, 1), get(60, 1); busy.Occupancy <= quiet.Occupancy {
 		t.Fatalf("occupancy %v at 60/s not above %v at 10/s", busy.Occupancy, quiet.Occupancy)
 	}
-	if out := FormatServiceSweep(res); len(out) == 0 {
-		t.Fatal("empty table")
-	}
 }
 
 func TestAutoscaleDemoScalesWithBurst(t *testing.T) {

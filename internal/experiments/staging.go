@@ -62,11 +62,6 @@ type StagingCell struct {
 	Failed         int
 }
 
-// Label renders the cell coordinates.
-func (c StagingCell) Label() string {
-	return fmt.Sprintf("%s/%s/%dMB", c.Policy, c.Source, c.ShardBytes>>20)
-}
-
 // RunStagingSweep executes every (size × source × policy) cell.
 func RunStagingSweep(cfg StagingSweepConfig) []StagingCell {
 	if cfg.Reps <= 0 {

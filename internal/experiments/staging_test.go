@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"fmt"
 	"testing"
 
 	"rpgo/internal/data"
@@ -18,20 +19,21 @@ func TestStagingSweepReportsDataMetrics(t *testing.T) {
 		t.Fatalf("cells = %d, want 2 sizes × 2 policies", len(cells))
 	}
 	for _, c := range cells {
+		label := fmt.Sprintf("%s/%s/%dMB", c.Policy, c.Source, c.ShardBytes>>20)
 		t.Logf("%-28s makespan=%8.1fs moved=%6.1fGB hit=%.2f occ=%.3f stagein=%v",
-			c.Label(), c.Makespan.Seconds(), c.BytesMoved/float64(data.GB),
+			label, c.Makespan.Seconds(), c.BytesMoved/float64(data.GB),
 			c.HitRate, c.SharedOccupancy, c.StageInPerTask)
 		if c.Failed > 0 {
-			t.Errorf("%s: %d failed tasks", c.Label(), c.Failed)
+			t.Errorf("%s: %d failed tasks", label, c.Failed)
 		}
 		if c.BytesMoved <= 0 {
-			t.Errorf("%s: no bytes moved", c.Label())
+			t.Errorf("%s: no bytes moved", label)
 		}
 		if c.SharedOccupancy <= 0 || c.SharedOccupancy > 1 {
-			t.Errorf("%s: shared occupancy %.3f out of range", c.Label(), c.SharedOccupancy)
+			t.Errorf("%s: shared occupancy %.3f out of range", label, c.SharedOccupancy)
 		}
 		if c.HitRate <= 0 {
-			t.Errorf("%s: hit rate %.3f, want > 0 (21 readers per shard)", c.Label(), c.HitRate)
+			t.Errorf("%s: hit rate %.3f, want > 0 (21 readers per shard)", label, c.HitRate)
 		}
 	}
 	// Larger shards must move more bytes and stage longer.

@@ -11,13 +11,10 @@
 //   - placed jobs start through parallel job shells, so dispatch rate grows
 //     with partition size (R(n) = R0·n^α, fitted to §4.1.2);
 //   - job lifecycle events (start, finish, exception) flow back to the
-//     subscriber asynchronously;
-//   - instances can spawn nested child instances on a sub-partition
-//     (hierarchical scheduling).
+//     subscriber asynchronously.
 package flux
 
 import (
-	"fmt"
 	"math"
 
 	"rpgo/internal/launch"
@@ -36,7 +33,6 @@ type Instance struct {
 	eng    *sim.Engine
 	params model.FluxParams
 	rand   *rng.Stream
-	nested bool
 
 	// rate is the effective dispatch rate, R0·n^α·η·m, fixed at
 	// construction: the partition size n, the multi-instance coordination
@@ -56,13 +52,9 @@ type Config struct {
 	Params model.FluxParams
 	// Eta is the coordination efficiency (1 for a single instance).
 	Eta float64
-	// Nested marks a child instance launched by a parent Flux rather
-	// than by srun: it skips the srun ceiling and bootstraps faster.
-	Nested bool
 }
 
-// NewInstance creates and boots an instance over the partition. ctrl may
-// be nil only for nested instances.
+// NewInstance creates and boots an instance over the partition.
 func NewInstance(cfg Config, eng *sim.Engine, ctrl *slurm.Controller, part *platform.Allocation,
 	src *rng.Source) *Instance {
 	if cfg.Eta <= 0 {
@@ -72,7 +64,6 @@ func NewInstance(cfg Config, eng *sim.Engine, ctrl *slurm.Controller, part *plat
 		eng:    eng,
 		params: cfg.Params,
 		rand:   src.Stream("flux." + cfg.Name),
-		nested: cfg.Nested || ctrl == nil,
 	}
 	rateMult := in.rand.LogNormal(1, cfg.Params.RunSigma)
 	in.rate = cfg.Params.Rate(part.Size()) * cfg.Eta * rateMult
@@ -90,16 +81,11 @@ func NewInstance(cfg Config, eng *sim.Engine, ctrl *slurm.Controller, part *plat
 }
 
 // bootstrapCost draws one broker bootstrap: `srun -N n flux start`, whose
-// broker-tree startup is part of the latency. Children are spawned by the
-// parent broker: no srun, and the tree is already up, so it is cheaper.
+// broker-tree startup is part of the latency.
 func (in *Instance) bootstrapCost() (sim.Duration, bool) {
 	boot := in.params.BootstrapMedian +
 		in.params.BootstrapPerLogNode*math.Log2(float64(in.Nodes())+1)
-	d := sim.Seconds(in.rand.LogNormal(boot, in.params.BootstrapSigma))
-	if in.nested {
-		return d / 2, false
-	}
-	return d, true
+	return sim.Seconds(in.rand.LogNormal(boot, in.params.BootstrapSigma)), true
 }
 
 // up starts the token bucket full: a freshly bootstrapped broker bursts.
@@ -110,23 +96,6 @@ func (in *Instance) up() {
 
 // Rate returns the instance's effective dispatch rate (jobs/s).
 func (in *Instance) Rate() float64 { return in.rate }
-
-// SpawnNested creates a child instance on the first free sub-range of n
-// nodes of this instance's partition (hierarchical scheduling). The child
-// claims whole nodes from the parent's ledger for its lifetime.
-func (in *Instance) SpawnNested(name string, n int, src *rng.Source) (*Instance, error) {
-	part := in.Partition()
-	if n > part.Size() {
-		return nil, fmt.Errorf("flux: nested instance of %d nodes exceeds parent partition %d", n, part.Size())
-	}
-	sub := part.Slice(0, n)
-	child := NewInstance(Config{
-		Name:   name,
-		Params: in.params,
-		Nested: true,
-	}, in.eng, nil, sub, src)
-	return child, nil
-}
 
 // kick schedules a scheduler pass. The broker is event-driven: submits,
 // completions, and bootstrap all trigger an immediate pass, while the token

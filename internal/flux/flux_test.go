@@ -80,9 +80,9 @@ func TestBootstrapTakesAbout20s(t *testing.T) {
 	if ctrl.Ceiling().InUse() != 1 {
 		t.Fatalf("instance should hold 1 srun slot, holds %d", ctrl.Ceiling().InUse())
 	}
-	in.Shutdown()
+	in.Drain("test")
 	if ctrl.Ceiling().InUse() != 0 {
-		t.Fatal("shutdown did not release the srun slot")
+		t.Fatal("an idle drained instance kept its srun slot")
 	}
 }
 
@@ -184,37 +184,6 @@ func TestCrashFailsQueuedAndRunning(t *testing.T) {
 	}
 }
 
-func TestNestedInstance(t *testing.T) {
-	eng, in, _ := newRig(4)
-	src := rng.New(77)
-	var child *Instance
-	in.Ready(func() {
-		c, err := in.SpawnNested("flux.child", 2, src)
-		if err != nil {
-			t.Errorf("SpawnNested: %v", err)
-			return
-		}
-		child = c
-	})
-	started := false
-	eng.RunUntil(sim.Time(60 * sim.Second))
-	if child == nil {
-		t.Fatal("child never created")
-	}
-	child.Submit(req(sim.Second, func(sim.Time) { started = true }, nil))
-	eng.Run()
-	if !started {
-		t.Fatal("nested instance did not execute the task")
-	}
-	if child.Nodes() != 2 {
-		t.Fatalf("child nodes = %d", child.Nodes())
-	}
-	// Oversized nested request errors.
-	if _, err := in.SpawnNested("too-big", 99, src); err == nil {
-		t.Fatal("oversized nested instance should error")
-	}
-}
-
 func TestUtilizationAccounting(t *testing.T) {
 	eng, in, _ := newRig(1)
 	running, peak := 0, 0
@@ -275,9 +244,9 @@ func TestRestartBeforeSrunGrantReleasesSlot(t *testing.T) {
 	if n := ctrl.Ceiling().InUse(); n != 1 {
 		t.Fatalf("restarted instance holds %d srun slots, want 1", n)
 	}
-	in.Shutdown()
+	in.Drain("test")
 	if n := ctrl.Ceiling().InUse(); n != 0 {
-		t.Fatalf("%d srun slots leaked after shutdown", n)
+		t.Fatalf("%d srun slots leaked after drain", n)
 	}
 }
 

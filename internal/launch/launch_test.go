@@ -72,7 +72,7 @@ func TestPlaceMultiNode(t *testing.T) {
 	if pl == nil {
 		t.Fatal("2-node placement failed on idle 4-node partition")
 	}
-	if len(pl.NodeIDs) != 2 || pl.TotalCPU() != 112 {
+	if len(pl.NodeIDs) != 2 || pl.Cores*len(pl.NodeIDs) != 112 {
 		t.Fatalf("placement: %+v", pl)
 	}
 	// Per-node footprint: 8 ranks x 7 cores = 56 = full node.

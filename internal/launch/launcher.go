@@ -65,7 +65,11 @@ type Launcher struct {
 	plc     *Placer
 	queue   Queue
 	running []*Request
-	stats   Stats
+	// placed counts the requests holding a placement: in the launch
+	// pipeline or running. A drained instance gives its srun slot back
+	// once it reaches zero.
+	placed int
+	stats  Stats
 
 	ready       bool
 	readyFns    []func()
@@ -196,6 +200,7 @@ func (l *Launcher) Boot() {
 			return
 		}
 		l.releaseSrun = release
+		l.releaseIfDrained()
 		left := sim.Duration(0)
 		if spent := l.eng.Now().Sub(l.t0); spent < d {
 			left = d - spent
@@ -270,7 +275,11 @@ func (l *Launcher) Kick() {
 // then up to backfill requests past a blocked head), returning it with its
 // placement claimed, or nil when nothing can place now.
 func (l *Launcher) Next(backfill int) *Request {
-	return l.plc.PopNext(l.eng.Now(), &l.queue, backfill)
+	r := l.plc.PopNext(l.eng.Now(), &l.queue, backfill)
+	if r != nil {
+		l.placed++
+	}
+	return r
 }
 
 // Dropped reports whether the instance crashed while r was in its launch
@@ -280,6 +289,7 @@ func (l *Launcher) Dropped(r *Request) bool {
 	if !l.crashed {
 		return false
 	}
+	l.placed--
 	l.cfg.Part.Release(l.eng.Now(), &r.Pl)
 	l.fail(r, l.cfg.Name+" down")
 	return true
@@ -333,6 +343,7 @@ func (l *Launcher) done(arg any) {
 		l.complete(r)
 	}
 	l.Kick()
+	l.releaseIfDrained()
 }
 
 // complete delivers a successful completion.
@@ -345,6 +356,7 @@ func (l *Launcher) complete(arg any) {
 // release returns a request's slots (and its srun ceiling slot, if it
 // holds one) once it stops running.
 func (l *Launcher) release(r *Request) {
+	l.placed--
 	l.cfg.Part.Release(l.eng.Now(), &r.Pl)
 	if r.Release != nil {
 		r.Release()
@@ -376,10 +388,12 @@ func (l *Launcher) failQueued(reason string) {
 }
 
 // Drain fails every queued (not yet placed) request, and every submit that
-// arrives afterwards, until a Restart.
+// arrives afterwards, until a Restart. The instance gives its srun slot
+// back once the requests it placed have left its pipeline and ended.
 func (l *Launcher) Drain(reason string) {
 	l.drained = true
 	l.failQueued(reason)
+	l.releaseIfDrained()
 }
 
 // FailNode kills every running request whose placement includes the
@@ -401,6 +415,7 @@ func (l *Launcher) FailNode(node int, reason string) int {
 		victims++
 	}
 	l.Kick()
+	l.releaseIfDrained()
 	return victims
 }
 
@@ -444,10 +459,12 @@ func (l *Launcher) Restart() bool {
 	return true
 }
 
-// Shutdown drains the queue and releases the instance's srun slot.
-func (l *Launcher) Shutdown() {
-	l.Drain(l.cfg.Name + " shutdown")
-	l.releaseInstance()
+// releaseIfDrained gives a drained instance's srun slot back once nothing
+// it placed is still in its pipeline or running.
+func (l *Launcher) releaseIfDrained() {
+	if l.drained && l.placed == 0 {
+		l.releaseInstance()
+	}
 }
 
 func (l *Launcher) releaseInstance() {

@@ -76,7 +76,7 @@ func TestLauncherWithoutInstanceProcess(t *testing.T) {
 	if !ready || !done {
 		t.Fatalf("ready=%v done=%v: a launcher without an instance is up at once", ready, done)
 	}
-	if l.Crash("injected") || l.Crashed() || l.Restart() {
+	if l.Crash("injected") || l.crashed || l.Restart() {
 		t.Fatal("a launcher without an instance process must refuse Crash and Restart")
 	}
 }
@@ -102,12 +102,12 @@ func TestLauncherStaleBootIgnored(t *testing.T) {
 	if readyAt != sim.Time(18*sim.Second) || l.BootstrapOverhead() != 10*sim.Second {
 		t.Fatalf("ready at %v after a %v boot, want 18s after 10s", readyAt, l.BootstrapOverhead())
 	}
-	if l.Failed() || ctrl.held != 1 {
-		t.Fatalf("failed=%v held=%d: the first attempt's timeout or grant acted on the restart", l.Failed(), ctrl.held)
+	if l.failed || ctrl.held != 1 {
+		t.Fatalf("failed=%v held=%d: the first attempt's timeout or grant acted on the restart", l.failed, ctrl.held)
 	}
-	l.Shutdown()
+	l.Drain("test")
 	if ctrl.held != 0 {
-		t.Fatal("shutdown kept the instance's srun slot")
+		t.Fatal("an idle drained instance kept its srun slot")
 	}
 }
 

@@ -121,32 +121,6 @@ func refRateSeries(tasks []*profiler.TaskTrace, window sim.Duration, maxPoints i
 	return refDownsample(s, maxPoints)
 }
 
-func refInflightSeries(reqs []profiler.RequestTrace, maxPoints int) Series {
-	type edge struct {
-		t sim.Time
-		d int
-	}
-	var edges []edge
-	for _, r := range reqs {
-		if r.Issued >= 0 && r.Done >= r.Issued {
-			edges = append(edges, edge{r.Issued, +1}, edge{r.Done, -1})
-		}
-	}
-	sort.Slice(edges, func(i, j int) bool {
-		if edges[i].t != edges[j].t {
-			return edges[i].t < edges[j].t
-		}
-		return edges[i].d < edges[j].d
-	})
-	s := Series{Name: "inflight_requests"}
-	cur := 0
-	for _, e := range edges {
-		cur += e.d
-		s.Points = append(s.Points, Point{T: e.t, V: float64(cur)})
-	}
-	return refDownsample(s, maxPoints)
-}
-
 func refDownsample(s Series, n int) Series {
 	if n <= 0 || len(s.Points) <= n {
 		return s

@@ -16,15 +16,13 @@ import (
 const fuzzUnit = 30 * sim.Millisecond
 
 // decodeSeriesScript reads three bytes per record: a, b and flags. The
-// record is task i's trace, request i's issue and done times, and point i
-// of a series. Start is a; End is a+b, or b when flags&1 (so it can fall
+// record is task i's trace and point i of a series. Start is a; End is a+b, or b when flags&1 (so it can fall
 // before Start); flags&2 and flags&4 leave Start and End unset. The point
 // is (a, b), so equal values at different times test which maximum a
 // stride keeps.
-func decodeSeriesScript(script []byte) ([]*profiler.TaskTrace, []profiler.RequestTrace, Series) {
+func decodeSeriesScript(script []byte) ([]*profiler.TaskTrace, Series) {
 	n := len(script) / 3
 	tasks := make([]*profiler.TaskTrace, n)
-	reqs := make([]profiler.RequestTrace, n)
 	s := Series{Name: "fuzz"}
 	for i := range n {
 		a, b, flags := sim.Time(script[3*i]), sim.Time(script[3*i+1]), script[3*i+2]
@@ -42,15 +40,14 @@ func decodeSeriesScript(script []byte) ([]*profiler.TaskTrace, []profiler.Reques
 		tr := profiler.NewTaskTrace("t")
 		tr.Start, tr.End = start, end
 		tasks[i] = tr
-		reqs[i] = profiler.RequestTrace{Issued: start, Done: end}
 		s.Points = append(s.Points, Point{T: a * sim.Time(fuzzUnit), V: float64(b)})
 	}
-	return tasks, reqs, s
+	return tasks, s
 }
 
 // checkSeriesMatchReference diffs every series and throughput function
 // against its reference on one decoded script.
-func checkSeriesMatchReference(t *testing.T, maxPoints int, window sim.Duration, tasks []*profiler.TaskTrace, reqs []profiler.RequestTrace, s Series) {
+func checkSeriesMatchReference(t *testing.T, maxPoints int, window sim.Duration, tasks []*profiler.TaskTrace, s Series) {
 	t.Helper()
 	check := func(name string, got, want any) {
 		t.Helper()
@@ -68,7 +65,6 @@ func checkSeriesMatchReference(t *testing.T, maxPoints int, window sim.Duration,
 	check("ComputeThroughput input", starts, kept)
 	check("ConcurrencySeries", ConcurrencySeries(tasks, maxPoints), refConcurrencySeries(tasks, maxPoints))
 	check("RateSeries", RateSeries(tasks, window, maxPoints), refRateSeries(tasks, window, maxPoints))
-	check("InflightSeries", InflightSeries(reqs, maxPoints), refInflightSeries(reqs, maxPoints))
 	check("Downsample", Downsample(s, maxPoints), refDownsample(s, maxPoints))
 }
 
@@ -119,7 +115,7 @@ func FuzzSeriesMatchReference(f *testing.F) {
 		f.Add(int8(rng.IntN(24)-2), uint8(rng.IntN(40)), script)
 	}
 	f.Fuzz(func(t *testing.T, maxPoints int8, window uint8, script []byte) {
-		tasks, reqs, s := decodeSeriesScript(script)
-		checkSeriesMatchReference(t, int(maxPoints), sim.Duration(window)*fuzzUnit, tasks, reqs, s)
+		tasks, s := decodeSeriesScript(script)
+		checkSeriesMatchReference(t, int(maxPoints), sim.Duration(window)*fuzzUnit, tasks, s)
 	})
 }

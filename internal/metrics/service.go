@@ -119,16 +119,3 @@ func BatchOccupancy(reqs []profiler.RequestTrace, maxBatch int) float64 {
 	}
 	return sum / float64(n) / float64(maxBatch)
 }
-
-// InflightSeries builds the number of queued-or-in-service requests over
-// time from request traces (the serving analogue of ConcurrencySeries).
-func InflightSeries(reqs []profiler.RequestTrace, maxPoints int) Series {
-	issued, done := edgeBuffers(len(reqs))
-	for _, r := range reqs {
-		if r.Issued >= 0 && r.Done >= r.Issued {
-			issued = append(issued, r.Issued)
-			done = append(done, r.Done)
-		}
-	}
-	return countSeries("inflight_requests", issued, done, maxPoints)
-}

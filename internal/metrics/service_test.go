@@ -77,8 +77,4 @@ func TestRequestDerivedMetrics(t *testing.T) {
 	if occ := BatchOccupancy(reqs, 4); math.Abs(occ-(10.0/3/4)) > 1e-9 {
 		t.Fatalf("occupancy = %v", occ)
 	}
-	s := InflightSeries(reqs, 0)
-	if s.Max() != 3 {
-		t.Fatalf("inflight max = %v (two overlapping + failed short one)", s.Max())
-	}
 }

@@ -329,7 +329,7 @@ func TestHistQuantileBucketBoundaries(t *testing.T) {
 	if got := o.Quantile(0.5); got != big && got != big*2 {
 		t.Errorf("overflow p50 = %g, want one of the exact samples", got)
 	}
-	if got := o.Quantile(0.99); got > o.Max() {
-		t.Errorf("overflow p99 = %g exceeds exact max %g", got, o.Max())
+	if got := o.Quantile(0.99); got > o.max {
+		t.Errorf("overflow p99 = %g exceeds exact max %g", got, o.max)
 	}
 }

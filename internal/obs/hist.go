@@ -66,12 +66,6 @@ func (h *Hist) Observe(v float64) {
 	h.counts[bucketOf(v)]++
 }
 
-// N returns the sample count.
-func (h *Hist) N() uint64 { return h.n }
-
-// Sum returns the sample sum.
-func (h *Hist) Sum() float64 { return h.sum }
-
 // Mean returns the exact sample mean (sum is tracked, not bucketed).
 func (h *Hist) Mean() float64 {
 	if h.n == 0 {
@@ -79,12 +73,6 @@ func (h *Hist) Mean() float64 {
 	}
 	return h.sum / float64(h.n)
 }
-
-// Min and Max return the exact sample extrema.
-func (h *Hist) Min() float64 { return h.min }
-
-// Max returns the largest observed sample.
-func (h *Hist) Max() float64 { return h.max }
 
 // Quantile estimates the q-quantile (q in [0,1]) to within the bucket
 // resolution (~1%). It returns 0 with no samples; q outside [0,1] clamps.

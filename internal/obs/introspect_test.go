@@ -8,8 +8,10 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"maps"
 	"net/http"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -33,12 +35,38 @@ func introspectSnapshot() *Snapshot {
 	return s
 }
 
+// exposition renders the snapshot to a string.
+func exposition(s *Snapshot) string {
+	var b strings.Builder
+	_ = WriteOpenMetrics(&b, s)
+	return b.String()
+}
+
+// sampleKey renders a parsed sample as name{labels} with labels sorted, a
+// canonical identity for round-trip comparisons.
+func sampleKey(p ParsedSample) string {
+	if len(p.Labels) == 0 {
+		return p.Name
+	}
+	var b strings.Builder
+	b.WriteString(p.Name)
+	b.WriteByte('{')
+	for i, k := range slices.Sorted(maps.Keys(p.Labels)) {
+		if i > 0 {
+			b.WriteByte(',')
+		}
+		fmt.Fprintf(&b, "%s=%q", k, p.Labels[k])
+	}
+	b.WriteByte('}')
+	return b.String()
+}
+
 // TestExpositionDeterministic: two renders of one snapshot are identical
 // bytes, families and samples are sorted, and the document ends with EOF.
 func TestExpositionDeterministic(t *testing.T) {
 	s := introspectSnapshot()
-	a := ExpositionString(s)
-	b := ExpositionString(s)
+	a := exposition(s)
+	b := exposition(s)
 	if a != b {
 		t.Fatal("exposition is not byte-deterministic")
 	}
@@ -78,13 +106,13 @@ func TestExpositionDeterministic(t *testing.T) {
 // through the minimal parser with its name, labels and value intact.
 func TestExpositionRoundTrip(t *testing.T) {
 	s := introspectSnapshot()
-	samples, err := ParseExposition(strings.NewReader(ExpositionString(s)))
+	samples, err := ParseExposition(strings.NewReader(exposition(s)))
 	if err != nil {
 		t.Fatalf("parse back failed: %v", err)
 	}
 	got := make(map[string]float64, len(samples))
 	for _, smp := range samples {
-		got[smp.Key()] = smp.Value
+		got[sampleKey(smp)] = smp.Value
 	}
 	checks := map[string]float64{
 		`rp_sim_events_total`:                         12345,
@@ -238,7 +266,7 @@ func TestMonitorHTTP(t *testing.T) {
 	}
 	found := map[string]bool{}
 	for _, smp := range samples {
-		found[smp.Key()] = true
+		found[sampleKey(smp)] = true
 	}
 	if !found["rp_sim_events_total"] || !found[`rp_shard_events_total{shard="0"}`] {
 		t.Errorf("/metrics missing expected samples:\n%s", body)

@@ -34,9 +34,9 @@ func TestHistQuantileAccuracy(t *testing.T) {
 			t.Errorf("q=%.2f: got %g, want %g (rel err %.3f > 2.5%%)", q, got, want, rel)
 		}
 	}
-	if h.Min() != samples[0] || h.Max() != samples[len(samples)-1] {
+	if h.min != samples[0] || h.max != samples[len(samples)-1] {
 		t.Errorf("extrema: got [%g, %g], want [%g, %g]",
-			h.Min(), h.Max(), samples[0], samples[len(samples)-1])
+			h.min, h.max, samples[0], samples[len(samples)-1])
 	}
 	var sum float64
 	for _, v := range samples {
@@ -59,19 +59,19 @@ func TestHistEdgeCases(t *testing.T) {
 	h.Observe(1e-9)            // below histMin: sub-resolution bucket
 	h.Observe(5)               // a real sample
 	h.Observe(math.MaxFloat64) // overflow bucket
-	if h.N() != 5 {
-		t.Fatalf("n = %d, want 5", h.N())
+	if h.n != 5 {
+		t.Fatalf("n = %d, want 5", h.n)
 	}
-	if h.Min() != 0 {
-		t.Errorf("min = %g, want 0", h.Min())
+	if h.min != 0 {
+		t.Errorf("min = %g, want 0", h.min)
 	}
-	if h.Quantile(0) != h.Min() || h.Quantile(1) != h.Max() {
+	if h.Quantile(0) != h.min || h.Quantile(1) != h.max {
 		t.Error("q=0/q=1 must return the exact extrema")
 	}
 	// Quantile estimates may never escape [min, max].
 	for _, q := range []float64{0.1, 0.5, 0.9, 0.999} {
-		if v := h.Quantile(q); v < h.Min() || v > h.Max() {
-			t.Errorf("q=%g estimate %g outside [%g, %g]", q, v, h.Min(), h.Max())
+		if v := h.Quantile(q); v < h.min || v > h.max {
+			t.Errorf("q=%g estimate %g outside [%g, %g]", q, v, h.min, h.max)
 		}
 	}
 }

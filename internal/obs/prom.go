@@ -167,42 +167,11 @@ func WriteOpenMetrics(w io.Writer, s *Snapshot) error {
 	return bw.Flush()
 }
 
-// ExpositionString renders the snapshot to a string (see WriteOpenMetrics).
-func ExpositionString(s *Snapshot) string {
-	var b strings.Builder
-	_ = WriteOpenMetrics(&b, s)
-	return b.String()
-}
-
 // ParsedSample is one sample line read back from a text exposition.
 type ParsedSample struct {
 	Name   string
 	Labels map[string]string
 	Value  float64
-}
-
-// Key renders the sample as name{labels} with labels sorted — a canonical
-// identity for round-trip comparisons.
-func (p ParsedSample) Key() string {
-	if len(p.Labels) == 0 {
-		return p.Name
-	}
-	ks := make([]string, 0, len(p.Labels))
-	for k := range p.Labels {
-		ks = append(ks, k)
-	}
-	sort.Strings(ks)
-	var b strings.Builder
-	b.WriteString(p.Name)
-	b.WriteByte('{')
-	for i, k := range ks {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		fmt.Fprintf(&b, "%s=%q", k, p.Labels[k])
-	}
-	b.WriteByte('}')
-	return b.String()
 }
 
 // ParseExposition reads a Prometheus/OpenMetrics text exposition back into

@@ -50,12 +50,11 @@ func Frontier(smt int) NodeSpec {
 
 // Node is one compute node with slot ledgers.
 type Node struct {
-	ID        int
-	Spec      NodeSpec
-	freeCPU   int
-	freeGPU   int
-	allocated bool // reserved exclusively (multi-node MPI jobs)
-	down      bool // lost to a failure; reports zero free capacity
+	ID      int
+	Spec    NodeSpec
+	freeCPU int
+	freeGPU int
+	down    bool // lost to a failure; reports zero free capacity
 }
 
 // FreeCPU returns the free CPU slots on the node; a down node has none.
@@ -73,12 +72,6 @@ func (n *Node) FreeGPU() int {
 	}
 	return n.freeGPU
 }
-
-// Down reports whether the node is currently failed.
-func (n *Node) Down() bool { return n.down }
-
-// Exclusive reports whether the node is reserved whole.
-func (n *Node) Exclusive() bool { return n.allocated }
 
 // Cluster is a set of nodes of a single profile.
 type Cluster struct {
@@ -162,12 +155,6 @@ func (c *Cluster) DownNodes() int {
 // Node returns node i.
 func (c *Cluster) Node(i int) *Node { return c.nodes[i] }
 
-// TotalCPU returns total CPU slots across the cluster.
-func (c *Cluster) TotalCPU() int { return len(c.nodes) * c.Spec.Slots() }
-
-// TotalGPU returns total GPU slots across the cluster.
-func (c *Cluster) TotalGPU() int { return len(c.nodes) * c.Spec.GPUs }
-
 // Allocation is a set of nodes granted to a pilot job. Backends partition
 // allocations further; placement happens against the allocation's ledger.
 type Allocation struct {
@@ -191,9 +178,6 @@ func (a *Allocation) Size() int { return len(a.Nodes) }
 
 // TotalCPU returns the CPU slots in the allocation.
 func (a *Allocation) TotalCPU() int { return len(a.Nodes) * a.Cluster.Spec.Slots() }
-
-// TotalGPU returns the GPU slots in the allocation.
-func (a *Allocation) TotalGPU() int { return len(a.Nodes) * a.Cluster.Spec.GPUs }
 
 // Partition splits the allocation into k contiguous sub-allocations of
 // near-equal size (remainder nodes spread over the first partitions).
@@ -289,12 +273,6 @@ func (p *Placement) SetNodes(ids []int, cores, gpus int) {
 
 // Includes reports whether the placement claims slots on the node.
 func (p *Placement) Includes(node int) bool { return slices.Contains(p.NodeIDs, node) }
-
-// TotalCPU returns the total CPU slots claimed.
-func (p *Placement) TotalCPU() int { return p.Cores * len(p.NodeIDs) }
-
-// TotalGPU returns the total GPU slots claimed.
-func (p *Placement) TotalGPU() int { return p.GPUs * len(p.NodeIDs) }
 
 // Claim marks the placement's slots busy. It returns an error if any slot is
 // unavailable; on error nothing is claimed.

@@ -19,8 +19,8 @@ func TestFrontierProfile(t *testing.T) {
 
 func TestClusterTotals(t *testing.T) {
 	c := NewCluster(Frontier(1), 4)
-	if c.Size() != 4 || c.TotalCPU() != 224 || c.TotalGPU() != 32 {
-		t.Fatalf("cluster: size=%d cpu=%d gpu=%d", c.Size(), c.TotalCPU(), c.TotalGPU())
+	if a := c.Allocate(4); c.Size() != 4 || a.TotalCPU() != 224 || c.Spec.GPUs*c.Size() != 32 {
+		t.Fatalf("cluster: size=%d cpu=%d gpu=%d", c.Size(), a.TotalCPU(), c.Spec.GPUs*c.Size())
 	}
 }
 

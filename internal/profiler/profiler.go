@@ -306,10 +306,8 @@ type Profiler struct {
 
 	// sink observes completed records; retain controls whether the
 	// profiler also keeps them (streaming sinks turn retention off).
-	sink    TraceSink
-	retain  bool
-	nTasks  int
-	nFinals int
+	sink   TraceSink
+	retain bool
 
 	// Phase, when set, receives one sim.PhaseSinkFold wall-clock sample per
 	// sink callback — the self-profiler's view of how much real time the
@@ -343,27 +341,15 @@ func (p *Profiler) SetSink(s TraceSink) {
 	}
 }
 
-// Sink returns the active trace sink, nil by default.
-func (p *Profiler) Sink() TraceSink { return p.sink }
-
 // Retain reports whether the profiler keeps records in memory; false means
 // a streaming sink owns them (Tasks/Requests/Transfers stay empty).
 func (p *Profiler) Retain() bool { return p.retain }
-
-// Flush finalizes the sink's buffered output; a no-op without a sink.
-func (p *Profiler) Flush() error {
-	if p.sink != nil {
-		return p.sink.Flush()
-	}
-	return nil
-}
 
 // Task opens a new compact trace for uid, with every timestamp unset, and
 // returns it; the caller keeps the pointer. Every call opens a trace of its
 // own, even for a UID seen before. Retained traces are appended in call
 // order (Tasks) and carved from chunked arenas.
 func (p *Profiler) Task(uid string) *TaskTrace {
-	p.nTasks++
 	if !p.retain {
 		// Streaming mode: the trace lives only until TaskFinal hands it
 		// to the sink. No arena (its chunks would pin memory), no order.
@@ -402,7 +388,6 @@ func (p *Profiler) edgeSlot() []CausalEdge {
 // state: the sink observes the completed record. In streaming mode the
 // profiler holds no reference to it, so trace memory stays bounded.
 func (p *Profiler) TaskFinal(t *TaskTrace) {
-	p.nFinals++
 	if p.sink != nil {
 		var t0 time.Time
 		if p.Phase != nil {
@@ -417,12 +402,6 @@ func (p *Profiler) TaskFinal(t *TaskTrace) {
 
 // Tasks returns all traces in submission order (empty in streaming mode).
 func (p *Profiler) Tasks() []*TaskTrace { return p.order }
-
-// NumTasks returns the number of traced tasks, retained or streamed.
-func (p *Profiler) NumTasks() int { return p.nTasks }
-
-// NumFinals returns how many tasks reached a terminal state.
-func (p *Profiler) NumFinals() int { return p.nFinals }
 
 // Request appends one completed inference-request trace.
 func (p *Profiler) Request(rt RequestTrace) {
@@ -495,9 +474,6 @@ func (p *Profiler) Log(at sim.Time, entity, name, info string) {
 	}
 	p.events = append(p.events, Event{Time: at, Entity: entity, Name: name, Info: info})
 }
-
-// Events returns the full event log.
-func (p *Profiler) Events() []Event { return p.events }
 
 // EventsFor returns the logged events for one entity, in time order.
 func (p *Profiler) EventsFor(entity string) []Event {

@@ -26,22 +26,22 @@ func TestTaskTraceLifecycle(t *testing.T) {
 	if again == tr || again.Ran() {
 		t.Fatal("a second Task call must open a fresh trace")
 	}
-	if p.NumTasks() != 2 || len(p.Tasks()) != 2 {
-		t.Fatalf("NumTasks = %d, %d retained, want 2", p.NumTasks(), len(p.Tasks()))
+	if len(p.Tasks()) != 2 {
+		t.Fatalf("%d traces retained, want 2", len(p.Tasks()))
 	}
 }
 
 func TestEventLogDisabledByDefault(t *testing.T) {
 	p := New()
 	p.Log(0, "x", "state", "NEW")
-	if len(p.Events()) != 0 {
+	if len(p.events) != 0 {
 		t.Fatal("events recorded while disabled")
 	}
 	p.RecordEvents = true
 	p.Log(sim.Time(sim.Second), "x", "state", "DONE")
 	p.Log(sim.Time(2*sim.Second), "y", "state", "DONE")
-	if len(p.Events()) != 2 {
-		t.Fatalf("got %d events", len(p.Events()))
+	if len(p.events) != 2 {
+		t.Fatalf("got %d events", len(p.events))
 	}
 	ex := p.EventsFor("x")
 	if len(ex) != 1 || ex[0].Info != "DONE" {

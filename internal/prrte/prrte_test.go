@@ -69,9 +69,9 @@ func TestDVMBootstrap(t *testing.T) {
 	if ctrl.Ceiling().InUse() != 1 {
 		t.Fatal("DVM should hold one srun slot")
 	}
-	d.Shutdown()
+	d.Drain("test")
 	if ctrl.Ceiling().InUse() != 0 {
-		t.Fatal("shutdown leaked the srun slot")
+		t.Fatal("an idle drained DVM kept its srun slot")
 	}
 }
 

@@ -50,32 +50,12 @@ type Stream struct {
 // Float64 returns a uniform draw in [0,1).
 func (st *Stream) Float64() float64 { return st.r.Float64() }
 
-// Intn returns a uniform draw in [0,n).
-func (st *Stream) Intn(n int) int { return st.r.Intn(n) }
-
 // Uniform returns a uniform draw in [lo,hi).
 func (st *Stream) Uniform(lo, hi float64) float64 {
 	if hi <= lo {
 		return lo
 	}
 	return lo + (hi-lo)*st.r.Float64()
-}
-
-// Normal returns a normal draw with the given mean and standard deviation.
-func (st *Stream) Normal(mean, sd float64) float64 {
-	return mean + sd*st.r.NormFloat64()
-}
-
-// TruncNormal returns a normal draw truncated (by resampling, falling back
-// to clamping) to [lo,hi].
-func (st *Stream) TruncNormal(mean, sd, lo, hi float64) float64 {
-	for i := 0; i < 8; i++ {
-		v := st.Normal(mean, sd)
-		if v >= lo && v <= hi {
-			return v
-		}
-	}
-	return math.Min(hi, math.Max(lo, mean))
 }
 
 // LogNormal returns a draw from a log-normal distribution parameterized by
@@ -96,12 +76,6 @@ func (st *Stream) Exp(mean float64) float64 {
 	}
 	return st.r.ExpFloat64() * mean
 }
-
-// Perm returns a deterministic permutation of [0,n).
-func (st *Stream) Perm(n int) []int { return st.r.Perm(n) }
-
-// Shuffle deterministically shuffles n elements with the given swap.
-func (st *Stream) Shuffle(n int, swap func(i, j int)) { st.r.Shuffle(n, swap) }
 
 // Jitter returns v scaled by a uniform factor in [1-f, 1+f].
 func (st *Stream) Jitter(v, f float64) float64 {

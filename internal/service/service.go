@@ -164,23 +164,13 @@ func NewEndpoint(sd spec.ServiceDescription, params model.ServiceParams, eng *si
 // Name returns the endpoint name tasks address.
 func (e *Endpoint) Name() string { return e.desc.Name }
 
-// Desc returns the deployed description.
-func (e *Endpoint) Desc() spec.ServiceDescription { return e.desc }
-
-// QueueLen returns the current request-queue depth.
-func (e *Endpoint) QueueLen() int { return len(e.queue) }
-
 // Replicas returns the current replica count (starting, idle or busy).
 func (e *Endpoint) Replicas() int { return e.countAlive() }
 
-// Broken reports whether the endpoint gave up after repeated replica
-// launch failures; all queued and future requests fail.
-func (e *Endpoint) Broken() bool { return e.broken }
-
 // Ready registers fn to fire once the endpoint's fate is decided: the
-// first replica is warm (check Broken() — false) or every launch attempt
-// failed (Broken() — true, so gated clients run and observe failing
-// requests rather than never running). Fires immediately if decided.
+// first replica is warm, or every launch attempt failed and the endpoint
+// is broken, so gated clients run and observe failing requests rather
+// than never running. Fires immediately if decided.
 func (e *Endpoint) Ready(fn func()) {
 	if e.ready {
 		e.eng.Immediately(fn)
@@ -607,8 +597,7 @@ func (e *Endpoint) countAlive() int {
 
 // sample records the replica count, skipping consecutive duplicates. Every
 // replica that comes or goes passes through launchReplica or removeReplica,
-// the only callers; queue depth over time derives from request traces
-// (metrics.InflightSeries).
+// the only callers; queue depth over time derives from request traces.
 func (e *Endpoint) sample() {
 	s := &e.replicaSeries
 	v := float64(e.countAlive())
@@ -623,9 +612,6 @@ func (e *Endpoint) sample() {
 func (e *Endpoint) ReplicaSeries(maxPoints int) metrics.Series {
 	return metrics.Downsample(e.replicaSeries, maxPoints)
 }
-
-// ScaleEvents returns the autoscaler action log.
-func (e *Endpoint) ScaleEvents() []ScaleEvent { return e.events }
 
 // Stats is a point-in-time summary of the endpoint.
 type Stats struct {

@@ -142,7 +142,7 @@ func TestAutoscaleUpAndDown(t *testing.T) {
 		ep.Submit("", func(sim.Time, bool) {})
 	}
 	r.eng.Run()
-	evs := ep.ScaleEvents()
+	evs := ep.events
 	ups, downs := 0, 0
 	for _, e := range evs {
 		if e.To > e.From {
@@ -188,7 +188,7 @@ func TestBrokenEndpointFailsQueuedRequests(t *testing.T) {
 		})
 	}
 	r.eng.Run()
-	if !ep.Broken() {
+	if !ep.broken {
 		t.Fatal("endpoint should be broken after repeated launch failures")
 	}
 	if failed != 5 {
@@ -342,7 +342,7 @@ func TestReadyFiresOnBrokenEndpoint(t *testing.T) {
 	if readyAt < 0 {
 		t.Fatal("Ready never fired on a broken endpoint — gated clients hang silently")
 	}
-	if !ep.Broken() {
+	if !ep.broken {
 		t.Fatal("endpoint should be broken")
 	}
 	if !failedCall {
@@ -377,7 +377,7 @@ func TestBrokenEndpointReleasesBusyReplica(t *testing.T) {
 		})
 	}
 	r.eng.Run() // completing at all proves nothing deadlocked
-	if !ep.Broken() {
+	if !ep.broken {
 		t.Fatal("endpoint should be broken")
 	}
 	if ep.Replicas() != 0 {

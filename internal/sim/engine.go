@@ -109,7 +109,6 @@ func (t Timer) Stop() bool {
 		return false
 	}
 	t.eng.freeSlot(t.slot)
-	t.eng.pending--
 	t.eng.cancels++
 	return true
 }
@@ -127,7 +126,6 @@ type Engine struct {
 	heap    []heapEntry
 	slots   []eventSlot
 	free    []int32
-	pending int
 	running bool
 	steps   uint64
 	// Telemetry counters (internal/obs reads them through accessors):
@@ -163,10 +161,6 @@ func (e *Engine) Now() Time { return e.now }
 // Steps returns the number of events processed so far.
 func (e *Engine) Steps() uint64 { return e.steps }
 
-// Pending returns the number of scheduled, uncancelled events. The counter
-// is maintained on schedule, fire and cancel, so the call is O(1).
-func (e *Engine) Pending() int { return e.pending }
-
 // HeapHighWater returns the deepest the event heap ever got (including
 // cancelled entries awaiting lazy removal).
 func (e *Engine) HeapHighWater() int { return e.heapHigh }
@@ -175,8 +169,9 @@ func (e *Engine) HeapHighWater() int { return e.heapHigh }
 func (e *Engine) Cancellations() uint64 { return e.cancels }
 
 // PoolSlots returns the size of the pooled slot arena; PoolFree how many
-// of those slots sit on the free list. Their difference is the pool
-// occupancy (live plus lazily-cancelled events).
+// of those slots sit on the free list. Their difference is the number of
+// scheduled, uncancelled events: firing and Stop both free a slot at once,
+// and only a stopped event's heap entry lingers.
 func (e *Engine) PoolSlots() int { return len(e.slots) }
 
 // PoolFree returns the free-list length of the slot arena.
@@ -200,7 +195,6 @@ func (e *Engine) schedule(at Time, fn func(), fnArg func(any), arg any) Timer {
 	s.fn, s.fnArg, s.arg = fn, fnArg, arg
 	e.heapPush(heapEntry{at: at, seq: e.seq, slot: slot, gen: s.gen})
 	e.seq++
-	e.pending++
 	return Timer{eng: e, slot: slot, gen: s.gen}
 }
 
@@ -329,7 +323,6 @@ func (e *Engine) step() bool {
 		}
 		fn, fnArg, arg := s.fn, s.fnArg, s.arg
 		e.freeSlot(ent.slot)
-		e.pending--
 		if fnArg != nil {
 			fnArg(arg)
 		} else {

@@ -43,9 +43,6 @@ func (s *Semaphore) Capacity() int { return s.capacity }
 // InUse returns the number of currently held units.
 func (s *Semaphore) InUse() int { return s.inUse }
 
-// Waiting returns the number of queued acquisitions.
-func (s *Semaphore) Waiting() int { return s.waiters.len() }
-
 // Acquire requests n units and invokes fn(arg) (asynchronously, via the
 // engine) once they are granted. Grants are strictly FIFO: a large request
 // at the head of the queue blocks later small ones, matching how Slurm
@@ -103,20 +100,14 @@ type Server[T any] struct {
 	eng      *Engine
 	servers  int
 	busy     int
-	queue    fifo[serverItem[T]]
+	queue    fifo[T]
 	service  func(T) Duration
 	complete func(T)
 	// inService holds the item each busy server slot is working on;
 	// slotBusy marks occupancy. finishFn is the prebound completion.
-	inService []serverItem[T]
+	inService []T
 	slotBusy  []bool
 	finishFn  func(any)
-	busyTotal Duration
-}
-
-type serverItem[T any] struct {
-	item T
-	d    Duration
 }
 
 // NewServer returns a station with n parallel servers. service returns the
@@ -131,26 +122,17 @@ func NewServer[T any](eng *Engine, n int, service func(T) Duration, complete fun
 	}
 	s := &Server[T]{
 		eng: eng, servers: n, service: service, complete: complete,
-		inService: make([]serverItem[T], n),
+		inService: make([]T, n),
 		slotBusy:  make([]bool, n),
 	}
 	s.finishFn = s.finish
 	return s
 }
 
-// QueueLen returns the number of items waiting (not in service).
-func (s *Server[T]) QueueLen() int { return s.queue.len() }
-
-// Busy returns the number of items in service.
-func (s *Server[T]) Busy() int { return s.busy }
-
-// BusyTotal returns accumulated busy server-time.
-func (s *Server[T]) BusyTotal() Duration { return s.busyTotal }
-
 // Submit enqueues an item for service; the server's completion callback
 // receives it when its service ends.
 func (s *Server[T]) Submit(item T) {
-	s.queue.push(serverItem[T]{item: item})
+	s.queue.push(item)
 	s.pump()
 }
 
@@ -159,15 +141,8 @@ func (s *Server[T]) pump() {
 		it := s.queue.pop()
 		slot := s.takeSlot()
 		s.busy++
-		d := s.service(it.item)
-		if d < 0 {
-			d = 0
-		}
-		it.d = d
 		s.inService[slot] = it
-		// The event fires exactly d later in virtual time, so the busy
-		// span equals the service duration — no start timestamp needed.
-		s.eng.AfterCall(d, s.finishFn, slot)
+		s.eng.AfterCall(max(s.service(it), 0), s.finishFn, slot)
 	}
 }
 
@@ -184,13 +159,12 @@ func (s *Server[T]) takeSlot() int {
 func (s *Server[T]) finish(arg any) {
 	slot := arg.(int)
 	it := s.inService[slot]
-	var zero serverItem[T]
+	var zero T
 	s.inService[slot] = zero
 	s.slotBusy[slot] = false
 	s.busy--
-	s.busyTotal += it.d
 	if s.complete != nil {
-		s.complete(it.item)
+		s.complete(it)
 	}
 	s.pump()
 }

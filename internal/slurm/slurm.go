@@ -70,9 +70,6 @@ func NewController(eng *sim.Engine, params model.SrunParams, src *rng.Source) *C
 	return c
 }
 
-// Params returns the controller's parameter set.
-func (c *Controller) Params() model.SrunParams { return c.params }
-
 func (c *Controller) serviceTime(st *step) sim.Duration {
 	mu := c.params.Mu(st.allocNodes)
 	// Exponential service around the mean registration time models the

@@ -75,9 +75,6 @@ func (g *Graph) Add(n *Node) error {
 	return nil
 }
 
-// Node returns a node by name.
-func (g *Graph) Node(name string) *Node { return g.nodes[name] }
-
 // Nodes returns nodes in insertion order.
 func (g *Graph) Nodes() []*Node { return g.order }
 
@@ -140,7 +137,6 @@ type Run struct {
 	remaining int
 	started   bool
 	done      bool
-	onDone    []func()
 }
 
 // NewRun binds a validated graph to a session and task manager.
@@ -164,18 +160,6 @@ func NewRun(g *Graph, sess *core.Session, tm *core.TaskManager) (*Run, error) {
 	}
 	tm.OnComplete = r.taskCompleted
 	return r, nil
-}
-
-// Done reports whether every node completed.
-func (r *Run) Done() bool { return r.done }
-
-// OnDone registers a completion callback.
-func (r *Run) OnDone(fn func()) {
-	if r.done {
-		fn()
-		return
-	}
-	r.onDone = append(r.onDone, fn)
 }
 
 // Start submits all root nodes.
@@ -233,14 +217,7 @@ func (r *Run) taskCompleted(t *agent.Task) {
 			r.fire(child)
 		}
 	}
-	if r.remaining == 0 {
-		r.done = true
-		fns := r.onDone
-		r.onDone = nil
-		for _, fn := range fns {
-			fn()
-		}
-	}
+	r.done = r.remaining == 0
 }
 
 // CriticalPath returns the longest submitted→completed chain length through

@@ -78,7 +78,7 @@ func TestRandomDAGsRespectDependencies(t *testing.T) {
 			t.Log(err)
 			return false
 		}
-		if !run.Done() {
+		if !run.done {
 			return false
 		}
 		for _, n := range g.Nodes() {
@@ -86,9 +86,9 @@ func TestRandomDAGsRespectDependencies(t *testing.T) {
 				return false
 			}
 			for _, dep := range n.After {
-				if n.Submitted < g.Node(dep).Completed {
+				if n.Submitted < g.nodes[dep].Completed {
 					t.Logf("node %s submitted at %v before dep %s completed at %v",
-						n.Name, n.Submitted, dep, g.Node(dep).Completed)
+						n.Name, n.Submitted, dep, g.nodes[dep].Completed)
 					return false
 				}
 			}

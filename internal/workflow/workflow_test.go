@@ -70,18 +70,16 @@ func TestDiamondExecutionOrder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	doneFired := false
-	run.OnDone(func() { doneFired = true })
 	if err := run.Start(); err != nil {
 		t.Fatal(err)
 	}
 	if err := tm.Wait(); err != nil {
 		t.Fatal(err)
 	}
-	if !run.Done() || !doneFired {
+	if !run.done {
 		t.Fatal("run did not complete")
 	}
-	root, left, right, join := g.Node("root"), g.Node("left"), g.Node("right"), g.Node("join")
+	root, left, right, join := g.nodes["root"], g.nodes["left"], g.nodes["right"], g.nodes["join"]
 	if left.Submitted < root.Completed || right.Submitted < root.Completed {
 		t.Fatal("branches started before root completed")
 	}
@@ -118,9 +116,9 @@ func TestFanOutFanIn(t *testing.T) {
 	if err := tm.Wait(); err != nil {
 		t.Fatal(err)
 	}
-	reduce := g.Node("reduce")
+	reduce := g.nodes["reduce"]
 	for _, name := range fan {
-		if reduce.Submitted < g.Node(name).Completed {
+		if reduce.Submitted < g.nodes[name].Completed {
 			t.Fatalf("reduce fired before %s completed", name)
 		}
 	}
@@ -158,11 +156,11 @@ func TestFailedTasksCounted(t *testing.T) {
 	if err := tm.Wait(); err != nil {
 		t.Fatal(err)
 	}
-	if g.Node("mixed").Failed != 1 {
-		t.Fatalf("failed count = %d", g.Node("mixed").Failed)
+	if g.nodes["mixed"].Failed != 1 {
+		t.Fatalf("failed count = %d", g.nodes["mixed"].Failed)
 	}
 	// The dependent node still fires (failure policy: count and proceed).
-	if !run.Done() {
+	if !run.done {
 		t.Fatal("run should complete despite task failures")
 	}
 }

@@ -6,35 +6,9 @@
 package workload
 
 import (
-	"fmt"
-	"sync/atomic"
-
 	"rpgo/internal/sim"
 	"rpgo/internal/spec"
 )
-
-// Namer hands out collision-free sequence numbers for workflow tags.
-// Unlike the former package-global counter it is session-scoped and safe
-// for concurrent generators (parallel campaigns, go test -race): create
-// one Namer per session and share it freely.
-type Namer struct {
-	prefix string
-	seq    atomic.Int64
-}
-
-// NewNamer returns a namer whose tags start with prefix.
-func NewNamer(prefix string) *Namer { return &Namer{prefix: prefix} }
-
-// Next returns the next unique tag, e.g. "camp.000003".
-func (n *Namer) Next() string {
-	return fmt.Sprintf("%s.%06d", n.prefix, n.seq.Add(1)-1)
-}
-
-// TagUnique stamps a batch with a unique workflow tag derived from the
-// namer plus the given stage.
-func (n *Namer) TagUnique(tds []*spec.TaskDescription, stage string) []*spec.TaskDescription {
-	return Tag(tds, n.Next(), stage)
-}
 
 // Null returns n empty executable tasks: they execute no application code
 // and return immediately, exposing the middleware's internal throughput
@@ -96,54 +70,6 @@ func Mixed(nExec, nFunc int, d sim.Duration) []*spec.TaskDescription {
 // experiments: nodes × cpn × 4 single-core tasks, i.e. four waves at full
 // core occupancy (Table 1: "#tasks = n_nodes * cpn * 4").
 func FullDensityCount(nodes, cpn int) int { return nodes * cpn * 4 }
-
-// Coupled returns n executable simulation tasks of compute duration d,
-// each issuing count concurrent inference requests against the named
-// service endpoint at every phase in phases (default: one call mid-run).
-// This is the RHAPSODY-style coupled-simulation motif: HPC tasks blocking
-// on a persistent model-serving endpoint instead of spawning inference
-// function tasks.
-func Coupled(n int, d sim.Duration, svc string, count int, phases ...float64) []*spec.TaskDescription {
-	if len(phases) == 0 {
-		phases = []float64{0.5}
-	}
-	calls := make([]spec.ServiceCall, len(phases))
-	for i, ph := range phases {
-		calls[i] = spec.ServiceCall{Service: svc, Count: count, Phase: ph}
-	}
-	out := make([]*spec.TaskDescription, n)
-	for i := range out {
-		out[i] = &spec.TaskDescription{
-			Kind:         spec.Executable,
-			Coupling:     spec.DataCoupled,
-			CoresPerRank: 1,
-			Ranks:        1,
-			Duration:     d,
-			Requests:     append([]spec.ServiceCall(nil), calls...),
-		}
-	}
-	return out
-}
-
-// CoupledCampaign interleaves nSim coupled simulation tasks with nFree
-// plain executables of the same duration — the mixed load of a hybrid
-// campaign where only part of the workflow couples to inference.
-func CoupledCampaign(nSim, nFree int, d sim.Duration, svc string, count int) []*spec.TaskDescription {
-	sims := Coupled(nSim, d, svc, count)
-	free := Dummy(nFree, d)
-	out := make([]*spec.TaskDescription, 0, nSim+nFree)
-	for len(sims) > 0 || len(free) > 0 {
-		if len(sims) > 0 {
-			out = append(out, sims[0])
-			sims = sims[1:]
-		}
-		if len(free) > 0 {
-			out = append(out, free[0])
-			free = free[1:]
-		}
-	}
-	return out
-}
 
 // Tag stamps workflow/stage labels on a batch of tasks.
 func Tag(tds []*spec.TaskDescription, workflow, stage string) []*spec.TaskDescription {
@@ -279,14 +205,4 @@ func ImpeccablePipelines() []Pipeline {
 			BatchBase: 1, ItersBase: 60,
 		},
 	}
-}
-
-// Validate checks every description of a workload against a node profile.
-func Validate(tds []*spec.TaskDescription, slotsPerNode, gpusPerNode int) error {
-	for i, td := range tds {
-		if err := td.Validate(slotsPerNode, gpusPerNode); err != nil {
-			return fmt.Errorf("workload[%d]: %w", i, err)
-		}
-	}
-	return nil
 }

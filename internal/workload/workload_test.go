@@ -2,7 +2,6 @@ package workload
 
 import (
 	"reflect"
-	"sync"
 	"testing"
 
 	"rpgo/internal/sim"
@@ -73,77 +72,6 @@ func TestTag(t *testing.T) {
 	}
 }
 
-func TestCoupledGenerators(t *testing.T) {
-	tds := Coupled(4, 120*sim.Second, "llm", 3, 0.25, 0.75)
-	if len(tds) != 4 {
-		t.Fatalf("coupled count %d", len(tds))
-	}
-	for _, td := range tds {
-		if err := td.Validate(56, 8); err != nil {
-			t.Fatal(err)
-		}
-		if len(td.Requests) != 2 {
-			t.Fatalf("calls = %d, want 2", len(td.Requests))
-		}
-		for _, c := range td.Requests {
-			if c.Service != "llm" || c.Count != 3 {
-				t.Fatalf("call: %+v", c)
-			}
-		}
-	}
-	// Descriptions must not share the Requests slice.
-	tds[0].Requests[0].Count = 99
-	if tds[1].Requests[0].Count == 99 {
-		t.Fatal("Coupled tasks share a Requests slice")
-	}
-
-	mix := CoupledCampaign(3, 5, sim.Second, "llm", 1)
-	coupled, free := 0, 0
-	for _, td := range mix {
-		if len(td.Requests) > 0 {
-			coupled++
-		} else {
-			free++
-		}
-	}
-	if coupled != 3 || free != 5 {
-		t.Fatalf("campaign split %d/%d", coupled, free)
-	}
-}
-
-// TestNamerParallelSafe exercises the session-scoped tag counter from
-// concurrent generators; run with -race to verify there is no shared
-// mutable package state (the former uidSeq global).
-func TestNamerParallelSafe(t *testing.T) {
-	n := NewNamer("camp")
-	const workers, per = 8, 50
-	var wg sync.WaitGroup
-	tags := make([][]string, workers)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < per; i++ {
-				batch := n.TagUnique(Dummy(2, sim.Second), "stage")
-				tags[w] = append(tags[w], batch[0].Workflow)
-			}
-		}(w)
-	}
-	wg.Wait()
-	seen := map[string]bool{}
-	for _, ws := range tags {
-		for _, tag := range ws {
-			if seen[tag] {
-				t.Fatalf("duplicate tag %q across goroutines", tag)
-			}
-			seen[tag] = true
-		}
-	}
-	if len(seen) != workers*per {
-		t.Fatalf("tags = %d, want %d", len(seen), workers*per)
-	}
-}
-
 func TestImpeccablePipelinesValid(t *testing.T) {
 	pipes := ImpeccablePipelines()
 	if len(pipes) != 6 {
@@ -199,17 +127,5 @@ func TestImpeccableModalities(t *testing.T) {
 	}
 	if execs == 0 || funcs == 0 {
 		t.Fatalf("modalities: %d exec, %d func pipelines", execs, funcs)
-	}
-}
-
-func TestValidateWorkload(t *testing.T) {
-	good := Dummy(3, sim.Second)
-	if err := Validate(good, 56, 8); err != nil {
-		t.Fatal(err)
-	}
-	bad := Dummy(1, sim.Second)
-	bad[0].Ranks = 100
-	if err := Validate(bad, 56, 8); err == nil {
-		t.Fatal("expected validation error")
 	}
 }
