@@ -446,6 +446,28 @@ func BenchmarkEngineScheduleRun(b *testing.B) {
 	eng.Run()
 }
 
+// BenchmarkEngineImmediate runs a chain of same-instant events, each
+// scheduling the next through ImmediatelyCall, over a heap holding 100
+// future events, about hybrid_null's heap high-water: one op is one
+// zero-delay hop at that depth. BenchmarkEngineScheduleRun is almost all
+// non-zero delays.
+func BenchmarkEngineImmediate(b *testing.B) {
+	eng := sim.NewEngine()
+	for i := range 100 {
+		eng.After(sim.Hour+sim.Duration(i), func() {})
+	}
+	left := b.N
+	var hop func(any)
+	hop = func(any) {
+		if left--; left > 0 {
+			eng.ImmediatelyCall(hop, nil)
+		}
+	}
+	b.ResetTimer()
+	eng.ImmediatelyCall(hop, nil)
+	eng.RunUntil(eng.Now()) // the chain only: the future events stay queued
+}
+
 // placeRing places the requests of ring in turn, one per iteration, and
 // once one no longer fits releases every live placement, each once. A
 // placement lives in its request, so the ring must hold more requests than

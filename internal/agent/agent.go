@@ -99,15 +99,10 @@ type Agent struct {
 	// sm manages deployed inference-service endpoints (lazily created).
 	sm *ServiceManager
 
-	// notifyDoneFn is the prebound notifyDone, shared by every finish.
-	notifyDoneFn func(any)
-	// stagedInFn is stagedIn in the engine's arg-carrying form, for staged
-	// tasks with no shared-tier transfer to wait for, and preferFn is
-	// preferRequest, the Prefer hook of every data-aware consumer
-	// (staging.go). Both are bound on first use: a pilot that never stages
-	// pays nothing for them.
-	stagedInFn func(any)
-	preferFn   func(*launch.Request) []int
+	// preferFn is preferRequest, the Prefer hook of every data-aware
+	// consumer (staging.go). It is bound on first use: a pilot that never
+	// stages pays nothing for it.
+	preferFn func(*launch.Request) []int
 
 	// slowFactor, when set by the fault injector, maps node ID to an
 	// execution-time stretch factor (≥ 1) applied to plain compute bodies
@@ -173,7 +168,6 @@ func New(desc spec.PilotDescription, eng *sim.Engine, ctrl *slurm.Controller,
 		src:    src,
 		desc:   desc,
 	}
-	a.notifyDoneFn = a.notifyDone
 	schedStream := src.Stream("agent.scheduler")
 	a.scheduler = sim.NewServer(eng, 1, func(*Task) sim.Duration {
 		return sim.Seconds(schedStream.Exp(1 / params.RP.SchedRate))
@@ -687,23 +681,13 @@ func (a *Agent) finish(t *Task, st states.TaskState, reason string) {
 	t.Trace.Final = a.eng.Now()
 	a.prof.TaskFinal(t.Trace)
 	a.nFinal++
-	if t.done != nil {
-		// The callback runs in its own engine event (like every other
-		// notification); t.done stays set until delivery so the pooled
-		// notifyDone event needs no closure.
-		a.eng.ImmediatelyCall(a.notifyDoneFn, t)
+	// The callback runs now, once the task's final state is recorded: the
+	// guard above keeps a second finish from reaching it, and clearing
+	// t.done keeps the record from holding the callback.
+	if done := t.done; done != nil {
+		t.done = nil
+		done(t)
 	}
-}
-
-// notifyDone delivers a final task's done callback exactly once.
-func (a *Agent) notifyDone(arg any) {
-	t := arg.(*Task)
-	if t.done == nil {
-		return
-	}
-	done := t.done
-	t.done = nil
-	done(t)
 }
 
 // launcherReady flushes the group's parked tasks when its first instance

@@ -34,8 +34,9 @@ import (
 	"rpgo/internal/spec"
 )
 
-// stagePhase is the transfer phase a staging record waits in; each ends in
-// one engine event once its pending count reaches zero.
+// stagePhase is the transfer phase a staging record waits in; each ends
+// with the record's next step, run by the operation that zeroes its
+// pending count.
 type stagePhase uint8
 
 const (
@@ -65,10 +66,10 @@ func stagedBody(r *launch.Request, end func(*launch.Request)) {
 // stagingRec is one task's staging state: for a staged dispatch attempt,
 // from the body's start to its end; for a shared-tier stage-in, from
 // Submit to the scheduler. It replaces a chain of closures and wait groups.
-// Its engine callbacks (stageXferDone, stageWriteDone, stageStep,
-// stageComputed) are plain functions that take the record or one of its
-// slots as their argument: scheduling them allocates nothing, and a pilot
-// that never stages pays nothing for them.
+// Its callbacks (stageXferDone, stageWriteDone, stageComputed) are plain
+// functions that take the record or one of its slots as their argument:
+// scheduling them allocates nothing, and a pilot that never stages pays
+// nothing for them.
 type stagingRec struct {
 	a *Agent
 	t *Task
@@ -118,9 +119,10 @@ func (r *stagingRec) slot() *stageXfer {
 }
 
 // stageInShared runs pre-placement staging for every input directive whose
-// destination is a shared tier, then hands the task to the scheduler in an
-// engine event of its own. Only a task that has to wait for a transfer
-// gets a staging record.
+// destination is a shared tier, then hands the task to the scheduler: at
+// once when there is nothing to wait for, else once the last transfer
+// completes. Only a task that has to wait for a transfer gets a staging
+// record.
 func (a *Agent) stageInShared(t *Task) {
 	var r *stagingRec
 	for i := range t.TD.InputData {
@@ -150,12 +152,7 @@ func (a *Agent) stageInShared(t *Task) {
 		r.settle()
 		return
 	}
-	if a.stagedInFn == nil {
-		// Bound on the agent's first staged task: a pilot that never
-		// stages pays nothing for it.
-		a.stagedInFn = func(arg any) { a.stagedIn(arg.(*Task)) }
-	}
-	a.eng.ImmediatelyCall(a.stagedInFn, t)
+	a.stagedIn(t)
 }
 
 // run is the staged process body of r's attempt: pull missing input
@@ -235,19 +232,15 @@ func stageXferDone(arg any) {
 // stageWriteDone runs when one of a record's output writes completes.
 func stageWriteDone(arg any) { arg.(*stagingRec).settle() }
 
-// stageStep runs a record's next step once its phase has nothing left
-// pending.
-func stageStep(arg any) { arg.(*stagingRec).step() }
-
 // stageComputed runs when a record's plain Duration compute ends.
 func stageComputed(arg any) { arg.(*stagingRec).computed() }
 
-// settle counts one of r's pending operations done. The last one schedules
-// the phase's next step as an engine event of its own.
+// settle counts one of r's pending operations done. The last one runs the
+// phase's next step.
 func (r *stagingRec) settle() {
 	r.pending--
 	if r.pending == 0 {
-		r.a.eng.ImmediatelyCall(stageStep, r)
+		r.step()
 	}
 }
 

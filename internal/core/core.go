@@ -198,15 +198,18 @@ func (s *Session) SubmitPilot(pd spec.PilotDescription) (*Pilot, error) {
 	return p, nil
 }
 
-// Cancel drains the pilot: queued tasks fail, running tasks finish.
+// Cancel drains the pilot: queued tasks fail, running tasks finish. The
+// pilot is final before the drain starts: Drain runs the done callback of
+// every task it fails, and a Cancel from one of them must find nothing
+// left to do.
 func (p *Pilot) Cancel(reason string) {
 	if p.State.Final() {
 		return
 	}
-	p.Agent.Drain(reason)
 	states.ValidatePilot(p.State, states.PilotCanceled)
 	p.State = states.PilotCanceled
 	p.sess.Profiler.Log(p.sess.Engine.Now(), p.UID, "state", p.State.String())
+	p.Agent.Drain(reason)
 }
 
 // BootstrapOverhead reports submit→active; valid once the pilot is active.
@@ -492,6 +495,7 @@ func (s *Session) LiveSnapshot() *obs.Snapshot { return s.snapshot(false) }
 func (s *Session) snapshot(includeBlame bool) *obs.Snapshot {
 	snap := obs.NewSnapshot()
 	snap.Put("sim.events", float64(s.Engine.Steps()))
+	snap.Put("sim.heap_pushes", float64(s.Engine.HeapPushes()))
 	snap.Put("sim.heap_highwater", float64(s.Engine.HeapHighWater()))
 	snap.Put("sim.timer_cancellations", float64(s.Engine.Cancellations()))
 	snap.Put("sim.pool_slots", float64(s.Engine.PoolSlots()))

@@ -1,0 +1,237 @@
+package core_test
+
+// A task's done callback runs inside the agent operation that finalizes
+// the task: inside a launcher's completion, Drain's walk of the parked
+// tasks, the parked-task replay after bootstrap, or TaskManager's loop over
+// a submit batch. These tests put user code that submits, kills tasks and
+// cancels the pilot into that callback and check that every task still
+// ends exactly once.
+
+import (
+	"testing"
+
+	"rpgo/internal/agent"
+	"rpgo/internal/core"
+	"rpgo/internal/sim"
+	"rpgo/internal/spec"
+	"rpgo/internal/states"
+	"rpgo/internal/workload"
+)
+
+// reentryRun is one session whose task manager counts the completions of
+// every task it submits and then runs the test's react.
+type reentryRun struct {
+	t     *testing.T
+	sess  *core.Session
+	pilot *core.Pilot
+	tm    *core.TaskManager
+	tasks []*agent.Task
+	done  map[*agent.Task]int
+	react func(*agent.Task)
+}
+
+func newReentryRun(t *testing.T, pd spec.PilotDescription) *reentryRun {
+	t.Helper()
+	sess := core.NewSession(core.Config{Seed: 29})
+	sess.Profiler.RecordEvents = true
+	pilot, err := sess.SubmitPilot(pd)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := &reentryRun{t: t, sess: sess, pilot: pilot, done: map[*agent.Task]int{}}
+	r.tm = sess.TaskManager(pilot)
+	r.tm.OnComplete = func(tk *agent.Task) {
+		r.done[tk]++
+		if r.react != nil {
+			r.react(tk)
+		}
+	}
+	return r
+}
+
+func (r *reentryRun) submit(tds []*spec.TaskDescription) {
+	r.tasks = append(r.tasks, r.tm.Submit(tds)...)
+}
+
+// runToActive runs the session until the pilot is active.
+func (r *reentryRun) runToActive() {
+	for r.pilot.State != states.PilotActive {
+		r.sess.RunUntil(r.sess.Engine.Now().Add(100 * sim.Millisecond))
+	}
+}
+
+// check drives the session to quiescence and asserts that every task ended
+// in exactly one terminal state, with a trace of its own, and had its done
+// callback fire exactly once, and that the agent counts every submitted
+// task final.
+func (r *reentryRun) check() {
+	t := r.t
+	t.Helper()
+	if err := r.tm.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	ag := r.pilot.Agent
+	if ag.Submitted() != len(r.tasks) || ag.Final() != ag.Submitted() {
+		t.Errorf("agent: %d submitted, %d final; the test submitted %d", ag.Submitted(), ag.Final(), len(r.tasks))
+	}
+	// Terminal-state log records per UID: a reused UID is shared by its
+	// tasks, so each UID must end once per task carrying it.
+	wantEnds := map[string]int{}
+	traces := map[any]bool{}
+	for _, tk := range r.tasks {
+		wantEnds[tk.TD.UID]++
+		if !tk.State.Final() {
+			t.Errorf("task %s ended %v", tk.TD.UID, tk.State)
+		}
+		if n := r.done[tk]; n != 1 {
+			t.Errorf("task %s: done fired %d times", tk.TD.UID, n)
+		}
+		tr := tk.Trace
+		if tr == nil || traces[tr] || tr.UID != tk.TD.UID {
+			t.Errorf("task %s has no trace of its own", tk.TD.UID)
+			continue
+		}
+		traces[tr] = true
+		if tr.Failed != (tk.State == states.TaskFailed) || tr.Final < tr.Submit {
+			t.Errorf("task %s: trace failed=%t final=%v submit=%v for state %v",
+				tk.TD.UID, tr.Failed, tr.Final, tr.Submit, tk.State)
+		}
+	}
+	for uid, want := range wantEnds {
+		ends := 0
+		for _, ev := range r.sess.Profiler.EventsFor(uid) {
+			if ev.Name == "state" && (ev.Info == "DONE" || ev.Info == "FAILED" || ev.Info == "CANCELED") {
+				ends++
+			}
+		}
+		if ends != want {
+			t.Errorf("task %s entered %d terminal states, want %d", uid, ends, want)
+		}
+	}
+}
+
+// TestOnCompleteSubmits: a completion callback that submits more work.
+func TestOnCompleteSubmits(t *testing.T) {
+	r := newReentryRun(t, spec.PilotDescription{Nodes: 1})
+	r.react = func(tk *agent.Task) {
+		if len(r.tasks) < 60 {
+			r.submit(workload.Dummy(2, sim.Second))
+		}
+	}
+	r.submit(workload.Dummy(8, 10*sim.Second))
+	r.check()
+	if len(r.tasks) < 60 {
+		t.Fatalf("only %d tasks submitted", len(r.tasks))
+	}
+}
+
+// TestOnCompleteKillsOtherTasks: the first completion evicts every task
+// running on one node, and the second crashes the other backend instance,
+// failing its queued and running tasks.
+func TestOnCompleteKillsOtherTasks(t *testing.T) {
+	r := newReentryRun(t, spec.PilotDescription{
+		Nodes:      2,
+		Partitions: []spec.PartitionConfig{{Backend: spec.BackendFlux, Instances: 2}},
+	})
+	completions := 0
+	r.react = func(tk *agent.Task) {
+		completions++
+		switch completions {
+		case 1:
+			r.pilot.Agent.FailNode(r.pilot.Alloc.Nodes[0].ID, "evicted")
+		case 2:
+			r.pilot.Agent.CrashInstance(1, "crashed")
+		}
+	}
+	tds := workload.Dummy(300, 0)
+	for i, td := range tds {
+		td.Duration = sim.Duration(1+i%7) * sim.Second
+	}
+	r.submit(tds)
+	r.check()
+	reasons := map[string]int{}
+	for _, tk := range r.tasks {
+		reasons[tk.Reason]++
+	}
+	if reasons["evicted"] == 0 || reasons["crashed"] == 0 {
+		t.Fatalf("failure reasons %v: the callback killed nothing", reasons)
+	}
+}
+
+// TestOnCompleteCancelsPilot: every completion cancels the pilot. The
+// first comes from a task in the middle of the batch that no backend can
+// run, while the tasks ahead of it wait for the Flux instance to boot, so
+// Drain finalizes them, and each of their callbacks cancels the pilot
+// again from inside Drain. Submitted at once, the batch reaches the agent
+// before its backends exist, and the stray task is finalized inside the
+// one event that replays the parked tasks; submitted once the pilot is
+// active, inside the agent scheduler's completion.
+func TestOnCompleteCancelsPilot(t *testing.T) {
+	for _, active := range []bool{false, true} {
+		r := newReentryRun(t, spec.PilotDescription{
+			Nodes:      1,
+			Partitions: []spec.PartitionConfig{{Backend: spec.BackendFlux, Instances: 1}},
+		})
+		r.react = func(*agent.Task) { r.pilot.Cancel("stop") }
+		if active {
+			r.runToActive()
+		}
+		tds := workload.Dummy(20, 10*sim.Second)
+		tds[10].Backend = spec.BackendDragon
+		r.submit(tds)
+		r.check()
+		if r.pilot.State != states.PilotCanceled {
+			t.Errorf("active=%t: pilot ended %v", active, r.pilot.State)
+		}
+		drained := 0
+		for _, tk := range r.tasks {
+			if tk.Reason == "stop" && tk.Trace.Launch < 0 { // never reached a backend
+				drained++
+			}
+		}
+		if drained < 2 {
+			t.Fatalf("active=%t: Drain finalized %d parked tasks; the test needs at least 2", active, drained)
+		}
+	}
+}
+
+// TestSubmitRefusalsReact: the agent refuses a reused UID, an invalid
+// description and any task of a draining pilot at once, so their callbacks
+// run inside the task manager's loop over the batch. Each refusal submits
+// one more task, and the third also cancels the pilot.
+func TestSubmitRefusalsReact(t *testing.T) {
+	r := newReentryRun(t, spec.PilotDescription{Nodes: 1})
+	refusals := 0
+	r.react = func(tk *agent.Task) {
+		if tk.State != states.TaskFailed || refusals >= 40 {
+			return
+		}
+		refusals++
+		td := workload.Dummy(1, sim.Second)[0]
+		if refusals%2 == 0 {
+			td.Duration = -1 // invalid
+		}
+		r.submit([]*spec.TaskDescription{td})
+		if refusals == 3 {
+			r.pilot.Cancel("stop")
+		}
+	}
+	r.runToActive()
+	batch := workload.Dummy(6, 5*sim.Second)
+	batch[1].UID, batch[2].UID = "dup", "dup"
+	batch[4].Duration = -1
+	r.submit(batch)
+	r.check()
+	if refusals < 4 {
+		t.Fatalf("%d refusals; the test needs the reused UID, the invalid task and the draining pilot", refusals)
+	}
+	reasons := map[string]bool{}
+	for _, tk := range r.tasks {
+		reasons[tk.Reason] = true
+	}
+	for _, want := range []string{`task UID "dup" already used in this session`, "pilot is draining"} {
+		if !reasons[want] {
+			t.Errorf("no task failed with %q", want)
+		}
+	}
+}

@@ -202,6 +202,7 @@ func (ss *ShardedSession) snapshot(includeBlame bool) *obs.Snapshot {
 		}
 	}
 	snap.Put("sim.events", float64(ss.Eng.Steps()))
+	snap.Put("sim.heap_pushes", float64(ss.Eng.HeapPushes()))
 	snap.Put("sim.heap_highwater", float64(ss.Eng.HeapHighWater()))
 	snap.Put("sim.timer_cancellations", float64(ss.Eng.Cancellations()))
 	snap.Put("sim.pool_slots", float64(ss.Eng.PoolSlots()))

@@ -39,7 +39,7 @@ func TestSnapshotKeysOnePilot(t *testing.T) {
 		"launch.placed", "launch.queue_highwater", "launch.scan_failures",
 		"launch.watermark_skips",
 		"service.failed", "service.scale_events", "service.served",
-		"sim.events", "sim.heap_highwater", "sim.pool_free", "sim.pool_slots",
+		"sim.events", "sim.heap_highwater", "sim.heap_pushes", "sim.pool_free", "sim.pool_slots",
 		"sim.timer_cancellations",
 		"slurm.srun_highwater",
 	}

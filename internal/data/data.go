@@ -85,12 +85,10 @@ type System struct {
 	// flows the one their flows are carved from.
 	uids  strings.Builder
 	flows []flow
-	// startFn, completeFn and tickFn are start, complete and tick bound
-	// once, so scheduling them allocates nothing. completeFn is bound on
-	// the first transfer: a system that moves no data never pays for it.
-	startFn    func(any)
-	completeFn func(any)
-	tickFn     func()
+	// startFn and tickFn are start and tick bound once, so scheduling
+	// them allocates nothing.
+	startFn func(any)
+	tickFn  func()
 
 	// pendingNode coalesces concurrent stage-ins of the same dataset to
 	// the same node: the first request transfers, later ones join as
@@ -416,9 +414,6 @@ func (s *System) TierTransfer(task, dataset string, bytes int64, src, dest spec.
 // startTransfer carves a flow from the system's chunk, sets it to f, and
 // puts it on route r once the setup latency has passed.
 func (s *System) startTransfer(r *route, latency float64, f flow) {
-	if s.completeFn == nil {
-		s.completeFn = s.complete
-	}
 	p := carve(&s.flows)
 	*p = f
 	p.route = r
@@ -451,7 +446,7 @@ func (s *System) start(arg any) {
 	s.peakFlows = max(s.peakFlows, s.nFlows)
 }
 
-// finishTransfer records the trace and hands the completion to the engine.
+// finishTransfer records the trace and completes the flow.
 func (s *System) finishTransfer(f *flow, at sim.Time) {
 	s.transfers++
 	if s.prof != nil {
@@ -479,15 +474,16 @@ func (s *System) finishTransfer(f *flow, at sim.Time) {
 		}
 		s.prof.Transfer(tt, wait)
 	}
-	s.eng.ImmediatelyCall(s.completeFn, f)
+	s.complete(f)
 }
 
-// complete runs a finished flow's completion in its own engine event: it
-// records in the registry the copy the transfer made, retires its
-// coalescing entry, and fires the caller's callback, then the waiters
-// that joined, in join order. completeFn is its bound form.
-func (s *System) complete(arg any) {
-	f := arg.(*flow)
+// complete runs a finished flow's completion: it records in the registry
+// the copy the transfer made, retires its coalescing entry, and fires the
+// caller's callback, then the waiters that joined, in join order. A
+// callback may start transfers; each joins the flows only after its setup
+// latency, in an engine event of its own, so none can reach the flow
+// machinery that tick is still updating.
+func (s *System) complete(f *flow) {
 	tt := &f.tt
 	var p pendingXfer
 	switch f.op {

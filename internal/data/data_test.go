@@ -308,3 +308,47 @@ func TestTransferDeterminism(t *testing.T) {
 }
 
 func nameOf(i int) string { return string(rune('a' + i)) }
+
+// TestCompletionRestagesSameDataset: a transfer's completion runs inside
+// tick's loop over the flows that finished, before shares are recomputed.
+// Two stage-ins of one dataset finish in the same tick; the first one's
+// callback stages the dataset again, to its own node and to a third, and
+// joins the second, still pending in that tick. Every transfer and every
+// callback must complete exactly once, with its bytes counted once, with
+// and without setup latency.
+func TestCompletionRestagesSameDataset(t *testing.T) {
+	for _, p := range []model.DataParams{zeroLatencyParams(), model.Default().Data} {
+		eng, sys, prof := newSystem(t, 3, p)
+		fired := map[string]int{}
+		note := func(arg any) { fired[arg.(string)]++ }
+		var joined bool
+		first := func(arg any) {
+			note(arg)
+			sys.StageToNode("r0", "ds", 1e9, spec.TierSharedFS, 0, note, "again to 0")
+			sys.StageToNode("r2", "ds", 0, spec.TierSharedFS, 2, note, "empty to 2")
+			_, joined = sys.JoinPending("ds", 1, note, "joined 1")
+		}
+		sys.StageToNode("a", "ds", 1e9, spec.TierSharedFS, 0, first, "to 0")
+		sys.StageToNode("b", "ds", 1e9, spec.TierSharedFS, 1, note, "to 1")
+		eng.Run()
+		if !joined {
+			t.Fatal("the second stage-in was no longer pending when the first completed")
+		}
+		for _, k := range []string{"to 0", "to 1", "again to 0", "empty to 2", "joined 1"} {
+			if fired[k] != 1 {
+				t.Errorf("callback %q fired %d times", k, fired[k])
+			}
+		}
+		if n := len(prof.Transfers()); n != 4 || sys.Transfers() != 4 {
+			t.Errorf("%d transfer traces, %d transfers; want 4", n, sys.Transfers())
+		}
+		if sys.BytesMoved() != 3e9 || sys.InFlight() != 0 {
+			t.Errorf("moved %d bytes with %d flows in flight; want 3e9 and 0", sys.BytesMoved(), sys.InFlight())
+		}
+		for n := range 3 {
+			if !sys.Registry().HasNode("ds", n) {
+				t.Errorf("node %d holds no replica", n)
+			}
+		}
+	}
+}

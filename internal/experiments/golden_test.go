@@ -59,6 +59,29 @@ const (
 	goldenHybridTasks     = uint64(0x944348e46b879a60)
 )
 
+// Engine event counts of the hybrid and handoff golden runs: sim.events
+// and sim.heap_pushes of their sessions. Event counts are not part of a
+// trace, so a change can add an event per task and keep every
+// fingerprint; these pins make it say so.
+const (
+	goldenHybridEvents      = uint64(12075)
+	goldenHybridHeapPushes  = uint64(10259)
+	goldenHandoffEvents     = uint64(1079)
+	goldenHandoffHeapPushes = uint64(964)
+)
+
+// checkEventCounts fails t when the session's engine counts differ from
+// the pins.
+func checkEventCounts(t *testing.T, name string, sess *core.Session, events, pushes uint64) {
+	t.Helper()
+	gotEvents, gotPushes := sess.Engine.Steps(), sess.Engine.HeapPushes()
+	t.Logf("%s sim.events=%d sim.heap_pushes=%d", name, gotEvents, gotPushes)
+	if gotEvents != events || gotPushes != pushes {
+		t.Errorf("%s event counts drifted: sim.events %d, sim.heap_pushes %d; want %d, %d",
+			name, gotEvents, gotPushes, events, pushes)
+	}
+}
+
 // Golden hashes for the srun and PRRTE launch paths and for a fault-enabled
 // run that crashes, restarts and evicts on every backend. They pin the
 // launcher lifecycle the four backends share.
@@ -110,20 +133,22 @@ func TestGoldenHybridThroughput(t *testing.T) {
 	if goldenHybridTasks != 0 && got != goldenHybridTasks {
 		t.Fatalf("hybrid trace fingerprint drifted: got %#x, want %#x", got, goldenHybridTasks)
 	}
+	checkEventCounts(t, "hybrid", sess, goldenHybridEvents, goldenHybridHeapPushes)
 }
 
 // TestGoldenStagingHandoff runs the fixed-seed producer→consumer handoff
 // under data-aware placement and checks task and transfer fingerprints.
 func TestGoldenStagingHandoff(t *testing.T) {
-	res, tasks, transfers := runHandoffTraced(HandoffConfig{
+	res, sess := runHandoffSession(HandoffConfig{
 		Nodes: 4, Stages: 2, Width: 64, Bytes: 1 << 28,
 		Policy: spec.PlaceDataAware, TaskSeconds: 1, Seed: 77,
 	})
 	if res.Failed != 0 {
 		t.Fatalf("handoff failed %d tasks", res.Failed)
 	}
+	tasks := sess.Profiler.Tasks()
 	gotTasks := fingerprintTraces(tasks)
-	gotTransfers := fingerprintTransfers(transfers)
+	gotTransfers := fingerprintTransfers(sess.Profiler.Transfers())
 	t.Logf("handoff tasks=%#x transfers=%#x (n=%d, moved=%d)",
 		gotTasks, gotTransfers, len(tasks), res.BytesMoved)
 	if goldenHandoffTasks != 0 && gotTasks != goldenHandoffTasks {
@@ -132,6 +157,7 @@ func TestGoldenStagingHandoff(t *testing.T) {
 	if goldenHandoffTransfer != 0 && gotTransfers != goldenHandoffTransfer {
 		t.Fatalf("handoff transfer fingerprint drifted: got %#x, want %#x", gotTransfers, goldenHandoffTransfer)
 	}
+	checkEventCounts(t, "handoff", sess, goldenHandoffEvents, goldenHandoffHeapPushes)
 }
 
 // TestGoldenFig8CampaignSrun is TestGoldenFig8Campaign on RP's default srun

@@ -14,7 +14,6 @@ import (
 	"rpgo/internal/core"
 	"rpgo/internal/metrics"
 	"rpgo/internal/model"
-	"rpgo/internal/profiler"
 	"rpgo/internal/sim"
 	"rpgo/internal/spec"
 	"rpgo/internal/workload"
@@ -233,13 +232,14 @@ type HandoffConfig struct {
 // datasets the previous stage produced: the scenario where data-aware
 // placement turns cross-stage handoffs into node-local reads.
 func RunHandoff(cfg HandoffConfig) StagingRepResult {
-	res, _, _ := runHandoffTraced(cfg)
+	res, _ := runHandoffSession(cfg)
 	return res
 }
 
-// runHandoffTraced is RunHandoff plus the raw task and transfer traces
-// (the golden determinism tests fingerprint them).
-func runHandoffTraced(cfg HandoffConfig) (StagingRepResult, []*profiler.TaskTrace, []profiler.TransferTrace) {
+// runHandoffSession is RunHandoff plus the session it ran in: the golden
+// determinism tests fingerprint its task and transfer traces and pin its
+// engine's event counts.
+func runHandoffSession(cfg HandoffConfig) (StagingRepResult, *core.Session) {
 	sess := core.NewSession(core.Config{Seed: cfg.Seed, Params: cfg.Params})
 	pilot, err := sess.SubmitPilot(spec.PilotDescription{
 		Nodes:      cfg.Nodes,
@@ -276,5 +276,5 @@ func runHandoffTraced(cfg HandoffConfig) (StagingRepResult, []*profiler.TaskTrac
 		panic(fmt.Sprintf("experiments: handoff: %v", err))
 	}
 	total := cfg.Stages * cfg.Width
-	return measureStaging(sess, pilot, total), sess.Profiler.Tasks(), sess.Profiler.Transfers()
+	return measureStaging(sess, pilot, total), sess
 }

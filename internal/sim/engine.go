@@ -11,8 +11,14 @@
 // 4-ary heap (no per-event heap allocation, no interface boxing), and Timer
 // handles are generation-tagged values so Stop stays safe against slot
 // reuse. Cancellation is lazy — a cancelled slot is recycled immediately
-// and its stale heap entry is recognized by generation mismatch on pop —
+// and its stale queue entry is recognized by generation mismatch on pop —
 // which keeps Stop O(1) without disturbing heap order.
+//
+// Events scheduled at the current instant skip the heap: they wait in the
+// immediate lane, a FIFO of (slot, gen) pairs, and run after the heap's
+// live entries at that instant and before the clock moves on. That is
+// exactly their (time, sequence) place, so the lane changes no order (see
+// step).
 package sim
 
 import (
@@ -91,6 +97,14 @@ func entryLess(a, b heapEntry) bool {
 	return a.seq < b.seq
 }
 
+// laneEntry is one event of the immediate lane. It needs no time, since a
+// lane entry is always at the current instant, and no sequence number,
+// since its place in the lane is its order.
+type laneEntry struct {
+	slot int32
+	gen  uint32
+}
+
 // Timer is a generation-tagged handle to a scheduled event. It is a value:
 // copying is cheap and the zero Timer is inert (Stop reports false,
 // Pending reports false).
@@ -121,9 +135,12 @@ func (t Timer) Pending() bool {
 
 // Engine is the discrete-event simulation core.
 type Engine struct {
-	now     Time
+	now Time
+	// seq numbers heap entries in push order, so it also counts the heap
+	// pushes. lane holds the events scheduled at now.
 	seq     uint64
 	heap    []heapEntry
+	lane    fifo[laneEntry]
 	slots   []eventSlot
 	free    []int32
 	running bool
@@ -165,24 +182,26 @@ func (e *Engine) Steps() uint64 { return e.steps }
 // cancelled entries awaiting lazy removal).
 func (e *Engine) HeapHighWater() int { return e.heapHigh }
 
+// HeapPushes returns how many events went through the heap: every
+// scheduled event except those the immediate lane took.
+func (e *Engine) HeapPushes() uint64 { return e.seq }
+
 // Cancellations returns how many timers were stopped while still pending.
 func (e *Engine) Cancellations() uint64 { return e.cancels }
 
 // PoolSlots returns the size of the pooled slot arena; PoolFree how many
 // of those slots sit on the free list. Their difference is the number of
 // scheduled, uncancelled events: firing and Stop both free a slot at once,
-// and only a stopped event's heap entry lingers.
+// and only a stopped event's heap or lane entry lingers.
 func (e *Engine) PoolSlots() int { return len(e.slots) }
 
 // PoolFree returns the free-list length of the slot arena.
 func (e *Engine) PoolFree() int { return len(e.free) }
 
-// schedule allocates a pooled slot for the callback and pushes its heap
-// entry. Exactly one of fn / fnArg is non-nil.
+// schedule allocates a pooled slot for the callback and queues it: on the
+// immediate lane when it is due now (times in the past clamp to now), on
+// the heap otherwise. Exactly one of fn / fnArg is non-nil.
 func (e *Engine) schedule(at Time, fn func(), fnArg func(any), arg any) Timer {
-	if at < e.now {
-		at = e.now
-	}
 	var slot int32
 	if n := len(e.free); n > 0 {
 		slot = e.free[n-1]
@@ -193,8 +212,12 @@ func (e *Engine) schedule(at Time, fn func(), fnArg func(any), arg any) Timer {
 	}
 	s := &e.slots[slot]
 	s.fn, s.fnArg, s.arg = fn, fnArg, arg
-	e.heapPush(heapEntry{at: at, seq: e.seq, slot: slot, gen: s.gen})
-	e.seq++
+	if at <= e.now {
+		e.lane.push(laneEntry{slot: slot, gen: s.gen})
+	} else {
+		e.heapPush(heapEntry{at: at, seq: e.seq, slot: slot, gen: s.gen})
+		e.seq++
+	}
 	return Timer{eng: e, slot: slot, gen: s.gen}
 }
 
@@ -305,24 +328,43 @@ func (e *Engine) heapPop() {
 }
 
 // step pops and runs one event. It reports false when no events remain.
+//
+// The immediate lane keeps the heap's (time, sequence) order exactly. A
+// live heap entry at now was pushed before the clock reached now, so its
+// sequence number is below that of every lane entry, pushed since. And
+// while the clock sits at now, no heap entry at now can be made: schedule
+// sends those to the lane. So step runs the heap's entries at now first,
+// then the lane, and only then pops the heap past now.
 func (e *Engine) step() bool {
-	for len(e.heap) > 0 {
-		ent := e.heap[0]
-		e.heapPop()
-		s := &e.slots[ent.slot]
-		if s.gen != ent.gen {
-			continue // cancelled: slot already recycled
+	for {
+		var slot int32
+		if len(e.heap) > 0 && (e.lane.len() == 0 || e.heap[0].at == e.now) {
+			ent := e.heap[0]
+			e.heapPop()
+			if e.slots[ent.slot].gen != ent.gen {
+				continue // cancelled: slot already recycled
+			}
+			if ent.at < e.now {
+				panic(fmt.Sprintf("sim: time went backwards: %v < %v", ent.at, e.now))
+			}
+			e.now = ent.at
+			slot = ent.slot
+		} else if e.lane.len() > 0 {
+			ent := e.lane.pop()
+			if e.slots[ent.slot].gen != ent.gen {
+				continue // cancelled
+			}
+			slot = ent.slot
+		} else {
+			return false
 		}
-		if ent.at < e.now {
-			panic(fmt.Sprintf("sim: time went backwards: %v < %v", ent.at, e.now))
-		}
-		e.now = ent.at
 		e.steps++
 		if e.MaxSteps > 0 && e.steps > e.MaxSteps {
 			panic(fmt.Sprintf("sim: exceeded MaxSteps=%d at t=%v", e.MaxSteps, e.now))
 		}
+		s := &e.slots[slot]
 		fn, fnArg, arg := s.fn, s.fnArg, s.arg
-		e.freeSlot(ent.slot)
+		e.freeSlot(slot)
 		if fnArg != nil {
 			fnArg(arg)
 		} else {
@@ -338,7 +380,6 @@ func (e *Engine) step() bool {
 		}
 		return true
 	}
-	return false
 }
 
 // heartbeatEvery is the event cadence of the engine heartbeat, starting
@@ -366,9 +407,16 @@ func (e *Engine) Run() {
 }
 
 // peekTime returns the timestamp of the earliest live event, popping any
-// lazily-cancelled entries it finds on the way. ok is false when no live
-// events remain.
+// lazily-cancelled entries it finds on the way: now while the lane holds a
+// live event, else the heap's top. ok is false when no live events remain.
 func (e *Engine) peekTime() (Time, bool) {
+	for e.lane.len() > 0 {
+		ent := e.lane.front()
+		if e.slots[ent.slot].gen == ent.gen {
+			return e.now, true
+		}
+		e.lane.pop()
+	}
 	for len(e.heap) > 0 {
 		ent := e.heap[0]
 		if e.slots[ent.slot].gen != ent.gen {
@@ -385,13 +433,9 @@ func (e *Engine) peekTime() (Time, bool) {
 // window primitive of the sharded engine: events at or beyond the limit
 // may still be preceded by cross-shard messages, so they must not fire.
 func (e *Engine) runBefore(limit Time) {
-	for len(e.heap) > 0 {
-		ent := e.heap[0]
-		if e.slots[ent.slot].gen != ent.gen {
-			e.heapPop()
-			continue
-		}
-		if ent.at >= limit {
+	for {
+		at, ok := e.peekTime()
+		if !ok || at >= limit {
 			return
 		}
 		e.step()
@@ -406,14 +450,9 @@ func (e *Engine) RunUntil(deadline Time) {
 	}
 	e.running = true
 	defer func() { e.running = false }()
-	for len(e.heap) > 0 {
-		// Peek at the earliest live (uncancelled) entry.
-		ent := e.heap[0]
-		if e.slots[ent.slot].gen != ent.gen {
-			e.heapPop()
-			continue
-		}
-		if ent.at > deadline {
+	for {
+		at, ok := e.peekTime()
+		if !ok || at > deadline {
 			break
 		}
 		e.step()

@@ -169,11 +169,11 @@ func (s *Server[T]) finish(arg any) {
 	s.pump()
 }
 
-// fifo is a head-indexed FIFO of values, the waiting line of Semaphore and
-// Server. pop clears the slot it vacates and compacts the drained prefix,
-// so memory tracks the live backlog, not the cumulative push count: the
-// slice resets when empty and shifts down when the dead prefix passes half
-// of it.
+// fifo is a head-indexed FIFO of values: the waiting line of Semaphore and
+// Server, and the engine's immediate lane. pop clears the slot it vacates
+// and compacts the drained prefix, so memory tracks the live backlog, not
+// the cumulative push count: the slice resets when empty and shifts down
+// when the dead prefix passes half of it.
 type fifo[T any] struct {
 	buf  []T
 	head int

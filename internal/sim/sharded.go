@@ -225,6 +225,15 @@ func (se *ShardedEngine) Steps() uint64 {
 	return n
 }
 
+// HeapPushes returns the total heap pushes across all shards.
+func (se *ShardedEngine) HeapPushes() uint64 {
+	var n uint64
+	for _, e := range se.engines {
+		n += e.HeapPushes()
+	}
+	return n
+}
+
 // PoolSlots returns the summed slot-arena size across all shards.
 func (se *ShardedEngine) PoolSlots() int {
 	n := 0
@@ -301,6 +310,12 @@ func (se *ShardedEngine) exchange() {
 				if m.at < dstEng.Now() {
 					panic(fmt.Sprintf("sim: cross-partition message at %v behind destination clock %v (lookahead violated)", m.at, dstEng.Now()))
 				}
+				// A message sent in a window is stamped at least one
+				// lookahead past the window's start, so m.at ≥ limit, and
+				// the destination ran only events below limit: it goes to
+				// the heap, never to the immediate lane. (One sent before
+				// Run at the destination's own instant would take the
+				// lane, which is its place in heap order too.)
 				dstEng.AtCall(m.at, m.fn, m.arg)
 				se.crossed++
 				se.stats[se.partShard[src]].Sent++
