@@ -19,17 +19,16 @@ import (
 // production code reaches but a test of other behaviour needs as a probe,
 // each with the tests that need it.
 var apiAllowlist = map[string]string{
-	"analytics.BlameVec.Total":    "experiments and obs tests check that blame buckets telescope to the span",
-	"launch.Launcher.Backend":     "agent, core and prrte tests check which backend each instance runs",
-	"launch.Launcher.Crashed":     "dragon tests check a crash and a failed bootstrap",
-	"launch.Launcher.Failed":      "dragon tests check that a bootstrap timeout is permanent",
-	"launch.Launcher.Partition":   "dragon, flux, prrte and slurm tests check that every slot is free after a run",
-	"platform.Cluster.Node":       "launch tests fail and restore single nodes",
-	"profiler.Profiler.EventsFor": "core, experiments and fault tests read one entity's event log",
-	"profiler.Profiler.Requests":  "experiments tests compare retained request traces with the fold sink",
-	"service.Endpoint.Replicas":   "agent service tests count an endpoint's live replicas",
-	"sim.Semaphore.Capacity":      "rp tests check that custom srun parameters reach the ceiling",
-	"sim.Semaphore.InUse":         "backend and core tests check that instances return their srun ceiling slots",
+	"analytics.BlameVec.Total":   "experiments and obs tests check that blame buckets telescope to the span",
+	"launch.Launcher.Backend":    "agent, core and prrte tests check which backend each instance runs",
+	"launch.Launcher.Crashed":    "dragon tests check a crash and a failed bootstrap",
+	"launch.Launcher.Failed":     "dragon tests check that a bootstrap timeout is permanent",
+	"launch.Launcher.Partition":  "dragon, flux, prrte and slurm tests check that every slot is free after a run",
+	"platform.Cluster.Node":      "launch tests fail and restore single nodes",
+	"profiler.Profiler.Requests": "experiments tests compare retained request traces with the fold sink",
+	"service.Endpoint.Replicas":  "agent service tests count an endpoint's live replicas",
+	"sim.Semaphore.Capacity":     "rp tests check that custom srun parameters reach the ceiling",
+	"sim.Semaphore.InUse":        "backend and core tests check that instances return their srun ceiling slots",
 }
 
 // TestInternalAPIReached fails on an exported function or method declared
@@ -41,24 +40,7 @@ var apiAllowlist = map[string]string{
 // sort.Interface), and the entries of apiAllowlist. A deletion can leave
 // its callees without a caller, so the audit is run again after each one.
 func TestInternalAPIReached(t *testing.T) {
-	l := newAPILoader(t)
-	for _, path := range l.order {
-		l.pkg("", path)
-		p := l.pkgs[path]
-		if len(p.tests) > 0 {
-			l.pkg(path, path)
-		}
-		if len(p.xtests) > 0 {
-			l.check(path, path+"_test", p.xtests)
-		}
-	}
-	for _, err := range l.errs {
-		t.Error(err)
-	}
-	if t.Failed() {
-		t.FailNow()
-	}
-
+	l := loadedAPI(t)
 	exempt := l.exemptTypes("rpgo/rp")
 	ifaces := l.interfaces()
 	funcs := l.auditedFuncs()
@@ -89,6 +71,83 @@ func TestInternalAPIReached(t *testing.T) {
 	t.Logf("audited %d exported functions and methods in %d packages", len(funcs), len(l.order))
 }
 
+// fieldAllowlist names the exported internal struct fields that no
+// production code writes but a test sets to reach behaviour it cannot reach
+// otherwise, each with the tests that set it.
+var fieldAllowlist = map[string]string{
+	"campaign.Config.Pipelines":   "campaign tests run campaigns of one to six pipelines",
+	"dragon.Config.FailBootstrap": "dragon tests reach the bootstrap-timeout failure, which no cost model draws",
+	"sim.Engine.MaxSteps":         "engine, primitives and flux tests stop an event storm instead of hanging",
+}
+
+// TestInternalFieldsSet fails on an exported field of a struct type
+// declared under internal/ that no production code writes: a setting only
+// tests set, or a result nothing fills. A write is an assignment, op=, ++
+// or -- to the field through any chain of selectors and indexes, taking its
+// address, or a keyed or positional struct-literal element; production is
+// as TestInternalAPIReached has it. Exempt are the fields of the types rp
+// aliases (users set them), fields with a struct tag (a decoder writes
+// them) and the entries of fieldAllowlist.
+func TestInternalFieldsSet(t *testing.T) {
+	l := loadedAPI(t)
+	exempt := l.exemptTypes("rpgo/rp")
+	fields := l.auditedFields(exempt)
+	seen := map[string]bool{}
+	for _, f := range fields {
+		seen[f.name] = true
+		_, allowed := fieldAllowlist[f.name]
+		switch {
+		case l.prodWritten[f.v.Pos()]:
+			if allowed {
+				t.Errorf("%s: production code writes it; drop it from fieldAllowlist", f.name)
+			}
+		case allowed:
+			if !l.testWritten[f.v.Pos()] {
+				t.Errorf("%s: allowlisted, but no test writes it either; delete it", f.name)
+			}
+		default:
+			t.Errorf("%s: %s: exported, but no production code writes it", l.fset.Position(f.v.Pos()), f.name)
+		}
+	}
+	for name := range fieldAllowlist {
+		if !seen[name] {
+			t.Errorf("%s: allowlisted, but no such audited field under internal/", name)
+		}
+	}
+	t.Logf("audited %d exported fields", len(fields))
+}
+
+// apiCache holds the module as loaded by the first audit that runs.
+var apiCache *apiLoader
+
+// loadedAPI type-checks every package of the module in its production and
+// test variants once, recording what each side references and writes.
+func loadedAPI(t *testing.T) *apiLoader {
+	t.Helper()
+	if apiCache != nil {
+		return apiCache
+	}
+	l := newAPILoader(t)
+	for _, path := range l.order {
+		l.pkg("", path)
+		p := l.pkgs[path]
+		if len(p.tests) > 0 {
+			l.pkg(path, path)
+		}
+		if len(p.xtests) > 0 {
+			l.check(path, path+"_test", p.xtests)
+		}
+	}
+	for _, err := range l.errs {
+		t.Error(err)
+	}
+	if t.Failed() {
+		t.FailNow()
+	}
+	apiCache = l
+	return l
+}
+
 // apiPkg is one directory of the module: its build files, its in-package
 // tests and its external test package.
 type apiPkg struct {
@@ -111,6 +170,9 @@ type apiLoader struct {
 	// recursive call is not counted as a reference.
 	decls                    map[token.Pos][2]token.Pos
 	prodReached, testReached map[token.Pos]bool
+	// prodWritten and testWritten hold the internal struct fields each
+	// side writes, by declaration position.
+	prodWritten, testWritten map[token.Pos]bool
 	errs                     []error
 }
 
@@ -126,6 +188,8 @@ func newAPILoader(t *testing.T) *apiLoader {
 		decls:       map[token.Pos][2]token.Pos{},
 		prodReached: map[token.Pos]bool{},
 		testReached: map[token.Pos]bool{},
+		prodWritten: map[token.Pos]bool{},
+		testWritten: map[token.Pos]bool{},
 	}
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
@@ -243,8 +307,11 @@ func (l *apiLoader) check(variant, path string, files []*ast.File) *types.Packag
 		}),
 		Error: func(err error) { l.errs = append(l.errs, err) },
 	}
-	info := &types.Info{Uses: map[*ast.Ident]types.Object{}}
+	info := &types.Info{Uses: map[*ast.Ident]types.Object{}, Types: map[ast.Expr]types.TypeAndValue{}}
 	pkg, _ := conf.Check(path, l.fset, files, info)
+	for _, f := range files {
+		l.recordWrites(info, f)
+	}
 	for id, obj := range info.Uses {
 		fn, ok := obj.(*types.Func)
 		if !ok || fn.Pkg() == nil || !strings.HasPrefix(fn.Pkg().Path(), modulePath+"/internal/") {
@@ -261,6 +328,81 @@ func (l *apiLoader) check(variant, path string, files []*ast.File) *types.Packag
 		}
 	}
 	return pkg
+}
+
+// recordWrites records the internal struct fields f writes: the target of
+// an assignment, op=, ++ or --, or an & operand, with every field of a
+// struct or array value that holds it; and each element of a keyed or
+// positional struct literal.
+func (l *apiLoader) recordWrites(info *types.Info, f *ast.File) {
+	written := l.testWritten
+	if isProduction(l.fset.Position(f.Pos()).Filename) {
+		written = l.prodWritten
+	}
+	mark := func(obj types.Object) {
+		if v, ok := obj.(*types.Var); ok && v.IsField() && v.Pkg() != nil &&
+			strings.HasPrefix(v.Pkg().Path(), modulePath+"/internal/") {
+			written[v.Origin().Pos()] = true
+		}
+	}
+	under := func(e ast.Expr) types.Type {
+		if t := info.Types[e].Type; t != nil {
+			return t.Underlying()
+		}
+		return nil // a package name
+	}
+	target := func(e ast.Expr) {
+		for {
+			switch x := e.(type) {
+			case *ast.ParenExpr:
+				e = x.X
+			case *ast.SelectorExpr:
+				mark(info.Uses[x.Sel])
+				// Writing a field of a struct value writes the field
+				// holding that value too; through a pointer it does not.
+				if _, ptr := under(x.X).(*types.Pointer); ptr {
+					return
+				}
+				e = x.X
+			case *ast.IndexExpr:
+				if _, arr := under(x.X).(*types.Array); !arr {
+					return
+				}
+				e = x.X
+			default:
+				return
+			}
+		}
+	}
+	ast.Inspect(f, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.AssignStmt:
+			if n.Tok != token.DEFINE {
+				for _, lhs := range n.Lhs {
+					target(lhs)
+				}
+			}
+		case *ast.IncDecStmt:
+			target(n.X)
+		case *ast.UnaryExpr:
+			if n.Op == token.AND {
+				target(n.X)
+			}
+		case *ast.CompositeLit:
+			st, ok := under(n).(*types.Struct)
+			if !ok {
+				break
+			}
+			for i, elt := range n.Elts {
+				if kv, ok := elt.(*ast.KeyValueExpr); ok {
+					mark(info.Uses[kv.Key.(*ast.Ident)])
+				} else {
+					mark(st.Field(i))
+				}
+			}
+		}
+		return true
+	})
 }
 
 // isProduction reports whether a reference in file reaches production: a
@@ -302,6 +444,41 @@ func (l *apiLoader) auditedFuncs() []*types.Func {
 		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Pos() < out[j].Pos() })
+	return out
+}
+
+// auditedField is one exported field and its pkg.Type.Field name.
+type auditedField struct {
+	v    *types.Var
+	name string
+}
+
+// auditedFields lists the exported fields of the struct types declared
+// under internal/, in production builds, by position, less the exempt ones.
+func (l *apiLoader) auditedFields(exempt map[token.Pos]bool) []auditedField {
+	var out []auditedField
+	for _, path := range l.order {
+		if !strings.HasPrefix(path, modulePath+"/internal/") {
+			continue
+		}
+		scope := l.checked[[2]string{"", path}].Scope()
+		for _, name := range scope.Names() {
+			tn, ok := scope.Lookup(name).(*types.TypeName)
+			if !ok || tn.IsAlias() || exempt[tn.Pos()] {
+				continue
+			}
+			st, ok := tn.Type().Underlying().(*types.Struct)
+			if !ok {
+				continue
+			}
+			for i := 0; i < st.NumFields(); i++ {
+				if f := st.Field(i); f.Exported() && st.Tag(i) == "" {
+					out = append(out, auditedField{f, tn.Pkg().Name() + "." + tn.Name() + "." + f.Name()})
+				}
+			}
+		}
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].v.Pos() < out[j].v.Pos() })
 	return out
 }
 

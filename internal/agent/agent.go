@@ -67,7 +67,6 @@ type Task struct {
 func (a *Agent) transition(t *Task, to states.TaskState) {
 	states.Validate(t.State, to)
 	t.State = to
-	a.prof.Log(a.eng.Now(), t.TD.UID, "state", to.String())
 }
 
 // Agent manages task execution on one pilot allocation.
@@ -183,7 +182,9 @@ func New(desc spec.PilotDescription, eng *sim.Engine, ctrl *slurm.Controller,
 func (a *Agent) Data() *data.System { return a.dataSys }
 
 // bootstrapBackends partitions the allocation and launches every backend
-// instance concurrently.
+// instance concurrently. A pilot drained before its agent came up launches
+// none, so no instance of it takes an srun slot; dispatch fails the tasks
+// routed to its empty groups.
 func (a *Agent) bootstrapBackends() {
 	parts := a.layoutPartitions()
 	submitStream := a.src.Stream("agent.executor.submit")
@@ -192,12 +193,12 @@ func (a *Agent) bootstrapBackends() {
 		g.submitter = sim.NewServer(a.eng, 1, func(*Task) sim.Duration {
 			return sim.Seconds(submitStream.Jitter(a.params.RP.ExecutorSubmitOverhead, 0.3))
 		}, func(t *Task) { a.forward(g, t) })
-		for ii := 0; ii < pc.Instances; ii++ {
+		for ii := 0; ii < pc.Instances && !a.draining; ii++ {
 			part := parts[gi][ii]
 			name := fmt.Sprintf("%s.%d", pc.Backend, ii)
 			l := a.newLauncher(pc, name, part)
 			idx := len(g.launchers)
-			l.OnException = func(reason string) { a.instanceDown(g, idx, reason) }
+			l.OnException = func(string) { a.instanceDown(g, idx) }
 			if a.Phase != nil {
 				l.AttachPhase(a.Phase)
 			}
@@ -640,7 +641,6 @@ func (a *Agent) completed(g *executorGroup, t *Task, at sim.Time, failed bool, r
 				// Launcher reported a mid-run crash.
 				t.State = states.TaskAgentExecuting
 			}
-			a.prof.Log(at, t.TD.UID, "retry", reason)
 			failAt := at
 			a.eng.After(sim.Seconds(a.params.RP.RetryBackoff), func() {
 				// The backoff just resolved: the re-dispatch is causally
@@ -703,11 +703,10 @@ func (a *Agent) launcherReady(g *executorGroup) {
 
 // instanceDown marks an instance dead after a backend exception; its tasks
 // come back through OnComplete(failed) and get retried on live instances.
-func (a *Agent) instanceDown(g *executorGroup, idx int, reason string) {
+func (a *Agent) instanceDown(g *executorGroup, idx int) {
 	if idx < len(g.alive) {
 		g.alive[idx] = false
 	}
-	a.prof.Log(a.eng.Now(), "agent", "instance_down", reason)
 }
 
 // Drain stops intake and drains all backend queues; queued tasks fail.

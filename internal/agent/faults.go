@@ -7,8 +7,6 @@ package agent
 // resumes from its last saved fraction.
 
 import (
-	"fmt"
-
 	"rpgo/internal/platform"
 	"rpgo/internal/profiler"
 	"rpgo/internal/sim"
@@ -39,8 +37,6 @@ func (a *Agent) FailNode(node int, reason string) int {
 		}
 	}
 	a.dataSys.Registry().EvictNode(node)
-	a.prof.Log(a.eng.Now(), "agent", "node_down",
-		fmt.Sprintf("node=%d victims=%d %s", node, victims, reason))
 	return victims
 }
 
@@ -90,7 +86,6 @@ func (a *Agent) RestartInstance(i int) bool {
 	}
 	g.launchers[idx].Ready(func() {
 		g.alive[idx] = true
-		a.prof.Log(a.eng.Now(), "agent", "instance_up", g.launchers[idx].Name())
 		a.launcherReady(g)
 	})
 	return true

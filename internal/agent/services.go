@@ -56,7 +56,6 @@ func (sm *ServiceManager) Deploy(sd spec.ServiceDescription) (*service.Endpoint,
 	}
 	sm.endpoints[sd.Name] = ep
 	sm.order = append(sm.order, sd.Name)
-	a.prof.Log(a.eng.Now(), sd.UID, "deploy", fmt.Sprintf("replicas=%d", sd.Replicas))
 	return ep, nil
 }
 
@@ -212,7 +211,6 @@ func (a *Agent) callService(t *Task, name string, done func(at sim.Time, failed 
 		ep = a.sm.Endpoint(name)
 	}
 	if ep == nil {
-		a.prof.Log(a.eng.Now(), t.TD.UID, "service_missing", name)
 		a.eng.Immediately(func() { done(a.eng.Now(), true) })
 		return
 	}

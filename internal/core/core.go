@@ -165,7 +165,6 @@ func (s *Session) SubmitPilot(pd spec.PilotDescription) (*Pilot, error) {
 	}
 	states.ValidatePilot(p.State, states.PilotLaunching)
 	p.State = states.PilotLaunching
-	s.Profiler.Log(s.Engine.Now(), p.UID, "state", p.State.String())
 
 	ag, err := agent.New(pd, s.Engine, s.Controller, alloc, s.Profiler, s.src, s.Params)
 	if err != nil {
@@ -181,13 +180,17 @@ func (s *Session) SubmitPilot(pd spec.PilotDescription) (*Pilot, error) {
 		// The injector draws only from its own named streams, so sessions
 		// without faults (this branch never taken) are bit-identical to
 		// builds without the fault package at all.
-		p.Faults = fault.New(s.Engine, cluster, ag, s.Profiler, s.src, s.Params.Fault)
+		p.Faults = fault.New(s.Engine, cluster, ag, s.src, s.Params.Fault)
 	}
 	ag.Ready(func() {
+		// A pilot canceled before its agent came up (by Cancel, or by a
+		// Runtime shorter than the bootstrap) stays final.
+		if p.State.Final() {
+			return
+		}
 		states.ValidatePilot(p.State, states.PilotActive)
 		p.State = states.PilotActive
 		p.ActiveAt = s.Engine.Now()
-		s.Profiler.Log(p.ActiveAt, p.UID, "state", p.State.String())
 	})
 	if pd.Runtime > 0 {
 		s.Engine.After(pd.Runtime, func() {
@@ -208,7 +211,6 @@ func (p *Pilot) Cancel(reason string) {
 	}
 	states.ValidatePilot(p.State, states.PilotCanceled)
 	p.State = states.PilotCanceled
-	p.sess.Profiler.Log(p.sess.Engine.Now(), p.UID, "state", p.State.String())
 	p.Agent.Drain(reason)
 }
 

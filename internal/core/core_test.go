@@ -151,6 +151,56 @@ func TestPilotWalltimeCancel(t *testing.T) {
 	}
 }
 
+// TestPilotCanceledBeforeBootstrap: a pilot canceled before its agent is
+// up, by Cancel or by a Runtime shorter than the bootstrap, stays
+// canceled when the agent comes up. Its tasks fail, and it boots no
+// backend instance, so it holds no srun slot.
+func TestPilotCanceledBeforeBootstrap(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		runtime sim.Duration
+		cancel  sim.Time // when positive, Cancel runs at this time
+	}{
+		{name: "cancel at 100 ms", cancel: sim.Time(100 * sim.Millisecond)},
+		{name: "1-s runtime", runtime: sim.Second},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sess := core.NewSession(core.Config{Seed: 30})
+			pilot, err := sess.SubmitPilot(spec.PilotDescription{
+				Nodes:      2,
+				Runtime:    tc.runtime,
+				Partitions: []spec.PartitionConfig{{Backend: spec.BackendFlux, Instances: 2}},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			tm := sess.TaskManager(pilot)
+			tasks := tm.Submit(workload.Dummy(8, 10*sim.Second))
+			if tc.cancel > 0 {
+				sess.RunUntil(tc.cancel)
+				pilot.Cancel("user abort")
+			}
+			if err := tm.Wait(); err != nil {
+				t.Fatal(err)
+			}
+			if pilot.State != states.PilotCanceled {
+				t.Fatalf("pilot is %v after the agent came up, want canceled", pilot.State)
+			}
+			for _, tk := range tasks {
+				if tk.State != states.TaskFailed {
+					t.Errorf("task %s ended %v, want failed", tk.TD.UID, tk.State)
+				}
+			}
+			if n := len(pilot.Agent.Launchers()); n != 0 {
+				t.Errorf("the canceled pilot booted %d backend instances", n)
+			}
+			if n := sess.Controller.Ceiling().InUse(); n != 0 {
+				t.Errorf("the canceled pilot holds %d srun slots, want 0", n)
+			}
+		})
+	}
+}
+
 // TestDeterministicReplay runs an identical configuration twice and demands
 // bit-identical task timelines — the foundation of every paper-vs-measured
 // claim experiments.ReportClaims prints (go run ./cmd/rpbench -only claims).
@@ -222,24 +272,5 @@ func TestMultiplePilotsShareCeiling(t *testing.T) {
 	}
 	if len(sess.Pilots()) != 2 {
 		t.Fatalf("pilots = %d", len(sess.Pilots()))
-	}
-}
-
-func TestEventLogRecordsStates(t *testing.T) {
-	sess := core.NewSession(core.Config{Seed: 6})
-	sess.Profiler.RecordEvents = true
-	pilot, _ := sess.SubmitPilot(spec.PilotDescription{Nodes: 1})
-	tm := sess.TaskManager(pilot)
-	tasks := tm.Submit(workload.Null(1))
-	if err := tm.Wait(); err != nil {
-		t.Fatal(err)
-	}
-	evs := sess.Profiler.EventsFor(tasks[0].TD.UID)
-	if len(evs) < 5 {
-		t.Fatalf("expected full state trail, got %d events: %+v", len(evs), evs)
-	}
-	last := evs[len(evs)-1]
-	if last.Info != "DONE" {
-		t.Fatalf("last state = %q", last.Info)
 	}
 }

@@ -12,6 +12,8 @@ import (
 
 	"rpgo/internal/agent"
 	"rpgo/internal/core"
+	"rpgo/internal/obs"
+	"rpgo/internal/profiler"
 	"rpgo/internal/sim"
 	"rpgo/internal/spec"
 	"rpgo/internal/states"
@@ -27,18 +29,21 @@ type reentryRun struct {
 	tm    *core.TaskManager
 	tasks []*agent.Task
 	done  map[*agent.Task]int
+	// fold counts the traces the profiler hands on, one per terminal
+	// state a task enters.
+	fold  *obs.Fold
 	react func(*agent.Task)
 }
 
 func newReentryRun(t *testing.T, pd spec.PilotDescription) *reentryRun {
 	t.Helper()
-	sess := core.NewSession(core.Config{Seed: 29})
-	sess.Profiler.RecordEvents = true
+	fold := obs.NewFold()
+	sess := core.NewSession(core.Config{Seed: 29, Sink: fold})
 	pilot, err := sess.SubmitPilot(pd)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := &reentryRun{t: t, sess: sess, pilot: pilot, done: map[*agent.Task]int{}}
+	r := &reentryRun{t: t, sess: sess, pilot: pilot, done: map[*agent.Task]int{}, fold: fold}
 	r.tm = sess.TaskManager(pilot)
 	r.tm.OnComplete = func(tk *agent.Task) {
 		r.done[tk]++
@@ -63,7 +68,8 @@ func (r *reentryRun) runToActive() {
 // check drives the session to quiescence and asserts that every task ended
 // in exactly one terminal state, with a trace of its own, and had its done
 // callback fire exactly once, and that the agent counts every submitted
-// task final.
+// task final. A second terminal transition would panic in states.Validate,
+// and the trace sink sees one trace per task.
 func (r *reentryRun) check() {
 	t := r.t
 	t.Helper()
@@ -74,12 +80,9 @@ func (r *reentryRun) check() {
 	if ag.Submitted() != len(r.tasks) || ag.Final() != ag.Submitted() {
 		t.Errorf("agent: %d submitted, %d final; the test submitted %d", ag.Submitted(), ag.Final(), len(r.tasks))
 	}
-	// Terminal-state log records per UID: a reused UID is shared by its
-	// tasks, so each UID must end once per task carrying it.
-	wantEnds := map[string]int{}
-	traces := map[any]bool{}
+	traces := map[*profiler.TaskTrace]bool{}
+	failed := 0
 	for _, tk := range r.tasks {
-		wantEnds[tk.TD.UID]++
 		if !tk.State.Final() {
 			t.Errorf("task %s ended %v", tk.TD.UID, tk.State)
 		}
@@ -96,17 +99,13 @@ func (r *reentryRun) check() {
 			t.Errorf("task %s: trace failed=%t final=%v submit=%v for state %v",
 				tk.TD.UID, tr.Failed, tr.Final, tr.Submit, tk.State)
 		}
+		if tr.Failed {
+			failed++
+		}
 	}
-	for uid, want := range wantEnds {
-		ends := 0
-		for _, ev := range r.sess.Profiler.EventsFor(uid) {
-			if ev.Name == "state" && (ev.Info == "DONE" || ev.Info == "FAILED" || ev.Info == "CANCELED") {
-				ends++
-			}
-		}
-		if ends != want {
-			t.Errorf("task %s entered %d terminal states, want %d", uid, ends, want)
-		}
+	if r.fold.Tasks() != len(r.tasks) || r.fold.Failed() != failed {
+		t.Errorf("the sink saw %d traces final, %d failed; the test submitted %d tasks, %d failed",
+			r.fold.Tasks(), r.fold.Failed(), len(r.tasks), failed)
 	}
 }
 

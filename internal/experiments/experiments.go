@@ -335,7 +335,6 @@ type ImpeccableConfig struct {
 // ImpeccableResult captures a campaign run (one repetition — the paper's
 // Fig 8 shows single runs).
 type ImpeccableResult struct {
-	Config   ImpeccableConfig
 	Tasks    int
 	Failed   int
 	Makespan sim.Duration
@@ -453,7 +452,6 @@ func RunImpeccable(cfg ImpeccableConfig) ImpeccableResult {
 	start, end := execWindow(tasks)
 	rate := metrics.RateSeries(tasks, 30*sim.Second, 0)
 	res := ImpeccableResult{
-		Config:         cfg,
 		Tasks:          len(tasks),
 		Makespan:       metrics.Makespan(tasks),
 		Traces:         tasks,

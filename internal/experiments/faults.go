@@ -28,13 +28,6 @@ type FailureSweepConfig struct {
 	// NodeDowntime is how long a failed node stays down (seconds); <= 0
 	// makes failures permanent (the pilot only shrinks).
 	NodeDowntime float64
-	// StragglerFrac/StragglerFactor optionally add slow nodes.
-	StragglerFrac   float64
-	StragglerFactor float64
-	// BackendMTBF/BackendDowntime optionally add backend crash/restart
-	// churn on top of the node failures.
-	BackendMTBF     float64
-	BackendDowntime float64
 	// Workload shape: Shards datasets × TasksPerShard single-core tasks of
 	// TaskSeconds compute, each staging its ShardBytes shard node-local.
 	Shards        int
@@ -52,7 +45,6 @@ type FailureSweepConfig struct {
 	// focused on the workload window instead of the idle tail.
 	Horizon float64
 	Seed    uint64
-	Params  *model.Params
 }
 
 func (c *FailureSweepConfig) defaults() {
@@ -108,8 +100,7 @@ type FailureCell struct {
 
 // FailureSweepResult is the full grid, MTBF-major then policy.
 type FailureSweepResult struct {
-	Config FailureSweepConfig
-	Cells  []FailureCell
+	Cells []FailureCell
 }
 
 // RunFailureSweep runs the makespan-vs-MTBF grid for pack and data-aware
@@ -118,8 +109,7 @@ type FailureSweepResult struct {
 func RunFailureSweep(cfg FailureSweepConfig) FailureSweepResult {
 	cfg.defaults()
 	policies := []spec.PlacementPolicy{spec.PlacePack, spec.PlaceDataAware}
-	res := FailureSweepResult{Config: cfg}
-	res.Cells = make([]FailureCell, len(cfg.MTBFs)*len(policies))
+	res := FailureSweepResult{Cells: make([]FailureCell, len(cfg.MTBFs)*len(policies))}
 	RunCells(len(res.Cells), func(i int) {
 		mtbf := cfg.MTBFs[i/len(policies)]
 		pol := policies[i%len(policies)]
@@ -134,17 +124,10 @@ func RunFailureSweep(cfg FailureSweepConfig) FailureSweepResult {
 // isolates placement.
 func runFailureCell(cfg FailureSweepConfig, mtbf float64, pol spec.PlacementPolicy) FailureCell {
 	params := model.Default()
-	if cfg.Params != nil {
-		params = *cfg.Params
-	}
 	params.Fault = model.FaultParams{
-		NodeMTBF:        mtbf,
-		NodeDowntime:    cfg.NodeDowntime,
-		BackendMTBF:     cfg.BackendMTBF,
-		BackendDowntime: cfg.BackendDowntime,
-		StragglerFrac:   cfg.StragglerFrac,
-		StragglerFactor: cfg.StragglerFactor,
-		Horizon:         cfg.Horizon,
+		NodeMTBF:     mtbf,
+		NodeDowntime: cfg.NodeDowntime,
+		Horizon:      cfg.Horizon,
 	}
 	tasks := workload.TrainingFanout(cfg.Shards, cfg.TasksPerShard, cfg.ShardBytes,
 		sim.Seconds(cfg.TaskSeconds))

@@ -216,8 +216,9 @@ func TestGoldenPRRTECampaign(t *testing.T) {
 
 // TestGoldenFaultFourBackends pins a run with node failures and backend
 // crashes over flux, dragon, prrte and srun partitions. The checks below
-// make sure the schedule really evicts work and crashes and restarts each
-// crashable backend, so the pin covers those paths.
+// make sure the schedule really evicts work from each backend, and crashes
+// each crashable one under its tasks and restarts it, so the pin covers
+// those paths.
 func TestGoldenFaultFourBackends(t *testing.T) {
 	params := model.Default()
 	params.Fault = model.FaultParams{
@@ -228,7 +229,6 @@ func TestGoldenFaultFourBackends(t *testing.T) {
 		Horizon:         900,
 	}
 	sess := core.NewSession(core.Config{Seed: 8080, Params: &params})
-	sess.Profiler.RecordEvents = true
 	backends := []spec.Backend{spec.BackendFlux, spec.BackendDragon, spec.BackendPRRTE, spec.BackendSrun}
 	var parts []spec.PartitionConfig
 	for _, b := range backends {
@@ -257,29 +257,32 @@ func TestGoldenFaultFourBackends(t *testing.T) {
 	if st.NodeFailures == 0 || st.Victims == 0 || st.BackendCrashes == 0 || st.BackendRestarts == 0 {
 		t.Fatalf("fault schedule too quiet to pin anything: %+v makespan=%v", st, metrics.Makespan(sess.Profiler.Tasks()))
 	}
-	up := map[string]bool{}
-	for _, ev := range sess.Profiler.EventsFor("agent") {
-		if ev.Name == "instance_up" {
-			up[strings.SplitN(ev.Info, ".", 2)[0]] = true
-		}
-	}
-	for _, b := range backends[:3] {
-		if !up[b.String()] {
-			t.Errorf("no %s instance crashed and restarted (restarted: %v)", b, up)
+	// A restarted instance is live again; one that never came back is not.
+	for _, l := range pilot.Agent.Launchers() {
+		if !l.Live() {
+			t.Errorf("%s is down after the run: a crash was never followed by a restart", l.Name())
 		}
 	}
 	tasks := sess.Profiler.Tasks()
-	evicted := map[string]bool{}
+	evicted, crashed := map[string]bool{}, map[string]bool{}
 	for _, tr := range tasks {
+		backend := strings.SplitN(tr.Backend, ".", 2)[0]
 		for _, e := range tr.Edges {
-			if e.Kind == profiler.EdgeFailure && strings.HasPrefix(e.Ref, "node ") {
-				evicted[strings.SplitN(tr.Backend, ".", 2)[0]] = true
+			switch {
+			case e.Kind != profiler.EdgeFailure:
+			case strings.HasPrefix(e.Ref, "node "):
+				evicted[backend] = true
+			case e.Ref == "backend instance crashed":
+				crashed[backend] = true
 			}
 		}
 	}
 	for _, b := range backends {
 		if !evicted[b.String()] {
 			t.Errorf("no node failure evicted a %s task (evicted: %v)", b, evicted)
+		}
+		if crashable := b != spec.BackendSrun; crashed[b.String()] != crashable {
+			t.Errorf("%s: a crash failed its tasks: %t, want %t (crashed: %v)", b, crashed[b.String()], crashable, crashed)
 		}
 	}
 	got := fingerprintTraces(tasks)

@@ -260,7 +260,7 @@ func TestFoldRequestAggregates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sd := defaultServiceDesc(spec.ServiceDescription{Name: "model"})
+	sd := defaultServiceDesc()
 	sd.Replicas = 2
 	h, err := pilot.DeployService(sd)
 	if err != nil {

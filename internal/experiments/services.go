@@ -25,9 +25,6 @@ type ServiceSweepConfig struct {
 	Replicas []int
 	// Duration is the client's arrival window.
 	Duration sim.Duration
-	// Service overrides the endpoint description; zero-value fields use
-	// a calibrated default (GPU replica, 100 ms base latency, batch 8).
-	Service spec.ServiceDescription
 	// Seed drives arrivals and latency jitter.
 	Seed uint64
 }
@@ -39,42 +36,26 @@ type ServiceCell struct {
 	Served    uint64
 	Failed    uint64
 	Latency   metrics.LatencySummary
-	QueueWait metrics.LatencySummary
 	Occupancy float64
-	Util      float64
-	PeakQueue int
 }
 
 // ServiceSweepResult is the full sweep.
 type ServiceSweepResult struct {
-	Config ServiceSweepConfig
-	Cells  []ServiceCell
+	Cells []ServiceCell
 }
 
-// defaultServiceDesc fills unset description fields.
-func defaultServiceDesc(sd spec.ServiceDescription) spec.ServiceDescription {
-	if sd.Name == "" {
-		sd.Name = "model"
+// defaultServiceDesc is the calibrated endpoint every service experiment
+// deploys: a GPU replica, 100 ms base latency, batches of up to 8.
+func defaultServiceDesc() spec.ServiceDescription {
+	return spec.ServiceDescription{
+		Name:           "model",
+		BaseLatency:    100 * sim.Millisecond,
+		PerItemLatency: 15 * sim.Millisecond,
+		MaxBatch:       8,
+		BatchWindow:    20 * sim.Millisecond,
+		GPUsPerReplica: 1,
+		StartupDelay:   10 * sim.Second,
 	}
-	if sd.BaseLatency == 0 {
-		sd.BaseLatency = 100 * sim.Millisecond
-	}
-	if sd.PerItemLatency == 0 {
-		sd.PerItemLatency = 15 * sim.Millisecond
-	}
-	if sd.MaxBatch == 0 {
-		sd.MaxBatch = 8
-	}
-	if sd.BatchWindow == 0 {
-		sd.BatchWindow = 20 * sim.Millisecond
-	}
-	if sd.GPUsPerReplica == 0 {
-		sd.GPUsPerReplica = 1
-	}
-	if sd.StartupDelay == 0 {
-		sd.StartupDelay = 10 * sim.Second
-	}
-	return sd
 }
 
 // RunServiceSweep executes every (rate, replicas) cell. Each cell is an
@@ -87,7 +68,7 @@ func RunServiceSweep(cfg ServiceSweepConfig) ServiceSweepResult {
 	if cfg.Duration <= 0 {
 		cfg.Duration = 2 * sim.Minute
 	}
-	res := ServiceSweepResult{Config: cfg}
+	var res ServiceSweepResult
 	// Cell list first, then the worker pool: seeds derive from the cell's
 	// grid position, so any worker count reproduces the serial sweep.
 	type coord struct {
@@ -122,7 +103,7 @@ func runServiceCell(cfg ServiceSweepConfig, rate float64, replicas int, seed uin
 	if err != nil {
 		panic(err)
 	}
-	sd := defaultServiceDesc(cfg.Service)
+	sd := defaultServiceDesc()
 	sd.Replicas = replicas
 	sd.MaxReplicas = 0 // fixed-size cell: isolate queueing from scaling
 	sd.MinReplicas = 0
@@ -153,20 +134,15 @@ func runServiceCell(cfg ServiceSweepConfig, rate float64, replicas int, seed uin
 		Served:    st.Served,
 		Failed:    st.Failed,
 		Latency:   st.Latency,
-		QueueWait: st.QueueWait,
 		Occupancy: st.Occupancy,
-		Util:      st.Utilization,
-		PeakQueue: st.PeakQueue,
 	}
 }
 
 // AutoscaleResult is the outcome of one autoscaled service run.
 type AutoscaleResult struct {
 	Served       uint64
-	Latency      metrics.LatencySummary
 	PeakReplicas int
 	Events       []service.ScaleEvent
-	ReplicaChart string
 }
 
 // RunAutoscaleDemo drives a two-phase load (quiet, then a burst at 4× the
@@ -183,7 +159,7 @@ func RunAutoscaleDemo(nodes int, rate float64, seed uint64) AutoscaleResult {
 	if err != nil {
 		panic(err)
 	}
-	sd := defaultServiceDesc(spec.ServiceDescription{Name: "model"})
+	sd := defaultServiceDesc()
 	sd.Replicas = 1
 	sd.MinReplicas = 1
 	sd.MaxReplicas = nodes * 4
@@ -214,9 +190,7 @@ func RunAutoscaleDemo(nodes int, rate float64, seed uint64) AutoscaleResult {
 	st := h.Stats()
 	return AutoscaleResult{
 		Served:       st.Served,
-		Latency:      st.Latency,
 		PeakReplicas: st.PeakReplicas,
 		Events:       st.ScaleEvents,
-		ReplicaChart: metrics.ASCIIPlot(h.Endpoint().ReplicaSeries(72), 72, 8, "replicas over time"),
 	}
 }

@@ -9,7 +9,6 @@ import (
 
 	"rpgo/internal/agent"
 	"rpgo/internal/core"
-	"rpgo/internal/model"
 	"rpgo/internal/obs"
 	"rpgo/internal/platform"
 	"rpgo/internal/profiler"
@@ -35,22 +34,17 @@ type ShardedThroughputConfig struct {
 	// memory is O(Wave·Pilots) instead of O(Tasks).
 	Wave int
 	Seed uint64
-	// Params overrides model constants; nil = default.
-	Params *model.Params
 }
 
 // ShardedThroughputResult aggregates the per-domain folds.
 type ShardedThroughputResult struct {
-	Config ShardedThroughputConfig
 	Tasks  int
 	Failed int
 	// Makespan is the longest per-domain submit→final span; AvgTput is
 	// total ran tasks over the merged execution window.
-	Makespan    sim.Duration
-	AvgTput     float64
-	Windows     uint64
-	CrossEvents uint64
-	Shards      int
+	Makespan sim.Duration
+	AvgTput  float64
+	Shards   int
 }
 
 // RunShardedThroughput executes the wave-fed campaign.
@@ -68,7 +62,6 @@ func RunShardedThroughput(cfg ShardedThroughputConfig) ShardedThroughputResult {
 	folds := make([]*obs.Fold, domains)
 	ss := core.NewShardedSession(core.ShardedConfig{
 		Seed:    cfg.Seed,
-		Params:  cfg.Params,
 		Domains: domains,
 		Shards:  cfg.Shards,
 		// Every domain folds — including the client, whose non-retaining
@@ -126,12 +119,7 @@ func RunShardedThroughput(cfg ShardedThroughputConfig) ShardedThroughputResult {
 		}
 	}
 
-	res := ShardedThroughputResult{
-		Config:      cfg,
-		Windows:     ss.Eng.Windows(),
-		CrossEvents: ss.Eng.CrossEvents(),
-		Shards:      ss.Eng.Shards(),
-	}
+	res := ShardedThroughputResult{Shards: ss.Eng.Shards()}
 	var first, last sim.Time = -1, -1
 	ran := 0
 	for _, f := range folds {

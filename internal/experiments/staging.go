@@ -13,7 +13,6 @@ import (
 	"rpgo/internal/agent"
 	"rpgo/internal/core"
 	"rpgo/internal/metrics"
-	"rpgo/internal/model"
 	"rpgo/internal/sim"
 	"rpgo/internal/spec"
 	"rpgo/internal/workload"
@@ -38,8 +37,6 @@ type StagingSweepConfig struct {
 	// cell, so policies compare on identical stochastic draws.
 	Seed uint64
 	Reps int
-	// Params overrides model constants; nil = default.
-	Params *model.Params
 }
 
 // StagingCell is one aggregated sweep cell.
@@ -91,7 +88,7 @@ func RunStagingSweep(cfg StagingSweepConfig) []StagingCell {
 			for _, td := range tasks {
 				td.InputData[0].Source = cell.Source
 			}
-			res := runStagingRep(cfg.Nodes, cell.Policy, cfg.Seed+uint64(r), cfg.Params, tasks)
+			res := runStagingRep(cfg.Nodes, cell.Policy, cfg.Seed+uint64(r), tasks)
 			cell.Makespan += res.Makespan / sim.Duration(cfg.Reps)
 			cell.BytesMoved += float64(res.BytesMoved) / float64(cfg.Reps)
 			cell.HitRate += res.HitRate / float64(cfg.Reps)
@@ -124,8 +121,8 @@ type StagingRepResult struct {
 // metrics. The pilot uses a single Flux instance (placement behavior is
 // identical across backends since PR 2 routes them all through the shared
 // placer; Flux avoids srun's concurrency ceiling as a confound).
-func runStagingRep(nodes int, pol spec.PlacementPolicy, seed uint64, params *model.Params, tasks []*spec.TaskDescription) StagingRepResult {
-	sess := core.NewSession(core.Config{Seed: seed, Params: params})
+func runStagingRep(nodes int, pol spec.PlacementPolicy, seed uint64, tasks []*spec.TaskDescription) StagingRepResult {
+	sess := core.NewSession(core.Config{Seed: seed})
 	pilot, err := sess.SubmitPilot(spec.PilotDescription{
 		Nodes:      nodes,
 		SMT:        1,
@@ -179,7 +176,6 @@ type CheckpointConfig struct {
 	// TaskSeconds is the compute time before each write burst.
 	TaskSeconds float64
 	Seed        uint64
-	Params      *model.Params
 }
 
 // RunCheckpointPressure measures synchronized checkpoint writes hammering
@@ -188,7 +184,7 @@ func RunCheckpointPressure(cfg CheckpointConfig) StagingRepResult {
 	if cfg.Waves <= 0 {
 		cfg.Waves = 1
 	}
-	sess := core.NewSession(core.Config{Seed: cfg.Seed, Params: cfg.Params})
+	sess := core.NewSession(core.Config{Seed: cfg.Seed})
 	pilot, err := sess.SubmitPilot(spec.PilotDescription{
 		Nodes:      cfg.Nodes,
 		SMT:        1,
@@ -225,7 +221,6 @@ type HandoffConfig struct {
 	// TaskSeconds is per-stage compute.
 	TaskSeconds float64
 	Seed        uint64
-	Params      *model.Params
 }
 
 // RunHandoff drives a staged pipeline where each stage's tasks consume the
@@ -240,7 +235,7 @@ func RunHandoff(cfg HandoffConfig) StagingRepResult {
 // determinism tests fingerprint its task and transfer traces and pin its
 // engine's event counts.
 func runHandoffSession(cfg HandoffConfig) (StagingRepResult, *core.Session) {
-	sess := core.NewSession(core.Config{Seed: cfg.Seed, Params: cfg.Params})
+	sess := core.NewSession(core.Config{Seed: cfg.Seed})
 	pilot, err := sess.SubmitPilot(spec.PilotDescription{
 		Nodes:      cfg.Nodes,
 		SMT:        1,

@@ -39,7 +39,6 @@ import (
 	"rpgo/internal/agent"
 	"rpgo/internal/model"
 	"rpgo/internal/platform"
-	"rpgo/internal/profiler"
 	"rpgo/internal/rng"
 	"rpgo/internal/sim"
 )
@@ -74,10 +73,8 @@ const (
 
 // Injector drives one pilot's failure schedule.
 type Injector struct {
-	eng     *sim.Engine
 	cluster *platform.Cluster
 	ag      *agent.Agent
-	prof    *profiler.Profiler
 	p       model.FaultParams
 
 	slow  []float64 // per-node straggler factor (0 = nominal)
@@ -91,13 +88,11 @@ type Injector struct {
 // constructed only when params.Enabled(); a session without faults never
 // creates the streams, so its RNG state is untouched.
 func New(eng *sim.Engine, cluster *platform.Cluster, ag *agent.Agent,
-	prof *profiler.Profiler, src *rng.Source, params model.FaultParams) *Injector {
+	src *rng.Source, params model.FaultParams) *Injector {
 
 	inj := &Injector{
-		eng:     eng,
 		cluster: cluster,
 		ag:      ag,
-		prof:    prof,
 		p:       params,
 	}
 	horizon := sim.Seconds(params.HorizonOrDefault())
@@ -227,7 +222,6 @@ func (inj *Injector) fire(ev event) {
 			return
 		}
 		inj.stats.NodeRestores++
-		inj.prof.Log(inj.eng.Now(), "fault", "node_restored", fmt.Sprintf("node=%d", ev.node))
 		// Backfill: the node's capacity is back; backends only reschedule
 		// on completions, so kick their pumps or queued work can deadlock.
 		inj.ag.KickBackends()

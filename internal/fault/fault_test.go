@@ -35,38 +35,38 @@ func runInjector(t *testing.T, fp model.FaultParams, seed uint64) *fault.Injecto
 	return pilot.Faults
 }
 
-// TestCrashScanSkipsSrun: srun cannot crash, so every crash the schedule
-// draws — including those whose pick lands on the srun instance — moves on
-// to the flux instance next to it.
+// TestCrashScanSkipsSrun: srun cannot crash, so a crash the schedule draws
+// on the srun instance moves on to the flux instance beside it. Flux then
+// crashes on the same draws whichever side of it srun sits, and every
+// instance is live again once the schedule has run.
 func TestCrashScanSkipsSrun(t *testing.T) {
-	params := model.Default()
-	params.Fault = model.FaultParams{BackendMTBF: 60, BackendDowntime: 20, Horizon: 600}
-	sess := core.NewSession(core.Config{Seed: 3, Params: &params})
-	sess.Profiler.RecordEvents = true
-	pilot, err := sess.SubmitPilot(spec.PilotDescription{
-		Nodes: 4, SMT: 1,
-		Partitions: []spec.PartitionConfig{
-			{Backend: spec.BackendSrun, Instances: 1, NodesPerInstance: 2},
-			{Backend: spec.BackendFlux, Instances: 1},
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sess.Engine.Run()
-	st := pilot.Faults.Stats()
-	ups := 0
-	for _, ev := range sess.Profiler.EventsFor("agent") {
-		if ev.Name == "instance_up" {
-			if ev.Info != "flux.0" {
-				t.Fatalf("instance %s restarted; only flux.0 can crash", ev.Info)
-			}
-			ups++
+	run := func(parts ...spec.PartitionConfig) fault.Stats {
+		t.Helper()
+		params := model.Default()
+		params.Fault = model.FaultParams{BackendMTBF: 60, BackendDowntime: 20, Horizon: 600}
+		sess := core.NewSession(core.Config{Seed: 3, Params: &params})
+		pilot, err := sess.SubmitPilot(spec.PilotDescription{Nodes: 4, SMT: 1, Partitions: parts})
+		if err != nil {
+			t.Fatal(err)
 		}
+		sess.Engine.Run()
+		for _, l := range pilot.Agent.Launchers() {
+			if !l.Live() {
+				t.Errorf("%s is down after the schedule", l.Name())
+			}
+		}
+		return pilot.Faults.Stats()
 	}
-	if st.BackendCrashes < 4 || st.BackendRestarts != st.BackendCrashes || ups != st.BackendRestarts {
-		t.Fatalf("crashes=%d restarts=%d instance_up=%d: draws on srun were not moved to flux",
-			st.BackendCrashes, st.BackendRestarts, ups)
+	srunFirst := run(
+		spec.PartitionConfig{Backend: spec.BackendSrun, Instances: 1, NodesPerInstance: 2},
+		spec.PartitionConfig{Backend: spec.BackendFlux, Instances: 1},
+	)
+	fluxFirst := run(
+		spec.PartitionConfig{Backend: spec.BackendFlux, Instances: 1, NodesPerInstance: 2},
+		spec.PartitionConfig{Backend: spec.BackendSrun, Instances: 1},
+	)
+	if srunFirst.BackendCrashes < 4 || srunFirst.BackendRestarts != srunFirst.BackendCrashes || srunFirst != fluxFirst {
+		t.Fatalf("srun first: %+v\nflux first: %+v\ndraws on srun were not moved to flux", srunFirst, fluxFirst)
 	}
 }
 

@@ -74,12 +74,14 @@ func promName(key string) (string, []promLabel) {
 	return "rp_" + promSanitize(key), labels
 }
 
-// promEscape escapes a label value per the exposition format.
+// promEscape escapes a label value per the exposition format. It works on
+// bytes, so a value that is not valid UTF-8 passes through unchanged, as
+// ParseExposition reads it.
 func promEscape(v string) string {
 	var b strings.Builder
 	b.Grow(len(v))
-	for _, r := range v {
-		switch r {
+	for i := 0; i < len(v); i++ {
+		switch c := v[i]; c {
 		case '\\':
 			b.WriteString(`\\`)
 		case '"':
@@ -87,7 +89,7 @@ func promEscape(v string) string {
 		case '\n':
 			b.WriteString(`\n`)
 		default:
-			b.WriteRune(r)
+			b.WriteByte(c)
 		}
 	}
 	return b.String()

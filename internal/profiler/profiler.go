@@ -1,18 +1,18 @@
-// Package profiler records timestamped lifecycle events, mirroring
-// RADICAL-Analytics: every state transition and backend event carries a
-// virtual timestamp, and post-mortem analysis derives throughput,
-// concurrency and utilization from the trace.
+// Package profiler keeps the timestamped trace records of a run, mirroring
+// RADICAL-Analytics: post-mortem analysis derives throughput, concurrency
+// and utilization from the virtual timestamps of each task's states.
 //
-// Two representations coexist: a compact per-task record (fixed fields, used
-// at scale: the largest experiment traces 229,376 tasks) and an optional
-// full event log (arbitrary named events, used by tests and small runs).
-// The profiler keeps no index by UID: every Task call opens a trace of its
-// own, and the caller holds the pointer. Keeping UIDs unique is the task
-// manager's job (core.TaskManager.Submit).
+// Each task gets one compact record, TaskTrace: fixed fields for the
+// timestamps the analysis reads (submit, schedule, launch, start, end,
+// final), the resources it held and the causal waits it resolved. The
+// largest experiment traces 229,376 tasks. Inference requests and data
+// transfers get records of their own. The profiler keeps no index by UID:
+// every Task call opens a trace of its own, and the caller holds the
+// pointer. Keeping UIDs unique is the task manager's job
+// (core.TaskManager.Submit).
 package profiler
 
 import (
-	"sort"
 	"time"
 
 	"rpgo/internal/sim"
@@ -284,15 +284,7 @@ type TraceRetainer interface {
 	RetainTraces() bool
 }
 
-// Event is one record in the full event log.
-type Event struct {
-	Time   sim.Time
-	Entity string // e.g. task UID, "pilot.0000", "flux.3"
-	Name   string // e.g. "schedule", "exec_start", "bootstrap_done"
-	Info   string // free-form detail
-}
-
-// Profiler collects traces and events for one session.
+// Profiler collects the trace records of one session.
 type Profiler struct {
 	order []*TaskTrace
 	// arena chunks TaskTrace storage so tracing n tasks costs n/chunk
@@ -313,11 +305,6 @@ type Profiler struct {
 	// sink callback — the self-profiler's view of how much real time the
 	// streaming sinks (folds, spills, blame) cost the run.
 	Phase sim.PhaseFunc
-
-	// RecordEvents enables the full event log; compact traces are always
-	// collected.
-	RecordEvents bool
-	events       []Event
 
 	requests  []RequestTrace
 	transfers []TransferTrace
@@ -466,23 +453,3 @@ func (p *Profiler) Transfer(tt TransferTrace, wait *CausalEdge) {
 
 // Transfers returns all transfer traces in completion order.
 func (p *Profiler) Transfers() []TransferTrace { return p.transfers }
-
-// Log appends an event to the full log when enabled.
-func (p *Profiler) Log(at sim.Time, entity, name, info string) {
-	if !p.RecordEvents {
-		return
-	}
-	p.events = append(p.events, Event{Time: at, Entity: entity, Name: name, Info: info})
-}
-
-// EventsFor returns the logged events for one entity, in time order.
-func (p *Profiler) EventsFor(entity string) []Event {
-	var out []Event
-	for _, e := range p.events {
-		if e.Entity == entity {
-			out = append(out, e)
-		}
-	}
-	sort.SliceStable(out, func(i, j int) bool { return out[i].Time < out[j].Time })
-	return out
-}

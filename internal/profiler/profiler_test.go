@@ -31,24 +31,6 @@ func TestTaskTraceLifecycle(t *testing.T) {
 	}
 }
 
-func TestEventLogDisabledByDefault(t *testing.T) {
-	p := New()
-	p.Log(0, "x", "state", "NEW")
-	if len(p.events) != 0 {
-		t.Fatal("events recorded while disabled")
-	}
-	p.RecordEvents = true
-	p.Log(sim.Time(sim.Second), "x", "state", "DONE")
-	p.Log(sim.Time(2*sim.Second), "y", "state", "DONE")
-	if len(p.events) != 2 {
-		t.Fatalf("got %d events", len(p.events))
-	}
-	ex := p.EventsFor("x")
-	if len(ex) != 1 || ex[0].Info != "DONE" {
-		t.Fatalf("EventsFor(x) = %+v", ex)
-	}
-}
-
 func TestTasksPreserveSubmissionOrder(t *testing.T) {
 	p := New()
 	uids := []string{"c", "a", "b"}

@@ -220,17 +220,17 @@ func (e *Endpoint) Close() {
 		e.pump()
 	}
 	if len(e.queue) == 0 {
-		e.stopIdleReplicas("endpoint closed")
+		e.stopIdleReplicas()
 	}
 }
 
 // stopIdleReplicas retires every idle replica (iterating a copy:
 // stopReplica mutates the slice).
-func (e *Endpoint) stopIdleReplicas(reason string) {
+func (e *Endpoint) stopIdleReplicas() {
 	reps := append([]*replica(nil), e.replicas...)
 	for _, rep := range reps {
 		if rep.state == replIdle {
-			e.stopReplica(rep, reason)
+			e.stopReplica(rep)
 		}
 	}
 }
@@ -264,7 +264,7 @@ func (e *Endpoint) replicaUp(rep *replica, stop func()) {
 	e.failStreak = 0
 	e.markReady()
 	if e.closed && len(e.queue) == 0 {
-		e.stopReplica(rep, "endpoint closed")
+		e.stopReplica(rep)
 		return
 	}
 	e.pump()
@@ -272,7 +272,7 @@ func (e *Endpoint) replicaUp(rep *replica, stop func()) {
 
 // stopReplica requests a graceful stop of an idle or starting replica;
 // replicaDown finishes the bookkeeping when its task finalizes.
-func (e *Endpoint) stopReplica(rep *replica, reason string) {
+func (e *Endpoint) stopReplica(rep *replica) {
 	if rep.state == replDead || rep.state == replBusy {
 		return
 	}
@@ -286,7 +286,6 @@ func (e *Endpoint) stopReplica(rep *replica, reason string) {
 	}
 	rep.state = replDead
 	e.removeReplica(rep)
-	e.prof.Log(e.eng.Now(), rep.uid, "replica_stop", reason)
 	if stop != nil {
 		stop()
 	}
@@ -332,7 +331,7 @@ func (e *Endpoint) replicaDown(rep *replica, failed bool, reason string) {
 	if failed && !e.closed && !e.broken {
 		e.failStreak++
 		if e.failStreak > maxReplaceAttempts {
-			e.breakEndpoint(reason)
+			e.breakEndpoint()
 			return
 		}
 		// Keep capacity: replace the lost replica.
@@ -350,7 +349,7 @@ func (e *Endpoint) replicaDown(rep *replica, failed bool, reason string) {
 // request fails so coupled tasks unblock instead of deadlocking, and
 // Ready waiters fire so clients gated on readiness observe the failure
 // (through failing requests) instead of silently never running.
-func (e *Endpoint) breakEndpoint(reason string) {
+func (e *Endpoint) breakEndpoint() {
 	e.broken = true
 	q := e.queue
 	e.queue = nil
@@ -361,7 +360,7 @@ func (e *Endpoint) breakEndpoint(reason string) {
 	reps := append([]*replica(nil), e.replicas...)
 	for _, rep := range reps {
 		if rep.state == replIdle || rep.state == replStarting {
-			e.stopReplica(rep, "endpoint broken: "+reason)
+			e.stopReplica(rep)
 		}
 	}
 	e.markReady()
@@ -492,7 +491,7 @@ func (e *Endpoint) completeBatch(rep *replica) {
 		// Retire every idle replica, not just this one: surplus
 		// replicas a draining endpoint never dispatched to must not
 		// outlive it holding slots.
-		e.stopIdleReplicas("endpoint closed")
+		e.stopIdleReplicas()
 		return
 	}
 	e.pump()
@@ -580,7 +579,7 @@ func (e *Endpoint) considerScaleDown() {
 	e.events = append(e.events, ScaleEvent{
 		At: now, From: alive, To: alive - 1, Reason: "idle",
 	})
-	e.stopReplica(victim, "scaled down")
+	e.stopReplica(victim)
 }
 
 func (e *Endpoint) countAlive() int {

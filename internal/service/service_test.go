@@ -61,7 +61,6 @@ func baseDesc() spec.ServiceDescription {
 func newRig(t *testing.T, sd spec.ServiceDescription, seed uint64) (*rig, *Endpoint) {
 	t.Helper()
 	r := &rig{eng: sim.NewEngine(), prof: profiler.New()}
-	r.prof.RecordEvents = true
 	ep, err := NewEndpoint(sd, model.Default().Service, r.eng, r.prof,
 		rng.New(seed).Stream("service.test"), r.launch)
 	if err != nil {

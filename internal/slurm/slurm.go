@@ -28,7 +28,6 @@ import (
 // Controller is the machine-wide Slurm controller. All sruns in a session —
 // task launches and backend-instance bootstraps alike — share its ceiling.
 type Controller struct {
-	eng     *sim.Engine
 	params  model.SrunParams
 	ceiling *sim.Semaphore
 	// registrar serializes step creation through the central daemon.
@@ -59,7 +58,6 @@ type step struct {
 // NewController returns a controller with the given parameters.
 func NewController(eng *sim.Engine, params model.SrunParams, src *rng.Source) *Controller {
 	c := &Controller{
-		eng:     eng,
 		params:  params,
 		ceiling: sim.NewSemaphore(eng, params.Ceiling),
 		rand:    src.Stream("slurm.controller"),
