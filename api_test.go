@@ -73,21 +73,52 @@ func TestInternalAPIReached(t *testing.T) {
 
 // fieldAllowlist names the exported internal struct fields that no
 // production code writes but a test sets to reach behaviour it cannot reach
-// otherwise, each with the tests that set it.
+// otherwise, or that production writes and only tests (and rp users) read,
+// each with the reason. An entry production does not write needs a test
+// that writes it, and one production writes needs a test that reads it.
 var fieldAllowlist = map[string]string{
+	// Set only by tests.
 	"campaign.Config.Pipelines":   "campaign tests run campaigns of one to six pipelines",
 	"dragon.Config.FailBootstrap": "dragon tests reach the bootstrap-timeout failure, which no cost model draws",
 	"sim.Engine.MaxSteps":         "engine, primitives and flux tests stop an event storm instead of hanging",
+
+	// Read only by rp users, through a type rp aliases, and by tests.
+	"analytics.Straggler.Workflow":  "rp's BlameReport.Stragglers hands it to users; obs tests check a flag's workflow",
+	"analytics.TaskSummary.Backend": "rp's BlameSink.Summaries hands it to users; obs tests check a digest's backend",
+
+	// Read only by tests, which check the result they belong to.
+	"analytics.BackendStats.Failed":              "analytics tests check PerBackend's failure count",
+	"campaign.IterationRecord.Iteration":         "campaign tests check that a pipeline's iterations complete in order",
+	"experiments.AutoscaleResult.Events":         "experiments tests check that a burst scales the service up",
+	"experiments.AutoscaleResult.Served":         "experiments tests check that the autoscaled service serves requests",
+	"experiments.FailureCell.Done":               "experiments tests check that every task of a failure cell ends DONE or FAILED",
+	"experiments.FailureCell.NodeFailures":       "experiments tests check that a failure cell draws node failures",
+	"experiments.ServiceCell.Failed":             "experiments tests check that no request of a service cell fails",
+	"experiments.ServiceCell.Rate":               "experiments tests find a service sweep's cell by its rate and replicas",
+	"experiments.ServiceCell.Replicas":           "experiments tests find a service sweep's cell by its rate and replicas",
+	"experiments.ServiceCell.Served":             "experiments tests check that every service cell serves requests",
+	"experiments.ShardedThroughputResult.Failed": "experiments tests check that shards=N fails the tasks shards=1 does",
+	"experiments.StagingCell.Failed":             "experiments tests check that no staging cell fails a task",
+	"launch.Stats.Completed":                     "backend tests check that every submitted request completes",
+	"launch.Stats.Failed":                        "backend tests check that no request fails",
+	"launch.Stats.QueueLen":                      "flux and slurm tests check that a run drains the queue",
+	"launch.Stats.Submitted":                     "backend tests check that every request reaches the launcher",
+	"metrics.Throughput.Tasks":                   "metrics tests check the start count",
+	"obs.ParsedSample.Labels":                    "FuzzParseExposition checks that labels round-trip",
+	"workflow.Node.Failed":                       "workflow tests check that a node counts its failed tasks",
 }
 
 // TestInternalFieldsSet fails on an exported field of a struct type
-// declared under internal/ that no production code writes: a setting only
-// tests set, or a result nothing fills. A write is an assignment, op=, ++
-// or -- to the field through any chain of selectors and indexes, taking its
-// address, or a keyed or positional struct-literal element; production is
-// as TestInternalAPIReached has it. Exempt are the fields of the types rp
-// aliases (users set them), fields with a struct tag (a decoder writes
-// them) and the entries of fieldAllowlist.
+// declared under internal/ that no production code writes, a setting only
+// tests set or a result nothing fills, or that no production code reads,
+// a record nothing consults. A write is an assignment, op=, ++ or -- to
+// the field through any chain of selectors and indexes, taking its
+// address, or a keyed or positional struct-literal element. A read is any
+// other selection of the field, its address included; a field that is
+// only assigned, counted or updated in place is not read. Production is as
+// TestInternalAPIReached has it. Exempt are the fields of the types rp
+// aliases (users set and read them), fields with a struct tag (a codec
+// writes and reads them) and the entries of fieldAllowlist.
 func TestInternalFieldsSet(t *testing.T) {
 	l := loadedAPI(t)
 	exempt := l.exemptTypes("rpgo/rp")
@@ -96,17 +127,24 @@ func TestInternalFieldsSet(t *testing.T) {
 	for _, f := range fields {
 		seen[f.name] = true
 		_, allowed := fieldAllowlist[f.name]
+		pos := f.v.Pos()
+		written, read := l.prodWritten[pos], l.prodRead[pos]
 		switch {
-		case l.prodWritten[f.v.Pos()]:
+		case written && read:
 			if allowed {
-				t.Errorf("%s: production code writes it; drop it from fieldAllowlist", f.name)
+				t.Errorf("%s: production code writes and reads it; drop it from fieldAllowlist", f.name)
 			}
 		case allowed:
-			if !l.testWritten[f.v.Pos()] {
+			if !written && !l.testWritten[pos] {
 				t.Errorf("%s: allowlisted, but no test writes it either; delete it", f.name)
 			}
+			if written && !l.testRead[pos] {
+				t.Errorf("%s: allowlisted, but no test reads it either; delete it", f.name)
+			}
+		case !written:
+			t.Errorf("%s: %s: exported, but no production code writes it", l.fset.Position(pos), f.name)
 		default:
-			t.Errorf("%s: %s: exported, but no production code writes it", l.fset.Position(f.v.Pos()), f.name)
+			t.Errorf("%s: %s: exported, but no production code reads it", l.fset.Position(pos), f.name)
 		}
 	}
 	for name := range fieldAllowlist {
@@ -171,8 +209,10 @@ type apiLoader struct {
 	decls                    map[token.Pos][2]token.Pos
 	prodReached, testReached map[token.Pos]bool
 	// prodWritten and testWritten hold the internal struct fields each
-	// side writes, by declaration position.
+	// side writes, and prodRead and testRead those it reads, by
+	// declaration position.
 	prodWritten, testWritten map[token.Pos]bool
+	prodRead, testRead       map[token.Pos]bool
 	errs                     []error
 }
 
@@ -190,6 +230,8 @@ func newAPILoader(t *testing.T) *apiLoader {
 		testReached: map[token.Pos]bool{},
 		prodWritten: map[token.Pos]bool{},
 		testWritten: map[token.Pos]bool{},
+		prodRead:    map[token.Pos]bool{},
+		testRead:    map[token.Pos]bool{},
 	}
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
@@ -310,7 +352,7 @@ func (l *apiLoader) check(variant, path string, files []*ast.File) *types.Packag
 	info := &types.Info{Uses: map[*ast.Ident]types.Object{}, Types: map[ast.Expr]types.TypeAndValue{}}
 	pkg, _ := conf.Check(path, l.fset, files, info)
 	for _, f := range files {
-		l.recordWrites(info, f)
+		l.recordFields(info, f)
 	}
 	for id, obj := range info.Uses {
 		fn, ok := obj.(*types.Func)
@@ -330,34 +372,45 @@ func (l *apiLoader) check(variant, path string, files []*ast.File) *types.Packag
 	return pkg
 }
 
-// recordWrites records the internal struct fields f writes: the target of
+// recordFields records the internal struct fields f writes: the target of
 // an assignment, op=, ++ or --, or an & operand, with every field of a
 // struct or array value that holds it; and each element of a keyed or
-// positional struct literal.
-func (l *apiLoader) recordWrites(info *types.Info, f *ast.File) {
-	written := l.testWritten
+// positional struct literal. It records as read every other selection of a
+// field: the selectors an assignment, op=, ++ or -- only stores through are
+// not reads.
+func (l *apiLoader) recordFields(info *types.Info, f *ast.File) {
+	written, read := l.testWritten, l.testRead
 	if isProduction(l.fset.Position(f.Pos()).Filename) {
-		written = l.prodWritten
+		written, read = l.prodWritten, l.prodRead
 	}
-	mark := func(obj types.Object) {
+	field := func(obj types.Object) (token.Pos, bool) {
 		if v, ok := obj.(*types.Var); ok && v.IsField() && v.Pkg() != nil &&
 			strings.HasPrefix(v.Pkg().Path(), modulePath+"/internal/") {
-			written[v.Origin().Pos()] = true
+			return v.Origin().Pos(), true
+		}
+		return token.NoPos, false
+	}
+	mark := func(obj types.Object) {
+		if pos, ok := field(obj); ok {
+			written[pos] = true
 		}
 	}
+	// stores holds the selectors a store goes through without reading.
+	stores := map[*ast.SelectorExpr]bool{}
 	under := func(e ast.Expr) types.Type {
 		if t := info.Types[e].Type; t != nil {
 			return t.Underlying()
 		}
 		return nil // a package name
 	}
-	target := func(e ast.Expr) {
+	target := func(e ast.Expr, store bool) {
 		for {
 			switch x := e.(type) {
 			case *ast.ParenExpr:
 				e = x.X
 			case *ast.SelectorExpr:
 				mark(info.Uses[x.Sel])
+				stores[x] = store
 				// Writing a field of a struct value writes the field
 				// holding that value too; through a pointer it does not.
 				if _, ptr := under(x.X).(*types.Pointer); ptr {
@@ -379,14 +432,20 @@ func (l *apiLoader) recordWrites(info *types.Info, f *ast.File) {
 		case *ast.AssignStmt:
 			if n.Tok != token.DEFINE {
 				for _, lhs := range n.Lhs {
-					target(lhs)
+					target(lhs, true)
 				}
 			}
 		case *ast.IncDecStmt:
-			target(n.X)
+			target(n.X, true)
 		case *ast.UnaryExpr:
 			if n.Op == token.AND {
-				target(n.X)
+				target(n.X, false)
+			}
+		case *ast.SelectorExpr:
+			// Inspect visits a statement before its operands, so stores
+			// is complete for every selector under it.
+			if pos, ok := field(info.Uses[n.Sel]); ok && !stores[n] {
+				read[pos] = true
 			}
 		case *ast.CompositeLit:
 			st, ok := under(n).(*types.Struct)

@@ -668,9 +668,12 @@ func (a *Agent) completed(g *executorGroup, t *Task, at sim.Time, failed bool, r
 	a.finish(t, states.TaskDone, "")
 }
 
+// finish makes a task final and runs its done callback. Every path to it
+// holds a task that is not final yet; a second finish is a bug, and it
+// panics as states.Validate does for an illegal transition.
 func (a *Agent) finish(t *Task, st states.TaskState, reason string) {
 	if t.State.Final() {
-		return
+		panic(fmt.Sprintf("agent: task %s finished twice: %v, then %v", t.TD.UID, t.State, st))
 	}
 	t.gen++ // no process body may outlive a final state
 	if st == states.TaskFailed {
@@ -681,9 +684,8 @@ func (a *Agent) finish(t *Task, st states.TaskState, reason string) {
 	t.Trace.Final = a.eng.Now()
 	a.prof.TaskFinal(t.Trace)
 	a.nFinal++
-	// The callback runs now, once the task's final state is recorded: the
-	// guard above keeps a second finish from reaching it, and clearing
-	// t.done keeps the record from holding the callback.
+	// The callback runs now, once the task's final state is recorded;
+	// clearing t.done keeps the record from holding the callback.
 	if done := t.done; done != nil {
 		t.done = nil
 		done(t)
@@ -720,10 +722,14 @@ func (a *Agent) Drain(reason string) {
 		a.sm.CloseAll()
 	}
 	for _, g := range a.groups {
-		for _, t := range g.pending {
+		// Detach the parked list before failing any of it: a done callback
+		// may drain the agent again (a Cancel from inside the fault
+		// injector's Drain), and that Drain must not see these tasks.
+		pend := g.pending
+		g.pending = nil
+		for _, t := range pend {
 			a.finish(t, states.TaskFailed, reason)
 		}
-		g.pending = nil
 		for _, l := range g.launchers {
 			l.Drain(reason)
 		}

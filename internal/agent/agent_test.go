@@ -142,6 +142,29 @@ func TestValidationFailure(t *testing.T) {
 	}
 }
 
+// TestFinishTwicePanics: no production path finishes a task twice, so a
+// second finish is a bug; it must panic naming the task and both states,
+// and its done callback must not run again.
+func TestFinishTwicePanics(t *testing.T) {
+	r := newRig(t, spec.PilotDescription{Nodes: 1})
+	tk := r.task(&spec.TaskDescription{Ranks: 100, CoresPerRank: 1}, "twice")
+	calls := 0
+	r.agent.Submit(tk, func(*Task) { calls++ })
+	if tk.State != states.TaskFailed || calls != 1 {
+		t.Fatalf("invalid task ended %v with %d done calls", tk.State, calls)
+	}
+	defer func() {
+		msg, _ := recover().(string)
+		if want := "agent: task twice finished twice: FAILED, then DONE"; msg != want {
+			t.Errorf("panic %q, want %q", msg, want)
+		}
+		if calls != 1 || r.agent.Final() != 1 {
+			t.Errorf("second finish ran: %d done calls, %d final", calls, r.agent.Final())
+		}
+	}()
+	r.agent.finish(tk, states.TaskDone, "")
+}
+
 func TestPartitionLayoutFixedAndShared(t *testing.T) {
 	r := newRig(t, spec.PilotDescription{
 		Nodes: 10,

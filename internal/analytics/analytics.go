@@ -62,9 +62,9 @@ func Decompose(tr *profiler.TaskTrace) Durations {
 
 // Stat summarizes one segment across many tasks.
 type Stat struct {
-	N              int
-	Mean, Min, Max float64
-	P50, P95       float64
+	N         int
+	Mean, Max float64
+	P50, P95  float64
 }
 
 func computeStat(vals []float64) Stat {
@@ -80,7 +80,6 @@ func computeStat(vals []float64) Stat {
 	sort.Float64s(clean)
 	s := Stat{
 		N:   len(clean),
-		Min: clean[0],
 		Max: clean[len(clean)-1],
 		P50: clean[len(clean)/2],
 		P95: clean[int(float64(len(clean))*0.95)],

@@ -61,7 +61,6 @@ type IterationRecord struct {
 	Tasks     int
 	Submitted sim.Time
 	Completed sim.Time
-	Failed    int
 }
 
 // pipelineState tracks one running workflow pipeline.
@@ -279,7 +278,6 @@ func (c *Campaign) taskCompleted(t *agent.Task) {
 	}
 	if t.Trace.Failed {
 		c.totalFailed++
-		st.record.Failed++
 	}
 	st.pending--
 	if st.pending > 0 {

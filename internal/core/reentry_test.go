@@ -2,16 +2,18 @@ package core_test
 
 // A task's done callback runs inside the agent operation that finalizes
 // the task: inside a launcher's completion, Drain's walk of the parked
-// tasks, the parked-task replay after bootstrap, or TaskManager's loop over
-// a submit batch. These tests put user code that submits, kills tasks and
-// cancels the pilot into that callback and check that every task still
-// ends exactly once.
+// tasks (from a Cancel, or from the fault injector when the last node is
+// lost for good), the parked-task replay after bootstrap, or TaskManager's
+// loop over a submit batch. These tests put user code that submits, kills
+// tasks and cancels the pilot into that callback and check that every
+// task still ends exactly once.
 
 import (
 	"testing"
 
 	"rpgo/internal/agent"
 	"rpgo/internal/core"
+	"rpgo/internal/model"
 	"rpgo/internal/obs"
 	"rpgo/internal/profiler"
 	"rpgo/internal/sim"
@@ -35,10 +37,10 @@ type reentryRun struct {
 	react func(*agent.Task)
 }
 
-func newReentryRun(t *testing.T, pd spec.PilotDescription) *reentryRun {
+func newReentryRun(t *testing.T, params *model.Params, pd spec.PilotDescription) *reentryRun {
 	t.Helper()
 	fold := obs.NewFold()
-	sess := core.NewSession(core.Config{Seed: 29, Sink: fold})
+	sess := core.NewSession(core.Config{Seed: 29, Params: params, Sink: fold})
 	pilot, err := sess.SubmitPilot(pd)
 	if err != nil {
 		t.Fatal(err)
@@ -111,7 +113,7 @@ func (r *reentryRun) check() {
 
 // TestOnCompleteSubmits: a completion callback that submits more work.
 func TestOnCompleteSubmits(t *testing.T) {
-	r := newReentryRun(t, spec.PilotDescription{Nodes: 1})
+	r := newReentryRun(t, nil, spec.PilotDescription{Nodes: 1})
 	r.react = func(tk *agent.Task) {
 		if len(r.tasks) < 60 {
 			r.submit(workload.Dummy(2, sim.Second))
@@ -128,7 +130,7 @@ func TestOnCompleteSubmits(t *testing.T) {
 // running on one node, and the second crashes the other backend instance,
 // failing its queued and running tasks.
 func TestOnCompleteKillsOtherTasks(t *testing.T) {
-	r := newReentryRun(t, spec.PilotDescription{
+	r := newReentryRun(t, nil, spec.PilotDescription{
 		Nodes:      2,
 		Partitions: []spec.PartitionConfig{{Backend: spec.BackendFlux, Instances: 2}},
 	})
@@ -167,7 +169,7 @@ func TestOnCompleteKillsOtherTasks(t *testing.T) {
 // active, inside the agent scheduler's completion.
 func TestOnCompleteCancelsPilot(t *testing.T) {
 	for _, active := range []bool{false, true} {
-		r := newReentryRun(t, spec.PilotDescription{
+		r := newReentryRun(t, nil, spec.PilotDescription{
 			Nodes:      1,
 			Partitions: []spec.PartitionConfig{{Backend: spec.BackendFlux, Instances: 1}},
 		})
@@ -194,12 +196,64 @@ func TestOnCompleteCancelsPilot(t *testing.T) {
 	}
 }
 
+// TestPermanentLossDrainCancelsPilot: when the pilot's last node fails for
+// good, the fault injector drains the agent without making the pilot
+// final. The tasks a crashed backend parked fail inside that Drain, and
+// the first one's callback cancels the pilot, which drains the agent again
+// from inside the first Drain's walk; every parked task must still end
+// once.
+func TestPermanentLossDrainCancelsPilot(t *testing.T) {
+	params := model.Default()
+	// No NodeDowntime: node loss is permanent. A BackendMTBF lets the
+	// agent park the tasks no live instance fits; at this mean no crash is
+	// drawn within the horizon, so the test's own crash is the only one.
+	params.Fault = model.FaultParams{NodeMTBF: 1000, BackendMTBF: 1e9, Horizon: 20000}
+	r := newReentryRun(t, &params, spec.PilotDescription{
+		Nodes:      1,
+		Partitions: []spec.PartitionConfig{{Backend: spec.BackendFlux, Instances: 1}},
+	})
+	r.runToActive()
+	tds := workload.Dummy(8, 100*sim.Second)
+	for _, td := range tds {
+		td.MaxRetries = 1
+	}
+	r.submit(tds)
+	r.sess.RunUntil(r.sess.Engine.Now().Add(30 * sim.Second))
+	for _, tk := range r.tasks {
+		if tk.State != states.TaskRunning {
+			t.Fatalf("task %s is %v before the crash; the test needs every task running", tk.TD.UID, tk.State)
+		}
+	}
+	if !r.pilot.Agent.CrashInstance(0, "crashed") {
+		t.Fatal("the Flux instance did not crash")
+	}
+	// Past the retry backoff: every task is parked again, and the node
+	// is still up.
+	r.sess.RunUntil(r.sess.Engine.Now().Add(5 * sim.Second))
+	if r.pilot.Faults.DownNodes() != 0 || r.pilot.Agent.Final() != 0 {
+		t.Fatalf("before the node loss: %d nodes down, %d tasks final; the test needs 0 and 0",
+			r.pilot.Faults.DownNodes(), r.pilot.Agent.Final())
+	}
+	r.react = func(*agent.Task) { r.pilot.Cancel("stop") }
+	r.check()
+	if r.pilot.State != states.PilotCanceled || r.pilot.Faults.DownNodes() != 1 {
+		t.Errorf("pilot ended %v with %d nodes down", r.pilot.State, r.pilot.Faults.DownNodes())
+	}
+	for _, tk := range r.tasks {
+		parked := tk.Reason == "all pilot nodes permanently failed" || tk.Reason == "stop"
+		if !parked || tk.Trace.Retries != 1 {
+			t.Errorf("task %s: retries %d, reason %q; every task must fail parked, in a Drain",
+				tk.TD.UID, tk.Trace.Retries, tk.Reason)
+		}
+	}
+}
+
 // TestSubmitRefusalsReact: the agent refuses a reused UID, an invalid
 // description and any task of a draining pilot at once, so their callbacks
 // run inside the task manager's loop over the batch. Each refusal submits
 // one more task, and the third also cancels the pilot.
 func TestSubmitRefusalsReact(t *testing.T) {
-	r := newReentryRun(t, spec.PilotDescription{Nodes: 1})
+	r := newReentryRun(t, nil, spec.PilotDescription{Nodes: 1})
 	refusals := 0
 	r.react = func(tk *agent.Task) {
 		if tk.State != states.TaskFailed || refusals >= 40 {

@@ -11,8 +11,9 @@ package data
 //
 // Flows that cross the same channels share one route, and every flow on a
 // route has the same rate. Rates, the next completion and occupancy are
-// therefore computed once per active route; the only per-flow work is one
-// pass over each route's remaining-byte counts.
+// therefore computed once per active route. A route keeps its flows in
+// order of remaining bytes, so the only per-flow work is one subtraction
+// per flow when time advances.
 
 import (
 	"cmp"
@@ -147,56 +148,59 @@ type route struct {
 	// rate is every flow's fair share, min over chans of capacity/nActive,
 	// as of the last recompute.
 	rate float64
-	// flows and rem are parallel and in start (seq) order: rem[i] is the
-	// bytes flows[i] still has to move. minRem is the smallest of them
-	// (+Inf when the route is idle), kept current by every change to rem.
-	flows  []*flow
-	rem    []float64
-	minRem float64
+	// flows and rem are parallel and in ascending order of remaining
+	// bytes: rem[i] is the bytes flows[i] still has to move, and rem[0]
+	// is the smallest.
+	flows []*flow
+	rem   []float64
 }
 
 // routeKey identifies a route by its channels; unused slots are nil.
 type routeKey [2]*Channel
 
 // progress moves every flow on the route dt seconds forward at the
-// route's rate, clamping at empty, and refreshes minRem. With finish set
-// it also removes the flows within rate·1µs of empty — the engine
-// quantizes time to µs, so those are done — releasing their channels and
-// appending them to done, which it returns.
-func (r *route) progress(dt float64, finish bool, done []*flow) []*flow {
+// route's rate, clamping at empty. Every flow takes the same step, and
+// both subtracting it and clamping at zero are monotone in floating
+// point, so the order of rem holds and the flows that went below zero are
+// a prefix. Each flow sees the per-flow model's operations exactly:
+// rem − rate·dt, then zero if that is negative.
+func (r *route) progress(dt float64) {
+	if dt <= 0 {
+		// A tick can fire at the instant of the last recompute, where a
+		// route without channels (rate +Inf) would step by NaN.
+		return
+	}
 	step := r.rate * dt
+	rem := r.rem
+	for i := range rem {
+		rem[i] -= step
+	}
+	for i := 0; i < len(rem) && rem[i] < 0; i++ {
+		rem[i] = 0
+	}
+}
+
+// finish removes the flows within rate·1µs of empty — the engine
+// quantizes time to µs, so those are done — releasing their channels and
+// appending them to done, which it returns. Being the smallest
+// remainders, they are a prefix of the route.
+func (r *route) finish(done []*flow) []*flow {
 	tol := r.rate * 1e-6
-	minRem := math.Inf(1)
-	k := 0
-	for i, rem := range r.rem {
-		if dt > 0 {
-			rem -= step
-			if rem < 0 {
-				rem = 0
-			}
-		}
-		if finish && rem <= tol {
-			f := r.flows[i]
-			for _, ch := range r.chans {
-				ch.nActive--
-			}
-			done = append(done, f)
-			continue
-		}
-		if k < i {
-			r.flows[k] = r.flows[i]
-		}
-		r.rem[k] = rem
-		k++
-		if rem < minRem {
-			minRem = rem
-		}
+	n := 0
+	for n < len(r.rem) && r.rem[n] <= tol {
+		n++
 	}
-	if k < len(r.rem) {
-		clear(r.flows[k:])
-		r.flows, r.rem = r.flows[:k], r.rem[:k]
+	if n == 0 {
+		return done
 	}
-	r.minRem = minRem
+	for _, ch := range r.chans {
+		ch.nActive -= n
+	}
+	done = append(done, r.flows[:n]...)
+	k := copy(r.flows, r.flows[n:])
+	copy(r.rem, r.rem[n:])
+	clear(r.flows[k:])
+	r.flows, r.rem = r.flows[:k], r.rem[:k]
 	return done
 }
 
@@ -210,7 +214,7 @@ func (s *System) routeOf(a, b *Channel) *route {
 	if r := s.routes[key]; r != nil {
 		return r
 	}
-	r := &route{key: key, minRem: math.Inf(1)}
+	r := &route{key: key}
 	n := 0
 	for n < len(key) && key[n] != nil {
 		n++
@@ -223,16 +227,22 @@ func (s *System) routeOf(a, b *Channel) *route {
 	return r
 }
 
-// join puts a started flow on its route and claims the route's channels.
+// join puts a started flow on its route, in its place by remaining bytes,
+// and claims the route's channels.
 func (s *System) join(f *flow) {
 	r := f.route
 	if len(r.rem) == 0 {
 		s.active = append(s.active, r)
 	}
+	// The flow goes after every flow with as many bytes left or fewer: on
+	// a route whose flows all start at one size, that is the end.
 	rem := float64(f.tt.bytes)
-	r.flows = append(r.flows, f)
-	r.rem = append(r.rem, rem)
-	r.minRem = min(r.minRem, rem)
+	i := len(r.rem)
+	for i > 0 && r.rem[i-1] > rem {
+		i--
+	}
+	r.flows = slices.Insert(r.flows, i, f)
+	r.rem = slices.Insert(r.rem, i, rem)
 	for _, ch := range r.chans {
 		ch.nActive++
 	}
@@ -244,7 +254,7 @@ func (s *System) advance() {
 	now := s.eng.Now()
 	if dt := now.Sub(s.lastT).Seconds(); dt > 0 {
 		for _, r := range s.active {
-			r.progress(dt, false, nil)
+			r.progress(dt)
 		}
 	}
 	s.lastT = now
@@ -252,8 +262,8 @@ func (s *System) advance() {
 
 // recompute redistributes fair shares and reschedules the next completion.
 // It must run at the current time with advance already applied. Within a
-// route flowETA is monotone in the remaining bytes, so the route's
-// smallest remainder gives its earliest completion.
+// route flowETA is monotone in the remaining bytes, so the route's head,
+// its smallest remainder, gives its earliest completion.
 func (s *System) recompute() {
 	for _, ch := range s.channels {
 		ch.sumRate = 0
@@ -271,7 +281,7 @@ func (s *System) recompute() {
 		for _, ch := range r.chans {
 			ch.sumRate += load
 		}
-		if d := flowETA(r.minRem, rate); next < 0 || d < next {
+		if d := flowETA(r.rem[0], rate); next < 0 || d < next {
 			next = d
 		}
 	}
@@ -310,7 +320,8 @@ func (s *System) tick() {
 	done := s.done[:0]
 	busy := s.active[:0]
 	for _, r := range s.active {
-		done = r.progress(dt, true, done)
+		r.progress(dt)
+		done = r.finish(done)
 		if len(r.rem) > 0 {
 			busy = append(busy, r)
 		}

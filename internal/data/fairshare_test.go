@@ -337,50 +337,62 @@ func TestNextUIDMatchesFormat(t *testing.T) {
 	}
 }
 
-// BenchmarkFairShare keeps n 1 GiB flows in flight over 8 nodes, half
+// BenchmarkFairShare keeps n flows in flight over 8 nodes, half
 // stage-ins and half write-outs, replacing each as it completes until 2n
 // have run. It reports the cost per flow event (a start or a finish).
+// Every flow moves 1 GiB, so each joins its route behind the others; with
+// mixed sizes the flows cycle through 256 MiB to 4 GiB, so most join
+// inside their route.
 func BenchmarkFairShare(b *testing.B) {
-	for _, n := range []int{56, 448, 3584} {
-		b.Run(fmt.Sprintf("flows=%d", n), func(b *testing.B) {
-			datasets := make([]string, 2*n)
-			for i := range datasets {
-				datasets[i] = fmt.Sprintf("ds%d", i)
+	for _, mixed := range []bool{false, true} {
+		for _, n := range []int{56, 448, 3584} {
+			name := fmt.Sprintf("flows=%d", n)
+			if mixed {
+				name += ",mixed"
 			}
-			engs := make([]*sim.Engine, b.N)
-			systems := make([]*System, b.N)
-			for i := range systems {
-				engs[i] = sim.NewEngine()
-				alloc := platform.NewCluster(platform.Frontier(1), 8).Allocate(8)
-				systems[i] = NewSystem(engs[i], alloc, model.Default().Data, nil)
-			}
-			var m0, m1 runtime.MemStats
-			runtime.ReadMemStats(&m0)
-			b.ResetTimer()
-			for i, sys := range systems {
-				runFairShareLoad(engs[i], sys, datasets)
-			}
-			b.StopTimer()
-			runtime.ReadMemStats(&m1)
-			events := float64(b.N) * float64(2*len(datasets))
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/events, "ns/event")
-			b.ReportMetric(float64(m1.Mallocs-m0.Mallocs)/events, "allocs/event")
-		})
+			b.Run(name, func(b *testing.B) {
+				datasets := make([]string, 2*n)
+				for i := range datasets {
+					datasets[i] = fmt.Sprintf("ds%d", i)
+				}
+				engs := make([]*sim.Engine, b.N)
+				systems := make([]*System, b.N)
+				for i := range systems {
+					engs[i] = sim.NewEngine()
+					alloc := platform.NewCluster(platform.Frontier(1), 8).Allocate(8)
+					systems[i] = NewSystem(engs[i], alloc, model.Default().Data, nil)
+				}
+				var m0, m1 runtime.MemStats
+				runtime.ReadMemStats(&m0)
+				b.ResetTimer()
+				for i, sys := range systems {
+					runFairShareLoad(engs[i], sys, datasets, mixed)
+				}
+				b.StopTimer()
+				runtime.ReadMemStats(&m1)
+				events := float64(b.N) * float64(2*len(datasets))
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/events, "ns/event")
+				b.ReportMetric(float64(m1.Mallocs-m0.Mallocs)/events, "allocs/event")
+			})
+		}
 	}
 }
 
 // runFairShareLoad starts half of the datasets' transfers a microsecond
 // apart and replaces each completed one until all have been issued.
-func runFairShareLoad(eng *sim.Engine, sys *System, datasets []string) {
+func runFairShareLoad(eng *sim.Engine, sys *System, datasets []string, mixed bool) {
 	issued := 0
 	var start func()
 	var done func(any)
 	start = func() {
-		ds, node := datasets[issued], issued%8
+		ds, node, size := datasets[issued], issued%8, GB
+		if mixed {
+			size = GB / 4 << (issued % 5)
+		}
 		if issued/8%2 == 0 {
-			sys.StageToNode("t", ds, GB, spec.TierSharedFS, node, done, nil)
+			sys.StageToNode("t", ds, size, spec.TierSharedFS, node, done, nil)
 		} else {
-			sys.WriteFromNode("t", ds, GB, node, spec.TierSharedFS, done, nil)
+			sys.WriteFromNode("t", ds, size, node, spec.TierSharedFS, done, nil)
 		}
 		issued++
 	}

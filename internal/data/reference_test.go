@@ -177,7 +177,7 @@ func (s *refSystem) finishTransfer(f *refFlow, at sim.Time) {
 	}
 	s.prof.Transfer(tt, wait)
 	if f.fn != nil {
-		s.eng.ImmediatelyCall(f.fn, f.arg)
+		f.fn(f.arg)
 	}
 }
 

@@ -94,8 +94,6 @@ type FailureCell struct {
 	// cumulative failure-handling and checkpoint-traffic time across tasks.
 	BlameFailure    sim.Duration
 	BlameCheckpoint sim.Duration
-	// BytesMoved is total data traffic (staging + checkpoints).
-	BytesMoved int64
 }
 
 // FailureSweepResult is the full grid, MTBF-major then policy.
@@ -169,7 +167,6 @@ func runFailureCell(cfg FailureSweepConfig, mtbf float64, pol spec.PlacementPoli
 	rep := analytics.BlameFromTraces(traces)
 	cell.BlameFailure = rep.Blame[analytics.BlameFailure]
 	cell.BlameCheckpoint = rep.Blame[analytics.BlameCheckpoint]
-	cell.BytesMoved = pilot.Agent.Data().BytesMoved()
 	st := pilot.Faults.Stats()
 	cell.NodeFailures = st.NodeFailures
 	cell.Victims = st.Victims

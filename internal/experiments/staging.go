@@ -109,7 +109,6 @@ type StagingRepResult struct {
 	SharedOccupancy float64
 	StageInPerTask  sim.Duration
 	StageOutPerTask sim.Duration
-	Transfers       int
 	Failed          int
 	// Summary is the full route-level breakdown.
 	Summary metrics.DataSummary
@@ -151,7 +150,6 @@ func measureStaging(sess *core.Session, pilot *core.Pilot, nTasks int) StagingRe
 	res.SharedOccupancy = sys.SharedChannel().MeanOccupancy(start, end)
 	res.SharedSeries = sys.SharedChannel().OccupancySeries(400)
 	res.Summary = metrics.SummarizeData(traces, sess.Profiler.Transfers())
-	res.Transfers = res.Summary.Transfers
 	if nTasks > 0 {
 		res.StageInPerTask = res.Summary.StageInTotal / sim.Duration(nTasks)
 		res.StageOutPerTask = res.Summary.StageOutTotal / sim.Duration(nTasks)

@@ -175,11 +175,13 @@ type RPParams struct {
 	SchedRate float64
 	// ExecutorSubmitOverhead is the per-task serialization cost inside
 	// one backend executor (task → job description → RPC). Each executor
-	// is single-threaded, capping per-backend submission at
-	// 1/ExecutorSubmitOverhead ≈ 830 t/s. §4.1.5: the 1,547 t/s hybrid
-	// peak (two executors) "reflects the current upper bound of RP's
-	// task management subsystem"; flux_n tops out near 930 t/s (one
-	// executor).
+	// is single-threaded, so one simulated executor cannot start more
+	// than 1/ExecutorSubmitOverhead = 1/0.0012 ≈ 833 t/s. §4.1.5: the
+	// 1,547 t/s hybrid peak (two executors) "reflects the current upper
+	// bound of RP's task management subsystem". The paper's flux_n peak
+	// near 930 t/s (one executor) lies above that cap, so no flux_n cell
+	// can reach it here; the bottleneck-oracle item of ROADMAP.md is
+	// where that gap is to be settled.
 	ExecutorSubmitOverhead float64
 	// RetryBackoff is the constant delay before every executor-level
 	// resubmission after a failure.

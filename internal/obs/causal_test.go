@@ -122,9 +122,15 @@ func TestBlameSinkMatchesInMemory(t *testing.T) {
 	traces := []*profiler.TaskTrace{
 		mk("t.0", 0, 10*s), mk("t.1", 10*s, 30*s), mk("t.2", 2*s, 8*s),
 	}
+	traces[0].Backend, traces[1].Backend, traces[2].Backend = "flux.0", "dragon.0", "flux.1"
 	sink := NewBlame()
 	for _, tr := range traces {
 		sink.OnTask(tr)
+	}
+	for i, sum := range sink.Summaries() {
+		if sum.UID != traces[i].UID || sum.Backend != traces[i].Backend {
+			t.Errorf("digest %d is %s on %q, want %s on %q", i, sum.UID, sum.Backend, traces[i].UID, traces[i].Backend)
+		}
 	}
 	streaming := sink.Report()
 	inMemory := analytics.BlameFromTraces(traces)
@@ -148,6 +154,7 @@ func TestBlameSinkStragglerDetector(t *testing.T) {
 		tr.Start = 0
 		tr.End = sim.Time(span)
 		tr.Final = sim.Time(span)
+		tr.Workflow = "train"
 		return tr
 	}
 	// Warm the workflow distribution with uniform 10 s tasks.
@@ -168,8 +175,8 @@ func TestBlameSinkStragglerDetector(t *testing.T) {
 		t.Fatalf("want 1 straggler, got %d: %+v", len(flags), flags)
 	}
 	f := flags[0]
-	if f.UID != "t.slow" || f.Dominant != "stage" || f.DominantRef != "xfer.000099" {
-		t.Errorf("straggler = %+v, want t.slow dominated by stage xfer.000099", f)
+	if f.UID != "t.slow" || f.Workflow != "train" || f.Dominant != "stage" || f.DominantRef != "xfer.000099" {
+		t.Errorf("straggler = %+v, want t.slow of train dominated by stage xfer.000099", f)
 	}
 	if f.Why == "" {
 		t.Error("straggler flag missing its why")

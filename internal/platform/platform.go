@@ -17,8 +17,6 @@ import (
 
 // NodeSpec describes the hardware of one node type.
 type NodeSpec struct {
-	// Name identifies the profile (e.g. "frontier").
-	Name string
 	// UsableCores is the number of cores available to tasks (physical
 	// cores minus OS-reserved ones).
 	UsableCores int
@@ -26,8 +24,6 @@ type NodeSpec struct {
 	SMT int
 	// GPUs is the number of GPU devices per node.
 	GPUs int
-	// MemGB is usable memory per node.
-	MemGB int
 }
 
 // Slots returns the schedulable CPU slots per node (cores × SMT).
@@ -40,11 +36,9 @@ func Frontier(smt int) NodeSpec {
 		panic(fmt.Sprintf("platform: invalid SMT level %d", smt))
 	}
 	return NodeSpec{
-		Name:        "frontier",
 		UsableCores: 56,
 		SMT:         smt,
 		GPUs:        8,
-		MemGB:       512,
 	}
 }
 
