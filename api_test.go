@@ -78,9 +78,11 @@ func TestInternalAPIReached(t *testing.T) {
 // that writes it, and one production writes needs a test that reads it.
 var fieldAllowlist = map[string]string{
 	// Set only by tests.
-	"campaign.Config.Pipelines":   "campaign tests run campaigns of one to six pipelines",
-	"dragon.Config.FailBootstrap": "dragon tests reach the bootstrap-timeout failure, which no cost model draws",
-	"sim.Engine.MaxSteps":         "engine, primitives and flux tests stop an event storm instead of hanging",
+	"campaign.Config.Pipelines":                "campaign tests run campaigns of one to six pipelines",
+	"dragon.Config.FailBootstrap":              "dragon tests reach the bootstrap-timeout failure, which no cost model draws",
+	"experiments.ShardedThroughputConfig.Wave": "the shards=N wave test refills each pilot's waves at 5,000 tasks a pilot; the default 16,384-task wave takes them in one",
+	"experiments.StagingSweepConfig.Sources":   "staging tests sweep the burst-buffer source tier, which no production sweep reads from",
+	"sim.Engine.MaxSteps":                      "engine, primitives and flux tests stop an event storm instead of hanging",
 
 	// Read only by rp users, through a type rp aliases, and by tests.
 	"analytics.Straggler.Workflow":  "rp's BlameReport.Stragglers hands it to users; obs tests check a flag's workflow",
@@ -105,7 +107,6 @@ var fieldAllowlist = map[string]string{
 	"launch.Stats.Submitted":                     "backend tests check that every request reaches the launcher",
 	"metrics.Throughput.Tasks":                   "metrics tests check the start count",
 	"obs.ParsedSample.Labels":                    "FuzzParseExposition checks that labels round-trip",
-	"workflow.Node.Failed":                       "workflow tests check that a node counts its failed tasks",
 }
 
 // TestInternalFieldsSet fails on an exported field of a struct type
@@ -427,10 +428,16 @@ func (l *apiLoader) recordFields(info *types.Info, f *ast.File) {
 			}
 		}
 	}
+	// defaults holds the assignments that only give a field its default.
+	defaults := map[*ast.AssignStmt]bool{}
 	ast.Inspect(f, func(n ast.Node) bool {
 		switch n := n.(type) {
+		case *ast.IfStmt:
+			if as := defaultWrite(info, n); as != nil {
+				defaults[as] = true
+			}
 		case *ast.AssignStmt:
-			if n.Tok != token.DEFINE {
+			if n.Tok != token.DEFINE && !defaults[n] {
 				for _, lhs := range n.Lhs {
 					target(lhs, true)
 				}
@@ -462,6 +469,45 @@ func (l *apiLoader) recordFields(info *types.Info, f *ast.File) {
 		}
 		return true
 	})
+}
+
+// defaultWrite returns the assignment of an if that only gives a field its
+// default, as in `if c.F == 0 { c.F = v }`: the if's one statement assigns
+// the field, and its condition compares the same field, or its len, with
+// ==, <= or < against a constant. Such a write sets nothing a caller chose,
+// so it is not counted.
+func defaultWrite(info *types.Info, n *ast.IfStmt) *ast.AssignStmt {
+	if n.Init != nil || n.Else != nil || len(n.Body.List) != 1 {
+		return nil
+	}
+	as, ok := n.Body.List[0].(*ast.AssignStmt)
+	if !ok || as.Tok != token.ASSIGN || len(as.Lhs) != 1 {
+		return nil
+	}
+	lhs, ok := as.Lhs[0].(*ast.SelectorExpr)
+	if !ok {
+		return nil
+	}
+	if v, ok := info.Uses[lhs.Sel].(*types.Var); !ok || !v.IsField() {
+		return nil
+	}
+	cond, ok := n.Cond.(*ast.BinaryExpr)
+	if !ok || cond.Op != token.EQL && cond.Op != token.LEQ && cond.Op != token.LSS ||
+		info.Types[cond.Y].Value == nil {
+		return nil
+	}
+	x := cond.X
+	if call, ok := x.(*ast.CallExpr); ok && len(call.Args) == 1 {
+		if id, ok := call.Fun.(*ast.Ident); ok && id.Name == "len" {
+			if _, builtin := info.Uses[id].(*types.Builtin); builtin {
+				x = call.Args[0]
+			}
+		}
+	}
+	if types.ExprString(x) != types.ExprString(lhs) {
+		return nil
+	}
+	return as
 }
 
 // isProduction reports whether a reference in file reaches production: a

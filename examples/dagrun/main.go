@@ -1,7 +1,7 @@
 // DAG execution + post-mortem analytics: express a fan-out/fan-in
-// simulate→train→score workflow as a task graph, run it through a hybrid
-// Flux+Dragon pilot, and analyze where time went (the RADICAL-Analytics
-// style overhead decomposition).
+// simulate→train→score workflow as plain completion callbacks, run it
+// through a hybrid Flux+Dragon pilot, and analyze where time went (the
+// RADICAL-Analytics style overhead decomposition).
 //
 // Run with: go run ./examples/dagrun
 package main
@@ -12,9 +12,17 @@ import (
 	"os"
 
 	"rpgo/internal/analytics"
-	"rpgo/internal/workflow"
 	"rpgo/rp"
 )
+
+// batch is one set of tasks released together, with the virtual instants
+// it was submitted and its last task became final.
+type batch struct {
+	name                 string
+	tasks, pending       int
+	submitted, completed rp.Time
+	then                 func()
+}
 
 func main() {
 	sess := rp.NewSession(rp.Config{Seed: 99})
@@ -30,10 +38,6 @@ func main() {
 	}
 	tm := sess.TaskManager(pilot)
 
-	// Build the graph: an ensemble of simulations fans out, a training
-	// function consumes them, scoring fans out again, and an analysis
-	// step joins.
-	g := workflow.NewGraph()
 	sim := func(n int, dur rp.Duration) []*rp.TaskDescription {
 		tds := make([]*rp.TaskDescription, n)
 		for i := range tds {
@@ -52,28 +56,57 @@ func main() {
 		}
 		return tds
 	}
-	must := func(err error) {
-		if err != nil {
-			log.Fatal(err)
+
+	// submit releases tds as one batch and calls then, if set, once the
+	// batch's last task is final. A dependency is a submit inside the
+	// callback of the batch it waits on.
+	var batches []*batch
+	owner := make(map[*rp.Task]*batch)
+	submit := func(name string, tds []*rp.TaskDescription, then func()) {
+		b := &batch{name: name, tasks: len(tds), pending: len(tds), submitted: sess.Engine.Now(), then: then}
+		batches = append(batches, b)
+		for _, t := range tm.Submit(tds) {
+			owner[t] = b
 		}
 	}
-	must(g.Add(&workflow.Node{Name: "ensemble", Tasks: sim(32, 120*rp.Second)}))
-	must(g.Add(&workflow.Node{Name: "train", Tasks: fn(2, 300*rp.Second), After: []string{"ensemble"}}))
-	must(g.Add(&workflow.Node{Name: "score", Tasks: fn(64, 30*rp.Second), After: []string{"train"}}))
-	must(g.Add(&workflow.Node{Name: "refine", Tasks: sim(16, 60*rp.Second), After: []string{"train"}}))
-	must(g.Add(&workflow.Node{Name: "analysis", Tasks: fn(1, 60*rp.Second), After: []string{"score", "refine"}}))
+	tm.OnComplete = func(t *rp.Task) {
+		b := owner[t]
+		b.pending--
+		if b.pending == 0 {
+			b.completed = sess.Engine.Now()
+			if b.then != nil {
+				b.then()
+			}
+		}
+	}
 
-	run, err := workflow.NewRun(g, sess, tm)
-	if err != nil {
+	// An ensemble of simulations fans out, a training function consumes
+	// them, scoring and refinement fan out again, and an analysis step
+	// joins both.
+	submit("ensemble", sim(32, 120*rp.Second), func() {
+		submit("train", fn(2, 300*rp.Second), func() {
+			joins := 2
+			join := func() {
+				joins--
+				if joins == 0 {
+					submit("analysis", fn(1, 60*rp.Second), nil)
+				}
+			}
+			submit("score", fn(64, 30*rp.Second), join)
+			submit("refine", sim(16, 60*rp.Second), join)
+		})
+	})
+	if err := tm.Wait(); err != nil {
 		log.Fatal(err)
 	}
-	must(run.Start())
-	must(tm.Wait())
 
-	fmt.Printf("DAG complete; critical path %.1fs of virtual time\n\n", run.CriticalPath())
-	for _, n := range g.Nodes() {
+	// Each batch starts the instant its last dependency ends, so the
+	// critical path is the DAG's span.
+	span := batches[len(batches)-1].completed.Sub(batches[0].submitted)
+	fmt.Printf("DAG complete; critical path %.1fs of virtual time\n\n", span.Seconds())
+	for _, b := range batches {
 		fmt.Printf("  %-10s %3d tasks  [%8.1fs .. %8.1fs]\n",
-			n.Name, len(n.Tasks), n.Submitted.Seconds(), n.Completed.Seconds())
+			b.name, b.tasks, b.submitted.Seconds(), b.completed.Seconds())
 	}
 
 	// Overhead decomposition across all tasks.

@@ -45,14 +45,15 @@ type Config struct {
 	// Pipelines overrides the workflow pipelines; nil uses
 	// workload.ImpeccablePipelines.
 	Pipelines []workload.Pipeline
-	// MinTasksPer128Nodes is the paper's consistency lower bound; zero
-	// defaults to 102.
-	MinTasksPer128Nodes int
 	// SizingStream names the RNG stream driving adaptive batch jitter;
 	// empty means "campaign.adaptive". Sharded runs give each per-pilot
 	// campaign its own stream so sizing decisions stay decorrelated.
 	SizingStream string
 }
+
+// minTasksPer128Nodes is the paper's consistency lower bound on the
+// campaign total.
+const minTasksPer128Nodes = 102
 
 // IterationRecord captures one pipeline iteration for analysis.
 type IterationRecord struct {
@@ -101,9 +102,6 @@ type Campaign struct {
 func New(cfg Config, sess *core.Session, tm *core.TaskManager) *Campaign {
 	if cfg.Nodes <= 0 {
 		panic("campaign: Nodes must be positive")
-	}
-	if cfg.MinTasksPer128Nodes == 0 {
-		cfg.MinTasksPer128Nodes = 102
 	}
 	c := &Campaign{cfg: cfg, sess: sess, tm: tm, byWorkflow: make(map[string]*pipelineState)}
 	stream := cfg.SizingStream
@@ -200,7 +198,7 @@ func (c *Campaign) Start() error {
 		return fmt.Errorf("campaign: already started")
 	}
 	c.started = true
-	min := c.cfg.MinTasksPer128Nodes * c.cfg.Nodes / 128
+	min := minTasksPer128Nodes * c.cfg.Nodes / 128
 	if c.cfg.MaxIters == 0 {
 		if total := c.PlannedTotal(); total < min {
 			return fmt.Errorf("campaign: planned total %d below lower bound %d (102 per 128 nodes)", total, min)

@@ -180,11 +180,14 @@ func (s *Session) SubmitPilot(pd spec.PilotDescription) (*Pilot, error) {
 		// The injector draws only from its own named streams, so sessions
 		// without faults (this branch never taken) are bit-identical to
 		// builds without the fault package at all.
-		p.Faults = fault.New(s.Engine, cluster, ag, s.src, s.Params.Fault)
+		p.Faults = fault.New(s.Engine, cluster, ag, s.src, s.Params.Fault, func(reason string) {
+			p.end(states.PilotFailed, reason)
+		})
 	}
 	ag.Ready(func() {
-		// A pilot canceled before its agent came up (by Cancel, or by a
-		// Runtime shorter than the bootstrap) stays final.
+		// A pilot ended before its agent came up (by Cancel, a Runtime
+		// shorter than the bootstrap, or the loss of every node) stays
+		// final.
 		if p.State.Final() {
 			return
 		}
@@ -201,16 +204,19 @@ func (s *Session) SubmitPilot(pd spec.PilotDescription) (*Pilot, error) {
 	return p, nil
 }
 
-// Cancel drains the pilot: queued tasks fail, running tasks finish. The
-// pilot is final before the drain starts: Drain runs the done callback of
-// every task it fails, and a Cancel from one of them must find nothing
-// left to do.
-func (p *Pilot) Cancel(reason string) {
+// Cancel drains the pilot: queued tasks fail, running tasks finish.
+func (p *Pilot) Cancel(reason string) { p.end(states.PilotCanceled, reason) }
+
+// end makes the pilot final in state, then drains its agent. The pilot is
+// final before the drain starts: Drain runs the done callback of every
+// task it fails, and a Cancel from one of them must find nothing left to
+// do. A pilot already final stays as it is.
+func (p *Pilot) end(state states.PilotState, reason string) {
 	if p.State.Final() {
 		return
 	}
-	states.ValidatePilot(p.State, states.PilotCanceled)
-	p.State = states.PilotCanceled
+	states.ValidatePilot(p.State, state)
+	p.State = state
 	p.Agent.Drain(reason)
 }
 

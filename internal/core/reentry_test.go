@@ -197,11 +197,10 @@ func TestOnCompleteCancelsPilot(t *testing.T) {
 }
 
 // TestPermanentLossDrainCancelsPilot: when the pilot's last node fails for
-// good, the fault injector drains the agent without making the pilot
-// final. The tasks a crashed backend parked fail inside that Drain, and
-// the first one's callback cancels the pilot, which drains the agent again
-// from inside the first Drain's walk; every parked task must still end
-// once.
+// good, the fault injector ends the pilot FAILED, then drains the agent.
+// The tasks a crashed backend parked fail inside that Drain, and the first
+// one's callback cancels the pilot, which finds it final already and does
+// nothing; every parked task must end once, with the loss as its reason.
 func TestPermanentLossDrainCancelsPilot(t *testing.T) {
 	params := model.Default()
 	// No NodeDowntime: node loss is permanent. A BackendMTBF lets the
@@ -236,11 +235,11 @@ func TestPermanentLossDrainCancelsPilot(t *testing.T) {
 	}
 	r.react = func(*agent.Task) { r.pilot.Cancel("stop") }
 	r.check()
-	if r.pilot.State != states.PilotCanceled || r.pilot.Faults.DownNodes() != 1 {
+	if r.pilot.State != states.PilotFailed || r.pilot.Faults.DownNodes() != 1 {
 		t.Errorf("pilot ended %v with %d nodes down", r.pilot.State, r.pilot.Faults.DownNodes())
 	}
 	for _, tk := range r.tasks {
-		parked := tk.Reason == "all pilot nodes permanently failed" || tk.Reason == "stop"
+		parked := tk.State == states.TaskFailed && tk.Reason == "all pilot nodes permanently failed"
 		if !parked || tk.Trace.Retries != 1 {
 			t.Errorf("task %s: retries %d, reason %q; every task must fail parked, in a Drain",
 				tk.TD.UID, tk.Trace.Retries, tk.Reason)

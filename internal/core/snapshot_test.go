@@ -8,6 +8,7 @@ import (
 
 	"rpgo/internal/core"
 	"rpgo/internal/data"
+	"rpgo/internal/model"
 	"rpgo/internal/sim"
 	"rpgo/internal/spec"
 	"rpgo/internal/workload"
@@ -91,4 +92,93 @@ func TestSnapshotGaugesSumOverPilots(t *testing.T) {
 			t.Errorf("%s = %+v at 30 s, want last=10 (6+4) max=6", k, g)
 		}
 	}
+}
+
+// TestSnapshotFaultsAndServices snapshots a session mid-run, once its fault
+// injector has failed, restored and crashed, with a node down, and once its
+// autoscaled endpoint has served requests and scaled: each fault.* and
+// service.* key must read what the injector and the endpoint report.
+func TestSnapshotFaultsAndServices(t *testing.T) {
+	params := model.Default()
+	params.Fault = model.FaultParams{
+		NodeMTBF: 600, NodeDowntime: 120,
+		BackendMTBF: 300, BackendDowntime: 30,
+		StragglerFrac: 0.5, StragglerFactor: 2,
+		Horizon: 3600,
+	}
+	sess := core.NewSession(core.Config{Seed: 5, Params: &params})
+	pilot, err := sess.SubmitPilot(spec.PilotDescription{
+		Nodes: 4,
+		Partitions: []spec.PartitionConfig{
+			{Backend: spec.BackendFlux, Instances: 1, NodeShare: 0.5},
+			{Backend: spec.BackendDragon, Instances: 1, NodeShare: 0.5},
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, err := pilot.DeployService(spec.ServiceDescription{
+		Name:           "model",
+		Backend:        spec.BackendDragon,
+		GPUsPerReplica: 1,
+		StartupDelay:   10 * sim.Second,
+		BaseLatency:    100 * sim.Millisecond,
+		PerItemLatency: 15 * sim.Millisecond,
+		MaxBatch:       8,
+		BatchWindow:    20 * sim.Millisecond,
+		Replicas:       1,
+		MaxReplicas:    4,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tds := workload.Dummy(400, 60*sim.Second)
+	for _, td := range tds {
+		td.MaxRetries = 10
+	}
+	sess.TaskManager(pilot).Submit(tds)
+	// Forty requests a second, more than one replica serves.
+	var call func()
+	call = func() {
+		h.Call(func(sim.Time, bool) {})
+		sess.Engine.After(25*sim.Millisecond, call)
+	}
+	h.Ready(call)
+
+	inj := pilot.Faults
+	reached := func() bool {
+		st, es := inj.Stats(), h.Stats()
+		return st.NodeFailures > 0 && st.NodeRestores > 0 && st.BackendCrashes > 0 &&
+			st.BackendRestarts > 0 && st.Victims > 0 && st.StragglerNodes > 0 &&
+			inj.DownNodes() > 0 && es.Served > 0 && len(es.ScaleEvents) > 0
+	}
+	for now := sess.Engine.Now(); !reached(); {
+		if now >= sim.Time(params.Fault.Horizon*float64(sim.Second)) {
+			t.Fatalf("by %v the injector reports %+v with %d nodes down, and the endpoint served %d with %d scale events; the test needs each above 0",
+				now, inj.Stats(), inj.DownNodes(), h.Stats().Served, len(h.Stats().ScaleEvents))
+		}
+		now = now.Add(10 * sim.Second)
+		sess.RunUntil(now)
+	}
+	snap := sess.LiveSnapshot()
+	st, es := inj.Stats(), h.Stats()
+	want := map[string]float64{
+		"fault.node_failures":    float64(st.NodeFailures),
+		"fault.node_restores":    float64(st.NodeRestores),
+		"fault.backend_crashes":  float64(st.BackendCrashes),
+		"fault.backend_restarts": float64(st.BackendRestarts),
+		"fault.victims":          float64(st.Victims),
+		"fault.straggler_nodes":  float64(st.StragglerNodes),
+		"fault.down_nodes":       float64(inj.DownNodes()),
+		"service.served":         float64(es.Served),
+		"service.failed":         float64(es.Failed),
+		"service.scale_events":   float64(len(es.ScaleEvents)),
+	}
+	for _, k := range slices.Sorted(maps.Keys(want)) {
+		if got, ok := snap.Counters[k]; !ok || got != want[k] {
+			t.Errorf("%s = %v (present %t) at %v, want %v", k, got, ok, sess.Engine.Now(), want[k])
+		}
+	}
+	t.Logf("at %v: %+v, %d nodes down; served %d, failed %d, %d scale events",
+		sess.Engine.Now(), st, inj.DownNodes(), es.Served, es.Failed, len(es.ScaleEvents))
 }

@@ -20,26 +20,30 @@ import (
 	"rpgo/internal/workload"
 )
 
+// The failure sweep's fixed settings: a failed node stays down
+// sweepNodeDowntime seconds; the workload is sweepShards datasets of
+// sweepShardBytes, each read node-local by sweepTasksPerShard single-core
+// tasks; and a task relocates at most sweepMaxRetries times before a
+// terminal FAILED.
+const (
+	sweepNodeDowntime  = 60
+	sweepShards        = 8
+	sweepTasksPerShard = 8
+	sweepShardBytes    = 1 << 28
+	sweepMaxRetries    = 5
+)
+
 // FailureSweepConfig parameterizes RunFailureSweep.
 type FailureSweepConfig struct {
 	Nodes int
 	// MTBFs is the per-node mean-time-between-failures grid (seconds).
 	MTBFs []float64
-	// NodeDowntime is how long a failed node stays down (seconds); <= 0
-	// makes failures permanent (the pilot only shrinks).
-	NodeDowntime float64
-	// Workload shape: Shards datasets × TasksPerShard single-core tasks of
-	// TaskSeconds compute, each staging its ShardBytes shard node-local.
-	Shards        int
-	TasksPerShard int
-	ShardBytes    int64
-	TaskSeconds   float64
+	// TaskSeconds is each task's compute time.
+	TaskSeconds float64
 	// CheckpointSeconds/CheckpointBytes enable checkpoint/restart on every
 	// task (0 disables; failures then recompute from zero).
 	CheckpointSeconds float64
 	CheckpointBytes   int64
-	// MaxRetries caps per-task relocations before a terminal FAILED.
-	MaxRetries int
 	// Horizon bounds the injected failure schedule (seconds); zero uses
 	// the model default (24 h). A tight horizon keeps the Stats counters
 	// focused on the workload window instead of the idle tail.
@@ -54,23 +58,8 @@ func (c *FailureSweepConfig) defaults() {
 	if len(c.MTBFs) == 0 {
 		c.MTBFs = []float64{300, 1200, 7200}
 	}
-	if c.NodeDowntime == 0 {
-		c.NodeDowntime = 60
-	}
-	if c.Shards == 0 {
-		c.Shards = 8
-	}
-	if c.TasksPerShard == 0 {
-		c.TasksPerShard = 8
-	}
-	if c.ShardBytes == 0 {
-		c.ShardBytes = 1 << 28
-	}
 	if c.TaskSeconds == 0 {
 		c.TaskSeconds = 60
-	}
-	if c.MaxRetries == 0 {
-		c.MaxRetries = 5
 	}
 	if c.Seed == 0 {
 		c.Seed = 8009
@@ -124,13 +113,13 @@ func runFailureCell(cfg FailureSweepConfig, mtbf float64, pol spec.PlacementPoli
 	params := model.Default()
 	params.Fault = model.FaultParams{
 		NodeMTBF:     mtbf,
-		NodeDowntime: cfg.NodeDowntime,
+		NodeDowntime: sweepNodeDowntime,
 		Horizon:      cfg.Horizon,
 	}
-	tasks := workload.TrainingFanout(cfg.Shards, cfg.TasksPerShard, cfg.ShardBytes,
+	tasks := workload.TrainingFanout(sweepShards, sweepTasksPerShard, sweepShardBytes,
 		sim.Seconds(cfg.TaskSeconds))
 	for _, td := range tasks {
-		td.MaxRetries = cfg.MaxRetries
+		td.MaxRetries = sweepMaxRetries
 		if cfg.CheckpointSeconds > 0 && cfg.CheckpointBytes > 0 {
 			td.CheckpointInterval = sim.Seconds(cfg.CheckpointSeconds)
 			td.CheckpointBytes = cfg.CheckpointBytes

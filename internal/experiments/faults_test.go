@@ -32,14 +32,9 @@ func smallSweep() FailureSweepConfig {
 	return FailureSweepConfig{
 		Nodes:             4,
 		MTBFs:             []float64{120, 3600},
-		NodeDowntime:      45,
-		Shards:            4,
-		TasksPerShard:     4,
-		ShardBytes:        1 << 26,
 		TaskSeconds:       20,
 		CheckpointSeconds: 5,
 		CheckpointBytes:   1 << 26,
-		MaxRetries:        8,
 		Seed:              31,
 	}
 }
@@ -55,7 +50,7 @@ func TestFailureSweepDeterministic(t *testing.T) {
 	if len(a.Cells) != 4 {
 		t.Fatalf("expected 2 MTBFs x 2 policies = 4 cells, got %d", len(a.Cells))
 	}
-	total := 4 * 4
+	total := sweepShards * sweepTasksPerShard
 	for i, cell := range a.Cells {
 		if cell.Done+cell.Failed != total {
 			t.Errorf("cell %d accounts for %d+%d tasks, want %d",

@@ -14,7 +14,8 @@
 //     node-local replicas are dropped. After NodeDowntime the node returns
 //     and the backends are kicked so queued work can use it (pilot
 //     elasticity: shrink on loss, grow on backfill). NodeDowntime <= 0
-//     makes failures permanent — the pilot shrinks for good.
+//     makes failures permanent — the pilot shrinks for good, and ends
+//     FAILED when its last node is gone.
 //
 //   - backend crashes: the pilot draws an exponential crash sequence with
 //     mean BackendMTBF; each crash picks a backend instance (uniform draw,
@@ -76,6 +77,8 @@ type Injector struct {
 	cluster *platform.Cluster
 	ag      *agent.Agent
 	p       model.FaultParams
+	// fail ends the pilot FAILED and drains its agent, on total loss.
+	fail func(reason string)
 
 	slow  []float64 // per-node straggler factor (0 = nominal)
 	stats Stats
@@ -86,14 +89,16 @@ type Injector struct {
 
 // New builds the injector and pre-draws the whole failure schedule. It is
 // constructed only when params.Enabled(); a session without faults never
-// creates the streams, so its RNG state is untouched.
+// creates the streams, so its RNG state is untouched. fail ends the pilot
+// when its last node fails for good.
 func New(eng *sim.Engine, cluster *platform.Cluster, ag *agent.Agent,
-	src *rng.Source, params model.FaultParams) *Injector {
+	src *rng.Source, params model.FaultParams, fail func(reason string)) *Injector {
 
 	inj := &Injector{
 		cluster: cluster,
 		ag:      ag,
 		p:       params,
+		fail:    fail,
 	}
 	horizon := sim.Seconds(params.HorizonOrDefault())
 	t0 := eng.Now()
@@ -212,10 +217,10 @@ func (inj *Injector) fire(ev event) {
 		inj.stats.Victims += inj.ag.FailNode(ev.node, reason)
 		if inj.p.NodeDowntime <= 0 && inj.cluster.DownNodes() == inj.cluster.Size() {
 			// Permanent total loss: no restore will ever come, so nothing
-			// queued or backing off can place again. Drain the pilot so
-			// every remaining task reaches a terminal FAILED instead of
-			// waiting forever on capacity that no longer exists.
-			inj.ag.Drain("all pilot nodes permanently failed")
+			// queued or backing off can place again. The pilot fails, and
+			// its drain brings every remaining task to a terminal FAILED
+			// instead of waiting forever on capacity that no longer exists.
+			inj.fail("all pilot nodes permanently failed")
 		}
 	case evRestore:
 		if !inj.cluster.RestoreNode(ev.node) {

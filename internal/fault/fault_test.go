@@ -13,6 +13,7 @@ import (
 	"rpgo/internal/model"
 	"rpgo/internal/sim"
 	"rpgo/internal/spec"
+	"rpgo/internal/states"
 	"rpgo/internal/workload"
 )
 
@@ -132,8 +133,9 @@ func TestPermanentNodeLossShrinksPilot(t *testing.T) {
 
 func TestTotalPermanentLossFailsEverything(t *testing.T) {
 	// Every node dies for good mid-run: queued and backing-off tasks can
-	// never place again, so the injector drains the pilot and every task
-	// must reach a terminal state instead of stalling Wait's drain.
+	// never place again, so the injector fails the pilot, its drain ends
+	// every task FAILED instead of stalling Wait's drain, and the pilot
+	// does not read active with no node left.
 	params := model.Default()
 	params.Fault = model.FaultParams{NodeMTBF: 20, Horizon: 2000}
 	sess := core.NewSession(core.Config{Seed: 99, Params: &params})
@@ -164,6 +166,9 @@ func TestTotalPermanentLossFailsEverything(t *testing.T) {
 	}
 	if pilot.Faults.DownNodes() != 2 {
 		t.Fatalf("%d nodes down, want 2", pilot.Faults.DownNodes())
+	}
+	if pilot.State != states.PilotFailed {
+		t.Fatalf("pilot is %v after losing every node for good, want %v", pilot.State, states.PilotFailed)
 	}
 }
 
