@@ -14,7 +14,6 @@ package agent
 
 import (
 	"fmt"
-	"math"
 
 	"rpgo/internal/data"
 	"rpgo/internal/dragon"
@@ -148,16 +147,14 @@ type executorGroup struct {
 	anyReady  bool
 }
 
-// New creates an agent over the allocation and begins bootstrap: the agent
-// itself starts in params.RP.AgentBootstrap seconds, then brings up every
-// backend instance concurrently (Fig 7: overheads are not additive).
+// New creates an agent over the allocation for a valid description (the
+// session validates it) and begins bootstrap: the agent itself starts in
+// params.RP.AgentBootstrap seconds, then brings up every backend instance
+// concurrently (Fig 7: overheads are not additive).
 func New(desc spec.PilotDescription, eng *sim.Engine, ctrl *slurm.Controller,
 	alloc *platform.Allocation, prof *profiler.Profiler, src *rng.Source,
-	params model.Params) (*Agent, error) {
+	params model.Params) *Agent {
 
-	if err := desc.Validate(); err != nil {
-		return nil, err
-	}
 	a := &Agent{
 		eng:    eng,
 		params: params,
@@ -174,7 +171,7 @@ func New(desc spec.PilotDescription, eng *sim.Engine, ctrl *slurm.Controller,
 	a.dataSys = data.NewSystem(eng, alloc, params.Data, prof)
 
 	a.eng.After(sim.Seconds(params.RP.AgentBootstrap), a.bootstrapBackends)
-	return a, nil
+	return a
 }
 
 // Data returns the pilot's storage subsystem (channels, registry,
@@ -264,71 +261,31 @@ func (a *Agent) partitionConfigs() []spec.PartitionConfig {
 	return []spec.PartitionConfig{{Backend: spec.BackendSrun, Instances: 1}}
 }
 
-// layoutPartitions splits the allocation nodes across backend groups and
-// instances: fixed-size groups first, then the remainder split by share.
+// layoutPartitions slices the allocation into every group's instances, with
+// the node counts the description's GroupNodes gives: fixed-size groups
+// from the front, then the flexible ones. Validate ensured every group gets
+// a node per instance.
 func (a *Agent) layoutPartitions() [][]*platform.Allocation {
-	cfgs := a.partitionConfigs()
-	out := make([][]*platform.Allocation, len(cfgs))
-	fixed := 0
-	var flexShare float64
-	for _, pc := range cfgs {
-		if pc.NodesPerInstance > 0 {
-			fixed += pc.Instances * pc.NodesPerInstance
-		} else {
-			s := pc.NodeShare
-			if s <= 0 {
-				s = 1
-			}
-			flexShare += s
-		}
-	}
-	free := a.alloc.Size() - fixed
-	if free < 0 {
-		panic("agent: partition layout exceeds allocation")
-	}
+	desc := a.desc
+	desc.Partitions = a.partitionConfigs()
+	sizes := desc.GroupNodes()
+	out := make([][]*platform.Allocation, len(desc.Partitions))
 	offset := 0
-	// Fixed groups take their nodes from the front.
-	for gi, pc := range cfgs {
+	for gi, pc := range desc.Partitions {
 		if pc.NodesPerInstance <= 0 {
 			continue
 		}
 		out[gi] = make([]*platform.Allocation, pc.Instances)
-		for ii := 0; ii < pc.Instances; ii++ {
+		for ii := range out[gi] {
 			out[gi][ii] = a.alloc.Slice(offset, pc.NodesPerInstance)
 			offset += pc.NodesPerInstance
 		}
 	}
-	// Flexible groups split the remainder proportionally to NodeShare.
-	taken := 0
-	flexIdx := 0
-	nFlex := 0
-	for _, pc := range cfgs {
+	for gi, pc := range desc.Partitions {
 		if pc.NodesPerInstance <= 0 {
-			nFlex++
+			out[gi] = a.alloc.Slice(offset, sizes[gi]).Partition(pc.Instances)
+			offset += sizes[gi]
 		}
-	}
-	for gi, pc := range cfgs {
-		if pc.NodesPerInstance > 0 {
-			continue
-		}
-		s := pc.NodeShare
-		if s <= 0 {
-			s = 1
-		}
-		flexIdx++
-		var n int
-		if flexIdx == nFlex {
-			n = free - taken // last group absorbs rounding
-		} else {
-			n = int(math.Floor(float64(free) * s / flexShare))
-		}
-		if n < pc.Instances {
-			panic(fmt.Sprintf("agent: group %d gets %d nodes for %d instances", gi, n, pc.Instances))
-		}
-		taken += n
-		block := a.alloc.Slice(offset, n)
-		out[gi] = block.Partition(pc.Instances)
-		offset += n
 	}
 	return out
 }

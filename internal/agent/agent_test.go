@@ -38,10 +38,7 @@ func newRigParams(t *testing.T, pd spec.PilotDescription, params model.Params) *
 	cluster := platform.NewCluster(platform.Frontier(smt), pd.Nodes)
 	alloc := cluster.Allocate(pd.Nodes)
 	prof := profiler.New()
-	a, err := New(pd, eng, ctrl, alloc, prof, src, params)
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := New(pd, eng, ctrl, alloc, prof, src, params)
 	return &rig{eng: eng, agent: a, prof: prof, ctrl: ctrl}
 }
 

@@ -374,6 +374,11 @@ func TestCrashRestartInstance(t *testing.T) {
 			if want := tc.crash + 2; r.agent.NumInstances() != want {
 				t.Fatalf("NumInstances = %d, want %d", r.agent.NumInstances(), want)
 			}
+			for _, i := range []int{-1, r.agent.NumInstances()} {
+				if r.agent.CrashInstance(i, "out of range") || r.agent.RestartInstance(i) {
+					t.Fatalf("instance %d is out of range, yet a hook took it", i)
+				}
+			}
 			if tc.srun >= 0 {
 				if r.agent.CrashInstance(tc.srun, "injected crash") {
 					t.Fatal("srun has no instance process to crash")
@@ -398,6 +403,70 @@ func TestCrashRestartInstance(t *testing.T) {
 			r.eng.Run()
 			if done != 20 {
 				t.Fatalf("done = %d, want 20", done)
+			}
+		})
+	}
+}
+
+// TestCrashInLaunchPipeline: an instance that crashes after placing a task
+// and before starting it holds no queued or running request for the crash
+// to fail. The task's next pipeline stage finds the instance down: it gives
+// the slots back and fails the request with "<instance> down", and the
+// agent retries the task once, to DONE on the restarted instance. Flux
+// drops it at exec, after the job shell; Dragon after its dispatcher, and
+// PRRTE after its serial prun launcher.
+func TestCrashInLaunchPipeline(t *testing.T) {
+	for _, c := range []struct {
+		backend spec.Backend
+		kind    spec.TaskKind
+	}{{spec.BackendFlux, spec.Executable}, {spec.BackendDragon, spec.Function}, {spec.BackendPRRTE, spec.Executable}} {
+		t.Run(c.backend.String(), func(t *testing.T) {
+			r := newRig(t, spec.PilotDescription{
+				Nodes:      1,
+				Partitions: []spec.PartitionConfig{{Backend: c.backend, Instances: 1}},
+			})
+			r.agent.EnableElasticity()
+			r.eng.RunUntil(sim.Time(60 * sim.Second)) // agent and instance up
+			l := r.agent.Launchers()[0]
+			node := l.Partition().Nodes[0]
+			slots := node.FreeCPU()
+			tk := r.task(&spec.TaskDescription{
+				Kind: c.kind, CoresPerRank: 1, Ranks: 1, Duration: 10 * sim.Second, MaxRetries: 1,
+			}, "p")
+			var final *Task
+			r.agent.Submit(tk, func(ft *Task) { final = ft })
+			for node.FreeCPU() == slots {
+				r.eng.RunUntil(r.eng.Now() + 1)
+			}
+			if tk.State == states.TaskRunning {
+				t.Fatal("task started at its placement")
+			}
+			if !r.agent.CrashInstance(0, "injected crash") {
+				t.Fatal("CrashInstance refused a live instance")
+			}
+			r.eng.RunUntil(r.eng.Now().Add(sim.Second))
+			if node.FreeCPU() != slots {
+				t.Fatalf("%d of %d slots free after the drop", node.FreeCPU(), slots)
+			}
+			var reasons []string
+			for _, e := range tk.Trace.Edges {
+				if e.Kind == profiler.EdgeFailure {
+					reasons = append(reasons, e.Ref)
+				}
+			}
+			if want := []string{l.Name() + " down"}; !reflect.DeepEqual(reasons, want) {
+				t.Fatalf("failure edges %q, want %q", reasons, want)
+			}
+			restart := r.eng.Now()
+			if !r.agent.RestartInstance(0) {
+				t.Fatal("RestartInstance refused the crashed instance")
+			}
+			r.eng.Run()
+			if final == nil || final.State != states.TaskDone || tk.Trace.Retries != 1 {
+				t.Fatalf("final %v, retries %d; want DONE after one retry", final, tk.Trace.Retries)
+			}
+			if tk.Trace.Start <= restart {
+				t.Fatalf("task started at %v, before the restart at %v", tk.Trace.Start, restart)
 			}
 		})
 	}

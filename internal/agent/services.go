@@ -49,11 +49,8 @@ func (sm *ServiceManager) Deploy(sd spec.ServiceDescription) (*service.Endpoint,
 		sd.UID = "service." + sd.Name
 	}
 	a := sm.a
-	ep, err := service.NewEndpoint(sd, a.params.Service, a.eng, a.prof,
+	ep := service.NewEndpoint(sd, a.params.Service, a.eng, a.prof,
 		a.src.Stream("service."+sd.Name), sm.replicaLauncher(sd))
-	if err != nil {
-		return nil, err
-	}
 	sm.endpoints[sd.Name] = ep
 	sm.order = append(sm.order, sd.Name)
 	return ep, nil

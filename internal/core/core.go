@@ -138,13 +138,18 @@ func (p *Pilot) Domain() int { return p.domain }
 // SubmitPilot requests an allocation and bootstraps an agent on it. Each
 // pilot gets a dedicated cluster of exactly its size (batch queue waiting
 // is out of scope; the paper measures inside active allocations), while all
-// pilots share one Slurm controller and its srun ceiling.
+// pilots share one Slurm controller and its srun ceiling. It returns the
+// error of an invalid description or of the session's FaultParams, which
+// the pilot's fault injector would draw from.
 func (s *Session) SubmitPilot(pd spec.PilotDescription) (*Pilot, error) {
 	if pd.UID == "" {
 		pd.UID = fmt.Sprintf("pilot.%04d", s.pilotSeq)
 	}
 	s.pilotSeq++
 	if err := pd.Validate(); err != nil {
+		return nil, err
+	}
+	if err := s.Params.Fault.Validate(); err != nil {
 		return nil, err
 	}
 	smt := pd.SMT
@@ -166,10 +171,7 @@ func (s *Session) SubmitPilot(pd spec.PilotDescription) (*Pilot, error) {
 	states.ValidatePilot(p.State, states.PilotLaunching)
 	p.State = states.PilotLaunching
 
-	ag, err := agent.New(pd, s.Engine, s.Controller, alloc, s.Profiler, s.src, s.Params)
-	if err != nil {
-		return nil, err
-	}
+	ag := agent.New(pd, s.Engine, s.Controller, alloc, s.Profiler, s.src, s.Params)
 	p.Agent = ag
 	if s.profile != nil {
 		// Launchers are created later, during agent bootstrap; the agent
@@ -282,8 +284,6 @@ type TaskManager struct {
 	tasks     []*agent.Task
 	submitted int
 	final     int
-	// waiters fire when all currently submitted tasks are final.
-	waiters []func()
 	// OnComplete, when set, observes every terminal task (campaign
 	// engines subscribe here).
 	OnComplete func(*agent.Task)
@@ -462,13 +462,6 @@ func (tm *TaskManager) taskDone(t *agent.Task) {
 	if tm.OnComplete != nil {
 		tm.OnComplete(t)
 	}
-	if tm.final == tm.submitted {
-		ws := tm.waiters
-		tm.waiters = nil
-		for _, fn := range ws {
-			fn()
-		}
-	}
 }
 
 // Wait drives the simulation until every submitted task (including ones
@@ -534,9 +527,6 @@ func (s *Session) snapshot(includeBlame bool) *obs.Snapshot {
 			downNodes += inj.DownNodes()
 		}
 		ag := p.Agent
-		if ag == nil {
-			continue
-		}
 		dispatches += ag.Dispatches()
 		retries += ag.Retries()
 		inflight += ag.Submitted() - ag.Final()

@@ -1,9 +1,12 @@
 package core_test
 
 import (
+	"math"
+	"strings"
 	"testing"
 
 	"rpgo/internal/core"
+	"rpgo/internal/model"
 	"rpgo/internal/sim"
 	"rpgo/internal/spec"
 	"rpgo/internal/states"
@@ -35,6 +38,62 @@ func TestPilotValidationErrors(t *testing.T) {
 	sess := core.NewSession(core.Config{Seed: 1})
 	if _, err := sess.SubmitPilot(spec.PilotDescription{Nodes: 0}); err == nil {
 		t.Fatal("invalid pilot accepted")
+	}
+	ss := core.NewShardedSession(core.ShardedConfig{Seed: 1})
+	if _, err := ss.SubmitPilot(0, spec.PilotDescription{Nodes: 0}); err == nil {
+		t.Fatal("invalid pilot accepted by a sharded session")
+	}
+}
+
+// TestFaultParamsValidation: SubmitPilot rejects fault parameters the
+// injector cannot draw a finite schedule from, naming the field, and
+// accepts the boundary values and every zero. Each rejected case carries
+// a short horizon, so a build without the check still finishes it fast.
+func TestFaultParamsValidation(t *testing.T) {
+	inf, nan := math.Inf(1), math.NaN()
+	const h = 1e-4
+	rejected := []struct {
+		fp    model.FaultParams
+		field string
+	}{
+		{model.FaultParams{NodeMTBF: inf}, "NodeMTBF"},
+		{model.FaultParams{NodeMTBF: nan}, "NodeMTBF"},
+		{model.FaultParams{NodeMTBF: -1}, "NodeMTBF"},
+		{model.FaultParams{NodeMTBF: 1e-7, NodeDowntime: 1, Horizon: h}, "NodeMTBF"},
+		{model.FaultParams{NodeMTBF: 1, NodeDowntime: -1, Horizon: h}, "NodeDowntime"},
+		{model.FaultParams{NodeMTBF: 1, NodeDowntime: 1e-7, Horizon: h}, "NodeDowntime"},
+		{model.FaultParams{BackendMTBF: 1e-7, BackendDowntime: 1, Horizon: h}, "BackendMTBF"},
+		{model.FaultParams{BackendMTBF: 1, BackendDowntime: 1e-7, Horizon: h}, "BackendDowntime"},
+		{model.FaultParams{BackendMTBF: 1, BackendDowntime: -inf, Horizon: h}, "BackendDowntime"},
+		{model.FaultParams{StragglerFrac: 1.5, StragglerFactor: 2}, "StragglerFrac"},
+		{model.FaultParams{StragglerFrac: -0.5, StragglerFactor: 2}, "StragglerFrac"},
+		{model.FaultParams{StragglerFrac: 0.5, StragglerFactor: inf}, "StragglerFactor"},
+		{model.FaultParams{NodeMTBF: 1, Horizon: -1}, "Horizon"},
+		{model.FaultParams{NodeMTBF: 1, Horizon: nan}, "Horizon"},
+		{model.FaultParams{NodeMTBF: 1, Horizon: h, MaxNodeFailures: -1}, "MaxNodeFailures"},
+	}
+	submit := func(fp model.FaultParams) error {
+		params := model.Default()
+		params.Fault = fp
+		sess := core.NewSession(core.Config{Seed: 1, Params: &params})
+		_, err := sess.SubmitPilot(spec.PilotDescription{Nodes: 1,
+			Partitions: []spec.PartitionConfig{{Backend: spec.BackendFlux, Instances: 1}}})
+		return err
+	}
+	for _, c := range rejected {
+		err := submit(c.fp)
+		if err == nil || !strings.Contains(err.Error(), "FaultParams."+c.field+" ") {
+			t.Errorf("%+v: err %v, want one naming %s", c.fp, err, c.field)
+		}
+	}
+	for _, fp := range []model.FaultParams{
+		{},
+		{NodeMTBF: 1e-6, NodeDowntime: 1e-6, BackendMTBF: 1e-6, BackendDowntime: 1e-6, Horizon: 1e-5},
+		{StragglerFrac: 1, StragglerFactor: 0.5},
+	} {
+		if err := submit(fp); err != nil {
+			t.Errorf("%+v rejected: %v", fp, err)
+		}
 	}
 }
 
@@ -272,5 +331,30 @@ func TestMultiplePilotsShareCeiling(t *testing.T) {
 	}
 	if len(sess.Pilots()) != 2 {
 		t.Fatalf("pilots = %d", len(sess.Pilots()))
+	}
+}
+
+// TestWaitReportsTasksThatNeverFinish: an empty Submit makes no task, and
+// when replicas hold every slot of the pilot, its tasks can never start,
+// the event queue drains, and Wait says how many never finished.
+func TestWaitReportsTasksThatNeverFinish(t *testing.T) {
+	sess := core.NewSession(core.Config{Seed: 1})
+	pilot, err := sess.SubmitPilot(spec.PilotDescription{Nodes: 1,
+		Partitions: []spec.PartitionConfig{{Backend: spec.BackendFlux, Instances: 1}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := pilot.DeployService(spec.ServiceDescription{
+		Name: "hog", Replicas: 56, BaseLatency: sim.Second,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	tm := sess.TaskManager(pilot)
+	if tasks := tm.Submit(nil); tasks != nil {
+		t.Fatalf("an empty Submit made %d tasks", len(tasks))
+	}
+	tm.Submit(workload.Null(3))
+	if err := tm.Wait(); err == nil || err.Error() != "core: 3 of 3 tasks never finished" {
+		t.Fatalf("Wait: %v, want 3 of 3 tasks never finished", err)
 	}
 }

@@ -206,6 +206,40 @@ func TestRegistry(t *testing.T) {
 	if n := r.EvictNode(1); n != 1 || r.HasNode("ds", 1) || !r.HasNode("ds", 3) {
 		t.Errorf("EvictNode(1) dropped %d replicas, want only ds's", n)
 	}
+	if r.HasTier("nope", spec.TierSharedFS) || !r.HasTier("ds", spec.TierNodeLocal) || r.HasTier("ds", spec.TierSharedFS) {
+		t.Error("HasTier: want node-local for a dataset on a node, nothing for an unknown one")
+	}
+}
+
+// TestZeroDialsTakeDefaults: a Params whose data dials are zero (an rp
+// user's partly filled Params) stages at the calibrated default bandwidths
+// instead of dividing by zero.
+func TestZeroDialsTakeDefaults(t *testing.T) {
+	def := model.Default().Data
+	var ends []sim.Time
+	for _, p := range []model.DataParams{{}, {
+		NVMeBandwidth: def.NVMeBandwidth, SharedFSBase: def.SharedFSBase, SharedFSPerNode: def.SharedFSPerNode,
+	}} {
+		eng, sys, _ := newSystem(t, 2, p)
+		sys.StageToNode("t", "ds", 10e9, spec.TierSharedFS, 0, func(any) { ends = append(ends, eng.Now()) }, nil)
+		eng.Run()
+	}
+	if len(ends) != 2 || ends[0] != ends[1] || ends[0] <= 0 {
+		t.Fatalf("10 GB staged by %v with zero dials and the defaults, want the same positive time", ends)
+	}
+}
+
+// TestMeanOccupancyClipsAtEnd: a window that ends while the channel is
+// busy counts the busy time up to its end only.
+func TestMeanOccupancyClipsAtEnd(t *testing.T) {
+	p := zeroLatencyParams()
+	p.SharedFSBase = 5e9 // the shared FS is the bottleneck: busy for 2 s
+	eng, sys, _ := newSystem(t, 2, p)
+	sys.StageToNode("t", "ds", 10e9, spec.TierSharedFS, 0, func(any) {}, nil)
+	eng.Run()
+	if got := sys.SharedChannel().MeanOccupancy(0, sim.Time(sim.Second)); math.Abs(got-1) > 1e-9 {
+		t.Fatalf("occupancy over the first second %v, want 1", got)
+	}
 }
 
 // TestRepeatStageInAllocatesNothing: the coalescing bookkeeping of a

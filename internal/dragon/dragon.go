@@ -92,15 +92,15 @@ func NewRuntime(cfg Config, eng *sim.Engine, ctrl *slurm.Controller, part *platf
 
 // bootstrapCost draws the runtime bring-up: one srun starts the whole
 // runtime, and worker bring-up cost is part of the bootstrap latency.
-func (d *Runtime) bootstrapCost() (sim.Duration, bool) {
+func (d *Runtime) bootstrapCost() sim.Duration {
 	boot := d.params.BootstrapMedian +
 		d.params.BootstrapPerLogNode*math.Log2(float64(d.Nodes())+1)
 	dur := sim.Seconds(d.rand.LogNormal(boot, d.params.BootstrapSigma))
 	if d.hang {
 		d.hang = false
-		return -1, true
+		return -1
 	}
-	return dur, true
+	return dur
 }
 
 // Rate returns the effective dispatch rate for a task kind.

@@ -153,23 +153,33 @@ func RunThroughput(cfg ThroughputConfig) ThroughputResult {
 	return res
 }
 
+// must panics when a runner's session reports an error. The runners build
+// every pilot, task and service description themselves, so an error is a
+// bug in the runner (or a config no cell should hold), not an outcome to
+// report; name says which runner.
+func must(name string, err error) {
+	if err != nil {
+		panic(fmt.Sprintf("experiments: %s: %v", name, err))
+	}
+}
+
+// newPilot starts a session and submits its one pilot, as every runner
+// but the sharded ones does.
+func newPilot(name string, cfg core.Config, pd spec.PilotDescription) (*core.Session, *core.Pilot) {
+	sess := core.NewSession(cfg)
+	pilot, err := sess.SubmitPilot(pd)
+	must(name, err)
+	return sess, pilot
+}
+
 // runRep runs one repetition of a cell and returns its session and task
 // traces.
 func runRep(cfg ThroughputConfig, seed uint64) (*core.Session, []*profiler.TaskTrace) {
-	sess := core.NewSession(core.Config{Seed: seed, Params: cfg.Params})
-	pilot, err := sess.SubmitPilot(spec.PilotDescription{
-		Nodes:      cfg.Nodes,
-		SMT:        1,
-		Partitions: cfg.Partitions,
-	})
-	if err != nil {
-		panic(fmt.Sprintf("experiments: %s: %v", cfg.Name, err))
-	}
+	sess, pilot := newPilot(cfg.Name, core.Config{Seed: seed, Params: cfg.Params},
+		spec.PilotDescription{Nodes: cfg.Nodes, SMT: 1, Partitions: cfg.Partitions})
 	tm := sess.TaskManager(pilot)
 	tm.Submit(cfg.buildWorkload())
-	if err := tm.Wait(); err != nil {
-		panic(fmt.Sprintf("experiments: %s: %v", cfg.Name, err))
-	}
+	must(cfg.Name, tm.Wait())
 	return sess, sess.Profiler.Tasks()
 }
 
@@ -415,14 +425,10 @@ func RunImpeccable(cfg ImpeccableConfig) ImpeccableResult {
 			ccfg.SizingStream = fmt.Sprintf("campaign.adaptive.p%02d", i)
 		}
 		pilot, err := ss.SubmitPilot(domain, pd)
-		if err != nil {
-			panic(fmt.Sprintf("experiments: impeccable: %v", err))
-		}
+		must("impeccable", err)
 		tm := ss.TaskManager(pilot)
 		camp := campaign.New(ccfg, ss.Client(), tm)
-		if err := camp.Start(); err != nil {
-			panic(fmt.Sprintf("experiments: impeccable: %v", err))
-		}
+		must("impeccable", camp.Start())
 		tms[i] = tm
 		camps[i] = camp
 	}
@@ -442,9 +448,7 @@ func RunImpeccable(cfg ImpeccableConfig) ImpeccableResult {
 	// The first Wait drives the sharded engine to global quiescence; the
 	// rest only verify their own completion counts.
 	for _, tm := range tms {
-		if err := tm.Wait(); err != nil {
-			panic(fmt.Sprintf("experiments: impeccable: %v", err))
-		}
+		must("impeccable", tm.Wait())
 	}
 	cfg.Monitor.Publish()
 
@@ -491,14 +495,10 @@ func RunOverheads(sizes []int, seed uint64, reps int) []OverheadResult {
 		for _, n := range sizes {
 			r := OverheadResult{Backend: backend, Nodes: n, Min: math.Inf(1)}
 			for rep := 0; rep < reps; rep++ {
-				sess := core.NewSession(core.Config{Seed: seed + uint64(rep)})
-				pilot, err := sess.SubmitPilot(spec.PilotDescription{
+				sess, pilot := newPilot("overheads", core.Config{Seed: seed + uint64(rep)}, spec.PilotDescription{
 					Nodes: n, SMT: 1,
 					Partitions: []spec.PartitionConfig{{Backend: backend, Instances: 1}},
 				})
-				if err != nil {
-					panic(err)
-				}
 				sess.Run()
 				ls := pilot.Agent.Launchers()
 				if len(ls) != 1 {

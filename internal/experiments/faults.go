@@ -9,8 +9,6 @@ package experiments
 // all visible in the blame decomposition's failure/checkpoint buckets.
 
 import (
-	"fmt"
-
 	"rpgo/internal/analytics"
 	"rpgo/internal/core"
 	"rpgo/internal/metrics"
@@ -51,21 +49,6 @@ type FailureSweepConfig struct {
 	Seed    uint64
 }
 
-func (c *FailureSweepConfig) defaults() {
-	if c.Nodes == 0 {
-		c.Nodes = 8
-	}
-	if len(c.MTBFs) == 0 {
-		c.MTBFs = []float64{300, 1200, 7200}
-	}
-	if c.TaskSeconds == 0 {
-		c.TaskSeconds = 60
-	}
-	if c.Seed == 0 {
-		c.Seed = 8009
-	}
-}
-
 // FailureCell is one (MTBF, placement policy) grid point.
 type FailureCell struct {
 	MTBF   float64
@@ -94,7 +77,6 @@ type FailureSweepResult struct {
 // placement. Cells run in parallel (each is its own seeded session) and
 // results are slot-ordered, so the output is deterministic.
 func RunFailureSweep(cfg FailureSweepConfig) FailureSweepResult {
-	cfg.defaults()
 	policies := []spec.PlacementPolicy{spec.PlacePack, spec.PlaceDataAware}
 	res := FailureSweepResult{Cells: make([]FailureCell, len(cfg.MTBFs)*len(policies))}
 	RunCells(len(res.Cells), func(i int) {
@@ -126,21 +108,11 @@ func runFailureCell(cfg FailureSweepConfig, mtbf float64, pol spec.PlacementPoli
 			td.CheckpointDest = spec.TierSharedFS
 		}
 	}
-	sess := core.NewSession(core.Config{Seed: cfg.Seed, Params: &params})
-	pilot, err := sess.SubmitPilot(spec.PilotDescription{
-		Nodes:      cfg.Nodes,
-		SMT:        1,
-		Partitions: FluxPartitions(1),
-		Placement:  pol,
-	})
-	if err != nil {
-		panic(fmt.Sprintf("experiments: failure sweep: %v", err))
-	}
+	sess, pilot := newPilot("failure sweep", core.Config{Seed: cfg.Seed, Params: &params},
+		spec.PilotDescription{Nodes: cfg.Nodes, SMT: 1, Partitions: FluxPartitions(1), Placement: pol})
 	tm := sess.TaskManager(pilot)
 	tm.Submit(tasks)
-	if err := tm.Wait(); err != nil {
-		panic(fmt.Sprintf("experiments: failure sweep: %v", err))
-	}
+	must("failure sweep", tm.Wait())
 
 	cell := FailureCell{MTBF: mtbf, Policy: pol}
 	traces := sess.Profiler.Tasks()

@@ -10,23 +10,25 @@ import (
 )
 
 // TestRunCellsCoversAll checks every index runs exactly once under a
-// multi-worker pool.
+// multi-worker pool, with more cells than workers and with fewer.
 func TestRunCellsCoversAll(t *testing.T) {
 	SetParallelism(4)
 	defer SetParallelism(1)
-	const n = 100
-	var counts [n]int32
-	RunCells(n, func(i int) { atomic.AddInt32(&counts[i], 1) })
-	for i, c := range counts {
-		if c != 1 {
-			t.Fatalf("cell %d ran %d times", i, c)
+	for _, n := range []int{100, 3} {
+		counts := make([]int32, n)
+		RunCells(n, func(i int) { atomic.AddInt32(&counts[i], 1) })
+		for i, c := range counts {
+			if c != 1 {
+				t.Fatalf("n=%d: cell %d ran %d times", n, i, c)
+			}
 		}
 	}
 }
 
-// TestRunCellsSerialWhenOne checks the inline path needs no goroutines.
+// TestRunCellsSerialWhenOne checks the inline path needs no goroutines;
+// rpbench -parallel 0 takes it too.
 func TestRunCellsSerialWhenOne(t *testing.T) {
-	SetParallelism(1)
+	SetParallelism(0)
 	order := []int{}
 	RunCells(5, func(i int) { order = append(order, i) })
 	for i, v := range order {

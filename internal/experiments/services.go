@@ -58,16 +58,19 @@ func defaultServiceDesc() spec.ServiceDescription {
 	}
 }
 
+// servicePilot is the pilot every service experiment deploys onto: one
+// Dragon instance over the whole allocation.
+func servicePilot(nodes int) spec.PilotDescription {
+	return spec.PilotDescription{
+		Nodes:      nodes,
+		Partitions: []spec.PartitionConfig{{Backend: spec.BackendDragon, Instances: 1}},
+	}
+}
+
 // RunServiceSweep executes every (rate, replicas) cell. Each cell is an
 // independent session with a derived seed, so cells are reproducible in
 // isolation and the whole sweep is deterministic.
 func RunServiceSweep(cfg ServiceSweepConfig) ServiceSweepResult {
-	if cfg.Nodes <= 0 {
-		cfg.Nodes = 4
-	}
-	if cfg.Duration <= 0 {
-		cfg.Duration = 2 * sim.Minute
-	}
 	var res ServiceSweepResult
 	// Cell list first, then the worker pool: seeds derive from the cell's
 	// grid position, so any worker count reproduces the serial sweep.
@@ -93,24 +96,13 @@ func RunServiceSweep(cfg ServiceSweepConfig) ServiceSweepResult {
 }
 
 func runServiceCell(cfg ServiceSweepConfig, rate float64, replicas int, seed uint64) ServiceCell {
-	sess := core.NewSession(core.Config{Seed: seed})
-	pilot, err := sess.SubmitPilot(spec.PilotDescription{
-		Nodes: cfg.Nodes,
-		Partitions: []spec.PartitionConfig{
-			{Backend: spec.BackendDragon, Instances: 1},
-		},
-	})
-	if err != nil {
-		panic(err)
-	}
+	sess, pilot := newPilot("service sweep", core.Config{Seed: seed}, servicePilot(cfg.Nodes))
 	sd := defaultServiceDesc()
 	sd.Replicas = replicas
 	sd.MaxReplicas = 0 // fixed-size cell: isolate queueing from scaling
 	sd.MinReplicas = 0
 	h, err := pilot.DeployService(sd)
-	if err != nil {
-		panic(err)
-	}
+	must("service sweep", err)
 	// Open-loop Poisson client: arrivals are independent of service
 	// completions, so queues grow without bound past saturation — the
 	// regime the latency percentiles are meant to expose.
@@ -149,16 +141,7 @@ type AutoscaleResult struct {
 // rate) against an autoscaled endpoint and returns the scale timeline —
 // the qualitative behaviour examples and tests assert on.
 func RunAutoscaleDemo(nodes int, rate float64, seed uint64) AutoscaleResult {
-	sess := core.NewSession(core.Config{Seed: seed})
-	pilot, err := sess.SubmitPilot(spec.PilotDescription{
-		Nodes: nodes,
-		Partitions: []spec.PartitionConfig{
-			{Backend: spec.BackendDragon, Instances: 1},
-		},
-	})
-	if err != nil {
-		panic(err)
-	}
+	sess, pilot := newPilot("autoscale", core.Config{Seed: seed}, servicePilot(nodes))
 	sd := defaultServiceDesc()
 	sd.Replicas = 1
 	sd.MinReplicas = 1
@@ -166,9 +149,7 @@ func RunAutoscaleDemo(nodes int, rate float64, seed uint64) AutoscaleResult {
 	sd.TargetQueuePerReplica = 4
 	sd.ScaleCooldown = 5 * sim.Second
 	h, err := pilot.DeployService(sd)
-	if err != nil {
-		panic(err)
-	}
+	must("autoscale", err)
 	arrivals := sess.Rand("client.arrivals")
 	start := sess.Engine.Now()
 	quiet, burst := sim.Minute, 2*sim.Minute

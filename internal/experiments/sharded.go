@@ -23,7 +23,8 @@ import (
 type ShardedThroughputConfig struct {
 	// Nodes is the total node count, split over the pilots.
 	Nodes int
-	// Pilots ≥ 1; ≥2 partitions the run as in RunImpeccable.
+	// Pilots is at least 1; two or more partition the run as in
+	// RunImpeccable.
 	Pilots int
 	// Shards is the sharded-engine worker count.
 	Shards int
@@ -49,9 +50,6 @@ type ShardedThroughputResult struct {
 
 // RunShardedThroughput executes the wave-fed campaign.
 func RunShardedThroughput(cfg ShardedThroughputConfig) ShardedThroughputResult {
-	if cfg.Pilots < 1 {
-		cfg.Pilots = 1
-	}
 	if cfg.Wave <= 0 {
 		cfg.Wave = 16384
 	}
@@ -86,9 +84,7 @@ func RunShardedThroughput(cfg ShardedThroughputConfig) ShardedThroughputResult {
 			pd.UID = fmt.Sprintf("pilot.%04d", i)
 		}
 		pilot, err := ss.SubmitPilot(domain, pd)
-		if err != nil {
-			panic(fmt.Sprintf("experiments: sharded throughput: %v", err))
-		}
+		must("sharded throughput", err)
 		tm := ss.TaskManager(pilot)
 		total := taskSplit[i]
 		submitted, inflight := 0, 0
@@ -114,9 +110,7 @@ func RunShardedThroughput(cfg ShardedThroughputConfig) ShardedThroughputResult {
 		tms[i] = tm
 	}
 	for _, tm := range tms {
-		if err := tm.Wait(); err != nil {
-			panic(fmt.Sprintf("experiments: sharded throughput: %v", err))
-		}
+		must("sharded throughput", tm.Wait())
 	}
 
 	res := ShardedThroughputResult{Shards: ss.Eng.Shards()}

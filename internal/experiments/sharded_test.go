@@ -101,3 +101,16 @@ func TestShardedThroughputWaves(t *testing.T) {
 		t.Fatalf("shard count changed the simulated outcome: %+v vs %+v", b, a)
 	}
 }
+
+// TestShardedDefaults: rpbench -shards 0 still prints the one-shard row,
+// and a zero Wave takes its 16,384-task default (with no wave nothing
+// would ever be submitted).
+func TestShardedDefaults(t *testing.T) {
+	if rows := ReportSharded(16, 2, 0, 5, 1, nil); len(rows) != 1 || rows[0].Shards != 1 {
+		t.Fatalf("ReportSharded with maxShards 0: %+v, want one 1-shard row", rows)
+	}
+	res := RunShardedThroughput(ShardedThroughputConfig{Nodes: 4, Pilots: 1, Tasks: 20000, Seed: 5})
+	if res.Tasks != 20000 || res.Failed != 0 {
+		t.Fatalf("default wave: folded %d tasks, %d failed; want 20000 and 0", res.Tasks, res.Failed)
+	}
+}

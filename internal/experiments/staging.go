@@ -60,14 +60,8 @@ type StagingCell struct {
 
 // RunStagingSweep executes every (size × source × policy) cell.
 func RunStagingSweep(cfg StagingSweepConfig) []StagingCell {
-	if cfg.Reps <= 0 {
-		cfg.Reps = 1
-	}
 	if len(cfg.Sources) == 0 {
 		cfg.Sources = []spec.StageTier{spec.TierSharedFS}
-	}
-	if len(cfg.Policies) == 0 {
-		cfg.Policies = []spec.PlacementPolicy{spec.PlacePack, spec.PlaceDataAware}
 	}
 	// Materialize the cell grid first, then run the independent cells on
 	// the worker pool; index-addressed results keep the output order (and
@@ -121,21 +115,11 @@ type StagingRepResult struct {
 // identical across backends since PR 2 routes them all through the shared
 // placer; Flux avoids srun's concurrency ceiling as a confound).
 func runStagingRep(nodes int, pol spec.PlacementPolicy, seed uint64, tasks []*spec.TaskDescription) StagingRepResult {
-	sess := core.NewSession(core.Config{Seed: seed})
-	pilot, err := sess.SubmitPilot(spec.PilotDescription{
-		Nodes:      nodes,
-		SMT:        1,
-		Partitions: FluxPartitions(1),
-		Placement:  pol,
-	})
-	if err != nil {
-		panic(fmt.Sprintf("experiments: staging: %v", err))
-	}
+	sess, pilot := newPilot("staging", core.Config{Seed: seed},
+		spec.PilotDescription{Nodes: nodes, SMT: 1, Partitions: FluxPartitions(1), Placement: pol})
 	tm := sess.TaskManager(pilot)
 	tm.Submit(tasks)
-	if err := tm.Wait(); err != nil {
-		panic(fmt.Sprintf("experiments: staging: %v", err))
-	}
+	must("staging", tm.Wait())
 	return measureStaging(sess, pilot, len(tasks))
 }
 
@@ -166,7 +150,7 @@ func measureStaging(sess *core.Session, pilot *core.Pilot, nTasks int) StagingRe
 type CheckpointConfig struct {
 	Nodes int
 	// Writers tasks each write CkptBytes to Dest after TaskSeconds of
-	// compute. With Waves > 1 the write burst repeats.
+	// compute, once per wave: the burst repeats Waves times.
 	Writers   int
 	Waves     int
 	CkptBytes int64
@@ -179,18 +163,8 @@ type CheckpointConfig struct {
 // RunCheckpointPressure measures synchronized checkpoint writes hammering
 // a shared tier while the writers hold their compute slots.
 func RunCheckpointPressure(cfg CheckpointConfig) StagingRepResult {
-	if cfg.Waves <= 0 {
-		cfg.Waves = 1
-	}
-	sess := core.NewSession(core.Config{Seed: cfg.Seed})
-	pilot, err := sess.SubmitPilot(spec.PilotDescription{
-		Nodes:      cfg.Nodes,
-		SMT:        1,
-		Partitions: FluxPartitions(1),
-	})
-	if err != nil {
-		panic(fmt.Sprintf("experiments: checkpoint: %v", err))
-	}
+	sess, pilot := newPilot("checkpoint", core.Config{Seed: cfg.Seed},
+		spec.PilotDescription{Nodes: cfg.Nodes, SMT: 1, Partitions: FluxPartitions(1)})
 	tm := sess.TaskManager(pilot)
 	total := 0
 	for w := 0; w < cfg.Waves; w++ {
@@ -203,9 +177,7 @@ func RunCheckpointPressure(cfg CheckpointConfig) StagingRepResult {
 		tm.Submit(batch)
 		total += len(batch)
 	}
-	if err := tm.Wait(); err != nil {
-		panic(fmt.Sprintf("experiments: checkpoint: %v", err))
-	}
+	must("checkpoint", tm.Wait())
 	return measureStaging(sess, pilot, total)
 }
 
@@ -233,16 +205,8 @@ func RunHandoff(cfg HandoffConfig) StagingRepResult {
 // determinism tests fingerprint its task and transfer traces and pin its
 // engine's event counts.
 func runHandoffSession(cfg HandoffConfig) (StagingRepResult, *core.Session) {
-	sess := core.NewSession(core.Config{Seed: cfg.Seed})
-	pilot, err := sess.SubmitPilot(spec.PilotDescription{
-		Nodes:      cfg.Nodes,
-		SMT:        1,
-		Partitions: FluxPartitions(1),
-		Placement:  cfg.Policy,
-	})
-	if err != nil {
-		panic(fmt.Sprintf("experiments: handoff: %v", err))
-	}
+	sess, pilot := newPilot("handoff", core.Config{Seed: cfg.Seed},
+		spec.PilotDescription{Nodes: cfg.Nodes, SMT: 1, Partitions: FluxPartitions(1), Placement: cfg.Policy})
 	tm := sess.TaskManager(pilot)
 	batches := workload.Handoff(cfg.Stages, cfg.Width, cfg.Bytes, sim.Seconds(cfg.TaskSeconds))
 	next := 0
@@ -265,9 +229,7 @@ func runHandoffSession(cfg HandoffConfig) (StagingRepResult, *core.Session) {
 		}
 	}
 	submit()
-	if err := tm.Wait(); err != nil {
-		panic(fmt.Sprintf("experiments: handoff: %v", err))
-	}
+	must("handoff", tm.Wait())
 	total := cfg.Stages * cfg.Width
 	return measureStaging(sess, pilot, total), sess
 }

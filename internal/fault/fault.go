@@ -13,7 +13,7 @@
 //     it is evicted back into the agent's retry/relocation path, and its
 //     node-local replicas are dropped. After NodeDowntime the node returns
 //     and the backends are kicked so queued work can use it (pilot
-//     elasticity: shrink on loss, grow on backfill). NodeDowntime <= 0
+//     elasticity: shrink on loss, grow on backfill). A zero NodeDowntime
 //     makes failures permanent — the pilot shrinks for good, and ends
 //     FAILED when its last node is gone.
 //
@@ -231,10 +231,9 @@ func (inj *Injector) fire(ev event) {
 		// on completions, so kick their pumps or queued work can deadlock.
 		inj.ag.KickBackends()
 	case evCrash:
+		// Before the agent bootstraps there is no instance (n == 0), and
+		// the scan below finds nothing to crash.
 		n := inj.ag.NumInstances()
-		if n == 0 {
-			return
-		}
 		idx := int(ev.pick * float64(n))
 		if idx >= n {
 			idx = n - 1

@@ -186,3 +186,89 @@ func TestDisabledParamsAttachNoInjector(t *testing.T) {
 		t.Fatal("zero fault params must not attach an injector")
 	}
 }
+
+// TestStragglersStretchCompute: a task on a slow node runs StragglerFactor
+// times its Duration and one on a nominal node runs its Duration; a
+// multi-node task runs at its slowest node's factor, whichever of its nodes
+// that is. On 2 nodes at StragglerFrac 0.5, seed 1 draws node 0 slow and
+// seed 6 draws node 1 slow.
+func TestStragglersStretchCompute(t *testing.T) {
+	const d = 100 * sim.Second
+	run := func(fp model.FaultParams, seed uint64, tds ...*spec.TaskDescription) map[string]sim.Duration {
+		t.Helper()
+		params := model.Default()
+		params.Fault = fp
+		sess := core.NewSession(core.Config{Seed: seed, Params: &params})
+		pilot, err := sess.SubmitPilot(spec.PilotDescription{Nodes: 2, SMT: 1,
+			Partitions: []spec.PartitionConfig{{Backend: spec.BackendFlux, Instances: 1}}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		tm := sess.TaskManager(pilot)
+		tm.Submit(tds)
+		if err := tm.Wait(); err != nil {
+			t.Fatal(err)
+		}
+		ran := make(map[string]sim.Duration)
+		for _, tr := range sess.Profiler.Tasks() {
+			if tr.Failed {
+				t.Fatalf("task %s failed: %v", tr.UID, tr.Edges)
+			}
+			ran[tr.UID] = tr.End.Sub(tr.Start)
+		}
+		return ran
+	}
+	for _, c := range []struct {
+		frac float64
+		want sim.Duration
+	}{{1, 2 * d}, {0, d}} {
+		ran := run(model.FaultParams{StragglerFrac: c.frac, StragglerFactor: 2}, 1,
+			&spec.TaskDescription{UID: "t", CoresPerRank: 1, Ranks: 1, Duration: d})
+		if ran["t"] != c.want {
+			t.Errorf("StragglerFrac %v: ran %v, want %v", c.frac, ran["t"], c.want)
+		}
+	}
+	for _, c := range []struct {
+		seed       uint64
+		slow, fast string
+	}{{1, "a", "b"}, {6, "b", "a"}} {
+		// a and b fill one node each; ab waits for both.
+		ran := run(model.FaultParams{StragglerFrac: 0.5, StragglerFactor: 2}, c.seed,
+			&spec.TaskDescription{UID: "a", CoresPerRank: 1, Ranks: 56, Duration: d},
+			&spec.TaskDescription{UID: "b", CoresPerRank: 1, Ranks: 56, Duration: d},
+			&spec.TaskDescription{UID: "ab", Nodes: 2, CoresPerRank: 1, Ranks: 112, Duration: d})
+		if ran[c.slow] != 2*d || ran[c.fast] != d || ran["ab"] != 2*d {
+			t.Errorf("seed %d: ran %v; want %s %v, %s %v and the 2-node ab %v",
+				c.seed, ran, c.slow, 2*d, c.fast, d, 2*d)
+		}
+	}
+}
+
+// TestCrashBeforeAgentUpIsANoOp: crashes drawn before the agent has
+// bootstrapped (2 s) find no instance to kill. They fire, so the engine
+// runs more events than without them, but none counts, and the instance
+// boots and stays up.
+func TestCrashBeforeAgentUpIsANoOp(t *testing.T) {
+	run := func(fp model.FaultParams) (*core.Pilot, uint64) {
+		t.Helper()
+		params := model.Default()
+		params.Fault = fp
+		sess := core.NewSession(core.Config{Seed: 3, Params: &params})
+		pilot, err := sess.SubmitPilot(spec.PilotDescription{Nodes: 4, SMT: 1,
+			Partitions: []spec.PartitionConfig{{Backend: spec.BackendFlux, Instances: 1}}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sess.Engine.Run()
+		return pilot, sess.Engine.Steps()
+	}
+	_, quiet := run(model.FaultParams{})
+	pilot, steps := run(model.FaultParams{BackendMTBF: 0.2, BackendDowntime: 0.1, Horizon: 1.9})
+	if st := pilot.Faults.Stats(); steps <= quiet || st.BackendCrashes != 0 || st.BackendRestarts != 0 {
+		t.Fatalf("%d events (%d without faults), stats %+v; want crashes that fire and count nothing",
+			steps, quiet, st)
+	}
+	if l := pilot.Agent.Launchers()[0]; !l.Live() {
+		t.Fatal("the instance is down after crashes drawn before it existed")
+	}
+}

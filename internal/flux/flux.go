@@ -82,10 +82,10 @@ func NewInstance(cfg Config, eng *sim.Engine, ctrl *slurm.Controller, part *plat
 
 // bootstrapCost draws one broker bootstrap: `srun -N n flux start`, whose
 // broker-tree startup is part of the latency.
-func (in *Instance) bootstrapCost() (sim.Duration, bool) {
+func (in *Instance) bootstrapCost() sim.Duration {
 	boot := in.params.BootstrapMedian +
 		in.params.BootstrapPerLogNode*math.Log2(float64(in.Nodes())+1)
-	return sim.Seconds(in.rand.LogNormal(boot, in.params.BootstrapSigma)), true
+	return sim.Seconds(in.rand.LogNormal(boot, in.params.BootstrapSigma))
 }
 
 // up starts the token bucket full: a freshly bootstrapped broker bursts.

@@ -621,3 +621,31 @@ func TestPlaceMultiNodeAllocs(t *testing.T) {
 		}
 	}
 }
+
+// TestGuardsPanicNamingTheMisuse: reading past the queue, and placing a
+// multi-node task whose per-node share exceeds a node (which Fits turns
+// away at submit), panic naming the misuse.
+func TestGuardsPanicNamingTheMisuse(t *testing.T) {
+	var q Queue
+	p := NewPlacer(newPartition(2))
+	wide := &spec.TaskDescription{UID: "wide", Nodes: 2, CoresPerRank: 1, Ranks: 200}
+	if p.Fits(wide) {
+		t.Fatal("Fits accepts 100 cores per 56-core node")
+	}
+	for _, c := range []struct {
+		fn   func()
+		want string
+	}{
+		{func() { q.At(0) }, "launch: queue index 0 out of range [0,0)"},
+		{func() { place(p, wide) }, "launch: task wide per-node footprint (100 cores, 0 gpus) exceeds node"},
+	} {
+		msg := func() (msg any) {
+			defer func() { msg = recover() }()
+			c.fn()
+			return nil
+		}()
+		if msg != c.want {
+			t.Errorf("panic %v, want %q", msg, c.want)
+		}
+	}
+}

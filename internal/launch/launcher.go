@@ -35,12 +35,12 @@ type Config struct {
 	// attempt has not come up in time (Dragon).
 	StartupTimeout sim.Duration
 
-	// Bootstrap draws one boot attempt: how long the instance takes to
-	// come up (negative: it hangs and never does) and whether it is
-	// srun-launched, holding one Ctrl ceiling slot while it lives. Nil for
-	// a backend with no instance process (srun itself), which is ready at
+	// Bootstrap draws one boot attempt: how long the srun-launched
+	// instance takes to come up (negative: it hangs and never does); the
+	// instance holds one Ctrl ceiling slot while it lives. Nil for a
+	// backend with no instance process (srun itself), which is ready at
 	// once and cannot crash.
-	Bootstrap func() (d sim.Duration, viaSrun bool)
+	Bootstrap func() sim.Duration
 	// Up, when set, runs as a boot attempt completes, before the Ready
 	// callbacks are scheduled.
 	Up func()
@@ -179,7 +179,7 @@ func (l *Launcher) Boot() {
 			}
 		})
 	}
-	d, viaSrun := l.cfg.Bootstrap()
+	d := l.cfg.Bootstrap()
 	if d < 0 {
 		return // hangs; the startup timeout fires instead
 	}
@@ -187,10 +187,6 @@ func (l *Launcher) Boot() {
 		if l.gen == gen {
 			l.up()
 		}
-	}
-	if !viaSrun {
-		l.eng.After(d, up)
-		return
 	}
 	// One srun brings up the whole instance and holds its ceiling slot for
 	// the instance's lifetime; the step's wait counts toward bootstrap.

@@ -30,7 +30,7 @@ func newTestLauncher(eng *sim.Engine, nodes int, ctrl Stepper, boot sim.Duration
 	cfg.Part, cfg.Ctrl = newPartition(nodes), ctrl
 	cfg.Launch = func(r *Request) { l.ExecAfter(0, r) }
 	if boot >= 0 {
-		cfg.Bootstrap = func() (sim.Duration, bool) { return boot, true }
+		cfg.Bootstrap = func() sim.Duration { return boot }
 	}
 	l = New(cfg)
 	if boot >= 0 {

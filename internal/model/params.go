@@ -8,7 +8,10 @@
 // can perturb it.
 package model
 
-import "math"
+import (
+	"fmt"
+	"math"
+)
 
 // Srun holds the Slurm/srun launcher parameters.
 type SrunParams struct {
@@ -265,13 +268,14 @@ type FaultParams struct {
 	// node failures.
 	NodeMTBF float64
 	// NodeDowntime is how long a failed node stays lost before the
-	// backfill replacement restores its capacity to the pilot.
+	// backfill replacement restores its capacity to the pilot. Zero makes
+	// a failure permanent.
 	NodeDowntime float64
 	// BackendMTBF is the per-instance mean time between backend crashes
 	// (Flux brokers, Dragon runtimes, PRRTE DVMs). Zero disables them.
 	BackendMTBF float64
 	// BackendDowntime is how long a crashed instance stays down before
-	// its restart completes bootstrap again.
+	// its restart completes bootstrap again. Zero means 60 s.
 	BackendDowntime float64
 	// StragglerFrac is the fraction of nodes that are slow; each node is
 	// flagged by an independent Bernoulli draw at pilot start.
@@ -296,6 +300,41 @@ const DefaultFaultHorizon = 86400.0
 func (f FaultParams) Enabled() bool {
 	return f.NodeMTBF > 0 || f.BackendMTBF > 0 ||
 		(f.StragglerFrac > 0 && f.StragglerFactor > 1)
+}
+
+// Validate rejects parameters the injector cannot draw a finite schedule
+// from, naming the field: a value that is negative or not finite, a
+// StragglerFrac above 1, and a nonzero MTBF or downtime below the
+// simulator's 1 µs tick, where every draw of the schedule rounds to zero
+// and the schedule never advances. A zero keeps its meaning.
+func (f FaultParams) Validate() error {
+	for _, c := range []struct {
+		name    string
+		v       float64
+		minTick bool
+	}{
+		{"NodeMTBF", f.NodeMTBF, true},
+		{"NodeDowntime", f.NodeDowntime, true},
+		{"BackendMTBF", f.BackendMTBF, true},
+		{"BackendDowntime", f.BackendDowntime, true},
+		{"StragglerFrac", f.StragglerFrac, false},
+		{"StragglerFactor", f.StragglerFactor, false},
+		{"Horizon", f.Horizon, false},
+	} {
+		switch {
+		case c.v < 0 || math.IsNaN(c.v) || math.IsInf(c.v, 0):
+			return fmt.Errorf("model: FaultParams.%s is %v; want a finite value >= 0", c.name, c.v)
+		case c.minTick && c.v > 0 && c.v < 1e-6:
+			return fmt.Errorf("model: FaultParams.%s is %v s; want 0 or at least 1e-6 (1 µs)", c.name, c.v)
+		}
+	}
+	if f.StragglerFrac > 1 {
+		return fmt.Errorf("model: FaultParams.StragglerFrac is %v; want a fraction in [0, 1]", f.StragglerFrac)
+	}
+	if f.MaxNodeFailures < 0 {
+		return fmt.Errorf("model: FaultParams.MaxNodeFailures is %d; want a count >= 0", f.MaxNodeFailures)
+	}
+	return nil
 }
 
 // HorizonOrDefault returns the schedule horizon in seconds.

@@ -94,3 +94,22 @@ func TestStepCost(t *testing.T) {
 		t.Fatalf("cap = %v", p.StepCost(1<<20))
 	}
 }
+
+// TestRatesTreatNoNodesAsOne: every size-dependent rate reads a node count
+// below one as one node, the smallest partition there is.
+func TestRatesTreatNoNodesAsOne(t *testing.T) {
+	p := Default()
+	p.Data.BurstBufferPerNode = 1e9
+	for name, rate := range map[string]func(int) float64{
+		"srun Mu":         p.Srun.Mu,
+		"flux Rate":       p.Flux.Rate,
+		"dragon ExecRate": p.Dragon.ExecRate,
+		"dragon FuncRate": p.Dragon.FuncRate,
+		"shared FS":       p.Data.SharedFSBandwidth,
+		"burst buffer":    p.Data.BurstBufferBandwidth,
+	} {
+		if rate(0) != rate(1) || rate(-3) != rate(1) {
+			t.Errorf("%s: %v at 0 nodes, %v at -3, want %v as at 1", name, rate(0), rate(-3), rate(1))
+		}
+	}
+}

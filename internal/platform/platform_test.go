@@ -168,3 +168,47 @@ func assertPanics(t *testing.T, name string, fn func()) {
 	}()
 	fn()
 }
+
+// TestGuardsPanicNamingTheirInput: every size guard panics naming what
+// was asked of it.
+func TestGuardsPanicNamingTheirInput(t *testing.T) {
+	c := NewCluster(Frontier(1), 4)
+	a := c.Allocate(4)
+	for _, g := range []struct {
+		fn   func()
+		want string
+	}{
+		{func() { NewCluster(Frontier(1), 0) }, "platform: cluster needs at least one node"},
+		{func() { c.Allocate(5) }, "platform: allocation of 5 nodes exceeds cluster size 4"},
+		{func() { a.Partition(0) }, "platform: partition count must be positive"},
+		{func() { a.Partition(5) }, "platform: cannot split 4 nodes into 5 partitions"},
+		{func() { SplitNodes(4, 0) }, "platform: domain count must be positive"},
+		{func() { SplitNodes(4, 5) }, "platform: cannot split 4 nodes into 5 domains"},
+	} {
+		msg := func() (msg any) {
+			defer func() { msg = recover() }()
+			g.fn()
+			return nil
+		}()
+		if msg != g.want {
+			t.Errorf("panic %v, want %q", msg, g.want)
+		}
+	}
+}
+
+// TestFailRestoreAndSplit: failing a down node or restoring an up one
+// changes nothing and says so, and SplitNodes spreads a remainder over the
+// first domains.
+func TestFailRestoreAndSplit(t *testing.T) {
+	c := NewCluster(Frontier(1), 2)
+	epoch := c.Epoch()
+	if c.RestoreNode(0) || c.Epoch() != epoch {
+		t.Fatal("restoring an up node changed the cluster")
+	}
+	if !c.FailNode(0) || c.FailNode(0) || c.Epoch() != epoch+1 || c.DownNodes() != 1 {
+		t.Fatalf("fail twice: epoch %d, %d down; want one change", c.Epoch(), c.DownNodes())
+	}
+	if got := SplitNodes(10, 3); len(got) != 3 || got[0] != 4 || got[1] != 3 || got[2] != 3 {
+		t.Fatalf("SplitNodes(10, 3) = %v, want [4 3 3]", got)
+	}
+}

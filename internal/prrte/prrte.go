@@ -85,10 +85,10 @@ func NewDVM(name string, params Params, eng *sim.Engine, ctrl *slurm.Controller,
 
 // bootstrapCost draws the DVM daemons' wire-up; the DVM is srun-launched
 // once and holds its slot for its lifetime.
-func (d *DVM) bootstrapCost() (sim.Duration, bool) {
+func (d *DVM) bootstrapCost() sim.Duration {
 	return sim.Seconds(d.rand.LogNormal(
 		d.params.BootstrapMedian+d.params.BootstrapPerLogNode*math.Log2(float64(d.Nodes())+1),
-		d.params.BootstrapSigma)), true
+		d.params.BootstrapSigma))
 }
 
 // Rate returns the effective prun launch rate.

@@ -62,7 +62,8 @@ func (e ScaleEvent) String() string {
 
 // maxReplaceAttempts bounds consecutive failed replica launches before the
 // endpoint declares itself broken (so a dead partition cannot spin the
-// simulation forever).
+// simulation forever). Only a replica that never came up counts: one lost
+// while running proved the partition can host it, and is replaced freely.
 const maxReplaceAttempts = 3
 
 type replState int
@@ -135,14 +136,11 @@ type Endpoint struct {
 	events        []ScaleEvent
 }
 
-// NewEndpoint validates the description and begins deploying the initial
-// replicas through launch.
+// NewEndpoint begins deploying the initial replicas of a valid description
+// (the agent's service manager validates it) through launch.
 func NewEndpoint(sd spec.ServiceDescription, params model.ServiceParams, eng *sim.Engine,
-	prof *profiler.Profiler, stream *rng.Stream, launch LaunchFunc) (*Endpoint, error) {
+	prof *profiler.Profiler, stream *rng.Stream, launch LaunchFunc) *Endpoint {
 
-	if err := sd.Validate(); err != nil {
-		return nil, err
-	}
 	never := sim.Time(-1 << 60)
 	e := &Endpoint{
 		desc:          sd,
@@ -158,7 +156,7 @@ func NewEndpoint(sd spec.ServiceDescription, params model.ServiceParams, eng *si
 	for i := 0; i < sd.Replicas; i++ {
 		e.launchReplica()
 	}
-	return e, nil
+	return e
 }
 
 // Name returns the endpoint name tasks address.
@@ -329,10 +327,12 @@ func (e *Endpoint) replicaDown(rep *replica, failed bool, reason string) {
 		e.removeReplica(rep)
 	}
 	if failed && !e.closed && !e.broken {
-		e.failStreak++
-		if e.failStreak > maxReplaceAttempts {
-			e.breakEndpoint()
-			return
+		if !rep.up {
+			e.failStreak++
+			if e.failStreak > maxReplaceAttempts {
+				e.breakEndpoint()
+				return
+			}
 		}
 		// Keep capacity: replace the lost replica.
 		e.events = append(e.events, ScaleEvent{
@@ -594,16 +594,12 @@ func (e *Endpoint) countAlive() int {
 
 // --- metrics ---
 
-// sample records the replica count, skipping consecutive duplicates. Every
-// replica that comes or goes passes through launchReplica or removeReplica,
-// the only callers; queue depth over time derives from request traces.
+// sample records the replica count. Its only callers are launchReplica and
+// removeReplica, so the count changes by one at every call; queue depth
+// over time derives from request traces.
 func (e *Endpoint) sample() {
-	s := &e.replicaSeries
-	v := float64(e.countAlive())
-	if n := len(s.Points); n > 0 && s.Points[n-1].V == v {
-		return
-	}
-	s.Points = append(s.Points, metrics.Point{T: e.eng.Now(), V: v})
+	e.replicaSeries.Points = append(e.replicaSeries.Points,
+		metrics.Point{T: e.eng.Now(), V: float64(e.countAlive())})
 }
 
 // ReplicaSeries returns the replica-count timeline (the autoscaling

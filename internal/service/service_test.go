@@ -13,7 +13,8 @@ import (
 
 // rig hosts an endpoint over a fake replica launcher: replicas come up
 // after a fixed provisioning delay, with optional injected launch
-// failures, so endpoint logic is tested without the full agent stack.
+// failures, and a test can kill the running ones, so endpoint logic is
+// tested without the full agent stack.
 type rig struct {
 	eng      *sim.Engine
 	prof     *profiler.Profiler
@@ -22,6 +23,15 @@ type rig struct {
 	// failWhen, when set, decides per launch ordinal instead.
 	failFirst int
 	failWhen  func(n int) bool
+	// up holds every replica that came up, in the order it did.
+	up []*rigReplica
+}
+
+// rigReplica is one replica that came up; gone is set once it stopped or
+// was killed.
+type rigReplica struct {
+	down func(failed bool, reason string)
+	gone bool
 }
 
 func (r *rig) launch(uid string, cb ReplicaCallbacks) {
@@ -36,15 +46,30 @@ func (r *rig) launch(uid string, cb ReplicaCallbacks) {
 			cb.Down(true, "injected launch failure")
 			return
 		}
-		stopped := false
+		rep := &rigReplica{down: cb.Down}
+		r.up = append(r.up, rep)
 		cb.Up(func() {
-			if stopped {
+			if rep.gone {
 				return
 			}
-			stopped = true
+			rep.gone = true
 			r.eng.Immediately(func() { cb.Down(false, "") })
 		})
 	})
+}
+
+// killRunning fails every running replica at once, as the loss of the
+// node under all of them would, and returns how many it killed.
+func (r *rig) killRunning() int {
+	n := 0
+	for _, rep := range r.up {
+		if !rep.gone {
+			rep.gone = true
+			rep.down(true, "node failed")
+			n++
+		}
+	}
+	return n
 }
 
 func baseDesc() spec.ServiceDescription {
@@ -61,12 +86,8 @@ func baseDesc() spec.ServiceDescription {
 func newRig(t *testing.T, sd spec.ServiceDescription, seed uint64) (*rig, *Endpoint) {
 	t.Helper()
 	r := &rig{eng: sim.NewEngine(), prof: profiler.New()}
-	ep, err := NewEndpoint(sd, model.Default().Service, r.eng, r.prof,
+	return r, NewEndpoint(sd, model.Default().Service, r.eng, r.prof,
 		rng.New(seed).Stream("service.test"), r.launch)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return r, ep
 }
 
 func TestBatchingRespectsMaxAndWindow(t *testing.T) {
@@ -173,11 +194,8 @@ func TestAutoscaleUpAndDown(t *testing.T) {
 func TestBrokenEndpointFailsQueuedRequests(t *testing.T) {
 	sd := baseDesc()
 	r := &rig{eng: sim.NewEngine(), prof: profiler.New(), failFirst: 1 + maxReplaceAttempts}
-	ep, err := NewEndpoint(sd, model.Default().Service, r.eng, r.prof,
+	ep := NewEndpoint(sd, model.Default().Service, r.eng, r.prof,
 		rng.New(4).Stream("service.test"), r.launch)
-	if err != nil {
-		t.Fatal(err)
-	}
 	failed := 0
 	for i := 0; i < 5; i++ {
 		ep.Submit("", func(_ sim.Time, f bool) {
@@ -241,11 +259,8 @@ func TestReplicaFailureRequeuesBatch(t *testing.T) {
 	sd := baseDesc()
 	sd.Replicas = 2
 	r := &rig{eng: sim.NewEngine(), prof: profiler.New(), failFirst: 1}
-	ep, err := NewEndpoint(sd, model.Default().Service, r.eng, r.prof,
+	ep := NewEndpoint(sd, model.Default().Service, r.eng, r.prof,
 		rng.New(6).Stream("service.test"), r.launch)
-	if err != nil {
-		t.Fatal(err)
-	}
 	done := 0
 	for i := 0; i < 12; i++ {
 		ep.Submit("", func(_ sim.Time, f bool) {
@@ -326,11 +341,8 @@ func TestReadyFiresOnBrokenEndpoint(t *testing.T) {
 	sd := baseDesc()
 	r := &rig{eng: sim.NewEngine(), prof: profiler.New(),
 		failWhen: func(int) bool { return true }}
-	ep, err := NewEndpoint(sd, model.Default().Service, r.eng, r.prof,
+	ep := NewEndpoint(sd, model.Default().Service, r.eng, r.prof,
 		rng.New(11).Stream("service.test"), r.launch)
-	if err != nil {
-		t.Fatal(err)
-	}
 	readyAt := sim.Time(-1)
 	failedCall := false
 	ep.Ready(func() {
@@ -360,11 +372,8 @@ func TestBrokenEndpointReleasesBusyReplica(t *testing.T) {
 	// through a deep queue.
 	r := &rig{eng: sim.NewEngine(), prof: profiler.New(),
 		failWhen: func(n int) bool { return n != 1 }}
-	ep, err := NewEndpoint(sd, model.Default().Service, r.eng, r.prof,
+	ep := NewEndpoint(sd, model.Default().Service, r.eng, r.prof,
 		rng.New(9).Stream("service.test"), r.launch)
-	if err != nil {
-		t.Fatal(err)
-	}
 	served, failed := 0, 0
 	for i := 0; i < 300; i++ {
 		ep.Submit("", func(_ sim.Time, f bool) {
@@ -422,5 +431,127 @@ func TestDeterministicRequestTrace(t *testing.T) {
 		if !reflect.DeepEqual(a[i], b[i]) {
 			t.Fatalf("trace %d differs:\n%+v\n%+v", i, a[i], b[i])
 		}
+	}
+}
+
+// TestLostRunningReplicasAreReplaced: losing running replicas is not a
+// failed launch. One node failure kills all four replicas of an endpoint;
+// each is replaced, the endpoint stays up, and later requests are served.
+func TestLostRunningReplicasAreReplaced(t *testing.T) {
+	sd := baseDesc()
+	sd.Replicas = 4
+	r, ep := newRig(t, sd, 12)
+	r.eng.At(sim.Time(5*sim.Second), func() {
+		if n := r.killRunning(); n != 4 {
+			t.Errorf("killed %d running replicas, want 4", n)
+		}
+	})
+	served, failed := 0, 0
+	r.eng.At(sim.Time(20*sim.Second), func() {
+		for i := 0; i < 8; i++ {
+			ep.Submit("", func(_ sim.Time, f bool) {
+				if f {
+					failed++
+				} else {
+					served++
+				}
+			})
+		}
+	})
+	r.eng.Run()
+	if ep.broken {
+		t.Fatal("endpoint broke after losing running replicas; only failed launches count")
+	}
+	if r.launches != 8 || ep.Replicas() != 4 {
+		t.Fatalf("launches = %d, replicas = %d; want 4 initial + 4 replacements, 4 up", r.launches, ep.Replicas())
+	}
+	if served != 8 || failed != 0 {
+		t.Fatalf("served %d, failed %d after the loss; want 8 and 0", served, failed)
+	}
+}
+
+// TestBrokenEndpointFailsKilledBatch: a replica lost mid-batch after the
+// endpoint broke cannot hand its batch back to a queue no replica will
+// serve, so the batch's requests fail at once.
+func TestBrokenEndpointFailsKilledBatch(t *testing.T) {
+	sd := baseDesc()
+	sd.Replicas = 2
+	r := &rig{eng: sim.NewEngine(), prof: profiler.New(),
+		failWhen: func(n int) bool { return n != 1 }}
+	ep := NewEndpoint(sd, model.Default().Service, r.eng, r.prof,
+		rng.New(13).Stream("service.test"), r.launch)
+	served, failed := 0, 0
+	var lastFail sim.Time
+	for i := 0; i < 300; i++ {
+		ep.Submit("", func(at sim.Time, f bool) {
+			if f {
+				failed++
+				lastFail = at
+			} else {
+				served++
+			}
+		})
+	}
+	// The fourth failed launch breaks the endpoint at 8 s, while replica 1
+	// still works through the queue.
+	kill := sim.Time(8*sim.Second) + 1
+	r.eng.At(kill, func() {
+		if !ep.broken {
+			t.Error("endpoint not broken at the kill")
+		}
+		if n := r.killRunning(); n != 1 {
+			t.Errorf("killed %d replicas, want replica 1", n)
+		}
+	})
+	r.eng.Run()
+	if served+failed != 300 || ep.Replicas() != 0 {
+		t.Fatalf("served %d + failed %d of 300, %d replicas left", served, failed, ep.Replicas())
+	}
+	if lastFail != kill {
+		t.Fatalf("last request failed at %v, want the killed batch at %v", lastFail, kill)
+	}
+}
+
+// TestReplicaLifecycleEdges: Ready on a ready endpoint fires at once, a
+// second Close does nothing, a replica that comes up after Close with
+// nothing queued stops at once, and a broken endpoint stops the replica it
+// is still launching, which then stops as soon as it comes up.
+func TestReplicaLifecycleEdges(t *testing.T) {
+	r, ep := newRig(t, baseDesc(), 14)
+	r.eng.Run()
+	fired := false
+	ep.Ready(func() { fired = true })
+	r.eng.Run()
+	if !fired {
+		t.Fatal("Ready on a ready endpoint never fired")
+	}
+
+	sd := baseDesc()
+	sd.Replicas = 2
+	r, ep = newRig(t, sd, 15)
+	ep.Close()
+	ep.Close()
+	r.eng.Run()
+	if len(r.up) != 2 || ep.Replicas() != 0 {
+		t.Fatalf("closed while starting: %d came up, %d left; want 2 and 0", len(r.up), ep.Replicas())
+	}
+	for i, rep := range r.up {
+		if !rep.gone {
+			t.Fatalf("replica %d stayed up on a closed endpoint", i)
+		}
+	}
+
+	// Launches 1–4 fail: 1 and 2 at 2 s, their replacements 3 and 4 at
+	// 4 s, the last of them breaking the endpoint while 5 is starting.
+	r = &rig{eng: sim.NewEngine(), prof: profiler.New(), failFirst: 4}
+	ep = NewEndpoint(sd, model.Default().Service, r.eng, r.prof,
+		rng.New(16).Stream("service.test"), r.launch)
+	r.eng.Run()
+	if !ep.broken || r.launches != 5 || ep.Replicas() != 0 {
+		t.Fatalf("broken %v, launches %d, replicas %d; want broken, 5 and 0",
+			ep.broken, r.launches, ep.Replicas())
+	}
+	if len(r.up) != 1 || !r.up[0].gone {
+		t.Fatal("the replica launched before the endpoint broke was not stopped when it came up")
 	}
 }

@@ -4,6 +4,7 @@ package spec
 
 import (
 	"fmt"
+	"math"
 	"strings"
 
 	"rpgo/internal/sim"
@@ -371,7 +372,8 @@ type PilotDescription struct {
 	Placement PlacementPolicy
 }
 
-// Validate checks the pilot description.
+// Validate checks the pilot description: every partition group pins a
+// known backend and gets at least one node per instance.
 func (p *PilotDescription) Validate() error {
 	if p.Nodes <= 0 {
 		return fmt.Errorf("spec: pilot %q needs at least one node", p.UID)
@@ -383,18 +385,72 @@ func (p *PilotDescription) Validate() error {
 	}
 	total := 0
 	for i, pc := range p.Partitions {
-		if pc.Instances <= 0 {
+		switch {
+		case pc.Instances <= 0:
 			return fmt.Errorf("spec: pilot %q partition %d has no instances", p.UID, i)
-		}
-		if pc.Backend == BackendAuto {
+		case pc.Backend == BackendAuto:
 			return fmt.Errorf("spec: pilot %q partition %d must pin a backend", p.UID, i)
+		case pc.Backend > BackendPRRTE || pc.Backend < BackendAuto:
+			return fmt.Errorf("spec: pilot %q partition %d names unknown %v", p.UID, i, pc.Backend)
+		case pc.Instances > p.Nodes || pc.NodesPerInstance < 0 || pc.NodesPerInstance > p.Nodes:
+			return fmt.Errorf("spec: pilot %q partition %d asks %d instances of %d nodes from %d nodes",
+				p.UID, i, pc.Instances, pc.NodesPerInstance, p.Nodes)
+		case pc.NodeShare < 0 || math.IsNaN(pc.NodeShare) || math.IsInf(pc.NodeShare, 0):
+			return fmt.Errorf("spec: pilot %q partition %d has NodeShare %v", p.UID, i, pc.NodeShare)
 		}
 		total += pc.Instances * pc.NodesPerInstance
 	}
 	if total > p.Nodes {
 		return fmt.Errorf("spec: pilot %q partitions need %d nodes, allocation has %d", p.UID, total, p.Nodes)
 	}
+	for i, n := range p.GroupNodes() {
+		if n < p.Partitions[i].Instances {
+			return fmt.Errorf("spec: pilot %q partition %d gets %d nodes for %d instances",
+				p.UID, i, n, p.Partitions[i].Instances)
+		}
+	}
 	return nil
+}
+
+// GroupNodes returns how many of the pilot's nodes each partition group
+// gets. A fixed group (NodesPerInstance > 0) takes Instances ×
+// NodesPerInstance; the flexible groups split what is left in proportion
+// to their NodeShare (zero counts as 1), the last one absorbing rounding.
+func (p *PilotDescription) GroupNodes() []int {
+	out := make([]int, len(p.Partitions))
+	free, nFlex := p.Nodes, 0
+	var flexShare float64
+	for i, pc := range p.Partitions {
+		if pc.NodesPerInstance > 0 {
+			out[i] = pc.Instances * pc.NodesPerInstance
+			free -= out[i]
+		} else {
+			flexShare += pc.share()
+			nFlex++
+		}
+	}
+	taken := 0
+	for i, pc := range p.Partitions {
+		if pc.NodesPerInstance > 0 {
+			continue
+		}
+		if nFlex--; nFlex == 0 {
+			out[i] = free - taken
+		} else {
+			out[i] = int(math.Floor(float64(free) * pc.share() / flexShare))
+		}
+		taken += out[i]
+	}
+	return out
+}
+
+// share is the group's weight in the split of the nodes no fixed group
+// takes.
+func (pc PartitionConfig) share() float64 {
+	if pc.NodeShare <= 0 {
+		return 1
+	}
+	return pc.NodeShare
 }
 
 // WriteSeqUID writes prefix and seq zero-padded to six digits to sb, the

@@ -1,6 +1,7 @@
 package spec
 
 import (
+	"math"
 	"testing"
 
 	"rpgo/internal/sim"
@@ -75,6 +76,13 @@ func TestPilotValidation(t *testing.T) {
 		{Nodes: 4, Partitions: []PartitionConfig{{Backend: BackendFlux, Instances: 0}}},
 		{Nodes: 4, Partitions: []PartitionConfig{{Backend: BackendAuto, Instances: 1}}},
 		{Nodes: 4, Partitions: []PartitionConfig{{Backend: BackendFlux, Instances: 2, NodesPerInstance: 3}}},
+		{Nodes: 4, Partitions: []PartitionConfig{{Backend: Backend(7), Instances: 1}}},
+		{Nodes: 4, Partitions: []PartitionConfig{{Backend: BackendFlux, Instances: 5}}},
+		{Nodes: 4, Partitions: []PartitionConfig{{Backend: BackendFlux, Instances: 1, NodesPerInstance: -1}}},
+		{Nodes: 4, Partitions: []PartitionConfig{{Backend: BackendFlux, Instances: 1, NodeShare: math.NaN()}}},
+		// Three nodes shared evenly: the flux group gets one for two instances.
+		{Nodes: 3, Partitions: []PartitionConfig{
+			{Backend: BackendFlux, Instances: 2}, {Backend: BackendDragon, Instances: 1}}},
 	}
 	for i, pd := range bad {
 		if err := pd.Validate(); err == nil {
@@ -116,8 +124,11 @@ func TestServiceDescriptionValidate(t *testing.T) {
 		t.Error("BatchCap/CoresEach defaults")
 	}
 	sd := ServiceDescription{BaseLatency: 100 * sim.Millisecond, PerItemLatency: 10 * sim.Millisecond}
-	if sd.BatchLatency(1) != 100*sim.Millisecond || sd.BatchLatency(5) != 140*sim.Millisecond {
-		t.Errorf("batch latency: %v / %v", sd.BatchLatency(1), sd.BatchLatency(5))
+	if sd.BatchLatency(0) != 0 || sd.BatchLatency(1) != 100*sim.Millisecond || sd.BatchLatency(5) != 140*sim.Millisecond {
+		t.Errorf("batch latency: %v / %v / %v", sd.BatchLatency(0), sd.BatchLatency(1), sd.BatchLatency(5))
+	}
+	if good.CeilReplicas() != 2 {
+		t.Errorf("a fixed-size service's ceiling is %d, want its 2 replicas", good.CeilReplicas())
 	}
 }
 
@@ -162,5 +173,13 @@ func TestStringers(t *testing.T) {
 	}
 	if TaskKind(9).String() == "" || Backend(9).String() == "" || Coupling(9).String() == "" {
 		t.Error("unknown value formatting")
+	}
+	if TierSharedFS.String() != "sharedfs" || TierNodeLocal.String() != "nodelocal" ||
+		TierBurstBuffer.String() != "burstbuffer" || StageTier(9).String() != "StageTier(9)" {
+		t.Error("StageTier strings")
+	}
+	if PlacePack.String() != "pack" || PlaceDataAware.String() != "data-aware" ||
+		PlacementPolicy(9).String() != "PlacementPolicy(9)" {
+		t.Error("PlacementPolicy strings")
 	}
 }
