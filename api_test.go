@@ -22,7 +22,6 @@ var apiAllowlist = map[string]string{
 	"analytics.BlameVec.Total":   "experiments and obs tests check that blame buckets telescope to the span",
 	"launch.Launcher.Backend":    "agent, core and prrte tests check which backend each instance runs",
 	"launch.Launcher.Crashed":    "dragon tests check a crash and a failed bootstrap",
-	"launch.Launcher.Failed":     "dragon tests check that a bootstrap timeout is permanent",
 	"launch.Launcher.Partition":  "dragon, flux, prrte and slurm tests check that every slot is free after a run",
 	"platform.Cluster.Node":      "launch tests fail and restore single nodes",
 	"profiler.Profiler.Requests": "experiments tests compare retained request traces with the fold sink",

@@ -264,7 +264,6 @@ func benchShardedImpeccable(b *testing.B, shards int) {
 	b.ReportMetric(float64(res.Tasks), "tasks")
 	b.ReportMetric(float64(res.Shards), "shards")
 	b.ReportMetric(float64(res.Windows), "windows")
-	b.ReportMetric(float64(res.BarrierStallNs)/1e6, "barrier_stall_ms")
 	b.ReportMetric(res.LookaheadEff, "lookahead_eff")
 }
 

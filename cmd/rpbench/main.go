@@ -3,7 +3,7 @@
 //
 // Usage:
 //
-//	rpbench [-full] [-reps N] [-seed S] [-parallel N] [-shards N] [-serve ADDR]
+//	rpbench [-full] [-reps N] [-seed S] [-parallel N] [-serve ADDR]
 //	        [-only table1|fig4|fig5|fig6|fig7|fig8|claims|telemetry|blame|sharded]
 //
 // Without -only it runs the complete suite. -full includes the 1024-node
@@ -11,12 +11,10 @@
 // 256- and 1024-node campaign configurations. -parallel runs independent
 // experiment cells on N workers; output is identical to the serial run
 // (cells derive their seeds from grid position, results are folded in
-// cell order). The sharded artifact runs one multi-pilot campaign at 1, 2,
-// 4, … worker shards, up to the -shards bound (default: the core count,
-// at most 16), and prints the wall-clock speedup scorecard — the simulated
-// result is identical at every shard count, so only wall time moves.
-// Campaigns elsewhere default to one shard, which measured faster on a
-// 2-core host (DESIGN.md §8); the sweep checks that on the host at hand.
+// cell order). The sharded artifact runs one 16-pilot campaign at 1, 2,
+// 4, 8 and 16 shard engines and prints the wall-clock speedup scorecard.
+// The engines run in turn on one goroutine and the simulated result is
+// identical at every shard count, so only wall time moves (DESIGN.md §8).
 // -serve exposes /metrics (Prometheus text exposition), /healthz and
 // /progress over HTTP for the life of the process; the sharded artifact
 // feeds it live.
@@ -26,7 +24,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 	"strings"
 	"time"
 
@@ -39,7 +36,6 @@ func main() {
 	reps := flag.Int("reps", 3, "repetitions per throughput cell")
 	seed := flag.Uint64("seed", 20250916, "base RNG seed")
 	parallel := flag.Int("parallel", 1, "worker count for independent experiment cells")
-	shards := flag.Int("shards", min(runtime.NumCPU(), 16), "upper bound of the shard-count sweep in the sharded-engine scorecard")
 	serve := flag.String("serve", "", "serve /metrics, /healthz and /progress on this address (e.g. :9464) while the sharded artifact runs")
 	only := flag.String("only", "", "run a single artifact: table1, fig4, fig5, fig6, fig7, fig8, claims, telemetry, blame, sharded")
 	flag.Parse()
@@ -71,7 +67,7 @@ func main() {
 		{"claims", func() string { return experiments.ReportClaims(sc) }},
 		{"telemetry", func() string { return experiments.ReportTelemetry(sc) }},
 		{"blame", func() string { return experiments.ReportBlame(sc) }},
-		{"sharded", func() string { return reportSharded(*shards, sc.Seed, mon) }},
+		{"sharded", func() string { return reportSharded(sc.Seed, mon) }},
 	}
 
 	ran := 0
@@ -94,18 +90,18 @@ func main() {
 
 // reportSharded renders the speedup-vs-shards scorecard for the 65536-node
 // multi-pilot campaign.
-func reportSharded(maxShards int, seed uint64, mon *obs.Monitor) string {
+func reportSharded(seed uint64, mon *obs.Monitor) string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "Sharded engine scorecard — 16 pilots × 4096 nodes, IMPECCABLE/Flux (seed %d)\n\n", seed)
-	fmt.Fprintf(&sb, "%8s %12s %10s %10s %10s %12s %10s\n",
-		"shards", "wall", "speedup", "tasks", "windows", "stall", "la_eff")
-	for _, row := range experiments.ReportSharded(65536, 16, maxShards, seed, 0, mon) {
-		fmt.Fprintf(&sb, "%8d %12s %9.2fx %10d %10d %12s %10.2f\n",
+	fmt.Fprintf(&sb, "%8s %12s %10s %10s %10s %10s\n",
+		"shards", "wall", "speedup", "tasks", "windows", "la_eff")
+	for _, row := range experiments.ReportSharded(65536, 16, seed, 0, mon) {
+		fmt.Fprintf(&sb, "%8d %12s %9.2fx %10d %10d %10.2f\n",
 			row.Shards, row.Wall.Round(time.Millisecond), row.Speedup, row.Tasks, row.Windows,
-			row.Stall.Round(time.Millisecond), row.Efficiency)
+			row.Efficiency)
 	}
 	sb.WriteString("\nSimulated traces are identical at every shard count; only wall time moves.\n")
-	sb.WriteString("stall = summed wall-clock barrier wait; la_eff = measured sim-time advanced\n")
-	sb.WriteString("per barrier over the lookahead window (>=1; higher is better).")
+	sb.WriteString("la_eff = measured sim-time advanced per window over the lookahead\n")
+	sb.WriteString("(>=1; higher is better).")
 	return sb.String()
 }

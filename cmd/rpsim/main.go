@@ -14,15 +14,16 @@
 // Experiments: srun, flux_1, flux_n, dragon, flux_dragon, impeccable.
 //
 // The impeccable experiment runs the paper's Fig 8 campaign on a sharded
-// session (-pilots pilots sharing -nodes nodes, -shards engine workers) and
-// prints the per-shard window-telemetry table. -shards defaults to 1, which
-// measured faster than 2 on a 2-core host (DESIGN.md §8); more shards
+// session (-pilots pilots sharing -nodes nodes, dealt over -shards engines
+// that run in turn) and prints the per-shard window-telemetry table.
+// -shards defaults to 1 (DESIGN.md §8 has the measurement); more shards
 // change only wall time, never the simulated result. -serve exposes /metrics
 // (Prometheus text exposition), /healthz and /progress over HTTP while the
 // campaign runs, and keeps serving after it completes — poll /progress for
 // "percent":100, scrape /metrics, then interrupt the process. -trace spills
-// every completed trace plus one shard record per engine worker as JSON
-// lines for cmd/rptrace.
+// every completed trace plus one shard record per shard engine as JSON
+// lines for cmd/rptrace; for a given seed, layout and -shards the records
+// come in a fixed order.
 package main
 
 import (
@@ -47,7 +48,7 @@ func main() {
 	reps := flag.Int("reps", 3, "repetitions")
 	seed := flag.Uint64("seed", 1, "RNG seed")
 	pilots := flag.Int("pilots", 1, "pilot count (impeccable)")
-	shards := flag.Int("shards", 1, "sharded-engine worker count; output is the same at any count (impeccable)")
+	shards := flag.Int("shards", 1, "shard engine count; output is the same at any count (impeccable)")
 	iters := flag.Int("iters", 0, "cap campaign pipeline iterations, 0 = full (impeccable)")
 	serve := flag.String("serve", "", "serve /metrics, /healthz and /progress on this address (impeccable)")
 	traceOut := flag.String("trace", "", "write a JSONL trace spill, shard records included (impeccable)")
@@ -128,9 +129,9 @@ func runImpeccable(nodes, pilots, shards, iters int, seed uint64, serve, traceOu
 		fmt.Printf("rpsim: monitoring on http://%s/metrics\n", addr)
 	}
 
-	// With -trace, every domain tees into one shared spill (the JSONL sink
-	// serializes concurrent writers) while the profilers still retain
-	// traces so the summary below has data.
+	// With -trace, every domain tees into one shared spill (the domains
+	// run in turn, so the record order is fixed) while the profilers still
+	// retain traces so the summary below has data.
 	var spill *obs.JSONL
 	var sink func(domain int) profiler.TraceSink
 	if traceOut != "" {

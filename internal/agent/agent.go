@@ -145,6 +145,9 @@ type executorGroup struct {
 	submitter *sim.Server[*Task]
 	pending   []*Task // held until at least one launcher is ready
 	anyReady  bool
+	// lost marks that every instance failed its startup for good: no
+	// instance will ever take a task, so tasks routed here fail.
+	lost bool
 }
 
 // New creates an agent over the allocation for a valid description (the
@@ -418,6 +421,10 @@ func (a *Agent) dispatch(g *executorGroup, t *Task) {
 		a.finish(t, states.TaskFailed, "pilot is draining")
 		return
 	}
+	if g.lost {
+		a.finish(t, states.TaskFailed, fmt.Sprintf("every %s instance failed to start", g.backend))
+		return
+	}
 	if !g.anyReady {
 		g.pending = append(g.pending, t)
 		return
@@ -466,10 +473,11 @@ func (a *Agent) forward(g *executorGroup, t *Task) {
 	if idx < 0 {
 		// Under fault injection, "no live instance" is transient: a
 		// crashed backend restarts after its downtime and flushes the
-		// group's pending list. Park the task unless it fits no partition
-		// at all (permanent). Without an injector nothing would restart
-		// an instance, so the legacy immediate-failure path stands.
-		if a.elastic && !a.draining {
+		// group's pending list. Park the task unless the group is lost or
+		// the task fits no partition at all (both permanent). Without an
+		// injector nothing would restart an instance, so the legacy
+		// immediate-failure path stands.
+		if a.elastic && !a.draining && !g.lost {
 			for _, l := range g.launchers {
 				if t.TD.Nodes <= l.Nodes() {
 					g.pending = append(g.pending, t)
@@ -662,9 +670,23 @@ func (a *Agent) launcherReady(g *executorGroup) {
 
 // instanceDown marks an instance dead after a backend exception; its tasks
 // come back through OnComplete(failed) and get retried on live instances.
+// Once every instance of the group has failed its startup, which no
+// restart undoes, the tasks parked for the group go back through dispatch
+// and fail there.
 func (a *Agent) instanceDown(g *executorGroup, idx int) {
 	if idx < len(g.alive) {
 		g.alive[idx] = false
+	}
+	for _, l := range g.launchers {
+		if !l.Failed() {
+			return
+		}
+	}
+	g.lost = true
+	pend := g.pending
+	g.pending = nil
+	for _, t := range pend {
+		a.dispatch(g, t)
 	}
 }
 

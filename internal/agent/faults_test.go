@@ -471,3 +471,49 @@ func TestCrashInLaunchPipeline(t *testing.T) {
 		})
 	}
 }
+
+// TestRestartAtCrashInstantDropsPipelineRequest: a 1-node Flux instance
+// crashes while the task it placed is in its job shell and restarts at the
+// same instant. The request was placed under the boot that crashed, so at
+// exec it is dropped with "<instance> down" and retried, and the task
+// starts only once the restarted instance is up.
+func TestRestartAtCrashInstantDropsPipelineRequest(t *testing.T) {
+	r := newRig(t, spec.PilotDescription{
+		Nodes:      1,
+		Partitions: []spec.PartitionConfig{{Backend: spec.BackendFlux, Instances: 1}},
+	})
+	r.agent.EnableElasticity()
+	r.eng.RunUntil(sim.Time(60 * sim.Second)) // agent and instance up
+	l := r.agent.Launchers()[0]
+	node := l.Partition().Nodes[0]
+	slots := node.FreeCPU()
+	tk := r.task(&spec.TaskDescription{
+		Kind: spec.Executable, CoresPerRank: 1, Ranks: 1, Duration: 10 * sim.Second, MaxRetries: 1,
+	}, "p")
+	var final *Task
+	r.agent.Submit(tk, func(ft *Task) { final = ft })
+	for node.FreeCPU() == slots {
+		r.eng.RunUntil(r.eng.Now() + 1)
+	}
+	if !r.agent.CrashInstance(0, "injected crash") || !r.agent.RestartInstance(0) {
+		t.Fatal("the instance refused the crash or the restart")
+	}
+	var up sim.Time = -1
+	l.Ready(func() { up = r.eng.Now() })
+	r.eng.Run()
+	if final == nil || final.State != states.TaskDone || tk.Trace.Retries != 1 {
+		t.Fatalf("final %v, retries %d; want DONE after one retry", final, tk.Trace.Retries)
+	}
+	var reasons []string
+	for _, e := range tk.Trace.Edges {
+		if e.Kind == profiler.EdgeFailure {
+			reasons = append(reasons, e.Ref)
+		}
+	}
+	if want := []string{l.Name() + " down"}; !reflect.DeepEqual(reasons, want) {
+		t.Fatalf("failure edges %q, want %q", reasons, want)
+	}
+	if up < 0 || tk.Trace.Start < up {
+		t.Fatalf("task started at %v, instance up at %v", tk.Trace.Start, up)
+	}
+}

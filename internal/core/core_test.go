@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"rpgo/internal/agent"
 	"rpgo/internal/core"
 	"rpgo/internal/model"
 	"rpgo/internal/sim"
@@ -356,5 +357,67 @@ func TestWaitReportsTasksThatNeverFinish(t *testing.T) {
 	tm.Submit(workload.Null(3))
 	if err := tm.Wait(); err == nil || err.Error() != "core: 3 of 3 tasks never finished" {
 		t.Fatalf("Wait: %v, want 3 of 3 tasks never finished", err)
+	}
+}
+
+// lostDragonPilot returns a task manager of a 1-node Dragon pilot whose
+// startup timeout is timeout seconds.
+func lostDragonPilot(t *testing.T, seed uint64, timeout float64, fp model.FaultParams) (*core.TaskManager, *core.Pilot) {
+	t.Helper()
+	params := model.Default()
+	params.Dragon.StartupTimeout = timeout
+	params.Fault = fp
+	sess := core.NewSession(core.Config{Seed: seed, Params: &params})
+	pilot, err := sess.SubmitPilot(spec.PilotDescription{Nodes: 1,
+		Partitions: []spec.PartitionConfig{{Backend: spec.BackendDragon, Instances: 1}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sess.TaskManager(pilot), pilot
+}
+
+// checkLostGroupFailed waits for the tasks and wants every one FAILED with
+// a reason naming the Dragon group.
+func checkLostGroupFailed(t *testing.T, tm *core.TaskManager, tasks []*agent.Task) {
+	t.Helper()
+	if err := tm.Wait(); err != nil {
+		t.Fatalf("Wait: %v", err)
+	}
+	for _, tk := range tasks {
+		if tk.State != states.TaskFailed || tk.Reason != "every dragon instance failed to start" {
+			t.Errorf("task %s ended %v (%q), want FAILED naming dragon", tk.TD.UID, tk.State, tk.Reason)
+		}
+	}
+}
+
+// TestGroupLostAtStartupFailsItsTasks: a Dragon instance that fails its
+// startup timeout never comes back, so the tasks parked for its group fail
+// instead of stranding, and so does a task routed to it later.
+func TestGroupLostAtStartupFailsItsTasks(t *testing.T) {
+	tm, pilot := lostDragonPilot(t, 1, 1e-3, model.FaultParams{})
+	checkLostGroupFailed(t, tm, tm.Submit(workload.Null(4)))
+	if !pilot.Agent.Launchers()[0].Failed() {
+		t.Fatal("the instance came up within 1 ms")
+	}
+	checkLostGroupFailed(t, tm, tm.Submit(workload.Null(1)))
+}
+
+// TestGroupLostOnRestartFailsItsTasks: under a fault injector the Dragon
+// instance comes up, crashes, and its restart misses the 9-s startup
+// timeout (seed 3 draws an 8.5-s first boot). The retried tasks parked for
+// the restart fail once the restart fails for good.
+func TestGroupLostOnRestartFailsItsTasks(t *testing.T) {
+	tm, pilot := lostDragonPilot(t, 3, 9, model.FaultParams{BackendMTBF: 30, BackendDowntime: 5, Horizon: 200})
+	tds := make([]*spec.TaskDescription, 4)
+	for i := range tds {
+		tds[i] = &spec.TaskDescription{
+			Kind: spec.Function, CoresPerRank: 1, Ranks: 1, Duration: 60 * sim.Second, MaxRetries: 3,
+		}
+	}
+	checkLostGroupFailed(t, tm, tm.Submit(tds))
+	l := pilot.Agent.Launchers()[0]
+	if l.BootstrapOverhead() == 0 || pilot.Faults.Stats().BackendRestarts == 0 || !l.Failed() {
+		t.Fatalf("boot %v, %d restarts, failed %v; want a boot, a restart and a failure",
+			l.BootstrapOverhead(), pilot.Faults.Stats().BackendRestarts, l.Failed())
 	}
 }

@@ -58,8 +58,8 @@ type ShardedConfig struct {
 	// domains. Domains=1 colocates everything — equivalent to a plain
 	// Session. Values <1 are treated as 1.
 	Domains int
-	// Shards is the worker count handed to the sharded engine (clamped to
-	// [1, Domains]).
+	// Shards is the engine count the sharded engine deals the domains
+	// over (clamped to [1, Domains]); it never changes the traces.
 	Shards int
 	// Sink, when set, builds the trace sink for each domain (it may
 	// return nil for domains that need none). Task finals fire on the
@@ -67,9 +67,8 @@ type ShardedConfig struct {
 	// of colocated pilots.
 	Sink func(domain int) profiler.TraceSink
 	// Profile, when set, is the wall-clock self-profiler shared by every
-	// domain AND the sharded coordinator (window dispatch, exchange and
-	// barrier-stall samples). It is concurrency-safe by construction, so
-	// one instance serves all shards.
+	// domain and the sharded engine's window loop (window dispatch and
+	// exchange samples).
 	Profile *obs.SelfProfiler
 }
 
@@ -213,7 +212,6 @@ func (ss *ShardedSession) snapshot(includeBlame bool) *obs.Snapshot {
 	snap.Put("sharded.partitions", float64(ss.Eng.Partitions()))
 	snap.Put("sharded.sim_advanced_us", float64(ss.Eng.SimAdvanced()))
 	snap.Put("sharded.lookahead_us", float64(ss.Eng.Lookahead()))
-	snap.Put("sharded.barrier_stall_ns", float64(ss.Eng.BarrierStallNs()))
 	snap.Put("sharded.exchange_ns", float64(ss.Eng.ExchangeNs()))
 	eff := ss.Eng.LookaheadEfficiency()
 	snap.PutGauge("sharded.lookahead_efficiency", eff, eff)
@@ -223,13 +221,8 @@ func (ss *ShardedSession) snapshot(includeBlame bool) *obs.Snapshot {
 		snap.Put(p+"windows_busy", float64(st.Busy))
 		snap.Put(p+"windows_skipped", float64(st.Skipped))
 		snap.Put(p+"busy_ns", float64(st.BusyNs))
-		snap.Put(p+"barrier_stall_ns", float64(st.StallNs))
 		snap.Put(p+"xmsgs_sent", float64(st.Sent))
 		snap.Put(p+"xmsgs_recv", float64(st.Recv))
-		if tot := st.BusyNs + st.StallNs; tot > 0 {
-			occ := float64(st.BusyNs) / float64(tot)
-			snap.PutGauge(p+"occupancy", occ, occ)
-		}
 	}
 	for d, n := range ss.Eng.CrossByDst() {
 		if n > 0 {

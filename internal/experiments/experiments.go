@@ -319,7 +319,7 @@ type ImpeccableConfig struct {
 	// domain, which makes the run a plain one-engine session; Pilots≥2
 	// places each pilot in a partition domain of its own.
 	Pilots int
-	// Shards is the sharded engine's worker count (clamped to [1, domains]).
+	// Shards is the shard engine count (clamped to [1, domains]).
 	Shards  int
 	Backend spec.Backend // BackendSrun or BackendFlux
 	Seed    uint64
@@ -333,7 +333,7 @@ type ImpeccableConfig struct {
 	// fields stay zero — read the sink's folds instead.
 	Sink func(domain int) profiler.TraceSink
 	// Profile, when set, self-profiles the run's wall-clock phases
-	// (dispatch, sink folds, placement, and the window barrier when there
+	// (dispatch, sink folds, placement, and the window exchange when there
 	// are several domains); nil leaves every hook unset.
 	Profile *obs.SelfProfiler
 	// Monitor, when set, is attached to the engine's heartbeat, fed the
@@ -366,12 +366,10 @@ type ImpeccableResult struct {
 	Windows     uint64
 	CrossEvents uint64
 	Shards      int
-	// BarrierStallNs is total wall-clock time shards spent waiting at
-	// window barriers; LookaheadEff is the measured sim-time advanced per
-	// barrier relative to the lookahead (≥1; higher = fewer barriers per
-	// unit of simulated time).
-	BarrierStallNs int64
-	LookaheadEff   float64
+	// LookaheadEff is the measured sim-time advanced per window relative
+	// to the lookahead (≥1; higher = fewer windows per unit of simulated
+	// time).
+	LookaheadEff float64
 	// ShardStats are the final per-shard window/traffic counters.
 	ShardStats []obs.ShardRecord
 }
@@ -433,9 +431,8 @@ func RunImpeccable(cfg ImpeccableConfig) ImpeccableResult {
 		camps[i] = camp
 	}
 	if cfg.Monitor != nil {
-		// The heartbeat fires when every domain is quiescent (after a
-		// window barrier, or inside the only domain's event loop), so
-		// summing live task-manager counters here is safe.
+		// The heartbeat fires between windows, or inside the only domain's
+		// event loop, so the task-manager counters it sums are current.
 		cfg.Monitor.SetProgress(func() (int, int) {
 			done, total := 0, 0
 			for _, tm := range tms {
@@ -456,20 +453,19 @@ func RunImpeccable(cfg ImpeccableConfig) ImpeccableResult {
 	start, end := execWindow(tasks)
 	rate := metrics.RateSeries(tasks, 30*sim.Second, 0)
 	res := ImpeccableResult{
-		Tasks:          len(tasks),
-		Makespan:       metrics.Makespan(tasks),
-		Traces:         tasks,
-		CPUUtil:        metrics.Utilization(tasks, cfg.Nodes*CoresPerNode, start, end),
-		GPUUtil:        metrics.UtilizationGPU(tasks, cfg.Nodes*8, start, end),
-		Concurrency:    metrics.ConcurrencySeries(tasks, 400),
-		StartRate:      metrics.Downsample(rate, 400),
-		MeanStartRate:  rate.Mean(),
-		Windows:        ss.Eng.Windows(),
-		CrossEvents:    ss.Eng.CrossEvents(),
-		Shards:         ss.Eng.Shards(),
-		BarrierStallNs: ss.Eng.BarrierStallNs(),
-		LookaheadEff:   ss.Eng.LookaheadEfficiency(),
-		ShardStats:     obs.ShardRecords(ss.Eng),
+		Tasks:         len(tasks),
+		Makespan:      metrics.Makespan(tasks),
+		Traces:        tasks,
+		CPUUtil:       metrics.Utilization(tasks, cfg.Nodes*CoresPerNode, start, end),
+		GPUUtil:       metrics.UtilizationGPU(tasks, cfg.Nodes*8, start, end),
+		Concurrency:   metrics.ConcurrencySeries(tasks, 400),
+		StartRate:     metrics.Downsample(rate, 400),
+		MeanStartRate: rate.Mean(),
+		Windows:       ss.Eng.Windows(),
+		CrossEvents:   ss.Eng.CrossEvents(),
+		Shards:        ss.Eng.Shards(),
+		LookaheadEff:  ss.Eng.LookaheadEfficiency(),
+		ShardStats:    obs.ShardRecords(ss.Eng),
 	}
 	res.PeakConcurrency = res.Concurrency.Max()
 	for _, camp := range camps {

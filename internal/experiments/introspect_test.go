@@ -156,9 +156,8 @@ func TestGoldenFig8WithInstrumentation(t *testing.T) {
 }
 
 // TestShardedTelemetryNonZero is the acceptance check: a shards≥2 campaign
-// must measure non-zero per-shard event counts, non-zero barrier stall,
-// and a ≥1 lookahead efficiency, and the merged snapshot must expose them
-// through the exposition writer.
+// must measure non-zero per-shard event counts and a ≥1 lookahead
+// efficiency, and report exchange samples to the self-profiler.
 func TestShardedTelemetryNonZero(t *testing.T) {
 	prof := obs.NewSelfProfiler()
 	res := RunImpeccable(ImpeccableConfig{
@@ -173,9 +172,6 @@ func TestShardedTelemetryNonZero(t *testing.T) {
 	if res.Tasks == 0 {
 		t.Fatal("no tasks ran")
 	}
-	if res.BarrierStallNs <= 0 {
-		t.Error("parallel windows measured no barrier stall")
-	}
 	if res.LookaheadEff < 1 {
 		t.Errorf("lookahead efficiency %g < 1", res.LookaheadEff)
 	}
@@ -188,9 +184,6 @@ func TestShardedTelemetryNonZero(t *testing.T) {
 	}
 	if events == 0 {
 		t.Error("per-shard event counts are all zero")
-	}
-	if prof.Samples(sim.PhaseBarrier) == 0 {
-		t.Error("no barrier-stall phase samples despite parallel shards")
 	}
 	if prof.Samples(sim.PhaseExchange) == 0 {
 		t.Error("no exchange phase samples")
@@ -251,9 +244,10 @@ func TestShardedSnapshotExposition(t *testing.T) {
 }
 
 // TestReportShardedMeasuredColumns: the speedup scorecard must carry the
-// MEASURED stall and efficiency columns, not structural placeholders.
+// MEASURED efficiency column, not a structural placeholder, and sweep up
+// to one shard per pilot domain.
 func TestReportShardedMeasuredColumns(t *testing.T) {
-	rows := ReportSharded(64, 2, 2, 11, 1, nil)
+	rows := ReportSharded(64, 2, 11, 1, nil)
 	if len(rows) != 2 {
 		t.Fatalf("got %d rows, want 2 (shards 1 and 2)", len(rows))
 	}
@@ -267,11 +261,5 @@ func TestReportShardedMeasuredColumns(t *testing.T) {
 	}
 	if rows[0].Shards != 1 || rows[1].Shards != 2 {
 		t.Errorf("unexpected shard progression: %+v", rows)
-	}
-	if rows[0].Stall != 0 {
-		t.Errorf("inline shards=1 run reports %v barrier stall", rows[0].Stall)
-	}
-	if rows[1].Stall <= 0 {
-		t.Errorf("shards=2 run measured no barrier stall")
 	}
 }

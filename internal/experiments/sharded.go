@@ -26,7 +26,7 @@ type ShardedThroughputConfig struct {
 	// Pilots is at least 1; two or more partition the run as in
 	// RunImpeccable.
 	Pilots int
-	// Shards is the sharded-engine worker count.
+	// Shards is the shard engine count.
 	Shards int
 	// Tasks is the total task count, split over the pilots.
 	Tasks int
@@ -146,25 +146,20 @@ type ShardSpeedup struct {
 	Speedup float64
 	Tasks   int
 	Windows uint64
-	// Stall is the total wall-clock barrier wait summed over shards;
 	// Efficiency is the measured lookahead efficiency of the run.
-	Stall      time.Duration
 	Efficiency float64
 }
 
-// ReportSharded runs the multi-pilot campaign at 1, 2, 4, … shards up to
-// maxShards and reports real wall-clock speedup relative to the 1-shard
-// run. The simulated traces are identical at every shard count, so the
-// rows differ only in wall time (and in the measured barrier-stall and
-// lookahead-efficiency columns). A non-nil mon is attached to every run so
-// a scraper watching /metrics sees each shard count in turn.
-func ReportSharded(nodes, pilots, maxShards int, seed uint64, maxIters int, mon *obs.Monitor) []ShardSpeedup {
-	if maxShards < 1 {
-		maxShards = 1
-	}
+// ReportSharded runs the multi-pilot campaign at 1, 2, 4, … shard engines,
+// up to one per pilot domain, and reports wall-clock speedup relative to
+// the 1-shard run. The simulated traces are identical at every shard
+// count, so the rows differ only in wall time. A non-nil mon is attached
+// to every run so a scraper watching /metrics sees each shard count in
+// turn.
+func ReportSharded(nodes, pilots int, seed uint64, maxIters int, mon *obs.Monitor) []ShardSpeedup {
 	var rows []ShardSpeedup
 	base := time.Duration(0)
-	for s := 1; s <= maxShards; s *= 2 {
+	for s := 1; s <= pilots; s *= 2 {
 		t0 := time.Now()
 		res := RunImpeccable(ImpeccableConfig{
 			Nodes:    nodes,
@@ -181,7 +176,6 @@ func ReportSharded(nodes, pilots, maxShards int, seed uint64, maxIters int, mon 
 		}
 		row := ShardSpeedup{
 			Shards: res.Shards, Wall: wall, Tasks: res.Tasks, Windows: res.Windows,
-			Stall:      time.Duration(res.BarrierStallNs),
 			Efficiency: res.LookaheadEff,
 		}
 		if wall > 0 {

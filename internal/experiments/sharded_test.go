@@ -1,9 +1,12 @@
 package experiments
 
 import (
+	"bytes"
 	"testing"
 
 	"rpgo/internal/analytics"
+	"rpgo/internal/obs"
+	"rpgo/internal/profiler"
 	"rpgo/internal/spec"
 )
 
@@ -102,15 +105,55 @@ func TestShardedThroughputWaves(t *testing.T) {
 	}
 }
 
-// TestShardedDefaults: rpbench -shards 0 still prints the one-shard row,
-// and a zero Wave takes its 16,384-task default (with no wave nothing
+// TestShardedDefaults: a one-pilot scorecard sweeps only the one-shard
+// row, and a zero Wave takes its 16,384-task default (with no wave nothing
 // would ever be submitted).
 func TestShardedDefaults(t *testing.T) {
-	if rows := ReportSharded(16, 2, 0, 5, 1, nil); len(rows) != 1 || rows[0].Shards != 1 {
-		t.Fatalf("ReportSharded with maxShards 0: %+v, want one 1-shard row", rows)
+	if rows := ReportSharded(16, 1, 5, 1, nil); len(rows) != 1 || rows[0].Shards != 1 {
+		t.Fatalf("ReportSharded of one pilot: %+v, want one 1-shard row", rows)
 	}
 	res := RunShardedThroughput(ShardedThroughputConfig{Nodes: 4, Pilots: 1, Tasks: 20000, Seed: 5})
 	if res.Tasks != 20000 || res.Failed != 0 {
 		t.Fatalf("default wave: folded %d tasks, %d failed; want 20000 and 0", res.Tasks, res.Failed)
+	}
+}
+
+// TestSharedSpillRecordOrderFixed: the domains of a sharded session run in
+// turn, so a spill every domain of a 4-pilot, 4-shard campaign shares gets
+// its task and transfer records in the same order on every run. Shard
+// records carry wall-clock busy_ns, so the comparison skips them.
+func TestSharedSpillRecordOrderFixed(t *testing.T) {
+	run := func() (records []byte, n int) {
+		var buf bytes.Buffer
+		spill := obs.NewJSONL(&buf)
+		res := RunImpeccable(ImpeccableConfig{
+			Nodes:   256,
+			Pilots:  4,
+			Shards:  4,
+			Backend: spec.BackendFlux,
+			Seed:    7,
+			Sink:    func(int) profiler.TraceSink { return spill },
+		})
+		for _, rec := range res.ShardStats {
+			spill.WriteShard(rec)
+		}
+		if err := spill.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		for _, line := range bytes.SplitAfter(buf.Bytes(), []byte("\n")) {
+			if len(line) > 0 && !bytes.HasPrefix(line, []byte(`{"shard":`)) {
+				records = append(records, line...)
+				n++
+			}
+		}
+		return records, n
+	}
+	a, n := run()
+	if n == 0 {
+		t.Fatal("the spill holds no task or transfer record")
+	}
+	b, _ := run()
+	if !bytes.Equal(a, b) {
+		t.Fatalf("two runs spilled their %d records in different orders", n)
 	}
 }

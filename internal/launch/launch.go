@@ -79,6 +79,10 @@ type Request struct {
 	// capacity at least once — the difference between plain FIFO queueing
 	// and placement starvation in the blame taxonomy.
 	Denied bool
+	// gen is the boot generation of the launcher that placed the request
+	// (Launcher.Next stamps it), so a request placed before a crash stays
+	// dropped after a restart.
+	gen int32
 	// Pl is the placement the placer claimed for the request. The agent's
 	// data movers and fault-aware bodies read its nodes to direct
 	// node-local staging and straggler stretch.

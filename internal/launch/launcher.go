@@ -79,9 +79,9 @@ type Launcher struct {
 	timeout     sim.Timer
 	// gen is the boot generation. Crash bumps it, so every continuation of
 	// an earlier boot attempt (its srun grant, ready event and startup
-	// timeout) is recognised as stale and cannot act on a restarted
-	// instance.
-	gen     int
+	// timeout) and every request placed under one is recognised as stale
+	// and cannot act on a restarted instance.
+	gen     int32
 	crashed bool
 	failed  bool
 	drained bool
@@ -274,15 +274,16 @@ func (l *Launcher) Next(backfill int) *Request {
 	r := l.plc.PopNext(l.eng.Now(), &l.queue, backfill)
 	if r != nil {
 		l.placed++
+		r.gen = l.gen
 	}
 	return r
 }
 
 // Dropped reports whether the instance crashed while r was in its launch
-// pipeline; if so, r's slots are released and r failed. Pipeline stages
-// check it before drawing further costs.
+// pipeline, restarted since or not; if so, r's slots are released and r
+// failed. Pipeline stages check it before drawing further costs.
 func (l *Launcher) Dropped(r *Request) bool {
-	if !l.crashed {
+	if r.gen == l.gen {
 		return false
 	}
 	l.placed--

@@ -28,9 +28,9 @@ func introspectSnapshot() *Snapshot {
 	s.Put("sim.events", 12345)
 	s.Put("shard0.events", 70)
 	s.Put("shard1.events", 55)
-	s.Put("shard10.barrier_stall_ns", 9e6)
+	s.Put("shard10.busy_ns", 9e6)
 	s.Put("sharded.xmsgs_to.d01", 17)
-	s.PutGauge("shard0.occupancy", 0.75, 0.9)
+	s.PutGauge("shard0.load", 0.75, 0.9)
 	s.PutGauge("launch.queue_depth", 3, 11)
 	return s
 }
@@ -92,9 +92,9 @@ func TestExpositionDeterministic(t *testing.T) {
 	for _, want := range []string{
 		`rp_shard_events_total{shard="0"} 70`,
 		`rp_shard_events_total{shard="1"} 55`,
-		`rp_shard_barrier_stall_ns_total{shard="10"} 9e+06`,
+		`rp_shard_busy_ns_total{shard="10"} 9e+06`,
 		`rp_sim_events_total 12345`,
-		`rp_shard_occupancy{shard="0",stat="last"} 0.75`,
+		`rp_shard_load{shard="0",stat="last"} 0.75`,
 	} {
 		if !strings.Contains(a, want) {
 			t.Errorf("exposition missing %q:\n%s", want, a)
@@ -115,14 +115,14 @@ func TestExpositionRoundTrip(t *testing.T) {
 		got[sampleKey(smp)] = smp.Value
 	}
 	checks := map[string]float64{
-		`rp_sim_events_total`:                         12345,
-		`rp_shard_events_total{shard="0"}`:            70,
-		`rp_shard_events_total{shard="1"}`:            55,
-		`rp_shard_barrier_stall_ns_total{shard="10"}`: 9e6,
-		`rp_sharded_xmsgs_to_d01_total`:               17,
-		`rp_shard_occupancy{shard="0",stat="last"}`:   0.75,
-		`rp_shard_occupancy{shard="0",stat="max"}`:    0.9,
-		`rp_launch_queue_depth{stat="max"}`:           11,
+		`rp_sim_events_total`:                  12345,
+		`rp_shard_events_total{shard="0"}`:     70,
+		`rp_shard_events_total{shard="1"}`:     55,
+		`rp_shard_busy_ns_total{shard="10"}`:   9e6,
+		`rp_sharded_xmsgs_to_d01_total`:        17,
+		`rp_shard_load{shard="0",stat="last"}`: 0.75,
+		`rp_shard_load{shard="0",stat="max"}`:  0.9,
+		`rp_launch_queue_depth{stat="max"}`:    11,
 	}
 	for key, want := range checks {
 		v, ok := got[key]
@@ -188,7 +188,7 @@ func TestSelfProfiler(t *testing.T) {
 			for i := 0; i < 1000; i++ {
 				p.Observe(sim.PhaseDispatch, int64(i))
 			}
-			p.Observe(sim.PhaseBarrier, int64(100+w))
+			p.Observe(sim.PhasePlacement, int64(100+w))
 		}(w)
 	}
 	wg.Wait()
@@ -198,8 +198,8 @@ func TestSelfProfiler(t *testing.T) {
 	if got := p.TotalNs(sim.PhaseDispatch); got != 4*999*1000/2 {
 		t.Errorf("dispatch total = %d, want %d", got, 4*999*1000/2)
 	}
-	if got := p.MaxNs(sim.PhaseBarrier); got != 103 {
-		t.Errorf("barrier max = %d, want 103", got)
+	if got := p.MaxNs(sim.PhasePlacement); got != 103 {
+		t.Errorf("placement max = %d, want 103", got)
 	}
 	snap := NewSnapshot()
 	p.Merge(snap)
@@ -327,8 +327,8 @@ func TestMonitorCadence(t *testing.T) {
 // render as counter tracks in a valid Perfetto export.
 func TestShardRecordSpill(t *testing.T) {
 	recs := []ShardRecord{
-		{Shard: 0, Events: 100, Busy: 10, Skipped: 2, BusyNs: 5e6, StallNs: 1e6, Sent: 7, Recv: 3, Windows: 12, LookaheadEff: 1.5},
-		{Shard: 1, Events: 80, Busy: 9, Skipped: 3, BusyNs: 4e6, StallNs: 2e6, Sent: 3, Recv: 7, Windows: 12, LookaheadEff: 1.5},
+		{Shard: 0, Events: 100, Busy: 10, Skipped: 2, BusyNs: 5e6, Sent: 7, Recv: 3, Windows: 12, LookaheadEff: 1.5},
+		{Shard: 1, Events: 80, Busy: 9, Skipped: 3, BusyNs: 4e6, Sent: 3, Recv: 7, Windows: 12, LookaheadEff: 1.5},
 	}
 	var buf bytes.Buffer
 	s := NewJSONL(&buf)
@@ -352,15 +352,8 @@ func TestShardRecordSpill(t *testing.T) {
 		t.Fatalf("shard records drifted through the spill:\n got %+v\nwant %+v", back, recs)
 	}
 
-	if occ := recs[0].Occupancy(); occ < 0.83 || occ > 0.84 {
-		t.Errorf("occupancy = %g, want ~0.833", occ)
-	}
-	if (ShardRecord{}).Occupancy() != 0 {
-		t.Error("zero record occupancy must be 0")
-	}
-
 	table := RenderShardTable(recs)
-	for _, want := range []string{"shard", "occ%", "total", "windows=12", "lookahead_efficiency=1.50"} {
+	for _, want := range []string{"shard", "busy_ms", "total", "windows=12", "lookahead_efficiency=1.50"} {
 		if !strings.Contains(table, want) {
 			t.Errorf("shard table missing %q:\n%s", want, table)
 		}

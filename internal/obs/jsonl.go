@@ -225,11 +225,11 @@ type Record struct {
 
 // JSONL is a streaming TraceSink spilling each record as one JSON line.
 // It buffers writes; call Flush (the session does on Profiler.Flush) to
-// drain. Write errors latch and surface from Flush. Writes are serialized
-// by an internal mutex so one spill may back several domains of a sharded
-// session (record order across domains is then scheduling-dependent, but
-// every line stays intact; single-threaded spills are byte-stable as
-// before).
+// drain. Write errors latch and surface from Flush. One spill may back
+// every domain of a sharded session: the domains run in turn, so the
+// record order is fixed by the seed, the domain layout and the shard
+// count. Writes are serialized by an internal mutex, so sessions on
+// several goroutines may share a spill too, with every line intact.
 type JSONL struct {
 	mu  sync.Mutex
 	w   *bufio.Writer

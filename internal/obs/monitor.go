@@ -2,7 +2,7 @@ package obs
 
 // Monitor: the live-introspection front door. A running campaign beats the
 // monitor from inside the simulation loop (ShardedEngine.Heartbeat: once
-// per window barrier, or every 4,096 events on one partition); the
+// per window, or every 4,096 events on one partition); the
 // monitor rate-limits those beats to a wall-clock cadence, pulls a fresh
 // snapshot from its source and publishes it behind an atomic pointer. The
 // HTTP side (/metrics in Prometheus text exposition, /healthz, /progress
@@ -92,9 +92,9 @@ func (m *Monitor) SetProgress(fn func() (done, total int)) {
 	}
 }
 
-// Attach hooks the monitor into a sharded engine's heartbeat: the window
-// barrier, the only point where every domain is quiescent, or
-// the event loop of a one-partition engine.
+// Attach hooks the monitor into a sharded engine's heartbeat: the end of
+// each window, where every domain is between events, or the event loop of
+// a one-partition engine.
 func (m *Monitor) Attach(se *sim.ShardedEngine) {
 	if m == nil || se == nil {
 		return

@@ -239,7 +239,6 @@ func (pw *PerfettoWriter) Shard(s *ShardRecord) {
 			"busy_windows": s.Busy,
 			"skipped":      s.Skipped,
 			"busy_ms":      float64(s.BusyNs) / 1e6,
-			"stall_ms":     float64(s.StallNs) / 1e6,
 			"sent":         s.Sent,
 			"recv":         s.Recv,
 		},

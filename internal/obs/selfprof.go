@@ -1,11 +1,12 @@
 package obs
 
 // SelfProfiler: wall-clock phase accounting for the simulator itself. The
-// simulation engine, sharded coordinator, trace sinks and placer report
-// nanosecond samples through the sim.PhaseFunc hook (nil-safe at every call
-// site, so golden fingerprints are untouched when profiling is off); the
-// profiler keeps per-phase totals, sample counts and high-waters behind
-// atomics — sharded workers and the coordinator report concurrently.
+// simulation engine, the sharded engine's window loop, trace sinks and the
+// placer report nanosecond samples through the sim.PhaseFunc hook (nil-safe
+// at every call site, so golden fingerprints are untouched when profiling
+// is off); the profiler keeps per-phase totals, sample counts and
+// high-waters behind atomics, so sessions running on several goroutines
+// may share one.
 
 import (
 	"sync/atomic"

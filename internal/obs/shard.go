@@ -2,7 +2,7 @@ package obs
 
 // Per-shard window telemetry records: the spill-side view of
 // sim.ShardedEngine's ShardStats, written into JSONL trace spills by
-// campaign runners so rptrace can render occupancy/stall tables offline.
+// campaign runners so rptrace can render the per-shard table offline.
 
 import (
 	"fmt"
@@ -20,7 +20,6 @@ type ShardRecord struct {
 	Busy         uint64  `json:"busy"`
 	Skipped      uint64  `json:"skipped"`
 	BusyNs       int64   `json:"busy_ns"`
-	StallNs      int64   `json:"stall_ns"`
 	Sent         uint64  `json:"sent"`
 	Recv         uint64  `json:"recv"`
 	Windows      uint64  `json:"windows"`
@@ -39,7 +38,6 @@ func ShardRecords(se *sim.ShardedEngine) []ShardRecord {
 			Busy:         st.Busy,
 			Skipped:      st.Skipped,
 			BusyNs:       st.BusyNs,
-			StallNs:      st.StallNs,
 			Sent:         st.Sent,
 			Recv:         st.Recv,
 			Windows:      se.Windows(),
@@ -49,38 +47,25 @@ func ShardRecords(se *sim.ShardedEngine) []ShardRecord {
 	return recs
 }
 
-// Occupancy returns the shard's busy share of its instrumented wall time
-// (busy / (busy + stall)), or 0 when nothing was measured.
-func (r ShardRecord) Occupancy() float64 {
-	tot := r.BusyNs + r.StallNs
-	if tot <= 0 {
-		return 0
-	}
-	return float64(r.BusyNs) / float64(tot)
-}
-
-// RenderShardTable formats shard records as the per-shard occupancy/stall
-// table behind `rptrace shards`.
+// RenderShardTable formats shard records as the per-shard table behind
+// `rptrace shards`.
 func RenderShardTable(recs []ShardRecord) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "%-6s %12s %10s %10s %12s %12s %7s %10s %10s\n",
-		"shard", "events", "busy_win", "skip_win", "busy_ms", "stall_ms", "occ%", "sent", "recv")
+	fmt.Fprintf(&b, "%-6s %12s %10s %10s %12s %10s %10s\n",
+		"shard", "events", "busy_win", "skip_win", "busy_ms", "sent", "recv")
 	var events, sent, recv uint64
-	var busyNs, stallNs int64
+	var busyNs int64
 	for _, r := range recs {
-		fmt.Fprintf(&b, "%-6d %12d %10d %10d %12.3f %12.3f %6.1f%% %10d %10d\n",
-			r.Shard, r.Events, r.Busy, r.Skipped,
-			float64(r.BusyNs)/1e6, float64(r.StallNs)/1e6, 100*r.Occupancy(),
-			r.Sent, r.Recv)
+		fmt.Fprintf(&b, "%-6d %12d %10d %10d %12.3f %10d %10d\n",
+			r.Shard, r.Events, r.Busy, r.Skipped, float64(r.BusyNs)/1e6, r.Sent, r.Recv)
 		events += r.Events
 		sent += r.Sent
 		recv += r.Recv
 		busyNs += r.BusyNs
-		stallNs += r.StallNs
 	}
 	if len(recs) > 0 {
-		fmt.Fprintf(&b, "%-6s %12d %10s %10s %12.3f %12.3f %7s %10d %10d\n",
-			"total", events, "", "", float64(busyNs)/1e6, float64(stallNs)/1e6, "", sent, recv)
+		fmt.Fprintf(&b, "%-6s %12d %10s %10s %12.3f %10d %10d\n",
+			"total", events, "", "", float64(busyNs)/1e6, sent, recv)
 		fmt.Fprintf(&b, "windows=%d lookahead_efficiency=%.2f\n",
 			recs[0].Windows, recs[0].LookaheadEff)
 	}

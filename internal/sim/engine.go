@@ -156,7 +156,7 @@ type Engine struct {
 	MaxSteps uint64
 	// Phase, when set, receives one PhaseDispatch wall-clock sample per Run
 	// call. It fires only from Run — never under a ShardedEngine, whose
-	// coordinator does its own reporting — so a domain engine inside a
+	// window loop does its own reporting — so a domain engine inside a
 	// ShardedSession never double-reports.
 	Phase PhaseFunc
 	// heartbeat, when set, fires every heartbeatEvery events from inside

@@ -2,18 +2,15 @@ package sim
 
 // Wall-clock phase identifiers for the self-profiler hook. They live here —
 // at the bottom of the import graph — so every layer that wants to report a
-// phase sample (engine dispatch, sharded barriers, profiler sink folds,
+// phase sample (engine dispatch, sharded exchange, profiler sink folds,
 // placement) can do so without importing the observability package; the
 // hook's implementation (internal/obs.SelfProfiler) lives above.
 const (
 	// PhaseDispatch is event-dispatch wall time: the engine's Run loop, or
-	// one shard's share of a window in the sharded engine.
+	// one window of the sharded engine.
 	PhaseDispatch = iota
-	// PhaseExchange is cross-partition outbox exchange at a window barrier.
+	// PhaseExchange is cross-partition outbox exchange at a window's end.
 	PhaseExchange
-	// PhaseBarrier is per-shard barrier wait: how long an already-finished
-	// shard sat idle waiting for the window's slowest shard.
-	PhaseBarrier
 	// PhaseSinkFold is time spent inside trace-sink callbacks (folds,
 	// spills, blame accumulation).
 	PhaseSinkFold
@@ -31,8 +28,6 @@ func PhaseName(phase int) string {
 		return "dispatch"
 	case PhaseExchange:
 		return "exchange"
-	case PhaseBarrier:
-		return "barrier"
 	case PhaseSinkFold:
 		return "sinkfold"
 	case PhasePlacement:
@@ -42,6 +37,4 @@ func PhaseName(phase int) string {
 }
 
 // PhaseFunc receives one wall-clock sample: ns nanoseconds spent in phase.
-// Implementations must be safe for concurrent use — sharded-engine workers
-// and the coordinator report from different goroutines.
 type PhaseFunc func(phase int, ns int64)

@@ -1,29 +1,32 @@
-// Sharded engine: conservative-lookahead parallel simulation.
+// Sharded engine: conservative-lookahead windows over partition engines.
 //
-// A ShardedEngine runs P partition-local event Engines on S worker shards.
-// Partitions are the model's natural boundaries (the client, each pilot, a
-// storage domain); every cross-partition interaction is declared as a
-// timestamped message with a minimum delay, and the smallest declared delay
-// is the lookahead L. Synchronization is conservative and barrier-based:
+// A ShardedEngine runs P partition-local event Engines dealt over S shard
+// engines. Partitions are the model's natural boundaries (the client, each
+// pilot, a storage domain); every cross-partition interaction is declared
+// as a timestamped message with a minimum delay, and the smallest declared
+// delay is the lookahead L. Synchronization is conservative and
+// window-based:
 //
 //	T     = min over shards of the earliest pending event
 //	limit = T + L
 //
-// Every shard may process its events in [T, limit) in parallel, because any
-// message generated inside the window is stamped at sender-now + delay ≥
-// T + L = limit — it cannot affect the window. At the barrier the staged
-// messages are exchanged and scheduled into their destination engines, and
-// the next window begins. Shards with no events in a window are simply not
-// dispatched, so quiescent partitions fast-forward to the next barrier in
-// O(1).
+// Every shard may process its events in [T, limit) without hearing from
+// the others, because any message generated inside the window is stamped
+// at sender-now + delay ≥ T + L = limit — it cannot affect the window. Run
+// runs each busy shard's share of the window in turn, on the calling
+// goroutine. At the window's end the staged messages are exchanged and
+// scheduled into their destination engines, and the next window begins.
+// Shards with no events in a window are skipped, so quiescent partitions
+// fast-forward to the next window in O(1).
 //
-// Determinism is by construction, not by luck:
+// Determinism is by construction:
 //
 //   - Within a shard, the Engine's (time, sequence) order is already exact.
-//   - At a barrier, destinations drain sources in partition-index order and
-//     each source's messages in send order. The sequence numbers assigned to
-//     injected events therefore depend only on (window, source partition,
-//     send order) — quantities the partition→shard mapping cannot change.
+//   - At a window's end, destinations drain sources in partition-index
+//     order and each source's messages in send order. The sequence numbers
+//     assigned to injected events therefore depend only on (window, source
+//     partition, send order) — quantities the partition→shard mapping
+//     cannot change.
 //   - Window boundaries derive from the global minimum next-event time,
 //     which is also mapping-independent.
 //
@@ -38,7 +41,7 @@ package sim
 
 import (
 	"fmt"
-	"sync"
+	"runtime"
 	"time"
 )
 
@@ -54,8 +57,8 @@ type xmsg struct {
 type ShardedConfig struct {
 	// Partitions is the number of partition-local engines P (≥1).
 	Partitions int
-	// Shards is the worker count S; clamped to [1, Partitions]. Shards=1
-	// runs every partition on one engine through the same window loop.
+	// Shards is the engine count S the partitions are dealt over; clamped
+	// to [1, Partitions]. The count never changes the simulated result.
 	Shards int
 	// Lookahead is the minimum declared delay of every cross-partition
 	// channel; Send panics on a smaller delay. Must be positive.
@@ -69,13 +72,12 @@ type ShardStat struct {
 	Busy    uint64 // windows in which the shard had work and was dispatched
 	Skipped uint64 // windows skipped because the shard was quiescent
 	BusyNs  int64  // wall-clock nanoseconds spent running windows
-	StallNs int64  // wall-clock nanoseconds idle at barriers after finishing
 	Sent    uint64 // cross-partition messages sent from this shard
 	Recv    uint64 // cross-partition messages received by this shard
 }
 
 // ShardedEngine coordinates P partition engines under conservative
-// time-window synchronization on S shards.
+// time-window synchronization on S shard engines.
 type ShardedEngine struct {
 	engines   []*Engine // one per shard
 	partShard []int32   // partition → shard
@@ -86,28 +88,22 @@ type ShardedEngine struct {
 	windows uint64
 	crossed uint64
 
-	// Window telemetry. stats[i].BusyNs and doneNs[i] are written by worker
-	// i inside its window and read by the coordinator after wg.Wait() — the
-	// WaitGroup and the window channel provide the happens-before edges, so
-	// no atomics are needed. Everything else is coordinator-only.
+	// Window telemetry.
 	stats    []ShardStat
-	doneNs   []int64 // wall ns since epoch when shard i finished its window
-	epoch    time.Time
 	xByDst   []uint64 // cross messages per destination partition
 	advanced Duration // total sim time the window start advanced across barriers
 	prevT    Time
 	exchNs   int64
 
-	// Phase, when set, receives wall-clock samples from the coordinator:
-	// one PhaseExchange per barrier, one PhaseDispatch per window (the
-	// window's critical path), and one PhaseBarrier per dispatched shard
-	// (its idle wait). Must be safe for concurrent use.
+	// Phase, when set, receives wall-clock samples: one PhaseExchange per
+	// window end and one PhaseDispatch per window (the busy shards' summed
+	// run time).
 	Phase PhaseFunc
-	// Heartbeat, when set, fires once per window on the coordinator
-	// goroutine, after the barrier — every worker is parked, so a monitor
-	// may safely read per-domain registries from inside the callback. A
-	// one-partition run is a single window, so there it fires from the
-	// event loop instead: on the first event and every 4,096 events after.
+	// Heartbeat, when set, fires once per window, after every busy shard
+	// ran its share, so a monitor may read per-domain registries from
+	// inside the callback. A one-partition run is a single window, so there
+	// it fires from the event loop instead: on the first event and every
+	// 4,096 events after.
 	Heartbeat func()
 }
 
@@ -138,7 +134,6 @@ func NewShardedEngine(cfg ShardedConfig) *ShardedEngine {
 		se.partShard[p] = int32(p % s)
 	}
 	se.stats = make([]ShardStat, s)
-	se.doneNs = make([]int64, s)
 	se.xByDst = make([]uint64, cfg.Partitions)
 	se.prevT = -1
 	return se
@@ -147,7 +142,7 @@ func NewShardedEngine(cfg ShardedConfig) *ShardedEngine {
 // Partitions returns the partition count P.
 func (se *ShardedEngine) Partitions() int { return len(se.partShard) }
 
-// Shards returns the shard (worker engine) count S.
+// Shards returns the shard engine count S.
 func (se *ShardedEngine) Shards() int { return len(se.engines) }
 
 // Lookahead returns the conservative synchronization window width.
@@ -160,8 +155,7 @@ func (se *ShardedEngine) Windows() uint64 { return se.windows }
 func (se *ShardedEngine) CrossEvents() uint64 { return se.crossed }
 
 // ShardStats returns a copy of the per-shard window telemetry, with Events
-// filled in from each shard engine's step counter. Call it between runs or
-// after Run returns; it must not race a live window.
+// filled in from each shard engine's step counter.
 func (se *ShardedEngine) ShardStats() []ShardStat {
 	out := make([]ShardStat, len(se.stats))
 	copy(out, se.stats)
@@ -186,16 +180,6 @@ func (se *ShardedEngine) SimAdvanced() Duration { return se.advanced }
 // ExchangeNs returns the cumulative wall-clock time spent exchanging
 // outboxes at barriers.
 func (se *ShardedEngine) ExchangeNs() int64 { return se.exchNs }
-
-// BarrierStallNs returns the total wall-clock time shards spent idle at
-// barriers, summed over all shards.
-func (se *ShardedEngine) BarrierStallNs() int64 {
-	var n int64
-	for i := range se.stats {
-		n += se.stats[i].StallNs
-	}
-	return n
-}
 
 // LookaheadEfficiency reports the measured sim-time advanced per barrier in
 // units of the lookahead. By construction each barrier advances the window
@@ -334,10 +318,9 @@ func (se *ShardedEngine) exchange() {
 }
 
 // Run drives every partition to global quiescence: exchange staged
-// messages, compute the next conservative window, run it on all shards in
-// parallel, repeat until no events remain anywhere. With one shard the
-// loop runs inline — byte-identical behavior, no goroutines. With one
-// partition there is no loop: see runOne.
+// messages, compute the next conservative window, run each busy shard's
+// share of it in shard order, repeat until no events remain anywhere. With
+// one partition there is no loop: see runOne.
 func (se *ShardedEngine) Run() {
 	if se.running {
 		panic("sim: ShardedEngine.Run called reentrantly")
@@ -348,35 +331,6 @@ func (se *ShardedEngine) Run() {
 		se.runOne()
 		return
 	}
-
-	nShards := len(se.engines)
-	se.epoch = time.Now()
-	var wg sync.WaitGroup
-	var windowCh []chan Time
-	if nShards > 1 {
-		windowCh = make([]chan Time, nShards)
-		for i := range windowCh {
-			windowCh[i] = make(chan Time, 1)
-			go func(shard int, e *Engine, ch chan Time) {
-				for limit := range ch {
-					t0 := time.Now()
-					e.runBefore(limit)
-					// Written while the coordinator blocks in wg.Wait();
-					// wg.Done / the next channel receive order the accesses.
-					se.stats[shard].BusyNs += time.Since(t0).Nanoseconds()
-					se.doneNs[shard] = time.Since(se.epoch).Nanoseconds()
-					wg.Done()
-				}
-			}(i, se.engines[i], windowCh[i])
-		}
-		defer func() {
-			for _, ch := range windowCh {
-				close(ch)
-			}
-		}()
-	}
-
-	next := make([]Time, nShards)
 	for {
 		ex0 := time.Now()
 		se.exchange()
@@ -386,14 +340,8 @@ func (se *ShardedEngine) Run() {
 			se.Phase(PhaseExchange, exd)
 		}
 		T := Time(-1)
-		for i, e := range se.engines {
-			nt, ok := e.peekTime()
-			if !ok {
-				next[i] = -1
-				continue
-			}
-			next[i] = nt
-			if T < 0 || nt < T {
+		for _, e := range se.engines {
+			if nt, ok := e.peekTime(); ok && (T < 0 || nt < T) {
 				T = nt
 			}
 		}
@@ -406,56 +354,40 @@ func (se *ShardedEngine) Run() {
 		se.prevT = T
 		limit := T.Add(se.lookahead)
 		se.windows++
-		if nShards == 1 {
-			t0 := time.Now()
-			se.engines[0].runBefore(limit)
-			d := time.Since(t0).Nanoseconds()
-			se.stats[0].Busy++
-			se.stats[0].BusyNs += d
-			if se.Phase != nil {
-				se.Phase(PhaseDispatch, d)
-			}
-			if se.Heartbeat != nil {
-				se.Heartbeat()
-			}
-			continue
-		}
-		busy := 0
-		for i := range se.engines {
-			if next[i] >= 0 && next[i] < limit {
-				busy++
-			}
-		}
-		wg.Add(busy)
-		wStart := time.Since(se.epoch).Nanoseconds()
-		for i := range se.engines {
-			// Shards whose next event is at or beyond the barrier are not
-			// dispatched at all: an idle partition costs one comparison.
-			if next[i] >= 0 && next[i] < limit {
-				se.stats[i].Busy++
-				windowCh[i] <- limit
-			} else {
+		var dispatch int64
+		for i, e := range se.engines {
+			// A shard runs only its own events inside a window (its sends
+			// to other partitions wait in the outbox), so its next event
+			// time is still the one the window start was taken from. A
+			// shard with nothing below the limit costs one comparison.
+			if nt, ok := e.peekTime(); !ok || nt >= limit {
 				se.stats[i].Skipped++
+				continue
 			}
-		}
-		wg.Wait()
-		barrier := time.Since(se.epoch).Nanoseconds()
-		for i := range se.engines {
-			if next[i] >= 0 && next[i] < limit {
-				if stall := barrier - se.doneNs[i]; stall > 0 {
-					se.stats[i].StallNs += stall
-					if se.Phase != nil {
-						se.Phase(PhaseBarrier, stall)
-					}
-				}
-			}
+			t0 := time.Now()
+			e.runBefore(limit)
+			d := time.Since(t0).Nanoseconds()
+			se.stats[i].Busy++
+			se.stats[i].BusyNs += d
+			dispatch += d
 		}
 		if se.Phase != nil {
-			se.Phase(PhaseDispatch, barrier-wStart)
+			se.Phase(PhaseDispatch, dispatch)
 		}
 		if se.Heartbeat != nil {
 			se.Heartbeat()
 		}
+		// One yield per window. At GOMAXPROCS 1 a concurrent GC's mark
+		// worker runs only when this goroutine yields; without a yield the
+		// marking falls to mutator assists. On a shared 2-core VM with Go
+		// 1.24.0, bench/run.sh's stream_sharded (GOMAXPROCS 1) read
+		// ns_per_task_p10 +20-27%, setup_s +55-70% and peak_rss_mb +7-11%
+		// without the yield, against a loop that ran each shard on a
+		// goroutine of its own and so yielded at every handoff; gctrace
+		// showed marks of 7-17 ms instead of 3-6 ms. With the yield it
+		// read ns_per_task_p10 +0.7% to +2.8%, peak_rss_mb -1% to -4% and
+		// setup_s unchanged.
+		runtime.Gosched()
 	}
 }
 

@@ -373,7 +373,9 @@ type PilotDescription struct {
 }
 
 // Validate checks the pilot description: every partition group pins a
-// known backend and gets at least one node per instance.
+// known backend that no other group names, and gets at least one node per
+// instance. The agent routes by backend, so a second group of a backend
+// would never run a task; one group takes any number of instances.
 func (p *PilotDescription) Validate() error {
 	if p.Nodes <= 0 {
 		return fmt.Errorf("spec: pilot %q needs at least one node", p.UID)
@@ -384,6 +386,7 @@ func (p *PilotDescription) Validate() error {
 		return fmt.Errorf("spec: pilot %q has invalid SMT %d", p.UID, p.SMT)
 	}
 	total := 0
+	var named [BackendPRRTE + 1]bool
 	for i, pc := range p.Partitions {
 		switch {
 		case pc.Instances <= 0:
@@ -392,12 +395,15 @@ func (p *PilotDescription) Validate() error {
 			return fmt.Errorf("spec: pilot %q partition %d must pin a backend", p.UID, i)
 		case pc.Backend > BackendPRRTE || pc.Backend < BackendAuto:
 			return fmt.Errorf("spec: pilot %q partition %d names unknown %v", p.UID, i, pc.Backend)
+		case named[pc.Backend]:
+			return fmt.Errorf("spec: pilot %q partition %d names %v, which an earlier group runs", p.UID, i, pc.Backend)
 		case pc.Instances > p.Nodes || pc.NodesPerInstance < 0 || pc.NodesPerInstance > p.Nodes:
 			return fmt.Errorf("spec: pilot %q partition %d asks %d instances of %d nodes from %d nodes",
 				p.UID, i, pc.Instances, pc.NodesPerInstance, p.Nodes)
 		case pc.NodeShare < 0 || math.IsNaN(pc.NodeShare) || math.IsInf(pc.NodeShare, 0):
 			return fmt.Errorf("spec: pilot %q partition %d has NodeShare %v", p.UID, i, pc.NodeShare)
 		}
+		named[pc.Backend] = true
 		total += pc.Instances * pc.NodesPerInstance
 	}
 	if total > p.Nodes {

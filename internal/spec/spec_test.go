@@ -2,6 +2,7 @@ package spec
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"rpgo/internal/sim"
@@ -88,6 +89,12 @@ func TestPilotValidation(t *testing.T) {
 		if err := pd.Validate(); err == nil {
 			t.Errorf("bad pilot %d validated", i)
 		}
+	}
+	// Routing picks a backend's first group, so a second one would idle.
+	twice := PilotDescription{Nodes: 2, Partitions: []PartitionConfig{
+		{Backend: BackendFlux, Instances: 1}, {Backend: BackendFlux, Instances: 1}}}
+	if err := twice.Validate(); err == nil || !strings.Contains(err.Error(), "flux") {
+		t.Errorf("two flux groups: %v, want an error naming flux", err)
 	}
 	fixed := PilotDescription{Nodes: 8, Partitions: []PartitionConfig{
 		{Backend: BackendFlux, Instances: 2, NodesPerInstance: 2},

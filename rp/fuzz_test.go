@@ -187,7 +187,7 @@ func FuzzFacade(f *testing.F) {
 		func(in *facadeInput) { in.BackMTBF, in.BackDown = 1e-7, 1e-7 },
 		func(in *facadeInput) { in.StragFrac, in.StragFac = 2, math.NaN() },
 		// Pilot descriptions: no nodes, bad SMT, layouts with fewer nodes than
-		// instances, an unknown backend, bad shares.
+		// instances, an unknown backend, bad shares, one backend in two groups.
 		func(in *facadeInput) { in.Nodes = 0 },
 		func(in *facadeInput) { in.SMT = 3 },
 		func(in *facadeInput) { in.Nodes, in.Instances1 = 1, 2 },
@@ -199,6 +199,7 @@ func FuzzFacade(f *testing.F) {
 		func(in *facadeInput) { // an even split of 3 nodes leaves flux 1 for 2 instances
 			in.Nodes, in.Instances1, in.Backend2, in.Instances2 = 3, 2, uint8(rp.BackendDragon), 1
 		},
+		func(in *facadeInput) { in.Backend2, in.Instances2 = uint8(rp.BackendFlux), 1 }, // flux twice
 		func(in *facadeInput) { in.Runtime = 10 },
 		// Tasks: negative and oversized requests, invalid checkpoint tiers.
 		func(in *facadeInput) { in.Cores = -1 },

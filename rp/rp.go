@@ -253,7 +253,7 @@ type Monitor = obs.Monitor
 var NewMonitor = obs.NewMonitor
 
 // SelfProfiler accounts the simulator's own wall-clock time by phase
-// (event dispatch, barrier exchange and stall, sink folds, placement).
+// (event dispatch, sharded exchange, sink folds, placement).
 // Set one on Config.Profile; totals merge into MetricsSnapshot as
 // selfprof.* counters.
 type SelfProfiler = obs.SelfProfiler
@@ -265,7 +265,6 @@ func NewSelfProfiler() *SelfProfiler { return obs.NewSelfProfiler() }
 const (
 	PhaseDispatch  = sim.PhaseDispatch
 	PhaseExchange  = sim.PhaseExchange
-	PhaseBarrier   = sim.PhaseBarrier
 	PhaseSinkFold  = sim.PhaseSinkFold
 	PhasePlacement = sim.PhasePlacement
 )
@@ -280,12 +279,12 @@ func WriteOpenMetrics(w io.Writer, s *MetricsSnapshot) error {
 }
 
 // ShardRecord is one shard's cumulative window telemetry from a sharded
-// run (events, busy/skipped windows, busy and barrier-stall wall time,
-// cross-partition traffic).
+// run (events, busy/skipped windows, busy wall time, cross-partition
+// traffic).
 type ShardRecord = obs.ShardRecord
 
-// RenderShardTable formats shard records as the per-shard occupancy table
-// `rptrace shards` prints.
+// RenderShardTable formats shard records as the per-shard table `rptrace
+// shards` prints.
 func RenderShardTable(recs []ShardRecord) string { return obs.RenderShardTable(recs) }
 
 // --- causal tracing & blame (internal/analytics, internal/obs) ---
