@@ -24,6 +24,7 @@ package sim
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"time"
 )
 
@@ -161,8 +162,8 @@ type Engine struct {
 	Phase PhaseFunc
 	// heartbeat, when set, fires every heartbeatEvery events from inside
 	// the dispatch loop, on the simulation thread. Only a one-partition
-	// ShardedEngine sets it, for the length of its run; the only hot-path
-	// cost when unset is one nil check per event.
+	// ShardedEngine sets it, for the length of its run; unset, it costs
+	// one nil check per event, beside the yield's mask (see step).
 	heartbeat func()
 	hbLeft    uint64
 }
@@ -335,6 +336,11 @@ func (e *Engine) heapPop() {
 // while the clock sits at now, no heap entry at now can be made: schedule
 // sends those to the lane. So step runs the heap's entries at now first,
 // then the lane, and only then pops the heap past now.
+//
+// Every yieldEvery-th event ends with runtime.Gosched, so every loop over
+// step (Run, RunUntil, a sharded engine's windows) hands the processor to
+// a waiting goroutine at one cadence. A yield changes which goroutine
+// runs, never the order of events.
 func (e *Engine) step() bool {
 	for {
 		var slot int32
@@ -378,9 +384,18 @@ func (e *Engine) step() bool {
 				e.hbLeft--
 			}
 		}
+		if e.steps&(yieldEvery-1) == 0 {
+			runtime.Gosched()
+		}
 		return true
 	}
 }
+
+// yieldEvery is the event cadence of step's yield; a power of two, so the
+// test is one mask. At GOMAXPROCS 1 a concurrent GC's mark worker runs
+// only when the simulation goroutine yields, and a sparser cadence leaves
+// the mark to sysmon's preemption with write barriers on (DESIGN.md §5).
+const yieldEvery = 4096
 
 // heartbeatEvery is the event cadence of the engine heartbeat, starting
 // with the first event. Events take a few hundred nanoseconds apiece, so

@@ -2,7 +2,9 @@ package sim
 
 import (
 	"math/rand"
+	"runtime"
 	"sort"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 )
@@ -362,6 +364,71 @@ func TestHeapStressDeterminism(t *testing.T) {
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatalf("diverge at %d", i)
+		}
+	}
+}
+
+// TestLoopsYield checks that every event loop hands the processor over
+// mid-run: at GOMAXPROCS 1, a goroutine made ready just before a chain of
+// 3×4,096 events must run by event 2×4,096+1 (the scheduler may pick the
+// yielding goroutine itself once, from the global queue), not after the
+// run returns. The two-partition case puts the whole chain in one window,
+// so only a yield inside the window lets the goroutine in.
+func TestLoopsYield(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const events = 3 * yieldEvery
+	// chain schedules events on e one microsecond apart, each scheduling
+	// the next and counting itself in n.
+	chain := func(e *Engine, n *atomic.Int64) {
+		var next func()
+		next = func() {
+			if n.Add(1) < events {
+				e.After(Microsecond, next)
+			}
+		}
+		e.After(Microsecond, next)
+	}
+	sharded := func(parts int) func(*atomic.Int64) func() {
+		return func(n *atomic.Int64) func() {
+			se := NewShardedEngine(ShardedConfig{Partitions: parts, Shards: parts, Lookahead: Second})
+			chain(se.Engine(0), n)
+			return func() {
+				se.Run()
+				if se.Windows() != 1 {
+					t.Errorf("%d partitions: %d windows, want the chain in 1", parts, se.Windows())
+				}
+			}
+		}
+	}
+	for _, tc := range []struct {
+		name string
+		// setup schedules the chain and returns the run.
+		setup func(n *atomic.Int64) func()
+	}{
+		{"Run", func(n *atomic.Int64) func() {
+			e := NewEngine()
+			chain(e, n)
+			return e.Run
+		}},
+		{"RunUntil", func(n *atomic.Int64) func() {
+			e := NewEngine()
+			chain(e, n)
+			return func() { e.RunUntil(Time(events + 1)) }
+		}},
+		{"ShardedEngine.Run, 1 partition", sharded(1)},
+		{"ShardedEngine.Run, 2 partitions", sharded(2)},
+	} {
+		var n atomic.Int64
+		run := tc.setup(&n)
+		seen := make(chan int64, 1)
+		go func() { seen <- n.Load() }()
+		run()
+		if got := <-seen; got > 2*yieldEvery+1 {
+			t.Errorf("%s: the ready goroutine ran after event %d of %d, want by %d",
+				tc.name, got, events, 2*yieldEvery+1)
+		}
+		if got := n.Load(); got != events {
+			t.Errorf("%s: ran %d events, want %d", tc.name, got, events)
 		}
 	}
 }

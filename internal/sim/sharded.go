@@ -41,7 +41,6 @@ package sim
 
 import (
 	"fmt"
-	"runtime"
 	"time"
 )
 
@@ -320,7 +319,9 @@ func (se *ShardedEngine) exchange() {
 // Run drives every partition to global quiescence: exchange staged
 // messages, compute the next conservative window, run each busy shard's
 // share of it in shard order, repeat until no events remain anywhere. With
-// one partition there is no loop: see runOne.
+// one partition there is no loop: see runOne. The loop has no yield of its
+// own; the shard engines' step yields every 4,096 events, inside windows
+// and across them alike.
 func (se *ShardedEngine) Run() {
 	if se.running {
 		panic("sim: ShardedEngine.Run called reentrantly")
@@ -377,17 +378,6 @@ func (se *ShardedEngine) Run() {
 		if se.Heartbeat != nil {
 			se.Heartbeat()
 		}
-		// One yield per window. At GOMAXPROCS 1 a concurrent GC's mark
-		// worker runs only when this goroutine yields; without a yield the
-		// marking falls to mutator assists. On a shared 2-core VM with Go
-		// 1.24.0, bench/run.sh's stream_sharded (GOMAXPROCS 1) read
-		// ns_per_task_p10 +20-27%, setup_s +55-70% and peak_rss_mb +7-11%
-		// without the yield, against a loop that ran each shard on a
-		// goroutine of its own and so yielded at every handoff; gctrace
-		// showed marks of 7-17 ms instead of 3-6 ms. With the yield it
-		// read ns_per_task_p10 +0.7% to +2.8%, peak_rss_mb -1% to -4% and
-		// setup_s unchanged.
-		runtime.Gosched()
 	}
 }
 
