@@ -73,6 +73,10 @@ func main() {
 			fmt.Fprintf(os.Stderr, "impeccable: %v\n", err)
 			os.Exit(1)
 		}
+		if err := f.Close(); err != nil {
+			fmt.Fprintf(os.Stderr, "impeccable: %v\n", err)
+			os.Exit(1)
+		}
 		fmt.Printf("\ntrace table written to %s\n", *traceOut)
 	}
 }

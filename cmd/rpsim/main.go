@@ -133,15 +133,16 @@ func runImpeccable(nodes, pilots, shards, iters int, seed uint64, serve, traceOu
 	// run in turn, so the record order is fixed) while the profilers still
 	// retain traces so the summary below has data.
 	var spill *obs.JSONL
+	var spillFile *os.File
 	var sink func(domain int) profiler.TraceSink
 	if traceOut != "" {
-		f, err := os.Create(traceOut)
-		if err != nil {
+		var err error
+		if spillFile, err = os.Create(traceOut); err != nil {
 			fmt.Fprintf(os.Stderr, "rpsim: %v\n", err)
 			os.Exit(1)
 		}
-		defer f.Close()
-		spill = obs.NewJSONL(f)
+		defer spillFile.Close()
+		spill = obs.NewJSONL(spillFile)
 		sink = func(int) profiler.TraceSink { return obs.NewTee(obs.NewMemory(), spill) }
 	}
 
@@ -179,6 +180,10 @@ func runImpeccable(nodes, pilots, shards, iters int, seed uint64, serve, traceOu
 			spill.WriteShard(rec)
 		}
 		if err := spill.Flush(); err != nil {
+			fmt.Fprintf(os.Stderr, "rpsim: trace spill: %v\n", err)
+			os.Exit(1)
+		}
+		if err := spillFile.Close(); err != nil {
 			fmt.Fprintf(os.Stderr, "rpsim: trace spill: %v\n", err)
 			os.Exit(1)
 		}

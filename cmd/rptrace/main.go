@@ -102,9 +102,9 @@ func cmdExport(args []string) error {
 	defer in.Close()
 
 	var w io.Writer = os.Stdout
+	var f *os.File
 	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
+		if f, err = os.Create(*out); err != nil {
 			return err
 		}
 		defer f.Close()
@@ -121,6 +121,11 @@ func cmdExport(args []string) error {
 	}
 	if err := pw.Close(); err != nil {
 		return err
+	}
+	if f != nil {
+		if err := f.Close(); err != nil {
+			return err
+		}
 	}
 	fmt.Fprintf(os.Stderr, "rptrace: %d records -> %d trace events\n", records, pw.Events())
 	return nil
@@ -141,11 +146,11 @@ func cmdStats(args []string) error {
 		records++
 		switch {
 		case rec.Task != nil:
-			f.OnTask(rec.Task.Trace())
+			f.OnTask(rec.Task)
 		case rec.Transfer != nil:
-			f.OnTransfer(rec.Transfer.Trace())
+			f.OnTransfer(*rec.Transfer)
 		case rec.Request != nil:
-			f.OnRequest(rec.Request.Trace())
+			f.OnRequest(*rec.Request)
 		}
 		return nil
 	}); err != nil {
@@ -210,7 +215,7 @@ func cmdTop(args []string) error {
 		if t == nil || t.Start < 0 || t.End < t.Start {
 			return nil
 		}
-		e := topEntry{uid: t.UID, backend: t.Backend, dur: t.End - t.Start, start: t.Start}
+		e := topEntry{uid: t.UID, backend: t.Backend, dur: int64(t.End - t.Start), start: int64(t.Start)}
 		if len(h) < *n {
 			heap.Push(&h, e)
 		} else if *n > 0 && e.dur > h[0].dur {
@@ -337,7 +342,7 @@ func readBlame(in io.Reader) (*obs.Blame, error) {
 	if err := obs.ReadRecords(in, func(rec *obs.Record) error {
 		records++
 		if rec.Task != nil {
-			b.OnTask(rec.Task.Trace())
+			b.OnTask(rec.Task)
 		}
 		return nil
 	}); err != nil {

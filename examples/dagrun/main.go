@@ -128,5 +128,8 @@ func main() {
 	if err := analytics.WriteCSV(f, sess.Profiler.Tasks()); err != nil {
 		log.Fatal(err)
 	}
+	if err := f.Close(); err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("\nfull trace table written to %s\n", f.Name())
 }

@@ -64,13 +64,14 @@ func main() {
 	// report below still sees the traces.
 	var sink rp.TraceSink
 	var spill *rp.JSONLSink
+	var spillFile *os.File
 	if *tracePath != "" {
-		f, err := os.Create(*tracePath)
-		if err != nil {
+		var err error
+		if spillFile, err = os.Create(*tracePath); err != nil {
 			panic(err)
 		}
-		defer f.Close()
-		spill = rp.NewJSONLSink(f)
+		defer spillFile.Close()
+		spill = rp.NewJSONLSink(spillFile)
 		sink = rp.TeeSink(&rp.MemorySink{}, spill)
 	}
 	faulty, pilot := runFanout(rp.FaultParams{NodeMTBF: 90, NodeDowntime: 30, Horizon: 600}, seed, sink)
@@ -85,6 +86,9 @@ func main() {
 	rep.WriteText(os.Stdout)
 	if spill != nil {
 		if err := spill.Flush(); err != nil {
+			panic(err)
+		}
+		if err := spillFile.Close(); err != nil {
 			panic(err)
 		}
 		fmt.Printf("trace spill: %d records -> %s\n", spill.Records(), *tracePath)

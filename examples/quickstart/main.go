@@ -31,13 +31,14 @@ func main() {
 	// With -trace, tee every completed trace into a JSONL spill while the
 	// profiler still retains them for the summary below.
 	var spill *rp.JSONLSink
+	var spillFile *os.File
 	if *traceOut != "" {
-		f, err := os.Create(*traceOut)
-		if err != nil {
+		var err error
+		if spillFile, err = os.Create(*traceOut); err != nil {
 			log.Fatal(err)
 		}
-		defer f.Close()
-		spill = rp.NewJSONLSink(f)
+		defer spillFile.Close()
+		spill = rp.NewJSONLSink(spillFile)
 		cfg.Sink = rp.TeeSink(&rp.MemorySink{}, spill)
 	}
 	sess := rp.NewSession(cfg)
@@ -97,6 +98,9 @@ func main() {
 
 	if spill != nil {
 		if err := spill.Flush(); err != nil {
+			log.Fatal(err)
+		}
+		if err := spillFile.Close(); err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("trace spill: %d records -> %s\n", spill.Records(), *traceOut)

@@ -65,13 +65,11 @@ func TestJSONLRoundTripFailedRetried(t *testing.T) {
 	err := ReadRecords(&buf, func(rec *Record) error {
 		switch {
 		case rec.Task != nil:
-			gotTask = rec.Task.Trace()
+			gotTask = rec.Task
 		case rec.Transfer != nil:
-			tt := rec.Transfer.Trace()
-			gotXfer = &tt
+			gotXfer = rec.Transfer
 		case rec.Request != nil:
-			rt := rec.Request.Trace()
-			gotReq = &rt
+			gotReq = rec.Request
 		}
 		return nil
 	})
@@ -92,18 +90,34 @@ func TestJSONLRoundTripFailedRetried(t *testing.T) {
 	}
 }
 
+// unknownEdgesLine is a task whose edges are, in order, of a kind no
+// release wrote, of no kind, null, of a null kind, and queued.
+const unknownEdgesLine = `{"task":{"uid":"t.0","submit":0,"scheduled":-1,"launch":-1,"start":-1,"end":-1,"final":5,` +
+	`"edges":[{"kind":"wormhole","from":0,"to":5},{"from":0,"to":5},null,{"kind":null,"from":0,"to":5},` +
+	`{"kind":"queued","from":1,"to":2}]}}` + "\n"
+
+// nonObjectEdgeLine is a task whose one edge is not an object.
+const nonObjectEdgeLine = `{"task":{"uid":"t.0","edges":[5]}}` + "\n"
+
+// TestJSONLUnknownEdgeKindDropped: an edge whose kind no release wrote, or
+// that names no kind at all, drops on read rather than be misattributed;
+// an edge that is not an object fails the line.
 func TestJSONLUnknownEdgeKindDropped(t *testing.T) {
-	line := `{"task":{"uid":"t.0","submit":0,"scheduled":-1,"launch":-1,"start":-1,"end":-1,"final":5,` +
-		`"edges":[{"kind":"wormhole","from":0,"to":5},{"kind":"queued","from":1,"to":2}]}}` + "\n"
 	var got *profiler.TaskTrace
-	if err := ReadRecords(strings.NewReader(line), func(rec *Record) error {
-		got = rec.Task.Trace()
+	if err := ReadRecords(strings.NewReader(unknownEdgesLine), func(rec *Record) error {
+		got = rec.Task
 		return nil
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if len(got.Edges) != 1 || got.Edges[0].Kind != profiler.EdgeQueued {
-		t.Fatalf("unknown edge kind should drop, keeping known: %+v", got.Edges)
+	want := []profiler.CausalEdge{{Kind: profiler.EdgeQueued, From: 1, To: 2}}
+	if !reflect.DeepEqual(got.Edges, want) {
+		t.Fatalf("edges of unknown, missing or null kind should drop, keeping the known one: %+v", got.Edges)
+	}
+
+	err := ReadRecords(strings.NewReader(nonObjectEdgeLine), func(*Record) error { return nil })
+	if err == nil || !strings.Contains(err.Error(), "line 1") {
+		t.Fatalf("an edge that is not an object: %v, want an error naming line 1", err)
 	}
 }
 
@@ -188,16 +202,16 @@ func TestPerfettoFlowEvents(t *testing.T) {
 	pw := NewPerfettoWriter(&buf)
 	// Transfer spills first, then the task that waited on it: the edge must
 	// render as one s/f flow pair bound by a shared id.
-	pw.Transfer(&TransferRecord{
+	pw.Transfer(&profiler.TransferTrace{
 		UID: "xfer.000001", Dataset: "d", Src: "sharedfs", Dst: "nvme:0",
 		Start: 0, End: 2_000_000,
 	})
-	pw.Task(&TaskRecord{
+	pw.Task(&profiler.TaskTrace{
 		UID: "task.0000", Submit: 0, Scheduled: 0, Launch: 0,
 		Start: 2_000_000, End: 5_000_000, Final: 5_000_000,
-		Edges: []EdgeRecord{
-			{Kind: "transfer", From: 0, To: 2_000_000, Ref: "xfer.000001"},
-			{Kind: "queued", From: 0, To: 1_000_000, Ref: "no-such-source"},
+		Edges: []profiler.CausalEdge{
+			{Kind: profiler.EdgeTransfer, From: 0, To: 2_000_000, Ref: "xfer.000001"},
+			{Kind: profiler.EdgeQueued, From: 0, To: 1_000_000, Ref: "no-such-source"},
 		},
 	})
 	if err := pw.Close(); err != nil {

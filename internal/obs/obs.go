@@ -3,7 +3,7 @@
 // snapshot sessions export their counters and gauges in, and a
 // Chrome/Perfetto trace-event exporter for span-based lifecycle analysis.
 //
-// Three sinks ship:
+// Four sinks ship:
 //
 //   - Memory keeps today's behavior — the profiler retains every record in
 //     memory, so post-mortem analytics (and the golden fingerprint tests)
@@ -12,11 +12,17 @@
 //   - Fold folds each record into running aggregates — throughput,
 //     utilization, latency percentiles — in O(1) memory per task, so
 //     million-task campaigns no longer pay O(n) trace retention.
+//   - Blame folds each task into the streaming makespan blame
+//     decomposition and its straggler detector.
 //   - JSONL spills each record to an io.Writer as one JSON line, for
-//     post-mortem tooling (cmd/rptrace) without in-memory retention.
+//     post-mortem tooling (cmd/rptrace) without in-memory retention. A
+//     line's task, transfer or request object is the profiler's record
+//     under its json tags; ReadRecords drops the edges whose kind no
+//     release wrote.
 //
 // Sinks compose with Tee; retention follows profiler.TraceRetainer (any
-// retaining member keeps the profiler's in-memory traces alive).
+// retaining member keeps the profiler's in-memory traces alive). No
+// session flushes a sink: the caller calls Flush once the run is over.
 package obs
 
 import "rpgo/internal/profiler"

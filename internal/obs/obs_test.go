@@ -140,8 +140,8 @@ func sampleRequest() profiler.RequestTrace {
 	}
 }
 
-// TestJSONLRoundTrip: every trace field survives sink → JSONL → ReadRecords
-// → Trace().
+// TestJSONLRoundTrip: every trace field survives sink → JSONL →
+// ReadRecords.
 func TestJSONLRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	s := NewJSONL(&buf)
@@ -165,11 +165,11 @@ func TestJSONLRoundTrip(t *testing.T) {
 	err := ReadRecords(&buf, func(rec *Record) error {
 		switch {
 		case rec.Task != nil:
-			tasks = append(tasks, rec.Task.Trace())
+			tasks = append(tasks, rec.Task)
 		case rec.Transfer != nil:
-			transfers = append(transfers, rec.Transfer.Trace())
+			transfers = append(transfers, *rec.Transfer)
 		case rec.Request != nil:
-			requests = append(requests, rec.Request.Trace())
+			requests = append(requests, *rec.Request)
 		}
 		return nil
 	})
@@ -208,16 +208,15 @@ func TestPerfettoExport(t *testing.T) {
 	render := func() []byte {
 		var buf bytes.Buffer
 		pw := NewPerfettoWriter(&buf)
-		task := NewTaskRecord(sampleTask())
-		pw.Record(&Record{Task: &task})
-		xfer := NewTransferRecord(sampleTransfer())
+		pw.Record(&Record{Task: sampleTask()})
+		xfer := sampleTransfer()
 		pw.Record(&Record{Transfer: &xfer})
-		req := NewRequestRecord(sampleRequest())
+		req := sampleRequest()
 		pw.Record(&Record{Request: &req})
 		// A task that never started: only task/schedule spans may emit.
-		ghost := NewTaskRecord(profiler.NewTaskTrace("task.ghost"))
+		ghost := profiler.NewTaskTrace("task.ghost")
 		ghost.Submit, ghost.Scheduled, ghost.Final = 10, 20, 30
-		pw.Record(&Record{Task: &ghost})
+		pw.Record(&Record{Task: ghost})
 		if err := pw.Close(); err != nil {
 			t.Fatal(err)
 		}

@@ -20,6 +20,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+
+	"rpgo/internal/profiler"
+	"rpgo/internal/sim"
 )
 
 // TraceEvent is one Chrome trace-event object (the subset we emit and
@@ -67,7 +70,7 @@ type PerfettoWriter struct {
 type flowSrc struct {
 	pid int
 	tid int
-	ts  int64
+	ts  sim.Time
 }
 
 // NewPerfettoWriter starts a trace-event JSON document on w and emits the
@@ -109,20 +112,20 @@ func (pw *PerfettoWriter) event(ev TraceEvent) {
 
 // span emits one complete span when both endpoints happened and are
 // ordered.
-func (pw *PerfettoWriter) span(name string, start, end int64, pid, tid int, args map[string]any) {
+func (pw *PerfettoWriter) span(name string, start, end sim.Time, pid, tid int, args map[string]any) {
 	if start < 0 || end < start {
 		return
 	}
 	pw.event(TraceEvent{
 		Name: name, Cat: "lifecycle", Ph: "X",
-		Ts: start, Dur: end - start, Pid: pid, Tid: tid, Args: args,
+		Ts: int64(start), Dur: int64(end - start), Pid: pid, Tid: tid, Args: args,
 	})
 }
 
 // flows draws one arrow per causal edge whose referenced source already
 // spilled: a flow start ("s") on the source slice and a binding finish
 // ("f", bp="e") on the destination at the moment the wait resolved.
-func (pw *PerfettoWriter) flows(edges []EdgeRecord, dstPid, dstTid int) {
+func (pw *PerfettoWriter) flows(edges []profiler.CausalEdge, dstPid, dstTid int) {
 	for _, e := range edges {
 		src, ok := pw.sources[e.Ref]
 		if !ok || e.To < 0 {
@@ -130,12 +133,12 @@ func (pw *PerfettoWriter) flows(edges []EdgeRecord, dstPid, dstTid int) {
 		}
 		pw.nextFlow++
 		pw.event(TraceEvent{
-			Name: e.Kind, Cat: "causal", Ph: "s",
-			Ts: src.ts, Pid: src.pid, Tid: src.tid, ID: pw.nextFlow,
+			Name: e.Kind.String(), Cat: "causal", Ph: "s",
+			Ts: int64(src.ts), Pid: src.pid, Tid: src.tid, ID: pw.nextFlow,
 		})
 		pw.event(TraceEvent{
-			Name: e.Kind, Cat: "causal", Ph: "f", BP: "e",
-			Ts: e.To, Pid: dstPid, Tid: dstTid, ID: pw.nextFlow,
+			Name: e.Kind.String(), Cat: "causal", Ph: "f", BP: "e",
+			Ts: int64(e.To), Pid: dstPid, Tid: dstTid, ID: pw.nextFlow,
 		})
 	}
 }
@@ -152,7 +155,7 @@ func (pw *PerfettoWriter) track(pid int, name string) int {
 }
 
 // Task exports one task's lifecycle span tree.
-func (pw *PerfettoWriter) Task(t *TaskRecord) {
+func (pw *PerfettoWriter) Task(t *profiler.TaskTrace) {
 	tid := pw.track(PidTasks, t.UID)
 	args := map[string]any{"uid": t.UID}
 	if t.Backend != "" {
@@ -173,28 +176,21 @@ func (pw *PerfettoWriter) Task(t *TaskRecord) {
 	pw.span("backend", t.Launch, t.Start, PidTasks, tid, nil)
 	pw.span("exec", t.Start, t.End, PidTasks, tid, nil)
 	if t.StageIn > 0 && t.Start >= 0 {
-		pw.span("stage-in", t.Start, t.Start+t.StageIn, PidTasks, tid,
+		pw.span("stage-in", t.Start, t.Start.Add(t.StageIn), PidTasks, tid,
 			map[string]any{"bytes": t.BytesIn})
 	}
-	if t.StageOut > 0 && t.End >= t.StageOut {
-		pw.span("stage-out", t.End-t.StageOut, t.End, PidTasks, tid,
+	if t.StageOut > 0 && t.End.Add(-t.StageOut) >= 0 {
+		pw.span("stage-out", t.End.Add(-t.StageOut), t.End, PidTasks, tid,
 			map[string]any{"bytes": t.BytesOut})
 	}
 	pw.flows(t.Edges, PidTasks, tid)
-	if end := max64(t.Final, t.End); end >= 0 {
+	if end := max(t.Final, t.End); end >= 0 {
 		pw.sources[t.UID] = flowSrc{pid: PidTasks, tid: tid, ts: end}
 	}
 }
 
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // Transfer exports one data movement as a span on its own track.
-func (pw *PerfettoWriter) Transfer(t *TransferRecord) {
+func (pw *PerfettoWriter) Transfer(t *profiler.TransferTrace) {
 	tid := pw.track(PidData, fmt.Sprintf("%s→%s", t.Src, t.Dst))
 	args := map[string]any{
 		"dataset": t.Dataset, "bytes": t.Bytes, "task": t.Task,
@@ -210,7 +206,7 @@ func (pw *PerfettoWriter) Transfer(t *TransferRecord) {
 }
 
 // Request exports one inference request with wait/serve children.
-func (pw *PerfettoWriter) Request(r *RequestRecord) {
+func (pw *PerfettoWriter) Request(r *profiler.RequestTrace) {
 	tid := pw.track(PidServices, r.UID)
 	args := map[string]any{"service": r.Service, "batch": r.Batch}
 	if r.Failed {
@@ -222,7 +218,7 @@ func (pw *PerfettoWriter) Request(r *RequestRecord) {
 	pw.flows(r.Edges, PidServices, tid)
 	// A request's causal moment is its batch dispatch (followers point at
 	// the leader's dispatch, not its completion).
-	if ts := max64(r.Dispatched, r.Issued); ts >= 0 {
+	if ts := max(r.Dispatched, r.Issued); ts >= 0 {
 		pw.sources[r.UID] = flowSrc{pid: PidServices, tid: tid, ts: ts}
 	}
 }

@@ -10,9 +10,14 @@
 // every Task call opens a trace of its own, and the caller holds the
 // pointer. Keeping UIDs unique is the task manager's job
 // (core.TaskManager.Submit).
+//
+// The records' json tags are the JSONL spill format (internal/obs): a
+// renamed tag breaks every spill already written.
 package profiler
 
 import (
+	"encoding/json"
+	"slices"
 	"time"
 
 	"rpgo/internal/sim"
@@ -76,35 +81,58 @@ var edgeKindNames = [...]string{
 	EdgeCheckpoint: "checkpoint",
 }
 
+// edgeUnknown is the kind a decoded edge takes when its name is not one
+// this release writes.
+const edgeUnknown = EdgeKind(len(edgeKindNames))
+
 func (k EdgeKind) String() string {
-	if int(k) < len(edgeKindNames) {
+	if k.Known() {
 		return edgeKindNames[k]
 	}
 	return "unknown"
 }
 
-// EdgeKindFromString maps a serialized kind name back to its EdgeKind;
-// ok=false for names no release ever wrote.
-func EdgeKindFromString(s string) (EdgeKind, bool) {
-	for k, n := range edgeKindNames {
-		if n == s {
-			return EdgeKind(k), true
-		}
+// Known reports whether k is one of the kinds above. An edge decoded from
+// a spill is not known when its kind is a name no release wrote, or
+// missing.
+func (k EdgeKind) Known() bool { return k < edgeUnknown }
+
+// MarshalText encodes the kind as its name, the form spills carry.
+func (k EdgeKind) MarshalText() ([]byte, error) { return []byte(k.String()), nil }
+
+// UnmarshalText decodes a kind name. A name no release wrote decodes as a
+// kind that is not Known, not as an error, so a newer spill stays readable.
+func (k *EdgeKind) UnmarshalText(b []byte) error {
+	*k = edgeUnknown
+	if i := slices.Index(edgeKindNames[:], string(b)); i >= 0 {
+		*k = EdgeKind(i)
 	}
-	return 0, false
+	return nil
 }
 
 // CausalEdge records one resolved wait: the record holding the edge was
 // blocked from From to To on the thing named by Kind/Ref. Edges are emitted
 // at the moment the wait resolves and never mutate simulation state.
 type CausalEdge struct {
-	Kind EdgeKind
+	Kind EdgeKind `json:"kind"`
 	// From is when the wait began, To when it resolved.
-	From sim.Time
-	To   sim.Time
+	From sim.Time `json:"from"`
+	To   sim.Time `json:"to"`
 	// Ref names the blocking entity: a transfer UID, request UID, replica
 	// UID, service name, channel name, or retry reason, per Kind.
-	Ref string
+	Ref string `json:"ref,omitempty"`
+}
+
+// UnmarshalJSON decodes an edge. One whose kind is missing or null, or
+// that is null itself, decodes with a kind that is not Known.
+func (e *CausalEdge) UnmarshalJSON(b []byte) error {
+	type fields CausalEdge
+	f := fields{Kind: edgeUnknown}
+	if err := json.Unmarshal(b, &f); err != nil {
+		return err
+	}
+	*e = CausalEdge(f)
+	return nil
 }
 
 // Wait returns the edge's blocked duration.
@@ -125,53 +153,53 @@ func addEdge(edges []CausalEdge, e CausalEdge) []CausalEdge {
 // TaskTrace is the compact per-task record. A negative time means the event
 // did not (or has not yet) happened.
 type TaskTrace struct {
-	UID string
+	UID string `json:"uid"`
 	// Submit is when the client task manager accepted the task.
-	Submit sim.Time
+	Submit sim.Time `json:"submit"`
 	// Scheduled is when the agent scheduler handed it to an executor.
-	Scheduled sim.Time
+	Scheduled sim.Time `json:"scheduled"`
 	// Launch is when the backend accepted the launch request.
-	Launch sim.Time
+	Launch sim.Time `json:"launch"`
 	// Start is when the task process began executing.
-	Start sim.Time
+	Start sim.Time `json:"start"`
 	// End is when the task process finished.
-	End sim.Time
+	End sim.Time `json:"end"`
 	// Final is when the task reached a terminal RP state.
-	Final sim.Time
+	Final sim.Time `json:"final"`
 	// Failed reports whether the terminal state was FAILED.
-	Failed bool
+	Failed bool `json:"failed,omitempty"`
 	// Backend records which runtime system executed the task.
-	Backend string
+	Backend string `json:"backend,omitempty"`
 	// Workflow carries the task's campaign tag for analytics.
-	Workflow string
+	Workflow string `json:"workflow,omitempty"`
 	// Cores and GPUs are the slots the task occupied while running.
-	Cores int
-	GPUs  int
+	Cores int `json:"cores,omitempty"`
+	GPUs  int `json:"gpus,omitempty"`
 	// Retries counts executor-level resubmissions.
-	Retries int
+	Retries int `json:"retries,omitempty"`
 	// ServiceRequests counts inference requests the task issued;
 	// ServiceFailed counts the ones that errored. ServiceWait is the
 	// total wall time the task body spent blocked on responses.
-	ServiceRequests int
-	ServiceFailed   int
-	ServiceWait     sim.Duration
+	ServiceRequests int          `json:"serv_reqs,omitempty"`
+	ServiceFailed   int          `json:"serv_fail,omitempty"`
+	ServiceWait     sim.Duration `json:"serv_wait,omitempty"`
 	// BytesIn / BytesOut are the bytes the data subsystem actually moved
 	// for the task (locality hits move nothing). StageIn / StageOut are
 	// the wall times the task spent staging — StageIn on the compute node
 	// before its body ran, StageOut writing outputs after it.
-	BytesIn  int64
-	BytesOut int64
-	StageIn  sim.Duration
-	StageOut sim.Duration
+	BytesIn  int64        `json:"bytes_in,omitempty"`
+	BytesOut int64        `json:"bytes_out,omitempty"`
+	StageIn  sim.Duration `json:"stage_in,omitempty"`
+	StageOut sim.Duration `json:"stage_out,omitempty"`
 	// DataHits counts input datasets found already at their destination
 	// tier (or on the placement node); DataMisses counts the ones that
 	// needed a transfer.
-	DataHits   int
-	DataMisses int
+	DataHits   int `json:"data_hits,omitempty"`
+	DataMisses int `json:"data_miss,omitempty"`
 	// Edges are the resolved causal waits of this task, in resolution
 	// order. Golden-fingerprint hashes enumerate fields explicitly, so
 	// edges never perturb trace determinism checks.
-	Edges []CausalEdge
+	Edges []CausalEdge `json:"edges,omitempty"`
 }
 
 // AddEdge appends one resolved causal wait to the task's record.
@@ -201,25 +229,25 @@ func (t *TaskTrace) Ran() bool { return t.Start >= 0 && t.End >= 0 }
 // deterministic for a fixed seed.
 type RequestTrace struct {
 	// UID identifies the request (e.g. "llm.req.000042").
-	UID string
+	UID string `json:"uid"`
 	// Service is the endpoint name; Replica the serving replica UID.
-	Service string
-	Replica string
+	Service string `json:"service"`
+	Replica string `json:"replica,omitempty"`
 	// Task is the issuing task's UID, empty for external clients.
-	Task string
+	Task string `json:"task,omitempty"`
 	// Issued is when the request entered the endpoint queue; Dispatched
 	// when its batch started service; Done when the response returned.
-	Issued     sim.Time
-	Dispatched sim.Time
-	Done       sim.Time
+	Issued     sim.Time `json:"issued"`
+	Dispatched sim.Time `json:"dispatched"`
+	Done       sim.Time `json:"done"`
 	// Batch is the size of the batch that served the request.
-	Batch int
+	Batch int `json:"batch,omitempty"`
 	// Failed marks requests that errored (endpoint closed, replica lost
 	// beyond recovery).
-	Failed bool
+	Failed bool `json:"failed,omitempty"`
 	// Edges are the resolved causal waits of this request (batch
 	// formation, replica availability).
-	Edges []CausalEdge
+	Edges []CausalEdge `json:"edges,omitempty"`
 }
 
 // AddEdge appends one resolved causal wait to the request's record.
@@ -238,25 +266,25 @@ func (r *RequestTrace) QueueWait() sim.Duration { return r.Dispatched.Sub(r.Issu
 type TransferTrace struct {
 	// UID identifies the transfer (e.g. "xfer.000042") so causal edges on
 	// tasks can name the exact movement they waited on.
-	UID string
+	UID string `json:"uid,omitempty"`
 	// Dataset is the dataset name; Task the staging task's UID (empty
 	// for transfers outside any task).
-	Dataset string
-	Task    string
+	Dataset string `json:"dataset"`
+	Task    string `json:"task,omitempty"`
 	// Bytes is the transferred size.
-	Bytes int64
+	Bytes int64 `json:"bytes"`
 	// Src and Dst name the endpoints (e.g. "sharedfs", "nvme:12").
-	Src string
-	Dst string
+	Src string `json:"src"`
+	Dst string `json:"dst"`
 	// Node is the compute node involved, -1 for tier-to-tier transfers.
-	Node int
+	Node int `json:"node"`
 	// Start is when the transfer entered its channels (after setup
 	// latency); End when the last byte arrived.
-	Start sim.Time
-	End   sim.Time
+	Start sim.Time `json:"start"`
+	End   sim.Time `json:"end"`
 	// Edges are the resolved causal waits of this transfer: at most one,
 	// its channel contention (Profiler.Transfer).
-	Edges []CausalEdge
+	Edges []CausalEdge `json:"edges,omitempty"`
 }
 
 // Duration returns the transfer's time in the channels.
@@ -266,13 +294,14 @@ func (t *TransferTrace) Duration() sim.Duration { return t.End.Sub(t.Start) }
 // them: one OnTask per task at its terminal state, one OnTransfer per
 // completed data movement, one OnRequest per answered inference request.
 // Callbacks run inside engine events and must not schedule new ones.
-// Implementations live in internal/obs (Memory, Fold, JSONL).
+// Implementations live in internal/obs (Memory, Fold, Blame, JSONL).
 type TraceSink interface {
 	OnTask(*TaskTrace)
 	OnTransfer(TransferTrace)
 	OnRequest(RequestTrace)
-	// Flush finalizes buffered output (spill sinks); the session calls it
-	// once the run is over.
+	// Flush finalizes buffered output (spill sinks). Neither the session
+	// nor the profiler calls it: the caller that owns the sink flushes it
+	// once the run is over, and a spill not flushed loses its tail.
 	Flush() error
 }
 

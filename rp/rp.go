@@ -223,7 +223,9 @@ type MemorySink = obs.Memory
 // utilization, latency percentiles, staging and service statistics.
 type FoldSink = obs.Fold
 
-// JSONLSink spills every trace as one JSON object per line.
+// JSONLSink spills every trace as one JSON object per line. It buffers its
+// lines and no session flushes it: call Flush once the run is over, or the
+// spill loses its tail.
 type JSONLSink = obs.JSONL
 
 // NewFoldSink returns an empty fold.
